@@ -21,12 +21,11 @@ import (
 //
 // If no operation is answered in the suffix, any invoked operation may lead
 // and the history is trivially t-linearizable (consensus is total).
-func consensusTLinearizable(obj spec.Object, h *history.History, t int) (bool, error) {
+func consensusTLinearizable(obj spec.Object, ops []history.Operation, t int) (bool, error) {
 	if obj.Init != spec.NoValue {
 		// A pre-decided consensus object pins v* to the decided value.
-		return consensusPreDecided(obj, h, t)
+		return consensusPreDecided(obj, ops, t)
 	}
-	ops := h.Operations()
 	for _, op := range ops {
 		if op.Op.Method != spec.MethodPropose || op.Op.NArgs != 1 || op.Op.Args[0] < 0 {
 			return false, fmt.Errorf("check: non-propose operation %s in consensus history", op.Op)
@@ -78,12 +77,12 @@ func consensusTLinearizable(obj spec.Object, h *history.History, t int) (bool, e
 // consensusPreDecided handles objects whose initial state is already a
 // decided value d: every operation must return d, and real-time order is
 // irrelevant beyond that (all responses identical).
-func consensusPreDecided(obj spec.Object, h *history.History, t int) (bool, error) {
+func consensusPreDecided(obj spec.Object, ops []history.Operation, t int) (bool, error) {
 	d, ok := obj.Init.(int64)
 	if !ok {
 		return false, fmt.Errorf("check: consensus initial state %v is not int64", obj.Init)
 	}
-	for _, op := range h.Operations() {
+	for _, op := range ops {
 		if op.Res >= t && op.Resp != d {
 			return false, nil
 		}

@@ -86,7 +86,7 @@ func TestConsensusFastPathAgreesWithGenericEngine(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		h := randomConsensusHistory(r, 3, 7, 0.4)
 		for tt := 0; tt <= h.Len(); tt++ {
-			fast, err := consensusTLinearizable(consX["X"], h, tt)
+			fast, err := TLinearizable(consX["X"], h, tt, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,11 +128,11 @@ func TestConsensusPreDecided(t *testing.T) {
 
 func TestConsensusFastPathRejectsForeignOps(t *testing.T) {
 	h := build(t).call(0, "X", rd, 0).h
-	if _, err := consensusTLinearizable(consX["X"], h, 0); err == nil {
+	if _, err := TLinearizable(consX["X"], h, 0, Options{}); err == nil {
 		t.Error("fast path accepted a read")
 	}
 	neg := build(t).call(0, "X", prop(-3), 0).h
-	if _, err := consensusTLinearizable(consX["X"], neg, 0); err == nil {
+	if _, err := TLinearizable(consX["X"], neg, 0, Options{}); err == nil {
 		t.Error("fast path accepted a negative proposal")
 	}
 }

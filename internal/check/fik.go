@@ -2,11 +2,20 @@ package check
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"github.com/elin-go/elin/internal/history"
 	"github.com/elin-go/elin/internal/spec"
 )
+
+// scratch holds the buffers the fetch&inc kernel works in. A monitor owns
+// one and passes it to every window check, so a steady-state check
+// allocates nothing.
+type scratch struct {
+	taken      []uint64 // bitset of the slots constrained operations occupy
+	thresholds []int64  // per pending operation, the largest slot it may not take
+}
 
 // fetchIncTLinearizable decides t-linearizability of a fetch&increment
 // history in polynomial time. The algorithm is the combinatorial core of
@@ -26,129 +35,106 @@ import (
 //     eligibility is upward closed in the slot, so scanning gaps in
 //     ascending order and consuming any eligible filler is exact.
 //
-// Complexity: O(n^2) for the edge scan on n operations (n log n for the
-// matching), versus the exponential generic engine.
-func fetchIncTLinearizable(obj spec.Object, h *history.History, t int) (bool, error) {
+// Complexity: O(n) on a prepared table of n operations. The table lists the
+// operations by invocation and the completed ones by response, so the
+// edge scan is one merge of the two orders carrying the running maximum
+// slot, and it meets the pending operations in ascending order of their
+// lower bounds; no sort, and no map — occupied slots are a bitset in sc.
+func fetchIncTLinearizable(obj spec.Object, tb *history.OpTable, t int, sc *scratch) (bool, error) {
 	initVal, ok := obj.Init.(int64)
 	if !ok {
 		return false, fmt.Errorf("check: fetch&inc initial state %v is not int64", obj.Init)
 	}
-	ops := h.Operations()
-	for _, op := range ops {
-		if op.Op.Method != spec.MethodFetchInc || op.Op.NArgs != 0 {
-			return false, fmt.Errorf("check: non-fetchinc operation %s in fetch&inc history", op.Op)
+	ops := tb.Ops
+	for i := range ops {
+		if ops[i].Op.Method != spec.MethodFetchInc || ops[i].Op.NArgs != 0 {
+			return false, fmt.Errorf("check: non-fetchinc operation %s in fetch&inc history", ops[i].Op)
 		}
 	}
 
-	// Partition: constrained (response in suffix), free (response in
-	// prefix), pending. Constrained ops carry fixed slots.
-	type cop struct {
-		inv, res int
-		slot     int64
-	}
-	var constrained []cop
-	freeCount := 0
-	var pendingInv []int // invocation indices of pending ops
-	slots := make(map[int64]bool)
-	for _, op := range ops {
-		switch {
-		case op.Res >= t:
-			slot := op.Resp - initVal
-			if slot < 0 {
-				return false, nil // response below the initial value is illegal
-			}
-			if slots[slot] {
-				return false, nil // duplicate responses in the suffix
-			}
-			slots[slot] = true
-			constrained = append(constrained, cop{inv: op.Inv, res: op.Res, slot: slot})
-		case op.Res >= 0:
-			freeCount++
-		default:
-			pendingInv = append(pendingInv, op.Inv)
-		}
-	}
+	// Constrained operations (response in the suffix) carry fixed slots;
+	// ByRes is in response order, so they are its tail.
+	first := sort.Search(len(tb.ByRes), func(i int) bool { return ops[tb.ByRes[i]].Res >= t })
+	constrained := tb.ByRes[first:]
 	if len(constrained) == 0 {
 		// No response constraints and no real-time edges: any ordering of
 		// the completed operations with reassigned responses is legal
 		// (fetch&inc is total).
 		return true, nil
 	}
+	words := (len(ops) + 63) / 64
+	if cap(sc.taken) < words {
+		sc.taken = make([]uint64, words)
+	}
+	taken := sc.taken[:words]
+	clear(taken)
+	maxSlot := int64(-1)
+	for _, j := range constrained {
+		slot := ops[j].Resp - initVal
+		// A t-linearization fills every slot up to the top constrained one
+		// with a distinct operation, so a slot past the operation count is
+		// as illegal as one below the initial value.
+		if slot < 0 || slot >= int64(len(ops)) {
+			return false, nil
+		}
+		if taken[slot/64]&(1<<(slot%64)) != 0 {
+			return false, nil // duplicate responses in the suffix
+		}
+		taken[slot/64] |= 1 << (slot % 64)
+		maxSlot = max(maxSlot, slot)
+	}
 
 	// Real-time edges among suffix events: for op1 constrained and op2 with
 	// invocation in the suffix, res(op1) < inv(op2) forces slot order (for
-	// constrained op2) or a slot lower bound (for pending op2).
-	sort.Slice(constrained, func(i, j int) bool { return constrained[i].res < constrained[j].res })
-	// maxSlotByRes[i] = max slot among constrained[0..i].
-	maxSlotByRes := make([]int64, len(constrained))
-	running := int64(-1)
-	for i, c := range constrained {
-		if c.slot > running {
-			running = c.slot
+	// constrained op2) or a slot lower bound (for pending op2). Walking the
+	// operations by invocation, before is the largest slot of a constrained
+	// operation answered before the current invocation, or -1.
+	before, next := int64(-1), 0
+	free := 0
+	thresholds := sc.thresholds[:0]
+	for i := range ops {
+		op := &ops[i]
+		for next < len(constrained) && ops[constrained[next]].Res < op.Inv {
+			before = max(before, ops[constrained[next]].Resp-initVal)
+			next++
 		}
-		maxSlotByRes[i] = running
-	}
-	// maxSlotBefore returns the largest slot of a constrained op whose
-	// response event precedes event index ev, or -1.
-	maxSlotBefore := func(ev int) int64 {
-		// Binary search for the last constrained op with res < ev.
-		lo, hi := 0, len(constrained)
-		for lo < hi {
-			mid := lo + (hi-lo)/2
-			if constrained[mid].res < ev {
-				lo = mid + 1
-			} else {
-				hi = mid
+		switch {
+		case op.Res >= t:
+			if op.Inv >= t && before >= op.Resp-initVal {
+				return false, nil // a real-time predecessor has an equal or larger slot
 			}
-		}
-		if lo == 0 {
-			return -1
-		}
-		return maxSlotByRes[lo-1]
-	}
-	for _, c := range constrained {
-		if c.inv < t {
-			continue
-		}
-		if maxSlotBefore(c.inv) >= c.slot {
-			return false, nil // a real-time predecessor has an equal or larger slot
+		case op.Res >= 0:
+			free++
+		case op.Inv < t:
+			thresholds = append(thresholds, -1) // no incoming edges: universal
+		default:
+			thresholds = append(thresholds, before)
 		}
 	}
+	sc.thresholds = thresholds
 
 	// Gap filling: slots 0..maxSlot not taken by constrained ops must be
 	// filled. Fillers: free ops (eligible for any gap) and pending ops
-	// (eligible for gaps strictly above their real-time lower bound).
-	maxSlot := running
-	var gaps []int64
-	for s := int64(0); s <= maxSlot; s++ {
-		if !slots[s] {
-			gaps = append(gaps, s)
+	// (eligible for gaps strictly above their real-time lower bound, which
+	// the walk above produced in ascending order).
+	available := free
+	next = 0
+	for w, word := range taken[:maxSlot/64+1] {
+		gaps := ^word
+		if w == int(maxSlot/64) {
+			gaps &= 1<<(maxSlot%64+1) - 1
 		}
-	}
-	if len(gaps) == 0 {
-		return true, nil
-	}
-	thresholds := make([]int64, 0, len(pendingInv))
-	for _, inv := range pendingInv {
-		if inv < t {
-			thresholds = append(thresholds, -1) // no incoming edges: universal
-		} else {
-			thresholds = append(thresholds, maxSlotBefore(inv))
+		for ; gaps != 0; gaps &= gaps - 1 {
+			g := int64(w*64 + bits.TrailingZeros64(gaps))
+			for next < len(thresholds) && thresholds[next] < g {
+				available++
+				next++
+			}
+			if available == 0 {
+				return false, nil
+			}
+			available--
 		}
-	}
-	sort.Slice(thresholds, func(i, j int) bool { return thresholds[i] < thresholds[j] })
-
-	available := freeCount // free fillers are eligible everywhere
-	next := 0
-	for _, g := range gaps {
-		for next < len(thresholds) && thresholds[next] < g {
-			available++
-			next++
-		}
-		if available == 0 {
-			return false, nil
-		}
-		available--
 	}
 	return true, nil
 }

@@ -52,7 +52,7 @@ func TestFetchIncFastPathAgreesWithGenericEngine(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
 		h := randomFetchIncHistory(r, 3, 8, 0.35)
 		for tt := 0; tt <= h.Len(); tt++ {
-			fast, err := fetchIncTLinearizable(obj, h, tt)
+			fast, err := TLinearizable(obj, h, tt, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,7 +100,7 @@ func TestFetchIncFastPathRejectsForeignOps(t *testing.T) {
 	if err := h.Call(0, "X", spec.MakeOp(spec.MethodRead), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fetchIncTLinearizable(obj, h, 0); err == nil {
+	if _, err := TLinearizable(obj, h, 0, Options{}); err == nil {
 		t.Error("fast path accepted a read operation")
 	}
 }

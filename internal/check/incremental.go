@@ -2,7 +2,6 @@ package check
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/elin-go/elin/internal/history"
 	"github.com/elin-go/elin/internal/spec"
@@ -98,8 +97,13 @@ type Incremental struct {
 	obj spec.Object
 	det spec.DetStepper // non-nil fast path for the rebase fold
 
-	// win is the current window as a standalone history.
+	// win is the current window as a standalone history; tb is its operation
+	// table, filled once when the window closes and shared by the MinT search
+	// and the rebase fold; sc is the checker's scratch. All three are reused
+	// from window to window.
 	win *history.History
+	tb  history.OpTable
+	sc  scratch
 	// start is the global event index of the window's first event.
 	start int
 	// events counts all events fed so far.
@@ -248,12 +252,13 @@ func (m *Incremental) Abort() {}
 // ends on an unchecked window.
 func (m *Incremental) closeWindow(force bool) (*WindowViolation, error) {
 	m.winCount++
+	m.tb.Fill(m.win)
 	if !force && m.skipLeft > 0 {
 		m.skipLeft--
 		m.skipped++
 		return nil, m.advanceCut()
 	}
-	t, ok, err := MinT(m.obj, m.win, m.cfg.Opts)
+	t, ok, err := windowMinT(m.obj, m.win, &m.tb, m.cfg.Opts, &m.sc)
 	if err != nil {
 		return nil, fmt.Errorf("check: incremental window [%d,%d): %w", m.start, m.events, err)
 	}
@@ -289,56 +294,54 @@ func (m *Incremental) closeWindow(force bool) (*WindowViolation, error) {
 }
 
 // advanceCut folds the window's completed operations into the rebased
-// initial state (in commit order) and starts the next window with the
+// initial state (in commit order) and restarts the window with the
 // still-open operations' invocations.
 func (m *Incremental) advanceCut() error {
-	obj, next, err := rebaseFold(m.obj, m.det, m.win)
+	m.win.Reset()
+	obj, err := rebaseFold(m.obj, m.det, &m.tb, m.win)
 	if err != nil {
 		return err
 	}
 	m.obj = obj
 	m.start = m.events
-	m.win = next
 	return nil
 }
 
-// rebaseFold is the shared window handoff: it folds win's completed
-// operations into obj's initial state (in commit order) and returns the
-// rebased object together with the next window, primed with the still-open
-// operations' invocations. The sequential monitor uses it to advance its
-// cut in place; the window-sharded monitor uses it at dispatch time so the
-// closed window can be handed to a worker while recording continues against
-// the rebased state.
-func rebaseFold(obj spec.Object, det spec.DetStepper, win *history.History) (spec.Object, *history.History, error) {
+// windowMinT is MinT of win given its operation table tb: the check of one
+// closed window, as both window monitors run it.
+func windowMinT(obj spec.Object, win *history.History, tb *history.OpTable, opts Options, sc *scratch) (int, bool, error) {
+	if err := oneObject(win); err != nil {
+		return 0, false, err
+	}
+	return minT(obj, tb, opts, sc)
+}
+
+// rebaseFold is the shared window handoff: it folds the completed
+// operations of the window tb was filled from into obj's initial state and
+// primes next, which must be empty, with the still-open operations'
+// invocations. The fold runs in response-event order: in the live runtime
+// response events are placed at their commit tickets, so this is the commit
+// order. The sequential monitor passes its own window, reset; the
+// window-sharded monitor a new one, because the closed window goes to a
+// worker while recording continues against the rebased state.
+func rebaseFold(obj spec.Object, det spec.DetStepper, tb *history.OpTable, next *history.History) (spec.Object, error) {
 	state := obj.Init
-	ops := win.Operations()
-	var open []history.Operation
-	byRes := make([]history.Operation, 0, len(ops))
-	for _, op := range ops {
-		if op.Pending() {
-			open = append(open, op)
-		} else {
-			byRes = append(byRes, op)
-		}
-	}
-	// Fold in response-event order: in the live runtime response events are
-	// placed at their commit tickets, so this is the commit order.
-	sort.Slice(byRes, func(i, j int) bool { return byRes[i].Res < byRes[j].Res })
-	for _, op := range byRes {
-		next, applied := stepRebase(obj, det, state, op.Op, op.Resp)
+	for _, j := range tb.ByRes {
+		op := &tb.Ops[j]
+		to, applied := stepRebase(obj, det, state, op.Op, op.Resp)
 		if !applied {
-			return obj, nil, fmt.Errorf("check: incremental rebase: %s inapplicable in state %v", op.Op, state)
+			return obj, fmt.Errorf("check: incremental rebase: %s inapplicable in state %v", op.Op, state)
 		}
-		state = next
+		state = to
 	}
-	rebased := spec.Object{Type: obj.Type, Init: state}
-	next := history.New()
-	for _, op := range open {
-		if err := next.Invoke(op.Proc, op.Obj, op.Op); err != nil {
-			return obj, nil, fmt.Errorf("check: incremental rebase: %w", err)
+	for i := range tb.Ops {
+		if op := &tb.Ops[i]; op.Pending() {
+			if err := next.Invoke(op.Proc, op.Obj, op.Op); err != nil {
+				return obj, fmt.Errorf("check: incremental rebase: %w", err)
+			}
 		}
 	}
-	return rebased, next, nil
+	return spec.Object{Type: obj.Type, Init: state}, nil
 }
 
 // stepRebase advances state by op. Deterministic types ignore resp; for a

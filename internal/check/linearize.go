@@ -1,6 +1,7 @@
 package check
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -26,22 +27,29 @@ func TLinearizable(obj spec.Object, h *history.History, t int, opts Options) (bo
 	if err := oneObject(h); err != nil {
 		return false, err
 	}
+	var tb history.OpTable
+	tb.Fill(h)
+	return tLinearizable(obj, &tb, t, opts, &scratch{})
+}
+
+// tLinearizable is TLinearizable on a prepared operation table: every probe
+// of a MinT search, and the rebase fold after it, share one table.
+func tLinearizable(obj spec.Object, tb *history.OpTable, t int, opts Options, sc *scratch) (bool, error) {
 	if t < 0 {
 		t = 0
 	}
 	if !opts.NoFastPath {
 		switch obj.Type.(type) {
 		case spec.FetchInc:
-			return fetchIncTLinearizable(obj, h, t)
+			return fetchIncTLinearizable(obj, tb, t, sc)
 		case spec.Consensus:
-			return consensusTLinearizable(obj, h, t)
+			return consensusTLinearizable(obj, tb.Ops, t)
 		}
 	}
-	ops := h.Operations()
-	if len(ops) > MaxOpsPerObject {
+	if len(tb.Ops) > MaxOpsPerObject {
 		return false, ErrTooLarge
 	}
-	pr := newTLinProblem(obj, ops, t, opts)
+	pr := newTLinProblem(obj, tb.Ops, t, opts)
 	return pr.solve()
 }
 
@@ -73,21 +81,36 @@ func LinearizableExplain(objs map[string]spec.Object, h *history.History, opts O
 }
 
 // MinT returns the least t for which the single-object history h is
-// t-linearizable (binary search, justified by the monotonicity of
-// t-linearizability in t, Lemma 5). The boolean result is false if h is not
-// t-linearizable even for t = h.Len(), which cannot happen for total types.
+// t-linearizable. The boolean result is false if h is not t-linearizable
+// even for t = h.Len(), which cannot happen for total types.
 func MinT(obj spec.Object, h *history.History, opts Options) (int, bool, error) {
-	ok, err := TLinearizable(obj, h, h.Len(), opts)
-	if err != nil {
+	var tb history.OpTable
+	tb.Fill(h)
+	return windowMinT(obj, h, &tb, opts, &scratch{})
+}
+
+// minT is MinT on a prepared operation table. It probes t = 0 first: by the
+// monotonicity of t-linearizability in t (Lemma 5) a linearizable history —
+// nearly every monitor window — is settled by that one decision, and only a
+// failed probe pays the binary search over (0, Len]. A probe that exhausts
+// its budget decides nothing, so the search then covers [0, Len].
+func minT(obj spec.Object, tb *history.OpTable, opts Options, sc *scratch) (int, bool, error) {
+	lo, hi := 1, tb.Events
+	switch ok, err := tLinearizable(obj, tb, 0, opts, sc); {
+	case errors.Is(err, ErrBudget):
+		lo = 0
+	case err != nil:
+		return 0, false, err
+	case ok:
+		return 0, true, nil
+	}
+	ok, err := tLinearizable(obj, tb, hi, opts, sc)
+	if err != nil || !ok {
 		return 0, false, err
 	}
-	if !ok {
-		return 0, false, nil
-	}
-	lo, hi := 0, h.Len()
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		ok, err := TLinearizable(obj, h, mid, opts)
+		ok, err := tLinearizable(obj, tb, mid, opts, sc)
 		if err != nil {
 			return 0, false, err
 		}
@@ -243,9 +266,11 @@ func TLinearizableMulti(objs map[string]spec.Object, h *history.History, t int, 
 
 // oneObject verifies that all events of h are on one object.
 func oneObject(h *history.History) error {
-	objs := h.Objects()
-	if len(objs) > 1 {
-		return fmt.Errorf("check: single-object checker given %d objects %v", len(objs), objs)
+	for i := 1; i < h.Len(); i++ {
+		if h.Event(i).Obj != h.Event(i-1).Obj {
+			objs := h.Objects()
+			return fmt.Errorf("check: single-object checker given %d objects %v", len(objs), objs)
+		}
 	}
 	return nil
 }
@@ -255,7 +280,8 @@ func oneObject(h *history.History) error {
 // Shared by the single-object and product-state engines.
 func opConstraints(ops []history.Operation, t int) (pred []uint64, constrained, completed uint64) {
 	pred = make([]uint64, len(ops))
-	for j, opj := range ops {
+	for j := range ops {
+		opj := &ops[j]
 		if opj.Res >= 0 {
 			completed |= 1 << uint(j)
 			if opj.Res >= t {
@@ -265,11 +291,8 @@ func opConstraints(ops []history.Operation, t int) (pred []uint64, constrained, 
 		if opj.Inv < t {
 			continue // invocation in the prefix: no incoming real-time edges
 		}
-		for i, opi := range ops {
-			if i == j || opi.Res < 0 || opi.Res < t {
-				continue
-			}
-			if opi.Res < opj.Inv {
+		for i := range ops {
+			if res := ops[i].Res; i != j && res >= t && res < opj.Inv {
 				pred[j] |= 1 << uint(i)
 			}
 		}

@@ -24,6 +24,7 @@ type windowTask struct {
 	// ([start, end)); end is also the event count the sample is keyed by.
 	start, end int
 	win        *history.History
+	tb         history.OpTable // win's operation table, filled by the dispatcher
 	obj        spec.Object
 
 	minT int
@@ -117,6 +118,7 @@ type ShardedByWindow struct {
 	det spec.DetStepper
 
 	win    *history.History
+	tb     history.OpTable // table of a skipped window; a checked one's goes with its task
 	start  int
 	events int
 
@@ -174,6 +176,7 @@ func NewShardedByWindow(obj spec.Object, cfg IncrementalConfig, workers int) (*S
 // generating the events.
 func (s *ShardedByWindow) worker(r *taskRing) {
 	defer s.wg.Done()
+	var sc scratch
 	for {
 		if s.stopped.Load() {
 			return
@@ -187,7 +190,7 @@ func (s *ShardedByWindow) worker(r *taskRing) {
 			}
 			continue
 		}
-		t.minT, t.ok, t.err = MinT(t.obj, t.win, s.cfg.Opts)
+		t.minT, t.ok, t.err = windowMinT(t.obj, t.win, &t.tb, s.cfg.Opts, &sc)
 		t.done.Store(true)
 	}
 }
@@ -228,16 +231,18 @@ func (s *ShardedByWindow) closeWindow(force bool) (*WindowViolation, error) {
 	if !force && s.skipLeft > 0 {
 		s.skipLeft--
 		s.skipped++
-		return nil, s.advance()
+		s.tb.Fill(s.win)
+		s.win.Reset()
+		return nil, s.advance(&s.tb, s.win)
 	}
 	if s.sampleEvery > 1 {
 		s.skipLeft = s.sampleEvery - 1
 	}
 	t := &windowTask{start: s.start, end: s.events, win: s.win, obj: s.obj}
-	// Fold before dispatch: advance reads s.win (the task's window) one last
-	// time on this goroutine; after the push below only the worker touches
-	// it.
-	if err := s.advance(); err != nil {
+	t.tb.Fill(s.win)
+	// Fold before dispatch: the table is written one last time on this
+	// goroutine; after the push below only the worker touches the task.
+	if err := s.advance(&t.tb, history.New()); err != nil {
 		return nil, err
 	}
 	s.pending = append(s.pending, t)
@@ -248,10 +253,10 @@ func (s *ShardedByWindow) closeWindow(force bool) (*WindowViolation, error) {
 	return nil, nil
 }
 
-// advance rebases the state past the current window and starts the next one
-// with the still-open operations.
-func (s *ShardedByWindow) advance() error {
-	obj, next, err := rebaseFold(s.obj, s.det, s.win)
+// advance rebases the state past the window tb describes and makes next,
+// primed with the still-open operations, the current window.
+func (s *ShardedByWindow) advance(tb *history.OpTable, next *history.History) error {
+	obj, err := rebaseFold(s.obj, s.det, tb, next)
 	if err != nil {
 		return err
 	}

@@ -1,0 +1,108 @@
+package check
+
+import (
+	"math/rand"
+	"testing"
+
+	"github.com/elin-go/elin/internal/gen"
+	"github.com/elin-go/elin/internal/history"
+	"github.com/elin-go/elin/internal/spec"
+)
+
+// benchWindows is how many windows of events a window benchmark generates;
+// a monitor that has consumed them is replaced by a new one.
+const benchWindows = 256
+
+// BenchmarkIncrementalWindow measures the full monitor per closed window:
+// stride Feeds, one MinT search, one rebase fold. fi-512 is the fetch&inc
+// kernel at the live runtime's stride, reg-32 the generic engine at the
+// offline register workload's.
+func BenchmarkIncrementalWindow(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		obj    spec.Object
+		stride int
+		events func(ops int) *history.History
+	}{
+		{"fi-512", spec.NewObject(spec.FetchInc{}), 512, func(ops int) *history.History {
+			return gen.FetchInc(rand.New(rand.NewSource(1)), gen.HistoryConfig{Procs: 4, Ops: ops, PendingBias: 0.3})
+		}},
+		{"reg-32", spec.NewObject(spec.Register{}), 32, func(ops int) *history.History {
+			return gen.Register(rand.New(rand.NewSource(1)), gen.HistoryConfig{Procs: 4, Ops: ops, PendingBias: 0.5})
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			events := bc.events(benchWindows * bc.stride / 2).Events()
+			cfg := IncrementalConfig{Stride: bc.stride}
+			m := NewIncremental(bc.obj, cfg)
+			at := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if len(events)-at < bc.stride {
+					m, at = NewIncremental(bc.obj, cfg), 0
+				}
+				for closed := m.Checks(); m.Checks() == closed; at++ {
+					if v, err := m.Feed(events[at]); err != nil || v != nil {
+						b.Fatalf("window %d: violation %v, error %v", i, v, err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkMinT measures one MinT search on a 512-event fetch&inc history:
+// lin is settled by the t = 0 probe, nonlin (one response in twenty
+// corrupted) pays the bisection as well.
+func BenchmarkMinT(b *testing.B) {
+	obj := spec.NewObject(spec.FetchInc{})
+	for _, bc := range []struct {
+		name    string
+		corrupt float64
+	}{{"lin", 0}, {"nonlin", 0.05}} {
+		b.Run(bc.name, func(b *testing.B) {
+			h := gen.FetchInc(rand.New(rand.NewSource(3)), gen.HistoryConfig{Procs: 4, Ops: 256, Corrupt: bc.corrupt, PendingBias: 0.3})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t, ok, err := MinT(obj, h, Options{})
+				if err != nil || !ok || (t > 0) != (bc.corrupt > 0) {
+					b.Fatalf("MinT = %d, %v, %v", t, ok, err)
+				}
+			}
+		})
+	}
+}
+
+// TestIncrementalSteadyStateAllocs pins the fetch&inc full monitor's own
+// machinery at zero allocations per window once its buffers have grown: the
+// window history, the operation table and the kernel's scratch are reused.
+// The counter stays below 256 throughout, where Go boxes an int64 without
+// allocating: spec.State is an interface, so past that the fold's StepDet
+// allocates 8 bytes per completed operation for the successor state (the
+// 255 allocs/op BenchmarkIncrementalWindow/fi-512 reports), which is the
+// specification layer's cost and not the monitor's to remove.
+func TestIncrementalSteadyStateAllocs(t *testing.T) {
+	const stride, warm, runs = 16, 4, 20
+	events := gen.FetchInc(rand.New(rand.NewSource(2)),
+		gen.HistoryConfig{Procs: 4, Ops: (warm + runs + 1) * stride / 2, PendingBias: 0.3}).Events()
+	m := NewIncremental(spec.NewObject(spec.FetchInc{}), IncrementalConfig{Stride: stride})
+	m.samples = make([]Sample, 0, warm+runs+1)
+	at := 0
+	// window feeds events until one more window has closed (a window opens
+	// with the operations pending at the cut, so it takes fewer than stride).
+	window := func() {
+		for closed := m.Checks(); m.Checks() == closed; at++ {
+			if v, err := m.Feed(events[at]); err != nil || v != nil {
+				t.Fatalf("event %d: violation %v, error %v", at, v, err)
+			}
+		}
+	}
+	for i := 0; i < warm; i++ {
+		window()
+	}
+	if allocs := testing.AllocsPerRun(runs, window); allocs != 0 {
+		t.Errorf("%.0f allocations per window in steady state, want 0", allocs)
+	}
+}

@@ -209,12 +209,44 @@ func (h *History) Call(proc int, obj string, op spec.Op, resp int64) error {
 
 // Operations returns the history's operations in invocation order.
 func (h *History) Operations() []Operation {
-	ops := make([]Operation, 0, len(h.events)/2+1)
+	return h.operations(make([]Operation, 0, len(h.events)/2+1), nil)
+}
+
+// OpTable is a history's operation table in caller-owned buffers: a monitor
+// that closes a window every few hundred events fills one table per window
+// and reuses it, instead of deriving Operations afresh for every question it
+// asks about the window.
+type OpTable struct {
+	// Ops are the operations in invocation order (what Operations returns).
+	Ops []Operation
+	// ByRes lists the completed operations, as indexes into Ops, in
+	// response-event order.
+	ByRes []int
+	// Events is the length of the history the table was filled from.
+	Events int
+}
+
+// Fill rebuilds the table from h, reusing the buffers: once they have grown
+// to the history's size a Fill allocates nothing.
+func (t *OpTable) Fill(h *History) {
+	if n := len(h.events)/2 + 1; cap(t.Ops) < n {
+		t.Ops = make([]Operation, 0, n)
+		t.ByRes = make([]int, 0, n)
+	}
+	t.ByRes = t.ByRes[:0]
+	t.Ops = h.operations(t.Ops[:0], &t.ByRes)
+	t.Events = len(h.events)
+}
+
+// operations appends the operations to ops and, when byRes is non-nil, the
+// index of each completed one to *byRes as its response event is met.
+func (h *History) operations(ops []Operation, byRes *[]int) []Operation {
 	// pendingOp[p] is the index into ops of p's pending operation. A small
 	// stack array covers the usual process counts without allocating.
 	var small [16]int
 	pendingOp := small[:]
-	for i, e := range h.events {
+	for i := range h.events {
+		e := &h.events[i]
 		for e.Proc >= len(pendingOp) {
 			pendingOp = append(pendingOp, 0)
 		}
@@ -228,6 +260,9 @@ func (h *History) Operations() []Operation {
 			j := pendingOp[e.Proc]
 			ops[j].Res = i
 			ops[j].Resp = e.Resp
+			if byRes != nil {
+				*byRes = append(*byRes, j)
+			}
 		}
 	}
 	return ops
@@ -334,6 +369,14 @@ func (h *History) Prefix(k int) *History {
 		}
 	}
 	return p
+}
+
+// Reset empties the history and keeps its buffers, so a monitor window can
+// be refilled without allocating.
+func (h *History) Reset() {
+	h.events = h.events[:0]
+	h.invIdx = h.invIdx[:0]
+	clear(h.open)
 }
 
 // Clone returns a deep copy.

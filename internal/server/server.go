@@ -282,31 +282,44 @@ func (s *Server) feed(e history.Event, pos uint64) error {
 func (s *Server) mergeLoop() {
 	defer close(s.mergeDone)
 	m := live.NewMerger(s.cfg.Object.Name(), 0, s.shards())
-	for {
-		n, err := m.Drain(s.h, s.feed)
-		if err != nil {
-			s.mergeErr = err
-			// Keep draining nothing until Shutdown; the error is reported
-			// there. Feeding stopped, so no further events accumulate
-			// downstream state.
-			<-s.waitFinishing()
-			return
-		}
-		if s.finishing.Load() && n == 0 {
-			// All shards finished and fully consumed: done.
-			if s.mon != nil {
-				if _, err := s.mon.Finish(); err != nil && s.mergeErr == nil {
-					s.mergeErr = err
-				}
-			}
-			return
-		}
-		if n == 0 {
-			time.Sleep(200 * time.Microsecond)
-		}
-		s.refreshBounds()
-		s.checkOverload()
+	drain := func() (int, error) { return m.Drain(s.h, s.feed) }
+	for !s.mergeStep(drain) {
 	}
+}
+
+// mergeStep is one turn of the merge loop around one drain (Merger.Drain; a
+// parameter so a test can place Shutdown inside it) and reports whether the
+// merge is complete. finishing is loaded BEFORE the drain: Shutdown sets it
+// after finishing every shard, so a drain that starts with it set snapshots
+// every shard done and holds nothing back behind a watermark — only such a
+// drain moving nothing means the shards are consumed. Loaded after, it could
+// pair with a snapshot that predates the shards' Finish and end the loop one
+// drain early, losing the events that snapshot held back.
+func (s *Server) mergeStep(drain func() (int, error)) bool {
+	finishing := s.finishing.Load()
+	n, err := drain()
+	if err != nil {
+		s.mergeErr = err
+		// Keep draining nothing until Shutdown; the error is reported
+		// there. Feeding stopped, so no further events accumulate
+		// downstream state.
+		<-s.waitFinishing()
+		return true
+	}
+	if finishing && n == 0 {
+		if s.mon != nil {
+			if _, err := s.mon.Finish(); err != nil && s.mergeErr == nil {
+				s.mergeErr = err
+			}
+		}
+		return true
+	}
+	if n == 0 {
+		time.Sleep(200 * time.Microsecond)
+	}
+	s.refreshBounds()
+	s.checkOverload()
+	return false
 }
 
 // waitFinishing returns a channel closed once Shutdown has finished the
