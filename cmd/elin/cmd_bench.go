@@ -116,13 +116,13 @@ func stressTrajectory(ops int) ([]any, error) {
 	}{
 		{"live", scenario.Scenario{Name: "STRESS-atomic-fi-c4", Impl: "atomic-fi", Procs: 4, Ops: ops, Seed: 1, Stride: 512, LatencySample: 8}},
 		{"live", scenario.Scenario{Name: "STRESS-mutex-fi-c4", Impl: "mutex-fi", Procs: 4, Ops: ops, Seed: 1, Stride: 512, LatencySample: 8}},
-		{"live", scenario.Scenario{Name: "STRESS-atomic-fi-c8-nomon", Impl: "atomic-fi", Procs: 8, Ops: ops, Seed: 1, NoMonitor: true, LatencySample: 8}},
+		{"live", scenario.Scenario{Name: "STRESS-atomic-fi-c8-nomon", Impl: "atomic-fi", Procs: 8, Ops: ops, Seed: 1, Monitor: "none", LatencySample: 8}},
 		// The WAL-on rows price durability against the no-WAL row above:
 		// sync never = the framing + write() cost alone, interval:4096 = the
 		// amortized-fsync production setting. (always would fsync per commit
 		// — measurable with elin stress -wal-sync always, too slow to archive.)
-		{"live", scenario.Scenario{Name: "STRESS-atomic-fi-c8-nomon-wal-never", Impl: "atomic-fi", Procs: 8, Ops: ops, Seed: 1, NoMonitor: true, LatencySample: 8, WALSync: "never"}},
-		{"live", scenario.Scenario{Name: "STRESS-atomic-fi-c8-nomon-wal-i4096", Impl: "atomic-fi", Procs: 8, Ops: ops, Seed: 1, NoMonitor: true, LatencySample: 8, WALSync: "interval:4096"}},
+		{"live", scenario.Scenario{Name: "STRESS-atomic-fi-c8-nomon-wal-never", Impl: "atomic-fi", Procs: 8, Ops: ops, Seed: 1, Monitor: "none", LatencySample: 8, WALSync: "never"}},
+		{"live", scenario.Scenario{Name: "STRESS-atomic-fi-c8-nomon-wal-i4096", Impl: "atomic-fi", Procs: 8, Ops: ops, Seed: 1, Monitor: "none", LatencySample: 8, WALSync: "interval:4096"}},
 		// The stabilizing-log rows price the promotion knob on the lock-free
 		// fast path: batch 1 pays a full promotion per op (linearizable —
 		// comparable head-on with atomic-fi), batch 64 answers speculatively
@@ -130,8 +130,8 @@ func stressTrajectory(ops int) ([]any, error) {
 		// row is throughput-only (its speculative staleness is the point,
 		// not a verdict).
 		{"live", scenario.Scenario{Name: "SLOG-fi-b1-c4", Impl: "slog-fi:1", Procs: 4, Ops: ops, Seed: 1, Stride: 512, LatencySample: 8}},
-		{"live", scenario.Scenario{Name: "SLOG-fi-b1-c8-nomon", Impl: "slog-fi:1", Procs: 8, Ops: ops, Seed: 1, NoMonitor: true, LatencySample: 8}},
-		{"live", scenario.Scenario{Name: "SLOG-fi-b64-c8-nomon", Impl: "slog-fi:64", Procs: 8, Ops: ops, Seed: 1, NoMonitor: true, LatencySample: 8}},
+		{"live", scenario.Scenario{Name: "SLOG-fi-b1-c8-nomon", Impl: "slog-fi:1", Procs: 8, Ops: ops, Seed: 1, Monitor: "none", LatencySample: 8}},
+		{"live", scenario.Scenario{Name: "SLOG-fi-b64-c8-nomon", Impl: "slog-fi:64", Procs: 8, Ops: ops, Seed: 1, Monitor: "none", LatencySample: 8}},
 		// The MON-* rows price online monitoring itself at one fixed workload
 		// (the ISSUE-10 monitored-gap matrix): full sequential checking vs
 		// the pipelined shard:4 monitor vs record-only. The gap between full

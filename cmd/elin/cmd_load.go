@@ -34,7 +34,6 @@ func runLoad(args []string, out io.Writer) error {
 	walSync := fs.String("wal-sync", "", "WAL durability: always | never | interval:N (-self only)")
 	stride := fs.Int("stride", 0, "monitor window stride in events (0 = auto; -self only)")
 	monitor := fs.String("monitor", "", "monitor spec: full | sample:N | shard:K | shard:key | none (-self only)")
-	noMonitor := fs.Bool("nomonitor", false, "disable the server-side monitor (-self only)")
 	noVerify := fs.Bool("noverify", false, "skip the replay-identical check (-self only)")
 	rate := fs.Float64("rate", 0, "per-client open-loop pacing in ops/sec (0 = closed loop)")
 	latSample := fs.Int("latsample", 1, "record every Nth operation's latency")
@@ -56,7 +55,6 @@ func runLoad(args []string, out io.Writer) error {
 		s.WALSync = *walSync
 		s.Stride = *stride
 		s.Monitor = *monitor
-		s.NoMonitor = *noMonitor
 		s.NoVerify = *noVerify
 		s.Rate = *rate
 		s.LatencySample = *latSample
@@ -78,7 +76,7 @@ func runLoad(args []string, out io.Writer) error {
 	// matter here — against a real network they are the tuning surface.
 	for flagName, set := range map[string]bool{
 		"net-faults": *netFaults != "", "wal": *walPath != "", "wal-sync": *walSync != "",
-		"stride": *stride != 0, "monitor": *monitor != "", "nomonitor": *noMonitor, "noverify": *noVerify,
+		"stride": *stride != 0, "monitor": *monitor != "", "noverify": *noVerify,
 	} {
 		if set {
 			return fmt.Errorf("load: -%s is server-side state and needs -self (or pass it to 'elin serve')", flagName)

@@ -30,7 +30,6 @@ func runServe(args []string, out io.Writer) error {
 	walSync := fs.String("wal-sync", "", "WAL durability: always | never | interval:N (default never)")
 	stride := fs.Int("stride", 0, "monitor window stride in events (0 = auto)")
 	monitor := fs.String("monitor", "", "monitor spec: full | sample:N | shard:K | shard:key | none (see 'elin list -section monitors')")
-	noMonitor := fs.Bool("nomonitor", false, "disable the server-side online monitor")
 	duration := fs.Duration("duration", 0, "serve for this long then shut down (0 = until SIGINT/SIGTERM)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -42,7 +41,6 @@ func runServe(args []string, out io.Writer) error {
 	s.WALSync = *walSync
 	s.Stride = *stride
 	s.Monitor = *monitor
-	s.NoMonitor = *noMonitor
 
 	srv, err := scenario.BuildServer(s)
 	if err != nil {

@@ -20,7 +20,6 @@ func runStress(args []string, out io.Writer) error {
 	rate := fs.Float64("rate", 0, "open-loop rate per client in ops/sec (0 = closed loop)")
 	stride := fs.Int("stride", 0, "monitor window stride in events (0 = auto)")
 	monitor := fs.String("monitor", "", "monitor spec: full | sample:N | shard:K | shard:key | none (see 'elin list -section monitors')")
-	noMonitor := fs.Bool("nomonitor", false, "disable online monitoring (pure throughput)")
 	latSample := fs.Int("latsample", 1, "record one latency sample every N ops per client")
 	fuzz := fs.Int("fuzz", 0, "run a fuzz campaign over N consecutive seeds instead of one run")
 	noShrink := fs.Bool("noshrink", false, "skip ddmin shrinking of a violation window")
@@ -38,7 +37,6 @@ func runStress(args []string, out io.Writer) error {
 	s.Rate = *rate
 	s.Stride = *stride
 	s.Monitor = *monitor
-	s.NoMonitor = *noMonitor
 	s.LatencySample = *latSample
 	s.FuzzRuns = *fuzz
 	s.NoShrink = *noShrink

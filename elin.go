@@ -205,7 +205,8 @@ type (
 	// growing history is fed event by event and checked window by window.
 	// Implementations: IncrementalMonitor (sequential, the default),
 	// check.ShardedByWindow (pipelined on a worker pool), check.ShardedByKey
-	// (one monitor per object key), check.Null (record-only).
+	// (one monitor per object key). Record-only is not a Monitor: under spec
+	// "none" the runtime's commit pipeline holds no monitor at all.
 	Monitor = check.Monitor
 	// IncrementalMonitor is the sequential exhaustive monitor — the
 	// reference implementation every sharded monitor is pinned against.
@@ -310,11 +311,6 @@ var (
 	// NewMonitor builds the monitor a parsed spec selects (sequential,
 	// sampling, sharded, or record-only) for a single-object history.
 	NewMonitor = check.NewMonitor
-	// NewIncrementalMonitor returns the sequential online windowed monitor
-	// directly.
-	//
-	// Deprecated: use NewMonitor with MonitorFull (or ParseMonitorSpec).
-	NewIncrementalMonitor = check.NewIncremental
 	// ParseMonitorSpec parses the monitor spec vocabulary ("full",
 	// "sample:N", "shard:K", "shard:key", "none").
 	ParseMonitorSpec = check.ParseMonitorSpec

@@ -12,10 +12,11 @@ import (
 // Monitor is the online t-linearizability monitor seam: anything that can
 // watch a growing single-object history event by event and answer with a
 // per-window MinT trend, a violation, and its own perf accounting. The
-// runtime drivers (live.Run, the networked server) hold a Monitor, never a
-// concrete implementation, so exhaustive checking, sampling, sharding and
-// record-only are one configuration knob — the spec vocabulary parsed by
-// ParseMonitorSpec ("full", "sample:N", "shard:K", "shard:key", "none").
+// runtime's commit pipeline (live.Pipeline) holds a Monitor, never a
+// concrete implementation, so exhaustive checking, sampling and sharding
+// are one configuration knob — the spec vocabulary parsed by
+// ParseMonitorSpec ("full", "sample:N", "shard:K", "shard:key", "none");
+// under "none" the pipeline holds no monitor at all.
 //
 // The goroutine discipline is the same for every implementation: Feed,
 // Finish, Abort and SetSampleEvery are called from one driving goroutine;
@@ -176,8 +177,8 @@ func NewMonitor(ms MonitorSpec, obj spec.Object, cfg IncrementalConfig) (Monitor
 }
 
 // Null is the record-only monitor: it counts events and does nothing else.
-// The "none" spec — the pure-throughput configuration, behind the same
-// interface as the checking monitors so drivers need no special case.
+// It is what NewMonitor answers the "none" spec with; the runtime never
+// asks (live.Pipeline builds no monitor under "none").
 type Null struct {
 	events int
 }

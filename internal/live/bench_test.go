@@ -18,10 +18,11 @@ func benchRun(b *testing.B, mk func() Object, clients int, monitor bool) {
 		Clients:       clients,
 		Ops:           ops,
 		Seed:          1,
-		NoMonitor:     !monitor,
+		MonitorSpec:   check.MonitorSpec{Kind: check.MonitorNone},
 		LatencySample: 64,
 	}
 	if monitor {
+		cfg.MonitorSpec = check.MonitorSpec{}
 		cfg.Monitor = check.IncrementalConfig{Stride: 4096}
 	}
 	b.ResetTimer()

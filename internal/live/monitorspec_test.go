@@ -79,7 +79,7 @@ func TestSerialRunShardedMatchesFull(t *testing.T) {
 	}
 }
 
-// MonitorSpec none behaves like NoMonitor: the run records and merges with
+// MonitorSpec none is record-only: the run records and merges with
 // no verdict, and the junk counter runs to completion.
 func TestSerialRunMonitorNone(t *testing.T) {
 	res := serialRun(t, NewJunkFetchInc("C", 100), check.MonitorSpec{Kind: check.MonitorNone}, 2)

@@ -86,12 +86,10 @@ type Config struct {
 	Monitor check.IncrementalConfig
 	// MonitorSpec selects the monitor implementation (full, sample:N,
 	// shard:K, shard:key, none — see check.ParseMonitorSpec). The zero
-	// value is the sequential exhaustive monitor, so existing callers are
-	// unchanged. Kind none is equivalent to NoMonitor.
+	// value is the sequential exhaustive monitor. Kind none disables online
+	// checking: the run records and merges only (the configuration for pure
+	// throughput measurement).
 	MonitorSpec check.MonitorSpec
-	// NoMonitor disables online checking: the run records and merges only
-	// (the configuration for pure throughput measurement).
-	NoMonitor bool
 	// LatencySample records one latency sample every LatencySample
 	// operations per client (default 1: every operation; raise it on
 	// multi-million-op runs to keep the timestamping off the hot path).
@@ -102,7 +100,7 @@ type Config struct {
 	Faults *faults.Spec
 	// Sink, when non-nil, receives every merged event with its merge
 	// position — the durable commit-log backend (wal.Log implements it).
-	// Run owns the sink and closes it before returning.
+	// Run hands it to the run's Pipeline, which closes it on every path.
 	Sink CommitSink
 	// StartSeq initializes the commit sequencer. Continuation runs resume
 	// ticket numbering from a recovered log's last commit (Resume.NextSeq);
@@ -114,9 +112,8 @@ type Config struct {
 	// have an operation pending from before the crash.
 	ProcBase int
 	// History, when non-nil, is a recovered history prefix the run extends
-	// in place: the monitor is primed with its events before any client
-	// starts, so window accounting spans the crash cut. The prefix is not
-	// re-appended to Sink (it is already durable in the log it came from).
+	// in place; the Pipeline primes the monitor with it before any client
+	// starts.
 	History *history.History
 	// Serial switches to the deterministic driver: clients run round-robin
 	// on the calling goroutine, so for a fixed seed the merged history (and
@@ -126,10 +123,7 @@ type Config struct {
 	Serial bool
 }
 
-func (c *Config) fill() error {
-	if c.Object == nil {
-		return fmt.Errorf("live: Config.Object is nil")
-	}
+func (c *Config) fill() {
 	if c.Clients <= 0 {
 		c.Clients = 4
 	}
@@ -142,7 +136,6 @@ func (c *Config) fill() error {
 	if c.LatencySample <= 0 {
 		c.LatencySample = 1
 	}
-	return nil
 }
 
 // Result is the outcome of a live run.
@@ -166,7 +159,7 @@ type Result struct {
 	// start).
 	LatP50, LatP95, LatP99, LatMax time.Duration
 	// Verdict is the online monitor's trend over per-window MinT samples
-	// (zero when NoMonitor).
+	// (zero under monitor spec none).
 	Verdict check.Verdict
 	// Violation is the offending window when the monitor stopped the run.
 	Violation *check.WindowViolation
@@ -182,143 +175,38 @@ type Result struct {
 }
 
 // runEnv is the driver-independent state of one run: the commit sequencer,
-// the (possibly pre-seeded) history, the online monitor, the commit sink
-// and the crash bookkeeping. Both drivers funnel every merged event through
-// feed, which is where persistence, the injected crash and the monitor
-// observe the run in one place.
+// the stop flag, the (possibly pre-seeded) history and the commit pipeline
+// both drivers funnel every merged event through.
 type runEnv struct {
-	cfg       *Config
-	seq       atomic.Uint64
-	stop      atomic.Bool
-	h         *history.History
-	mon       check.Monitor
-	violation *check.WindowViolation
-	crashed   bool
-	crashTick uint64
-	sinkOpen  bool
+	seq  atomic.Uint64
+	stop atomic.Bool
+	h    *history.History
+	pipe *Pipeline
 }
 
-func newRunEnv(cfg *Config) (*runEnv, error) {
-	env := &runEnv{cfg: cfg, sinkOpen: cfg.Sink != nil}
-	env.seq.Store(cfg.StartSeq)
-	// MonitorNone and NoMonitor both mean "record only": the monitor stays
-	// nil so the reporting path keeps its monitoring-disabled shape instead
-	// of dressing a Null monitor's empty verdict up as a trend.
-	if !cfg.NoMonitor && cfg.MonitorSpec.Kind != check.MonitorNone {
-		mon, err := check.NewMonitor(cfg.MonitorSpec, cfg.Object.Spec(), cfg.Monitor)
-		if err != nil {
-			return nil, err
-		}
-		env.mon = mon
-	}
-	h := cfg.History
-	if h == nil {
-		h = history.New()
-	}
-	h.Reserve(h.Len() + 2*cfg.Clients*cfg.Ops)
-	env.h = h
-	// Prime the monitor with the recovered prefix so window accounting and
-	// commit-order state span the crash cut. A violation here means the
-	// recovered log itself fails to t-stabilize — surfaced before any new
-	// client runs.
-	if env.mon != nil {
-		for i := 0; i < h.Len(); i++ {
-			v, err := env.mon.Feed(h.Event(i))
-			if err != nil {
-				env.mon.Abort()
-				return nil, fmt.Errorf("live: priming monitor with recovered history: %w", err)
-			}
-			if v != nil {
-				env.mon.Abort()
-				return nil, fmt.Errorf("live: recovered history violates %d-linearizability in window [%d,%d)",
-					v.MaxT, v.Start, v.End)
-			}
-		}
-	}
-	return env, nil
-}
-
-// abortMon releases monitor resources on every exit path. Abort after a
-// normal Finish is a no-op, so this is safe to defer unconditionally; it is
-// what keeps a pipelined monitor's workers from outliving an early return
-// (client error, crash, violation) — campaigns run many cells per process.
-func (env *runEnv) abortMon() {
-	if env.mon != nil {
-		env.mon.Abort()
-	}
-}
-
-// feed observes one merged event at its merge position: persist first (a
-// commit is durable before anything else sees it), then the injected crash
-// (the crash commit IS durable — what a real machine loses is everything
-// after its last synced frame, injected separately via WAL corruption),
-// then the online monitor.
-func (env *runEnv) feed(e history.Event, pos uint64) error {
-	if env.sinkOpen {
-		if err := env.cfg.Sink.Append(e, pos); err != nil {
-			return err
-		}
-	}
-	if f := env.cfg.Faults; f != nil && f.CrashAtCommit > 0 &&
-		e.Kind == history.KindRespond && pos >= f.CrashAtCommit {
-		env.crashed, env.crashTick = true, pos
-		env.stop.Store(true)
-		return errCrash
-	}
-	if env.mon != nil {
-		v, err := env.mon.Feed(e)
-		if err != nil {
-			return err
-		}
-		if v != nil {
-			env.violation = v
-			env.stop.Store(true)
-			return errStopMerge
-		}
-	}
-	return nil
-}
-
-func (env *runEnv) closeSink() error {
-	if !env.sinkOpen {
-		return nil
-	}
-	env.sinkOpen = false
-	return env.cfg.Sink.Close()
-}
-
-// finish runs the monitor's final window (skipped after a crash — the
-// partial window died with the process) and assembles the Result.
+// finish ends the pipeline and assembles the Result.
 func (env *runEnv) finish(clientOps []int, elapsed time.Duration, lats [][]int64) (*Result, error) {
-	if env.mon != nil && env.violation == nil && !env.crashed {
-		v, err := env.mon.Finish()
-		if err != nil {
-			return nil, err
-		}
-		env.violation = v
-	}
-	if err := env.closeSink(); err != nil {
+	if err := env.pipe.Finish(); err != nil {
 		return nil, err
 	}
 	res := &Result{
-		History:     env.h,
-		ClientOps:   clientOps,
-		Elapsed:     elapsed,
-		Violation:   env.violation,
-		Stopped:     env.violation != nil,
-		Crashed:     env.crashed,
-		CrashTicket: env.crashTick,
+		History:   env.h,
+		ClientOps: clientOps,
+		Elapsed:   elapsed,
+		Violation: env.pipe.Violation(),
 	}
+	res.Stopped = res.Violation != nil
+	res.CrashTicket, res.Crashed = env.pipe.Crashed()
 	for _, n := range clientOps {
 		res.Ops += n
 	}
 	if elapsed > 0 {
 		res.Throughput = float64(res.Ops) / elapsed.Seconds()
 	}
-	if env.mon != nil {
-		res.Verdict = env.mon.Verdict()
+	if mon := env.pipe.Monitor(); mon != nil {
+		res.Verdict = mon.Verdict()
 	}
-	res.LatP50, res.LatP95, res.LatP99, res.LatMax = percentiles(lats)
+	res.LatP50, res.LatP95, res.LatP99, res.LatMax = Percentiles(lats...)
 	return res, nil
 }
 
@@ -351,21 +239,25 @@ func joinClientErrors(cerrs []clientError) error {
 // it); an injected crash stops the run with Result.Crashed set — recover
 // the WAL with wal.Recover + Resume to continue.
 func Run(cfg Config) (*Result, error) {
-	if err := cfg.fill(); err != nil {
-		return nil, err
+	cfg.fill()
+	var crashAt uint64
+	if cfg.Faults != nil {
+		crashAt = cfg.Faults.CrashAtCommit
 	}
-	env, err := newRunEnv(&cfg)
+	pipe, err := NewPipeline(cfg.Object, cfg.MonitorSpec, cfg.Monitor, cfg.Sink, crashAt, cfg.History)
 	if err != nil {
-		if cfg.Sink != nil {
-			cfg.Sink.Close()
-		}
 		return nil, err
 	}
-	defer env.abortMon()
+	defer pipe.Abort()
+	env := &runEnv{h: cfg.History, pipe: pipe}
+	env.seq.Store(cfg.StartSeq)
+	if env.h == nil {
+		env.h = history.New()
+	}
+	env.h.Reserve(env.h.Len() + 2*cfg.Clients*cfg.Ops)
 	if cfg.Serial {
 		return runSerial(&cfg, env)
 	}
-	defer env.closeSink()
 
 	shards := make([]*Shard, cfg.Clients)
 	lats := make([][]int64, cfg.Clients)
@@ -471,14 +363,18 @@ func Run(cfg Config) (*Result, error) {
 
 	// Merge-and-monitor loop (runs on this goroutine).
 	m := NewMerger(cfg.Object.Name(), cfg.ProcBase, shards)
+	feed := pipe.Feed
 	done := false
 	for {
-		if _, err := m.Drain(env.h, env.feed); err != nil && err != errStopMerge && err != errCrash {
+		if _, err := m.Drain(env.h, feed); err != nil {
 			env.stop.Store(true)
-			<-clientsDone
-			return nil, err
+			if err != ErrStop {
+				<-clientsDone
+				return nil, err
+			}
+			break
 		}
-		if env.violation != nil || env.crashed || done {
+		if done {
 			break
 		}
 		select {
@@ -508,8 +404,6 @@ func Run(cfg Config) (*Result, error) {
 // crash-at-K stops the run exactly at commit K. Rate is ignored —
 // open-loop pacing is meaningless without concurrency.
 func runSerial(cfg *Config, env *runEnv) (*Result, error) {
-	defer env.closeSink()
-
 	lats := make([][]int64, cfg.Clients)
 	clientOps := make([]int, cfg.Clients)
 	rngs := make([]*rand.Rand, cfg.Clients)
@@ -567,8 +461,8 @@ outer:
 				runErr = fmt.Errorf("live: serial merge: %w", err)
 				break outer
 			}
-			if err := env.feed(env.h.Event(env.h.Len()-1), stamp); err != nil {
-				if err != errStopMerge && err != errCrash {
+			if err := env.pipe.Feed(env.h.Event(env.h.Len()-1), stamp); err != nil {
+				if err != ErrStop {
 					runErr = err
 				}
 				break outer
@@ -582,8 +476,8 @@ outer:
 				runErr = fmt.Errorf("live: serial merge: %w", err)
 				break outer
 			}
-			if err := env.feed(env.h.Event(env.h.Len()-1), ticket); err != nil {
-				if err != errStopMerge && err != errCrash {
+			if err := env.pipe.Feed(env.h.Event(env.h.Len()-1), ticket); err != nil {
+				if err != ErrStop {
 					runErr = err
 				}
 				break outer
@@ -620,17 +514,11 @@ outer:
 	return env.finish(clientOps, elapsed, lats)
 }
 
-// errStopMerge aborts the merge loop when the monitor flags a violation;
-// errCrash aborts it at the injected crash commit.
-var (
-	errStopMerge = fmt.Errorf("live: stop merge")
-	errCrash     = fmt.Errorf("live: injected crash")
-)
-
-// percentiles merges the sampled latencies and returns p50/p95/p99/max.
-func percentiles(lats [][]int64) (p50, p95, p99, max time.Duration) {
+// Percentiles merges latency samples (one slice per client) and returns
+// their p50/p95/p99/max; all zero when nothing was sampled.
+func Percentiles(samples ...[]int64) (p50, p95, p99, max time.Duration) {
 	var all []int64
-	for _, l := range lats {
+	for _, l := range samples {
 		all = append(all, l...)
 	}
 	if len(all) == 0 {

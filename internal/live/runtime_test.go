@@ -279,14 +279,14 @@ func TestRunLatencySampling(t *testing.T) {
 		Clients:       2,
 		Ops:           1000,
 		Seed:          3,
-		NoMonitor:     true,
+		MonitorSpec:   check.MonitorSpec{Kind: check.MonitorNone},
 		LatencySample: 100,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Violation != nil || len(res.Verdict.Samples) != 0 {
-		t.Fatalf("NoMonitor run produced monitor output: %+v", res)
+		t.Fatalf("record-only run produced monitor output: %+v", res)
 	}
 	if res.LatP50 <= 0 || res.LatP99 < res.LatP50 {
 		t.Fatalf("latency percentiles: p50=%v p99=%v", res.LatP50, res.LatP99)

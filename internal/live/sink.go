@@ -11,11 +11,12 @@ import "github.com/elin-go/elin/internal/history"
 // Append observes one merged event with its merge position: the commit
 // ticket for responses, the sequencer stamp for invocations. Events arrive
 // in merge order (the canonical history order), from the single merging
-// goroutine — implementations need no locking against the runtime. Run
-// owns the sink it is given: it closes the sink before returning, both on
-// normal completion and at an injected crash (the crash cut flushes, so a
-// simulated crash loses in-flight operations, not buffered frames; torn
-// tails are injected separately via faults.Spec.CorruptFile).
+// goroutine — implementations need no locking against the runtime. The
+// run's Pipeline owns the sink it is given and is its only caller: it
+// closes the sink exactly once, on normal completion, on every error path
+// and at an injected crash (the crash cut flushes, so a simulated crash
+// loses in-flight operations, not buffered frames; torn tails are injected
+// separately via faults.Spec.CorruptFile).
 type CommitSink interface {
 	Append(e history.Event, pos uint64) error
 	Close() error

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -193,14 +192,14 @@ func Run(cfg Config) (*Result, error) {
 	elapsed := time.Since(start)
 
 	res := &Result{Clients: cfg.Clients, Ops: cfg.Ops, Elapsed: elapsed}
-	var lats []int64
+	var lats [][]int64
 	seen := make(map[uint64]int)
 	for _, cl := range clients {
 		res.Completed += len(cl.results)
 		res.Retries += cl.retries
 		res.Reconnects += cl.reconnects
 		res.Refused += cl.refused
-		lats = append(lats, cl.lats...)
+		lats = append(lats, cl.lats)
 		for _, r := range cl.results {
 			seen[r.ticket]++
 		}
@@ -211,7 +210,8 @@ func Run(cfg Config) (*Result, error) {
 			res.Duplicated += n - 1
 		}
 	}
-	res.P50NS, res.P95NS, res.P99NS, res.MaxNS = percentiles(lats)
+	p50, p95, p99, max := live.Percentiles(lats...)
+	res.P50NS, res.P95NS, res.P99NS, res.MaxNS = int64(p50), int64(p95), int64(p99), int64(max)
 	for c, err := range errs {
 		if err != nil {
 			return res, fmt.Errorf("loadgen: client %d: %w", c, err)
@@ -371,18 +371,4 @@ func (c *client) close() {
 		c.conn = nil
 		c.br = nil
 	}
-}
-
-// percentiles summarizes a latency sample (p50/p95/p99/max in ns).
-func percentiles(lats []int64) (p50, p95, p99, max int64) {
-	if len(lats) == 0 {
-		return 0, 0, 0, 0
-	}
-	sorted := append([]int64(nil), lats...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	at := func(q float64) int64 {
-		i := int(q * float64(len(sorted)-1))
-		return sorted[i]
-	}
-	return at(0.50), at(0.95), at(0.99), sorted[len(sorted)-1]
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"github.com/elin-go/elin/internal/check"
 	"github.com/elin-go/elin/internal/faults"
 	"github.com/elin-go/elin/internal/live"
 	"github.com/elin-go/elin/internal/server"
@@ -74,11 +75,11 @@ func TestResumeExactlyOnceQuick(t *testing.T) {
 			t.Fatalf("ParseNet: %v", err)
 		}
 		srv, err := server.New(server.Config{
-			Object:    live.NewAtomicFetchInc("C", 0),
-			Clients:   clients,
-			Seed:      seed,
-			NoMonitor: true,
-			NetFaults: spec,
+			Object:      live.NewAtomicFetchInc("C", 0),
+			Clients:     clients,
+			Seed:        seed,
+			MonitorSpec: check.MonitorSpec{Kind: check.MonitorNone},
+			NetFaults:   spec,
 		})
 		if err != nil {
 			t.Fatalf("server.New: %v", err)

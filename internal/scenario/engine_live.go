@@ -54,7 +54,7 @@ func monitorStride(obj live.Object, clients, stride int) (int, error) {
 	default:
 		s := 2 * (check.MaxOpsPerObject - clients - 2)
 		if s < 8 {
-			return 0, fmt.Errorf("scenario: %d clients leave no window room for the generic checker (cap %d ops); lower Procs or set NoMonitor",
+			return 0, fmt.Errorf("scenario: %d clients leave no window room for the generic checker (cap %d ops); lower Procs or set Monitor to none",
 				clients, check.MaxOpsPerObject)
 		}
 		if s > 80 {
@@ -62,6 +62,85 @@ func monitorStride(obj live.Object, clients, stride int) (int, error) {
 		}
 		return s, nil
 	}
+}
+
+// resolveMonitor resolves the monitor spec and the windowing config it
+// runs under on obj with the given number of recording clients. Spec none
+// needs no stride, so it never fails on window room.
+func (s Scenario) resolveMonitor(obj live.Object, clients int) (check.MonitorSpec, check.IncrementalConfig, error) {
+	cfg := check.IncrementalConfig{MaxT: s.Tolerance, Opts: s.Check}
+	ms, err := registry.MonitorSpec(s.Monitor)
+	if err == nil && ms.Kind != check.MonitorNone {
+		cfg.Stride, err = monitorStride(obj, clients, s.Stride)
+	}
+	return ms, cfg, err
+}
+
+// openWAL creates the commit log the scenario asks for and returns it as
+// the run's sink (nil when the scenario writes none). The header records
+// what a later Recover needs to rebuild the object: its registry and
+// history names, the proc-id space and the seed its response choices are
+// a function of.
+func (s Scenario) openWAL(objName string, procs int, seed int64) (live.CommitSink, error) {
+	if s.WAL == "" {
+		if s.WALSync != "" {
+			return nil, fmt.Errorf("scenario: WALSync %q set without a WAL path", s.WALSync)
+		}
+		return nil, nil
+	}
+	pol, err := wal.ParseSyncPolicy(s.WALSync)
+	if err != nil {
+		return nil, err
+	}
+	log, err := wal.Create(s.WAL, wal.Header{
+		Object:    s.implName(),
+		ObjName:   objName,
+		Procs:     procs,
+		Ops:       s.Ops,
+		Workload:  orDefault(s.Workload, DefaultWorkload),
+		Policy:    orDefault(s.Policy, DefaultPolicy),
+		Seed:      seed,
+		Tolerance: s.Tolerance,
+	}, pol)
+	if err != nil {
+		return nil, err
+	}
+	return log, nil
+}
+
+// liveReport reports a finished live run: history, perf, the monitor's
+// trend when one ran, and on a violation the detail and witness. A clean
+// run's detail is the caller's to word.
+func (s Scenario) liveReport(res *live.Result) (*Report, error) {
+	rep := &Report{Schema: Schema, Engine: "live", Scenario: s.info("live"), Verdict: VerdictOK}
+	rep.history = res.History
+	rep.Perf = &PerfInfo{
+		Ops:            res.Ops,
+		Events:         res.History.Len(),
+		NS:             res.Elapsed.Nanoseconds(),
+		ThroughputOpsS: res.Throughput,
+		P50NS:          res.LatP50.Nanoseconds(),
+		P95NS:          res.LatP95.Nanoseconds(),
+		P99NS:          res.LatP99.Nanoseconds(),
+		Gomaxprocs:     runtime.GOMAXPROCS(0),
+	}
+	if !s.monitorOff() {
+		rep.Trend = trendInfo(res.Verdict)
+	}
+	if res.Violation == nil {
+		return rep, nil
+	}
+	rep.Verdict = VerdictViolation
+	rep.Detail = res.Violation.String()
+	var w *live.Witness
+	if !s.NoShrink {
+		var err error
+		if w, err = live.Shrink(res.Violation, s.Check); err != nil {
+			return nil, err
+		}
+	}
+	rep.Witness = witnessInfo(res.Violation, w)
+	return rep, nil
 }
 
 // Run implements Engine.
@@ -78,16 +157,9 @@ func (Live) Run(s Scenario) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	mspec, err := s.resolveMonitor()
+	mspec, mcfg, err := s.resolveMonitor(obj, s.Procs)
 	if err != nil {
 		return nil, err
-	}
-	stride := 0
-	if !s.monitorOff() {
-		stride, err = monitorStride(obj, s.Procs, s.Stride)
-		if err != nil {
-			return nil, err
-		}
 	}
 	fspec, err := s.resolveFaults()
 	if err != nil {
@@ -100,73 +172,29 @@ func (Live) Run(s Scenario) (*Report, error) {
 		Gen:           gen,
 		Seed:          s.Seed,
 		Rate:          s.Rate,
-		Monitor:       check.IncrementalConfig{Stride: stride, MaxT: s.Tolerance, Opts: s.Check},
+		Monitor:       mcfg,
 		MonitorSpec:   mspec,
-		NoMonitor:     s.NoMonitor,
 		LatencySample: s.LatencySample,
 		Faults:        fspec,
 		Serial:        s.Serial,
 	}
-	rep := &Report{Schema: Schema, Engine: "live", Scenario: s.info("live")}
-
 	if s.FuzzRuns > 0 {
 		if s.WAL != "" || !fspec.Zero() || s.Serial {
 			return nil, fmt.Errorf("scenario: fuzz campaigns do not compose with faults, WAL logging or the serial driver")
 		}
-		return runFuzz(rep, cfg, s)
+		return runFuzz(cfg, s)
 	}
-	if s.WAL != "" {
-		pol, err := wal.ParseSyncPolicy(s.WALSync)
-		if err != nil {
-			return nil, err
-		}
-		log, err := wal.Create(s.WAL, wal.Header{
-			Object:    s.implName(),
-			ObjName:   obj.Name(),
-			Procs:     s.Procs,
-			Ops:       s.Ops,
-			Workload:  orDefault(s.Workload, DefaultWorkload),
-			Policy:    orDefault(s.Policy, DefaultPolicy),
-			Seed:      s.Seed,
-			Tolerance: s.Tolerance,
-		}, pol)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Sink = log // Run owns the sink and closes it on every path
-	} else if s.WALSync != "" {
-		return nil, fmt.Errorf("scenario: WALSync %q set without a WAL path", s.WALSync)
+	if cfg.Sink, err = s.openWAL(obj.Name(), s.Procs, s.Seed); err != nil {
+		return nil, err
 	}
-
 	res, err := live.Run(cfg)
 	if err != nil {
 		return nil, err
 	}
-	rep.history = res.History
-	rep.Perf = &PerfInfo{
-		Ops:            res.Ops,
-		Events:         res.History.Len(),
-		NS:             res.Elapsed.Nanoseconds(),
-		ThroughputOpsS: res.Throughput,
-		P50NS:          res.LatP50.Nanoseconds(),
-		P95NS:          res.LatP95.Nanoseconds(),
-		P99NS:          res.LatP99.Nanoseconds(),
-		Gomaxprocs:     runtime.GOMAXPROCS(0),
+	rep, err := s.liveReport(res)
+	if err != nil || !rep.OK() {
+		return rep, err
 	}
-	if !s.monitorOff() {
-		rep.Trend = trendInfo(res.Verdict)
-	}
-	if res.Violation != nil {
-		rep.Verdict = VerdictViolation
-		rep.Detail = res.Violation.String()
-		wi, err := witnessOf(res.Violation, s)
-		if err != nil {
-			return nil, err
-		}
-		rep.Witness = wi
-		return rep, nil
-	}
-	rep.Verdict = VerdictOK
 	switch {
 	case res.Crashed:
 		rep.Detail = fmt.Sprintf("crashed at commit %d (injected fault); %d ops merged before the cut", res.CrashTicket, res.Ops)
@@ -190,20 +218,17 @@ func (Live) Run(s Scenario) (*Report, error) {
 	return rep, nil
 }
 
-// witnessOf converts a monitor violation, shrinking it unless disabled.
-func witnessOf(v *check.WindowViolation, s Scenario) (*WitnessInfo, error) {
+// witnessInfo reports a violating window: as the monitor froze it, or —
+// when w is non-nil — as its shrunk, sim-confirmed form.
+func witnessInfo(v *check.WindowViolation, w *live.Witness) *WitnessInfo {
 	wi := &WitnessInfo{
 		WindowStart: v.Start,
 		WindowEnd:   v.End,
 		MinT:        v.MinT,
 		History:     v.Window.String(),
 	}
-	if s.NoShrink {
-		return wi, nil
-	}
-	w, err := live.Shrink(v, s.Check)
-	if err != nil {
-		return nil, err
+	if w == nil {
+		return wi
 	}
 	wi.History = w.History.String()
 	wi.Shrunk = &ShrunkInfo{
@@ -211,17 +236,17 @@ func witnessOf(v *check.WindowViolation, s Scenario) (*WitnessInfo, error) {
 		Trials:      w.Trials,
 		SimDiverged: w.Replay != nil && w.Replay.Diverged,
 	}
-	if w.Replay != nil && w.Replay.Diverged {
+	if wi.Shrunk.SimDiverged {
 		wi.Shrunk.Proc = w.Replay.Proc
 		wi.Shrunk.Op = w.Replay.Op.String()
 		wi.Shrunk.Got = w.Replay.Got
 		wi.Shrunk.Want = w.Replay.Want
 	}
-	return wi, nil
+	return wi
 }
 
 // runFuzz executes a fuzz campaign and reports it.
-func runFuzz(rep *Report, cfg live.Config, s Scenario) (*Report, error) {
+func runFuzz(cfg live.Config, s Scenario) (*Report, error) {
 	res, err := live.Fuzz(live.FuzzConfig{
 		Base:      cfg,
 		Runs:      s.FuzzRuns,
@@ -231,6 +256,7 @@ func runFuzz(rep *Report, cfg live.Config, s Scenario) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	rep := &Report{Schema: Schema, Engine: "live", Scenario: s.info("live")}
 	rep.Fuzz = &FuzzInfo{Runs: res.Runs, TotalOps: res.TotalOps, Found: res.Found(), Seed: res.Seed}
 	if !res.Found() {
 		rep.Verdict = VerdictOK
@@ -239,26 +265,6 @@ func runFuzz(rep *Report, cfg live.Config, s Scenario) (*Report, error) {
 	}
 	rep.Verdict = VerdictViolation
 	rep.Detail = fmt.Sprintf("violation at seed %d: %s", res.Seed, res.Violation)
-	wi := &WitnessInfo{
-		WindowStart: res.Violation.Start,
-		WindowEnd:   res.Violation.End,
-		MinT:        res.Violation.MinT,
-		History:     res.Violation.Window.String(),
-	}
-	if res.Witness != nil {
-		wi.History = res.Witness.History.String()
-		wi.Shrunk = &ShrunkInfo{
-			Ops:         res.Witness.Ops,
-			Trials:      res.Witness.Trials,
-			SimDiverged: res.Witness.Replay != nil && res.Witness.Replay.Diverged,
-		}
-		if res.Witness.Replay != nil && res.Witness.Replay.Diverged {
-			wi.Shrunk.Proc = res.Witness.Replay.Proc
-			wi.Shrunk.Op = res.Witness.Replay.Op.String()
-			wi.Shrunk.Got = res.Witness.Replay.Got
-			wi.Shrunk.Want = res.Witness.Replay.Want
-		}
-	}
-	rep.Witness = wi
+	rep.Witness = witnessInfo(res.Violation, res.Witness)
 	return rep, nil
 }

@@ -5,12 +5,10 @@ import (
 	"net"
 	"runtime"
 
-	"github.com/elin-go/elin/internal/check"
 	"github.com/elin-go/elin/internal/live"
 	"github.com/elin-go/elin/internal/loadgen"
 	"github.com/elin-go/elin/internal/registry"
 	"github.com/elin-go/elin/internal/server"
-	"github.com/elin-go/elin/internal/wal"
 )
 
 // Serve is the networked engine: the object under test goes behind a
@@ -48,47 +46,20 @@ func BuildServer(s Scenario) (*server.Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	mspec, err := s.resolveMonitor()
+	mspec, mcfg, err := s.resolveMonitor(obj, s.Procs)
 	if err != nil {
 		return nil, err
 	}
-	stride := 0
-	if !s.monitorOff() {
-		stride, err = monitorStride(obj, s.Procs, s.Stride)
-		if err != nil {
-			return nil, err
-		}
-	}
-	var sink live.CommitSink
-	if s.WAL != "" {
-		pol, err := wal.ParseSyncPolicy(s.WALSync)
-		if err != nil {
-			return nil, err
-		}
-		log, err := wal.Create(s.WAL, wal.Header{
-			Object:    s.implName(),
-			ObjName:   obj.Name(),
-			Procs:     s.Procs,
-			Ops:       s.Ops,
-			Workload:  orDefault(s.Workload, DefaultWorkload),
-			Policy:    orDefault(s.Policy, DefaultPolicy),
-			Seed:      s.Seed,
-			Tolerance: s.Tolerance,
-		}, pol)
-		if err != nil {
-			return nil, err
-		}
-		sink = log
-	} else if s.WALSync != "" {
-		return nil, fmt.Errorf("scenario: WALSync %q set without a WAL path", s.WALSync)
+	sink, err := s.openWAL(obj.Name(), s.Procs, s.Seed)
+	if err != nil {
+		return nil, err
 	}
 	return server.New(server.Config{
 		Object:      obj,
 		Clients:     s.Procs,
 		Seed:        s.Seed,
-		Monitor:     check.IncrementalConfig{Stride: stride, MaxT: s.Tolerance, Opts: s.Check},
+		Monitor:     mcfg,
 		MonitorSpec: mspec,
-		NoMonitor:   s.NoMonitor,
 		NetFaults:   nf,
 		Sink:        sink,
 	})
@@ -139,12 +110,7 @@ func ServerReport(s Scenario, sum *server.Summary, res *loadgen.Result) *Report 
 			rep.Detail = v.String()
 			// The window is reported as-is: shrink-to-simulator is the live
 			// engine's pipeline; a networked witness replays with elin sim.
-			rep.Witness = &WitnessInfo{
-				WindowStart: v.Start,
-				WindowEnd:   v.End,
-				MinT:        v.MinT,
-				History:     v.Window.String(),
-			}
+			rep.Witness = witnessInfo(v, nil)
 		} else {
 			rep.Verdict = VerdictOK
 			rep.Detail = "no monitor window exceeded tolerance"

@@ -2,9 +2,7 @@ package scenario
 
 import (
 	"fmt"
-	"runtime"
 
-	"github.com/elin-go/elin/internal/check"
 	"github.com/elin-go/elin/internal/live"
 	"github.com/elin-go/elin/internal/registry"
 	"github.com/elin-go/elin/internal/wal"
@@ -14,8 +12,8 @@ import (
 // commit log (truncating any torn tail at the first bad frame), replay it
 // against a fresh template — verifying every recorded response against the
 // commit-determinism contract — and continue the run with fresh clients on
-// top of the recovered state, online-monitoring the stitched history so
-// the verdict covers the crash cut.
+// top of the recovered state, online-monitoring the stitched history
+// (under s.Monitor, like any live run) so the verdict covers the crash cut.
 //
 // The scenario parameterizes the continuation; zero-valued fields default
 // from the log header, so Recover("run.wal", Scenario{}) continues a
@@ -76,64 +74,49 @@ func Recover(walPath string, s Scenario) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	stride := 0
-	if !s.NoMonitor {
-		stride, err = monitorStride(rr.Object, hdr.Procs+s.Procs, s.Stride)
-		if err != nil {
-			return nil, err
+	mspec, mcfg, err := s.resolveMonitor(rr.Object, hdr.Procs+s.Procs)
+	if err != nil {
+		return nil, err
+	}
+	// The continuation's log is self-contained: same object and seed as the
+	// recovered one, a proc-id space covering both runs, and the recovered
+	// prefix copied in before any pipeline appends to it.
+	sink, err := s.openWAL(hdr.ObjName, hdr.Procs+s.Procs, hdr.Seed)
+	if err != nil {
+		return nil, err
+	}
+	if sink != nil {
+		for i, e := range rec.Events {
+			if err := sink.Append(e, rec.Pos[i]); err != nil {
+				sink.Close()
+				return nil, fmt.Errorf("scenario: recover: copying prefix into %s: %w", s.WAL, err)
+			}
 		}
 	}
-	cfg := live.Config{
+	res, err := live.Run(live.Config{
 		Object:        rr.Object,
 		Clients:       s.Procs,
 		Ops:           s.Ops,
 		Gen:           gen,
 		Seed:          s.Seed,
 		Rate:          s.Rate,
-		Monitor:       check.IncrementalConfig{Stride: stride, MaxT: s.Tolerance, Opts: s.Check},
-		NoMonitor:     s.NoMonitor,
+		Monitor:       mcfg,
+		MonitorSpec:   mspec,
 		LatencySample: s.LatencySample,
 		Faults:        fspec,
+		Sink:          sink,
 		Serial:        s.Serial,
 		StartSeq:      rr.NextSeq,
 		ProcBase:      hdr.Procs,
 		History:       rr.History,
-	}
-	if s.WAL != "" {
-		pol, err := wal.ParseSyncPolicy(s.WALSync)
-		if err != nil {
-			return nil, err
-		}
-		log, err := wal.Create(s.WAL, wal.Header{
-			Object:    hdr.Object,
-			ObjName:   hdr.ObjName,
-			Procs:     hdr.Procs + s.Procs,
-			Ops:       s.Ops,
-			Workload:  s.Workload,
-			Policy:    s.Policy,
-			Seed:      hdr.Seed,
-			Tolerance: s.Tolerance,
-		}, pol)
-		if err != nil {
-			return nil, err
-		}
-		for i, e := range rec.Events {
-			if err := log.Append(e, rec.Pos[i]); err != nil {
-				log.Close()
-				return nil, fmt.Errorf("scenario: recover: copying prefix into %s: %w", s.WAL, err)
-			}
-		}
-		cfg.Sink = log
-	} else if s.WALSync != "" {
-		return nil, fmt.Errorf("scenario: WALSync %q set without a WAL path", s.WALSync)
-	}
-
-	res, err := live.Run(cfg)
+	})
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{Schema: Schema, Engine: "live", Scenario: s.info("live")}
-	rep.history = res.History
+	rep, err := s.liveReport(res)
+	if err != nil {
+		return nil, err
+	}
 	rep.Recovery = &RecoveryInfo{
 		Frames:           rec.Frames,
 		Torn:             rec.Torn,
@@ -145,40 +128,23 @@ func Recover(walPath string, s Scenario) (*Report, error) {
 		ContinuedOps:     res.Ops,
 		StitchedEvents:   res.History.Len(),
 	}
-	rep.Perf = &PerfInfo{
-		Ops:            res.Ops,
-		Events:         res.History.Len(),
-		NS:             res.Elapsed.Nanoseconds(),
-		ThroughputOpsS: res.Throughput,
-		P50NS:          res.LatP50.Nanoseconds(),
-		P95NS:          res.LatP95.Nanoseconds(),
-		P99NS:          res.LatP99.Nanoseconds(),
-		Gomaxprocs:     runtime.GOMAXPROCS(0),
-	}
-	if !s.NoMonitor {
-		rep.Trend = trendInfo(res.Verdict)
-	}
-	if res.Violation != nil {
-		rep.Verdict = VerdictViolation
-		rep.Detail = res.Violation.String()
-		wi, err := witnessOf(res.Violation, s)
-		if err != nil {
-			return nil, err
-		}
-		rep.Witness = wi
+	if !rep.OK() {
 		return rep, nil
 	}
-	rep.Verdict = VerdictOK
+	checked := "stitched history within tolerance"
+	if s.monitorOff() {
+		checked = "monitoring disabled"
+	}
 	switch {
 	case res.Crashed:
 		rep.Detail = fmt.Sprintf("recovered %d commits, then crashed again at commit %d (injected fault)",
 			rr.Committed, res.CrashTicket)
 	case rec.Torn:
-		rep.Detail = fmt.Sprintf("recovered %d commits from a torn log (cut at byte %d) and continued %d ops; stitched history within tolerance",
-			rr.Committed, rec.TornAt, res.Ops)
+		rep.Detail = fmt.Sprintf("recovered %d commits from a torn log (cut at byte %d) and continued %d ops; %s",
+			rr.Committed, rec.TornAt, res.Ops, checked)
 	default:
-		rep.Detail = fmt.Sprintf("recovered %d commits and continued %d ops; stitched history within tolerance",
-			rr.Committed, res.Ops)
+		rep.Detail = fmt.Sprintf("recovered %d commits and continued %d ops; %s",
+			rr.Committed, res.Ops, checked)
 	}
 	return rep, nil
 }

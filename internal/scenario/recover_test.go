@@ -141,3 +141,57 @@ func TestRecoverChainsThroughOutWAL(t *testing.T) {
 		t.Errorf("chained recovery verdict = %s (%s)", rec2.Verdict, rec2.Detail)
 	}
 }
+
+// TestRecoverHonoursMonitorSpec pins that the continuation is checked by
+// the monitor the scenario names — the header, the trend and the verdict
+// detail agree in every row. (Recover once read only a NoMonitor switch:
+// under "none" it echoed monitor=none above a trend the full monitor
+// printed, and sample:N checked every window.)
+func TestRecoverHonoursMonitorSpec(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "run.wal")
+	if _, err := Run("live", Scenario{
+		Impl: "atomic-fi", Procs: 2, Ops: 400, Seed: 3, Serial: true,
+		WAL: walPath, Faults: "crash:500", Stride: 64,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	fullWindows := 0
+	for _, c := range []struct {
+		monitor, header string
+		trend           bool
+	}{
+		{"", "", true},
+		{"sample:2", "sample:2", true},
+		{"shard:key", "shard:key", true},
+		{"none", "none", false},
+	} {
+		rep, err := Recover(walPath, Scenario{Ops: 200, Serial: true, Stride: 64, Monitor: c.monitor})
+		if err != nil {
+			t.Fatalf("monitor %q: %v", c.monitor, err)
+		}
+		if !rep.OK() || rep.Recovery == nil || rep.Recovery.RecoveredCommits != 500 {
+			t.Fatalf("monitor %q: verdict=%s recovery=%+v", c.monitor, rep.Verdict, rep.Recovery)
+		}
+		if rep.Scenario.Monitor != c.header {
+			t.Errorf("monitor %q: header says %q, want %q", c.monitor, rep.Scenario.Monitor, c.header)
+		}
+		if (rep.Trend != nil) != c.trend {
+			t.Errorf("monitor %q: trend = %+v, want one: %v", c.monitor, rep.Trend, c.trend)
+		}
+		if checked := strings.Contains(rep.Detail, "within tolerance"); checked != c.trend {
+			t.Errorf("monitor %q: detail %q claims a check: %v, want %v", c.monitor, rep.Detail, checked, c.trend)
+		}
+		switch c.monitor {
+		case "":
+			fullWindows = rep.Trend.Windows
+		case "sample:2":
+			if rep.Trend.Windows >= fullWindows {
+				t.Errorf("sample:2 measured %d windows, full %d: the continuation ran the full monitor", rep.Trend.Windows, fullWindows)
+			}
+		case "shard:key":
+			if rep.Trend.Windows != fullWindows {
+				t.Errorf("shard:key measured %d windows, full %d", rep.Trend.Windows, fullWindows)
+			}
+		}
+	}
+}

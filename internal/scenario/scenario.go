@@ -155,11 +155,9 @@ type Scenario struct {
 	// LatencySample records one latency sample every N operations per
 	// client (Live; default 1).
 	LatencySample int
-	// NoMonitor disables online monitoring (Live; pure throughput).
-	NoMonitor bool
 	// Monitor names the online monitor implementation for the Live and
 	// Serve engines: "full" (default), "sample:N", "shard:K", "shard:key",
-	// or "none" (record only, like NoMonitor). Empty means full. Echoed in
+	// or "none" (record only; pure throughput). Empty means full. Echoed in
 	// the report header and the campaign cell identity when non-default.
 	Monitor string
 	// NoCheck skips the after-the-fact decision procedures and MinT trend
@@ -438,21 +436,11 @@ func (s Scenario) monitorName() string {
 	return ms.String()
 }
 
-// monitorOff reports whether online monitoring is disabled — either the
-// NoMonitor switch or the record-only "none" monitor spec. Reporting
-// branches on it so both spellings produce the same monitoring-disabled
-// report shape.
+// monitorOff reports whether the resolved monitor spec is the record-only
+// "none"; reporting branches on it for the monitoring-disabled shape.
 func (s Scenario) monitorOff() bool {
-	if s.NoMonitor {
-		return true
-	}
 	ms, err := registry.MonitorSpec(s.Monitor)
 	return err == nil && ms.Kind == check.MonitorNone
-}
-
-// resolveMonitor resolves the monitor spec for execution.
-func (s Scenario) resolveMonitor() (check.MonitorSpec, error) {
-	return registry.MonitorSpec(s.Monitor)
 }
 
 // walSyncName resolves the WAL durability policy to its canonical name

@@ -31,20 +31,18 @@ type Config struct {
 	// are pure functions of the commit ticket; the seed is recorded for
 	// symmetry with the rest of the fault plane and for future directives).
 	Seed int64
-	// Monitor configures the server-side online monitor; NoMonitor
-	// disables it.
-	Monitor   check.IncrementalConfig
-	NoMonitor bool
+	// Monitor configures the server-side online monitor.
+	Monitor check.IncrementalConfig
 	// MonitorSpec selects the monitor implementation (full, sample:N,
 	// shard:K, shard:key, none — see check.ParseMonitorSpec). The zero
-	// value is the sequential exhaustive monitor; kind none is equivalent
-	// to NoMonitor.
+	// value is the sequential exhaustive monitor; kind none disables it.
 	MonitorSpec check.MonitorSpec
 	// NetFaults is the seeded network fault plane, injected at the
 	// connection read/write seam (nil = no faults).
 	NetFaults *faults.NetSpec
-	// Sink, when non-nil, persists the merged event stream (the WAL). The
-	// server owns it after Start and closes it on Shutdown.
+	// Sink, when non-nil, persists the merged event stream (the WAL). New
+	// hands it to the server's live.Pipeline, which closes it on every
+	// path: a failed New, the end of the merge, or Shutdown.
 	Sink live.CommitSink
 	// QueueDepth bounds each connection's request queue (default 64). A
 	// full queue stops the connection's reader — backpressure through TCP
@@ -136,7 +134,7 @@ type Server struct {
 	seq      atomic.Uint64
 	sessions []*session
 	h        *history.History
-	mon      check.Monitor
+	pipe     *live.Pipeline
 
 	queued     atomic.Int64 // requests read but not yet applied
 	queuedHW   atomic.Int64 // high-water mark of queued since start
@@ -155,29 +153,23 @@ type Server struct {
 
 // New builds a server; Serve starts it.
 func New(cfg Config) (*Server, error) {
-	if cfg.Object == nil {
-		return nil, fmt.Errorf("server: no object")
+	pipe, err := live.NewPipeline(cfg.Object, cfg.MonitorSpec, cfg.Monitor, cfg.Sink, 0, nil)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Clients <= 0 {
+		pipe.Abort()
 		return nil, fmt.Errorf("server: need at least one client id (got %d)", cfg.Clients)
 	}
 	s := &Server{
 		cfg:       cfg,
 		h:         history.New(),
+		pipe:      pipe,
 		mergeDone: make(chan struct{}),
 	}
 	s.sessions = make([]*session, cfg.Clients)
 	for i := range s.sessions {
 		s.sessions[i] = &session{id: i, shard: live.NewShard(0)}
-	}
-	// Kind none keeps mon nil, like NoMonitor: the Summary then reports the
-	// monitor as disabled instead of an empty verdict.
-	if !cfg.NoMonitor && cfg.MonitorSpec.Kind != check.MonitorNone {
-		mon, err := check.NewMonitor(cfg.MonitorSpec, cfg.Object.Spec(), cfg.Monitor)
-		if err != nil {
-			return nil, err
-		}
-		s.mon = mon
 	}
 	if cfg.NetFaults != nil {
 		s.dropFired = make([]atomic.Bool, len(cfg.NetFaults.Drops))
@@ -211,9 +203,9 @@ func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 // Seq returns the current commit ticket.
 func (s *Server) Seq() uint64 { return s.seq.Load() }
 
-// Shutdown stops accepting, waits for live connections to die, drains the
-// merge, finishes the monitor and closes the sink. The returned Summary
-// is the run's artifact.
+// Shutdown stops accepting, waits for live connections to die and drains
+// the merge, whose last step finishes the pipeline (final monitor window,
+// sink closed). The returned Summary is the run's artifact.
 func (s *Server) Shutdown() (*Summary, error) {
 	s.stop.Store(true)
 	if s.ln != nil {
@@ -225,11 +217,9 @@ func (s *Server) Shutdown() (*Summary, error) {
 	}
 	s.finishing.Store(true)
 	<-s.mergeDone
-	if s.mon != nil {
-		// No-op after the merge loop's Finish; on the merge-error path it is
-		// what stops a pipelined monitor's workers.
-		s.mon.Abort()
-	}
+	// No-op after the merge loop's Finish; on the merge-error path it is
+	// what stops a pipelined monitor's workers and closes the sink.
+	s.pipe.Abort()
 
 	sum := &Summary{
 		Events:  s.h.Len(),
@@ -239,39 +229,26 @@ func (s *Server) Shutdown() (*Summary, error) {
 	for _, sess := range s.sessions {
 		sum.Applied = append(sum.Applied, sess.applied)
 	}
-	if s.mon != nil {
-		sum.Verdict = s.mon.Verdict()
-		sum.Violation = s.mon.Violation()
-		sum.MonChecks = s.mon.Checks()
-		sum.MonSkipped = s.mon.SkippedWindows()
-		sum.MonEscalations = s.mon.Escalations()
-		sum.MonSampleEvery = s.mon.SampleEvery()
-		sum.MonMaxSampleEvery = s.mon.MaxSampleEvery()
+	if mon := s.pipe.Monitor(); mon != nil {
+		sum.Verdict = mon.Verdict()
+		sum.Violation = s.pipe.Violation()
+		sum.MonChecks = mon.Checks()
+		sum.MonSkipped = mon.SkippedWindows()
+		sum.MonEscalations = mon.Escalations()
+		sum.MonSampleEvery = mon.SampleEvery()
+		sum.MonMaxSampleEvery = mon.MaxSampleEvery()
 	}
 	sum.Overloaded = s.overloaded.Load()
-	err := s.mergeErr
-	if s.cfg.Sink != nil {
-		if cerr := s.cfg.Sink.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return sum, err
+	return sum, s.mergeErr
 }
 
-// feed is the merge drain's per-event hook: sink first (durability before
-// checking), then the monitor. A monitor violation does not stop the
-// server — the monitor freezes itself and the violation surfaces in the
-// Summary; a long-lived server keeps serving while operators decide.
+// feed is the merge drain's per-event hook: the commit pipeline under the
+// server's policy. A monitor violation does not stop the server — the
+// pipeline records it, stops checking, and it surfaces in the Summary; a
+// long-lived server keeps serving (and logging) while operators decide.
 func (s *Server) feed(e history.Event, pos uint64) error {
-	if s.cfg.Sink != nil {
-		if err := s.cfg.Sink.Append(e, pos); err != nil {
-			return fmt.Errorf("server: sink: %w", err)
-		}
-	}
-	if s.mon != nil {
-		if _, err := s.mon.Feed(e); err != nil {
-			return fmt.Errorf("server: monitor: %w", err)
-		}
+	if err := s.pipe.Feed(e, pos); err != live.ErrStop {
+		return err
 	}
 	return nil
 }
@@ -307,11 +284,7 @@ func (s *Server) mergeStep(drain func() (int, error)) bool {
 		return true
 	}
 	if finishing && n == 0 {
-		if s.mon != nil {
-			if _, err := s.mon.Finish(); err != nil && s.mergeErr == nil {
-				s.mergeErr = err
-			}
-		}
+		s.mergeErr = s.pipe.Finish()
 		return true
 	}
 	if n == 0 {
@@ -361,11 +334,12 @@ func (s *Server) refreshBounds() {
 // backlog's high-water mark crosses the configured threshold. Escalation
 // back to exhaustive checking is the monitor's own near-violation logic.
 func (s *Server) checkOverload() {
-	if s.mon == nil || s.cfg.overloadQueued() < 0 {
+	mon := s.pipe.Monitor()
+	if mon == nil || s.cfg.overloadQueued() < 0 {
 		return
 	}
-	if int(s.queuedHW.Load()) >= s.cfg.overloadQueued() && s.mon.SampleEvery() == 1 {
-		s.mon.SetSampleEvery(s.cfg.sampleEvery())
+	if int(s.queuedHW.Load()) >= s.cfg.overloadQueued() && mon.SampleEvery() == 1 {
+		mon.SetSampleEvery(s.cfg.sampleEvery())
 		s.overloaded.Store(true)
 	}
 }

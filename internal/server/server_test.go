@@ -2,8 +2,10 @@ package server_test
 
 import (
 	"bufio"
+	"errors"
 	"net"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"github.com/elin-go/elin/internal/check"
@@ -246,9 +248,9 @@ func newReader(c net.Conn) *bufio.Reader { return bufio.NewReader(c) }
 // An out-of-sequence op index is a protocol error, answered and closed.
 func TestServeRejectsOutOfSequence(t *testing.T) {
 	s, addr := startServer(t, server.Config{
-		Object:    live.NewAtomicFetchInc("C", 0),
-		Clients:   1,
-		NoMonitor: true,
+		Object:      live.NewAtomicFetchInc("C", 0),
+		Clients:     1,
+		MonitorSpec: check.MonitorSpec{Kind: check.MonitorNone},
 	})
 	defer s.Shutdown()
 	conn, err := net.Dial("tcp", addr)
@@ -281,9 +283,9 @@ func TestServeRejectsOutOfSequence(t *testing.T) {
 // commit — refused at the handshake.
 func TestServeRejectsLostCommitClaim(t *testing.T) {
 	s, addr := startServer(t, server.Config{
-		Object:    live.NewAtomicFetchInc("C", 0),
-		Clients:   1,
-		NoMonitor: true,
+		Object:      live.NewAtomicFetchInc("C", 0),
+		Clients:     1,
+		MonitorSpec: check.MonitorSpec{Kind: check.MonitorNone},
 	})
 	defer s.Shutdown()
 	conn, err := net.Dial("tcp", addr)
@@ -358,5 +360,93 @@ func TestShutdownMergesLastEvent(t *testing.T) {
 		if sum.Events != 2*clients*ops {
 			t.Fatalf("cycle %d: %d events merged, want %d", i, sum.Events, 2*clients*ops)
 		}
+	}
+}
+
+var errSinkBoom = errors.New("disk on fire")
+
+// countSink is a CommitSink that counts frames and Close calls and fails
+// the failAt-th Append (1-based; 0 never fails). The merge goroutine is its
+// only caller until Shutdown returns, so the test reads it unlocked after.
+type countSink struct {
+	frames, closes, failAt int
+}
+
+func (s *countSink) Append(history.Event, uint64) error {
+	if s.failAt > 0 && s.frames+1 == s.failAt {
+		return errSinkBoom
+	}
+	s.frames++
+	return nil
+}
+
+func (s *countSink) Close() error {
+	s.closes++
+	return nil
+}
+
+// The server hands its sink to the commit pipeline: a New that fails closes
+// it (the WAL file BuildServer just created must not stay open), and every
+// way through Serve/Shutdown closes it exactly once. A monitor violation is
+// recorded, not fatal: the server keeps serving and logging.
+func TestServerClosesSinkOnce(t *testing.T) {
+	const clients, ops = 2, 60
+	fi := func() live.Object { return live.NewAtomicFetchInc("C", 0) }
+	none := check.MonitorSpec{Kind: check.MonitorNone}
+	cases := []struct {
+		name      string
+		cfg       server.Config
+		failAt    int
+		newErr    bool
+		violation bool
+	}{
+		{name: "no object", cfg: server.Config{Clients: clients}, newErr: true},
+		{name: "no clients", cfg: server.Config{Object: fi()}, newErr: true},
+		{name: "bad monitor spec", cfg: server.Config{Object: fi(), Clients: clients,
+			MonitorSpec: check.MonitorSpec{Kind: check.MonitorSample, N: 1}}, newErr: true},
+		{name: "clean", cfg: server.Config{Object: fi(), Clients: clients}},
+		{name: "record-only", cfg: server.Config{Object: fi(), Clients: clients, MonitorSpec: none}},
+		{name: "violation", cfg: server.Config{Object: live.NewJunkFetchInc("C", 20), Clients: clients,
+			Monitor: check.IncrementalConfig{Stride: 16}}, violation: true},
+		{name: "sink error", cfg: server.Config{Object: fi(), Clients: clients}, failAt: 9},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sink := &countSink{failAt: c.failAt}
+			c.cfg.Sink = sink
+			s, err := server.New(c.cfg)
+			if (err != nil) != c.newErr {
+				t.Fatalf("New error = %v, want error %v", err, c.newErr)
+			}
+			if err == nil {
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.Serve(ln)
+				requireExactlyOnce(t, load(t, loadgen.Config{
+					Addr: ln.Addr().String(), Clients: clients, Ops: ops, Gen: live.FetchIncGen(), Seed: 1,
+				}))
+				sum, err := s.Shutdown()
+				if c.failAt > 0 {
+					if !errors.Is(err, errSinkBoom) {
+						t.Fatalf("Shutdown error = %v, want the sink's", err)
+					}
+				} else if err != nil {
+					t.Fatal(err)
+				} else if sink.frames != 2*clients*ops {
+					t.Fatalf("sink holds %d frames, want all %d (a violation must not stop the log)", sink.frames, 2*clients*ops)
+				}
+				if (sum.Violation != nil) != c.violation {
+					t.Fatalf("violation = %v, want one: %v", sum.Violation, c.violation)
+				}
+				if c.cfg.MonitorSpec == none && !reflect.DeepEqual(sum.Verdict, check.Verdict{}) {
+					t.Fatalf("record-only server carries a verdict: %+v", sum.Verdict)
+				}
+			}
+			if sink.closes != 1 {
+				t.Fatalf("sink closed %d times, want exactly once", sink.closes)
+			}
+		})
 	}
 }
