@@ -33,7 +33,7 @@ func runLoad(args []string, out io.Writer) error {
 	walPath := fs.String("wal", "", "durable commit log path (-self only)")
 	walSync := fs.String("wal-sync", "", "WAL durability: always | never | interval:N (-self only)")
 	stride := fs.Int("stride", 0, "monitor window stride in events (0 = auto; -self only)")
-	monitor := fs.String("monitor", "", "monitor spec: full | sample:N | shard:K | shard:key | none (-self only)")
+	monitor := fs.String("monitor", "", "monitor spec: full | sample:N | shard:K | none (-self only)")
 	noVerify := fs.Bool("noverify", false, "skip the replay-identical check (-self only)")
 	rate := fs.Float64("rate", 0, "per-client open-loop pacing in ops/sec (0 = closed loop)")
 	latSample := fs.Int("latsample", 1, "record every Nth operation's latency")

@@ -34,7 +34,7 @@ func runRecover(args []string, out io.Writer) error {
 	outWAL := fs.String("out-wal", "", "write a new self-contained commit log (recovered prefix + continuation)")
 	walSync := fs.String("wal-sync", "", "durability of -out-wal: always | never | interval:N")
 	stride := fs.Int("stride", 0, "monitor window stride in events (0 = auto)")
-	monitor := fs.String("monitor", "", "monitor spec for the stitched history: full | sample:N | shard:K | shard:key | none")
+	monitor := fs.String("monitor", "", "monitor spec for the stitched history: full | sample:N | shard:K | none")
 	serial := fs.Bool("serial", false, "deterministic serial driver for the continuation")
 	jsonOut := fs.Bool("json", false, "emit the unified Report as JSON (schema elin/report/v1)")
 	if err := fs.Parse(args); err != nil {

@@ -29,7 +29,7 @@ func runServe(args []string, out io.Writer) error {
 	walPath := fs.String("wal", "", "write a durable commit log to this path (recover with 'elin recover')")
 	walSync := fs.String("wal-sync", "", "WAL durability: always | never | interval:N (default never)")
 	stride := fs.Int("stride", 0, "monitor window stride in events (0 = auto)")
-	monitor := fs.String("monitor", "", "monitor spec: full | sample:N | shard:K | shard:key | none (see 'elin list -section monitors')")
+	monitor := fs.String("monitor", "", "monitor spec: full | sample:N | shard:K | none (see 'elin list -section monitors')")
 	duration := fs.Duration("duration", 0, "serve for this long then shut down (0 = until SIGINT/SIGTERM)")
 	if err := fs.Parse(args); err != nil {
 		return err

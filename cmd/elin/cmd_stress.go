@@ -19,7 +19,7 @@ func runStress(args []string, out io.Writer) error {
 	sf := addScenarioFlags(fs, "atomic-fi", 4, 10000, "window:400", 1)
 	rate := fs.Float64("rate", 0, "open-loop rate per client in ops/sec (0 = closed loop)")
 	stride := fs.Int("stride", 0, "monitor window stride in events (0 = auto)")
-	monitor := fs.String("monitor", "", "monitor spec: full | sample:N | shard:K | shard:key | none (see 'elin list -section monitors')")
+	monitor := fs.String("monitor", "", "monitor spec: full | sample:N | shard:K | none (see 'elin list -section monitors')")
 	latSample := fs.Int("latsample", 1, "record one latency sample every N ops per client")
 	fuzz := fs.Int("fuzz", 0, "run a fuzz campaign over N consecutive seeds instead of one run")
 	noShrink := fs.Bool("noshrink", false, "skip ddmin shrinking of a violation window")

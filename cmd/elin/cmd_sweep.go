@@ -13,18 +13,16 @@ import (
 // into a scenario grid, execute it on one shared worker pool, and emit
 // the schema-tagged campaign report — optionally diffed and gated
 // against a baseline report. This is the CI regression gate: the exit
-// status is non-zero on any verdict flip against the baseline, on any
-// perf regression beyond -perf-threshold (when both reports carry
-// timings), and on any error cell.
+// status is non-zero on any verdict flip against the baseline and on any
+// error cell.
 func runSweep(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("elin sweep", flag.ContinueOnError)
 	specPath := fs.String("spec", "", "sweep spec file (schema elin/sweep/v1; see .github/sweeps/)")
 	baselinePath := fs.String("baseline", "", "baseline campaign report to diff and gate against")
 	jsonOut := fs.Bool("json", false, "emit the campaign report as JSON (schema elin/campaign/v1)")
 	canonical := fs.Bool("canonical", false, "emit the canonical (wall-clock-free) report JSON — the form baselines are committed in; implies -json")
-	monitor := fs.String("monitor", "", "override the spec's monitor axis with a single spec (full | sample:N | shard:K | shard:key | none)")
+	monitor := fs.String("monitor", "", "override the spec's monitor axis with a single spec (full | sample:N | shard:K | none)")
 	workers := fs.Int("workers", 0, "concurrent cells on the shared pool (0 = GOMAXPROCS)")
-	perfThreshold := fs.Float64("perf-threshold", 0.20, "gate on cells slowing down by more than this fraction (needs timings on both sides; canonical baselines carry none)")
 	quiet := fs.Bool("quiet", false, "suppress the streamed per-cell progress lines")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -69,7 +67,7 @@ func runSweep(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		camp.Diff = campaign.Compare(base, camp, *perfThreshold)
+		camp.Diff = campaign.Compare(base, camp)
 		gateErr = camp.Diff.Gate()
 	}
 
@@ -103,7 +101,7 @@ func runSweep(args []string, out io.Writer) error {
 		return nil
 	}
 	if !*jsonOut && !*canonical {
-		fmt.Fprintf(out, "gate: ok (no verdict flips, no perf regressions)\n")
+		fmt.Fprintf(out, "gate: ok (no verdict flips)\n")
 	}
 	return nil
 }

@@ -345,74 +345,6 @@ func TestList(t *testing.T) {
 	}
 }
 
-func TestBenchJSONStressTrajectory(t *testing.T) {
-	out := runOut(t, "bench", "-run", "E4", "-json", "-stress", "-stress-ops", "500")
-	var records []map[string]any
-	if err := json.Unmarshal([]byte(out), &records); err != nil {
-		t.Fatalf("bad JSON: %v", err)
-	}
-	if len(records) != 14 { // E4 + three no-WAL stress + two WAL-on + three SLOG + three MON + two serve rows
-		t.Fatalf("got %d records", len(records))
-	}
-	walRows, serveRows, slogRows, monRows := 0, 0, 0, 0
-	for _, r := range records[1:] {
-		if r["schema"] != "elin/report/v1" || r["verdict"] != "ok" {
-			t.Errorf("stress record: %v", r)
-		}
-		sc := r["scenario"].(map[string]any)
-		name := sc["name"].(string)
-		switch {
-		case strings.HasPrefix(name, "SERVE-"):
-			serveRows++
-			// Serve rows are the networked latency trajectory: they must
-			// carry the client-side percentiles.
-			perf := r["perf"].(map[string]any)
-			if p99, ok := perf["p99_ns"].(float64); !ok || p99 <= 0 {
-				t.Errorf("serve record %s has no latency percentiles: %v", name, perf)
-			}
-		case strings.HasPrefix(name, "SLOG-"):
-			slogRows++
-			// The SLOG rows ride the lock-free fast path, never the
-			// serialized step machine: the impl coordinate says so.
-			if impl := sc["impl"].(string); !strings.HasPrefix(impl, "slog-fi:") {
-				t.Errorf("SLOG record %s impl = %q", name, impl)
-			}
-		case strings.HasPrefix(name, "MON-"):
-			monRows++
-			// The MON rows are the monitored-gap matrix: the monitor
-			// coordinate distinguishes them, and the record-only row must
-			// really run unmonitored (no trend section).
-			mon := sc["monitor"]
-			if strings.HasSuffix(name, "-none") {
-				if mon != "none" || r["trend"] != nil {
-					t.Errorf("MON record %s: monitor=%v trend=%v", name, mon, r["trend"])
-				}
-			} else if mon != "shard:4" && mon != nil {
-				// full canonicalizes to the empty (default) coordinate.
-				t.Errorf("MON record %s: monitor=%v", name, mon)
-			}
-		case strings.HasPrefix(name, "STRESS-"):
-			if strings.Contains(name, "-wal-") {
-				walRows++
-			}
-		default:
-			t.Errorf("stress record name: %v", name)
-		}
-	}
-	if walRows != 2 {
-		t.Errorf("WAL-on trajectory rows = %d, want 2 (sync never + interval:4096)", walRows)
-	}
-	if slogRows != 3 {
-		t.Errorf("SLOG trajectory rows = %d, want 3 (b1-c4, b1-c8-nomon, b64-c8-nomon)", slogRows)
-	}
-	if serveRows != 2 {
-		t.Errorf("serve trajectory rows = %d, want 2 (clean + flaky-net)", serveRows)
-	}
-	if monRows != 3 {
-		t.Errorf("MON trajectory rows = %d, want 3 (full, shard4, none)", monRows)
-	}
-}
-
 func TestSimNoCheckAndEmitJSONSkipCheckers(t *testing.T) {
 	out := runOut(t, "sim", "-impl", "warmup-counter:2", "-procs", "2", "-ops", "2",
 		"-policy", "window:2", "-seed", "5", "-nocheck")

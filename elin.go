@@ -93,9 +93,8 @@ var (
 // seed) with exclusion predicates; RunSweep expands the grid and executes
 // every cell on one shared bounded pool into a Campaign report (schema
 // elin/campaign/v1) whose canonical form is byte-stable; CompareCampaigns
-// classifies a campaign against a baseline (same/flip/new/missing plus
-// perf-regressed) and its Gate is the CI regression check `elin sweep
-// -baseline` exits non-zero on.
+// classifies a campaign against a baseline (same/flip/new/missing) and its
+// Gate is the CI regression check `elin sweep -baseline` exits non-zero on.
 type (
 	// Sweep is one declarative scenario-grid specification (schema
 	// elin/sweep/v1).
@@ -203,18 +202,17 @@ type (
 	Trend = check.Trend
 	// Monitor is the online windowed t-linearizability monitor interface: a
 	// growing history is fed event by event and checked window by window.
-	// Implementations: IncrementalMonitor (sequential, the default),
-	// check.ShardedByWindow (pipelined on a worker pool), check.ShardedByKey
-	// (one monitor per object key). Record-only is not a Monitor: under spec
-	// "none" the runtime's commit pipeline holds no monitor at all.
+	// IncrementalMonitor is the one implementation. Record-only is not a
+	// Monitor: under spec "none" the runtime's commit pipeline holds no
+	// monitor at all.
 	Monitor = check.Monitor
-	// IncrementalMonitor is the sequential exhaustive monitor — the
-	// reference implementation every sharded monitor is pinned against.
+	// IncrementalMonitor is the windowed monitor: window checks run inline
+	// or, under spec shard:K, on a pool of K workers with identical results.
 	IncrementalMonitor = check.Incremental
 	// MonitorConfig tunes the online monitor (stride, tolerance).
 	MonitorConfig = check.IncrementalConfig
 	// MonitorSpec is a parsed monitor selection (full | sample:N | shard:K
-	// | shard:key | none).
+	// | none).
 	MonitorSpec = check.MonitorSpec
 	// WindowViolation is an online monitor stop: the offending window as a
 	// standalone, rebased history.
@@ -233,7 +231,6 @@ const (
 	MonitorFull        = check.MonitorFull
 	MonitorSample      = check.MonitorSample
 	MonitorShardWindow = check.MonitorShardWindow
-	MonitorShardKey    = check.MonitorShardKey
 	MonitorNone        = check.MonitorNone
 )
 
@@ -308,11 +305,11 @@ var (
 	// TrackMinT measures MinT over growing prefixes and classifies the
 	// trend — the finite-data instrument for Definitions 3/4.
 	TrackMinT = check.TrackMinT
-	// NewMonitor builds the monitor a parsed spec selects (sequential,
-	// sampling, sharded, or record-only) for a single-object history.
+	// NewMonitor builds the monitor a parsed spec selects (full, sampling
+	// or pooled; "none" is an error) for a single-object history.
 	NewMonitor = check.NewMonitor
 	// ParseMonitorSpec parses the monitor spec vocabulary ("full",
-	// "sample:N", "shard:K", "shard:key", "none").
+	// "sample:N", "shard:K", "none").
 	ParseMonitorSpec = check.ParseMonitorSpec
 	// ClassifyTrend labels the growth trend of a MinT sample series.
 	ClassifyTrend = check.Classify

@@ -22,8 +22,8 @@ const Schema = "elin/campaign/v1"
 const VerdictError = "error"
 
 // Cell is one executed grid point: identity, verdict, the cell's unified
-// Report, and its timing record (the same encoder as the BENCH_*.json
-// trajectory, so perf sections cannot drift between the two).
+// Report, and its timing record (the same encoder as elin bench -json, so
+// perf sections cannot drift between the two).
 type Cell struct {
 	// ID is the cell's canonical identity (scenario.CellID): what baseline
 	// diffing matches on across runs and commits.

@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"time"
 
 	"github.com/elin-go/elin/internal/scenario"
 )
@@ -23,9 +22,6 @@ const (
 	// ClassMissing: the cell exists only in the baseline (the grid
 	// shrank).
 	ClassMissing = "missing"
-	// ClassPerf: the cell kept its verdict but slowed beyond the
-	// threshold.
-	ClassPerf = "perf-regressed"
 )
 
 // CellDiff is one classified cell.
@@ -38,11 +34,6 @@ type CellDiff struct {
 	New string `json:"new,omitempty"`
 	// Detail is the current cell's verdict detail.
 	Detail string `json:"detail,omitempty"`
-	// OldNS/NewNS/Factor quantify a perf regression (both campaigns must
-	// carry timing records; canonical baselines carry none).
-	OldNS  int64   `json:"old_ns,omitempty"`
-	NewNS  int64   `json:"new_ns,omitempty"`
-	Factor float64 `json:"factor,omitempty"`
 	// Repro is the single-cell CLI rerun command.
 	Repro string `json:"repro,omitempty"`
 }
@@ -52,27 +43,21 @@ type CellDiff struct {
 type Diff struct {
 	// Baseline names the baseline campaign.
 	Baseline string `json:"baseline"`
-	// PerfThreshold is the slowdown fraction beyond which a same-verdict
-	// cell counts as perf-regressed (0 disables perf classification).
-	PerfThreshold float64 `json:"perf_threshold,omitempty"`
 	// Same counts identically-verdicted cells.
 	Same int `json:"same"`
-	// Flips/New/Missing/Perf list the non-same cells, sorted by identity.
+	// Flips/New/Missing list the non-same cells, sorted by identity.
 	Flips   []CellDiff `json:"flips,omitempty"`
 	New     []CellDiff `json:"new,omitempty"`
 	Missing []CellDiff `json:"missing,omitempty"`
-	Perf    []CellDiff `json:"perf_regressed,omitempty"`
 }
 
 // Compare classifies every cell of current against baseline. Identity is
 // the cell ID; verdict changes are flips, grid growth is new, grid
-// shrinkage is missing. Cells with equal verdicts whose wall clock grew
-// beyond threshold (a fraction: 0.20 = 20% slower) are additionally
-// classified perf-regressed when both sides carry timing records —
-// canonical baselines carry none, so committed baselines gate verdicts
-// only and perf gating stays opt-in via archived full reports.
-func Compare(baseline, current *Campaign, threshold float64) *Diff {
-	d := &Diff{Baseline: baseline.Name, PerfThreshold: threshold}
+// shrinkage is missing. Timings are not compared: per-cell wall clocks are
+// single samples, and performance is gated by the repo benchmark (bash
+// bench/run.sh), which measures spread.
+func Compare(baseline, current *Campaign) *Diff {
+	d := &Diff{Baseline: baseline.Name}
 	base := make(map[string]*Cell, len(baseline.Cells))
 	for i := range baseline.Cells {
 		base[baseline.Cells[i].ID] = &baseline.Cells[i]
@@ -100,38 +85,27 @@ func Compare(baseline, current *Campaign, threshold float64) *Diff {
 			continue
 		}
 		d.Same++
-		if threshold > 0 && old.Timing != nil && cur.Timing != nil && old.Timing.NS > 0 && cur.Timing.NS > 0 {
-			factor := float64(cur.Timing.NS) / float64(old.Timing.NS)
-			if factor > 1+threshold {
-				d.Perf = append(d.Perf, CellDiff{
-					ID: cur.ID, Class: ClassPerf, OldNS: old.Timing.NS, NewNS: cur.Timing.NS,
-					Factor: factor, Repro: cur.repro(current.Spec),
-				})
-			}
-		}
 	}
 	for id, old := range base {
 		if !seen[id] {
 			d.Missing = append(d.Missing, CellDiff{ID: id, Class: ClassMissing, Old: old.Verdict})
 		}
 	}
-	for _, list := range [][]CellDiff{d.Flips, d.New, d.Missing, d.Perf} {
+	for _, list := range [][]CellDiff{d.Flips, d.New, d.Missing} {
 		sort.Slice(list, func(i, j int) bool { return list[i].ID < list[j].ID })
 	}
 	return d
 }
 
 // Gate returns a non-nil error when the diff must fail CI: any verdict
-// flip, or any perf regression beyond the threshold. The error names the
-// first offending cells and their rerun commands, so the failure is
-// actionable from the log alone.
+// flip. The error names the first offending cells and their rerun commands,
+// so the failure is actionable from the log alone.
 func (d *Diff) Gate() error {
-	if len(d.Flips) == 0 && len(d.Perf) == 0 {
+	if len(d.Flips) == 0 {
 		return nil
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "campaign gate failed vs baseline %q: %d verdict flip(s), %d perf regression(s) beyond %.0f%%",
-		d.Baseline, len(d.Flips), len(d.Perf), d.PerfThreshold*100)
+	fmt.Fprintf(&b, "campaign gate failed vs baseline %q: %d verdict flip(s)", d.Baseline, len(d.Flips))
 	for _, f := range clip(d.Flips, 5) {
 		fmt.Fprintf(&b, "\n  flip %s: %s -> %s", f.ID, f.Old, f.New)
 		if f.Detail != "" {
@@ -141,17 +115,7 @@ func (d *Diff) Gate() error {
 			fmt.Fprintf(&b, "\n    rerun: %s", f.Repro)
 		}
 	}
-	for _, p := range clip(d.Perf, 5) {
-		fmt.Fprintf(&b, "\n  perf %s: %.2fx slower (%v -> %v, threshold %.2fx)",
-			p.ID, p.Factor,
-			time.Duration(p.OldNS).Round(time.Microsecond),
-			time.Duration(p.NewNS).Round(time.Microsecond),
-			1+d.PerfThreshold)
-		if p.Repro != "" {
-			fmt.Fprintf(&b, "\n    rerun: %s", p.Repro)
-		}
-	}
-	if len(d.Flips) > 5 || len(d.Perf) > 5 {
+	if len(d.Flips) > 5 {
 		fmt.Fprintf(&b, "\n  ... (full classification in the campaign report's diff section)")
 	}
 	return fmt.Errorf("%s", b.String())
@@ -159,8 +123,8 @@ func (d *Diff) Gate() error {
 
 // Render writes the human-readable diff summary.
 func (d *Diff) Render(w io.Writer) error {
-	fmt.Fprintf(w, "baseline %s: same=%d flips=%d new=%d missing=%d perf-regressed=%d\n",
-		d.Baseline, d.Same, len(d.Flips), len(d.New), len(d.Missing), len(d.Perf))
+	fmt.Fprintf(w, "baseline %s: same=%d flips=%d new=%d missing=%d\n",
+		d.Baseline, d.Same, len(d.Flips), len(d.New), len(d.Missing))
 	for _, f := range d.Flips {
 		fmt.Fprintf(w, "  flip %s: %s -> %s\n", f.ID, f.Old, f.New)
 	}
@@ -169,9 +133,6 @@ func (d *Diff) Render(w io.Writer) error {
 	}
 	for _, m := range d.Missing {
 		fmt.Fprintf(w, "  missing %s: was %s\n", m.ID, m.Old)
-	}
-	for _, p := range d.Perf {
-		fmt.Fprintf(w, "  perf %s: %.2fx slower\n", p.ID, p.Factor)
 	}
 	return nil
 }

@@ -35,7 +35,7 @@ func TestCompareClasses(t *testing.T) {
 		cell("c", "violation", 0),
 		cell("fresh", "ok", 0), // new
 	)
-	d := Compare(base, cur, 0.2)
+	d := Compare(base, cur)
 	if d.Same != 2 {
 		t.Errorf("same = %d, want 2", d.Same)
 	}
@@ -47,9 +47,6 @@ func TestCompareClasses(t *testing.T) {
 	}
 	if len(d.Missing) != 1 || d.Missing[0].ID != "gone" || d.Missing[0].Old != "ok" {
 		t.Errorf("missing: %+v", d.Missing)
-	}
-	if len(d.Perf) != 0 {
-		t.Errorf("perf without timings: %+v", d.Perf)
 	}
 	// New and missing cells do not fail the gate; flips do.
 	err := d.Gate()
@@ -63,48 +60,9 @@ func TestCompareClasses(t *testing.T) {
 	}
 	// Grid growth/shrinkage alone passes.
 	grown := Compare(mkCampaign("base", cell("a", "ok", 0)),
-		mkCampaign("cur", cell("a", "ok", 0), cell("fresh", "ok", 0)), 0.2)
+		mkCampaign("cur", cell("a", "ok", 0), cell("fresh", "ok", 0)))
 	if err := grown.Gate(); err != nil {
 		t.Errorf("grid growth failed the gate: %v", err)
-	}
-}
-
-// TestGatePerfRegression pins the perf leg of the gate: a cell slowing
-// beyond the threshold fails with the factor and both wall clocks in the
-// message; a slowdown inside the threshold, or a baseline without timing
-// records (every committed canonical baseline), gates verdicts only.
-func TestGatePerfRegression(t *testing.T) {
-	base := mkCampaign("base", cell("a", "ok", 100_000_000), cell("b", "ok", 100_000_000))
-	cur := mkCampaign("cur", cell("a", "ok", 130_000_000), cell("b", "ok", 105_000_000))
-	d := Compare(base, cur, 0.20)
-	if len(d.Perf) != 1 || d.Perf[0].ID != "a" || d.Perf[0].Class != ClassPerf {
-		t.Fatalf("perf classification: %+v", d.Perf)
-	}
-	if f := d.Perf[0].Factor; f < 1.29 || f > 1.31 {
-		t.Errorf("factor = %v", f)
-	}
-	err := d.Gate()
-	if err == nil {
-		t.Fatal("perf regression passed the gate")
-	}
-	for _, want := range []string{"1 perf regression", "1.30x slower", "100ms -> 130ms", "threshold 1.20x"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("gate error %q misses %q", err, want)
-		}
-	}
-
-	// Inside the threshold: clean gate.
-	if err := Compare(base, mkCampaign("cur", cell("a", "ok", 115_000_000), cell("b", "ok", 100_000_000)), 0.20).Gate(); err != nil {
-		t.Errorf("15%% slowdown failed a 20%% gate: %v", err)
-	}
-	// Canonical baseline (no timings): the same 30% slowdown cannot be
-	// classified, so the gate stays verdict-only.
-	if d := Compare(mkCampaign("base", cell("a", "ok", 0)), mkCampaign("cur", cell("a", "ok", 130_000_000)), 0.20); len(d.Perf) != 0 || d.Gate() != nil {
-		t.Errorf("timing-less baseline classified perf: %+v", d.Perf)
-	}
-	// Threshold 0 disables perf gating outright.
-	if d := Compare(base, cur, 0); len(d.Perf) != 0 {
-		t.Errorf("threshold 0 classified perf: %+v", d.Perf)
 	}
 }
 
@@ -146,7 +104,7 @@ func TestGateJunkFlipEndToEnd(t *testing.T) {
 	// verdict.
 	baseline := healthy.Canonical()
 	baseline.Cells[0].ID = broken.Cells[0].ID
-	d := Compare(baseline, broken, 0.2)
+	d := Compare(baseline, broken)
 	err = d.Gate()
 	if err == nil {
 		t.Fatal("junk flip passed the gate")
@@ -225,7 +183,7 @@ func TestReproShapes(t *testing.T) {
 func TestDiffRender(t *testing.T) {
 	base := mkCampaign("base", cell("a", "ok", 0), cell("gone", "ok", 0))
 	cur := mkCampaign("cur", cell("a", "violation", 0), cell("fresh", "ok", 0))
-	d := Compare(base, cur, 0.2)
+	d := Compare(base, cur)
 	var b strings.Builder
 	if err := d.Render(&b); err != nil {
 		t.Fatal(err)

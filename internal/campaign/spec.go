@@ -5,8 +5,8 @@
 // bounded worker pool, and aggregates the outcomes into a stable
 // schema-tagged Campaign report (elin/campaign/v1) a machine can diff:
 // Compare classifies every cell against a baseline campaign as
-// same/flip/new/missing (plus perf-regressed beyond a threshold) and Gate
-// turns flips into a non-zero exit — the regression gate CI runs on.
+// same/flip/new/missing and Gate turns flips into a non-zero exit — the
+// regression gate CI runs on.
 //
 // The paper's paradox is a statement about families of executions —
 // eventual linearizability looks fine on any one run and only breaks when
@@ -55,9 +55,9 @@ type Axes struct {
 	// the fsyncs.
 	WALSync []string `json:"wal-sync,omitempty"`
 	// Monitor sweeps the online monitor implementation over live and serve
-	// cells ("full" — the default, "sample:N", "shard:K", "shard:key",
-	// "none"). The other engines reject non-default monitors, under the
-	// same exclude-explicitly rule as Faults.
+	// cells ("full" — the default, "sample:N", "shard:K", "none"). The
+	// other engines reject non-default monitors, under the same
+	// exclude-explicitly rule as Faults.
 	Monitor   []string `json:"monitor,omitempty"`
 	Procs     []int    `json:"procs,omitempty"`
 	Ops       []int    `json:"ops,omitempty"`

@@ -65,7 +65,7 @@ var goldenCases = []goldenCase{
 		generated(1, gen.HistoryConfig{Procs: 4, Ops: 1500, PendingBias: 0.5})},
 	// Overlapping operations with corrupted responses, observe-only: most
 	// windows have MinT > 0 and pay the bisection.
-	{"gen-fi-corrupt-seed7", fetchInc, check.IncrementalConfig{Stride: 48, NoViolation: true},
+	{"gen-fi-corrupt-seed7", fetchInc, check.IncrementalConfig{Stride: 48, MaxT: -1},
 		generated(7, gen.HistoryConfig{Procs: 3, Ops: 1200, PendingBias: 0.4, Corrupt: 0.05})},
 	// The injected bug: the window holding the first lost increment violates.
 	{"junk-fi-40-seed1", fetchInc, check.IncrementalConfig{Stride: 64},
@@ -75,7 +75,7 @@ var goldenCases = []goldenCase{
 		serialRun("el-fi", "window:300", 9, 2, 1500)},
 }
 
-var goldenMonitors = []string{"full", "sample:3", "shard:1", "shard:2", "shard:4", "shard:key"}
+var goldenMonitors = []string{"full", "sample:3", "shard:1", "shard:2", "shard:4"}
 
 // goldenResult is what one monitor reports on one stream.
 type goldenResult struct {
@@ -117,7 +117,7 @@ func runGolden(t *testing.T, c goldenCase, monitor string) goldenResult {
 		t.Fatal(err)
 	}
 	res := goldenResult{
-		Checks: m.Checks(), Skipped: m.SkippedWindows(), Escalations: m.Escalations(),
+		Checks: m.Checks(), Skipped: m.Sampling().Skipped, Escalations: m.Sampling().Escalations,
 		Samples: append([]check.Sample{}, m.Samples()...),
 	}
 	if v := m.Violation(); v != nil {

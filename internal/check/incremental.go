@@ -2,6 +2,9 @@ package check
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"github.com/elin-go/elin/internal/history"
 	"github.com/elin-go/elin/internal/spec"
@@ -20,11 +23,8 @@ type IncrementalConfig struct {
 	// window be linearizable on its own — the right setting for objects
 	// claiming linearizability. Eventually linearizable objects are run
 	// with a positive tolerance, or with a negative MaxT (trend watching
-	// only, no violation stop — same as NoViolation).
+	// only, no violation stop).
 	MaxT int
-	// NoViolation disables the MaxT cut-off entirely (equivalent to a
-	// negative MaxT but keeps the zero value of MaxT meaning "strict").
-	NoViolation bool
 	// Opts configures the underlying MinT searches.
 	Opts Options
 }
@@ -44,11 +44,11 @@ type WindowViolation struct {
 	// Start and End are the global event indexes the window covers
 	// ([Start, End) in the full merged history).
 	Start, End int
-	// Window is the offending window as a standalone history (cloned; safe
-	// to keep). Operations that were already open when the window started
-	// appear with their invocations moved to the window start, which only
-	// weakens real-time constraints — a violation is never manufactured by
-	// the windowing.
+	// Window is the offending window as a standalone history (safe to keep:
+	// the frozen monitor never touches it again). Operations that were
+	// already open when the window started appear with their invocations
+	// moved to the window start, which only weakens real-time constraints —
+	// a violation is never manufactured by the windowing.
 	Window *history.History
 	// Object is the specification the window was checked against, with the
 	// initial state rebased past the committed prefix.
@@ -90,6 +90,17 @@ func (v *WindowViolation) String() string {
 // their trend, which is the live analog of TrackMinT — stabilized windows
 // are the Definition 4 signature, persistently growing window MinT the
 // Corollary 19 one.
+//
+// The MinT search of a closed window runs either inline, on the feeding
+// goroutine, or — when the monitor was built with a checker pool (spec
+// shard:K) — on one of K workers while recording continues. Everything else
+// is the same code: the rebase fold stays on the feeding goroutine and
+// results are recorded strictly in window order, so the sample series,
+// verdict, violation window and check count do not depend on the pool. Two
+// things may lag under a pool: Events() can run past a violating window
+// before its result is collected (Feed reports the violation a few events
+// later), and a sampling escalation takes effect only when the triggering
+// window's result is collected.
 type Incremental struct {
 	cfg IncrementalConfig
 
@@ -100,7 +111,8 @@ type Incremental struct {
 	// win is the current window as a standalone history; tb is its operation
 	// table, filled once when the window closes and shared by the MinT search
 	// and the rebase fold; sc is the checker's scratch. All three are reused
-	// from window to window.
+	// from window to window by the inline path; a window handed to the pool
+	// leaves with its own table and win is replaced.
 	win *history.History
 	tb  history.OpTable
 	sc  scratch
@@ -111,52 +123,127 @@ type Incremental struct {
 
 	samples   []Sample
 	violation *WindowViolation
-	// checks counts windows closed (violating or not).
+	// checks counts windows whose measurement was recorded.
 	checks int
+	// finished is set by Finish, Abort, a violation and a failed Feed: the
+	// pool is gone and nothing further is checked.
+	finished bool
 
-	// Sampling fallback: with sampleEvery > 1 only every Nth closed window
+	// Sampling fallback: with sampling.Every > 1 only every Nth closed window
 	// pays the MinT search; skipped windows still fold their completed
 	// operations into the rebased state (the fold is cheap and required for
 	// later windows to check against the right initial state) but record no
 	// sample. skipLeft is the countdown to the next measured window: each
-	// measured window re-arms it to sampleEvery-1, and SetSampleEvery resets
-	// it, so re-engaging sampling mid-run always skips exactly n-1 windows
-	// before the next measurement regardless of how many windows have closed
-	// before (a winCount modulus would make the cadence phase-dependent).
-	// All plain ints: they are touched only from the single goroutine
-	// driving Feed.
-	sampleEvery    int // 0 or 1 = exhaustive
-	skipLeft       int // windows to skip before the next measured one
-	winCount       int // windows closed, measured or skipped
-	skipped        int // windows whose MinT search was skipped
-	escalations    int // times a near-violation forced sampling back to 1
-	maxSampleEvery int // high-water mark of sampleEvery over the run
+	// measured window re-arms it to Every-1, and SetSampleEvery resets it, so
+	// re-engaging sampling mid-run always skips exactly n-1 windows before
+	// the next measurement regardless of how many windows have closed before
+	// (a window-count modulus would make the cadence phase-dependent). Plain
+	// ints: they are touched only from the single goroutine driving Feed.
+	sampling SamplingStats
+	skipLeft int // windows to skip before the next measured one
+
+	// pool is nil when windows are measured inline; pending holds the
+	// windows handed to it whose results are not yet recorded, in window
+	// order — the in-order collector is what pins a pooled run to the
+	// inline one.
+	pool    *checkerPool
+	pending []*windowTask
 }
 
-// NewIncremental returns the sequential monitor for a single-object history
-// against obj.
+// SamplingStats is a monitor's sampling-fallback accounting.
+type SamplingStats struct {
+	// Every is the current sampling interval (1 = exhaustive).
+	Every int
+	// Skipped counts closed windows whose MinT search was skipped.
+	Skipped int
+	// Escalations counts the times a near-violation (measured MinT past half
+	// the tolerance) forced sampling back to exhaustive.
+	Escalations int
+	// MaxEvery is the largest interval the run reached (0 when sampling was
+	// never engaged).
+	MaxEvery int
+}
+
+// windowTask is one closed window handed to the pool. The feeding goroutine
+// folds the window's completed operations into the rebased state BEFORE
+// sending, after which the task's window and table belong exclusively to
+// the worker until done is published — no clone, no lock.
+type windowTask struct {
+	// start and end are the global event indexes the window covers
+	// ([start, end)); end is also the event count the sample is keyed by.
+	start, end int
+	win        *history.History
+	tb         history.OpTable
+	obj        spec.Object
+
+	minT int
+	ok   bool
+	err  error
+	done atomic.Bool
+}
+
+// checkerPool is the optional worker pool: one task channel shared by the
+// workers, closed-on-shutdown done, and the WaitGroup shutdown waits on.
+type checkerPool struct {
+	tasks chan *windowTask
+	done  chan struct{}
+	wg    sync.WaitGroup
+}
+
+// NewIncremental returns the monitor for a single-object history against
+// obj, measuring its windows inline.
 //
-// Deprecated: construct monitors through NewMonitor with a MonitorSpec —
-// it covers this monitor (kinds MonitorFull and MonitorSample) alongside
-// the sharded and record-only implementations behind the Monitor interface.
-// NewIncremental stays for callers that need the concrete type.
+// Deprecated: construct monitors through NewMonitor with a MonitorSpec — it
+// also covers sampling and the checker pool. NewIncremental stays for
+// callers that need the concrete type.
 func NewIncremental(obj spec.Object, cfg IncrementalConfig) *Incremental {
 	m := &Incremental{
-		cfg: cfg,
-		obj: obj,
-		win: history.New(),
+		cfg:      cfg,
+		obj:      obj,
+		win:      history.New(),
+		sampling: SamplingStats{Every: 1},
 	}
 	m.det, _ = obj.Type.(spec.DetStepper)
 	return m
 }
 
+// startPool moves the MinT searches onto workers goroutines. The channel is
+// small on purpose: each task pins a full window of events, so its capacity
+// bounds how far checking may lag recording before Feed blocks.
+func (m *Incremental) startPool(workers int) {
+	p := &checkerPool{
+		tasks: make(chan *windowTask, 8*workers),
+		done:  make(chan struct{}),
+	}
+	m.pool = p
+	opts := m.cfg.Opts
+	for i := 0; i < workers; i++ {
+		p.wg.Add(1)
+		go func() {
+			defer p.wg.Done()
+			var sc scratch
+			for {
+				select {
+				case <-p.done:
+					return
+				case t := <-p.tasks:
+					t.minT, t.ok, t.err = windowMinT(t.obj, t.win, &t.tb, opts, &sc)
+					t.done.Store(true)
+				}
+			}
+		}()
+	}
+}
+
 // Events returns the number of events fed so far.
 func (m *Incremental) Events() int { return m.events }
 
-// Checks returns the number of windows checked so far.
+// Checks returns the number of windows checked so far (recorded results
+// only, so a pooled run that discards in-flight work past a violation
+// counts what the inline one does).
 func (m *Incremental) Checks() int { return m.checks }
 
-// Samples returns the per-window MinT measurements (one per closed window,
+// Samples returns the per-window MinT measurements (one per measured window,
 // keyed by the global event count at the close). The slice is live; callers
 // must not mutate it.
 func (m *Incremental) Samples() []Sample { return m.samples }
@@ -173,36 +260,17 @@ func (m *Incremental) SetSampleEvery(n int) {
 	if n < 1 {
 		n = 1
 	}
-	m.sampleEvery = n
+	m.sampling.Every = n
 	// Re-arm the countdown from scratch: n-1 skips before the next measured
 	// window, or none when returning to exhaustive checking. Without this a
 	// stale countdown from an earlier sampling phase would bleed into the
 	// new cadence.
 	m.skipLeft = n - 1
-	if n > m.maxSampleEvery {
-		m.maxSampleEvery = n
-	}
+	m.sampling.MaxEvery = max(m.sampling.MaxEvery, n)
 }
 
-// SampleEvery returns the current sampling interval (1 = exhaustive).
-func (m *Incremental) SampleEvery() int {
-	if m.sampleEvery < 1 {
-		return 1
-	}
-	return m.sampleEvery
-}
-
-// SkippedWindows returns how many closed windows skipped their MinT search
-// under sampling.
-func (m *Incremental) SkippedWindows() int { return m.skipped }
-
-// Escalations returns how many times a near-violation (measured MinT past
-// half the tolerance) forced sampling back to exhaustive.
-func (m *Incremental) Escalations() int { return m.escalations }
-
-// MaxSampleEvery returns the largest sampling interval the run reached
-// (0 when sampling was never engaged).
-func (m *Incremental) MaxSampleEvery() int { return m.maxSampleEvery }
+// Sampling returns the sampling-fallback accounting.
+func (m *Incremental) Sampling() SamplingStats { return m.sampling }
 
 // Verdict classifies the trend of the per-window MinT series.
 func (m *Incremental) Verdict() Verdict {
@@ -217,131 +285,202 @@ func (m *Incremental) Verdict() Verdict {
 // Feed appends one event. When the event closes a window the window is
 // checked; a tolerance breach returns the violation (also retained for
 // Violation) and freezes the monitor — further Feeds return the same
-// violation without checking.
+// violation without checking. Under a pool the violation is returned as
+// soon as its window's result has been collected. Feed after Finish or
+// Abort is an error, and so is every Feed after one that failed.
 func (m *Incremental) Feed(e history.Event) (*WindowViolation, error) {
-	if m.violation != nil {
-		return m.violation, nil
+	if m.finished {
+		if m.violation != nil {
+			return m.violation, nil
+		}
+		return nil, fmt.Errorf("check: monitor feed after finish")
 	}
 	if err := m.win.Append(e); err != nil {
-		return nil, fmt.Errorf("check: incremental feed: %w", err)
+		m.shutdown()
+		return nil, fmt.Errorf("check: monitor feed: %w", err)
 	}
 	m.events++
-	if m.win.Len() < m.cfg.stride() {
-		return nil, nil
+	if m.pool == nil && m.win.Len() < m.cfg.stride() {
+		return nil, nil // no window to close, no results to collect
 	}
-	return m.closeWindow(false)
+	return m.step(false)
 }
 
-// Finish checks the final partial window (if it has any events). Call it
-// after the last Feed; the returned violation, if any, covers the tail.
+// Finish checks the final partial window (if it has any events), collects
+// every pending result in order and stops the pool. Call it after the last
+// Feed; the returned violation, if any, covers the tail. A second Finish
+// returns the same violation.
 func (m *Incremental) Finish() (*WindowViolation, error) {
-	if m.violation != nil || m.win.Len() == 0 {
+	if m.finished {
 		return m.violation, nil
 	}
-	return m.closeWindow(true)
+	v, err := m.step(true)
+	m.shutdown()
+	return v, err
 }
 
-// Abort implements Monitor. The sequential monitor holds no resources, so
-// aborting just drops the unmeasured tail window.
-func (m *Incremental) Abort() {}
+// Abort stops the pool and discards pending results without measuring the
+// tail window. Idempotent; a no-op after Finish.
+func (m *Incremental) Abort() { m.shutdown() }
 
-// closeWindow measures the current window, records the sample, raises a
-// violation if tolerated MinT is exceeded, and otherwise advances the cut.
+// shutdown stops the workers, waits them out and drops unrecorded tasks.
+func (m *Incremental) shutdown() {
+	if m.finished {
+		return
+	}
+	m.finished = true
+	if m.pool != nil {
+		close(m.pool.done)
+		m.pool.wg.Wait()
+		m.pending = nil
+	}
+}
+
+// step closes the current window if it is due (a full stride, or at the end
+// whatever Finish found in it) and records the pool's finished results: the
+// ones ready now, or at the end all of them.
+func (m *Incremental) step(end bool) (v *WindowViolation, err error) {
+	if n := m.win.Len(); n >= m.cfg.stride() || end && n > 0 {
+		v, err = m.closeWindow(end)
+	}
+	if v == nil && err == nil {
+		v, err = m.collect(end)
+	}
+	if err != nil {
+		m.shutdown()
+	}
+	return v, err
+}
+
+// closeWindow decides whether the closed window is measured, has it
+// measured — inline, or by handing it to the pool — and advances the cut.
 // Under sampling, unsampled windows skip the MinT search but still advance
 // the cut; force (Finish's tail window) always measures, so a run never
 // ends on an unchecked window.
 func (m *Incremental) closeWindow(force bool) (*WindowViolation, error) {
-	m.winCount++
-	m.tb.Fill(m.win)
 	if !force && m.skipLeft > 0 {
 		m.skipLeft--
-		m.skipped++
-		return nil, m.advanceCut()
+		m.sampling.Skipped++
+		m.tb.Fill(m.win)
+		m.win.Reset()
+		return nil, m.advanceCut(&m.tb, m.win)
 	}
+	m.skipLeft = m.sampling.Every - 1
+	if m.pool != nil {
+		t := &windowTask{start: m.start, end: m.events, win: m.win, obj: m.obj}
+		t.tb.Fill(m.win)
+		// Fold before the send: the table is read one last time on this
+		// goroutine; after the send only the worker touches the task.
+		if err := m.advanceCut(&t.tb, history.New()); err != nil {
+			return nil, err
+		}
+		m.pending = append(m.pending, t)
+		select {
+		case m.pool.tasks <- t:
+		case <-m.pool.done: // a send blocked on a full channel gives up with the pool
+		}
+		return nil, nil
+	}
+	m.tb.Fill(m.win)
 	t, ok, err := windowMinT(m.obj, m.win, &m.tb, m.cfg.Opts, &m.sc)
 	if err != nil {
-		return nil, fmt.Errorf("check: incremental window [%d,%d): %w", m.start, m.events, err)
+		return nil, fmt.Errorf("check: monitor window [%d,%d): %w", m.start, m.events, err)
 	}
-	m.checks++
-	if !ok {
-		t = -1
+	if v := m.record(m.start, m.events, m.win, m.obj, t, ok); v != nil {
+		return v, nil
 	}
-	m.samples = append(m.samples, Sample{Events: m.events, MinT: t})
-	if !m.cfg.NoViolation && m.cfg.MaxT >= 0 && (t < 0 || t > m.cfg.MaxT) {
-		m.violation = &WindowViolation{
-			Start:  m.start,
-			End:    m.events,
-			Window: m.win.Clone(),
-			Object: m.obj,
-			MinT:   t,
-			MaxT:   m.cfg.MaxT,
-		}
-		return m.violation, nil
-	}
-	// Near-violation escalation: a measured MinT past half the tolerance
-	// ends sampling — the trend is drifting toward the threshold, so every
-	// window matters again. Observe-only runs (NoViolation or negative
-	// MaxT) never escalate: positive t is the normal EL signature there,
-	// not an approaching failure.
-	if m.sampleEvery > 1 && !m.cfg.NoViolation && m.cfg.MaxT > 0 && 2*t > m.cfg.MaxT {
-		m.sampleEvery = 1
-		m.skipLeft = 0
-		m.escalations++
-	} else if m.sampleEvery > 1 {
-		m.skipLeft = m.sampleEvery - 1
-	}
-	return nil, m.advanceCut()
-}
-
-// advanceCut folds the window's completed operations into the rebased
-// initial state (in commit order) and restarts the window with the
-// still-open operations' invocations.
-func (m *Incremental) advanceCut() error {
 	m.win.Reset()
-	obj, err := rebaseFold(m.obj, m.det, &m.tb, m.win)
-	if err != nil {
-		return err
-	}
-	m.obj = obj
-	m.start = m.events
-	return nil
+	return nil, m.advanceCut(&m.tb, m.win)
 }
 
-// windowMinT is MinT of win given its operation table tb: the check of one
-// closed window, as both window monitors run it.
-func windowMinT(obj spec.Object, win *history.History, tb *history.OpTable, opts Options, sc *scratch) (int, bool, error) {
-	if err := oneObject(win); err != nil {
-		return 0, false, err
-	}
-	return minT(obj, tb, opts, sc)
-}
-
-// rebaseFold is the shared window handoff: it folds the completed
-// operations of the window tb was filled from into obj's initial state and
-// primes next, which must be empty, with the still-open operations'
-// invocations. The fold runs in response-event order: in the live runtime
-// response events are placed at their commit tickets, so this is the commit
-// order. The sequential monitor passes its own window, reset; the
-// window-sharded monitor a new one, because the closed window goes to a
-// worker while recording continues against the rebased state.
-func rebaseFold(obj spec.Object, det spec.DetStepper, tb *history.OpTable, next *history.History) (spec.Object, error) {
-	state := obj.Init
+// advanceCut folds the completed operations of the window tb describes into
+// the rebased initial state and makes next, which must be empty, the current
+// window, primed with the still-open operations' invocations. The fold runs
+// in response-event order: in the live runtime response events are placed at
+// their commit tickets, so this is the commit order.
+func (m *Incremental) advanceCut(tb *history.OpTable, next *history.History) error {
+	state := m.obj.Init
 	for _, j := range tb.ByRes {
 		op := &tb.Ops[j]
-		to, applied := stepRebase(obj, det, state, op.Op, op.Resp)
+		to, applied := stepRebase(m.obj, m.det, state, op.Op, op.Resp)
 		if !applied {
-			return obj, fmt.Errorf("check: incremental rebase: %s inapplicable in state %v", op.Op, state)
+			return fmt.Errorf("check: incremental rebase: %s inapplicable in state %v", op.Op, state)
 		}
 		state = to
 	}
 	for i := range tb.Ops {
 		if op := &tb.Ops[i]; op.Pending() {
 			if err := next.Invoke(op.Proc, op.Obj, op.Op); err != nil {
-				return obj, fmt.Errorf("check: incremental rebase: %w", err)
+				return fmt.Errorf("check: incremental rebase: %w", err)
 			}
 		}
 	}
-	return spec.Object{Type: obj.Type, Init: state}, nil
+	m.obj = spec.Object{Type: m.obj.Type, Init: state}
+	m.start = m.events
+	m.win = next
+	return nil
+}
+
+// record books one measured window [start, end): count the check, append
+// the sample, raise the violation or note a near-violation escalation. win
+// and obj are the window as it was checked; the violation keeps them.
+func (m *Incremental) record(start, end int, win *history.History, obj spec.Object, t int, ok bool) *WindowViolation {
+	m.checks++
+	if !ok {
+		t = -1
+	}
+	m.samples = append(m.samples, Sample{Events: end, MinT: t})
+	if m.cfg.MaxT >= 0 && (t < 0 || t > m.cfg.MaxT) {
+		m.violation = &WindowViolation{Start: start, End: end, Window: win, Object: obj, MinT: t, MaxT: m.cfg.MaxT}
+		// Freeze: the windows handed out after the violating one are never
+		// recorded (the inline path never checks them), so stop the pool.
+		m.shutdown()
+		return m.violation
+	}
+	// Near-violation escalation: a measured MinT past half the tolerance
+	// ends sampling — the trend is drifting toward the threshold, so every
+	// window matters again. Observe-only runs (negative MaxT) never
+	// escalate: positive t is the normal EL signature there, not an
+	// approaching failure.
+	if m.sampling.Every > 1 && m.cfg.MaxT > 0 && 2*t > m.cfg.MaxT {
+		m.sampling.Every = 1
+		m.skipLeft = 0
+		m.sampling.Escalations++
+	}
+	return nil
+}
+
+// collect records the pool's finished results in window order. With
+// wait=false it stops at the first unfinished task (the Feed fast path);
+// with wait=true it yields until every pending task has been recorded.
+func (m *Incremental) collect(wait bool) (*WindowViolation, error) {
+	for len(m.pending) > 0 {
+		t := m.pending[0]
+		if !t.done.Load() {
+			if !wait {
+				return nil, nil
+			}
+			runtime.Gosched()
+			continue
+		}
+		m.pending = m.pending[1:]
+		if t.err != nil {
+			return nil, fmt.Errorf("check: monitor window [%d,%d): %w", t.start, t.end, t.err)
+		}
+		if v := m.record(t.start, t.end, t.win, t.obj, t.minT, t.ok); v != nil {
+			return v, nil
+		}
+	}
+	return nil, nil
+}
+
+// windowMinT is MinT of win given its operation table tb: the check of one
+// closed window, inline or on a pool worker.
+func windowMinT(obj spec.Object, win *history.History, tb *history.OpTable, opts Options, sc *scratch) (int, bool, error) {
+	if err := oneObject(win); err != nil {
+		return 0, false, err
+	}
+	return minT(obj, tb, opts, sc)
 }
 
 // stepRebase advances state by op. Deterministic types ignore resp; for a

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/elin-go/elin/internal/history"
@@ -187,27 +188,6 @@ func TestIncrementalNegativeMaxTObserves(t *testing.T) {
 	}
 }
 
-func TestIncrementalNoViolationMode(t *testing.T) {
-	obj := spec.NewObject(spec.FetchInc{})
-	h := serialCounter(t, 10)
-	mustDo(t, h.Call(0, "C", spec.MakeOp(spec.MethodFetchInc), 10))
-	mustDo(t, h.Call(1, "C", spec.MakeOp(spec.MethodFetchInc), 10))
-	m := NewIncremental(obj, IncrementalConfig{Stride: 8, NoViolation: true})
-	if v := feedAll(t, m, h); v != nil {
-		t.Fatalf("NoViolation monitor flagged: %v", v)
-	}
-	// The bad window still shows up in the samples.
-	bad := false
-	for _, s := range m.Samples() {
-		if s.MinT > 0 {
-			bad = true
-		}
-	}
-	if !bad {
-		t.Fatalf("bad window invisible in samples: %+v", m.Samples())
-	}
-}
-
 // ----------------------------------------------------------------------------
 // Trend classification edge cases (Classify is also the TrackMinT backend).
 
@@ -296,5 +276,95 @@ func TestIncrementalCrashCutGap(t *testing.T) {
 	}
 	if v := m.Verdict(); v.Trend != TrendStabilized {
 		t.Fatalf("trend across crash cut = %s, want stabilized", v.Trend)
+	}
+}
+
+// TestIncrementalPendingAtWindowCut is the pending-operations table for the
+// window cut. An operation open at a cut is carried into the next window as
+// an invocation at its start and folded into the rebased state only by the
+// window its response lands in — exactly once, whether that window's MinT
+// search runs or is skipped under sampling — and one still open at Finish is
+// measured as pending and never folded. Each row is a linearizable counter
+// run with stride 4 in which proc 1's operation X stays open across cuts;
+// the rebased counter after Finish must equal the number of completed
+// operations, and no window may raise anything. Rows run inline and under a
+// pool of 2.
+func TestIncrementalPendingAtWindowCut(t *testing.T) {
+	inc := spec.MakeOp(spec.MethodFetchInc)
+	type step struct {
+		proc int
+		resp int64 // -1: invocation
+	}
+	const inv = -1
+	rows := []struct {
+		name      string
+		steps     []step
+		completed int64
+		windows   int // windows closed, the tail Finish measures included
+		skipped   int // of those, skipped once sample:2 is engaged after the first
+	}{
+		{"responds in the next window", []step{
+			{0, inv}, {0, 0}, {1, inv}, {0, inv}, // cut: X and one more open
+			{0, 1}, {1, 2}, // cut: X responded
+			{0, inv}, {0, 3}, {1, inv}, {1, 4},
+		}, 5, 3, 1},
+		{"pending across two cuts", []step{
+			{1, inv}, {0, inv}, {0, 0}, {0, inv}, // cut: X open
+			{0, 1}, {0, inv}, // cut: X still open
+			{0, 2}, {1, 3}, // cut: X responded
+			{0, inv}, {0, 4}, {1, inv}, {1, 5},
+		}, 6, 4, 2},
+		{"still pending at Finish", []step{
+			{1, inv}, {0, inv}, {0, 0}, {0, inv}, // cut: X open
+			{0, 1}, {0, inv}, // cut: X still open
+			{0, 2}, // tail: X never responds
+		}, 3, 3, 1}, // the tail is measured whatever the countdown says
+	}
+	for _, row := range rows {
+		h := history.New()
+		for _, s := range row.steps {
+			if s.resp == inv {
+				mustDo(t, h.Invoke(s.proc, "C", inc))
+			} else {
+				mustDo(t, h.Respond(s.proc, s.resp))
+			}
+		}
+		for _, workers := range []int{0, 2} {
+			for _, skipMiddle := range []bool{false, true} {
+				label := fmt.Sprintf("%s/workers=%d/skip-middle=%v", row.name, workers, skipMiddle)
+				obj, cfg := spec.NewObject(spec.FetchInc{}), IncrementalConfig{Stride: 4}
+				m := NewIncremental(obj, cfg)
+				if workers > 0 {
+					m = pooled(t, obj, cfg, workers)
+				}
+				for i := 0; i < h.Len(); i++ {
+					if i == 4 && skipMiddle {
+						m.SetSampleEvery(2) // first window measured, second skipped
+					}
+					if v, err := m.Feed(h.Event(i)); v != nil || err != nil {
+						t.Fatalf("%s: event %d: violation %v, error %v", label, i, v, err)
+					}
+				}
+				if v, err := m.Finish(); v != nil || err != nil {
+					t.Fatalf("%s: Finish: violation %v, error %v", label, v, err)
+				}
+				if got := m.obj.Init; got != row.completed {
+					t.Errorf("%s: rebased counter %v, want %d (each completed operation folded once)", label, got, row.completed)
+				}
+				skipped := 0
+				if skipMiddle {
+					skipped = row.skipped
+				}
+				if m.Checks()+m.Sampling().Skipped != row.windows || m.Sampling().Skipped != skipped {
+					t.Errorf("%s: %d checked + %d skipped, want %d windows with %d skipped",
+						label, m.Checks(), m.Sampling().Skipped, row.windows, skipped)
+				}
+				for _, s := range m.Samples() {
+					if s.MinT != 0 {
+						t.Errorf("%s: window closing at event %d has MinT %d", label, s.Events, s.MinT)
+					}
+				}
+			}
+		}
 	}
 }

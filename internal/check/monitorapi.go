@@ -9,25 +9,26 @@ import (
 	"github.com/elin-go/elin/internal/spec"
 )
 
-// Monitor is the online t-linearizability monitor seam: anything that can
-// watch a growing single-object history event by event and answer with a
-// per-window MinT trend, a violation, and its own perf accounting. The
-// runtime's commit pipeline (live.Pipeline) holds a Monitor, never a
-// concrete implementation, so exhaustive checking, sampling and sharding
-// are one configuration knob — the spec vocabulary parsed by
-// ParseMonitorSpec ("full", "sample:N", "shard:K", "shard:key", "none");
-// under "none" the pipeline holds no monitor at all.
+// Monitor is the online t-linearizability monitor as the runtime's commit
+// pipeline (live.Pipeline) holds it: something that watches a growing
+// single-object history event by event and answers with a per-window MinT
+// trend, a violation, and its own perf accounting. *Incremental is the one
+// implementation; exhaustive checking, sampling and the checker pool are one
+// configuration knob — the spec vocabulary parsed by ParseMonitorSpec
+// ("full", "sample:N", "shard:K", "none"); under "none" the pipeline holds
+// no monitor at all.
 //
-// The goroutine discipline is the same for every implementation: Feed,
-// Finish, Abort and SetSampleEvery are called from one driving goroutine;
-// the read accessors are safe from that goroutine at any time and from
-// anywhere after Finish or Abort has returned.
+// Goroutine discipline: Feed, Finish, Abort and SetSampleEvery are called
+// from one driving goroutine; the read accessors are safe from that
+// goroutine at any time and from anywhere after Finish or Abort has
+// returned.
 type Monitor interface {
 	// Feed appends one event. When the event completes a window whose MinT
-	// exceeds the tolerance, the violation is returned (and retained); a
-	// pipelined monitor may instead return the violation from a later Feed
-	// — the detection lag of checking off the hot path. After a violation
-	// the monitor is frozen: further Feeds return the same violation.
+	// exceeds the tolerance, the violation is returned (and retained); under
+	// a checker pool it may instead come back from a later Feed — the
+	// detection lag of checking off the hot path. After a violation the
+	// monitor is frozen: further Feeds return the same violation. Feed after
+	// Finish or Abort is an error.
 	Feed(e history.Event) (*WindowViolation, error)
 	// Finish checks the final partial window, drains any in-flight checks,
 	// and releases the monitor's resources. The returned violation, if any,
@@ -54,40 +55,31 @@ type Monitor interface {
 	// exhaustive checking) — the graceful-degradation knob an overloaded
 	// server turns through this interface.
 	SetSampleEvery(n int)
-	// SampleEvery returns the current sampling interval (1 = exhaustive).
-	SampleEvery() int
-	// SkippedWindows returns how many closed windows skipped their MinT
-	// search under sampling.
-	SkippedWindows() int
-	// Escalations returns how many times a near-violation forced sampling
-	// back to exhaustive.
-	Escalations() int
-	// MaxSampleEvery returns the largest sampling interval the run reached
-	// (0 when sampling was never engaged).
-	MaxSampleEvery() int
+	// Sampling returns the sampling-fallback accounting.
+	Sampling() SamplingStats
 }
 
-// MonitorKind enumerates the monitor implementations the spec vocabulary
+var _ Monitor = (*Incremental)(nil)
+
+// MonitorKind enumerates the monitor configurations the spec vocabulary
 // selects.
 type MonitorKind int
 
 // MonitorKind values.
 const (
-	// MonitorFull: the sequential exhaustive Incremental (every window pays
-	// a MinT search). The zero value, so an unset spec means full checking.
+	// MonitorFull: every window pays a MinT search, inline on the feeding
+	// goroutine. The zero value, so an unset spec means full checking.
 	MonitorFull MonitorKind = iota
-	// MonitorSample: Incremental pre-degraded to every-Nth-window sampling.
+	// MonitorSample: full, pre-degraded to every-Nth-window sampling.
 	MonitorSample
-	// MonitorShardWindow: the pipelined ShardedByWindow — window checks fan
-	// out to N workers while recording continues.
+	// MonitorShardWindow: full, with the window checks fanned out to a pool
+	// of N workers while recording continues.
 	MonitorShardWindow
-	// MonitorShardKey: ShardedByKey — one sub-monitor per object key.
-	MonitorShardKey
-	// MonitorNone: the record-only Null monitor.
+	// MonitorNone: record only — the pipeline builds no monitor.
 	MonitorNone
 )
 
-// MonitorSpec is a parsed monitor selection: which implementation, and its
+// MonitorSpec is a parsed monitor selection: which configuration, and its
 // parameter (sample interval or shard worker count). The zero value selects
 // full exhaustive checking.
 type MonitorSpec struct {
@@ -101,8 +93,7 @@ type MonitorSpec struct {
 //
 //	full        exhaustive windowed checking (the default; "" parses as full)
 //	sample:N    check every Nth window, escalate back on a near-violation
-//	shard:K     pipelined sharded checking on K workers
-//	shard:key   one sub-monitor per object key
+//	shard:K     the same checks run on a pool of K workers
 //	none        record only, no online checking
 func ParseMonitorSpec(s string) (MonitorSpec, error) {
 	switch s {
@@ -113,7 +104,7 @@ func ParseMonitorSpec(s string) (MonitorSpec, error) {
 	}
 	kind, arg, ok := strings.Cut(s, ":")
 	if !ok {
-		return MonitorSpec{}, fmt.Errorf("check: unknown monitor spec %q (want full, sample:N, shard:K, shard:key or none)", s)
+		return MonitorSpec{}, fmt.Errorf("check: unknown monitor spec %q (want full, sample:N, shard:K or none)", s)
 	}
 	switch kind {
 	case "sample":
@@ -123,16 +114,13 @@ func ParseMonitorSpec(s string) (MonitorSpec, error) {
 		}
 		return MonitorSpec{Kind: MonitorSample, N: n}, nil
 	case "shard":
-		if arg == "key" {
-			return MonitorSpec{Kind: MonitorShardKey}, nil
-		}
 		n, err := strconv.Atoi(arg)
 		if err != nil || n < 1 {
-			return MonitorSpec{}, fmt.Errorf("check: monitor spec %q: shard count must be an integer >= 1 (or \"key\")", s)
+			return MonitorSpec{}, fmt.Errorf("check: monitor spec %q: shard count must be an integer >= 1", s)
 		}
 		return MonitorSpec{Kind: MonitorShardWindow, N: n}, nil
 	}
-	return MonitorSpec{}, fmt.Errorf("check: unknown monitor spec %q (want full, sample:N, shard:K, shard:key or none)", s)
+	return MonitorSpec{}, fmt.Errorf("check: unknown monitor spec %q (want full, sample:N, shard:K or none)", s)
 }
 
 // String returns the canonical spelling ParseMonitorSpec accepts.
@@ -142,8 +130,6 @@ func (ms MonitorSpec) String() string {
 		return fmt.Sprintf("sample:%d", ms.N)
 	case MonitorShardWindow:
 		return fmt.Sprintf("shard:%d", ms.N)
-	case MonitorShardKey:
-		return "shard:key"
 	case MonitorNone:
 		return "none"
 	default:
@@ -152,82 +138,24 @@ func (ms MonitorSpec) String() string {
 }
 
 // NewMonitor constructs the monitor a spec selects, watching a history
-// against obj under the shared windowing config. This is the constructor
-// the runtime uses; NewIncremental remains as the direct form of the
-// sequential monitor.
+// against obj under the windowing config. Kind none is an error: building no
+// monitor is the pipeline's decision, made before it gets here.
 func NewMonitor(ms MonitorSpec, obj spec.Object, cfg IncrementalConfig) (Monitor, error) {
+	m := NewIncremental(obj, cfg)
 	switch ms.Kind {
 	case MonitorFull:
-		return NewIncremental(obj, cfg), nil
 	case MonitorSample:
 		if ms.N < 2 {
 			return nil, fmt.Errorf("check: monitor sample interval %d (want >= 2)", ms.N)
 		}
-		m := NewIncremental(obj, cfg)
 		m.SetSampleEvery(ms.N)
-		return m, nil
 	case MonitorShardWindow:
-		return NewShardedByWindow(obj, cfg, ms.N)
-	case MonitorShardKey:
-		return NewShardedByKey(obj, cfg), nil
-	case MonitorNone:
-		return NewNull(), nil
+		if ms.N < 1 {
+			return nil, fmt.Errorf("check: monitor checker pool needs >= 1 worker, got %d", ms.N)
+		}
+		m.startPool(ms.N)
+	default:
+		return nil, fmt.Errorf("check: no monitor to build for spec %s", ms)
 	}
-	return nil, fmt.Errorf("check: unknown monitor kind %d", ms.Kind)
+	return m, nil
 }
-
-// Null is the record-only monitor: it counts events and does nothing else.
-// It is what NewMonitor answers the "none" spec with; the runtime never
-// asks (live.Pipeline builds no monitor under "none").
-type Null struct {
-	events int
-}
-
-// NewNull returns a record-only monitor.
-func NewNull() *Null { return &Null{} }
-
-// Feed implements Monitor (counting only).
-func (n *Null) Feed(history.Event) (*WindowViolation, error) {
-	n.events++
-	return nil, nil
-}
-
-// Finish implements Monitor (no-op).
-func (n *Null) Finish() (*WindowViolation, error) { return nil, nil }
-
-// Abort implements Monitor (no-op).
-func (n *Null) Abort() {}
-
-// Events implements Monitor.
-func (n *Null) Events() int { return n.events }
-
-// Checks implements Monitor (always 0).
-func (n *Null) Checks() int { return 0 }
-
-// Samples implements Monitor (always nil).
-func (n *Null) Samples() []Sample { return nil }
-
-// Violation implements Monitor (always nil).
-func (n *Null) Violation() *WindowViolation { return nil }
-
-// Verdict implements Monitor: no samples, so always inconclusive.
-func (n *Null) Verdict() Verdict {
-	v := Verdict{}
-	v.Trend, v.Slope = Classify(nil)
-	return v
-}
-
-// SetSampleEvery implements Monitor (no-op: nothing is ever checked).
-func (n *Null) SetSampleEvery(int) {}
-
-// SampleEvery implements Monitor.
-func (n *Null) SampleEvery() int { return 1 }
-
-// SkippedWindows implements Monitor.
-func (n *Null) SkippedWindows() int { return 0 }
-
-// Escalations implements Monitor.
-func (n *Null) Escalations() int { return 0 }
-
-// MaxSampleEvery implements Monitor.
-func (n *Null) MaxSampleEvery() int { return 0 }

@@ -18,15 +18,15 @@ func TestIncrementalSamplingSkipsWindows(t *testing.T) {
 	if v := feedAll(t, m, h); v != nil {
 		t.Fatalf("clean sampled run flagged: %v", v)
 	}
-	if m.SkippedWindows() == 0 {
+	if m.Sampling().Skipped == 0 {
 		t.Fatal("sampling engaged but no window was skipped")
 	}
 	// Skipped + measured = all closed windows; measured = Checks.
-	if m.SkippedWindows()+m.Checks() != 25 {
-		t.Fatalf("skipped %d + checks %d != 25 windows", m.SkippedWindows(), m.Checks())
+	if m.Sampling().Skipped+m.Checks() != 25 {
+		t.Fatalf("skipped %d + checks %d != 25 windows", m.Sampling().Skipped, m.Checks())
 	}
-	if m.MaxSampleEvery() != 4 {
-		t.Fatalf("MaxSampleEvery = %d, want 4", m.MaxSampleEvery())
+	if m.Sampling().MaxEvery != 4 {
+		t.Fatalf("MaxSampleEvery = %d, want 4", m.Sampling().MaxEvery)
 	}
 	if v := m.Verdict(); v.Trend != TrendStabilized {
 		t.Fatalf("trend = %s, want stabilized", v.Trend)
@@ -83,14 +83,14 @@ func TestIncrementalSamplingEscalation(t *testing.T) {
 	if v := feedAll(t, m, h); v != nil {
 		t.Fatalf("tolerated staleness flagged: %v", v)
 	}
-	if m.Escalations() == 0 {
+	if m.Sampling().Escalations == 0 {
 		t.Fatal("near-violation did not escalate sampling")
 	}
-	if m.SampleEvery() != 1 {
-		t.Fatalf("SampleEvery = %d after escalation, want 1", m.SampleEvery())
+	if m.Sampling().Every != 1 {
+		t.Fatalf("SampleEvery = %d after escalation, want 1", m.Sampling().Every)
 	}
-	if m.MaxSampleEvery() != 2 {
-		t.Fatalf("MaxSampleEvery = %d, want 2", m.MaxSampleEvery())
+	if m.Sampling().MaxEvery != 2 {
+		t.Fatalf("MaxSampleEvery = %d, want 2", m.Sampling().MaxEvery)
 	}
 }
 
@@ -132,7 +132,7 @@ func TestIncrementalSamplingCountdownPhase(t *testing.T) {
 		if got := m.Checks(); got != c.before+measured {
 			t.Errorf("before=%d n=%d: checks = %d, want %d+%d", c.before, c.n, got, c.before, measured)
 		}
-		if got := m.SkippedWindows(); got != c.after-measured {
+		if got := m.Sampling().Skipped; got != c.after-measured {
 			t.Errorf("before=%d n=%d: skipped = %d, want %d", c.before, c.n, got, c.after-measured)
 		}
 		// The measured windows sit at before+n, before+2n, ... regardless of
@@ -147,37 +147,32 @@ func TestIncrementalSamplingCountdownPhase(t *testing.T) {
 	}
 }
 
-// Observe-only monitors (NoViolation / negative MaxT) never escalate:
+// Observe-only monitors (negative MaxT) never escalate:
 // positive window MinT is the normal EL signature there.
 func TestIncrementalSamplingNoEscalationObserved(t *testing.T) {
 	obj := spec.NewObject(spec.FetchInc{})
-	for _, cfg := range []IncrementalConfig{
-		{Stride: 8, NoViolation: true},
-		{Stride: 8, MaxT: -1},
-	} {
-		m := NewIncremental(obj, cfg)
-		m.SetSampleEvery(2)
-		h := history.New()
-		resp := int64(0)
-		for round := 0; round < 6; round++ {
-			mustDo(t, h.Invoke(0, "C", spec.MakeOp(spec.MethodFetchInc)))
-			mustDo(t, h.Invoke(1, "C", spec.MakeOp(spec.MethodFetchInc)))
-			mustDo(t, h.Invoke(2, "C", spec.MakeOp(spec.MethodFetchInc)))
-			mustDo(t, h.Invoke(3, "C", spec.MakeOp(spec.MethodFetchInc)))
-			mustDo(t, h.Respond(3, resp+3))
-			mustDo(t, h.Respond(2, resp+2))
-			mustDo(t, h.Respond(1, resp+1))
-			mustDo(t, h.Respond(0, resp))
-			resp += 4
-		}
-		if v := feedAll(t, m, h); v != nil {
-			t.Fatalf("observe-only run flagged: %v", v)
-		}
-		if m.Escalations() != 0 {
-			t.Fatalf("observe-only monitor escalated %d times", m.Escalations())
-		}
-		if m.SampleEvery() != 2 {
-			t.Fatalf("observe-only SampleEvery = %d, want 2", m.SampleEvery())
-		}
+	m := NewIncremental(obj, IncrementalConfig{Stride: 8, MaxT: -1})
+	m.SetSampleEvery(2)
+	h := history.New()
+	resp := int64(0)
+	for round := 0; round < 6; round++ {
+		mustDo(t, h.Invoke(0, "C", spec.MakeOp(spec.MethodFetchInc)))
+		mustDo(t, h.Invoke(1, "C", spec.MakeOp(spec.MethodFetchInc)))
+		mustDo(t, h.Invoke(2, "C", spec.MakeOp(spec.MethodFetchInc)))
+		mustDo(t, h.Invoke(3, "C", spec.MakeOp(spec.MethodFetchInc)))
+		mustDo(t, h.Respond(3, resp+3))
+		mustDo(t, h.Respond(2, resp+2))
+		mustDo(t, h.Respond(1, resp+1))
+		mustDo(t, h.Respond(0, resp))
+		resp += 4
+	}
+	if v := feedAll(t, m, h); v != nil {
+		t.Fatalf("observe-only run flagged: %v", v)
+	}
+	if m.Sampling().Escalations != 0 {
+		t.Fatalf("observe-only monitor escalated %d times", m.Sampling().Escalations)
+	}
+	if m.Sampling().Every != 2 {
+		t.Fatalf("observe-only SampleEvery = %d, want 2", m.Sampling().Every)
 	}
 }

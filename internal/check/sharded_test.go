@@ -3,8 +3,10 @@ package check
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"github.com/elin-go/elin/internal/history"
 	"github.com/elin-go/elin/internal/spec"
@@ -38,7 +40,6 @@ func TestParseMonitorSpec(t *testing.T) {
 		{"sample:64", MonitorSpec{Kind: MonitorSample, N: 64}, "sample:64"},
 		{"shard:1", MonitorSpec{Kind: MonitorShardWindow, N: 1}, "shard:1"},
 		{"shard:8", MonitorSpec{Kind: MonitorShardWindow, N: 8}, "shard:8"},
-		{"shard:key", MonitorSpec{Kind: MonitorShardKey}, "shard:key"},
 		{"none", MonitorSpec{Kind: MonitorNone}, "none"},
 	}
 	for _, c := range good {
@@ -58,7 +59,7 @@ func TestParseMonitorSpec(t *testing.T) {
 			t.Errorf("round trip of %q: %+v, %v", ms.String(), back, err)
 		}
 	}
-	for _, in := range []string{"sample:1", "sample:0", "sample:x", "shard:0", "shard:-2", "shard:", "bogus", "full:2", "sample"} {
+	for _, in := range []string{"sample:1", "sample:0", "sample:x", "shard:0", "shard:-2", "shard:", "shard:key", "bogus", "full:2", "sample"} {
 		if ms, err := ParseMonitorSpec(in); err == nil {
 			t.Errorf("ParseMonitorSpec(%q) accepted as %+v", in, ms)
 		}
@@ -69,32 +70,44 @@ func TestNewMonitorKinds(t *testing.T) {
 	obj := spec.NewObject(spec.FetchInc{})
 	cfg := IncrementalConfig{Stride: 16}
 	cases := []struct {
-		spec string
-		is   func(Monitor) bool
+		spec   string
+		every  int
+		pooled bool
 	}{
-		{"full", func(m Monitor) bool { _, ok := m.(*Incremental); return ok }},
-		{"sample:4", func(m Monitor) bool { mm, ok := m.(*Incremental); return ok && mm.SampleEvery() == 4 }},
-		{"shard:2", func(m Monitor) bool { _, ok := m.(*ShardedByWindow); return ok }},
-		{"shard:key", func(m Monitor) bool { _, ok := m.(*ShardedByKey); return ok }},
-		{"none", func(m Monitor) bool { _, ok := m.(*Null); return ok }},
+		{"full", 1, false},
+		{"sample:4", 4, false},
+		{"shard:2", 1, true},
 	}
 	for _, c := range cases {
 		ms, err := ParseMonitorSpec(c.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := NewMonitor(ms, obj, cfg)
+		mon, err := NewMonitor(ms, obj, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !c.is(m) {
-			t.Errorf("NewMonitor(%q) built %T with wrong shape", c.spec, m)
+		m := mon.(*Incremental)
+		if m.Sampling().Every != c.every || (m.pool != nil) != c.pooled {
+			t.Errorf("NewMonitor(%q): sample every %d, pool %v", c.spec, m.Sampling().Every, m.pool != nil)
 		}
 		m.Abort()
 	}
-	if _, err := NewMonitor(MonitorSpec{Kind: MonitorShardWindow, N: 0}, obj, cfg); err == nil {
-		t.Error("shard:0 monitor constructed")
+	for _, ms := range []MonitorSpec{{Kind: MonitorShardWindow, N: 0}, {Kind: MonitorSample, N: 1}, {Kind: MonitorNone}} {
+		if _, err := NewMonitor(ms, obj, cfg); err == nil {
+			t.Errorf("NewMonitor(%+v) built a monitor", ms)
+		}
 	}
+}
+
+// pooled builds the monitor with a checker pool of the given size.
+func pooled(t *testing.T, obj spec.Object, cfg IncrementalConfig, workers int) *Incremental {
+	t.Helper()
+	m, err := NewMonitor(MonitorSpec{Kind: MonitorShardWindow, N: workers}, obj, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.(*Incremental)
 }
 
 // requireSameOutcome pins a monitor's final state to the sequential
@@ -134,7 +147,7 @@ func requireSameOutcome(t *testing.T, label string, ref *Incremental, m Monitor)
 	}
 }
 
-// equivalenceHistories are the fixed workloads every sharded monitor is
+// equivalenceHistories are the fixed workloads the pooled monitor is
 // pinned against: clean serial, clean concurrent, tolerated staleness, a
 // mid-run duplicate (the junk-counter signature), and a stuck counter.
 func equivalenceHistories(t *testing.T) map[string]*history.History {
@@ -184,7 +197,7 @@ func equivalenceHistories(t *testing.T) map[string]*history.History {
 	return hs
 }
 
-// The pipelined monitor is pinned to the sequential one: same samples, same
+// The pooled monitor is pinned to the inline one: same samples, same
 // checks, same verdict, same violation window — for every worker count, on
 // clean, tolerated-stale and violating histories alike.
 func TestShardedByWindowMatchesSequential(t *testing.T) {
@@ -194,27 +207,21 @@ func TestShardedByWindowMatchesSequential(t *testing.T) {
 		ref := NewIncremental(obj, cfg)
 		feedMon(t, ref, h)
 		for _, workers := range []int{1, 2, 4, 8} {
-			m, err := NewShardedByWindow(obj, cfg, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
+			m := pooled(t, obj, cfg, workers)
 			feedMon(t, m, h)
 			requireSameOutcome(t, fmt.Sprintf("%s/shard:%d", name, workers), ref, m)
 		}
 	}
 }
 
-// Sampling through the interface: the sharded monitor skips the same
-// windows as the sequential monitor when the knob turns at the same event.
+// Sampling under a pool: the same windows are skipped as inline when the
+// knob turns at the same event.
 func TestShardedByWindowSampling(t *testing.T) {
 	obj := spec.NewObject(spec.FetchInc{})
 	cfg := IncrementalConfig{Stride: 16}
 	h := serialCounter(t, 400)
 	ref := NewIncremental(obj, cfg)
-	m, err := NewShardedByWindow(obj, cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := pooled(t, obj, cfg, 4)
 	for i := 0; i < h.Len(); i++ {
 		if i == 5*16 { // degrade mid-run, off a window boundary's phase
 			ref.SetSampleEvery(3)
@@ -234,116 +241,100 @@ func TestShardedByWindowSampling(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameOutcome(t, "sampled", ref, m)
-	if ref.SkippedWindows() != m.SkippedWindows() {
-		t.Errorf("skipped = %d, reference %d", m.SkippedWindows(), ref.SkippedWindows())
+	if ref.Sampling().Skipped != m.Sampling().Skipped {
+		t.Errorf("skipped = %d, reference %d", m.Sampling().Skipped, ref.Sampling().Skipped)
 	}
-	if m.MaxSampleEvery() != 3 {
-		t.Errorf("MaxSampleEvery = %d, want 3", m.MaxSampleEvery())
+	if m.Sampling().MaxEvery != 3 {
+		t.Errorf("MaxSampleEvery = %d, want 3", m.Sampling().MaxEvery)
 	}
 }
 
-// Abort mid-stream releases the pool without a tail check and is idempotent
-// alongside Finish.
+// The lifecycle is the same inline and under a pool: Abort mid-stream drops
+// the tail check and is idempotent alongside Finish; Abort after Finish
+// changes nothing; Feed after either is an error; a second Finish returns
+// the same violation; and once the monitor has finished, aborted or frozen on
+// a violation, the pool's goroutines are gone.
 func TestShardedByWindowAbort(t *testing.T) {
 	obj := spec.NewObject(spec.FetchInc{})
-	m, err := NewShardedByWindow(obj, IncrementalConfig{Stride: 8}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := serialCounter(t, 30)
-	for i := 0; i < 20; i++ {
-		if _, err := m.Feed(h.Event(i)); err != nil {
-			t.Fatal(err)
+	clean := serialCounter(t, 30)
+	dup := serialCounter(t, 20)
+	mustDo(t, dup.Call(0, "C", spec.MakeOp(spec.MethodFetchInc), 20))
+	mustDo(t, dup.Call(1, "C", spec.MakeOp(spec.MethodFetchInc), 20))
+	for _, workers := range []int{0, 2} {
+		baseline := runtime.NumGoroutine()
+		mk := func() *Incremental {
+			if workers == 0 {
+				return NewIncremental(obj, IncrementalConfig{Stride: 8})
+			}
+			return pooled(t, obj, IncrementalConfig{Stride: 8}, workers)
 		}
-	}
-	m.Abort()
-	m.Abort()
-	if _, err := m.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := m.Feed(h.Event(20)); v != nil {
-		t.Fatal("aborted monitor reported a violation")
-	}
-}
-
-// ShardedByKey: per-key subhistories check independently; a clean multi-key
-// run composes clean, a violation in one key surfaces globally.
-func TestShardedByKey(t *testing.T) {
-	obj := spec.NewObject(spec.FetchInc{})
-	cfg := IncrementalConfig{Stride: 8, MaxT: 1}
-
-	clean := history.New()
-	a, b := int64(0), int64(0)
-	for i := 0; i < 120; i++ {
-		mustDo(t, clean.Call(0, "A", spec.MakeOp(spec.MethodFetchInc), a))
-		a++
-		mustDo(t, clean.Call(1, "B", spec.MakeOp(spec.MethodFetchInc), b))
-		b++
-	}
-	m := NewShardedByKey(obj, cfg)
-	feedMon(t, m, clean)
-	if v := m.Violation(); v != nil {
-		t.Fatalf("clean multi-key run flagged: %v", v)
-	}
-	if v := m.Verdict(); v.Trend != TrendStabilized || v.FinalMinT != 0 {
-		t.Fatalf("verdict = %+v, want stabilized final 0", v)
-	}
-	if m.Events() != clean.Len() {
-		t.Fatalf("events = %d, want %d", m.Events(), clean.Len())
-	}
-	if m.Checks() < 10 {
-		t.Fatalf("checks = %d, want per-key windows on both keys", m.Checks())
-	}
-
-	bad := history.New()
-	a, b = 0, 0
-	for i := 0; i < 60; i++ {
-		mustDo(t, bad.Call(0, "A", spec.MakeOp(spec.MethodFetchInc), a))
-		a++
-		r := b
-		if i >= 30 {
-			r = 30 // key B's counter sticks; key A stays clean
-		} else {
-			b++
+		// released fails unless the goroutine count returns to the baseline
+		// (a worker that has signalled the WaitGroup may take a moment to exit).
+		released := func(when string) {
+			t.Helper()
+			for i := 0; runtime.NumGoroutine() > baseline; i++ {
+				if i == 1000 {
+					t.Fatalf("workers=%d: %d goroutines after %s, baseline %d", workers, runtime.NumGoroutine(), when, baseline)
+				}
+				time.Sleep(time.Millisecond)
+			}
 		}
-		mustDo(t, bad.Call(1, "B", spec.MakeOp(spec.MethodFetchInc), r))
-	}
-	m = NewShardedByKey(obj, cfg)
-	feedMon(t, m, bad)
-	v := m.Violation()
-	if v == nil {
-		t.Fatal("stuck key escaped the per-key monitor")
-	}
-	for i := 0; i < v.Window.Len(); i++ {
-		if o := v.Window.Event(i).Obj; o != "B" {
-			t.Fatalf("violation window names key %q, want B only:\n%s", o, v.Window)
+		feedAfter := func(m *Incremental, when string) {
+			t.Helper()
+			if v, err := m.Feed(clean.Event(0)); v != nil || err == nil {
+				t.Fatalf("workers=%d: Feed after %s = %v, %v; want an error", workers, when, v, err)
+			}
 		}
-	}
-}
 
-func TestNullMonitor(t *testing.T) {
-	m := NewNull()
-	h := serialCounter(t, 20)
-	feedMon(t, m, h)
-	if m.Events() != h.Len() {
-		t.Fatalf("events = %d, want %d", m.Events(), h.Len())
-	}
-	if m.Checks() != 0 || len(m.Samples()) != 0 || m.Violation() != nil {
-		t.Fatal("record-only monitor checked something")
-	}
-	if v := m.Verdict(); v.Trend != TrendInconclusive {
-		t.Fatalf("trend = %s, want inconclusive", v.Trend)
-	}
-	m.SetSampleEvery(8)
-	if m.SampleEvery() != 1 || m.MaxSampleEvery() != 0 {
-		t.Fatal("record-only monitor took a sampling knob")
+		m := mk()
+		for i := 0; i < 20; i++ {
+			if _, err := m.Feed(clean.Event(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.Abort()
+		m.Abort()
+		released("Abort")
+		if v, err := m.Finish(); v != nil || err != nil {
+			t.Fatalf("workers=%d: Finish after Abort = %v, %v", workers, v, err)
+		}
+		if len(m.Samples()) > 2 {
+			t.Fatalf("workers=%d: aborted monitor measured its tail: %+v", workers, m.Samples())
+		}
+		feedAfter(m, "Abort")
+
+		m = mk()
+		feedMon(t, m, clean)
+		released("Finish")
+		samples := len(m.Samples())
+		m.Abort()
+		if v, err := m.Finish(); v != nil || err != nil || len(m.Samples()) != samples {
+			t.Fatalf("workers=%d: second Finish = %v, %v, %d samples (had %d)", workers, v, err, len(m.Samples()), samples)
+		}
+		feedAfter(m, "Finish")
+
+		m = mk()
+		feedMon(t, m, dup)
+		v := m.Violation()
+		if v == nil {
+			t.Fatalf("workers=%d: duplicate response not caught", workers)
+		}
+		released("a violation")
+		for i := 0; i < 2; i++ {
+			if again, err := m.Finish(); again != v || err != nil {
+				t.Fatalf("workers=%d: Finish %d after the violation = %v, %v; want the same violation", workers, i, again, err)
+			}
+		}
+		if again, err := m.Feed(clean.Event(0)); again != v || err != nil {
+			t.Fatalf("workers=%d: frozen Feed = %v, %v", workers, again, err)
+		}
 	}
 }
 
 // Property: on any seeded single-key history — serial increments with
 // bounded staleness swaps and an optional junk-counter stick — the
-// pipelined monitor's outcome is the sequential monitor's, for a
-// seed-derived worker count.
+// pooled monitor's outcome is the inline monitor's, for a seed-derived
+// worker count.
 func TestShardedByWindowEquivalenceQuick(t *testing.T) {
 	obj := spec.NewObject(spec.FetchInc{})
 	property := func(seed int64) bool {
@@ -381,10 +372,7 @@ func TestShardedByWindowEquivalenceQuick(t *testing.T) {
 		cfg := IncrementalConfig{Stride: 8 + rng.Intn(24), MaxT: 2}
 		ref := NewIncremental(obj, cfg)
 		feedMon(t, ref, h)
-		m, err := NewShardedByWindow(obj, cfg, 1+rng.Intn(8))
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := pooled(t, obj, cfg, 1+rng.Intn(8))
 		feedMon(t, m, h)
 		rv, mv := ref.Verdict(), m.Verdict()
 		if rv.Trend != mv.Trend || rv.FinalMinT != mv.FinalMinT || ref.Checks() != m.Checks() {

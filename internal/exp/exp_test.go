@@ -410,11 +410,11 @@ func TestE19Deterministic(t *testing.T) {
 
 func TestE20MonitorGapShape(t *testing.T) {
 	tab := runExp(t, "E20")
-	if len(tab.Rows) != 10 {
-		t.Fatalf("E20 rows = %d, want 2 workloads x 5 monitors", len(tab.Rows))
+	if len(tab.Rows) != 8 {
+		t.Fatalf("E20 rows = %d, want 2 workloads x 4 monitors", len(tab.Rows))
 	}
 	for i := range tab.Rows {
-		junk := i >= 5
+		junk := i >= 4
 		mon, verdict, match := cell(t, tab, i, 1), cell(t, tab, i, 4), cell(t, tab, i, 7)
 		switch mon {
 		case "none":
@@ -429,7 +429,7 @@ func TestE20MonitorGapShape(t *testing.T) {
 			if match != "ref" {
 				t.Errorf("E20 full row %d: %v", i, tab.Rows[i])
 			}
-		default: // shard:4, shard:key — pinned to the full monitor exactly
+		default: // shard:4 — pinned to the full monitor exactly
 			if match != "yes" {
 				t.Errorf("E20 row %d (%s) diverged from full: %v", i, mon, tab.Rows[i])
 			}

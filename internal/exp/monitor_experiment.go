@@ -8,26 +8,27 @@ import (
 )
 
 // E20MonitorGap is the monitored-gap matrix behind the check.Monitor API:
-// the same deterministic serial run under every monitor implementation the
-// spec vocabulary selects. The table pins verdict equivalence — full,
-// shard:4 and shard:key must agree on verdict, trend, final MinT and (on
-// the junk workload) the violation window; sample:4 checks fewer windows
-// by design and is held to the verdict only. The other half of the gap,
-// what monitoring costs in throughput and how much of it shard:K buys
-// back, is schedule-dependent and archived as the MON-* rows of
-// BENCH_*.json (elin bench -json -stress).
+// the same deterministic serial run under every monitor spec the
+// vocabulary has. The table pins verdict equivalence — full and shard:4
+// must agree on verdict, trend, final MinT and (on the junk workload) the
+// violation window; sample:4 checks fewer windows by design and is held to
+// the verdict only. The other half of the gap, what monitoring costs in
+// throughput and whether shard:K buys any of it back, is
+// schedule-dependent and measured by the repo benchmark (bash
+// bench/run.sh: live-record vs live-monitored, and the per-layer
+// check.fi.shard_speedup).
 func E20MonitorGap(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:       "E20",
 		Artifact: "Monitor API",
-		Title:    "Monitored-gap matrix: one serial run under every monitor implementation",
+		Title:    "Monitored-gap matrix: one serial run under every monitor spec",
 		Columns:  []string{"workload", "monitor", "events", "windows-checked", "verdict", "trend", "final-minT", "matches-full"},
 		Notes: []string{
 			"every row of one workload replays the identical serial event sequence; monitor specs differ only in how the windows are checked",
-			"the events column on a caught run shows the pipelined monitor's documented detection lag: shard:4 keeps recording while the violating window's check runs off the hot path, yet reports the identical violation window",
-			"matches-full: verdict, trend, final MinT and (junk workload) the violation window equal the sequential full monitor's; sample:4 skips windows by design, so it is held to the verdict only",
+			"the events column on a caught run shows the checker pool's documented detection lag: shard:4 keeps recording while the violating window's check runs off the hot path, yet reports the identical violation window",
+			"matches-full: verdict, trend, final MinT and (junk workload) the violation window equal the inline full monitor's; sample:4 skips windows by design, so it is held to the verdict only",
 			"none is record-only: no windows, no verdict — the absence the other rows are measured against",
-			"throughput gaps are schedule-dependent: see the MON-* rows in BENCH_*.json for full vs shard:4 vs none at the 1M-op stress scale",
+			"throughput gaps are schedule-dependent: bash bench/run.sh measures full vs none end to end (live-monitored vs live-record) and shard:K vs full per layer (check.fi.shard_speedup)",
 		},
 	}
 
@@ -42,7 +43,6 @@ func E20MonitorGap(cfg Config) (*Table, error) {
 		{Kind: check.MonitorFull},
 		{Kind: check.MonitorSample, N: 4},
 		{Kind: check.MonitorShardWindow, N: 4},
-		{Kind: check.MonitorShardKey},
 		{Kind: check.MonitorNone},
 	}
 
@@ -78,7 +78,7 @@ func E20MonitorGap(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// matchesFull scores a row against the sequential full-monitor reference.
+// matchesFull scores a row against the inline full-monitor reference.
 func matchesFull(ref, res *live.Result, ms check.MonitorSpec) string {
 	switch ms.Kind {
 	case check.MonitorFull:

@@ -26,8 +26,8 @@ func serialRun(t *testing.T, obj Object, spec check.MonitorSpec, maxT int) *Resu
 	return res
 }
 
-// On deterministic -serial runs the sharded monitors are pinned to the
-// sequential one: same verdict, trend, final MinT — and on the junk
+// On deterministic -serial runs the pooled monitor is pinned to the
+// inline one: same verdict, trend, final MinT — and on the junk
 // counter, the same violation window.
 func TestSerialRunShardedMatchesFull(t *testing.T) {
 	cases := []struct {
@@ -68,13 +68,6 @@ func TestSerialRunShardedMatchesFull(t *testing.T) {
 					t.Errorf("%s shard:%d: violation window text diverged", c.name, workers)
 				}
 			}
-		}
-		// shard:key on a single-key run degenerates to exactly the sequential
-		// monitor.
-		res := serialRun(t, c.mk(), check.MonitorSpec{Kind: check.MonitorShardKey}, 2)
-		if res.Verdict.Trend != ref.Verdict.Trend || res.Verdict.FinalMinT != ref.Verdict.FinalMinT ||
-			(res.Violation == nil) != (ref.Violation == nil) {
-			t.Errorf("%s shard:key: diverged from the sequential monitor", c.name)
 		}
 	}
 }

@@ -85,7 +85,7 @@ type Config struct {
 	// Monitor tunes the online windowed monitor.
 	Monitor check.IncrementalConfig
 	// MonitorSpec selects the monitor implementation (full, sample:N,
-	// shard:K, shard:key, none — see check.ParseMonitorSpec). The zero
+	// shard:K, none — see check.ParseMonitorSpec). The zero
 	// value is the sequential exhaustive monitor. Kind none disables online
 	// checking: the run records and merges only (the configuration for pure
 	// throughput measurement).

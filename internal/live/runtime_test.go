@@ -78,7 +78,7 @@ func TestRunReplayByteIdentical(t *testing.T) {
 			Clients: 6,
 			Ops:     300,
 			Seed:    5,
-			Monitor: check.IncrementalConfig{Stride: 128, NoViolation: true},
+			Monitor: check.IncrementalConfig{Stride: 128, MaxT: -1},
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -118,7 +118,7 @@ func TestRunEventualStabilizes(t *testing.T) {
 		Clients: 3,
 		Ops:     800,
 		Seed:    9,
-		Monitor: check.IncrementalConfig{Stride: 256, NoViolation: true},
+		Monitor: check.IncrementalConfig{Stride: 256, MaxT: -1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,6 @@ var monitorForms = []MonitorDoc{
 	{"full", "sequential exhaustive windowed checking (the default)"},
 	{"sample:N", "check every Nth window, escalate back to full on a near-violation"},
 	{"shard:K", "pipelined windowed checking on K parallel workers"},
-	{"shard:key", "one sequential monitor per object key (compositionality probe)"},
 	{"none", "record only, no online checking"},
 }
 

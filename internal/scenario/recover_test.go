@@ -162,7 +162,7 @@ func TestRecoverHonoursMonitorSpec(t *testing.T) {
 	}{
 		{"", "", true},
 		{"sample:2", "sample:2", true},
-		{"shard:key", "shard:key", true},
+		{"shard:2", "shard:2", true},
 		{"none", "none", false},
 	} {
 		rep, err := Recover(walPath, Scenario{Ops: 200, Serial: true, Stride: 64, Monitor: c.monitor})
@@ -188,9 +188,9 @@ func TestRecoverHonoursMonitorSpec(t *testing.T) {
 			if rep.Trend.Windows >= fullWindows {
 				t.Errorf("sample:2 measured %d windows, full %d: the continuation ran the full monitor", rep.Trend.Windows, fullWindows)
 			}
-		case "shard:key":
+		case "shard:2":
 			if rep.Trend.Windows != fullWindows {
-				t.Errorf("shard:key measured %d windows, full %d", rep.Trend.Windows, fullWindows)
+				t.Errorf("shard:2 measured %d windows, full %d", rep.Trend.Windows, fullWindows)
 			}
 		}
 	}

@@ -156,8 +156,8 @@ type Scenario struct {
 	// client (Live; default 1).
 	LatencySample int
 	// Monitor names the online monitor implementation for the Live and
-	// Serve engines: "full" (default), "sample:N", "shard:K", "shard:key",
-	// or "none" (record only; pure throughput). Empty means full. Echoed in
+	// Serve engines: "full" (default), "sample:N", "shard:K", or "none"
+	// (record only; pure throughput). Empty means full. Echoed in
 	// the report header and the campaign cell identity when non-default.
 	Monitor string
 	// NoCheck skips the after-the-fact decision procedures and MinT trend

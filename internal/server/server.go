@@ -34,7 +34,7 @@ type Config struct {
 	// Monitor configures the server-side online monitor.
 	Monitor check.IncrementalConfig
 	// MonitorSpec selects the monitor implementation (full, sample:N,
-	// shard:K, shard:key, none — see check.ParseMonitorSpec). The zero
+	// shard:K, none — see check.ParseMonitorSpec). The zero
 	// value is the sequential exhaustive monitor; kind none disables it.
 	MonitorSpec check.MonitorSpec
 	// NetFaults is the seeded network fault plane, injected at the
@@ -218,7 +218,7 @@ func (s *Server) Shutdown() (*Summary, error) {
 	s.finishing.Store(true)
 	<-s.mergeDone
 	// No-op after the merge loop's Finish; on the merge-error path it is
-	// what stops a pipelined monitor's workers and closes the sink.
+	// what stops a pooled monitor's workers and closes the sink.
 	s.pipe.Abort()
 
 	sum := &Summary{
@@ -233,10 +233,11 @@ func (s *Server) Shutdown() (*Summary, error) {
 		sum.Verdict = mon.Verdict()
 		sum.Violation = s.pipe.Violation()
 		sum.MonChecks = mon.Checks()
-		sum.MonSkipped = mon.SkippedWindows()
-		sum.MonEscalations = mon.Escalations()
-		sum.MonSampleEvery = mon.SampleEvery()
-		sum.MonMaxSampleEvery = mon.MaxSampleEvery()
+		sampling := mon.Sampling()
+		sum.MonSkipped = sampling.Skipped
+		sum.MonEscalations = sampling.Escalations
+		sum.MonSampleEvery = sampling.Every
+		sum.MonMaxSampleEvery = sampling.MaxEvery
 	}
 	sum.Overloaded = s.overloaded.Load()
 	return sum, s.mergeErr
@@ -331,16 +332,17 @@ func (s *Server) refreshBounds() {
 }
 
 // checkOverload engages the monitor's sampling fallback when the queued
-// backlog's high-water mark crosses the configured threshold. Escalation
-// back to exhaustive checking is the monitor's own near-violation logic.
+// backlog's high-water mark crosses the configured threshold — once per
+// run: the mark never comes down, so engaging on every turn it stands would
+// undo the monitor's own near-violation escalation back to exhaustive
+// checking one merge step after it happened.
 func (s *Server) checkOverload() {
 	mon := s.pipe.Monitor()
 	if mon == nil || s.cfg.overloadQueued() < 0 {
 		return
 	}
-	if int(s.queuedHW.Load()) >= s.cfg.overloadQueued() && mon.SampleEvery() == 1 {
+	if int(s.queuedHW.Load()) >= s.cfg.overloadQueued() && s.overloaded.CompareAndSwap(false, true) {
 		mon.SetSampleEvery(s.cfg.sampleEvery())
-		s.overloaded.Store(true)
 	}
 }
 
