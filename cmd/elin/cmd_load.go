@@ -30,10 +30,7 @@ func runLoad(args []string, out io.Writer) error {
 	addr := fs.String("addr", "", "server address to load (exactly one of -addr and -self)")
 	self := fs.Bool("self", false, "serve in-process: the self-contained serve engine")
 	netFaults := fs.String("net-faults", "", "network fault plane, -self only (the server injects the faults)")
-	walPath := fs.String("wal", "", "durable commit log path (-self only)")
-	walSync := fs.String("wal-sync", "", "WAL durability: always | never | interval:N (-self only)")
-	stride := fs.Int("stride", 0, "monitor window stride in events (0 = auto; -self only)")
-	monitor := fs.String("monitor", "", "monitor spec: full | sample:N | shard:K | none (-self only)")
+	pf := addPipelineFlags(fs, "wal") // -self only, like -net-faults: the server owns the pipeline
 	noVerify := fs.Bool("noverify", false, "skip the replay-identical check (-self only)")
 	rate := fs.Float64("rate", 0, "per-client open-loop pacing in ops/sec (0 = closed loop)")
 	latSample := fs.Int("latsample", 1, "record every Nth operation's latency")
@@ -50,11 +47,8 @@ func runLoad(args []string, out io.Writer) error {
 
 	if *self {
 		s := sf.scenario()
+		pf.apply(&s)
 		s.NetFaults = *netFaults
-		s.WAL = *walPath
-		s.WALSync = *walSync
-		s.Stride = *stride
-		s.Monitor = *monitor
 		s.NoVerify = *noVerify
 		s.Rate = *rate
 		s.LatencySample = *latSample
@@ -75,8 +69,8 @@ func runLoad(args []string, out io.Writer) error {
 	// run the fleet, report the client-side view. The retry-shaping flags
 	// matter here — against a real network they are the tuning surface.
 	for flagName, set := range map[string]bool{
-		"net-faults": *netFaults != "", "wal": *walPath != "", "wal-sync": *walSync != "",
-		"stride": *stride != 0, "monitor": *monitor != "", "noverify": *noVerify,
+		"net-faults": *netFaults != "", "wal": *pf.wal != "", "wal-sync": *pf.walSync != "",
+		"stride": *pf.stride != 0, "monitor": *pf.monitor != "", "noverify": *noVerify,
 	} {
 		if set {
 			return fmt.Errorf("load: -%s is server-side state and needs -self (or pass it to 'elin serve')", flagName)

@@ -31,10 +31,7 @@ func runRecover(args []string, out io.Writer) error {
 	seed := fs.Int64("seed", 0, "continuation seed (0 = the header's seed + 1)")
 	tolerance := fs.Int("tolerance", 0, "t-lin tolerance of the stitched verdict (0 = the header's tolerance)")
 	faults := fs.String("faults", "", "fault injection for the continuation (preset or grammar)")
-	outWAL := fs.String("out-wal", "", "write a new self-contained commit log (recovered prefix + continuation)")
-	walSync := fs.String("wal-sync", "", "durability of -out-wal: always | never | interval:N")
-	stride := fs.Int("stride", 0, "monitor window stride in events (0 = auto)")
-	monitor := fs.String("monitor", "", "monitor spec for the stitched history: full | sample:N | shard:K | none")
+	pf := addPipelineFlags(fs, "out-wal") // the new log: recovered prefix + continuation
 	serial := fs.Bool("serial", false, "deterministic serial driver for the continuation")
 	jsonOut := fs.Bool("json", false, "emit the unified Report as JSON (schema elin/report/v1)")
 	if err := fs.Parse(args); err != nil {
@@ -78,12 +75,9 @@ func runRecover(args []string, out io.Writer) error {
 		Seed:      *seed,
 		Tolerance: *tolerance,
 		Faults:    *faults,
-		WAL:       *outWAL,
-		WALSync:   *walSync,
-		Stride:    *stride,
-		Monitor:   *monitor,
 		Serial:    *serial,
 	}
+	pf.apply(&s)
 	rep, err := scenario.Recover(*walPath, s)
 	if err != nil {
 		return err

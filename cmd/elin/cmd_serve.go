@@ -26,21 +26,15 @@ func runServe(args []string, out io.Writer) error {
 	sf := addScenarioFlags(fs, "atomic-fi", 4, 10000, "window:400", 1)
 	addr := fs.String("addr", "127.0.0.1:0", "TCP listen address")
 	netFaults := fs.String("net-faults", "", "network fault plane: preset or grammar (see 'elin list -section net-faults')")
-	walPath := fs.String("wal", "", "write a durable commit log to this path (recover with 'elin recover')")
-	walSync := fs.String("wal-sync", "", "WAL durability: always | never | interval:N (default never)")
-	stride := fs.Int("stride", 0, "monitor window stride in events (0 = auto)")
-	monitor := fs.String("monitor", "", "monitor spec: full | sample:N | shard:K | none (see 'elin list -section monitors')")
+	pf := addPipelineFlags(fs, "wal")
 	duration := fs.Duration("duration", 0, "serve for this long then shut down (0 = until SIGINT/SIGTERM)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	s := sf.scenario()
+	pf.apply(&s)
 	s.NetFaults = *netFaults
-	s.WAL = *walPath
-	s.WALSync = *walSync
-	s.Stride = *stride
-	s.Monitor = *monitor
 
 	srv, err := scenario.BuildServer(s)
 	if err != nil {

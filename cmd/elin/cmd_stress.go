@@ -18,32 +18,26 @@ func runStress(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("elin stress", flag.ContinueOnError)
 	sf := addScenarioFlags(fs, "atomic-fi", 4, 10000, "window:400", 1)
 	rate := fs.Float64("rate", 0, "open-loop rate per client in ops/sec (0 = closed loop)")
-	stride := fs.Int("stride", 0, "monitor window stride in events (0 = auto)")
-	monitor := fs.String("monitor", "", "monitor spec: full | sample:N | shard:K | none (see 'elin list -section monitors')")
+	pf := addPipelineFlags(fs, "wal")
 	latSample := fs.Int("latsample", 1, "record one latency sample every N ops per client")
 	fuzz := fs.Int("fuzz", 0, "run a fuzz campaign over N consecutive seeds instead of one run")
 	noShrink := fs.Bool("noshrink", false, "skip ddmin shrinking of a violation window")
 	noVerify := fs.Bool("noverify", false, "skip the byte-identical replay verification")
 	faults := fs.String("faults", "", "fault injection: preset or grammar (see 'elin list'; e.g. stall:0@64+256,jitter:5)")
 	crashAt := fs.Uint64("crash-at", 0, "crash the run at commit K (shorthand for -faults crash:K)")
-	walPath := fs.String("wal", "", "write a durable commit log to this path (recover with 'elin recover')")
-	walSync := fs.String("wal-sync", "", "WAL durability: always | never | interval:N (default never)")
 	serial := fs.Bool("serial", false, "deterministic serial driver: byte-identical history and WAL across reruns")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	s := sf.scenario()
+	pf.apply(&s)
 	s.Rate = *rate
-	s.Stride = *stride
-	s.Monitor = *monitor
 	s.LatencySample = *latSample
 	s.FuzzRuns = *fuzz
 	s.NoShrink = *noShrink
 	s.NoVerify = *noVerify
 	s.Faults = *faults
-	s.WAL = *walPath
-	s.WALSync = *walSync
 	s.Serial = *serial
 	if *crashAt > 0 {
 		crash := fmt.Sprintf("crash:%d", *crashAt)

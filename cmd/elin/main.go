@@ -158,6 +158,32 @@ func (f *scenarioFlags) scenario() scenario.Scenario {
 	}
 }
 
+// pipelineFlags are the monitor and commit-log knobs of the subcommands
+// that run the live commit pipeline (stress, serve, load -self, recover).
+type pipelineFlags struct {
+	monitor *string
+	stride  *int
+	wal     *string
+	walSync *string
+}
+
+// addPipelineFlags registers them. walFlag names the flag taking the log
+// path to write: "wal" everywhere but recover, whose -wal is the log it
+// reads.
+func addPipelineFlags(fs *flag.FlagSet, walFlag string) *pipelineFlags {
+	return &pipelineFlags{
+		monitor: fs.String("monitor", "", "monitor spec: full | sample:N | shard:K | none (see 'elin list -section monitors')"),
+		stride:  fs.Int("stride", 0, "monitor window stride in events (0 = auto)"),
+		wal:     fs.String(walFlag, "", "write a durable, self-contained commit log to this path (recover it with 'elin recover')"),
+		walSync: fs.String("wal-sync", "", "durability of -"+walFlag+": always | never | interval:N (default never)"),
+	}
+}
+
+// apply sets the knobs on the scenario.
+func (f *pipelineFlags) apply(s *scenario.Scenario) {
+	s.Monitor, s.Stride, s.WAL, s.WALSync = *f.monitor, *f.stride, *f.wal, *f.walSync
+}
+
 // emit writes the report: JSON when requested, the human rendering
 // otherwise (with witness histories stripped under -quiet).
 func (f *scenarioFlags) emit(out io.Writer, rep *scenario.Report) error {

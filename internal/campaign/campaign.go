@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strconv"
 	"time"
 
 	"github.com/elin-go/elin/internal/scenario"
@@ -53,14 +52,24 @@ type Totals struct {
 	Error     int `json:"error"`
 }
 
+// count adds one cell of the given verdict.
+func (t *Totals) count(verdict string) {
+	t.Cells++
+	switch verdict {
+	case scenario.VerdictOK:
+		t.OK++
+	case scenario.VerdictViolation:
+		t.Violation++
+	default:
+		t.Error++
+	}
+}
+
 // AxisCount is one rollup row: the outcome counts of every cell sharing
 // one value on one axis.
 type AxisCount struct {
-	Value     string `json:"value"`
-	Cells     int    `json:"cells"`
-	OK        int    `json:"ok"`
-	Violation int    `json:"violation"`
-	Error     int    `json:"error"`
+	Value string `json:"value"`
+	Totals
 }
 
 // TimingSummary aggregates the per-cell wall clocks. Canonical drops it
@@ -149,63 +158,39 @@ func Load(path string) (*Campaign, error) {
 	return &c, nil
 }
 
-// axisNames are the rollup axes, in presentation order.
-var axisNames = []string{"engine", "impl", "workload", "policy", "faults", "net-faults", "wal-sync", "monitor", "procs", "ops", "tolerance", "seed"}
-
-// AxisNames lists the sweepable axes of a spec — the vocabulary `elin
-// list` prints.
-func AxisNames() []string { return append([]string(nil), axisNames...) }
-
-// coordinates projects a point onto the named axes as strings.
-func (p Point) coordinates() map[string]string {
-	return map[string]string{
-		"engine":     p.Engine,
-		"impl":       p.Impl,
-		"workload":   p.Workload,
-		"policy":     p.Policy,
-		"faults":     resolvedFaults(p.Faults),
-		"net-faults": resolvedNetFaults(p.NetFaults),
-		"wal-sync":   resolvedWALSync(p.WALSync),
-		"monitor":    resolvedMonitor(p.Monitor),
-		"procs":      strconv.Itoa(p.Procs),
-		"ops":        strconv.Itoa(p.Ops),
-		"tolerance":  strconv.Itoa(p.Tolerance),
-		"seed":       strconv.FormatInt(p.Seed, 10),
+// AxisNames lists the sweepable axes of a spec, in expansion order — the
+// vocabulary `elin list` prints.
+func AxisNames() []string {
+	names := make([]string, len(scenario.Coords))
+	for i, c := range scenario.Coords {
+		names[i] = c.Axis
 	}
+	return names
 }
 
 // aggregate fills totals and rollups from the cells' points and verdicts.
+// A rollup value is the coordinate's canonical name, so an option at its
+// default rolls up under that name ("none", "full").
 func (c *Campaign) aggregate() {
 	c.Totals = Totals{}
 	rollups := map[string]map[string]*AxisCount{}
-	for _, axis := range axisNames {
-		rollups[axis] = map[string]*AxisCount{}
+	for _, co := range scenario.Coords {
+		rollups[co.Axis] = map[string]*AxisCount{}
 	}
-	for _, cell := range c.Cells {
-		c.Totals.Cells++
-		switch cell.Verdict {
-		case scenario.VerdictOK:
-			c.Totals.OK++
-		case scenario.VerdictViolation:
-			c.Totals.Violation++
-		default:
-			c.Totals.Error++
-		}
-		for axis, value := range cell.point.coordinates() {
-			row := rollups[axis][value]
+	for i := range c.Cells {
+		cell := &c.Cells[i]
+		c.Totals.count(cell.Verdict)
+		for _, co := range scenario.Coords {
+			value := co.Get(&cell.point)
+			if value == "" {
+				value = co.Default
+			}
+			row := rollups[co.Axis][value]
 			if row == nil {
 				row = &AxisCount{Value: value}
-				rollups[axis][value] = row
+				rollups[co.Axis][value] = row
 			}
-			row.Cells++
-			switch cell.Verdict {
-			case scenario.VerdictOK:
-				row.OK++
-			case scenario.VerdictViolation:
-				row.Violation++
-			default:
-				row.Error++
-			}
+			row.count(cell.Verdict)
 		}
 	}
 	c.Rollups = make(map[string][]AxisCount, len(rollups))

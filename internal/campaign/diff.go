@@ -146,9 +146,10 @@ func clip(list []CellDiff, n int) []CellDiff {
 
 // repro builds the cell's single-run CLI command from its report's
 // resolved scenario echo — or, for error cells that never produced a
-// report, from the grid coordinate and spec — plus the spec-level knobs
-// the echo does not carry (the monitor/trend stride), so rerunning it
-// reproduces the cell exactly.
+// report, from the grid coordinate and spec: every coordinate under its
+// flag (options only when set), then the engine's own knobs and the
+// spec-level one the echo does not carry (the monitor/trend stride), so
+// rerunning it reproduces the cell exactly.
 func (c *Cell) repro(sp *Spec) string {
 	var engine string
 	var inf scenario.ScenarioInfo
@@ -179,9 +180,16 @@ func (c *Cell) repro(sp *Spec) string {
 		sub = "load -self"
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "elin %s -impl %s -workload %s -policy %s -procs %d -ops %d -seed %d -tolerance %d",
-		sub, shellArg(inf.Impl), shellArg(inf.Workload), shellArg(inf.Policy),
-		inf.Procs, inf.Ops, inf.Seed, inf.Tolerance)
+	fmt.Fprintf(&b, "elin %s", sub)
+	for _, co := range scenario.Coords[1:] { // the engine is the subcommand
+		if v := co.Get(&inf); v != "" || co.Kind != scenario.CoordOption {
+			fmt.Fprintf(&b, " %s %s", co.Flag(), shellArg(v))
+		}
+	}
+	if inf.WALSync != "" {
+		// The cell wrote a run-scoped temp log; the rerun gets its own.
+		fmt.Fprint(&b, " -wal /tmp/elin-rerun.wal")
+	}
 	switch engine {
 	case "explore":
 		fmt.Fprintf(&b, " -mode %s -depth %d", inf.Analysis, inf.Depth)
@@ -193,36 +201,12 @@ func (c *Cell) repro(sp *Spec) string {
 		if inf.MaxSteps > 0 {
 			fmt.Fprintf(&b, " -max-steps %d", inf.MaxSteps)
 		}
-		if sp != nil && sp.Stride > 0 {
-			fmt.Fprintf(&b, " -stride %d", sp.Stride)
-		}
-	case "live":
-		if inf.Faults != "" {
-			fmt.Fprintf(&b, " -faults %s", shellArg(inf.Faults))
-		}
-		if inf.Serial {
-			fmt.Fprint(&b, " -serial")
-		}
-		if inf.Monitor != "" {
-			fmt.Fprintf(&b, " -monitor %s", shellArg(inf.Monitor))
-		}
-		if sp != nil && sp.Stride > 0 {
-			fmt.Fprintf(&b, " -stride %d", sp.Stride)
-		}
-	case "serve":
-		if inf.NetFaults != "" {
-			fmt.Fprintf(&b, " -net-faults %s", shellArg(inf.NetFaults))
-		}
-		if inf.Monitor != "" {
-			fmt.Fprintf(&b, " -monitor %s", shellArg(inf.Monitor))
-		}
-		if sp != nil && sp.Stride > 0 {
-			fmt.Fprintf(&b, " -stride %d", sp.Stride)
-		}
 	}
-	if inf.WALSync != "" {
-		// The cell wrote a run-scoped temp log; the rerun gets its own.
-		fmt.Fprintf(&b, " -wal /tmp/elin-rerun.wal -wal-sync %s", shellArg(inf.WALSync))
+	if inf.Serial {
+		fmt.Fprint(&b, " -serial")
+	}
+	if sp != nil && sp.Stride > 0 && engine != "explore" {
+		fmt.Fprintf(&b, " -stride %d", sp.Stride)
 	}
 	return b.String()
 }

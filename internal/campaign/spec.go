@@ -1,12 +1,11 @@
 // Package campaign runs declarative sweep grids over scenarios: one Spec
-// names axes (engine, implementation, workload, policy, procs, ops,
-// tolerance, seed), expands their cartesian product minus exclusion
-// predicates into Scenario cells, executes every cell on one shared
-// bounded worker pool, and aggregates the outcomes into a stable
-// schema-tagged Campaign report (elin/campaign/v1) a machine can diff:
-// Compare classifies every cell against a baseline campaign as
-// same/flip/new/missing and Gate turns flips into a non-zero exit — the
-// regression gate CI runs on.
+// names axes (the rows of the coordinate table, scenario.Coords), expands
+// their cartesian product minus exclusion predicates into Scenario cells,
+// executes every cell on one shared bounded worker pool, and aggregates
+// the outcomes into a stable schema-tagged Campaign report
+// (elin/campaign/v1) a machine can diff: Compare classifies every cell
+// against a baseline campaign as same/flip/new/missing and Gate turns
+// flips into a non-zero exit — the regression gate CI runs on.
 //
 // The paper's paradox is a statement about families of executions —
 // eventual linearizability looks fine on any one run and only breaks when
@@ -18,20 +17,20 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/elin-go/elin/internal/registry"
 	"github.com/elin-go/elin/internal/scenario"
-	"github.com/elin-go/elin/internal/wal"
 )
 
 // SpecSchema is the sweep-spec JSON schema identifier.
 const SpecSchema = "elin/sweep/v1"
 
-// Axes are the sweep dimensions. Every non-empty axis contributes one
-// cartesian factor; an empty axis contributes the single scenario default
-// (engine "sim", impl "cas-counter", workload "default", policy
-// "immediate", procs 2, ops 2, tolerance 0, seed 0).
+// Axes are the sweep dimensions, one field per row of the coordinate table
+// (scenario.Coords — which binds them by field name, and owns each axis's
+// default and canonical spellings). Every non-empty axis contributes one
+// cartesian factor; an empty axis contributes its single default.
 type Axes struct {
 	Engine   []string `json:"engine,omitempty"`
 	Impl     []string `json:"impl,omitempty"`
@@ -85,35 +84,8 @@ type Match struct {
 	Seed      *int64 `json:"seed,omitempty"`
 }
 
-// zero reports whether no field is set — a predicate that would exclude
-// every cell, always a spec mistake.
-func (m Match) zero() bool {
-	return m.Engine == "" && m.Impl == "" && m.Workload == "" && m.Policy == "" &&
-		m.Faults == "" && m.NetFaults == "" && m.WALSync == "" && m.Monitor == "" &&
-		m.Procs == nil && m.Ops == nil && m.Tolerance == nil && m.Seed == nil
-}
-
-// matches reports whether the point satisfies every set field.
-func (m Match) matches(p Point) bool {
-	switch {
-	case m.Engine != "" && m.Engine != p.Engine,
-		m.Impl != "" && m.Impl != p.Impl,
-		m.Workload != "" && m.Workload != p.Workload,
-		m.Policy != "" && m.Policy != p.Policy,
-		m.Faults != "" && resolvedFaults(m.Faults) != resolvedFaults(p.Faults),
-		m.NetFaults != "" && resolvedNetFaults(m.NetFaults) != resolvedNetFaults(p.NetFaults),
-		m.WALSync != "" && resolvedWALSync(m.WALSync) != resolvedWALSync(p.WALSync),
-		m.Monitor != "" && resolvedMonitor(m.Monitor) != resolvedMonitor(p.Monitor),
-		m.Procs != nil && *m.Procs != p.Procs,
-		m.Ops != nil && *m.Ops != p.Ops,
-		m.Tolerance != nil && *m.Tolerance != p.Tolerance,
-		m.Seed != nil && *m.Seed != p.Seed:
-		return false
-	}
-	return true
-}
-
-// Point is one fully resolved grid coordinate.
+// Point is one fully resolved grid coordinate: every name canonical, every
+// option at its default stored as "".
 type Point struct {
 	Engine    string
 	Impl      string
@@ -168,85 +140,50 @@ var analyses = map[string]bool{
 	scenario.AnalysisStable:  true,
 }
 
-// LoadSpec reads and validates a sweep spec file. Unknown JSON fields are
-// rejected so a typo in a committed spec fails loudly instead of silently
-// sweeping the wrong grid.
+// LoadSpec reads and validates a sweep spec file.
 func LoadSpec(path string) (*Spec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: read spec: %w", err)
 	}
+	sp, err := decodeSpec(data)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: spec %s: %w", path, err)
+	}
+	return sp, nil
+}
+
+// decodeSpec parses and validates a sweep spec. Unknown JSON fields are
+// rejected so a typo in a committed spec fails loudly instead of silently
+// sweeping the wrong grid.
+func decodeSpec(data []byte) (*Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var sp Spec
 	if err := dec.Decode(&sp); err != nil {
-		return nil, fmt.Errorf("campaign: parse spec %s: %w", path, err)
+		return nil, fmt.Errorf("parse: %w", err)
 	}
-	if dec.More() {
-		return nil, fmt.Errorf("campaign: spec %s has trailing content after the spec object (bad merge?)", path)
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("trailing content after the spec object (bad merge?)")
 	}
 	if err := sp.Validate(); err != nil {
-		return nil, fmt.Errorf("campaign: spec %s: %w", path, err)
+		return nil, err
 	}
 	return &sp, nil
 }
 
-// Validate checks the schema tag and resolves every axis name that can be
-// resolved without an engine in hand (engines, workload syntax, policies,
-// the spec-level scheduler/chooser/analysis); implementation names are
-// engine-dependent and resolve per cell at run time, surfacing as error
-// cells. Resolution errors carry the registry's known-name lists.
+// Validate checks the schema tag and resolves every axis value and
+// exclusion value that can be resolved without an engine in hand (the
+// coordinate table's canonicalisers, plus the spec-level
+// scheduler/chooser/analysis); implementation names are engine-dependent
+// and resolve per cell at run time, surfacing as error cells. Resolution
+// errors carry the registry's known-name lists.
 func (sp *Spec) Validate() error {
 	if sp.Schema != SpecSchema {
 		return fmt.Errorf("schema %q, want %q", sp.Schema, SpecSchema)
 	}
 	if sp.Name == "" {
 		return fmt.Errorf("missing name")
-	}
-	for _, e := range sp.Axes.Engine {
-		if _, err := registry.Engine(e); err != nil {
-			return err
-		}
-	}
-	for _, w := range sp.Axes.Workload {
-		if err := registry.ValidateWorkload(w); err != nil {
-			return err
-		}
-	}
-	for _, p := range sp.Axes.Policy {
-		if _, err := registry.Policy(p); err != nil {
-			return err
-		}
-	}
-	for _, f := range sp.Axes.Faults {
-		if err := registry.ValidateFaults(f); err != nil {
-			return err
-		}
-	}
-	for _, f := range sp.Axes.NetFaults {
-		if err := registry.ValidateNetFaults(f); err != nil {
-			return err
-		}
-	}
-	for _, ws := range sp.Axes.WALSync {
-		if err := validateWALSync(ws); err != nil {
-			return err
-		}
-	}
-	for _, m := range sp.Axes.Monitor {
-		if err := registry.ValidateMonitor(m); err != nil {
-			return err
-		}
-	}
-	for _, n := range sp.Axes.Procs {
-		if n <= 0 {
-			return fmt.Errorf("procs axis value %d (want >= 1)", n)
-		}
-	}
-	for _, n := range sp.Axes.Ops {
-		if n <= 0 {
-			return fmt.Errorf("ops axis value %d (want >= 1)", n)
-		}
 	}
 	if _, err := registry.Scheduler(sp.Scheduler); err != nil {
 		return err
@@ -257,161 +194,75 @@ func (sp *Spec) Validate() error {
 	if !analyses[sp.Analysis] {
 		return fmt.Errorf("unknown analysis %q (known: lin, stable, valency, weak)", sp.Analysis)
 	}
-	for i, m := range sp.Exclude {
-		if m.zero() {
-			return fmt.Errorf("exclude[%d] is empty and would drop every cell", i)
-		}
-	}
-	if err := uniqueAxes(sp.Axes); err != nil {
-		return err
-	}
-	return nil
+	_, _, err := sp.grid()
+	return err
 }
 
-// uniqueAxes rejects repeated axis values: they would expand into cells
-// with identical identities, which baseline diffing cannot tell apart.
-// String axes compare resolved — "" and "sim" (or "" and "cas-counter")
-// name the same coordinate and count as a repeat.
-func uniqueAxes(a Axes) error {
-	dup := func(axis string, vals []string, resolve func(string) string) error {
+// grid resolves the spec against the coordinate table. cols holds, per
+// row, the axis's canonical values in spec order — the default alone when
+// the axis is omitted; excl holds, per exclusion, each row's canonical
+// value to match ("" is the wildcard). Repeated axis values are rejected:
+// they would expand into cells with identical identities, which baseline
+// diffing cannot tell apart. They compare resolved — "" and "sim", or a
+// preset and its grammar, name the same coordinate and count as a repeat.
+func (sp *Spec) grid() (cols, excl [][]string, err error) {
+	for _, c := range scenario.Coords {
+		col := c.List(&sp.Axes)
+		if len(col) == 0 {
+			col = []string{""}
+		}
 		seen := map[string]bool{}
-		for _, v := range vals {
-			r := resolve(v)
-			if seen[r] {
-				return fmt.Errorf("axis %s repeats value %q", axis, r)
+		for i, v := range col {
+			if col[i], err = c.Canon(v); err != nil {
+				return nil, nil, err
 			}
-			seen[r] = true
-		}
-		return nil
-	}
-	canonEngine := func(v string) string {
-		if c, err := registry.Engine(v); err == nil {
-			return c
-		}
-		return v
-	}
-	if err := dup("engine", a.Engine, canonEngine); err != nil {
-		return err
-	}
-	if err := dup("impl", a.Impl, func(v string) string { return resolved(v, scenario.DefaultImpl) }); err != nil {
-		return err
-	}
-	if err := dup("workload", a.Workload, func(v string) string { return resolved(v, scenario.DefaultWorkload) }); err != nil {
-		return err
-	}
-	if err := dup("policy", a.Policy, func(v string) string { return resolved(v, scenario.DefaultPolicy) }); err != nil {
-		return err
-	}
-	if err := dup("faults", a.Faults, resolvedFaults); err != nil {
-		return err
-	}
-	if err := dup("net-faults", a.NetFaults, resolvedNetFaults); err != nil {
-		return err
-	}
-	if err := dup("wal-sync", a.WALSync, resolvedWALSync); err != nil {
-		return err
-	}
-	if err := dup("monitor", a.Monitor, resolvedMonitor); err != nil {
-		return err
-	}
-	ints := func(axis string, vals []int) error {
-		seen := map[int]bool{}
-		for _, v := range vals {
-			if seen[v] {
-				return fmt.Errorf("axis %s repeats value %d", axis, v)
+			if seen[col[i]] {
+				return nil, nil, fmt.Errorf("axis %s repeats value %q", c.Axis, col[i])
 			}
-			seen[v] = true
+			seen[col[i]] = true
 		}
-		return nil
+		cols = append(cols, col)
 	}
-	if err := ints("procs", a.Procs); err != nil {
-		return err
-	}
-	if err := ints("ops", a.Ops); err != nil {
-		return err
-	}
-	if err := ints("tolerance", a.Tolerance); err != nil {
-		return err
-	}
-	seen := map[int64]bool{}
-	for _, v := range a.Seed {
-		if seen[v] {
-			return fmt.Errorf("axis seed repeats value %d", v)
+	for i := range sp.Exclude {
+		if sp.Exclude[i] == (Match{}) {
+			return nil, nil, fmt.Errorf("exclude[%d] is empty and would drop every cell", i)
 		}
-		seen[v] = true
-	}
-	return nil
-}
-
-// Expand resolves the cartesian product of the axes minus the exclusions,
-// in deterministic axis order (engine, impl, workload, policy, faults,
-// net-faults, wal-sync, monitor, procs, ops, tolerance, seed). It errors when
-// nothing survives — an all-excluded grid is always a spec mistake.
-func (sp *Spec) Expand() ([]Point, error) {
-	engines := sp.Axes.Engine
-	if len(engines) == 0 {
-		engines = []string{""}
-	}
-	impls := orList(sp.Axes.Impl, scenario.DefaultImpl)
-	workloads := orList(sp.Axes.Workload, scenario.DefaultWorkload)
-	policies := orList(sp.Axes.Policy, scenario.DefaultPolicy)
-	faultSpecs := orList(sp.Axes.Faults, "none")
-	netFaultSpecs := orList(sp.Axes.NetFaults, "none")
-	walSyncs := orList(sp.Axes.WALSync, "none")
-	monitors := orList(sp.Axes.Monitor, "full")
-	procs := orInts(sp.Axes.Procs, scenario.DefaultProcs)
-	ops := orInts(sp.Axes.Ops, scenario.DefaultOps)
-	tols := sp.Axes.Tolerance
-	if len(tols) == 0 {
-		tols = []int{0}
-	}
-	seeds := sp.Axes.Seed
-	if len(seeds) == 0 {
-		seeds = []int64{0}
-	}
-
-	var points []Point
-	hits := make([]int, len(sp.Exclude))
-	for _, e := range engines {
-		canon, err := registry.Engine(e)
-		if err != nil {
-			return nil, err
-		}
-		for _, impl := range impls {
-			for _, w := range workloads {
-				for _, pol := range policies {
-					for _, f := range faultSpecs {
-						for _, nf := range netFaultSpecs {
-							for _, ws := range walSyncs {
-								for _, mon := range monitors {
-									for _, n := range procs {
-										for _, k := range ops {
-											for _, t := range tols {
-												for _, s := range seeds {
-													p := Point{
-														Engine: canon, Impl: resolved(impl, scenario.DefaultImpl), Workload: resolved(w, scenario.DefaultWorkload),
-														Policy:    resolved(pol, scenario.DefaultPolicy),
-														Faults:    faultsOrEmpty(resolvedFaults(f)),
-														NetFaults: faultsOrEmpty(resolvedNetFaults(nf)),
-														WALSync:   faultsOrEmpty(resolvedWALSync(ws)),
-														Monitor:   monitorOrEmpty(resolvedMonitor(mon)),
-														Procs:     n, Ops: k, Tolerance: t, Seed: s,
-													}
-													if sp.excluded(p, hits) {
-														continue
-													}
-													points = append(points, p)
-												}
-											}
-										}
-									}
-								}
-							}
-						}
-					}
+		want := make([]string, len(scenario.Coords))
+		for j, c := range scenario.Coords {
+			if v := c.Get(&sp.Exclude[i]); v != "" {
+				if want[j], err = c.Canon(v); err != nil {
+					return nil, nil, fmt.Errorf("exclude[%d]: %w", i, err)
 				}
 			}
 		}
+		excl = append(excl, want)
+	}
+	return cols, excl, nil
+}
+
+// Expand resolves the cartesian product of the axes minus the exclusions,
+// in the coordinate table's order (engine slowest, seed fastest). It errors
+// when nothing survives — an all-excluded grid is always a spec mistake.
+func (sp *Spec) Expand() ([]Point, error) {
+	cols, excl, err := sp.grid()
+	if err != nil {
+		return nil, err
+	}
+	var points []Point
+	hits := make([]int, len(excl))
+	vals := make([]string, len(cols))
+	for idx := make([]int, len(cols)); idx != nil; idx = next(idx, cols) {
+		for i, col := range cols {
+			vals[i] = col[idx[i]]
+		}
+		if excluded(vals, excl, hits) {
+			continue
+		}
+		var p Point
+		for i, c := range scenario.Coords {
+			c.Set(&p, c.Stored(vals[i]))
+		}
+		points = append(points, p)
 	}
 	// A predicate that matched nothing is a typo ("sloppy" for
 	// "sloppy-counter"): the cells it meant to drop are silently running,
@@ -427,12 +278,30 @@ func (sp *Spec) Expand() ([]Point, error) {
 	return points, nil
 }
 
-// excluded tests every predicate (not first-match), crediting each one
-// that fires so Expand can report predicates that never do.
-func (sp *Spec) excluded(p Point, hits []int) bool {
+// next advances the odometer idx over cols, last column fastest, and
+// returns nil once it has rolled over.
+func next(idx []int, cols [][]string) []int {
+	for i := len(idx) - 1; i >= 0; i-- {
+		if idx[i]++; idx[i] < len(cols[i]) {
+			return idx
+		}
+		idx[i] = 0
+	}
+	return nil
+}
+
+// excluded tests the cell's canonical values against every predicate (not
+// first-match), crediting each one that fires so Expand can report
+// predicates that never do. A predicate fires when every value it sets
+// matches; unset values are wildcards.
+func excluded(vals []string, excl [][]string, hits []int) bool {
 	drop := false
-	for i, m := range sp.Exclude {
-		if m.matches(p) {
+	for i, want := range excl {
+		fires := true
+		for j, w := range want {
+			fires = fires && (w == "" || w == vals[j])
+		}
+		if fires {
 			hits[i]++
 			drop = true
 		}
@@ -443,22 +312,14 @@ func (sp *Spec) excluded(p Point, hits []int) bool {
 // Scenario builds the point's scenario with the spec-level knobs applied.
 func (sp *Spec) Scenario(p Point) scenario.Scenario {
 	s := scenario.Scenario{
-		Impl:      p.Impl,
-		Workload:  p.Workload,
-		Policy:    p.Policy,
-		Faults:    p.Faults,
-		NetFaults: p.NetFaults,
-		WALSync:   p.WALSync,
-		Monitor:   p.Monitor,
-		Procs:     p.Procs,
-		Ops:       p.Ops,
-		Tolerance: p.Tolerance,
-		Seed:      p.Seed,
 		Scheduler: sp.Scheduler,
 		Chooser:   sp.Chooser,
 		Analysis:  sp.Analysis,
 		Stride:    sp.Stride,
 		Workers:   sp.cellWorkers(),
+	}
+	for _, c := range scenario.Coords[1:] { // all but the engine, which runs it
+		c.Set(&s, c.Get(&p))
 	}
 	if sp.Budget != nil {
 		s.Budget = *sp.Budget
@@ -473,110 +334,4 @@ func (sp *Spec) cellWorkers() int {
 		return 1
 	}
 	return sp.Workers
-}
-
-// orList substitutes the scenario default for an empty string axis.
-func orList(vals []string, def string) []string {
-	if len(vals) == 0 {
-		return []string{def}
-	}
-	return vals
-}
-
-func orInts(vals []int, def int) []int {
-	if len(vals) == 0 {
-		return []int{def}
-	}
-	return vals
-}
-
-// resolved maps an explicitly empty axis value to its resolved name, so
-// exclusion predicates and rollups share the cell-identity vocabulary.
-func resolved(v, def string) string {
-	if v == "" {
-		return def
-	}
-	return v
-}
-
-// resolvedFaults canonicalizes a faults axis value: "", "none", presets
-// and reordered grammar spellings of one spec all resolve to the same
-// coordinate name ("none" when nothing is injected). Unresolvable values
-// keep their spelling; Validate has already rejected them.
-func resolvedFaults(v string) string {
-	sp, err := registry.Faults(v)
-	if err != nil {
-		return v
-	}
-	return sp.String()
-}
-
-// faultsOrEmpty maps the "none" coordinate to the zero value, so
-// unfaulted points — and the scenarios and repro commands built from
-// them — are byte-identical with and without a faults axis in the spec.
-func faultsOrEmpty(v string) string {
-	if v == "none" {
-		return ""
-	}
-	return v
-}
-
-// resolvedNetFaults canonicalizes a net-faults axis value, mirroring
-// resolvedFaults: "", "none", presets and reordered grammar spellings of
-// one spec all resolve to the same coordinate name.
-func resolvedNetFaults(v string) string {
-	sp, err := registry.NetFaults(v)
-	if err != nil {
-		return v
-	}
-	return sp.String()
-}
-
-// resolvedWALSync canonicalizes a wal-sync axis value. "" and "none" name
-// the no-WAL coordinate; everything else resolves through the durability
-// policy parser, so "interval:1" and "always" stay the distinct names the
-// parser gives them. "none" (no log) and "never" (a log that is never
-// fsynced) are deliberately different coordinates.
-func resolvedWALSync(v string) string {
-	if v == "" || v == "none" {
-		return "none"
-	}
-	pol, err := wal.ParseSyncPolicy(v)
-	if err != nil {
-		return v
-	}
-	return pol.String()
-}
-
-// resolvedMonitor canonicalizes a monitor axis value: "" and "full" name
-// the default sequential exhaustive monitor; the other forms resolve to
-// the parser's canonical spelling. Unresolvable values keep their
-// spelling; Validate has already rejected them.
-func resolvedMonitor(v string) string {
-	ms, err := registry.MonitorSpec(v)
-	if err != nil {
-		return v
-	}
-	return ms.String()
-}
-
-// monitorOrEmpty maps the "full" coordinate to the zero value, so
-// default-monitor points — and the scenarios and repro commands built from
-// them — are byte-identical with and without a monitor axis in the spec.
-func monitorOrEmpty(v string) string {
-	if v == "full" {
-		return ""
-	}
-	return v
-}
-
-// validateWALSync rejects unknown wal-sync axis values at spec load.
-func validateWALSync(v string) error {
-	if v == "" || v == "none" {
-		return nil
-	}
-	if _, err := wal.ParseSyncPolicy(v); err != nil {
-		return fmt.Errorf("wal-sync axis value %q (want none, always, never or interval:N): %w", v, err)
-	}
-	return nil
 }

@@ -3,6 +3,7 @@ package campaign
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -208,6 +209,11 @@ func TestLoadSpec(t *testing.T) {
 	if _, err := LoadSpec(merged); err == nil || !strings.Contains(err.Error(), "trailing content") {
 		t.Errorf("concatenated spec: %v", err)
 	}
+	// So does a stray closing brace, which a "more elements?" probe misses.
+	brace := write("brace.json", `{"schema": "elin/sweep/v1", "name": "a"} }`)
+	if _, err := LoadSpec(brace); err == nil || !strings.Contains(err.Error(), "trailing content") {
+		t.Errorf("spec with a stray brace: %v", err)
+	}
 	bad := write("bad.json", `{"schema": "elin/sweep/v1"}`)
 	if _, err := LoadSpec(bad); err == nil || !strings.Contains(err.Error(), "name") {
 		t.Errorf("invalid spec: %v", err)
@@ -297,5 +303,34 @@ func TestFaultsAxis(t *testing.T) {
 	sp.Axes.Faults = []string{"explode:9"}
 	if err := sp.Validate(); err == nil || !strings.Contains(err.Error(), "chaos") {
 		t.Errorf("unknown faults axis value accepted: %v", err)
+	}
+}
+
+// TestCoordTableBindsSpecTypes pins the link between the coordinate table
+// and the spec's data format: every row names a field of Axes, Match and
+// Point, and the JSON name of the Axes and Match fields is the row's axis
+// name — the one spelling a spec author types.
+func TestCoordTableBindsSpecTypes(t *testing.T) {
+	for _, c := range scenario.Coords {
+		for _, typ := range []reflect.Type{reflect.TypeOf(Axes{}), reflect.TypeOf(Match{})} {
+			f, ok := typ.FieldByName(c.Field)
+			if !ok {
+				t.Fatalf("%s has no field %s for axis %s", typ.Name(), c.Field, c.Axis)
+			}
+			if tag := f.Tag.Get("json"); tag != c.Axis+",omitempty" {
+				t.Errorf("%s.%s is tagged %q, want the axis name %q", typ.Name(), c.Field, tag, c.Axis)
+			}
+		}
+		var p Point
+		c.Set(&p, c.Default)
+		if got := c.Get(&p); got != c.Default {
+			t.Errorf("Point.%s: default %q came back as %q", c.Field, c.Default, got)
+		}
+		if got := c.Get(&Match{}); got != "" {
+			t.Errorf("unset Match.%s reads %q, want the wildcard", c.Field, got)
+		}
+	}
+	if n := reflect.TypeOf(Point{}).NumField(); n != len(scenario.Coords) {
+		t.Errorf("Point has %d fields for %d coordinates", n, len(scenario.Coords))
 	}
 }

@@ -6,7 +6,7 @@
 // them with a single mutable sim.System: each edge is one Advance, each
 // backtrack one Undo, so the cost of visiting a node is the cost of one
 // atomic step instead of a deep copy of the whole configuration (the
-// clone-per-edge reference engine is retained in reference.go for
+// clone-per-edge reference engine is retained in reference_test.go for
 // equivalence testing and benchmarking). The package provides the two
 // searches the paper's proofs are built on:
 //

@@ -77,7 +77,6 @@ func TestResumeExactlyOnceQuick(t *testing.T) {
 		srv, err := server.New(server.Config{
 			Object:      live.NewAtomicFetchInc("C", 0),
 			Clients:     clients,
-			Seed:        seed,
 			MonitorSpec: check.MonitorSpec{Kind: check.MonitorNone},
 			NetFaults:   spec,
 		})

@@ -48,10 +48,3 @@ func MonitorSpec(name string) (check.MonitorSpec, error) {
 	}
 	return ms, nil
 }
-
-// ValidateMonitor checks a monitor spec name without constructing anything
-// — the syntax-only resolution campaign sweep specs validate against.
-func ValidateMonitor(name string) error {
-	_, err := MonitorSpec(name)
-	return err
-}

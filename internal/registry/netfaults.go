@@ -51,11 +51,3 @@ func NetFaults(name string) (*faults.NetSpec, error) {
 	}
 	return sp, nil
 }
-
-// ValidateNetFaults checks a network fault-spec name without constructing
-// anything — the syntax-only resolution campaign sweep specs validate
-// against.
-func ValidateNetFaults(name string) error {
-	_, err := NetFaults(name)
-	return err
-}

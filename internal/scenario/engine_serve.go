@@ -57,7 +57,6 @@ func BuildServer(s Scenario) (*server.Server, error) {
 	return server.New(server.Config{
 		Object:      obj,
 		Clients:     s.Procs,
-		Seed:        s.Seed,
 		Monitor:     mcfg,
 		MonitorSpec: mspec,
 		NetFaults:   nf,

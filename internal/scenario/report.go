@@ -25,8 +25,9 @@ const (
 	VerdictViolation = "violation"
 )
 
-// ScenarioInfo echoes the resolved scenario a report describes, with
-// engine-relevant fields only.
+// ScenarioInfo echoes the resolved scenario a report describes: every
+// coordinate of the table (Coords binds them by field name) in its
+// canonical stored form, and the knobs of the one engine that ran it.
 type ScenarioInfo struct {
 	Name        string `json:"name,omitempty"`
 	Impl        string `json:"impl"`
@@ -43,18 +44,15 @@ type ScenarioInfo struct {
 	VerifyDepth int    `json:"verify_depth,omitempty"`
 	MaxSteps    int    `json:"max_steps,omitempty"`
 	Workers     int    `json:"workers,omitempty"`
-	// Faults is the canonical fault-injection spec of a Live run ("" when
-	// nothing is injected); Serial reports the deterministic serial driver.
-	Faults string `json:"faults,omitempty"`
-	Serial bool   `json:"serial,omitempty"`
-	// NetFaults is the canonical network fault spec of a Serve run ("" when
-	// nothing is injected); WALSync the resolved durability policy of a run
-	// writing a commit log ("" when none is).
+	// The option coordinates, each "" at its default: the canonical
+	// fault-injection spec (Live), network fault spec (Serve), durability
+	// policy of a run writing a commit log, and monitor spec. Serial reports
+	// the Live engine's deterministic serial driver.
+	Faults    string `json:"faults,omitempty"`
+	Serial    bool   `json:"serial,omitempty"`
 	NetFaults string `json:"net_faults,omitempty"`
 	WALSync   string `json:"wal_sync,omitempty"`
-	// Monitor is the canonical monitor spec of a Live/Serve run ("" for the
-	// default full exhaustive monitor).
-	Monitor string `json:"monitor,omitempty"`
+	Monitor   string `json:"monitor,omitempty"`
 }
 
 // Checks reports the after-the-fact decision procedures an engine ran on
@@ -332,14 +330,10 @@ func (r *Report) Render(w io.Writer) error {
 	sc := r.Scenario
 	fmt.Fprintf(w, "engine=%s impl=%s workload=%s procs=%d ops=%d seed=%d",
 		r.Engine, sc.Impl, sc.Workload, sc.Procs, sc.Ops, sc.Seed)
-	if sc.NetFaults != "" {
-		fmt.Fprintf(w, " net-faults=%s", sc.NetFaults)
-	}
-	if sc.WALSync != "" {
-		fmt.Fprintf(w, " wal-sync=%s", sc.WALSync)
-	}
-	if sc.Monitor != "" {
-		fmt.Fprintf(w, " monitor=%s", sc.Monitor)
+	for _, c := range Coords[1:] {
+		if v := c.Get(&sc); c.Kind == CoordOption && v != "" {
+			fmt.Fprintf(w, " %s=%s", c.Axis, v)
+		}
 	}
 	fmt.Fprintln(w)
 	if r.Detail != "" {

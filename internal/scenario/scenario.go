@@ -51,8 +51,9 @@ const (
 	AnalysisStable = "stable"
 )
 
-// The documented scenario defaults, exported so grid expansion (package
-// campaign) resolves omitted axes to exactly what a bare scenario runs.
+// The documented scenario defaults. The coordinate table (Coords) carries
+// them too, so an omitted sweep axis resolves to exactly what a bare
+// scenario runs.
 const (
 	// DefaultImpl is the implementation an empty Impl resolves to.
 	DefaultImpl = "cas-counter"
@@ -311,18 +312,19 @@ func buildSystem(s Scenario) (*sim.System, machine.Impl, error) {
 	return root, impl, nil
 }
 
-// info echoes the resolved scenario into a report.
+// info echoes the resolved scenario into a report: every coordinate of the
+// table in its canonical stored form, plus the knobs only one engine reads.
 func (s Scenario) info(engine string) ScenarioInfo {
-	inf := ScenarioInfo{
-		Name:      s.Name,
-		Impl:      s.implName(),
-		Workload:  orDefault(s.Workload, DefaultWorkload),
-		Policy:    orDefault(s.Policy, DefaultPolicy),
-		Procs:     s.Procs,
-		Ops:       s.Ops,
-		Seed:      s.Seed,
-		Tolerance: s.Tolerance,
+	if s.WAL != "" && s.WALSync == "" {
+		// A log with no stated policy is never fsynced — which is not the
+		// no-log coordinate the empty value otherwise names.
+		s.WALSync = wal.SyncNever.String()
 	}
+	inf := ScenarioInfo{Name: s.Name}
+	for _, c := range Coords[1:] {
+		c.Set(&inf, c.name(&s))
+	}
+	inf.Impl = s.implName() // a direct value names itself
 	switch engine {
 	case "explore":
 		inf.Analysis = s.Analysis
@@ -336,14 +338,7 @@ func (s Scenario) info(engine string) ScenarioInfo {
 		inf.Chooser = orDefault(s.Chooser, "true")
 		inf.MaxSteps = s.Budget.MaxSteps
 	case "live":
-		inf.Faults = s.faultsName()
 		inf.Serial = s.Serial
-		inf.WALSync = s.walSyncName()
-		inf.Monitor = s.monitorName()
-	case "serve":
-		inf.NetFaults = s.netFaultsName()
-		inf.WALSync = s.walSyncName()
-		inf.Monitor = s.monitorName()
 	}
 	return inf
 }
@@ -391,70 +386,11 @@ func (s Scenario) rejectNonServe() error {
 	return nil
 }
 
-// faultsName returns the canonical spelling of the fault spec for reports
-// and cell identities ("" when no faults are injected). Presets and
-// differently-ordered grammar spellings of the same spec canonicalize to
-// the same name, so they occupy the same campaign grid cell. Unresolvable
-// specs keep their raw spelling; execution rejects them with a real error.
-func (s Scenario) faultsName() string {
-	sp, err := s.resolveFaults()
-	if err != nil {
-		return s.Faults
-	}
-	if sp.Zero() {
-		return ""
-	}
-	return sp.String()
-}
-
-// netFaultsName is faultsName's counterpart for the network fault plane:
-// the canonical spelling of the net-fault spec ("" when none is injected).
-func (s Scenario) netFaultsName() string {
-	sp, err := registry.NetFaults(s.NetFaults)
-	if err != nil {
-		return s.NetFaults
-	}
-	if sp.Zero() {
-		return ""
-	}
-	return sp.String()
-}
-
-// monitorName resolves the monitor spec to its canonical spelling ("" for
-// full exhaustive checking, the default) — "" and "full" name the same grid
-// cell, and "sample:08" never occurs because the canonical form is emitted.
-// Unresolvable specs keep their raw spelling; execution rejects them with a
-// real error.
-func (s Scenario) monitorName() string {
-	ms, err := registry.MonitorSpec(s.Monitor)
-	if err != nil {
-		return s.Monitor
-	}
-	if ms.Kind == check.MonitorFull {
-		return ""
-	}
-	return ms.String()
-}
-
 // monitorOff reports whether the resolved monitor spec is the record-only
 // "none"; reporting branches on it for the monitoring-disabled shape.
 func (s Scenario) monitorOff() bool {
 	ms, err := registry.MonitorSpec(s.Monitor)
 	return err == nil && ms.Kind == check.MonitorNone
-}
-
-// walSyncName resolves the WAL durability policy to its canonical name
-// ("" when no commit log is written) — "never" and "" on a WAL-writing
-// scenario name the same policy and must name the same grid cell.
-func (s Scenario) walSyncName() string {
-	if s.WAL == "" && s.WALSync == "" {
-		return ""
-	}
-	pol, err := wal.ParseSyncPolicy(s.WALSync)
-	if err != nil {
-		return s.WALSync
-	}
-	return pol.String()
 }
 
 // Info returns the resolved scenario echo a report for the named engine
@@ -470,42 +406,42 @@ func (s Scenario) Info(engine string) ScenarioInfo {
 }
 
 // CellID returns the canonical identity of the scenario as one cell of a
-// campaign grid on the named engine: the resolved grid coordinates
-// (engine, impl, workload, policy, procs, ops, tolerance, seed) plus the
-// engine-relevant resolved names (analysis for explore, scheduler and
-// chooser for sim, the canonical fault spec for live when one is
-// injected, the canonical net-fault spec and WAL sync policy for serve). Defaults are filled in first, so Workload "" and
-// "default" — or Engine "" and "sim" — name the same cell. Two scenarios
-// with equal CellIDs on the same engine occupy the same grid point, which
+// campaign grid on the named engine: every coordinate of the table under
+// its id key — names first, options only when not at their default, sizes
+// last — with the engine's own resolved knobs (analysis for explore,
+// scheduler and chooser for sim) in between. Defaults are filled in first,
+// so Workload "" and "default" — or Engine "" and "sim" — name the same
+// cell. Two scenarios with equal CellIDs occupy the same grid point, which
 // is what campaign baseline diffing matches on across runs and commits.
 func (s Scenario) CellID(engine string) string {
 	canon, err := registry.Engine(engine)
 	if err != nil {
 		canon = engine // unknown engines keep their spelling; resolution rejects them later
 	}
-	inf := s.withDefaults().info(canon)
-	var b strings.Builder
-	fmt.Fprintf(&b, "engine=%s impl=%s workload=%s policy=%s", canon, inf.Impl, inf.Workload, inf.Policy)
-	if inf.Faults != "" {
-		fmt.Fprintf(&b, " faults=%s", inf.Faults)
-	}
-	if inf.NetFaults != "" {
-		fmt.Fprintf(&b, " netfaults=%s", inf.NetFaults)
-	}
-	if inf.WALSync != "" {
-		fmt.Fprintf(&b, " walsync=%s", inf.WALSync)
-	}
-	if inf.Monitor != "" {
-		fmt.Fprintf(&b, " monitor=%s", inf.Monitor)
+	return s.withDefaults().info(canon).cellID(canon)
+}
+
+// CellID is the identity of the cell the report's scenario occupies.
+func (r *Report) CellID() string { return r.Scenario.cellID(r.Engine) }
+
+func (inf ScenarioInfo) cellID(engine string) string {
+	var names, sizes strings.Builder
+	fmt.Fprintf(&names, "%s=%s", Coords[0].Key, engine)
+	for _, c := range Coords[1:] {
+		switch v := c.Get(&inf); {
+		case c.Kind == CoordSize:
+			fmt.Fprintf(&sizes, " %s=%s", c.Key, v)
+		case c.Kind == CoordName || v != "":
+			fmt.Fprintf(&names, " %s=%s", c.Key, v)
+		}
 	}
 	if inf.Analysis != "" {
-		fmt.Fprintf(&b, " analysis=%s", inf.Analysis)
+		fmt.Fprintf(&names, " analysis=%s", inf.Analysis)
 	}
 	if inf.Scheduler != "" {
-		fmt.Fprintf(&b, " sched=%s chooser=%s", inf.Scheduler, inf.Chooser)
+		fmt.Fprintf(&names, " sched=%s chooser=%s", inf.Scheduler, inf.Chooser)
 	}
-	fmt.Fprintf(&b, " procs=%d ops=%d tol=%d seed=%d", inf.Procs, inf.Ops, inf.Tolerance, inf.Seed)
-	return b.String()
+	return names.String() + sizes.String()
 }
 
 func orDefault(v, def string) string {

@@ -27,10 +27,6 @@ type Config struct {
 	// Clients is the client id space: ids 0..Clients-1 are valid, and one
 	// session (with its shard) is preallocated per id.
 	Clients int
-	// Seed pins the network fault plane's decisions (the specs themselves
-	// are pure functions of the commit ticket; the seed is recorded for
-	// symmetry with the rest of the fault plane and for future directives).
-	Seed int64
 	// Monitor configures the server-side online monitor.
 	Monitor check.IncrementalConfig
 	// MonitorSpec selects the monitor implementation (full, sample:N,
@@ -44,10 +40,6 @@ type Config struct {
 	// hands it to the server's live.Pipeline, which closes it on every
 	// path: a failed New, the end of the merge, or Shutdown.
 	Sink live.CommitSink
-	// QueueDepth bounds each connection's request queue (default 64). A
-	// full queue stops the connection's reader — backpressure through TCP
-	// instead of unbounded memory.
-	QueueDepth int
 	// OverloadQueued is the high-water mark of queued requests across
 	// connections at which the monitor degrades to sampling (default
 	// 4096; negative disables degradation).
@@ -57,12 +49,10 @@ type Config struct {
 	SampleEvery int
 }
 
-func (c *Config) queueDepth() int {
-	if c.QueueDepth <= 0 {
-		return 64
-	}
-	return c.QueueDepth
-}
+// queueDepth bounds each connection's request queue. A full queue stops
+// the connection's reader — backpressure through TCP instead of unbounded
+// memory.
+const queueDepth = 64
 
 func (c *Config) overloadQueued() int {
 	if c.OverloadQueued == 0 {
@@ -444,7 +434,7 @@ func (s *Server) handleConn(c net.Conn) {
 	// Reader: frames -> bounded queue. A full queue blocks the reader,
 	// which stops draining the socket — backpressure rides TCP flow
 	// control back to the client.
-	reqCh := make(chan Request, s.cfg.queueDepth())
+	reqCh := make(chan Request, queueDepth)
 	go func() {
 		defer close(reqCh)
 		for {

@@ -56,7 +56,6 @@ func TestServeBasic(t *testing.T) {
 	s, addr := startServer(t, server.Config{
 		Object:  live.NewAtomicFetchInc("C", 0),
 		Clients: clients,
-		Seed:    1,
 		Monitor: check.IncrementalConfig{Stride: 64, MaxT: 0},
 	})
 	res := load(t, loadgen.Config{
@@ -97,7 +96,6 @@ func TestServeFlakyNetExactlyOnce(t *testing.T) {
 	s, addr := startServer(t, server.Config{
 		Object:    live.NewAtomicFetchInc("C", 0),
 		Clients:   clients,
-		Seed:      7,
 		Monitor:   check.IncrementalConfig{Stride: 64, MaxT: 0},
 		NetFaults: nf,
 	})
@@ -138,7 +136,6 @@ func TestServePartitionHeals(t *testing.T) {
 	s, addr := startServer(t, server.Config{
 		Object:    live.NewAtomicFetchInc("C", 0),
 		Clients:   clients,
-		Seed:      3,
 		Monitor:   check.IncrementalConfig{Stride: 64, MaxT: 0},
 		NetFaults: nf,
 	})
@@ -165,7 +162,6 @@ func TestServeOverloadSampling(t *testing.T) {
 	s, addr := startServer(t, server.Config{
 		Object:         live.NewAtomicFetchInc("C", 0),
 		Clients:        clients,
-		Seed:           1,
 		Monitor:        check.IncrementalConfig{Stride: 64, MaxT: 0},
 		OverloadQueued: 1, // any backlog at all counts as overload
 		SampleEvery:    4,
@@ -208,7 +204,6 @@ func TestServeWALPersistsMergedStream(t *testing.T) {
 	s, addr := startServer(t, server.Config{
 		Object:  live.NewAtomicFetchInc("C", 0),
 		Clients: clients,
-		Seed:    5,
 		Monitor: check.IncrementalConfig{Stride: 64, MaxT: 0},
 		Sink:    log,
 	})
@@ -312,7 +307,6 @@ func TestServeHistoryReplays(t *testing.T) {
 	s, addr := startServer(t, server.Config{
 		Object:  live.NewAtomicFetchInc("C", 0),
 		Clients: clients,
-		Seed:    2,
 		Monitor: check.IncrementalConfig{Stride: 64, MaxT: 0},
 	})
 	res := load(t, loadgen.Config{
@@ -349,7 +343,6 @@ func TestShutdownMergesLastEvent(t *testing.T) {
 		s, addr := startServer(t, server.Config{
 			Object:  live.NewAtomicFetchInc("C", 0),
 			Clients: clients,
-			Seed:    int64(i),
 			Monitor: check.IncrementalConfig{Stride: 16},
 		})
 		load(t, loadgen.Config{Addr: addr, Clients: clients, Ops: ops, Gen: live.FetchIncGen(), Seed: int64(i)})
