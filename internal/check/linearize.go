@@ -64,16 +64,38 @@ func Linearizable(objs map[string]spec.Object, h *history.History, opts Options)
 // LinearizableExplain is Linearizable but also names the first object whose
 // projection fails.
 func LinearizableExplain(objs map[string]spec.Object, h *history.History, opts Options) (bool, string, error) {
-	for _, name := range h.Objects() {
+	return eachObject(objs, h, func(_ string, obj spec.Object, proj *history.History) (bool, error) {
+		return TLinearizable(obj, proj, 0, opts)
+	})
+}
+
+// eachObject runs fn on the projection of h onto each of its objects, in
+// first-appearance order, and names the first that fails or errs. A history
+// on one object (every sim, explore and live one) is checked in place.
+func eachObject(objs map[string]spec.Object, h *history.History,
+	fn func(name string, obj spec.Object, proj *history.History) (bool, error)) (bool, string, error) {
+	single := singleObject(h)
+	var names []string
+	switch {
+	case !single:
+		names = h.Objects()
+	case h.Len() > 0:
+		names = []string{h.Event(0).Obj}
+	}
+	for _, name := range names {
 		obj, ok := objs[name]
 		if !ok {
 			return false, name, fmt.Errorf("check: no specification for object %q", name)
 		}
-		lin, err := TLinearizable(obj, h.ByObject(name), 0, opts)
+		proj := h
+		if !single {
+			proj = h.ByObject(name)
+		}
+		ok, err := fn(name, obj, proj)
 		if err != nil {
 			return false, name, fmt.Errorf("object %q: %w", name, err)
 		}
-		if !lin {
+		if !ok {
 			return false, name, nil
 		}
 	}
@@ -128,19 +150,16 @@ func minT(obj spec.Object, tb *history.OpTable, opts Options, sc *scratch) (int,
 // (counted in H|o's own events).
 func MinTLocal(objs map[string]spec.Object, h *history.History, opts Options) (map[string]int, error) {
 	out := make(map[string]int)
-	for _, name := range h.Objects() {
-		obj, ok := objs[name]
-		if !ok {
-			return nil, fmt.Errorf("check: no specification for object %q", name)
-		}
-		t, ok2, err := MinT(obj, h.ByObject(name), opts)
-		if err != nil {
-			return nil, fmt.Errorf("object %q: %w", name, err)
-		}
-		if !ok2 {
-			return nil, fmt.Errorf("object %q: not t-linearizable for any t (non-total type?)", name)
+	_, _, err := eachObject(objs, h, func(name string, obj spec.Object, proj *history.History) (bool, error) {
+		t, ok, err := MinT(obj, proj, opts)
+		if err == nil && !ok {
+			err = errors.New("not t-linearizable for any t (non-total type?)")
 		}
 		out[name] = t
+		return true, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -178,20 +197,9 @@ func MinTGlobalUpper(objs map[string]spec.Object, h *history.History, opts Optio
 // counterexample shows even for histories over finitely many objects when
 // t is fixed: each projection can pass while the global cut fails.
 func TLinearizableLocal(objs map[string]spec.Object, h *history.History, t int, opts Options) (bool, string, error) {
-	for _, name := range h.Objects() {
-		obj, ok := objs[name]
-		if !ok {
-			return false, name, fmt.Errorf("check: no specification for object %q", name)
-		}
-		lin, err := TLinearizable(obj, h.ByObject(name), t, opts)
-		if err != nil {
-			return false, name, fmt.Errorf("object %q: %w", name, err)
-		}
-		if !lin {
-			return false, name, nil
-		}
-	}
-	return true, "", nil
+	return eachObject(objs, h, func(_ string, obj spec.Object, proj *history.History) (bool, error) {
+		return TLinearizable(obj, proj, t, opts)
+	})
 }
 
 // MinTMulti computes the exact least global t for which a multi-object
@@ -264,13 +272,21 @@ func TLinearizableMulti(objs map[string]spec.Object, h *history.History, t int, 
 	return pr.dfs(states, 0)
 }
 
-// oneObject verifies that all events of h are on one object.
-func oneObject(h *history.History) error {
+// singleObject reports whether all events of h are on one object.
+func singleObject(h *history.History) bool {
 	for i := 1; i < h.Len(); i++ {
 		if h.Event(i).Obj != h.Event(i-1).Obj {
-			objs := h.Objects()
-			return fmt.Errorf("check: single-object checker given %d objects %v", len(objs), objs)
+			return false
 		}
+	}
+	return true
+}
+
+// oneObject is singleObject as the single-object entry points' error.
+func oneObject(h *history.History) error {
+	if !singleObject(h) {
+		objs := h.Objects()
+		return fmt.Errorf("check: single-object checker given %d objects %v", len(objs), objs)
 	}
 	return nil
 }

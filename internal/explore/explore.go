@@ -139,7 +139,8 @@ type engine struct {
 	// instead (exactly one of the two is non-nil while dedup is on).
 	seen   map[string]struct{}
 	shared *shardedSet
-	keyBuf []byte // scratch for building visit keys
+	keyBuf []byte             // scratch for building visit keys
+	path   *check.PathChecker // see linearizable; nil on every other engine
 }
 
 func newEngine(root *sim.System, maxDepth int, cfg Config, st *Stats) *engine {
@@ -243,12 +244,44 @@ func (e *engine) expandSteps(depth int, rec func(depth int, step pathStep) error
 			if err := rec(depth+1, pathStep{proc: int32(p), branch: int32(i)}); err != nil {
 				return err
 			}
-			if err := e.sys.Undo(); err != nil {
+			if err := e.undoTo(e.sys.UndoDepth() - 1); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// undoTo rewinds the working system to undo depth n. Every undo of an
+// engine's system goes through it, so the path checker, where there is
+// one, always holds a prefix of the history.
+func (e *engine) undoTo(n int) error {
+	err := e.sys.UndoTo(n)
+	if e.path != nil {
+		e.path.Truncate(e.sys.History().Len())
+	}
+	return err
+}
+
+// linearizable is LinearizableEverywhere's leaf predicate, read off the
+// engine's path checker (built at the first leaf that asks). The checker
+// holds the history up to the deepest ancestor this leaf shares with the
+// one before it and the leaf pushes the events since, so each event of the
+// tree is pushed once. Past check.MaxOpsPerObject operations the leaf is
+// checked from scratch.
+func (e *engine) linearizable(opts check.Options) (bool, error) {
+	if e.path == nil {
+		e.path = check.NewPathChecker(e.sys.Impl().Spec(), opts)
+	}
+	h := e.sys.History()
+	for i := e.path.Len(); i < h.Len(); i++ {
+		if err := e.path.Push(h.Event(i)); errors.Is(err, check.ErrTooLarge) {
+			return check.Linearizable(implSpecs(e.sys), h, opts)
+		} else if err != nil {
+			return false, fmt.Errorf("explore: path check at event %d: %w", i, err)
+		}
+	}
+	return e.path.Linearizable(), nil
 }
 
 func (e *engine) dfs(depth int, visit Visitor) error {
@@ -342,9 +375,8 @@ func Leaves(root *sim.System, maxDepth int, cfg Config, fn func(leaf *sim.System
 // ignored: linearizability of the recorded history is path-dependent, so
 // configuration merging would be unsound here.
 func LinearizableEverywhere(root *sim.System, maxDepth int, cfg Config, opts check.Options) (bool, *sim.System, Stats, error) {
-	specs := implSpecs(root)
-	found, bad, st, err := searchViolation(root, maxDepth, cfg, true, func(leaf *sim.System) (bool, error) {
-		return check.Linearizable(specs, leaf.History(), opts)
+	found, bad, st, err := searchViolation(root, maxDepth, cfg, true, func(e *engine) (bool, error) {
+		return e.linearizable(opts)
 	})
 	if err != nil {
 		return false, nil, st, err
@@ -358,8 +390,8 @@ func LinearizableEverywhere(root *sim.System, maxDepth int, cfg Config, opts che
 // semantics.
 func WeaklyConsistentEverywhere(root *sim.System, maxDepth int, cfg Config, opts check.Options) (bool, *sim.System, Stats, error) {
 	specs := implSpecs(root)
-	found, bad, st, err := searchViolation(root, maxDepth, cfg, true, func(leaf *sim.System) (bool, error) {
-		return check.WeaklyConsistent(specs, leaf.History(), opts)
+	found, bad, st, err := searchViolation(root, maxDepth, cfg, true, func(e *engine) (bool, error) {
+		return check.WeaklyConsistent(specs, e.sys.History(), opts)
 	})
 	if err != nil {
 		return false, nil, st, err

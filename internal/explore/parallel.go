@@ -267,7 +267,7 @@ func (e *engine) countAtDepth(depth, limit int) (int, error) {
 	// An aborted walk (the short-circuit above, or an advance error) exits
 	// through expand without unwinding; rewind so the engine is back at the
 	// root for the real split.
-	if uerr := e.sys.UndoTo(0); uerr != nil && err == nil {
+	if uerr := e.undoTo(0); uerr != nil && err == nil {
 		err = uerr
 	}
 	return n, err
@@ -400,7 +400,7 @@ func runTasks(root *sim.System, maxDepth, workers int, cfg Config, tasks []subtr
 					return
 				}
 				err := body(e, t)
-				if uerr := e.sys.UndoTo(0); uerr != nil && err == nil {
+				if uerr := e.undoTo(0); uerr != nil && err == nil {
 					err = uerr
 				}
 				if err != nil && (isAbort == nil || !isAbort(err)) {
@@ -484,8 +484,9 @@ func dfsPar(root *sim.System, maxDepth int, cfg Config, workers int, visit Visit
 // Violation search (LinearizableEverywhere, WeaklyConsistentEverywhere,
 // NodeStable).
 
-// leafPredicate checks one leaf; ok=false flags a violation.
-type leafPredicate func(leaf *sim.System) (ok bool, err error)
+// leafPredicate checks the leaf engine e sits on (e.sys is the leaf);
+// ok=false flags a violation.
+type leafPredicate func(e *engine) (ok bool, err error)
 
 // violationHunt coordinates the deterministic-witness search: bestSeq is
 // the depth-first rank of the best (smallest) violating subtree found so
@@ -544,7 +545,7 @@ func searchViolation(root *sim.System, maxDepth int, cfg Config, keepWitness boo
 		var st Stats
 		e := newEngine(root, maxDepth, cfg, &st)
 		err := e.leaves(0, func(leaf *sim.System) error {
-			ok, err := pred(leaf)
+			ok, err := pred(e)
 			if err != nil {
 				return err
 			}
@@ -564,16 +565,16 @@ func searchViolation(root *sim.System, maxDepth int, cfg Config, keepWitness boo
 	}
 
 	hunt := newViolationHunt(keepWitness)
-	fn := func(leaf *sim.System, seq int) error {
+	fn := func(e *engine, seq int) error {
 		if int64(seq) > hunt.bestSeq.Load() {
 			return errCancelled
 		}
-		ok, err := pred(leaf)
+		ok, err := pred(e)
 		if err != nil {
 			return err
 		}
 		if !ok {
-			hunt.record(seq, leaf)
+			hunt.record(seq, e.sys)
 			return errViolation
 		}
 		return nil
@@ -588,7 +589,7 @@ func searchViolation(root *sim.System, maxDepth int, cfg Config, keepWitness boo
 // leavesParHunt is leavesPar specialised to a violation hunt: subtrees
 // ranked above the best violation are skipped before they are even seeded.
 func leavesParHunt(root *sim.System, maxDepth int, cfg Config, workers int,
-	fn func(leaf *sim.System, seq int) error, hunt *violationHunt) (Stats, error) {
+	fn func(e *engine, seq int) error, hunt *violationHunt) (Stats, error) {
 
 	var st Stats
 	e := newEngine(root, maxDepth, cfg, &st)
@@ -596,14 +597,14 @@ func leavesParHunt(root *sim.System, maxDepth int, cfg Config, workers int,
 	if err != nil {
 		return st, err
 	}
-	sp := &splitter{e: e, k: k, leafFn: fn}
+	sp := &splitter{e: e, k: k, leafFn: func(_ *sim.System, seq int) error { return fn(e, seq) }}
 	if splitErr := sp.walk(0); splitErr != nil && !isSentinel(splitErr) {
 		return st, splitErr
 	}
 	err = runTasks(root, maxDepth, workers, cfg, sp.tasks, nil, &st,
 		func(we *engine, t subtreeTask) error {
-			return we.leaves(len(t.path), func(leaf *sim.System) error {
-				return fn(leaf, t.seq)
+			return we.leaves(len(t.path), func(*sim.System) error {
+				return fn(we, t.seq)
 			})
 		}, isSentinel,
 		func(t subtreeTask) bool { return int64(t.seq) > hunt.bestSeq.Load() })

@@ -209,48 +209,56 @@ func TestParallelAnalyzeDedupDeterministic(t *testing.T) {
 	}
 }
 
+// huntWorkerCounts are the worker counts the LinearizableEverywhere
+// contract is pinned at (1 is the sequential in-place search).
+var huntWorkerCounts = []int{1, 2, 4, 8}
+
 // TestParallelViolationWitnessDeterministic pins the witness contract: the
-// violating leaf returned by the parallel search is the lexicographically
-// first one — the exact leaf the sequential early-exit walk returns —
+// violating leaf returned by the search is the lexicographically first one
+// — the exact leaf the sequential early-exit walk returns, and the one the
+// per-leaf check.Linearizable search returned before the path checker —
 // regardless of worker count and schedule.
 func TestParallelViolationWitnessDeterministic(t *testing.T) {
-	root := mustSystem(t, counter.Sloppy{}, sim.UniformWorkload(2, 1, fetchinc), nil)
-	ok, seqBad, _, err := LinearizableEverywhere(root, 10, Config{Workers: 1}, check.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok || seqBad == nil {
-		t.Fatal("sloppy counter must violate linearizability")
-	}
-	want := seqBad.History().String()
-	for _, w := range parWorkerCounts {
-		for round := 0; round < 5; round++ {
-			ok, bad, _, err := LinearizableEverywhere(root, 10, Config{Workers: w}, check.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ok || bad == nil {
-				t.Fatalf("workers=%d: violation not found", w)
-			}
-			if got := bad.History().String(); got != want {
-				t.Fatalf("workers=%d round %d: witness diverges:\npar:\n%s\nseq:\n%s", w, round, got, want)
+	for _, impl := range []machine.Impl{counter.Sloppy{}, counter.Junk{}} {
+		root := mustSystem(t, impl, sim.UniformWorkload(2, 1, fetchinc), nil)
+		ok, perLeafBad, _, err := perLeafLinearizableEverywhere(root, 12, check.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok || perLeafBad == nil {
+			t.Fatalf("%s must violate linearizability", impl.Name())
+		}
+		want := perLeafBad.History().String()
+		for _, w := range huntWorkerCounts {
+			for round := 0; round < 5; round++ {
+				ok, bad, _, err := LinearizableEverywhere(root, 12, Config{Workers: w}, check.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ok || bad == nil {
+					t.Fatalf("%s workers=%d: violation not found", impl.Name(), w)
+				}
+				if got := bad.History().String(); got != want {
+					t.Fatalf("%s workers=%d round %d: witness diverges:\ngot:\n%s\nper-leaf search:\n%s", impl.Name(), w, round, got, want)
+				}
 			}
 		}
 	}
 }
 
 // TestParallelLinearizableEverywhereClean checks the passing direction:
-// with no violation the walk is exhaustive and Stats are deterministic.
+// with no violation the walk is exhaustive and Stats are those of the
+// per-leaf search for every worker count.
 func TestParallelLinearizableEverywhereClean(t *testing.T) {
 	root := mustSystem(t, counter.CAS{}, sim.UniformWorkload(2, 2, fetchinc), nil)
-	okSeq, _, seqStats, err := LinearizableEverywhere(root, 22, Config{Workers: 1}, check.Options{})
+	okSeq, _, seqStats, err := perLeafLinearizableEverywhere(root, 22, check.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !okSeq {
 		t.Fatal("CAS counter must be linearizable everywhere")
 	}
-	for _, w := range parWorkerCounts {
+	for _, w := range huntWorkerCounts {
 		ok, bad, parStats, err := LinearizableEverywhere(root, 22, Config{Workers: w}, check.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -259,7 +267,7 @@ func TestParallelLinearizableEverywhereClean(t *testing.T) {
 			t.Fatalf("workers=%d: spurious violation", w)
 		}
 		if parStats != seqStats {
-			t.Fatalf("workers=%d: stats diverge: par %+v, seq %+v", w, parStats, seqStats)
+			t.Fatalf("workers=%d: stats diverge: %+v, per-leaf search %+v", w, parStats, seqStats)
 		}
 	}
 }

@@ -1,0 +1,162 @@
+package explore
+
+import (
+	"testing"
+
+	"github.com/elin-go/elin/internal/base"
+	"github.com/elin-go/elin/internal/check"
+	"github.com/elin-go/elin/internal/core/counter"
+	"github.com/elin-go/elin/internal/core/elconsensus"
+	"github.com/elin-go/elin/internal/core/passthrough"
+	"github.com/elin-go/elin/internal/machine"
+	"github.com/elin-go/elin/internal/sim"
+	"github.com/elin-go/elin/internal/spec"
+)
+
+// perLeafLinearizableEverywhere is LinearizableEverywhere as it was before
+// the path checker: check.Linearizable from scratch on every leaf of the
+// sequential walk, stopping at the first violation. Kept as the oracle the
+// path-checked search is pinned to.
+func perLeafLinearizableEverywhere(root *sim.System, maxDepth int, opts check.Options) (bool, *sim.System, Stats, error) {
+	specs := implSpecs(root)
+	var bad *sim.System
+	st, err := Leaves(root, maxDepth, Config{Workers: 1}, func(leaf *sim.System) error {
+		ok, err := check.Linearizable(specs, leaf.History(), opts)
+		if err == nil && !ok {
+			bad, err = leaf.Clone(), errViolation
+		}
+		return err
+	})
+	if err == errViolation {
+		err = nil
+	}
+	return bad == nil, bad, st, err
+}
+
+// TestPathCheckerMatchesLinearizable: on every leaf of each tree — not only
+// up to the first violation — the verdict the engine reads off its path
+// checker is check.Linearizable's, kernel and generic engine alike.
+func TestPathCheckerMatchesLinearizable(t *testing.T) {
+	proposals := [][]spec.Op{
+		{spec.MakeOp1(spec.MethodPropose, 10)},
+		{spec.MakeOp1(spec.MethodPropose, 20)},
+	}
+	readWrite := [][]spec.Op{
+		{spec.MakeOp1(spec.MethodWrite, 1), spec.MakeOp(spec.MethodRead)},
+		{spec.MakeOp1(spec.MethodWrite, 2), spec.MakeOp(spec.MethodRead)},
+	}
+	never := base.SamePolicy(base.Never{})
+	cases := []struct {
+		name     string
+		impl     machine.Impl
+		workload [][]spec.Op
+		policies base.PolicyFor
+		depth    int
+	}{
+		{"cas-counter", counter.CAS{}, sim.UniformWorkload(2, 2, fetchinc), nil, 22},
+		{"cas-counter-horizon", counter.CAS{}, sim.UniformWorkload(3, 2, fetchinc), nil, 9},
+		{"junk-counter", counter.Junk{}, sim.UniformWorkload(2, 2, fetchinc), nil, 12},
+		{"sloppy-counter", counter.Sloppy{}, sim.UniformWorkload(2, 2, fetchinc), nil, 14},
+		{"warmup-counter", counter.Warmup{Threshold: 2}, sim.UniformWorkload(2, 3, fetchinc), nil, 14},
+		{"el-register", passthrough.New("el-reg", spec.NewObject(spec.Register{}), true), readWrite, never, 10},
+		{"el-consensus", elconsensus.Impl{}, proposals, never, 14},
+	}
+	leaves, violations := 0, 0
+	for _, tc := range cases {
+		root := mustSystem(t, tc.impl, tc.workload, tc.policies)
+		specs := implSpecs(root)
+		var st Stats
+		e := newEngine(root, tc.depth, Config{}, &st)
+		err := e.leaves(0, func(leaf *sim.System) error {
+			got, err := e.linearizable(check.Options{})
+			if err != nil {
+				return err
+			}
+			for _, opts := range []check.Options{{}, {NoFastPath: true}} {
+				want, err := check.Linearizable(specs, leaf.History(), opts)
+				if err != nil {
+					return err
+				}
+				if got != want {
+					t.Fatalf("%s: path says %v, check.Linearizable(%+v) says %v on\n%s", tc.name, got, opts, want, leaf.History())
+				}
+			}
+			if !got {
+				violations++
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if st.Leaves == 0 || e.path == nil || e.path.Len() != root.History().Len() {
+			t.Fatalf("%s: %d leaves, path checker %v", tc.name, st.Leaves, e.path)
+		}
+		leaves += st.Leaves
+	}
+	if violations == 0 || violations == leaves {
+		t.Fatalf("%d of %d leaves violate; want both verdicts covered", violations, leaves)
+	}
+	t.Logf("%d leaves, %d violations", leaves, violations)
+}
+
+// TestPathCheckerFallsBackPast63Ops: a path with more operations than the
+// path checker's mask holds leaves the checker behind and is judged from
+// scratch, leaf by leaf, with the verdicts the per-leaf search gave.
+func TestPathCheckerFallsBackPast63Ops(t *testing.T) {
+	const ops = check.MaxOpsPerObject + 2
+	root := mustSystem(t, counter.CAS{}, sim.UniformWorkload(1, ops, fetchinc), nil)
+	var st Stats
+	e := newEngine(root, 4*ops, Config{}, &st)
+	err := e.leaves(0, func(leaf *sim.System) error {
+		ok, err := e.linearizable(check.Options{})
+		if !ok || e.path.Len() != 2*check.MaxOpsPerObject || leaf.History().Len() != 2*ops {
+			t.Fatalf("ok=%v, checker holds %d of %d events", ok, e.path.Len(), leaf.History().Len())
+		}
+		return err
+	})
+	if err != nil || st.Leaves != 1 {
+		t.Fatalf("err %v, stats %+v", err, st)
+	}
+	for _, impl := range []machine.Impl{counter.CAS{}, counter.Junk{}} {
+		root := mustSystem(t, impl, sim.UniformWorkload(1, ops, fetchinc), nil)
+		wantOK, wantBad, wantSt, err := perLeafLinearizableEverywhere(root, 4*ops, check.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{1, 2} {
+			ok, bad, st, err := LinearizableEverywhere(root, 4*ops, Config{Workers: w}, check.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok != wantOK || (bad == nil) != (wantBad == nil) || (ok && st != wantSt) {
+				t.Fatalf("%s workers=%d: ok=%v witness=%v stats %+v; per leaf: ok=%v witness=%v stats %+v",
+					impl.Name(), w, ok, bad != nil, st, wantOK, wantBad != nil, wantSt)
+			}
+		}
+	}
+}
+
+// TestLinearizableEverywhereLeafAllocs pins what the path checker is for:
+// judging a leaf allocates nothing on top of walking to it. (Rebuilding the
+// operation table per leaf cost about 16 allocations a leaf.)
+func TestLinearizableEverywhereLeafAllocs(t *testing.T) {
+	root := mustSystem(t, counter.CAS{}, sim.UniformWorkload(2, 2, fetchinc), nil)
+	var leaves int
+	walk := testing.AllocsPerRun(3, func() {
+		st, err := Leaves(root, 22, Config{Workers: 1}, func(*sim.System) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaves = st.Leaves
+	})
+	judged := testing.AllocsPerRun(3, func() {
+		ok, _, st, err := LinearizableEverywhere(root, 22, Config{Workers: 1}, check.Options{})
+		if err != nil || !ok || st.Leaves != leaves {
+			t.Fatalf("ok=%v err=%v leaves %d, walk saw %d", ok, err, st.Leaves, leaves)
+		}
+	})
+	if perLeaf := (judged - walk) / float64(leaves); perLeaf >= 0.1 {
+		t.Fatalf("%.2f allocations per leaf on top of the walk (%v judged, %v walked, %d leaves)", perLeaf, judged, walk, leaves)
+	}
+}

@@ -37,8 +37,8 @@ type StableResult struct {
 func NodeStable(node *sim.System, verifyDepth int, cfg Config, opts check.Options) (bool, Stats, error) {
 	t := node.History().Len()
 	obj := node.Impl().Spec()
-	found, _, st, err := searchViolation(node, verifyDepth, cfg, false, func(leaf *sim.System) (bool, error) {
-		return check.TLinearizable(obj, leaf.History(), t, opts)
+	found, _, st, err := searchViolation(node, verifyDepth, cfg, false, func(e *engine) (bool, error) {
+		return check.TLinearizable(obj, e.sys.History(), t, opts)
 	})
 	if err != nil {
 		return false, st, err
@@ -76,7 +76,7 @@ func stableCheckAt(e *engine, depth, verifyDepth int, opts check.Options, budget
 		return nil
 	})
 	e.st, e.maxDepth = prevSt, prevMax
-	if uerr := e.sys.UndoTo(depth); uerr != nil && (err == nil || isSentinel(err) || err == errBudget) {
+	if uerr := e.undoTo(depth); uerr != nil && (err == nil || isSentinel(err) || err == errBudget) {
 		err = uerr
 	}
 	switch err {
@@ -186,7 +186,7 @@ func findStable(root *sim.System, searchDepth, verifyDepth int, cfg Config, opts
 				return nil, err
 			}
 		}
-		if err := e.sys.UndoTo(0); err != nil {
+		if err := e.undoTo(0); err != nil {
 			return nil, err
 		}
 	}
