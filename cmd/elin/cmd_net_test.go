@@ -5,6 +5,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"syscall"
 	"testing"
@@ -106,8 +107,15 @@ func TestRecoverStrictTorn(t *testing.T) {
 	if err == nil {
 		t.Fatalf("strict recovery accepted a torn log:\n%s", buf.String())
 	}
-	if !strings.Contains(err.Error(), "torn at byte") || !strings.Contains(err.Error(), "intact frames") {
+	// 2 x 50 operations are 200 frames; three bytes off the end tear the last.
+	msg := regexp.MustCompile(`^recover: log ` + regexp.QuoteMeta(wal) +
+		` is torn at byte \d+ \(199 intact frames\); rerun without -strict to truncate and continue$`)
+	if !msg.MatchString(err.Error()) {
 		t.Errorf("strict error does not name the tear: %v", err)
+	}
+	// The header probe reads a torn log, and says what was corrupted.
+	if want := "(trunc:3) — log of atomic-fi, 2 procs x 50 ops, seed 1\n"; !strings.Contains(buf.String(), want) {
+		t.Errorf("output missing %q:\n%s", want, buf.String())
 	}
 	// Without -strict the same log recovers by truncation.
 	out := runOut(t, "recover", "-wal", wal, "-ops", "20")

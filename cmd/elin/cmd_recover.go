@@ -57,15 +57,13 @@ func runRecover(args []string, out io.Writer) error {
 				*walPath, sp.Corrupt.String(), hdr.Object, hdr.Procs, hdr.Ops, hdr.Seed)
 		}
 	}
-	if *strict {
-		rec, err := wal.Recover(*walPath)
-		if err != nil {
-			return err
-		}
-		if rec.Torn {
-			return fmt.Errorf("recover: log %s is torn at byte %d (%d intact frames); rerun without -strict to truncate and continue",
-				*walPath, rec.TornAt, rec.Frames)
-		}
+	rec, err := wal.Recover(*walPath)
+	if err != nil {
+		return err
+	}
+	if *strict && rec.Torn {
+		return fmt.Errorf("recover: log %s is torn at byte %d (%d intact frames); rerun without -strict to truncate and continue",
+			*walPath, rec.TornAt, rec.Frames)
 	}
 	s := scenario.Scenario{
 		Workload:  *workload,
@@ -78,7 +76,7 @@ func runRecover(args []string, out io.Writer) error {
 		Serial:    *serial,
 	}
 	pf.apply(&s)
-	rep, err := scenario.Recover(*walPath, s)
+	rep, err := scenario.Continue(rec, s)
 	if err != nil {
 		return err
 	}

@@ -428,8 +428,10 @@ type (
 	// WALHeader is the self-describing run metadata a commit log opens
 	// with; recovery rebuilds the run from it.
 	WALHeader = wal.Header
-	// WALRecovered is what Recover salvages from a commit log: header,
-	// events, commit tickets, and whether the tail was torn.
+	// WALRecovered is what RecoverWAL salvages from a commit log: header,
+	// frame count, last commit ticket, whether the tail was torn, and the
+	// validated frames themselves — range over its All() for the events and
+	// their merge positions, decoded on demand, as often as needed.
 	WALRecovered = wal.Recovered
 	// WALSyncPolicy governs fsync frequency (always, never, every N).
 	WALSyncPolicy = wal.SyncPolicy
@@ -443,8 +445,9 @@ var (
 	ParseFaults = faults.Parse
 	// CreateWAL opens a new commit log with a header frame.
 	CreateWAL = wal.Create
-	// RecoverWAL reads a commit log back, truncating any torn tail at the
-	// first bad frame.
+	// RecoverWAL reads a commit log back once, validating every frame and
+	// truncating any torn tail at the first bad one; the result's All()
+	// iterates the events and stays usable after the file is gone.
 	RecoverWAL = wal.Recover
 	// ParseSyncPolicy parses "always", "never" or "interval:N".
 	ParseSyncPolicy = wal.ParseSyncPolicy

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"github.com/elin-go/elin/internal/check"
 	"github.com/elin-go/elin/internal/history"
@@ -266,7 +267,24 @@ func TestPercentiles(t *testing.T) {
 	if q50, q95, q99, qmax := Percentiles(append(a, b...)); q50 != p50 || q95 != p95 || q99 != p99 || qmax != max {
 		t.Fatal("percentiles depend on how the sample is split")
 	}
-	if p50, _, _, max := Percentiles(); p50 != 0 || max != 0 {
-		t.Fatal("empty sample must report zeros")
+	// Fixed samples, to the nanosecond: the value at index int(q*(n-1)) of
+	// the sorted merge.
+	for _, c := range []struct {
+		samples            [][]int64
+		p50, p95, p99, max time.Duration
+	}{
+		{nil, 0, 0, 0, 0},
+		{[][]int64{nil, {}}, 0, 0, 0, 0},
+		{[][]int64{{7}}, 7, 7, 7, 7},
+		{[][]int64{{9, 3}, nil, {5}}, 5, 5, 5, 9},
+		{[][]int64{{4, 4, 4}, {4, 1_000_000_007}}, 4, 4, 4, 1_000_000_007},
+		{[][]int64{{31, 2, 17, 5}, {23, 11, 3}, {29, 7, 13, 19}}, 13, 29, 29, 31},
+		{[][]int64{{-5, 0}, {5}}, 0, 0, 0, 5},
+	} {
+		p50, p95, p99, max := Percentiles(c.samples...)
+		if p50 != c.p50 || p95 != c.p95 || p99 != c.p99 || max != c.max {
+			t.Errorf("Percentiles(%v) = %d %d %d %d, want %d %d %d %d",
+				c.samples, p50, p95, p99, max, c.p50, c.p95, c.p99, c.max)
+		}
 	}
 }

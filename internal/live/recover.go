@@ -31,11 +31,12 @@ type ResumeResult struct {
 
 // Resume replays a recovered commit log against a fresh instance of
 // template, rebuilding the object state and the merged history up to the
-// log's last durable commit. The template must be constructed with the
-// log header's parameters — same registry object, same Seed (response
-// choices of eventually linearizable objects are pure functions of the
-// original seed and the ticket), and a client count covering both the
-// crashed run's procs and any continuation clients.
+// log's last durable commit; rec is only read (its frames decode as they
+// replay), so one recovery can be resumed any number of times. The template
+// must be constructed with the log header's parameters — same registry
+// object, same Seed (response choices of eventually linearizable objects are
+// pure functions of the original seed and the ticket), and a client count
+// covering both the crashed run's procs and any continuation clients.
 //
 // Every replayed response is checked against the recorded one: a mismatch
 // means the log and the object disagree on the commit-determinism contract
@@ -48,10 +49,11 @@ func Resume(template Object, rec *wal.Recovered) (*ResumeResult, error) {
 	}
 	var seq atomic.Uint64
 	h := history.New()
-	h.Reserve(len(rec.Events))
+	h.Reserve(rec.Frames)
 	pending := make(map[int]spec.Op)
-	committed := 0
-	for i, e := range rec.Events {
+	committed, i := 0, -1
+	for e, pos := range rec.All() {
+		i++
 		if e.Kind == history.KindInvoke {
 			if _, dup := pending[e.Proc]; dup {
 				return nil, fmt.Errorf("live: resume event %d: client %d invoked twice without a response", i, e.Proc)
@@ -71,9 +73,9 @@ func Resume(template Object, rec *wal.Recovered) (*ResumeResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("live: resume event %d: %w", i, err)
 		}
-		if resp != e.Resp || ticket != rec.Pos[i] {
+		if resp != e.Resp || ticket != pos {
 			return nil, fmt.Errorf("live: resume event %d: log says client %d %s -> %d at ticket %d, replay derives %d at ticket %d (wrong template, or object is not commit-deterministic)",
-				i, e.Proc, op, e.Resp, rec.Pos[i], resp, ticket)
+				i, e.Proc, op, e.Resp, pos, resp, ticket)
 		}
 		if err := h.Respond(e.Proc, resp); err != nil {
 			return nil, fmt.Errorf("live: resume event %d: %w", i, err)

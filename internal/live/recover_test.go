@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -173,22 +174,7 @@ func TestCrashRecoverGoroutine(t *testing.T) {
 }
 
 func TestCorruptTailRecoverLongestPrefix(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.wal")
-	log, err := wal.Create(path, wal.Header{Object: "atomic-fi", ObjName: "C", Procs: 2, Seed: 5}, wal.SyncNever)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(Config{
-		Object:      NewAtomicFetchInc("C", 0),
-		Clients:     2,
-		Ops:         40,
-		Seed:        5,
-		Serial:      true,
-		Sink:        log,
-		MonitorSpec: check.MonitorSpec{Kind: check.MonitorNone},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	path := serialLog(t, 40)
 	clean, err := wal.Recover(path)
 	if err != nil {
 		t.Fatal(err)
@@ -206,8 +192,8 @@ func TestCorruptTailRecoverLongestPrefix(t *testing.T) {
 	if !rec.Torn {
 		t.Fatal("truncated tail not reported torn")
 	}
-	if len(rec.Events) >= len(clean.Events) || len(rec.Events) == 0 {
-		t.Fatalf("recovered %d events of %d", len(rec.Events), len(clean.Events))
+	if rec.Frames >= clean.Frames || rec.Frames == 0 {
+		t.Fatalf("recovered %d events of %d", rec.Frames, clean.Frames)
 	}
 	rr, err := Resume(NewAtomicFetchInc("C", 0), rec)
 	if err != nil {
@@ -219,17 +205,7 @@ func TestCorruptTailRecoverLongestPrefix(t *testing.T) {
 	}
 
 	// Same with a mid-file bit flip (seed-derived offset).
-	path2 := filepath.Join(t.TempDir(), "run2.wal")
-	log2, err := wal.Create(path2, wal.Header{Object: "atomic-fi", ObjName: "C", Procs: 2, Seed: 5}, wal.SyncNever)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(Config{
-		Object: NewAtomicFetchInc("C", 0), Clients: 2, Ops: 40, Seed: 5,
-		Serial: true, Sink: log2, MonitorSpec: check.MonitorSpec{Kind: check.MonitorNone},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	path2 := serialLog(t, 40)
 	if err := mustFaults(t, "flip").CorruptFile(path2, 5); err != nil {
 		t.Fatal(err)
 	}
@@ -239,11 +215,96 @@ func TestCorruptTailRecoverLongestPrefix(t *testing.T) {
 		t.Logf("flip hit the header region: %v", err)
 		return
 	}
-	if len(rec2.Events) > len(clean.Events) {
-		t.Fatalf("flip recovery produced %d events of %d", len(rec2.Events), len(clean.Events))
+	if rec2.Frames > clean.Frames {
+		t.Fatalf("flip recovery produced %d events of %d", rec2.Frames, clean.Frames)
 	}
 	if _, err := Resume(NewAtomicFetchInc("C", 0), rec2); err != nil {
 		t.Fatalf("resume after flip recovery: %v", err)
+	}
+}
+
+// serialLog writes the commit log of a serial 2-client atomic-fi run of ops
+// operations per client and returns its path.
+func serialLog(t *testing.T, ops int) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "run.wal")
+	log, err := wal.Create(path, wal.Header{Object: "atomic-fi", ObjName: "C", Procs: 2, Ops: ops, Seed: 5}, wal.SyncNever)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(Config{
+		Object: NewAtomicFetchInc("C", 0), Clients: 2, Ops: ops, Seed: 5,
+		Serial: true, Sink: log, MonitorSpec: check.MonitorSpec{Kind: check.MonitorNone},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// A Recovered holds the log, not a handle on the file, and Resume only reads
+// it: a second Resume, after the file is gone, rebuilds the same history.
+func TestResumeTwiceOnOneRecovered(t *testing.T) {
+	path := serialLog(t, 40)
+	if err := mustFaults(t, "trunc:7").CorruptFile(path, 5); err != nil { // pending invocations too
+		t.Fatal(err)
+	}
+	rec, err := wal.Recover(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := Resume(NewAtomicFetchInc("C", 0), rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	second, err := Resume(NewAtomicFetchInc("C", 0), rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.History.Len() != rec.Frames || first.Committed == 0 || first.Pending == 0 {
+		t.Fatalf("first resume: %d events of %d frames, %d committed, %d pending",
+			first.History.Len(), rec.Frames, first.Committed, first.Pending)
+	}
+	if string(first.History.AppendFingerprint(nil)) != string(second.History.AppendFingerprint(nil)) ||
+		first.NextSeq != second.NextSeq || first.Committed != second.Committed || first.Pending != second.Pending {
+		t.Fatalf("second resume differs: %+v vs %+v", first, second)
+	}
+}
+
+// Recovery costs memory in proportion to the log, not to a materialised
+// copy of it: Recover plus Resume of a 100 000-event log allocate at most the
+// file's size (the validated frames) plus 110 B/event (the rebuilt history
+// and its invocation index, 88 B/event, and slack). Growing event and
+// position slices by append spent about 570 B/event here.
+func TestRecoverResumeAllocBytes(t *testing.T) {
+	const events = 100_000
+	path := serialLog(t, events/4)
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := NewAtomicFetchInc("C", 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec, err := wal.Recover(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr, err := Resume(obj, rec)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Frames != events || rr.Committed != events/2 {
+		t.Fatalf("recovered %d frames, %d commits; want %d and %d", rec.Frames, rr.Committed, events, events/2)
+	}
+	got, limit := after.TotalAlloc-before.TotalAlloc, uint64(st.Size())+110*events
+	t.Logf("Recover+Resume of %d events (%d-byte log): %d bytes, %.1f B/event beyond the file",
+		events, st.Size(), got, float64(int64(got)-st.Size())/events)
+	if got > limit {
+		t.Fatalf("Recover+Resume allocated %d bytes, limit %d (file %d + 110 B/event)", got, limit, st.Size())
 	}
 }
 

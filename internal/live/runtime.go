@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -517,14 +518,18 @@ outer:
 // Percentiles merges latency samples (one slice per client) and returns
 // their p50/p95/p99/max; all zero when nothing was sampled.
 func Percentiles(samples ...[]int64) (p50, p95, p99, max time.Duration) {
-	var all []int64
+	n := 0
+	for _, l := range samples {
+		n += len(l)
+	}
+	if n == 0 {
+		return 0, 0, 0, 0
+	}
+	all := make([]int64, 0, n)
 	for _, l := range samples {
 		all = append(all, l...)
 	}
-	if len(all) == 0 {
-		return 0, 0, 0, 0
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	slices.Sort(all)
 	at := func(q float64) time.Duration {
 		i := int(q * float64(len(all)-1))
 		return time.Duration(all[i])

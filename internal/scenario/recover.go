@@ -27,6 +27,13 @@ func Recover(walPath string, s Scenario) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	return Continue(rec, s)
+}
+
+// Continue is Recover from the log already read back: the caller that
+// looked at rec first (elin recover -strict refuses a torn one) hands it
+// over and the log is not read a second time.
+func Continue(rec *wal.Recovered, s Scenario) (*Report, error) {
 	hdr := rec.Header
 	if s.Procs <= 0 {
 		s.Procs = hdr.Procs
@@ -64,7 +71,7 @@ func Recover(walPath string, s Scenario) (*Report, error) {
 	// which is what makes the recorded log verifiable at all.
 	template, err := registry.LiveObject(hdr.Object, hdr.Procs+s.Procs, policy, hdr.Seed, s.Check)
 	if err != nil {
-		return nil, fmt.Errorf("scenario: recover %s: %w", walPath, err)
+		return nil, fmt.Errorf("scenario: recover: %w", err)
 	}
 	rr, err := live.Resume(template, rec)
 	if err != nil {
@@ -86,8 +93,8 @@ func Recover(walPath string, s Scenario) (*Report, error) {
 		return nil, err
 	}
 	if sink != nil {
-		for i, e := range rec.Events {
-			if err := sink.Append(e, rec.Pos[i]); err != nil {
+		for e, pos := range rec.All() {
+			if err := sink.Append(e, pos); err != nil {
 				sink.Close()
 				return nil, fmt.Errorf("scenario: recover: copying prefix into %s: %w", s.WAL, err)
 			}
@@ -121,7 +128,7 @@ func Recover(walPath string, s Scenario) (*Report, error) {
 		Frames:           rec.Frames,
 		Torn:             rec.Torn,
 		TornAt:           rec.TornAt,
-		RecoveredEvents:  len(rec.Events),
+		RecoveredEvents:  rec.Frames,
 		RecoveredCommits: rr.Committed,
 		PendingOps:       rr.Pending,
 		ResumedSeq:       rr.NextSeq,

@@ -229,11 +229,13 @@ func TestServeWALPersistsMergedStream(t *testing.T) {
 	if rec.LastCommit() != sum.Commits {
 		t.Fatalf("recovered last commit %d, server at %d", rec.LastCommit(), sum.Commits)
 	}
-	for i, e := range rec.Events {
+	i := 0
+	for e := range rec.All() {
 		got := sum.History.Event(i)
 		if e.Kind != got.Kind || e.Proc != got.Proc || e.Resp != got.Resp {
 			t.Fatalf("event %d diverges: wal %+v vs history %+v", i, e, got)
 		}
+		i++
 	}
 }
 

@@ -34,16 +34,19 @@ package wal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"iter"
 	"os"
 	"strconv"
 	"strings"
 
 	"github.com/elin-go/elin/internal/history"
+	"github.com/elin-go/elin/internal/spec"
 )
 
 // magic identifies a log file (8 bytes, version in the last byte).
@@ -121,8 +124,8 @@ type Log struct {
 	f       *os.File
 	w       *bufio.Writer
 	pol     SyncPolicy
-	pending int // appends since the last fsync
-	buf     []byte
+	pending int    // appends since the last fsync
+	buf     []byte // the frame being built: frameOverhead bytes, then the payload
 }
 
 // Create creates (truncating) a log file and writes magic plus header.
@@ -131,7 +134,7 @@ func Create(path string, h Header, pol SyncPolicy) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: create: %w", err)
 	}
-	l := &Log{f: f, w: bufio.NewWriterSize(f, 1<<16), pol: pol}
+	l := &Log{f: f, w: bufio.NewWriterSize(f, 1<<16), pol: pol, buf: make([]byte, frameOverhead, 64)}
 	if _, err := l.w.Write(magic[:]); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("wal: create: %w", err)
@@ -141,7 +144,8 @@ func Create(path string, h Header, pol SyncPolicy) (*Log, error) {
 		f.Close()
 		return nil, fmt.Errorf("wal: encode header: %w", err)
 	}
-	if err := l.writeFrame(append([]byte{frameHeader}, hdr...)); err != nil {
+	l.buf = append(append(l.buf[:frameOverhead], frameHeader), hdr...)
+	if err := l.writeFrame(); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -159,15 +163,16 @@ const (
 	frameRespond = byte(history.KindRespond) // 0x02
 )
 
-// writeFrame frames and buffers one payload.
-func (l *Log) writeFrame(payload []byte) error {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := l.w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wal: write: %w", err)
-	}
-	if _, err := l.w.Write(payload); err != nil {
+// frameOverhead is what a frame spends before its payload: length and CRC.
+const frameOverhead = 8
+
+// writeFrame fills in the length and CRC of the frame in l.buf and hands
+// the whole frame to the writer in one Write.
+func (l *Log) writeFrame() error {
+	payload := l.buf[frameOverhead:]
+	binary.LittleEndian.PutUint32(l.buf[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(l.buf[4:8], crc32.ChecksumIEEE(payload))
+	if _, err := l.w.Write(l.buf); err != nil {
 		return fmt.Errorf("wal: write: %w", err)
 	}
 	return nil
@@ -225,7 +230,7 @@ func DecodeEventPayload(b []byte) (e history.Event, pos uint64, err error) {
 			return bad("method length")
 		}
 		b = b[n:]
-		e.Op.Method = string(b[:mlen])
+		e.Op.Method = methodName(b[:mlen])
 		b = b[mlen:]
 		if len(b) < 1 {
 			return bad("nargs")
@@ -258,12 +263,30 @@ func DecodeEventPayload(b []byte) (e history.Event, pos uint64, err error) {
 	return e, pos, nil
 }
 
+// knownMethods are shared by decoded invocations instead of copied; the
+// live runtime's own come first.
+var knownMethods = []string{
+	spec.MethodFetchInc, spec.MethodRead, spec.MethodWrite, spec.MethodCAS, spec.MethodPropose,
+	spec.MethodTestSet, spec.MethodWriteMax, spec.MethodEnq, spec.MethodDeq, spec.MethodAppend,
+}
+
+// methodName returns b as a string: the constant it spells (the comparison
+// converts without allocating), else a copy.
+func methodName(b []byte) string {
+	for _, m := range knownMethods {
+		if string(b) == m {
+			return m
+		}
+	}
+	return string(b)
+}
+
 // Append logs one merged event. It implements the live runtime's
 // CommitSink contract: a response frame is the durability point of its
 // commit ticket under the configured fsync policy.
 func (l *Log) Append(e history.Event, pos uint64) error {
-	l.buf = AppendEventPayload(l.buf[:0], e, pos)
-	if err := l.writeFrame(l.buf); err != nil {
+	l.buf = AppendEventPayload(l.buf[:frameOverhead], e, pos)
+	if err := l.writeFrame(); err != nil {
 		return err
 	}
 	l.pending++
@@ -310,105 +333,145 @@ func (l *Log) Close() error {
 	return err
 }
 
-// Recovered is a log read back from disk.
+// Recovered is a log read back from disk: the header, the counts, and the
+// bytes of the event frames, each of which passed Recover's length, CRC and
+// payload-decode checks. All decodes them again on demand, so a Recovered
+// costs about the log's size in memory and outlives its file.
 type Recovered struct {
 	// Header is the run description the log was created with.
 	Header Header
-	// Events is the merged event stream, in log order, with the header's
-	// ObjName substituted; Pos carries each event's merge position.
-	Events []history.Event
-	Pos    []uint64
 	// Frames counts the event frames recovered (excluding the header).
 	Frames int
 	// Torn reports a truncated tail: TornAt is the byte offset of the
 	// first bad frame, and everything before it was recovered.
 	Torn   bool
 	TornAt int64
+
+	lastCommit uint64
+	frames     []byte // the Frames validated frames, back to back
 }
 
 // LastCommit returns the highest response position in the log — the commit
 // ticket a resumed run's sequencer must continue from.
-func (r *Recovered) LastCommit() uint64 {
-	var last uint64
-	for i, e := range r.Events {
-		if e.Kind == history.KindRespond && r.Pos[i] > last {
-			last = r.Pos[i]
+func (r *Recovered) LastCommit() uint64 { return r.lastCommit }
+
+// All iterates the recovered events in log order, each with its merge
+// position and the header's ObjName substituted. It decodes as it goes and
+// may be ranged over any number of times.
+func (r *Recovered) All() iter.Seq2[history.Event, uint64] {
+	return func(yield func(history.Event, uint64) bool) {
+		for b := r.frames; len(b) > 0; {
+			next := frameOverhead + int(binary.LittleEndian.Uint32(b))
+			e, pos, err := DecodeEventPayload(b[frameOverhead:next])
+			if err != nil {
+				panic("wal: a frame Recover validated no longer decodes: " + err.Error())
+			}
+			e.Obj = r.Header.ObjName
+			if !yield(e, pos) {
+				return
+			}
+			b = b[next:]
 		}
 	}
-	return last
 }
 
 // Recover reads a log file back: magic and header must be intact (without
-// them nothing is interpretable), then event frames are read until EOF or
-// the first bad frame — implausible length, short read, CRC mismatch, or
+// them nothing is interpretable), then event frames are validated until EOF
+// or the first bad frame — implausible length, short read, CRC mismatch, or
 // an undecodable payload — at which point the tail is declared torn and
-// everything before it returned. A clean shutdown yields Torn false.
+// everything before it kept. A clean shutdown yields Torn false.
 func Recover(path string) (*Recovered, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("wal: recover: %w", err)
 	}
-	if len(data) < len(magic) || string(data[:len(magic)]) != string(magic[:]) {
-		return nil, fmt.Errorf("wal: recover %s: not a write-ahead log (bad magic)", path)
+	hdr, start, err := parseHeader(path, data)
+	if err != nil {
+		return nil, err
 	}
-	off := int64(len(magic))
-	payload, next, ok := readFrame(data, off)
-	if !ok || len(payload) < 1 || payload[0] != frameHeader {
-		return nil, fmt.Errorf("wal: recover %s: header frame unreadable", path)
-	}
-	rec := &Recovered{}
-	if err := json.Unmarshal(payload[1:], &rec.Header); err != nil {
-		return nil, fmt.Errorf("wal: recover %s: header: %w", path, err)
-	}
-	off = next
+	rec := &Recovered{Header: hdr}
+	off := start
 	for off < int64(len(data)) {
-		payload, next, ok = readFrame(data, off)
+		payload, next, ok := readFrame(data, off)
 		if !ok {
-			rec.Torn, rec.TornAt = true, off
 			break
 		}
 		e, pos, err := DecodeEventPayload(payload)
 		if err != nil {
-			rec.Torn, rec.TornAt = true, off
 			break
 		}
-		e.Obj = rec.Header.ObjName
-		rec.Events = append(rec.Events, e)
-		rec.Pos = append(rec.Pos, pos)
+		if e.Kind == history.KindRespond && pos > rec.lastCommit {
+			rec.lastCommit = pos
+		}
 		rec.Frames++
 		off = next
 	}
+	if off < int64(len(data)) { // the loop stopped at a bad frame
+		rec.Torn, rec.TornAt = true, off
+	}
+	rec.frames = data[start:off:off]
 	return rec, nil
+}
+
+// parseHeader checks the magic and decodes the header frame at the front of
+// data, returning the offset of the first event frame.
+func parseHeader(path string, data []byte) (Header, int64, error) {
+	if len(data) < len(magic) || string(data[:len(magic)]) != string(magic[:]) {
+		return Header{}, 0, fmt.Errorf("wal: recover %s: not a write-ahead log (bad magic)", path)
+	}
+	payload, next, ok := readFrame(data, int64(len(magic)))
+	if !ok || len(payload) < 1 || payload[0] != frameHeader {
+		return Header{}, 0, fmt.Errorf("wal: recover %s: header frame unreadable", path)
+	}
+	var h Header
+	if err := json.Unmarshal(payload[1:], &h); err != nil {
+		return Header{}, 0, fmt.Errorf("wal: recover %s: header: %w", path, err)
+	}
+	return h, next, nil
 }
 
 // readFrame reads the frame at off, returning its payload and the next
 // frame's offset. ok is false on any framing damage (short header, bad
 // length, short payload, CRC mismatch).
 func readFrame(data []byte, off int64) (payload []byte, next int64, ok bool) {
-	if off+8 > int64(len(data)) {
+	if off+frameOverhead > int64(len(data)) {
 		return nil, 0, false
 	}
 	n := binary.LittleEndian.Uint32(data[off : off+4])
 	crc := binary.LittleEndian.Uint32(data[off+4 : off+8])
-	if n > maxFrame || off+8+int64(n) > int64(len(data)) {
+	if n > maxFrame || off+frameOverhead+int64(n) > int64(len(data)) {
 		return nil, 0, false
 	}
-	payload = data[off+8 : off+8+int64(n)]
+	payload = data[off+frameOverhead : off+frameOverhead+int64(n)]
 	if crc32.ChecksumIEEE(payload) != crc {
 		return nil, 0, false
 	}
-	return payload, off + 8 + int64(n), true
+	return payload, off + frameOverhead + int64(n), true
 }
 
-// ReadHeaderOnly returns just the header of a log file (the cheap probe
-// `elin recover` uses to default its flags before committing to a full
-// recovery).
+// ReadHeaderOnly returns just the header of a log file: it reads the magic
+// and the header frame and nothing after them, whatever the log's size (the
+// probe `elin recover` uses to say what it just corrupted).
 func ReadHeaderOnly(path string) (Header, error) {
-	rec, err := Recover(path)
+	f, err := os.Open(path)
 	if err != nil {
-		return Header{}, err
+		return Header{}, fmt.Errorf("wal: recover: %w", err)
 	}
-	return rec.Header, nil
+	defer f.Close()
+	// The frame's length first, then the payload it names: the buffer grows
+	// by what the file holds, and a short file is parseHeader's to refuse.
+	var buf bytes.Buffer
+	_, err = io.CopyN(&buf, f, int64(len(magic)+frameOverhead))
+	if err == nil {
+		if plen := binary.LittleEndian.Uint32(buf.Bytes()[len(magic):]); plen <= maxFrame {
+			_, err = io.CopyN(&buf, f, int64(plen))
+		}
+	}
+	if err != nil && err != io.EOF {
+		return Header{}, fmt.Errorf("wal: recover: %w", err)
+	}
+	h, _, err := parseHeader(path, buf.Bytes())
+	return h, err
 }
 
 var _ io.Closer = (*Log)(nil)
