@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func runOut(t *testing.T, args ...string) string {
@@ -190,6 +192,35 @@ func TestCheckModes(t *testing.T) {
 		}
 		if !strings.Contains(buf.String(), tc.want) {
 			t.Errorf("%v output %q, want %q", tc.args, buf.String(), tc.want)
+		}
+	}
+}
+
+// TestCheckExtremeProcessIDs: a process id is a name, not a size. The JSON
+// history used to panic in history.Operations (index -1) and the text one
+// grew a table by append until the process died.
+func TestCheckExtremeProcessIDs(t *testing.T) {
+	dir := t.TempDir()
+	neg := filepath.Join(dir, "neg.json")
+	if err := os.WriteFile(neg, []byte(`[{"kind":"inv","proc":-1,"obj":"X","op":"read"},{"kind":"res","proc":-1,"obj":"X","resp":0}]`), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	big := writeHistory(t, "inv p4000000000 X read\nres p4000000000 X 0\n")
+	for _, args := range [][]string{
+		{"check", "-json", "-obj", "X=register", neg},
+		{"check", "-obj", "X=register", big},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		out := runOut(t, args...)
+		took := time.Since(start)
+		runtime.ReadMemStats(&after)
+		if !strings.Contains(out, "linearizable: true") {
+			t.Errorf("%v output %q", args, out)
+		}
+		if mb := (after.TotalAlloc - before.TotalAlloc) >> 20; mb >= 100 || took >= time.Second {
+			t.Errorf("%v took %v and allocated %d MB", args, took, mb)
 		}
 	}
 }

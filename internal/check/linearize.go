@@ -74,7 +74,7 @@ func LinearizableExplain(objs map[string]spec.Object, h *history.History, opts O
 // on one object (every sim, explore and live one) is checked in place.
 func eachObject(objs map[string]spec.Object, h *history.History,
 	fn func(name string, obj spec.Object, proj *history.History) (bool, error)) (bool, string, error) {
-	single := singleObject(h)
+	single := h.SingleObject()
 	var names []string
 	switch {
 	case !single:
@@ -272,19 +272,9 @@ func TLinearizableMulti(objs map[string]spec.Object, h *history.History, t int, 
 	return pr.dfs(states, 0)
 }
 
-// singleObject reports whether all events of h are on one object.
-func singleObject(h *history.History) bool {
-	for i := 1; i < h.Len(); i++ {
-		if h.Event(i).Obj != h.Event(i-1).Obj {
-			return false
-		}
-	}
-	return true
-}
-
-// oneObject is singleObject as the single-object entry points' error.
+// oneObject is History.SingleObject as the single-object entry points' error.
 func oneObject(h *history.History) error {
-	if !singleObject(h) {
+	if !h.SingleObject() {
 		objs := h.Objects()
 		return fmt.Errorf("check: single-object checker given %d objects %v", len(objs), objs)
 	}

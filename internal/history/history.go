@@ -9,6 +9,8 @@ package history
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 
 	"github.com/elin-go/elin/internal/spec"
@@ -91,19 +93,108 @@ func (o Operation) String() string {
 // projection H|p is sequential (invocations and matching responses strictly
 // alternate). The zero History is empty and ready to use.
 type History struct {
-	events []Event
-	// open[p] is the index of process p's pending invocation, or -1.
-	open map[int]int
-	// invIdx[i] is, for a response event i, the index of its matching
-	// invocation (-1 for invocation events). It makes Truncate restore the
-	// pending-operation state in O(1) per removed event.
-	invIdx []int
+	recs []record
+	// objs and methods intern the names the records index, in first-use
+	// order. Truncate leaves them alone, so an entry may outlive its events.
+	objs, methods []string
+	// invokes counts the invocation events: the link of the next one.
+	invokes int32
+	// pending[p] is one more than the index of process p's pending
+	// invocation, or 0. Ids outside [0, denseProcs) are kept in far.
+	pending []int32
+	far     map[int]int32
+}
+
+// record is the stored form of an Event: 32 bytes and no pointers, so a
+// reserved history is neither scanned by the collector nor wider than it has
+// to be (DESIGN.md "History storage").
+type record struct {
+	// a and b are an invocation's arguments; a response keeps its value in a.
+	a, b int64
+	proc int
+	// link is, for a response, the index of the matching invocation event
+	// (Truncate reopens it in O(1)); for an invocation, the number of
+	// invocations before it, which is its index in Operations().
+	link int32
+	// obj and method index History.objs and History.methods.
+	obj    uint16
+	method uint8
+	// meta is the Kind in the low two bits and NArgs above them.
+	meta uint8
+}
+
+// The limits of the record format. Append refuses the first event past one.
+const (
+	maxObjs    = 1 << 16
+	maxMethods = 1 << 8
+	// denseProcs bounds the pending table; larger and negative process ids
+	// fall back to a map.
+	denseProcs = 1024
+)
+
+// maxEvents is the largest event count a link can index. It is a variable
+// only so that the limit test can reach it.
+var maxEvents = math.MaxInt32
+
+func (r *record) kind() Kind { return Kind(r.meta & 3) }
+
+// op decodes the invocation r.
+func (h *History) op(r *record) spec.Op {
+	return spec.Op{Method: h.methods[r.method], Args: [2]int64{r.a, r.b}, NArgs: int(r.meta >> 2)}
+}
+
+// decode rebuilds the event r stores. Fields that do not belong to the
+// event's kind (an invocation's Resp, a response's Op) are not stored.
+func (h *History) decode(r *record) Event {
+	e := Event{Kind: r.kind(), Proc: r.proc, Obj: h.objs[r.obj]}
+	if e.Kind == KindInvoke {
+		e.Op = h.op(r)
+	} else {
+		e.Resp = r.a
+	}
+	return e
+}
+
+// lookup returns name's index in tab, or len(tab) when it is not interned
+// yet. A linear scan: the histories of this repository name a handful of
+// objects and methods.
+func lookup(tab []string, name string) int {
+	for i, s := range tab {
+		if s == name {
+			return i
+		}
+	}
+	return len(tab)
+}
+
+// pendingAt returns one more than the index of proc's pending invocation,
+// or 0 when it has none.
+func (h *History) pendingAt(proc int) int32 {
+	if uint(proc) < uint(len(h.pending)) {
+		return h.pending[proc]
+	}
+	return h.far[proc]
+}
+
+func (h *History) setPending(proc int, at int32) {
+	switch {
+	case uint(proc) < uint(len(h.pending)):
+		h.pending[proc] = at
+	case uint(proc) < denseProcs:
+		h.pending = append(h.pending, make([]int32, proc+1-len(h.pending))...)
+		h.pending[proc] = at
+	case at == 0:
+		delete(h.far, proc)
+	default:
+		if h.far == nil {
+			h.far = make(map[int]int32)
+		}
+		h.far[proc] = at
+	}
 }
 
 // New returns an empty history.
-func New() *History {
-	return &History{open: make(map[int]int)}
-}
+func New() *History { return &History{} }
 
 // FromEvents builds a history from an event sequence, validating
 // well-formedness.
@@ -122,62 +213,89 @@ func FromEvents(events []Event) (*History, error) {
 // event budget so that merging millions of recorded events never pays an
 // append-time copy.
 func (h *History) Reserve(n int) {
-	if cap(h.events) >= n {
+	if cap(h.recs) >= n {
 		return
 	}
-	events := make([]Event, len(h.events), n)
-	copy(events, h.events)
-	h.events = events
-	invIdx := make([]int, len(h.invIdx), n)
-	copy(invIdx, h.invIdx)
-	h.invIdx = invIdx
+	recs := make([]record, len(h.recs), n)
+	copy(recs, h.recs)
+	h.recs = recs
 }
 
 // Len returns the number of events.
-func (h *History) Len() int { return len(h.events) }
+func (h *History) Len() int { return len(h.recs) }
 
 // Event returns the i-th event.
-func (h *History) Event(i int) Event { return h.events[i] }
+func (h *History) Event(i int) Event { return h.decode(&h.recs[i]) }
 
 // Events returns a copy of the event sequence.
 func (h *History) Events() []Event {
-	cp := make([]Event, len(h.events))
-	copy(cp, h.events)
+	cp := make([]Event, len(h.recs))
+	for i := range h.recs {
+		cp[i] = h.decode(&h.recs[i])
+	}
 	return cp
 }
 
 // Append adds an event, enforcing well-formedness: a process may not invoke
 // while it has a pending operation, and a response must match the process's
-// pending invocation (same object).
+// pending invocation (same object). It also refuses what the record format
+// cannot hold. A refused event leaves the history as it was.
 func (h *History) Append(e Event) error {
-	if h.open == nil {
-		h.open = make(map[int]int)
+	if len(h.recs) >= maxEvents {
+		return fmt.Errorf("history is full: %d events is the most it indexes", maxEvents)
 	}
-	matched := -1
+	at := h.pendingAt(e.Proc)
 	switch e.Kind {
 	case KindInvoke:
-		if idx, ok := h.open[e.Proc]; ok && idx >= 0 {
+		if at != 0 {
 			return fmt.Errorf("process p%d invokes %s on %s while operation at event %d is pending",
-				e.Proc, e.Op, e.Obj, idx)
+				e.Proc, e.Op, e.Obj, at-1)
 		}
-		h.open[e.Proc] = len(h.events)
+		obj, method := lookup(h.objs, e.Obj), lookup(h.methods, e.Op.Method)
+		switch {
+		case obj == maxObjs:
+			return fmt.Errorf("object %s is one more than the %d distinct objects a history holds", e.Obj, maxObjs)
+		case method == maxMethods:
+			return fmt.Errorf("method %s is one more than the %d distinct methods a history holds", e.Op.Method, maxMethods)
+		case uint(e.Op.NArgs) > uint(len(e.Op.Args)):
+			return fmt.Errorf("operation %s has %d arguments, outside 0..%d", e.Op.Method, e.Op.NArgs, len(e.Op.Args))
+		}
+		if obj == len(h.objs) {
+			h.objs = append(h.objs, e.Obj)
+		}
+		if method == len(h.methods) {
+			h.methods = append(h.methods, e.Op.Method)
+		}
+		h.push(record{a: e.Op.Args[0], b: e.Op.Args[1], proc: e.Proc,
+			obj: uint16(obj), method: uint8(method), meta: uint8(KindInvoke) | uint8(e.Op.NArgs)<<2}, 0)
 	case KindRespond:
-		idx, ok := h.open[e.Proc]
-		if !ok || idx < 0 {
+		if at == 0 {
 			return fmt.Errorf("process p%d responds with no pending invocation", e.Proc)
 		}
-		if h.events[idx].Obj != e.Obj {
+		if on := h.objs[h.recs[at-1].obj]; on != e.Obj {
 			return fmt.Errorf("process p%d responds on %s but pending invocation at event %d is on %s",
-				e.Proc, e.Obj, idx, h.events[idx].Obj)
+				e.Proc, e.Obj, at-1, on)
 		}
-		matched = idx
-		h.open[e.Proc] = -1
+		h.push(record{a: e.Resp, proc: e.Proc, meta: uint8(KindRespond)}, at)
 	default:
 		return fmt.Errorf("invalid event kind %d", int(e.Kind))
 	}
-	h.events = append(h.events, e)
-	h.invIdx = append(h.invIdx, matched)
 	return nil
+}
+
+// push stores r, an event the caller knows to keep the history well-formed,
+// and fills in what its position decides: the link, a response's object and
+// the process's pending state. at is pendingAt(r.proc).
+func (h *History) push(r record, at int32) {
+	if r.kind() == KindInvoke {
+		r.link = h.invokes
+		h.invokes++
+		h.setPending(r.proc, int32(len(h.recs))+1)
+	} else {
+		r.link, r.obj = at-1, h.recs[at-1].obj
+		h.setPending(r.proc, 0)
+	}
+	h.recs = append(h.recs, r)
 }
 
 // Invoke appends an invocation event.
@@ -188,14 +306,11 @@ func (h *History) Invoke(proc int, obj string, op spec.Op) error {
 // Respond appends the response to proc's pending invocation, inferring the
 // object from the pending invocation.
 func (h *History) Respond(proc int, resp int64) error {
-	if h.open == nil {
-		h.open = make(map[int]int)
+	e := Event{Kind: KindRespond, Proc: proc, Resp: resp}
+	if at := h.pendingAt(proc); at != 0 {
+		e.Obj = h.objs[h.recs[at-1].obj]
 	}
-	idx, ok := h.open[proc]
-	if !ok || idx < 0 {
-		return fmt.Errorf("process p%d responds with no pending invocation", proc)
-	}
-	return h.Append(Event{Kind: KindRespond, Proc: proc, Obj: h.events[idx].Obj, Resp: resp})
+	return h.Append(e)
 }
 
 // Call appends a complete operation: an invocation immediately followed by
@@ -209,7 +324,7 @@ func (h *History) Call(proc int, obj string, op spec.Op, resp int64) error {
 
 // Operations returns the history's operations in invocation order.
 func (h *History) Operations() []Operation {
-	return h.operations(make([]Operation, 0, len(h.events)/2+1), nil)
+	return h.operations(make([]Operation, 0, len(h.recs)/2+1), nil)
 }
 
 // OpTable is a history's operation table in caller-owned buffers: a monitor
@@ -229,90 +344,75 @@ type OpTable struct {
 // Fill rebuilds the table from h, reusing the buffers: once they have grown
 // to the history's size a Fill allocates nothing.
 func (t *OpTable) Fill(h *History) {
-	if n := len(h.events)/2 + 1; cap(t.Ops) < n {
+	if n := len(h.recs)/2 + 1; cap(t.Ops) < n {
 		t.Ops = make([]Operation, 0, n)
 		t.ByRes = make([]int, 0, n)
 	}
 	t.ByRes = t.ByRes[:0]
 	t.Ops = h.operations(t.Ops[:0], &t.ByRes)
-	t.Events = len(h.events)
+	t.Events = len(h.recs)
 }
 
 // operations appends the operations to ops and, when byRes is non-nil, the
-// index of each completed one to *byRes as its response event is met.
+// index of each completed one to *byRes as its response event is met. A
+// response finds its operation through the links: its invocation's event
+// index, then that invocation's rank among the invocations.
 func (h *History) operations(ops []Operation, byRes *[]int) []Operation {
-	// pendingOp[p] is the index into ops of p's pending operation. A small
-	// stack array covers the usual process counts without allocating.
-	var small [16]int
-	pendingOp := small[:]
-	for i := range h.events {
-		e := &h.events[i]
-		for e.Proc >= len(pendingOp) {
-			pendingOp = append(pendingOp, 0)
-		}
-		switch e.Kind {
-		case KindInvoke:
-			pendingOp[e.Proc] = len(ops)
+	for i := range h.recs {
+		r := &h.recs[i]
+		if r.kind() == KindInvoke {
 			ops = append(ops, Operation{
-				Proc: e.Proc, Obj: e.Obj, Op: e.Op, Inv: i, Res: -1,
+				Proc: r.proc, Obj: h.objs[r.obj], Op: h.op(r), Inv: i, Res: -1,
 			})
-		case KindRespond:
-			j := pendingOp[e.Proc]
-			ops[j].Res = i
-			ops[j].Resp = e.Resp
-			if byRes != nil {
-				*byRes = append(*byRes, j)
-			}
+			continue
+		}
+		j := int(h.recs[r.link].link)
+		ops[j].Res = i
+		ops[j].Resp = r.a
+		if byRes != nil {
+			*byRes = append(*byRes, j)
 		}
 	}
 	return ops
 }
 
-// ByObject returns the projection H|obj as a new history (event indices are
-// renumbered within the projection).
-func (h *History) ByObject(obj string) *History {
-	p := New()
-	for _, e := range h.events {
-		if e.Obj == obj {
-			// Projection of a well-formed history is well-formed.
-			p.events = append(p.events, e)
-			if e.Kind == KindInvoke {
-				p.invIdx = append(p.invIdx, -1)
-				p.open[e.Proc] = len(p.events) - 1
-			} else {
-				p.invIdx = append(p.invIdx, p.open[e.Proc])
-				p.open[e.Proc] = -1
-			}
+// project returns the events among the first k that keep accepts (all of
+// them when keep is nil) as a new history. A projection or prefix of a
+// well-formed history is well-formed, so nothing is checked again; the name
+// tables are copied whole, which keeps the records' indexes valid.
+func (h *History) project(k int, keep func(*record) bool) *History {
+	p := &History{objs: slices.Clone(h.objs), methods: slices.Clone(h.methods)}
+	if keep == nil {
+		p.recs = make([]record, 0, k)
+	}
+	for i := range h.recs[:k] {
+		if r := &h.recs[i]; keep == nil || keep(r) {
+			p.push(*r, p.pendingAt(r.proc))
 		}
 	}
 	return p
 }
 
+// ByObject returns the projection H|obj as a new history (event indices are
+// renumbered within the projection).
+func (h *History) ByObject(obj string) *History {
+	id := lookup(h.objs, obj)
+	return h.project(len(h.recs), func(r *record) bool { return int(r.obj) == id })
+}
+
 // ByProc returns the projection H|proc as a new history.
 func (h *History) ByProc(proc int) *History {
-	p := New()
-	for _, e := range h.events {
-		if e.Proc == proc {
-			p.events = append(p.events, e)
-			if e.Kind == KindInvoke {
-				p.invIdx = append(p.invIdx, -1)
-				p.open[e.Proc] = len(p.events) - 1
-			} else {
-				p.invIdx = append(p.invIdx, p.open[e.Proc])
-				p.open[e.Proc] = -1
-			}
-		}
-	}
-	return p
+	return h.project(len(h.recs), func(r *record) bool { return r.proc == proc })
 }
 
 // ObjectEventIndex returns, for the projection H|obj, the index in H of each
 // projected event. It lets callers translate a per-object event count t_o
 // back to a global event count t (the construction in Lemma 7).
 func (h *History) ObjectEventIndex(obj string) []int {
+	id := lookup(h.objs, obj)
 	var idx []int
-	for i, e := range h.events {
-		if e.Obj == obj {
+	for i := range h.recs {
+		if int(h.recs[i].obj) == id {
 			idx = append(idx, i)
 		}
 	}
@@ -322,15 +422,25 @@ func (h *History) ObjectEventIndex(obj string) []int {
 // Objects returns the distinct object names appearing in the history, in
 // first-appearance order.
 func (h *History) Objects() []string {
-	seen := make(map[string]bool)
+	seen := make([]bool, len(h.objs))
 	var objs []string
-	for _, e := range h.events {
-		if !seen[e.Obj] {
-			seen[e.Obj] = true
-			objs = append(objs, e.Obj)
+	for i := range h.recs {
+		if id := h.recs[i].obj; !seen[id] {
+			seen[id] = true
+			objs = append(objs, h.objs[id])
 		}
 	}
 	return objs
+}
+
+// SingleObject reports whether all events are on one object.
+func (h *History) SingleObject() bool {
+	for i := 1; i < len(h.recs); i++ {
+		if h.recs[i].obj != h.recs[0].obj {
+			return false
+		}
+	}
+	return true
 }
 
 // Procs returns the distinct process ids appearing in the history, in
@@ -338,10 +448,10 @@ func (h *History) Objects() []string {
 func (h *History) Procs() []int {
 	seen := make(map[int]bool)
 	var procs []int
-	for _, e := range h.events {
-		if !seen[e.Proc] {
-			seen[e.Proc] = true
-			procs = append(procs, e.Proc)
+	for i := range h.recs {
+		if p := h.recs[i].proc; !seen[p] {
+			seen[p] = true
+			procs = append(procs, p)
 		}
 	}
 	return procs
@@ -350,38 +460,23 @@ func (h *History) Procs() []int {
 // Prefix returns the history consisting of the first k events. Every prefix
 // of a well-formed history is well-formed.
 func (h *History) Prefix(k int) *History {
-	if k > len(h.events) {
-		k = len(h.events)
-	}
-	if k < 0 {
-		k = 0
-	}
-	p := New()
-	for i := 0; i < k; i++ {
-		e := h.events[i]
-		p.events = append(p.events, e)
-		if e.Kind == KindInvoke {
-			p.invIdx = append(p.invIdx, -1)
-			p.open[e.Proc] = len(p.events) - 1
-		} else {
-			p.invIdx = append(p.invIdx, p.open[e.Proc])
-			p.open[e.Proc] = -1
-		}
-	}
-	return p
+	return h.project(max(0, min(k, len(h.recs))), nil)
 }
 
 // Reset empties the history and keeps its buffers, so a monitor window can
 // be refilled without allocating.
 func (h *History) Reset() {
-	h.events = h.events[:0]
-	h.invIdx = h.invIdx[:0]
-	clear(h.open)
+	h.recs = h.recs[:0]
+	h.objs = h.objs[:0]
+	h.methods = h.methods[:0]
+	h.invokes = 0
+	clear(h.pending)
+	clear(h.far)
 }
 
 // Clone returns a deep copy.
 func (h *History) Clone() *History {
-	return h.Prefix(len(h.events))
+	return h.Prefix(len(h.recs))
 }
 
 // Truncate discards every event with index >= n, restoring the history to
@@ -390,23 +485,21 @@ func (h *History) Clone() *History {
 // appends events, undoing truncates them. The backing array is retained, so
 // an append after a truncate reuses memory instead of allocating.
 func (h *History) Truncate(n int) {
-	if n < 0 {
-		n = 0
-	}
-	for len(h.events) > n {
-		i := len(h.events) - 1
-		e := h.events[i]
-		h.events = h.events[:i]
-		if e.Kind == KindRespond {
+	n = max(n, 0)
+	for len(h.recs) > n {
+		i := len(h.recs) - 1
+		r := &h.recs[i]
+		if r.kind() == KindRespond {
 			// Removing a response reopens its invocation (recorded at
 			// append time, so undo is O(1) per event).
-			h.open[e.Proc] = h.invIdx[i]
+			h.setPending(r.proc, r.link+1)
 		} else {
 			// Removing an invocation leaves the process with no pending
 			// operation (it had none before invoking).
-			h.open[e.Proc] = -1
+			h.setPending(r.proc, 0)
+			h.invokes--
 		}
-		h.invIdx = h.invIdx[:i]
+		h.recs = h.recs[:i]
 	}
 }
 
@@ -416,20 +509,27 @@ func (h *History) Truncate(n int) {
 // configuration fingerprints of package sim and allocates only when b needs
 // to grow.
 func (h *History) AppendFingerprint(b []byte) []byte {
-	for _, e := range h.events {
-		b = append(b, byte(e.Kind))
-		b = spec.AppendFPInt(b, int64(e.Proc))
-		b = spec.AppendFPInt(b, int64(len(e.Obj)))
-		b = append(b, e.Obj...)
-		if e.Kind == KindInvoke {
-			b = spec.AppendFPInt(b, int64(len(e.Op.Method)))
-			b = append(b, e.Op.Method...)
-			b = append(b, byte(e.Op.NArgs)) // NArgs <= 2 by construction
-			for i := 0; i < e.Op.NArgs; i++ {
-				b = spec.AppendFPInt(b, e.Op.Args[i])
-			}
-		} else {
-			b = spec.AppendFPInt(b, e.Resp)
+	for i := range h.recs {
+		r := &h.recs[i]
+		b = append(b, byte(r.kind()))
+		b = spec.AppendFPInt(b, int64(r.proc))
+		obj := h.objs[r.obj]
+		b = spec.AppendFPInt(b, int64(len(obj)))
+		b = append(b, obj...)
+		if r.kind() == KindRespond {
+			b = spec.AppendFPInt(b, r.a)
+			continue
+		}
+		method := h.methods[r.method]
+		b = spec.AppendFPInt(b, int64(len(method)))
+		b = append(b, method...)
+		nargs := r.meta >> 2
+		b = append(b, nargs)
+		if nargs > 0 {
+			b = spec.AppendFPInt(b, r.a)
+		}
+		if nargs > 1 {
+			b = spec.AppendFPInt(b, r.b)
 		}
 	}
 	return b
@@ -440,13 +540,13 @@ func (h *History) AppendFingerprint(b []byte) []byte {
 // invocation, with at most the final invocation unmatched (the paper's
 // definition for finite histories).
 func (h *History) Sequential() bool {
-	for i := 0; i < len(h.events); i += 2 {
-		if h.events[i].Kind != KindInvoke {
+	for i := 0; i < len(h.recs); i += 2 {
+		if h.recs[i].kind() != KindInvoke {
 			return false
 		}
-		if i+1 < len(h.events) {
-			r := h.events[i+1]
-			if r.Kind != KindRespond || r.Proc != h.events[i].Proc || r.Obj != h.events[i].Obj {
+		// A response right after an invocation matches it iff it links to it.
+		if i+1 < len(h.recs) {
+			if r := &h.recs[i+1]; r.kind() != KindRespond || int(r.link) != i {
 				return false
 			}
 		}
@@ -457,8 +557,8 @@ func (h *History) Sequential() bool {
 // String renders the history one event per line.
 func (h *History) String() string {
 	var b strings.Builder
-	for i, e := range h.events {
-		fmt.Fprintf(&b, "%3d  %s\n", i, e)
+	for i := range h.recs {
+		fmt.Fprintf(&b, "%3d  %s\n", i, h.decode(&h.recs[i]))
 	}
 	return b.String()
 }

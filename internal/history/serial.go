@@ -22,15 +22,15 @@ type jsonEvent struct {
 
 // MarshalJSON encodes the history as a JSON array of events.
 func (h *History) MarshalJSON() ([]byte, error) {
-	out := make([]jsonEvent, 0, len(h.events))
-	for _, e := range h.events {
-		je := jsonEvent{Kind: e.Kind.String(), Proc: e.Proc, Obj: e.Obj}
-		if e.Kind == KindInvoke {
-			je.Op = e.Op.String()
+	out := make([]jsonEvent, len(h.recs))
+	for i := range h.recs {
+		r := &h.recs[i]
+		out[i] = jsonEvent{Kind: r.kind().String(), Proc: r.proc, Obj: h.objs[r.obj]}
+		if r.kind() == KindInvoke {
+			out[i].Op = h.op(r).String()
 		} else {
-			je.Resp = e.Resp
+			out[i].Resp = r.a
 		}
-		out = append(out, je)
 	}
 	return json.Marshal(out)
 }
@@ -74,8 +74,8 @@ func (h *History) UnmarshalJSON(data []byte) error {
 // Blank lines and lines starting with '#' are comments on input.
 func (h *History) WriteText(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	for _, e := range h.events {
-		if _, err := fmt.Fprintln(bw, e.String()); err != nil {
+	for i := range h.recs {
+		if _, err := fmt.Fprintln(bw, h.decode(&h.recs[i]).String()); err != nil {
 			return fmt.Errorf("write history: %w", err)
 		}
 	}

@@ -233,17 +233,14 @@ func (m *Merger) Drain(h *history.History, feed func(history.Event, uint64) erro
 		r := &recs[best][m.cursor[best]]
 		m.cursor[best]++
 		m.lastPos[best], m.lastInv[best] = bp, bk
-		var err error
+		e := history.Event{Kind: history.KindRespond, Proc: m.procBase + best, Obj: m.objName, Resp: r.resp}
 		if r.invoke {
-			err = h.Invoke(m.procBase+best, m.objName, r.op)
-		} else {
-			err = h.Respond(m.procBase+best, r.resp)
+			e = history.Event{Kind: history.KindInvoke, Proc: m.procBase + best, Obj: m.objName, Op: r.op}
 		}
-		if err != nil {
+		if err := h.Append(e); err != nil {
 			return moved, fmt.Errorf("live: merge: %w", err)
 		}
 		if feed != nil {
-			e := h.Event(h.Len() - 1)
 			if err := feed(e, r.pos); err != nil {
 				return moved, err
 			}

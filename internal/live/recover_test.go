@@ -275,9 +275,9 @@ func TestResumeTwiceOnOneRecovered(t *testing.T) {
 
 // Recovery costs memory in proportion to the log, not to a materialised
 // copy of it: Recover plus Resume of a 100 000-event log allocate at most the
-// file's size (the validated frames) plus 110 B/event (the rebuilt history
-// and its invocation index, 88 B/event, and slack). Growing event and
-// position slices by append spent about 570 B/event here.
+// file's size (the validated frames) plus 40 B/event (the rebuilt history's
+// records, 32 B/event, and slack). Growing event and position slices by
+// append spent about 570 B/event here.
 func TestRecoverResumeAllocBytes(t *testing.T) {
 	const events = 100_000
 	path := serialLog(t, events/4)
@@ -300,11 +300,11 @@ func TestRecoverResumeAllocBytes(t *testing.T) {
 	if rec.Frames != events || rr.Committed != events/2 {
 		t.Fatalf("recovered %d frames, %d commits; want %d and %d", rec.Frames, rr.Committed, events, events/2)
 	}
-	got, limit := after.TotalAlloc-before.TotalAlloc, uint64(st.Size())+110*events
+	got, limit := after.TotalAlloc-before.TotalAlloc, uint64(st.Size())+40*events
 	t.Logf("Recover+Resume of %d events (%d-byte log): %d bytes, %.1f B/event beyond the file",
 		events, st.Size(), got, float64(int64(got)-st.Size())/events)
 	if got > limit {
-		t.Fatalf("Recover+Resume allocated %d bytes, limit %d (file %d + 110 B/event)", got, limit, st.Size())
+		t.Fatalf("Recover+Resume allocated %d bytes, limit %d (file %d + 40 B/event)", got, limit, st.Size())
 	}
 }
 

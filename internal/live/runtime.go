@@ -458,11 +458,12 @@ outer:
 			}
 			proc := cfg.ProcBase + c
 			stamp := env.seq.Load()
-			if err := env.h.Invoke(proc, objName, op); err != nil {
+			inv := history.Event{Kind: history.KindInvoke, Proc: proc, Obj: objName, Op: op}
+			if err := env.h.Append(inv); err != nil {
 				runErr = fmt.Errorf("live: serial merge: %w", err)
 				break outer
 			}
-			if err := env.pipe.Feed(env.h.Event(env.h.Len()-1), stamp); err != nil {
+			if err := env.pipe.Feed(inv, stamp); err != nil {
 				if err != ErrStop {
 					runErr = err
 				}
@@ -473,11 +474,12 @@ outer:
 				runErr = fmt.Errorf("live: client %d op %d (ticket %d): %w", c, i, env.seq.Load(), err)
 				break outer
 			}
-			if err := env.h.Respond(proc, resp); err != nil {
+			res := history.Event{Kind: history.KindRespond, Proc: proc, Obj: objName, Resp: resp}
+			if err := env.h.Append(res); err != nil {
 				runErr = fmt.Errorf("live: serial merge: %w", err)
 				break outer
 			}
-			if err := env.pipe.Feed(env.h.Event(env.h.Len()-1), ticket); err != nil {
+			if err := env.pipe.Feed(res, ticket); err != nil {
 				if err != ErrStop {
 					runErr = err
 				}
