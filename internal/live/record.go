@@ -29,20 +29,39 @@ func (r *rec) key() (uint64, int) {
 	return r.pos, 0
 }
 
-// Shard is one client's private recorder. The owning goroutine writes into
-// an array and publishes progress with one atomic length store per record —
-// the only hot-path synchronization besides the commit sequencer itself.
+// chunkLen is the number of records in one chunk of a shard: one short of
+// 64 KiB of records, so that a chunk with its link is 64 KiB of heap and not
+// the nine pages the allocator would round 64 KiB + 8 B up to. DESIGN.md
+// "Live runtime" has the measurement behind the size.
+const chunkLen = (64<<10)/64 - 1
+
+// chunk is one fixed-length segment of a shard's queue. The writer fills
+// recs front to back; next is set once, by the writer, before the first
+// record of the following chunk is published.
+type chunk struct {
+	recs [chunkLen]rec
+	next atomic.Pointer[chunk]
+}
+
+// Shard is one client's private recorder: a single-writer, single-reader
+// queue of chunks. The owning goroutine writes a record and publishes it
+// with one atomic length store — the only hot-path synchronization besides
+// the commit sequencer itself. A push that starts a chunk links it (head for
+// the first, the previous chunk's next otherwise) BEFORE that store, so a
+// reader that loads the length first and follows links second always finds
+// the chunk holding any record the length covers.
 //
-// With a positive capacity the array never reallocates and push reports
-// overflow (the in-process runtime preallocates the exact op budget, so
-// overflow indicates an accounting bug rather than load). With capacity 0
-// the shard grows: the writer copies into a doubled array and publishes the
-// new slice pointer before publishing a length beyond the old capacity, so
-// a reader that loads the length first and the pointer second always sees
-// an array covering that length — what a long-lived server needs for
-// sessions with no a-priori op budget.
+// Exactly one goroutine pushes and exactly one Merger reads, for the life of
+// the shard. The merger hands each chunk its cursor has left back through
+// spare, and the writer takes it in preference to allocating: a shard whose
+// merger keeps up cycles through two chunks for ever. spare is one slot — a
+// chunk that finds it occupied is left to the collector — so a shard that
+// once lagged keeps at most that one chunk beyond the ones still unread.
+//
+// The writer dirties this struct's cache line on every push, so the merger
+// loads it once per drain and keeps everything it reads per event in its own
+// cursor.
 type Shard struct {
-	recs atomic.Pointer[[]rec]
 	n    atomic.Int64
 	done atomic.Bool
 	// bound publishes an idle watermark as pos+1 (0 = unset): the owner
@@ -51,40 +70,43 @@ type Shard struct {
 	// watermark, so one idle or disconnected client cannot stall the merge
 	// behind records it will never write.
 	bound atomic.Uint64
-	w     int  // writer-local count (== n, unpublished view)
-	fixed bool // capacity is a hard limit; push reports overflow
+	head  atomic.Pointer[chunk] // first chunk; the merger takes it
+	spare atomic.Pointer[chunk] // one consumed chunk awaiting reuse
+	tail  *chunk                // writer-local: the chunk being filled
+	w     int                   // writer-local count (== n, unpublished view)
+	limit int                   // > 0: push reports overflow at this count
 }
 
-// NewShard builds a client recorder. capacity > 0 preallocates a
-// fixed-size shard (push fails on overflow); capacity 0 makes the shard
-// growable.
+// NewShard builds a client recorder. It allocates no chunk: the first push
+// does. capacity > 0 is the number of records after which push reports
+// overflow (the in-process runtime passes its exact op budget, so overflow
+// indicates an accounting bug rather than load); capacity 0 is unbounded.
 func NewShard(capacity int) *Shard {
-	s := &Shard{fixed: capacity > 0}
-	if capacity == 0 {
-		capacity = 64
-	}
-	buf := make([]rec, capacity)
-	s.recs.Store(&buf)
-	return s
+	return &Shard{limit: capacity}
 }
 
-// push appends one record. It returns false when a fixed capacity is
+// push appends one record. It returns false once a positive capacity is
 // exhausted.
 func (s *Shard) push(r rec) bool {
-	buf := *s.recs.Load()
-	if s.w >= len(buf) {
-		if s.fixed {
-			return false
-		}
-		grown := make([]rec, 2*len(buf))
-		copy(grown, buf)
-		// Pointer before length: a concurrent reader ordering its loads
-		// length-then-pointer can never see a length past an array that
-		// does not cover it.
-		s.recs.Store(&grown)
-		buf = grown
+	if s.limit > 0 && s.w >= s.limit {
+		return false
 	}
-	buf[s.w] = r
+	at := s.w % chunkLen
+	if at == 0 {
+		c := s.spare.Swap(nil)
+		if c == nil {
+			c = new(chunk)
+		}
+		// Link before length: the record below is published by the n store,
+		// and a reader that has seen that n must be able to reach c.
+		if s.tail == nil {
+			s.head.Store(c)
+		} else {
+			s.tail.next.Store(c)
+		}
+		s.tail = c
+	}
+	s.tail.recs[at] = r
 	s.w++
 	s.n.Store(int64(s.w))
 	return true
@@ -111,6 +133,24 @@ func (s *Shard) Finish() { s.done.Store(true) }
 // while the client provably has no operation in flight.
 func (s *Shard) SetBound(pos uint64) { s.bound.Store(pos + 1) }
 
+// cursor is the merger's place in one shard.
+type cursor struct {
+	sh   *Shard
+	c    *chunk // chunk holding the next record to merge; nil before the first
+	at   int    // index of that record in c; chunkLen once c is exhausted
+	read int    // records merged so far
+	// lastPos/lastInv are the last consumed key (the watermark of a drained
+	// shard). The initial (0,-1) watermark is below every real key, so
+	// nothing is merged until every client has published its first record
+	// or an idle bound — required, since an unstarted client's first
+	// invocation may be stamped 0.
+	lastPos uint64
+	lastInv int
+	// n/done are the per-drain snapshot of the shard's progress.
+	n    int
+	done bool
+}
+
 // Merger performs the online k-way merge of client shards into one
 // history.History in key order. Safety is a per-client watermark argument:
 // a client's records are pushed in strictly increasing key order, and its
@@ -124,39 +164,42 @@ type Merger struct {
 	// proc procBase+i, so a continuation run's fresh clients never collide
 	// with the proc ids of a recovered history prefix.
 	procBase int
-	shards   []*Shard
-	cursor   []int
-	// lastPos/lastInv track each shard's last consumed key (the watermark
-	// for drained shards). The initial (0,-1) watermark is below every real
-	// key, so nothing is merged until every client has published its first
-	// record or an idle bound — required, since an unstarted client's first
-	// invocation may be stamped 0.
-	lastPos []uint64
-	lastInv []int
-	// nBuf/doneBuf are the per-drain snapshot scratch.
-	nBuf    []int
-	doneBuf []bool
-	recBuf  [][]rec
+	cur      []cursor // one per shard, in client order
 }
 
 // NewMerger builds the merge over the given client shards: shard i's
 // events are appended to the history as proc procBase+i on object objName.
+// A shard belongs to one Merger: the merger takes the shard's chunks as it
+// reads them.
 func NewMerger(objName string, procBase int, shards []*Shard) *Merger {
 	m := &Merger{
 		objName:  objName,
 		procBase: procBase,
-		shards:   shards,
-		cursor:   make([]int, len(shards)),
-		lastPos:  make([]uint64, len(shards)),
-		lastInv:  make([]int, len(shards)),
-		nBuf:     make([]int, len(shards)),
-		doneBuf:  make([]bool, len(shards)),
-		recBuf:   make([][]rec, len(shards)),
+		cur:      make([]cursor, len(shards)),
 	}
-	for i := range m.lastInv {
-		m.lastInv[i] = -1 // (0,-1): below the smallest possible key
+	for i, sh := range shards {
+		m.cur[i] = cursor{sh: sh, lastInv: -1} // (0,-1): below the smallest possible key
 	}
 	return m
+}
+
+// front returns the shard's next unmerged record. The caller has seen
+// read < n in a snapshot of the shard's length, which is what makes the
+// links followed here non-nil: the writer set them before publishing that
+// length. Leaving a chunk is the only point at which it is recycled — a
+// record past it is published, so the writer is done with it and has
+// already linked its successor.
+func (cu *cursor) front() *rec {
+	switch {
+	case cu.c == nil:
+		cu.c, cu.at = cu.sh.head.Swap(nil), 0
+	case cu.at == chunkLen:
+		old := cu.c
+		cu.c, cu.at = old.next.Load(), 0
+		old.next.Store(nil)
+		cu.sh.spare.CompareAndSwap(nil, old)
+	}
+	return &cu.c.recs[cu.at]
 }
 
 // keyLess compares (pos,kind,client) triples.
@@ -178,32 +221,32 @@ func keyLess(p1 uint64, k1, c1 int, p2 uint64, k2, c2 int) bool {
 // per call (one atomic load per shard), which is sound — records published
 // mid-drain are merged by the next call.
 func (m *Merger) Drain(h *history.History, feed func(history.Event, uint64) error) (int, error) {
-	n, done, recs := m.nBuf, m.doneBuf, m.recBuf
-	for i, sh := range m.shards {
+	for i := range m.cur {
+		cu := &m.cur[i]
 		// done before n: a shard observed done has pushed everything, so
 		// the later n load is guaranteed to cover its final records (the
 		// reverse order could skip the watermark of a shard whose last
-		// records are invisible in this snapshot). And n before the array
-		// pointer: a growing shard publishes the doubled array before any
-		// length beyond the old one, so this order can never observe a
-		// length past the loaded array's end.
-		done[i] = sh.done.Load()
-		n[i] = int(sh.n.Load())
-		recs[i] = *sh.recs.Load()
+		// records are invisible in this snapshot). And n before any chunk
+		// link (front): the writer links a chunk before it publishes a
+		// length reaching into it.
+		cu.done = cu.sh.done.Load()
+		cu.n = int(cu.sh.n.Load())
 	}
 	moved := 0
 	for {
 		best := -1
 		var bp uint64
 		var bk int
-		for i := range m.shards {
-			c := m.cursor[i]
-			if c >= n[i] {
+		var r *rec
+		for i := range m.cur {
+			cu := &m.cur[i]
+			if cu.read >= cu.n {
 				continue
 			}
-			p, k := recs[i][c].key()
+			f := cu.front()
+			p, k := f.key()
 			if best < 0 || keyLess(p, k, i, bp, bk, best) {
-				best, bp, bk = i, p, k
+				best, bp, bk, r = i, p, k, f
 			}
 		}
 		if best < 0 {
@@ -214,12 +257,13 @@ func (m *Merger) Drain(h *history.History, feed func(history.Event, uint64) erro
 		// of its last consumed key and its published idle bound; the
 		// candidate is safe only if it is at or below all such watermarks.
 		safe := true
-		for i, sh := range m.shards {
-			if m.cursor[i] < n[i] || done[i] {
+		for i := range m.cur {
+			cu := &m.cur[i]
+			if cu.read < cu.n || cu.done {
 				continue
 			}
-			wp, wk := m.lastPos[i], m.lastInv[i]
-			if b := sh.bound.Load(); b > 0 && keyLess(wp, wk, i, b-1, 0, i) {
+			wp, wk := cu.lastPos, cu.lastInv
+			if b := cu.sh.bound.Load(); b > 0 && keyLess(wp, wk, i, b-1, 0, i) {
 				wp, wk = b-1, 0
 			}
 			if keyLess(wp, wk, i, bp, bk, best) {
@@ -230,9 +274,10 @@ func (m *Merger) Drain(h *history.History, feed func(history.Event, uint64) erro
 		if !safe {
 			return moved, nil
 		}
-		r := &recs[best][m.cursor[best]]
-		m.cursor[best]++
-		m.lastPos[best], m.lastInv[best] = bp, bk
+		cu := &m.cur[best]
+		cu.at++
+		cu.read++
+		cu.lastPos, cu.lastInv = bp, bk
 		e := history.Event{Kind: history.KindRespond, Proc: m.procBase + best, Obj: m.objName, Resp: r.resp}
 		if r.invoke {
 			e = history.Event{Kind: history.KindInvoke, Proc: m.procBase + best, Obj: m.objName, Op: r.op}

@@ -1,15 +1,19 @@
 package live
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+	"unsafe"
 
 	"github.com/elin-go/elin/internal/history"
 	"github.com/elin-go/elin/internal/spec"
 )
 
-// A growable shard accepts pushes far past its initial allocation while a
-// concurrent merger drains it, and the merge output matches the push order.
+// A shard accepts pushes across many chunks while a concurrent merger
+// drains it, and the merge output matches the push order.
 func TestShardGrowsUnderConcurrentDrain(t *testing.T) {
 	op := spec.MakeOp(spec.MethodFetchInc)
 	const ops = 5000
@@ -21,11 +25,11 @@ func TestShardGrowsUnderConcurrentDrain(t *testing.T) {
 		defer sh.Finish()
 		for i := uint64(0); i < ops; i++ {
 			if !sh.PushInvoke(i, op) {
-				t.Error("growable shard refused a push")
+				t.Error("unbounded shard refused a push")
 				return
 			}
 			if !sh.PushCommit(i+1, int64(i), op) {
-				t.Error("growable shard refused a push")
+				t.Error("unbounded shard refused a push")
 				return
 			}
 		}
@@ -45,8 +49,8 @@ func TestShardGrowsUnderConcurrentDrain(t *testing.T) {
 	}
 }
 
-// A fixed-capacity shard still reports overflow (the in-process runtime's
-// accounting guard).
+// A shard with a capacity reports overflow at that count (the in-process
+// runtime's accounting guard).
 func TestShardFixedOverflow(t *testing.T) {
 	op := spec.MakeOp(spec.MethodFetchInc)
 	sh := NewShard(2)
@@ -54,7 +58,7 @@ func TestShardFixedOverflow(t *testing.T) {
 		t.Fatal("pushes within capacity must succeed")
 	}
 	if sh.PushInvoke(1, op) {
-		t.Fatal("push past fixed capacity must fail")
+		t.Fatal("push past capacity must fail")
 	}
 }
 
@@ -91,5 +95,259 @@ func TestMergerIdleBound(t *testing.T) {
 	}
 	if h.Len() != 4 {
 		t.Fatalf("history length %d, want 4", h.Len())
+	}
+}
+
+// chunkBytes is the size of one chunk (the allocator rounds it up to 64 KiB).
+const chunkBytes = int64(unsafe.Sizeof(chunk{}))
+
+func totalAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
+}
+
+// liveHeap is the heap in use after a collection (signed: differences of
+// it go both ways).
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// pushChunk pushes chunkLen records, continuing the invoke/commit
+// alternation at record number from.
+func pushChunk(t *testing.T, sh *Shard, from int) {
+	t.Helper()
+	op := spec.MakeOp(spec.MethodFetchInc)
+	for i := from; i < from+chunkLen; i++ {
+		ok := false
+		if i%2 == 0 {
+			ok = sh.PushInvoke(uint64(i/2), op)
+		} else {
+			ok = sh.PushCommit(uint64(i/2)+1, int64(i/2), op)
+		}
+		if !ok {
+			t.Fatalf("push %d refused", i)
+		}
+	}
+}
+
+// The sizes the recorder's layout rests on: a record is one cache line (two
+// a line let the merger's read and the writer's next store collide) and a
+// chunk with its link fits 64 KiB.
+func TestRecorderLayout(t *testing.T) {
+	if got := unsafe.Sizeof(rec{}); got != 64 {
+		t.Errorf("a record is %d bytes, want 64", got)
+	}
+	if got := unsafe.Sizeof(chunk{}); got > 64<<10 || got <= 64<<10-64 {
+		t.Errorf("a chunk is %d bytes, want the last record's worth below 64 KiB", got)
+	}
+}
+
+// A shard that has recorded nothing owns no chunk, whatever its capacity:
+// a server sized for thousands of client ids pays for the ones that speak.
+func TestShardIdleCostsNoChunk(t *testing.T) {
+	const pairs = 512
+	shards := make([]*Shard, 0, 2*pairs)
+	before := totalAlloc()
+	for i := 0; i < pairs; i++ {
+		shards = append(shards, NewShard(0), NewShard(1<<30))
+	}
+	m := NewMerger("C", 0, shards)
+	for _, sh := range shards {
+		sh.Finish()
+	}
+	if n, err := m.Drain(history.New(), nil); n != 0 || err != nil {
+		t.Fatalf("drain of idle shards: n=%d err=%v", n, err)
+	}
+	if got := totalAlloc() - before; got > 2*pairs*256 {
+		t.Fatalf("%d idle shards and their merger allocated %d bytes, want at most 256 a shard", 2*pairs, got)
+	}
+}
+
+// A merger that keeps up hands every chunk back: the writer cycles through
+// the same two for ever.
+func TestShardRecyclesBehindCursor(t *testing.T) {
+	const chunks = 200
+	sh := NewShard(0)
+	m := NewMerger("C", 0, []*Shard{sh})
+	h := history.New()
+	h.Reserve(chunks * chunkLen)
+	before := totalAlloc()
+	for c := 0; c < chunks; c++ {
+		pushChunk(t, sh, c*chunkLen)
+		if n, err := m.Drain(h, nil); n != chunkLen || err != nil {
+			t.Fatalf("chunk %d: drain moved %d events (err %v), want %d", c, n, err, chunkLen)
+		}
+	}
+	if got := int64(totalAlloc() - before); got > 4*chunkBytes {
+		t.Fatalf("%d chunks of records through a merger that keeps up allocated %d bytes, want at most 4 chunks (%d)",
+			chunks, got, 4*chunkBytes)
+	}
+}
+
+// A shard that lagged does not keep its peak: once the merger has caught
+// up, the chunk being filled and the one spare are all that is reachable.
+func TestShardRetentionBounded(t *testing.T) {
+	const chunks = 100
+	sh := NewShard(0)
+	m := NewMerger("C", 0, []*Shard{sh})
+	h := history.New()
+	h.Reserve(chunks * chunkLen)
+	before := liveHeap()
+	for c := 0; c < chunks; c++ {
+		pushChunk(t, sh, c*chunkLen)
+	}
+	if peak := liveHeap() - before; peak < (chunks-1)*chunkBytes {
+		t.Fatalf("%d undrained chunks hold %d bytes: the test is not measuring the chunks", chunks, peak)
+	}
+	if n, err := m.Drain(h, nil); n != chunks*chunkLen || err != nil {
+		t.Fatalf("drain moved %d events (err %v), want %d", n, err, chunks*chunkLen)
+	}
+	// A quarter of a chunk on top for whatever else the runtime allocated.
+	if got := liveHeap() - before; got > 2*chunkBytes+chunkBytes/4 {
+		t.Fatalf("after the drain the shard keeps %d bytes, want at most 2 chunks (%d)", got, 2*chunkBytes)
+	}
+	runtime.KeepAlive(sh)
+	runtime.KeepAlive(m)
+	runtime.KeepAlive(h)
+}
+
+// One writer a shard against a merger that alternates between letting every
+// writer get three chunks ahead (chunks pile up and are allocated fresh) and
+// draining in a tight loop (it catches up and chunks are recycled), over 23
+// chunk boundaries a writer, with a third shard that is idle for the first
+// half of the run, records a chunk and a half and idles again, publishing
+// bounds whenever it is idle. Every record is merged exactly once, in push
+// order and in key order; the idle shard's bounds are what lets the first
+// half merge at all. Run it under -race.
+func TestShardWritersAgainstSlowAndCaughtUpMerger(t *testing.T) {
+	const (
+		writers = 2
+		ops     = 12 * chunkLen
+		idleOps = 3 * chunkLen / 4
+	)
+	shards := make([]*Shard, writers+1)
+	for i := range shards {
+		shards[i] = NewShard(0)
+	}
+	var seq atomic.Uint64
+	var merged atomic.Int64
+	var giveUp atomic.Bool
+	deadline := time.AfterFunc(2*time.Minute, func() { giveUp.Store(true) })
+	defer deadline.Stop()
+
+	record := func(sh *Shard, n int) {
+		for i := 0; i < n; i++ {
+			op := spec.MakeOp1(spec.MethodFetchInc, int64(i))
+			if !sh.PushInvoke(seq.Load(), op) || !sh.PushCommit(seq.Add(1), int64(i), op) {
+				t.Error("unbounded shard refused a push")
+				return
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	writersDone := make(chan struct{})
+	for c := 0; c < writers; c++ {
+		wg.Add(1)
+		go func(sh *Shard) {
+			defer wg.Done()
+			defer sh.Finish()
+			record(sh, ops)
+		}(shards[c])
+	}
+	go func() {
+		wg.Wait()
+		close(writersDone)
+	}()
+	idleDone := make(chan struct{})
+	go func() {
+		defer close(idleDone)
+		idle := shards[writers]
+		defer idle.Finish()
+		// Nothing in flight: the bound is the only thing that releases the
+		// writers' records.
+		for merged.Load() < writers*ops && !giveUp.Load() {
+			idle.SetBound(seq.Load())
+			runtime.Gosched()
+		}
+		record(idle, idleOps)
+		for {
+			select {
+			case <-writersDone:
+				return
+			default:
+				idle.SetBound(seq.Load())
+				runtime.Gosched()
+			}
+		}
+	}()
+
+	h := history.New()
+	m := NewMerger("C", 0, shards)
+	var lastPos uint64
+	lastKind := -1
+	inOrder := func(e history.Event, pos uint64) error {
+		kind := 0
+		if e.Kind == history.KindInvoke {
+			kind = 1
+		}
+		if pos < lastPos || pos == lastPos && kind < lastKind {
+			t.Errorf("event %d merged at key (%d,%d) after (%d,%d)", h.Len()-1, pos, kind, lastPos, lastKind)
+		}
+		lastPos, lastKind = pos, kind
+		return nil
+	}
+	allDone := func() bool {
+		for _, sh := range shards {
+			if !sh.done.Load() {
+				return false
+			}
+		}
+		return true
+	}
+merge:
+	for !giveUp.Load() {
+		for c := 0; c < writers; c++ {
+			for !shards[c].done.Load() && int(shards[c].n.Load())-m.cur[c].read < 3*chunkLen {
+				runtime.Gosched()
+			}
+		}
+		for moved := 0; moved < 6*chunkLen*writers && !giveUp.Load(); {
+			// Loaded before the drain: only a drain that began with every
+			// shard finished and moved nothing means there is nothing left.
+			fin := allDone()
+			n, err := m.Drain(h, inOrder)
+			if err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+			merged.Add(int64(n))
+			moved += n
+			if fin && n == 0 {
+				break merge
+			}
+		}
+	}
+	if giveUp.Load() {
+		t.Fatalf("merged %d of %d events in two minutes", h.Len(), 2*(writers*ops+idleOps))
+	}
+	<-idleDone
+
+	if want := 2 * (writers*ops + idleOps); h.Len() != want {
+		t.Fatalf("merged %d events, want %d", h.Len(), want)
+	}
+	next := make([]int64, len(shards)) // per shard: 2*op for its invoke, 2*op+1 for its response
+	for i := 0; i < h.Len(); i++ {
+		e := h.Event(i)
+		got := 2*e.Resp + 1
+		if e.Kind == history.KindInvoke {
+			got = 2 * e.Op.Args[0]
+		}
+		if got != next[e.Proc] {
+			t.Fatalf("event %d (%v): shard %d record %d merged where record %d belongs", i, e, e.Proc, got, next[e.Proc])
+		}
+		next[e.Proc]++
 	}
 }

@@ -25,7 +25,8 @@ type Config struct {
 	// Object is the shared object served to every client.
 	Object live.Object
 	// Clients is the client id space: ids 0..Clients-1 are valid, and one
-	// session (with its shard) is preallocated per id.
+	// session is built per id up front (its shard holds no memory until the
+	// id's first operation).
 	Clients int
 	// Monitor configures the server-side online monitor.
 	Monitor check.IncrementalConfig
