@@ -1,11 +1,9 @@
 package elin
 
-// One benchmark per deterministic experiment table of EXPERIMENTS.md (E17
-// runs real goroutine concurrency, so its timings live in the elin stress
-// trajectory instead), plus the
-// design-choice ablations and micro-benchmarks of the decision procedures.
-// The experiment benchmarks time a full table regeneration; run
-// `go run ./cmd/elin bench` to see the tables themselves.
+// The design-choice ablations and the micro-benchmarks of the decision
+// procedures. A full regeneration of an experiment table of EXPERIMENTS.md
+// is timed by `go run ./cmd/elin bench -run <id> -json`; `go run ./cmd/elin
+// bench` shows the tables themselves.
 
 import (
 	"math/rand"
@@ -13,48 +11,11 @@ import (
 
 	"github.com/elin-go/elin/internal/check"
 	"github.com/elin-go/elin/internal/core/counter"
-	"github.com/elin-go/elin/internal/exp"
 	"github.com/elin-go/elin/internal/gen"
 	"github.com/elin-go/elin/internal/history"
 	"github.com/elin-go/elin/internal/sim"
 	"github.com/elin-go/elin/internal/spec"
 )
-
-func benchExperiment(b *testing.B, id string) {
-	e, ok := exp.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		table, err := e.Run(exp.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(table.Rows) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-func BenchmarkE1MinTMonotone(b *testing.B)    { benchExperiment(b, "E1") }
-func BenchmarkE2Locality(b *testing.B)        { benchExperiment(b, "E2") }
-func BenchmarkE3InfiniteObjects(b *testing.B) { benchExperiment(b, "E3") }
-func BenchmarkE4NotSafety(b *testing.B)       { benchExperiment(b, "E4") }
-func BenchmarkE5Announce(b *testing.B)        { benchExperiment(b, "E5") }
-func BenchmarkE6LocalCopy(b *testing.B)       { benchExperiment(b, "E6") }
-func BenchmarkE7Trivial(b *testing.B)         { benchExperiment(b, "E7") }
-func BenchmarkE8Valency(b *testing.B)         { benchExperiment(b, "E8") }
-func BenchmarkE9ELConsensus(b *testing.B)     { benchExperiment(b, "E9") }
-func BenchmarkE10TestSet(b *testing.B)        { benchExperiment(b, "E10") }
-func BenchmarkE11Stabilize(b *testing.B)      { benchExperiment(b, "E11") }
-func BenchmarkE12Divergence(b *testing.B)     { benchExperiment(b, "E12") }
-func BenchmarkE13Throughput(b *testing.B)     { benchExperiment(b, "E13") }
-func BenchmarkE14Checker(b *testing.B)        { benchExperiment(b, "E14") }
-func BenchmarkE15Progress(b *testing.B)       { benchExperiment(b, "E15") }
-func BenchmarkE16Hierarchy(b *testing.B)      { benchExperiment(b, "E16") }
-func BenchmarkE18Recovery(b *testing.B)       { benchExperiment(b, "E18") }
-func BenchmarkE20MonitorGap(b *testing.B)     { benchExperiment(b, "E20") }
 
 // ----------------------------------------------------------------------------
 // Ablations (design choices called out in DESIGN.md).

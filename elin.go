@@ -255,7 +255,7 @@ type (
 	// Policy decides when an eventually linearizable base stabilizes.
 	Policy = base.Policy
 	// ExploreConfig tunes exhaustive exploration (configuration
-	// deduplication, worker parallelism, frontier split depth).
+	// deduplication, worker parallelism, determinism checking).
 	ExploreConfig = explore.Config
 	// ExploreStats aggregates exploration counters.
 	ExploreStats = explore.Stats

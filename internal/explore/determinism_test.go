@@ -50,17 +50,58 @@ func ndRoot(t *testing.T) *sim.System {
 	return root
 }
 
+// TestCheckDeterminismCatchesNondetProgramme: every entry point builds its
+// engines through the one constructor, so Config.CheckDeterminism turns the
+// divergence into a hard error everywhere, sequentially and in parallel.
+// (Analyze at one worker and FindStable at any count used to build theirs
+// with the zero Config and explored the programme silently.)
 func TestCheckDeterminismCatchesNondetProgramme(t *testing.T) {
-	// Without the check the nondeterministic programme explores silently
-	// (one arbitrary behaviour per node).
-	if _, err := DFS(ndRoot(t), 4, Config{Workers: 1}, nil); err != nil {
-		t.Fatalf("unchecked exploration failed: %v", err)
+	entries := []struct {
+		name string
+		run  func(root *sim.System, cfg Config) error
+	}{
+		{"DFS", func(root *sim.System, cfg Config) error {
+			_, err := DFS(root, 4, cfg, nil)
+			return err
+		}},
+		{"Leaves", func(root *sim.System, cfg Config) error {
+			_, err := Leaves(root, 4, cfg, func(*sim.System) error { return nil })
+			return err
+		}},
+		{"LinearizableEverywhere", func(root *sim.System, cfg Config) error {
+			_, _, _, err := LinearizableEverywhere(root, 4, cfg, check.Options{})
+			return err
+		}},
+		{"WeaklyConsistentEverywhere", func(root *sim.System, cfg Config) error {
+			_, _, _, err := WeaklyConsistentEverywhere(root, 4, cfg, check.Options{})
+			return err
+		}},
+		{"Analyze", func(root *sim.System, cfg Config) error {
+			_, err := Analyze(root, 4, cfg)
+			return err
+		}},
+		{"NodeStable", func(root *sim.System, cfg Config) error {
+			_, _, err := NodeStable(root, 4, cfg, check.Options{})
+			return err
+		}},
+		{"FindStable", func(root *sim.System, cfg Config) error {
+			_, err := FindStable(root, 2, 4, cfg, check.Options{})
+			return err
+		}},
 	}
-	// With it the divergence is a hard error, sequentially and in parallel.
-	for _, workers := range []int{1, 4} {
-		_, err := DFS(ndRoot(t), 4, Config{Workers: workers, CheckDeterminism: true}, nil)
-		if err == nil || !strings.Contains(err.Error(), "nondeterministic") {
-			t.Errorf("workers=%d: err = %v, want nondeterminism error", workers, err)
+	for _, en := range entries {
+		// Without the check the nondeterministic programme explores
+		// silently (one arbitrary behaviour per node): no entry point may
+		// fail, FindStable's "nothing found" included (it is a result, not
+		// an error).
+		if err := en.run(ndRoot(t), Config{Workers: 1}); err != nil {
+			t.Errorf("%s unchecked: %v", en.name, err)
+		}
+		for _, workers := range []int{1, 4} {
+			err := en.run(ndRoot(t), Config{Workers: workers, CheckDeterminism: true})
+			if err == nil || !strings.Contains(err.Error(), "nondeterministic") {
+				t.Errorf("%s workers=%d: err = %v, want nondeterminism error", en.name, workers, err)
+			}
 		}
 	}
 }

@@ -23,9 +23,17 @@
 // fingerprint of sim.System.Fingerprint, turning the tree into a DAG; see
 // Config for the soundness conditions.
 //
+// There is one per-node protocol per walk kind — engine.dfs (preorder with a
+// pruning visitor), engine.leaves (leaf enumeration) and valAnalyzer.analyze
+// (postorder valence classification) — and every entry point, at every
+// worker count, runs on one of the three.
+//
 // Exploration cost is intrinsically exponential, so the engine also scales
-// across cores: Config.Workers splits the execution tree at a frontier
-// depth and fans the root subtrees out to a worker pool (see parallel.go).
+// across cores, and a parallel walk is the sequential walk cut at a frontier
+// depth: the engine carries an optional cut that, at that depth, hands the
+// node's branch path to a hook instead of visiting it. The walk from the
+// root, with the cut installed, visits the prefix above the frontier; a
+// worker pool runs the same walk below each recorded path (see parallel.go).
 // Counters, valency reports, stable verdicts and violation witnesses are
 // deterministic regardless of worker count; only callback invocation order
 // is schedule-dependent.
@@ -90,12 +98,6 @@ type Config struct {
 	// synchronize or keep the walk sequential.
 	Workers int
 
-	// FrontierDepth fixes the depth at which the tree is split into
-	// per-worker subtrees. 0 picks a depth automatically (wide enough to
-	// keep every worker busy from a shared queue). Ignored when the
-	// exploration runs sequentially.
-	FrontierDepth int
-
 	// CheckDeterminism re-steps every probe on a second programme clone and
 	// turns a probe-vs-probe divergence into a hard error. The in-place
 	// engine installs the stepped probe without re-stepping the live
@@ -104,6 +106,10 @@ type Config struct {
 	// per node instead of failing loudly; enable this when validating a new
 	// implementation. Costs roughly one extra Clone+Step per node.
 	CheckDeterminism bool
+
+	// frontierDepth pins the depth of the cut for tests; 0, the only value a
+	// caller outside the package can have, probes for one (chooseFrontier).
+	frontierDepth int
 }
 
 // Visitor observes a configuration during DFS. Returning descend=false
@@ -117,32 +123,58 @@ type Visitor func(s *sim.System, depth int) (descend bool, err error)
 // friends).
 var errViolation = errors.New("explore: violating leaf")
 
-// errCancelled aborts a worker's subtree walk when another subtree already
-// holds the answer (parallel searches only).
+// errCancelled aborts a walk whose answer is no longer wanted: a subtree
+// ranked behind a violation already found, a frontier probe that has
+// counted enough.
 var errCancelled = errors.New("explore: cancelled")
+
+// isSentinel reports the package's clean early exits, which end a walk
+// without failing the exploration.
+func isSentinel(err error) bool {
+	return err == errViolation || err == errCancelled || err == errBudget
+}
 
 // engine is one in-place exploration: a mutable working system, per-depth
 // candidate scratch (so a node's branch list survives the recursion into
-// its subtrees without allocating), and the optional visited set.
+// its subtrees without allocating), the branch path the walk is standing
+// on, and the optional visited set.
 type engine struct {
 	sys      *sim.System
 	maxDepth int
 	st       *Stats
 	cands    [][]int64 // per-depth candidate scratch
-	dedup    bool
-	// seen keys merged configurations by their FULL byte encoding (plus
+	// steps[d] is the edge the walk last took out of depth d, so steps[:d]
+	// is the branch path of the node it stands on at depth d.
+	steps []pathStep
+	// visited keys merged configurations by their FULL byte encoding (plus
 	// depth) — not a hash of it — so a collision can never silently prune
 	// an unexplored distinct configuration. Keeping depth in the key makes
 	// merging conservative: two arrivals at different depths have different
-	// remaining horizons and are never merged. Sequential explorations use
-	// the private map; parallel workers share the sharded concurrent set
-	// instead (exactly one of the two is non-nil while dedup is on).
-	seen   map[string]struct{}
-	shared *shardedSet
-	keyBuf []byte             // scratch for building visit keys
-	path   *check.PathChecker // see linearizable; nil on every other engine
+	// remaining horizons and are never merged. Nil when Dedup is off; a
+	// localSet on a sequential engine, the pool's shardedSet on a worker.
+	visited visitSet
+	keyBuf  []byte             // scratch for building visit keys
+	path    *check.PathChecker // see linearizable; nil on every other engine
+
+	// The frontier cut. A walk that reaches cutDepth while cut is set hands
+	// the node's branch path to cut instead of visiting it: the node is not
+	// deduplicated, counted or shown to a callback here, because the worker
+	// that walks the recorded path runs the whole per-node protocol on it,
+	// and so every node is processed exactly once. All three walks test it
+	// through atCut; the analysis's hook also leaves the node's valence in
+	// the analyzer (see valAnalyzer.cutTruncated).
+	cutDepth int
+	cut      func(path []pathStep) error
+	// rank is the depth-first position of the frontier subtree being
+	// walked: on a worker the index of its task, on the engine walking the
+	// prefix the number of cuts so far — the rank of every completed run
+	// met above the frontier before the next cut.
+	rank int
 }
 
+// newEngine is the one constructor: every entry point and every worker
+// builds its engine here, so a Config field is honoured everywhere or
+// nowhere.
 func newEngine(root *sim.System, maxDepth int, cfg Config, st *Stats) *engine {
 	work := root.Clone()
 	work.EnableUndo()
@@ -154,78 +186,68 @@ func newEngine(root *sim.System, maxDepth int, cfg Config, st *Stats) *engine {
 		maxDepth: maxDepth,
 		st:       st,
 		cands:    make([][]int64, maxDepth+1),
+		steps:    make([]pathStep, maxDepth+1),
 	}
-	if cfg.Dedup {
-		if _, ok := work.Fingerprint(); ok {
-			e.dedup = true
-			e.seen = make(map[string]struct{})
-		}
+	if cfg.Dedup && fingerprintable(work) {
+		e.visited = localSet{}
 	}
 	return e
 }
 
-// newWorkerEngine builds an engine for a parallel worker: its own clone of
-// root (one clone per worker, not per subtree or edge) and, when dedup is
-// on, the visited set shared with the other workers.
-func newWorkerEngine(root *sim.System, maxDepth int, cfg Config, shared *shardedSet, st *Stats) *engine {
-	work := root.Clone()
-	work.EnableUndo()
-	if cfg.CheckDeterminism {
-		work.EnableDeterminismCheck()
+// fingerprintable reports whether every programme of s can encode its
+// state, the condition Config.Dedup silently depends on.
+func fingerprintable(s *sim.System) bool {
+	_, ok := s.Fingerprint()
+	return ok
+}
+
+// configKey encodes the current configuration and its depth into the
+// engine's key scratch: the one place a merge key starts. The returned
+// slice aliases that scratch.
+func (e *engine) configKey(depth int) ([]byte, bool) {
+	b, ok := e.sys.AppendConfigFingerprint(e.keyBuf[:0])
+	if ok {
+		b = spec.AppendFPInt(b, int64(depth))
 	}
-	e := &engine{
-		sys:      work,
-		maxDepth: maxDepth,
-		st:       st,
-		cands:    make([][]int64, maxDepth+1),
-	}
-	if shared != nil {
-		e.dedup = true
-		e.shared = shared
-	}
-	return e
+	e.keyBuf = b
+	return b, ok
 }
 
 // pruneDup reports whether the current configuration was already explored
 // at this depth (recording it if not).
 func (e *engine) pruneDup(depth int) bool {
-	if !e.dedup {
+	if e.visited == nil {
 		return false
 	}
-	b, ok := e.sys.AppendConfigFingerprint(e.keyBuf[:0])
-	if !ok {
-		e.keyBuf = b
-		return false
-	}
-	b = spec.AppendFPInt(b, int64(depth))
-	e.keyBuf = b
-	if e.shared != nil {
-		if e.shared.checkAndAdd(b) {
-			e.st.Deduped++
-			return true
-		}
-		return false
-	}
-	if _, dup := e.seen[string(b)]; dup {
+	key, ok := e.configKey(depth)
+	if ok && e.visited.checkAndAdd(key) {
 		e.st.Deduped++
 		return true
 	}
-	e.seen[string(b)] = struct{}{}
 	return false
+}
+
+// atCut reports whether the node at depth belongs to the cut hook.
+func (e *engine) atCut(depth int) bool { return e.cut != nil && depth == e.cutDepth }
+
+// recordCut installs the cut that splits a walk at depth k: each frontier
+// node's branch path is appended to *tasks, in depth-first order, and counted
+// in e.rank.
+func (e *engine) recordCut(k int, tasks *[][]pathStep) {
+	e.cutDepth, e.cut = k, func(path []pathStep) error {
+		*tasks = append(*tasks, clonePath(path))
+		e.rank++
+		return nil
+	}
 }
 
 // expand advances into every child of the current configuration (every
 // enabled process, every candidate response), invoking rec at depth+1 and
-// undoing each step. The candidate buffer lives in per-depth scratch:
-// deeper recursion writes deeper rows, so the branch list stays intact
-// across subtrees without copying.
+// undoing each step; rec finds the edge it arrived by in e.steps[depth].
+// The candidate buffer lives in per-depth scratch: deeper recursion writes
+// deeper rows, so the branch list stays intact across subtrees without
+// copying.
 func (e *engine) expand(depth int, rec func(depth int) error) error {
-	return e.expandSteps(depth, func(d int, _ pathStep) error { return rec(d) })
-}
-
-// expandSteps is expand with the edge taken (process, branch index) exposed
-// to the callback — the frontier splitter records it to seed workers.
-func (e *engine) expandSteps(depth int, rec func(depth int, step pathStep) error) error {
 	buf := e.cands[depth][:0]
 	for p := 0; p < e.sys.NumProcs(); p++ {
 		if !e.sys.CanStep(p) {
@@ -241,10 +263,11 @@ func (e *engine) expandSteps(depth int, rec func(depth int, step pathStep) error
 			if err := e.sys.AdvanceResp(p, buf[i]); err != nil {
 				return fmt.Errorf("explore: advance p%d branch %d at depth %d: %w", p, i, depth, err)
 			}
-			if err := rec(depth+1, pathStep{proc: int32(p), branch: int32(i)}); err != nil {
+			e.steps[depth] = pathStep{proc: int32(p), branch: int32(i)}
+			if err := rec(depth + 1); err != nil {
 				return err
 			}
-			if err := e.undoTo(e.sys.UndoDepth() - 1); err != nil {
+			if err := e.undoTo(depth); err != nil {
 				return err
 			}
 		}
@@ -252,13 +275,29 @@ func (e *engine) expandSteps(depth int, rec func(depth int, step pathStep) error
 	return nil
 }
 
-// undoTo rewinds the working system to undo depth n. Every undo of an
-// engine's system goes through it, so the path checker, where there is
-// one, always holds a prefix of the history.
+// undoTo rewinds the working system to undo depth n — which, one Advance
+// per edge from a root clone, is the tree depth. Every undo of an engine's
+// system goes through it, so the path checker, where there is one, always
+// holds a prefix of the history.
 func (e *engine) undoTo(n int) error {
 	err := e.sys.UndoTo(n)
 	if e.path != nil {
 		e.path.Truncate(e.sys.History().Len())
+	}
+	return err
+}
+
+// sub runs walk below the current configuration, which sits at depth, with
+// its own horizon and counters, then restores the engine's and rewinds to
+// that configuration — also when walk exits early and leaves the system
+// wherever it stopped.
+func (e *engine) sub(depth, horizon int, st *Stats, walk func() error) error {
+	prevSt, prevMax := e.st, e.maxDepth
+	e.st, e.maxDepth = st, horizon
+	err := walk()
+	e.st, e.maxDepth = prevSt, prevMax
+	if uerr := e.undoTo(depth); uerr != nil && (err == nil || isSentinel(err)) {
+		err = uerr
 	}
 	return err
 }
@@ -285,6 +324,9 @@ func (e *engine) linearizable(opts check.Options) (bool, error) {
 }
 
 func (e *engine) dfs(depth int, visit Visitor) error {
+	if e.atCut(depth) {
+		return e.cut(e.steps[:depth])
+	}
 	if e.pruneDup(depth) {
 		return nil
 	}
@@ -313,6 +355,9 @@ func (e *engine) dfs(depth int, visit Visitor) error {
 }
 
 func (e *engine) leaves(depth int, fn func(*sim.System) error) error {
+	if e.atCut(depth) {
+		return e.cut(e.steps[:depth])
+	}
 	if e.pruneDup(depth) {
 		return nil
 	}
@@ -336,13 +381,8 @@ func (e *engine) leaves(depth int, fn func(*sim.System) error) error {
 // may be invoked concurrently from multiple goroutines and the preorder
 // across subtrees is schedule-dependent, while Stats stay deterministic.
 func DFS(root *sim.System, maxDepth int, cfg Config, visit Visitor) (Stats, error) {
-	if w := cfg.callbackWorkerCount(); w > 1 && maxDepth >= 2 {
-		return dfsPar(root, maxDepth, cfg, w, visit)
-	}
-	var st Stats
-	e := newEngine(root, maxDepth, cfg, &st)
-	err := e.dfs(0, visit)
-	return st, err
+	return walkTree(root, maxDepth, cfg, cfg.callbackWorkerCount(),
+		func(e *engine, depth int) error { return e.dfs(depth, visit) }, nil)
 }
 
 // Leaves explores to maxDepth and invokes fn on every leaf (terminal or
@@ -353,14 +393,8 @@ func DFS(root *sim.System, maxDepth int, cfg Config, visit Visitor) (Stats, erro
 // subtrees is schedule-dependent, while Stats and the set of leaves stay
 // deterministic.
 func Leaves(root *sim.System, maxDepth int, cfg Config, fn func(leaf *sim.System) error) (Stats, error) {
-	if w := cfg.callbackWorkerCount(); w > 1 && maxDepth >= 2 {
-		return leavesPar(root, maxDepth, cfg, w,
-			func(leaf *sim.System, _ int) error { return fn(leaf) }, nil)
-	}
-	var st Stats
-	e := newEngine(root, maxDepth, cfg, &st)
-	err := e.leaves(0, fn)
-	return st, err
+	return walkTree(root, maxDepth, cfg, cfg.callbackWorkerCount(),
+		func(e *engine, depth int) error { return e.leaves(depth, fn) }, nil)
 }
 
 // LinearizableEverywhere checks that every leaf history of the bounded

@@ -4,34 +4,35 @@
 // advance/undo engine made one core fast, the only remaining
 // order-of-magnitude lever is using all of them. The scheme:
 //
-//  1. Split: walk the tree from the root down to a frontier depth k
-//     (chosen so the frontier is several times wider than the worker
-//     count). Nodes above the frontier — a vanishingly small prefix of the
-//     exponential tree — are handled inline during the split; nodes at the
-//     frontier become subtree tasks identified by their branch path.
+//  1. Cut: run the walk from the root with the engine's cut installed at a
+//     frontier depth k (chosen so the frontier is several times wider than
+//     the worker count). Nodes above the frontier — a vanishingly small
+//     prefix of the exponential tree — are visited by that walk, by the
+//     code that visits every other node; a node at the frontier is not
+//     visited, its branch path becomes a subtree task.
 //  2. Fan out: a pool of workers pulls tasks from a shared queue (an
 //     atomic cursor over the task list), so skewed subtrees cannot make
 //     stragglers. Each worker owns ONE clone of the root system for its
 //     whole lifetime: it seeds a subtree by replaying the task's branch
-//     path, explores it with the ordinary advance/undo engine, and rewinds
-//     with sim.System.UndoTo — one clone per worker, not per subtree, and
+//     path, runs the same walk below it, and rewinds with
+//     sim.System.UndoTo — one clone per worker, not per subtree, and
 //     certainly not per edge.
-//  3. Merge: Stats are accumulated per worker and summed. Deduplication
+//  3. Sum: Stats are accumulated per worker and summed. Deduplication
 //     uses a sharded concurrent visited set keyed by the full configuration
 //     encoding (never a hash), shared across workers.
 //
 // Determinism. Counters are additive and every tree node is visited by
-// exactly one party (the splitter for depths < k, a worker for depths
-// ≥ k), so Nodes/Leaves/Truncated match the sequential engine exactly.
-// With Dedup the explored configurations form a DAG whose reachable set is
-// schedule-independent (a key is explored iff some explored parent reaches
-// it, by induction over depth), so the counters — including Deduped — are
-// also deterministic even though *which arrival path* wins a race is not.
-// Searches that return a witness (LinearizableEverywhere and friends) keep
-// their answers deterministic by ranking violations by the subtree's
-// position in depth-first order: the winning witness is the one with the
-// lexicographically smallest branch path, exactly the leaf the sequential
-// early-exit walk would return.
+// exactly one party (the walk from the root for depths < k, a worker for
+// depths ≥ k), so Nodes/Leaves/Truncated match the sequential engine
+// exactly. With Dedup the explored configurations form a DAG whose
+// reachable set is schedule-independent (a key is explored iff some
+// explored parent reaches it, by induction over depth), so the counters —
+// including Deduped — are also deterministic even though *which arrival
+// path* wins a race is not. Searches that return a witness
+// (LinearizableEverywhere and friends) keep their answers deterministic by
+// ranking violations by the subtree's position in depth-first order: the
+// winning witness is the one with the lexicographically smallest branch
+// path, exactly the leaf the sequential early-exit walk would return.
 package explore
 
 import (
@@ -70,7 +71,7 @@ type pathStep struct {
 	proc, branch int32
 }
 
-// clonePath copies a branch path (the splitter reuses its scratch path).
+// clonePath copies a branch path (the cut hook is handed the engine's own).
 func clonePath(p []pathStep) []pathStep {
 	return append([]pathStep(nil), p...)
 }
@@ -87,7 +88,27 @@ func replayPath(sys *sim.System, path []pathStep) error {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded concurrent visited set.
+// Visited sets.
+
+// visitSet is the visited set behind Config.Dedup: checkAndAdd records key
+// and reports whether it was already present. Which of the two an engine
+// gets follows from who else can reach it, never from a setting.
+type visitSet interface {
+	checkAndAdd(key []byte) bool
+}
+
+// localSet is the visited set of an engine nobody shares: a sequential
+// exploration, or the walk above the frontier (whose keys, carrying depths
+// below the cut, can never meet a worker's).
+type localSet map[string]struct{}
+
+func (s localSet) checkAndAdd(key []byte) bool {
+	if _, dup := s[string(key)]; dup {
+		return true
+	}
+	s[string(key)] = struct{}{}
+	return false
+}
 
 // visitShardCount is the number of independently locked shards (a power of
 // two; the shard index is the low bits of an FNV hash of the key).
@@ -95,14 +116,14 @@ const visitShardCount = 64
 
 type visitShard struct {
 	mu sync.Mutex
-	m  map[string]struct{}
+	m  localSet
 	_  [40]byte // pad to a cache line to avoid false sharing between shards
 }
 
-// shardedSet is the concurrent visited set behind Config.Dedup in parallel
-// explorations. Keys are full configuration encodings; the hash picks the
-// shard only, membership is decided by exact byte comparison, so a
-// collision can never silently prune an unexplored distinct configuration.
+// shardedSet is the visited set the workers of one exploration share. Keys
+// are full configuration encodings; the hash picks the shard only,
+// membership is decided by exact byte comparison, so a collision can never
+// silently prune an unexplored distinct configuration.
 type shardedSet struct {
 	shards [visitShardCount]visitShard
 }
@@ -110,7 +131,7 @@ type shardedSet struct {
 func newShardedSet() *shardedSet {
 	s := &shardedSet{}
 	for i := range s.shards {
-		s.shards[i].m = make(map[string]struct{})
+		s.shards[i].m = localSet{}
 	}
 	return s
 }
@@ -120,19 +141,27 @@ func newShardedSet() *shardedSet {
 func (s *shardedSet) checkAndAdd(key []byte) bool {
 	sh := &s.shards[spec.FNV64(key)&(visitShardCount-1)]
 	sh.mu.Lock()
-	_, dup := sh.m[string(key)]
-	if !dup {
-		sh.m[string(key)] = struct{}{}
-	}
+	dup := sh.m.checkAndAdd(key)
 	sh.mu.Unlock()
 	return dup
 }
 
 // ---------------------------------------------------------------------------
-// Sharded valence memo (Analyze with Dedup under parallel workers).
+// Valence memos (Analyze with Dedup).
+
+// memoTable memoizes subtree valences: claim returns the entry for key and
+// whether the caller claimed it (and must therefore resolve it). Like the
+// visited sets, which of the two an analyzer gets follows from who shares
+// it.
+type memoTable interface {
+	claim(key []byte) (*memoEntry, bool)
+}
 
 // memoEntry is one memoized subtree valence. The claimant publishes
-// decisions/truncated and closes ready; later arrivals wait on ready.
+// decisions/truncated and, in a shared memo, closes ready; later arrivals
+// wait on it. ready is nil in a localMemo, where the one goroutine there is
+// has resolved every entry it can meet again (an unresolved claim is an
+// ancestor, and keys carry their depth).
 type memoEntry struct {
 	ready     chan struct{}
 	decisions []int64
@@ -145,12 +174,33 @@ type memoEntry struct {
 func (e *memoEntry) resolve(decisions []int64, truncated bool) {
 	e.decisions = append([]int64(nil), decisions...)
 	e.truncated = truncated
-	close(e.ready)
+	if e.ready != nil {
+		close(e.ready)
+	}
+}
+
+func (e *memoEntry) wait() {
+	if e.ready != nil {
+		<-e.ready
+	}
+}
+
+// localMemo is the memo of an analyzer nobody shares: the sequential
+// analysis, and the two passes above the frontier.
+type localMemo map[string]*memoEntry
+
+func (m localMemo) claim(key []byte) (*memoEntry, bool) {
+	if e, ok := m[string(key)]; ok {
+		return e, false
+	}
+	e := &memoEntry{}
+	m[string(key)] = e
+	return e, true
 }
 
 type memoShard struct {
 	mu sync.Mutex
-	m  map[string]*memoEntry
+	m  localMemo
 	_  [40]byte
 }
 
@@ -170,28 +220,24 @@ type shardedMemo struct {
 func newShardedMemo() *shardedMemo {
 	s := &shardedMemo{}
 	for i := range s.shards {
-		s.shards[i].m = make(map[string]*memoEntry)
+		s.shards[i].m = localMemo{}
 	}
 	return s
 }
 
-// claim returns the entry for key and whether the caller claimed it (and
-// must therefore resolve it).
 func (s *shardedMemo) claim(key []byte) (*memoEntry, bool) {
 	sh := &s.shards[spec.FNV64(key)&(visitShardCount-1)]
 	sh.mu.Lock()
-	if e, ok := sh.m[string(key)]; ok {
-		sh.mu.Unlock()
-		return e, false
+	e, claimed := sh.m.claim(key)
+	if claimed {
+		e.ready = make(chan struct{})
 	}
-	e := &memoEntry{ready: make(chan struct{})}
-	sh.m[string(key)] = e
 	sh.mu.Unlock()
-	return e, true
+	return e, claimed
 }
 
 // ---------------------------------------------------------------------------
-// Frontier split.
+// The frontier.
 
 // maxFrontierDepth bounds the automatic frontier depth; maxFrontierTasks
 // bounds the number of subtree tasks (deeper/wider frontiers buy no
@@ -201,38 +247,35 @@ const (
 	maxFrontierTasks = 4096
 )
 
-// subtreeTask is one unit of worker work: the subtree rooted at the
-// configuration reached by path. seq is the task's position in depth-first
-// order among all frontier nodes and prefix leaves — the rank used to pick
-// deterministic witnesses.
-type subtreeTask struct {
-	path []pathStep
-	seq  int
-	node *prefixNode // analyze mode only
-}
-
-// chooseFrontier picks the split depth: the explicit Config.FrontierDepth
-// if set, else the shallowest depth whose width is comfortably larger than
-// the worker count (probed with cheap counting walks; the probe is a
-// heuristic, so it ignores dedup and visitor pruning).
-func chooseFrontier(e *engine, maxDepth, workers, explicit int) (int, error) {
+// chooseFrontier picks the depth of the cut: explicit if a test pinned one
+// (taken as given: it must lie in 1..maxDepth-1), else the shallowest depth
+// whose width is comfortably larger than the worker count. The probe is the
+// leaf walk itself with the horizon pulled up to the candidate depth,
+// counting the leaves that still have work to do and stopping once there
+// are enough; it is a heuristic, so it ignores dedup and visitor pruning,
+// and it counts into nobody's Stats.
+func chooseFrontier(e *engine, workers, explicit int) (int, error) {
 	if explicit > 0 {
-		if explicit >= maxDepth {
-			explicit = maxDepth - 1
-		}
-		if explicit < 1 {
-			explicit = 1
-		}
 		return explicit, nil
 	}
-	target := 8 * workers
-	if target > maxFrontierTasks {
-		target = maxFrontierTasks
-	}
+	visited := e.visited
+	e.visited = nil
+	defer func() { e.visited = visited }()
+	target := min(8*workers, maxFrontierTasks)
 	k := 1
-	for ; k < maxDepth-1 && k < maxFrontierDepth; k++ {
-		n, err := e.countAtDepth(k, target)
-		if err != nil {
+	for ; k < e.maxDepth-1 && k < maxFrontierDepth; k++ {
+		n := 0
+		err := e.sub(0, k, new(Stats), func() error {
+			return e.leaves(0, func(s *sim.System) error {
+				if !s.Done() {
+					if n++; n >= target {
+						return errCancelled
+					}
+				}
+				return nil
+			})
+		})
+		if err != nil && err != errCancelled {
 			return 0, err
 		}
 		if n == 0 || n >= target {
@@ -240,93 +283,6 @@ func chooseFrontier(e *engine, maxDepth, workers, explicit int) (int, error) {
 		}
 	}
 	return k, nil
-}
-
-// countAtDepth counts the configurations at exactly the given depth that
-// still have work to do, short-circuiting once limit is reached.
-func (e *engine) countAtDepth(depth, limit int) (int, error) {
-	n := 0
-	var walk func(d int) error
-	walk = func(d int) error {
-		if e.sys.Done() {
-			return nil
-		}
-		if d == depth {
-			n++
-			if n >= limit {
-				return errCancelled
-			}
-			return nil
-		}
-		return e.expand(d, walk)
-	}
-	err := walk(0)
-	if err == errCancelled {
-		err = nil
-	}
-	// An aborted walk (the short-circuit above, or an advance error) exits
-	// through expand without unwinding; rewind so the engine is back at the
-	// root for the real split.
-	if uerr := e.undoTo(0); uerr != nil && err == nil {
-		err = uerr
-	}
-	return n, err
-}
-
-// splitter enumerates the prefix of the execution tree above the frontier
-// depth. Prefix nodes are visited inline (counted, deduplicated, shown to
-// the visitor / leaf callback); frontier nodes become subtree tasks.
-type splitter struct {
-	e      *engine
-	k      int
-	dfs    bool    // DFS mode: run the visitor, honour pruning
-	visit  Visitor // DFS mode
-	leafFn func(s *sim.System, seq int) error
-	path   []pathStep
-	tasks  []subtreeTask
-	seq    int
-}
-
-// walk enumerates the prefix below the current configuration at depth.
-// Frontier nodes (depth == k) are emitted as tasks and NOT visited — the
-// worker that picks the task up runs the full per-node protocol (dedup
-// check, counting, callbacks) so every node is processed exactly once.
-func (sp *splitter) walk(depth int) error {
-	if depth == sp.k {
-		sp.tasks = append(sp.tasks, subtreeTask{path: clonePath(sp.path), seq: sp.seq})
-		sp.seq++
-		return nil
-	}
-	if sp.e.pruneDup(depth) {
-		return nil
-	}
-	sp.e.st.Nodes++
-	descend := true
-	if sp.dfs && sp.visit != nil {
-		var err error
-		descend, err = sp.visit(sp.e.sys, depth)
-		if err != nil {
-			return err
-		}
-	}
-	if sp.e.sys.Done() {
-		sp.e.st.Leaves++
-		seq := sp.seq
-		sp.seq++
-		if !sp.dfs && sp.leafFn != nil {
-			return sp.leafFn(sp.e.sys, seq)
-		}
-		return nil
-	}
-	if !descend {
-		return nil
-	}
-	return sp.e.expandSteps(depth, func(d int, step pathStep) error {
-		sp.path = append(sp.path, step)
-		err := sp.walk(d)
-		sp.path = sp.path[:len(sp.path)-1]
-		return err
-	})
 }
 
 // ---------------------------------------------------------------------------
@@ -355,14 +311,20 @@ func (f *fatalErr) get() error {
 	return f.err
 }
 
-// runTasks fans tasks out to workers pulling from a shared atomic cursor.
-// body explores one subtree on the worker's engine; abort errors (sentinel
-// early exits) end the subtree without failing the run. Worker Stats are
-// summed into total.
-func runTasks(root *sim.System, maxDepth, workers int, cfg Config, tasks []subtreeTask,
-	shared *shardedSet, total *Stats,
-	body func(e *engine, t subtreeTask) error,
-	isAbort func(error) bool, skip func(t subtreeTask) bool) error {
+// walkFn is one walk kind bound to its callbacks (dfs with a visitor,
+// leaves with a leaf function, analyze with a report to fill): it explores
+// the subtree below the engine's current configuration, which sits at
+// depth.
+type walkFn func(e *engine, depth int) error
+
+// runTasks fans the frontier subtrees out to workers pulling from a shared
+// atomic cursor. Each task is the branch path of a frontier node and its
+// index is its depth-first rank; body walks below it on the worker's
+// engine, and a sentinel ends the subtree without failing the run. skip,
+// if set, drops a task before it is seeded. Worker Stats are summed into
+// total.
+func runTasks(root *sim.System, maxDepth, workers int, cfg Config, tasks [][]pathStep,
+	shared *shardedSet, total *Stats, body walkFn, skip func(rank int) bool) error {
 
 	if len(tasks) == 0 {
 		return nil
@@ -372,7 +334,12 @@ func runTasks(root *sim.System, maxDepth, workers int, cfg Config, tasks []subtr
 	}
 	var cursor atomic.Int64
 	var fatal fatalErr
-	stats := make([]Stats, workers)
+	// A worker bumps its counters at every node: each gets 128 bytes, so no
+	// two workers' counters share a cache line.
+	stats := make([]struct {
+		Stats
+		_ [96]byte
+	}, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -380,7 +347,7 @@ func runTasks(root *sim.System, maxDepth, workers int, cfg Config, tasks []subtr
 			defer wg.Done()
 			// The engine (a deep clone of root) is created lazily on the
 			// first task this worker actually explores: a hunt whose winner
-			// was already found during the prefix split skips everything and
+			// was already found above the frontier skips everything and
 			// should not pay a clone per worker.
 			var e *engine
 			for !fatal.set.Load() {
@@ -388,22 +355,25 @@ func runTasks(root *sim.System, maxDepth, workers int, cfg Config, tasks []subtr
 				if i >= len(tasks) {
 					return
 				}
-				t := tasks[i]
-				if skip != nil && skip(t) {
+				if skip != nil && skip(i) {
 					continue
 				}
 				if e == nil {
-					e = newWorkerEngine(root, maxDepth, cfg, shared, &stats[w])
+					e = newEngine(root, maxDepth, cfg, &stats[w].Stats)
+					if shared != nil {
+						e.visited = shared
+					}
 				}
-				if err := replayPath(e.sys, t.path); err != nil {
+				if err := replayPath(e.sys, tasks[i]); err != nil {
 					fatal.fail(err)
 					return
 				}
-				err := body(e, t)
+				e.rank = i
+				err := body(e, len(tasks[i]))
 				if uerr := e.undoTo(0); uerr != nil && err == nil {
 					err = uerr
 				}
-				if err != nil && (isAbort == nil || !isAbort(err)) {
+				if err != nil && !isSentinel(err) {
 					fatal.fail(err)
 					return
 				}
@@ -412,77 +382,51 @@ func runTasks(root *sim.System, maxDepth, workers int, cfg Config, tasks []subtr
 	}
 	wg.Wait()
 	for w := range stats {
-		total.add(stats[w])
+		total.add(stats[w].Stats)
 	}
 	return fatal.get()
 }
 
-// isSentinel reports the package's clean-early-exit sentinels.
-func isSentinel(err error) bool {
-	return err == errViolation || err == errCancelled
-}
-
-// ---------------------------------------------------------------------------
-// Parallel Leaves / DFS.
-
-// leavesPar is the parallel leaf enumeration: split, fan out, merge. fn
-// receives the depth-first rank of the enclosing subtree (or prefix leaf)
-// so witness searches can order violations; isAbort marks sentinel errors
-// that end a subtree without failing the exploration.
-func leavesPar(root *sim.System, maxDepth int, cfg Config, workers int,
-	fn func(leaf *sim.System, seq int) error, isAbort func(error) bool) (Stats, error) {
+// walkTree is the one driver behind DFS, Leaves and the violation
+// searches. With one worker it is walk from the root. With more it is the
+// same call with the cut installed at the frontier — which visits the
+// prefix and records a task per frontier node — followed by walk below
+// every task on the pool: the cut is the only difference between the
+// sequential and the parallel exploration. A sentinel ends a walk cleanly
+// (the tasks recorded before it still run: they precede it in depth-first
+// order); any other error fails the exploration.
+func walkTree(root *sim.System, maxDepth int, cfg Config, workers int, walk walkFn,
+	skip func(rank int) bool) (Stats, error) {
 
 	var st Stats
 	e := newEngine(root, maxDepth, cfg, &st)
-	k, err := chooseFrontier(e, maxDepth, workers, cfg.FrontierDepth)
+	if workers <= 1 || maxDepth < 2 {
+		err := walk(e, 0)
+		if isSentinel(err) {
+			err = nil
+		}
+		return st, err
+	}
+	k, err := chooseFrontier(e, workers, cfg.frontierDepth)
 	if err != nil {
 		return st, err
 	}
-	sp := &splitter{e: e, k: k, leafFn: fn}
-	splitErr := sp.walk(0)
-	if splitErr != nil && (isAbort == nil || !isAbort(splitErr)) {
-		return st, splitErr
-	}
-	var shared *shardedSet
-	if e.dedup {
-		shared = newShardedSet()
-	}
-	err = runTasks(root, maxDepth, workers, cfg, sp.tasks, shared, &st,
-		func(we *engine, t subtreeTask) error {
-			return we.leaves(len(t.path), func(leaf *sim.System) error {
-				return fn(leaf, t.seq)
-			})
-		}, isAbort, nil)
-	return st, err
-}
-
-// dfsPar is the parallel preorder walk. The visitor runs on the splitting
-// goroutine for prefix nodes and on workers below the frontier.
-func dfsPar(root *sim.System, maxDepth int, cfg Config, workers int, visit Visitor) (Stats, error) {
-	var st Stats
-	e := newEngine(root, maxDepth, cfg, &st)
-	k, err := chooseFrontier(e, maxDepth, workers, cfg.FrontierDepth)
-	if err != nil {
-		return st, err
-	}
-	sp := &splitter{e: e, k: k, dfs: true, visit: visit}
-	if err := sp.walk(0); err != nil {
+	var tasks [][]pathStep
+	e.recordCut(k, &tasks)
+	if err := walk(e, 0); err != nil && !isSentinel(err) {
 		return st, err
 	}
 	var shared *shardedSet
-	if e.dedup {
+	if e.visited != nil {
 		shared = newShardedSet()
 	}
-	err = runTasks(root, maxDepth, workers, cfg, sp.tasks, shared, &st,
-		func(we *engine, t subtreeTask) error {
-			return we.dfs(len(t.path), visit)
-		}, nil, nil)
+	err = runTasks(root, maxDepth, workers, cfg, tasks, shared, &st, walk, skip)
 	return st, err
 }
 
 // ---------------------------------------------------------------------------
 // Violation search (LinearizableEverywhere, WeaklyConsistentEverywhere,
-// NodeStable).
+// NodeStable, FindStable's in-place pre-check).
 
 // leafPredicate checks the leaf engine e sits on (e.sys is the leaf);
 // ok=false flags a violation.
@@ -510,17 +454,17 @@ func newViolationHunt(keepWitness bool) *violationHunt {
 	return h
 }
 
-// record notes a violation found at rank seq in leaf (the engine's working
+// record notes a violation found at rank in leaf (the engine's working
 // system — cloned here if a witness is kept).
-func (h *violationHunt) record(seq int, leaf *sim.System) {
+func (h *violationHunt) record(rank int, leaf *sim.System) {
 	if !h.keepWitness {
 		// Verdict-only searches (NodeStable) cancel everything outstanding.
 		h.bestSeq.Store(-1)
 		return
 	}
 	h.mu.Lock()
-	if int64(seq) < h.bestSeq.Load() {
-		h.bestSeq.Store(int64(seq))
+	if int64(rank) < h.bestSeq.Load() {
+		h.bestSeq.Store(int64(rank))
 		h.witness = leaf.Clone()
 	}
 	h.mu.Unlock()
@@ -528,85 +472,50 @@ func (h *violationHunt) record(seq int, leaf *sim.System) {
 
 func (h *violationHunt) found() bool { return h.bestSeq.Load() != noViolation }
 
-// searchViolation checks pred on every leaf below root, aborting as early
-// as possible once a violation is found. With keepWitness the returned
-// system is the violating leaf with the lexicographically smallest branch
-// path, identical for every worker count. Stats cover the full tree only
-// when no violation exists (early exit truncates them, exactly like the
-// sequential sentinel walk). Dedup is forced off: leaf checks read the
-// recorded history, which depends on the path taken to a configuration.
-func searchViolation(root *sim.System, maxDepth int, cfg Config, keepWitness bool,
-	pred leafPredicate) (bool, *sim.System, Stats, error) {
+// beaten reports whether a subtree of this rank can no longer hold the
+// answer.
+func (h *violationHunt) beaten(rank int) bool { return int64(rank) > h.bestSeq.Load() }
 
-	cfg.Dedup = false
-	w := cfg.workerCount()
-	if w <= 1 || maxDepth < 2 {
-		var bad *sim.System
-		var st Stats
-		e := newEngine(root, maxDepth, cfg, &st)
-		err := e.leaves(0, func(leaf *sim.System) error {
+// walk is the one "leaves with a predicate, stop at the first violation"
+// loop, as a walkFn: the sequential search, the walk above the frontier
+// (where a completed run ranks with the cuts made so far: it precedes the
+// next frontier subtree, and being a violation ends that walk, so no task
+// ever shares its rank), every worker, and the in-place pre-check of
+// FindStable run it.
+func (h *violationHunt) walk(pred leafPredicate) walkFn {
+	return func(e *engine, depth int) error {
+		return e.leaves(depth, func(*sim.System) error {
+			if h.beaten(e.rank) {
+				return errCancelled
+			}
 			ok, err := pred(e)
 			if err != nil {
 				return err
 			}
 			if !ok {
-				if keepWitness {
-					bad = leaf.Clone()
-				}
+				h.record(e.rank, e.sys)
 				return errViolation
 			}
 			return nil
 		})
-		found := err == errViolation
-		if found {
-			err = nil
-		}
-		return found, bad, st, err
 	}
+}
 
+// searchViolation checks pred on every leaf below root, aborting as early
+// as possible once a violation is found. With keepWitness the returned
+// system is the violating leaf with the lexicographically smallest branch
+// path, identical for every worker count. Stats cover the full tree only
+// when no violation exists (early exit truncates them). Dedup is forced
+// off: leaf checks read the recorded history, which depends on the path
+// taken to a configuration.
+func searchViolation(root *sim.System, maxDepth int, cfg Config, keepWitness bool,
+	pred leafPredicate) (bool, *sim.System, Stats, error) {
+
+	cfg.Dedup = false
 	hunt := newViolationHunt(keepWitness)
-	fn := func(e *engine, seq int) error {
-		if int64(seq) > hunt.bestSeq.Load() {
-			return errCancelled
-		}
-		ok, err := pred(e)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			hunt.record(seq, e.sys)
-			return errViolation
-		}
-		return nil
-	}
-	st, err := leavesParHunt(root, maxDepth, cfg, w, fn, hunt)
+	st, err := walkTree(root, maxDepth, cfg, cfg.workerCount(), hunt.walk(pred), hunt.beaten)
 	if err != nil {
 		return false, nil, st, err
 	}
 	return hunt.found(), hunt.witness, st, nil
-}
-
-// leavesParHunt is leavesPar specialised to a violation hunt: subtrees
-// ranked above the best violation are skipped before they are even seeded.
-func leavesParHunt(root *sim.System, maxDepth int, cfg Config, workers int,
-	fn func(e *engine, seq int) error, hunt *violationHunt) (Stats, error) {
-
-	var st Stats
-	e := newEngine(root, maxDepth, cfg, &st)
-	k, err := chooseFrontier(e, maxDepth, workers, cfg.FrontierDepth)
-	if err != nil {
-		return st, err
-	}
-	sp := &splitter{e: e, k: k, leafFn: func(_ *sim.System, seq int) error { return fn(e, seq) }}
-	if splitErr := sp.walk(0); splitErr != nil && !isSentinel(splitErr) {
-		return st, splitErr
-	}
-	err = runTasks(root, maxDepth, workers, cfg, sp.tasks, nil, &st,
-		func(we *engine, t subtreeTask) error {
-			return we.leaves(len(t.path), func(*sim.System) error {
-				return fn(we, t.seq)
-			})
-		}, isSentinel,
-		func(t subtreeTask) bool { return int64(t.seq) > hunt.bestSeq.Load() })
-	return st, err
 }

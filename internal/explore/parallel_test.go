@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -370,21 +371,221 @@ func TestParallelFindStableFailureMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelExplicitFrontierDepths checks that every split depth yields
-// the same results (the frontier is a correctness-neutral tuning knob).
+// sortedCopy returns xs sorted, for multiset comparison.
+func sortedCopy(xs []string) []string {
+	out := append([]string(nil), xs...)
+	sort.Strings(out)
+	return out
+}
+
+// TestParallelExplicitFrontierDepths: the cut is the only difference
+// between the sequential and the parallel exploration, so every walk kind
+// is compared with its sequential self at EVERY cut depth — including the
+// depths where a completed run sits above the frontier or exactly on it,
+// where the frontier is empty because the tree ended above it, and (with
+// Dedup) where two frontier nodes are the same configuration.
 func TestParallelExplicitFrontierDepths(t *testing.T) {
-	root := mustSystem(t, counter.CAS{}, sim.UniformWorkload(2, 2, fetchinc), nil)
-	seqStats, err := DFS(root, 12, Config{}, nil)
-	if err != nil {
-		t.Fatal(err)
+	propose := [][]spec.Op{
+		{spec.MakeOp1(spec.MethodPropose, 10)},
+		{spec.MakeOp1(spec.MethodPropose, 20)},
 	}
-	for _, k := range []int{1, 2, 4, 7, 20} {
-		parStats, err := DFS(root, 12, Config{Workers: 4, FrontierDepth: k}, nil)
-		if err != nil {
+	trees := []scenario{
+		{name: "cas-counter", impl: counter.CAS{}, workload: sim.UniformWorkload(2, 1, fetchinc), depth: 12},
+		{name: "reg-consensus", impl: elconsensus.Impl{AtomicBases: true}, workload: propose, depth: 14},
+		{name: "sloppy-counter", impl: counter.Sloppy{}, workload: sim.UniformWorkload(2, 1, fetchinc), depth: 12},
+		// Its first violating leaf in depth-first order is at depth 14 and
+		// later ones are completed runs at depth 12: at k=13 the witness is
+		// in a subtree ranked before a violating run above the frontier.
+		{name: "warmup-counter", impl: counter.Warmup{Threshold: 2}, workload: sim.UniformWorkload(2, 2, fetchinc), depth: 14},
+	}
+	for _, sc := range trees {
+		t.Run(sc.name, func(t *testing.T) {
+			root := mustSystem(t, sc.impl, sc.workload, sc.policies)
+
+			// The sequential side of every comparison, and the shape of the
+			// tree: where its runs complete, and which depths hold the same
+			// configuration twice.
+			var mu sync.Mutex
+			var visits []string
+			doneAt := map[int]bool{}
+			prune := func(s *sim.System, depth int) (bool, error) {
+				mu.Lock()
+				visits = append(visits, fmt.Sprintf("%d|%s", depth, s.History()))
+				mu.Unlock()
+				return (s.History().Len()+depth)%4 != 3, nil
+			}
+			seqDFS, err := DFS(root, sc.depth, Config{Workers: 1}, prune)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seqVisits := sortedCopy(visits)
+			dupAt := map[int]bool{}
+			configs := map[string]bool{}
+			if _, err := DFS(root, sc.depth, Config{Workers: 1}, func(s *sim.System, depth int) (bool, error) {
+				if s.Done() {
+					doneAt[depth] = true
+				}
+				key, _ := s.AppendConfigFingerprint([]byte{byte(depth)})
+				if configs[string(key)] {
+					dupAt[depth] = true
+				}
+				configs[string(key)] = true
+				return true, nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			firstDone := sc.depth
+			for d := range doneAt {
+				firstDone = min(firstDone, d)
+			}
+			if firstDone+1 > sc.depth-1 {
+				t.Fatalf("first completed run at depth %d: no cut depth has one above it", firstDone)
+			}
+			if !dupAt[2] {
+				t.Fatal("no configuration occurs twice at depth 2: no cut depth has a duplicated frontier node")
+			}
+			seqDedupDFS, err := DFS(root, sc.depth, Config{Workers: 1, Dedup: true}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var leafHist []string
+			seqLeaves, err := Leaves(root, sc.depth, Config{Workers: 1}, func(leaf *sim.System) error {
+				leafHist = append(leafHist, leaf.History().String())
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			seqLeafHist := sortedCopy(leafHist)
+			seqRep, err := Analyze(root, sc.depth, Config{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			seqDedupRep, err := Analyze(root, sc.depth, Config{Workers: 1, Dedup: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seqDedupRep.Stats.Deduped == 0 {
+				t.Fatal("the deduplicating analysis merged nothing")
+			}
+			seqOK, seqBad, seqLinStats, err := LinearizableEverywhere(root, sc.depth, Config{Workers: 1}, check.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			for k := 1; k < sc.depth; k++ {
+				cfg := Config{Workers: 4, frontierDepth: k}
+				dedupCfg := Config{Workers: 4, frontierDepth: k, Dedup: true}
+
+				visits = visits[:0]
+				st, err := DFS(root, sc.depth, cfg, prune)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st != seqDFS || !reflect.DeepEqual(sortedCopy(visits), seqVisits) {
+					t.Fatalf("k=%d: pruned DFS diverges: %+v with %d visits, sequential %+v with %d",
+						k, st, len(visits), seqDFS, len(seqVisits))
+				}
+				if st, err = DFS(root, sc.depth, dedupCfg, nil); err != nil {
+					t.Fatal(err)
+				} else if st != seqDedupDFS {
+					t.Fatalf("k=%d: dedup DFS stats diverge: %+v, sequential %+v", k, st, seqDedupDFS)
+				}
+
+				leafHist = leafHist[:0]
+				st, err = Leaves(root, sc.depth, cfg, func(leaf *sim.System) error {
+					h := leaf.History().String()
+					mu.Lock()
+					leafHist = append(leafHist, h)
+					mu.Unlock()
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st != seqLeaves || !reflect.DeepEqual(sortedCopy(leafHist), seqLeafHist) {
+					t.Fatalf("k=%d: Leaves diverges: %+v with %d leaves, sequential %+v with %d",
+						k, st, len(leafHist), seqLeaves, len(seqLeafHist))
+				}
+
+				rep, err := Analyze(root, sc.depth, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(rep, seqRep) {
+					t.Fatalf("k=%d: valency reports diverge:\npar: %+v\nseq: %+v", k, rep, seqRep)
+				}
+				rep, err = Analyze(root, sc.depth, dedupCfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Stats != seqDedupRep.Stats || rep.Univalent != seqDedupRep.Univalent ||
+					rep.Multivalent != seqDedupRep.Multivalent ||
+					rep.AgreementViolations != seqDedupRep.AgreementViolations ||
+					len(rep.Criticals) != len(seqDedupRep.Criticals) || !reflect.DeepEqual(rep.Root, seqDedupRep.Root) {
+					t.Fatalf("k=%d: dedup valency reports diverge:\npar: %+v\nseq: %+v", k, rep, seqDedupRep)
+				}
+
+				ok, bad, st, err := LinearizableEverywhere(root, sc.depth, cfg, check.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ok != seqOK || (bad == nil) != (seqBad == nil) || (ok && st != seqLinStats) {
+					t.Fatalf("k=%d: LinearizableEverywhere: ok=%v witness=%v %+v, sequential ok=%v witness=%v %+v",
+						k, ok, bad != nil, st, seqOK, seqBad != nil, seqLinStats)
+				}
+				if bad != nil && bad.History().String() != seqBad.History().String() {
+					t.Fatalf("k=%d: witness diverges:\ngot:\n%s\nsequential:\n%s", k, bad.History(), seqBad.History())
+				}
+			}
+		})
+	}
+}
+
+// TestCutHandsOverDuplicateFrontierNodes pins what the cut does NOT do: it
+// neither deduplicates nor counts the node it hands over (the worker that
+// takes the task does, against the set it shares with the others), so two
+// frontier nodes that are one configuration are both handed over, and a
+// completed run on the frontier is handed over like any other node.
+func TestCutHandsOverDuplicateFrontierNodes(t *testing.T) {
+	root := mustSystem(t, counter.CAS{}, sim.UniformWorkload(2, 1, fetchinc), nil)
+	for _, k := range []int{2, 6} {
+		var st Stats
+		e := newEngine(root, 12, Config{Dedup: true}, &st)
+		handed := map[string]int{}
+		done := 0
+		e.cutDepth, e.cut = k, func(path []pathStep) error {
+			if len(path) != k || e.sys.UndoDepth() != k {
+				t.Fatalf("cut at depth %d handed a path of %d steps at undo depth %d", k, len(path), e.sys.UndoDepth())
+			}
+			replayed := root.Clone()
+			if err := replayPath(replayed, path); err != nil {
+				t.Fatal(err)
+			}
+			if replayed.History().String() != e.sys.History().String() {
+				t.Fatalf("path %v does not lead to the node it was cut at", path)
+			}
+			key, _ := e.sys.AppendConfigFingerprint(nil)
+			handed[string(key)]++
+			if e.sys.Done() {
+				done++
+			}
+			return nil
+		}
+		if err := e.dfs(0, nil); err != nil {
 			t.Fatal(err)
 		}
-		if parStats != seqStats {
-			t.Fatalf("frontier=%d: stats diverge: par %+v, seq %+v", k, parStats, seqStats)
+		twice := 0
+		for _, n := range handed {
+			if n > 1 {
+				twice++
+			}
+		}
+		switch {
+		case k == 2 && (twice == 0 || st.Deduped != 0):
+			t.Fatalf("k=2: %d configurations handed over twice, %d deduplicated above the frontier; want some and none", twice, st.Deduped)
+		case k == 6 && done == 0:
+			t.Fatal("k=6: no completed run handed over at the frontier")
 		}
 	}
 }

@@ -35,19 +35,25 @@ type StableResult struct {
 // the walk early, and under parallel workers the abort point is
 // schedule-dependent).
 func NodeStable(node *sim.System, verifyDepth int, cfg Config, opts check.Options) (bool, Stats, error) {
-	t := node.History().Len()
-	obj := node.Impl().Spec()
-	found, _, st, err := searchViolation(node, verifyDepth, cfg, false, func(e *engine) (bool, error) {
-		return check.TLinearizable(obj, e.sys.History(), t, opts)
-	})
+	found, _, st, err := searchViolation(node, verifyDepth, cfg, false, stableFrom(node, opts))
 	if err != nil {
 		return false, st, err
 	}
 	return !found, st, nil
 }
 
+// stableFrom is the leaf predicate of bounded stability below node: the
+// leaf's history is t-linearizable for t = node's history length.
+func stableFrom(node *sim.System, opts check.Options) leafPredicate {
+	t := node.History().Len()
+	obj := node.Impl().Spec()
+	return func(e *engine) (bool, error) {
+		return check.TLinearizable(obj, e.sys.History(), t, opts)
+	}
+}
+
 // errBudget aborts a budgeted stability pre-check whose subtree turned out
-// to be expensive (see findStable).
+// to be expensive (see FindStable).
 var errBudget = errors.New("explore: node budget exhausted")
 
 // stableCheckAt verifies bounded stability of the engine's CURRENT
@@ -56,29 +62,22 @@ var errBudget = errors.New("explore: node budget exhausted")
 // the current history length. The walk aborts at the first violating leaf
 // and rewinds to the configuration it started from. A positive budget
 // additionally abandons the walk once that many nodes have been visited
-// without a verdict; decided reports whether the verdict is final.
+// without a verdict; decided reports whether the verdict is final. The
+// budget test is part of the predicate, so a search without a budget does
+// not make it.
 func stableCheckAt(e *engine, depth, verifyDepth int, opts check.Options, budget int) (stable bool, vst Stats, decided bool, err error) {
-	prevSt, prevMax := e.st, e.maxDepth
-	e.st, e.maxDepth = &vst, depth+verifyDepth
-	t := e.sys.History().Len()
-	obj := e.sys.Impl().Spec()
-	err = e.leaves(depth, func(leaf *sim.System) error {
-		if budget > 0 && vst.Nodes > budget {
-			return errBudget
+	pred := stableFrom(e.sys, opts)
+	if budget > 0 {
+		tLinearizable := pred
+		pred = func(e *engine) (bool, error) {
+			if vst.Nodes > budget {
+				return false, errBudget
+			}
+			return tLinearizable(e)
 		}
-		ok, cerr := check.TLinearizable(obj, leaf.History(), t, opts)
-		if cerr != nil {
-			return cerr
-		}
-		if !ok {
-			return errViolation
-		}
-		return nil
-	})
-	e.st, e.maxDepth = prevSt, prevMax
-	if uerr := e.undoTo(depth); uerr != nil && (err == nil || isSentinel(err) || err == errBudget) {
-		err = uerr
 	}
+	walk := newViolationHunt(false).walk(pred)
+	err = e.sub(depth, depth+verifyDepth, &vst, func() error { return walk(e, depth) })
 	switch err {
 	case nil:
 		return true, vst, true, nil
@@ -92,20 +91,26 @@ func stableCheckAt(e *engine, depth, verifyDepth int, opts check.Options, budget
 }
 
 // appendChildren enumerates the children of the engine's current
-// configuration through expandSteps — the same code path every walk in
-// this package branches with, so the (process, branch) order the queue
-// records is the order replayPath will resolve — and appends their branch
-// paths to queue.
+// configuration through expand — the same code path every walk in this
+// package branches with, so the (process, branch) order the queue records
+// is the order replayPath will resolve — and appends their branch paths to
+// queue.
 func appendChildren(e *engine, depth int, path []pathStep, queue [][]pathStep) ([][]pathStep, error) {
-	err := e.expandSteps(depth, func(_ int, step pathStep) error {
-		child := make([]pathStep, len(path)+1)
-		copy(child, path)
-		child[len(path)] = step
-		queue = append(queue, child)
+	err := e.expand(depth, func(int) error {
+		// path has depth steps; clipping its capacity makes append copy.
+		queue = append(queue, append(path[:depth:depth], e.steps[depth]))
 		return nil
 	})
 	return queue, err
 }
+
+// fsSeqBudget is the node budget of the in-place sequential pre-check the
+// parallel search gives each candidate before fanning its verification out
+// to the pool: most unstable candidates hit a violating leaf well inside
+// it, sparing the per-candidate pool setup (worker clones, frontier
+// probe), while an expensive subtree — in practice the stable winner's —
+// abandons the pre-check early and gets the full parallel treatment.
+const fsSeqBudget = 512
 
 // FindStable searches the execution tree of root for a stable configuration
 // (Claim 1 in the proof of Proposition 18 guarantees one exists for any
@@ -119,6 +124,11 @@ func appendChildren(e *engine, depth int, path []pathStep, queue [][]pathStep) (
 // (Proposition 18's hypothesis); eventually linearizable bases make the
 // tree branch on responses, which is supported but usually unintended here.
 //
+// The queue holds branch paths, not configurations: one working system
+// replays a candidate's path, verifies it in place, enumerates its children
+// and rewinds — no clone per edge, no clone per queued node, one clone for
+// the result.
+//
 // With more than one worker each candidate's stability verification — the
 // search's dominant cost, an exhaustive walk of the candidate's bounded
 // subtree — fans its leaf checks out across the worker pool, while
@@ -131,27 +141,11 @@ func appendChildren(e *engine, depth int, path []pathStep, queue [][]pathStep) (
 // Config.Dedup is ignored (stability of a node depends on its recorded
 // history, not just the configuration).
 func FindStable(root *sim.System, searchDepth, verifyDepth int, cfg Config, opts check.Options) (*StableResult, error) {
-	return findStable(root, searchDepth, verifyDepth, cfg, opts)
-}
-
-// fsSeqBudget is the node budget of the in-place sequential pre-check the
-// parallel search gives each candidate before fanning its verification out
-// to the pool: most unstable candidates hit a violating leaf well inside
-// it, sparing the per-candidate pool setup (worker clones, frontier
-// probe), while an expensive subtree — in practice the stable winner's —
-// abandons the pre-check early and gets the full parallel treatment.
-const fsSeqBudget = 512
-
-// findStable is the shared breadth-first search. The queue holds branch
-// paths, not configurations: one working system replays a candidate's
-// path, verifies it in place, enumerates its children and rewinds — no
-// clone per edge, no clone per queued node, one clone for the result.
-func findStable(root *sim.System, searchDepth, verifyDepth int, cfg Config, opts check.Options) (*StableResult, error) {
-	workers := cfg.workerCount()
+	cfg.Dedup = false
 	var scratch Stats
-	e := newEngine(root, searchDepth+verifyDepth, Config{}, &scratch)
+	e := newEngine(root, searchDepth+verifyDepth, cfg, &scratch)
 	budget := 0 // sequential search: run every pre-check to its verdict
-	if workers > 1 {
+	if cfg.workerCount() > 1 {
 		budget = fsSeqBudget
 	}
 	queue := [][]pathStep{nil}

@@ -121,27 +121,46 @@ type ValencyReport struct {
 // many tree nodes were merged away.
 //
 // With more than one worker the subtrees below a frontier depth are
-// classified in parallel and the decision sets merged bottom-up. Without
-// Dedup the report is bit-identical for every worker count. With Dedup
-// the counters, valences and verdicts stay deterministic, but which
-// arrival path a merged configuration is attributed to is a race, so the
-// example strings (ViolationHistory, a Critical's History) may differ
-// between runs — the same caveat Dedup already carries sequentially
-// versus the exact analysis.
+// classified in parallel and the analysis from the root, cut at that depth,
+// takes their valences from the workers. Without Dedup the report is
+// bit-identical for every worker count. With Dedup the counters, valences
+// and verdicts stay deterministic, but which arrival path a merged
+// configuration is attributed to is a race, so the example strings
+// (ViolationHistory, a Critical's History) may differ between runs — the
+// same caveat Dedup already carries sequentially versus the exact analysis.
 func Analyze(root *sim.System, maxDepth int, cfg Config) (*ValencyReport, error) {
-	if w := cfg.workerCount(); w > 1 && maxDepth >= 2 {
-		return analyzePar(root, maxDepth, cfg, w)
-	}
+	// Merging goes through the analyzer's memo, whose key adds the
+	// responses so far; the engines' visited sets stay off.
+	dedup := cfg.Dedup
+	cfg.Dedup = false
 	rep := &ValencyReport{}
-	a := &valAnalyzer{
-		eng:  newEngine(root, maxDepth, Config{}, &rep.Stats),
-		rep:  rep,
-		sets: make([][]int64, maxDepth+2),
+	e := newEngine(root, maxDepth, cfg, &rep.Stats)
+	dedup = dedup && fingerprintable(e.sys)
+	a := newAnalyzer(e, rep)
+	if dedup {
+		a.memo = localMemo{}
 	}
-	if cfg.Dedup {
-		if _, ok := a.eng.sys.Fingerprint(); ok {
-			a.dedup = true
-			a.memo = make(map[string]valMemo)
+	if w := cfg.workerCount(); w > 1 && maxDepth >= 2 {
+		k, subs, err := analyzeSubtrees(root, e, cfg, w, dedup)
+		if err != nil {
+			return nil, err
+		}
+		// The real pass: a frontier node's valence is the one a worker
+		// found, and its subtree's share of the report lands here, in the
+		// postorder position the sequential analysis would give it.
+		e.cutDepth, e.cut = k, func(path []pathStep) error {
+			sub := subs[0]
+			subs = subs[1:]
+			rep.Univalent += sub.Univalent
+			rep.Multivalent += sub.Multivalent
+			rep.AgreementViolations += sub.AgreementViolations
+			if rep.ViolationHistory == "" {
+				rep.ViolationHistory = sub.ViolationHistory
+			}
+			rep.Criticals = append(rep.Criticals, sub.Criticals...)
+			a.sets[k] = append(a.sets[k], sub.Root.Values()...)
+			a.cutTruncated = sub.Root.Truncated
+			return nil
 		}
 	}
 	truncated, err := a.analyze(0)
@@ -152,91 +171,127 @@ func Analyze(root *sim.System, maxDepth int, cfg Config) (*ValencyReport, error)
 	return rep, nil
 }
 
+// analyzeSubtrees is the parallel part of Analyze, on the engine e the real
+// pass will then run on. A throw-away pass of the analyzer itself, cut at
+// the frontier depth k with the recording hook, enumerates the subtree tasks
+// (it leaves every frontier node the empty valence) — it has to be analyze,
+// so that memo pruning above the frontier drops the frontier nodes the real
+// pass will drop and the i-th cut of either pass is the same node. The pool
+// then classifies every subtree into a report of its own, Root included,
+// returned in task order; the workers count into e's Stats. The cut is
+// removed again: the caller installs its own at k.
+func analyzeSubtrees(root *sim.System, e *engine, cfg Config, workers int, dedup bool) (int, []*ValencyReport, error) {
+	k, err := chooseFrontier(e, workers, cfg.frontierDepth)
+	if err != nil {
+		return 0, nil, err
+	}
+	var tasks [][]pathStep
+	e.recordCut(k, &tasks)
+	scout := newAnalyzer(e, &ValencyReport{})
+	var shared *shardedMemo
+	if dedup {
+		scout.memo = localMemo{}
+		shared = newShardedMemo()
+	}
+	err = e.sub(0, e.maxDepth, new(Stats), func() error {
+		_, err := scout.analyze(0)
+		return err
+	})
+	e.cut = nil
+	if err != nil {
+		return 0, nil, err
+	}
+	subs := make([]*ValencyReport, len(tasks))
+	err = runTasks(root, e.maxDepth, workers, cfg, tasks, nil, e.st,
+		func(we *engine, depth int) error {
+			wa := newAnalyzer(we, &ValencyReport{})
+			if shared != nil {
+				wa.memo = shared
+			}
+			truncated, err := wa.analyze(depth)
+			wa.rep.Root = wa.valence(depth, truncated)
+			subs[we.rank] = wa.rep
+			return err
+		}, nil)
+	return k, subs, err
+}
+
 // valAnalyzer runs the valency analysis on the in-place engine. Decision
 // sets live in per-depth scratch rows as sorted multiplicity-free slices,
 // so the hot path performs no per-node allocation; Valence maps are built
-// only where they escape (the root, critical configurations, memo entries).
+// only where they escape (the root, critical configurations, sub-reports).
+// It counts nodes into the engine's Stats and everything else into rep.
 type valAnalyzer struct {
 	eng     *engine
 	rep     *ValencyReport
 	sets    [][]int64 // per-depth decision scratch, sorted unique
-	dedup   bool
-	memo    map[string]valMemo // sequential memo
-	shared  *shardedMemo       // cross-worker memo (parallel analyze)
-	respBuf []int64            // scratch for the memo key's completed-response multiset
+	memo    memoTable // nil without Dedup
+	respBuf []int64   // scratch for the memo key's completed-response multiset
+	// cutTruncated is the truncation half of a frontier node's valence: the
+	// engine's cut hook, which classify calls instead of classifying such a
+	// node, leaves the decisions in sets[eng.cutDepth] and the flag here.
+	cutTruncated bool
 }
 
-// valMemo is a memoized subtree valence.
-type valMemo struct {
-	decisions []int64
-	truncated bool
+func newAnalyzer(e *engine, rep *ValencyReport) *valAnalyzer {
+	return &valAnalyzer{eng: e, rep: rep, sets: make([][]int64, e.maxDepth+2)}
 }
 
+// analyze leaves the decision set of the configuration the engine stands
+// on in a.sets[depth] and reports whether the horizon truncated it. With a
+// memo, the first arrival at a configuration classifies it and later ones
+// take its valence.
 func (a *valAnalyzer) analyze(depth int) (bool, error) {
-	sys := a.eng.sys
 	a.sets[depth] = a.sets[depth][:0]
-	var key string
 	var ent *memoEntry
-	useMemo := false
-	if a.dedup {
-		b, ok := a.memoKey(depth)
-		if ok {
-			if a.shared != nil {
-				var claimed bool
-				ent, claimed = a.shared.claim(b)
-				if !claimed {
-					// Another arrival (possibly on another worker) owns
-					// this configuration; wait for its verdict. The wait
-					// cannot deadlock — see shardedMemo.
-					<-ent.ready
-					a.rep.Stats.Deduped++
-					a.sets[depth] = append(a.sets[depth], ent.decisions...)
-					return ent.truncated, nil
-				}
-			} else {
-				if m, hit := a.memo[string(b)]; hit {
-					a.rep.Stats.Deduped++
-					a.sets[depth] = append(a.sets[depth], m.decisions...)
-					return m.truncated, nil
-				}
-				key = string(b)
+	if a.memo != nil {
+		if key, ok := a.memoKey(depth); ok {
+			var claimed bool
+			if ent, claimed = a.memo.claim(key); !claimed {
+				// Another arrival (possibly on another worker) owns this
+				// configuration; wait for its verdict. The wait cannot
+				// deadlock — see shardedMemo.
+				ent.wait()
+				a.eng.st.Deduped++
+				a.sets[depth] = append(a.sets[depth], ent.decisions...)
+				return ent.truncated, nil
 			}
-			useMemo = true
 		}
 	}
-	// fail releases the latch on error exits so no waiter is stranded.
-	fail := func(err error) (bool, error) {
-		if ent != nil {
-			ent.resolve(nil, false)
-		}
-		return false, err
+	truncated, err := a.classify(depth)
+	if ent != nil {
+		// Resolved on the error path too, so that no waiter is stranded.
+		ent.resolve(a.sets[depth], truncated)
 	}
-	finish := func(truncated bool) {
-		if !useMemo {
-			return
-		}
-		if ent != nil {
-			ent.resolve(a.sets[depth], truncated)
-		} else {
-			a.store(key, depth, truncated)
-		}
+	return truncated, err
+}
+
+// classify is the per-node protocol of the analysis, below the memo: the
+// cut, the count, a completed run's decisions, the horizon, then the
+// children's valences and the node's own uni/multivalent/critical verdict.
+// The cut comes after the memo lookup so that a second arrival at a
+// frontier configuration is merged like any other instead of being handed
+// out twice.
+func (a *valAnalyzer) classify(depth int) (bool, error) {
+	e := a.eng
+	if e.atCut(depth) {
+		err := e.cut(e.steps[:depth])
+		return a.cutTruncated, err
 	}
-	a.rep.Stats.Nodes++
-	if sys.Done() {
-		a.rep.Stats.Leaves++
+	e.st.Nodes++
+	if e.sys.Done() {
+		e.st.Leaves++
 		a.terminal(depth)
-		finish(false)
 		return false, nil
 	}
-	if depth >= a.eng.maxDepth {
-		a.rep.Stats.Leaves++
-		a.rep.Stats.Truncated = true
-		finish(true)
+	if depth >= e.maxDepth {
+		e.st.Leaves++
+		e.st.Truncated = true
 		return true, nil
 	}
 	truncated := false
 	allChildrenUnivalent := true
-	err := a.eng.expand(depth, func(d int) error {
+	err := e.expand(depth, func(d int) error {
 		ctrunc, err := a.analyze(d)
 		if err != nil {
 			return err
@@ -251,21 +306,20 @@ func (a *valAnalyzer) analyze(depth int) (bool, error) {
 		return nil
 	})
 	if err != nil {
-		return fail(err)
+		return false, err
 	}
 	if len(a.sets[depth]) >= 2 {
 		a.rep.Multivalent++
 		if allChildrenUnivalent {
-			crit, err := describeCritical(sys, depth, a.valence(depth, truncated))
+			crit, err := describeCritical(e.sys, depth, a.valence(depth, truncated))
 			if err != nil {
-				return fail(err)
+				return false, err
 			}
 			a.rep.Criticals = append(a.rep.Criticals, crit)
 		}
 	} else if !truncated {
 		a.rep.Univalent++
 	}
-	finish(truncated)
 	return truncated, nil
 }
 
@@ -292,24 +346,16 @@ func (a *valAnalyzer) valence(depth int, truncated bool) Valence {
 	return valenceOf(a.sets[depth], truncated)
 }
 
-func (a *valAnalyzer) store(key string, depth int, truncated bool) {
-	a.memo[key] = valMemo{
-		decisions: append([]int64(nil), a.sets[depth]...),
-		truncated: truncated,
-	}
-}
-
-// memoKey builds the deduplication key for the current configuration: its
-// full byte encoding, the depth, and the sorted multiset of responses
-// already completed in the history. Keys are compared exactly; no hashing.
-// The returned slice aliases the engine's scratch buffer.
+// memoKey builds the deduplication key for the current configuration: the
+// engine's configuration key (full byte encoding and depth) and the sorted
+// multiset of responses already completed in the history. Keys are compared
+// exactly; no hashing. The returned slice aliases the engine's scratch
+// buffer.
 func (a *valAnalyzer) memoKey(depth int) ([]byte, bool) {
-	b, ok := a.eng.sys.AppendConfigFingerprint(a.eng.keyBuf[:0])
+	b, ok := a.eng.configKey(depth)
 	if !ok {
-		a.eng.keyBuf = b
 		return nil, false
 	}
-	b = spec.AppendFPInt(b, int64(depth))
 	h := a.eng.sys.History()
 	buf := a.respBuf[:0]
 	for i := 0; i < h.Len(); i++ {
@@ -378,264 +424,4 @@ func describeCritical(s *sim.System, depth int, val Valence) (Critical, error) {
 		}
 	}
 	return crit, nil
-}
-
-// ---------------------------------------------------------------------------
-// Parallel valency analysis.
-
-// prefixKind classifies a node of the split prefix tree.
-type prefixKind uint8
-
-const (
-	// prefixInternal is a prefix node with children.
-	prefixInternal prefixKind = iota
-	// prefixTerminal is a completed run above the frontier.
-	prefixTerminal
-	// prefixFrontier roots a subtree handed to the workers.
-	prefixFrontier
-	// prefixDup is a duplicate arrival merged away by Dedup; its valence
-	// is the claimant's (dupOf).
-	prefixDup
-)
-
-// prefixNode is one node of the prefix tree the splitter records above the
-// frontier, later walked bottom-up to merge the workers' per-subtree
-// classifications into the sequential report.
-type prefixNode struct {
-	step      pathStep // edge from the parent
-	kind      prefixKind
-	children  []*prefixNode
-	task      int     // prefixFrontier: index into the task results
-	decisions []int64 // prefixTerminal: the run's decisions
-	hist      string  // prefixTerminal: rendered history when it violates agreement
-	dupOf     *prefixNode
-
-	// Merge results, filled bottom-up in depth-first order (so a dup's
-	// claimant — always earlier in that order — is resolved first).
-	mdec   []int64
-	mtrunc bool
-}
-
-// analyzeSplitter walks the prefix of the execution tree above the
-// frontier, recording its shape and handling Dedup at prefix depths with a
-// split-local key map (worker keys live at frontier depth and below, so
-// the two populations can never collide — the memo key includes depth).
-type analyzeSplitter struct {
-	a          *valAnalyzer
-	k          int
-	path       []pathStep
-	tasks      []subtreeTask
-	prefixKeys map[string]*prefixNode
-}
-
-func (sp *analyzeSplitter) walk(depth int, node *prefixNode) error {
-	if sp.a.dedup {
-		if b, ok := sp.a.memoKey(depth); ok {
-			if first, dup := sp.prefixKeys[string(b)]; dup {
-				sp.a.rep.Stats.Deduped++
-				node.kind = prefixDup
-				node.dupOf = first
-				return nil
-			}
-			sp.prefixKeys[string(b)] = node
-		}
-	}
-	if depth == sp.k {
-		node.kind = prefixFrontier
-		node.task = len(sp.tasks)
-		sp.tasks = append(sp.tasks, subtreeTask{path: clonePath(sp.path), node: node})
-		return nil
-	}
-	sys := sp.a.eng.sys
-	sp.a.rep.Stats.Nodes++
-	if sys.Done() {
-		sp.a.rep.Stats.Leaves++
-		node.kind = prefixTerminal
-		h := sys.History()
-		for i := 0; i < h.Len(); i++ {
-			if ev := h.Event(i); ev.Kind == history.KindRespond {
-				node.decisions = insertSorted(node.decisions, ev.Resp)
-			}
-		}
-		if len(node.decisions) > 1 {
-			node.hist = h.String()
-		}
-		return nil
-	}
-	node.kind = prefixInternal
-	return sp.a.eng.expandSteps(depth, func(d int, step pathStep) error {
-		child := &prefixNode{step: step}
-		node.children = append(node.children, child)
-		sp.path = append(sp.path, step)
-		err := sp.walk(d, child)
-		sp.path = sp.path[:len(sp.path)-1]
-		return err
-	})
-}
-
-// analyzeTaskResult is one worker-classified subtree.
-type analyzeTaskResult struct {
-	dec   []int64
-	trunc bool
-	rep   *ValencyReport
-}
-
-// analyzePar is the parallel valency analysis: split the tree at the
-// frontier, classify the subtrees on the worker pool, then merge decision
-// sets bottom-up through the recorded prefix tree. Criticals and counters
-// are emitted in the sequential analysis's postorder, so the merged report
-// matches the sequential one field for field (see Analyze for the
-// Dedup caveat).
-func analyzePar(root *sim.System, maxDepth int, cfg Config, workers int) (*ValencyReport, error) {
-	rep := &ValencyReport{}
-	a := &valAnalyzer{
-		eng:  newEngine(root, maxDepth, Config{}, &rep.Stats),
-		rep:  rep,
-		sets: make([][]int64, maxDepth+2),
-	}
-	var shared *shardedMemo
-	if cfg.Dedup {
-		if _, ok := a.eng.sys.Fingerprint(); ok {
-			a.dedup = true
-			shared = newShardedMemo()
-		}
-	}
-	k, err := chooseFrontier(a.eng, maxDepth, workers, cfg.FrontierDepth)
-	if err != nil {
-		return nil, err
-	}
-	rootNode := &prefixNode{}
-	sp := &analyzeSplitter{a: a, k: k, prefixKeys: make(map[string]*prefixNode)}
-	if err := sp.walk(0, rootNode); err != nil {
-		return nil, err
-	}
-	results := make([]analyzeTaskResult, len(sp.tasks))
-	err = runTasks(root, maxDepth, workers, cfg, sp.tasks, nil, &rep.Stats,
-		func(we *engine, t subtreeTask) error {
-			taskRep := &ValencyReport{}
-			wa := &valAnalyzer{
-				eng:    we,
-				rep:    taskRep,
-				sets:   make([][]int64, maxDepth+2),
-				dedup:  shared != nil,
-				shared: shared,
-			}
-			trunc, err := wa.analyze(len(t.path))
-			if err != nil {
-				return err
-			}
-			results[t.node.task] = analyzeTaskResult{
-				dec:   append([]int64(nil), wa.sets[len(t.path)]...),
-				trunc: trunc,
-				rep:   taskRep,
-			}
-			return nil
-		}, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	m := &analyzeMerger{rep: rep, results: results}
-	m.mat = newEngineScratch(root)
-	dec, trunc, err := m.merge(rootNode, 0)
-	if err != nil {
-		return nil, err
-	}
-	rep.Root = valenceOf(dec, trunc)
-	return rep, nil
-}
-
-// engineScratch re-materializes prefix configurations for critical-
-// configuration descriptions: one clone, replayed and rewound per use.
-type engineScratch struct {
-	sys *sim.System
-}
-
-func newEngineScratch(root *sim.System) *engineScratch {
-	work := root.Clone()
-	work.EnableUndo()
-	return &engineScratch{sys: work}
-}
-
-func (s *engineScratch) at(path []pathStep) (*sim.System, error) {
-	if err := s.sys.UndoTo(0); err != nil {
-		return nil, err
-	}
-	if err := replayPath(s.sys, path); err != nil {
-		return nil, err
-	}
-	return s.sys, nil
-}
-
-// analyzeMerger folds worker results back through the prefix tree.
-type analyzeMerger struct {
-	rep     *ValencyReport
-	results []analyzeTaskResult
-	mat     *engineScratch
-	path    []pathStep
-}
-
-func (m *analyzeMerger) merge(n *prefixNode, depth int) ([]int64, bool, error) {
-	switch n.kind {
-	case prefixDup:
-		return n.dupOf.mdec, n.dupOf.mtrunc, nil
-	case prefixTerminal:
-		if len(n.decisions) > 1 {
-			m.rep.AgreementViolations++
-			if m.rep.ViolationHistory == "" {
-				m.rep.ViolationHistory = n.hist
-			}
-		}
-		n.mdec, n.mtrunc = n.decisions, false
-		return n.decisions, false, nil
-	case prefixFrontier:
-		r := m.results[n.task]
-		m.rep.Univalent += r.rep.Univalent
-		m.rep.Multivalent += r.rep.Multivalent
-		m.rep.AgreementViolations += r.rep.AgreementViolations
-		if m.rep.ViolationHistory == "" && r.rep.ViolationHistory != "" {
-			m.rep.ViolationHistory = r.rep.ViolationHistory
-		}
-		m.rep.Criticals = append(m.rep.Criticals, r.rep.Criticals...)
-		m.rep.Stats.add(r.rep.Stats)
-		n.mdec, n.mtrunc = r.dec, r.trunc
-		return r.dec, r.trunc, nil
-	}
-	// prefixInternal: union the children's decision sets, then classify —
-	// the same postorder the sequential analysis uses.
-	var dec []int64
-	trunc := false
-	allChildrenUnivalent := true
-	for _, c := range n.children {
-		m.path = append(m.path, c.step)
-		cdec, ctrunc, err := m.merge(c, depth+1)
-		m.path = m.path[:len(m.path)-1]
-		if err != nil {
-			return nil, false, err
-		}
-		for _, v := range cdec {
-			dec = insertSorted(dec, v)
-		}
-		trunc = trunc || ctrunc
-		if len(cdec) >= 2 || ctrunc {
-			allChildrenUnivalent = false
-		}
-	}
-	if len(dec) >= 2 {
-		m.rep.Multivalent++
-		if allChildrenUnivalent {
-			sys, err := m.mat.at(m.path)
-			if err != nil {
-				return nil, false, err
-			}
-			crit, err := describeCritical(sys, depth, valenceOf(dec, trunc))
-			if err != nil {
-				return nil, false, err
-			}
-			m.rep.Criticals = append(m.rep.Criticals, crit)
-		}
-	} else if !trunc {
-		m.rep.Univalent++
-	}
-	n.mdec, n.mtrunc = dec, trunc
-	return dec, trunc, nil
 }
