@@ -9,12 +9,14 @@ import (
 	"github.com/elin-go/elin/internal/spec"
 )
 
-// scratch holds the buffers the fetch&inc kernel works in. A monitor owns
-// one and passes it to every window check, so a steady-state check
-// allocates nothing.
+// scratch holds what the window checks work in: the fetch&inc kernel's
+// buffers and the generic engine's search, which every probe resets. A
+// monitor owns one and passes it to every window check, so a steady-state
+// check allocates nothing.
 type scratch struct {
 	taken      []uint64 // bitset of the slots constrained operations occupy
 	thresholds []int64  // per pending operation, the largest slot it may not take
+	lin        tlinProblem
 }
 
 // fetchIncTLinearizable decides t-linearizability of a fetch&increment

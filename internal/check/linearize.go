@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"github.com/elin-go/elin/internal/history"
 	"github.com/elin-go/elin/internal/spec"
@@ -49,8 +50,8 @@ func tLinearizable(obj spec.Object, tb *history.OpTable, t int, opts Options, sc
 	if len(tb.Ops) > MaxOpsPerObject {
 		return false, ErrTooLarge
 	}
-	pr := newTLinProblem(obj, tb.Ops, t, opts)
-	return pr.solve()
+	sc.lin.reset(obj, tb, t, opts)
+	return sc.lin.solve()
 }
 
 // Linearizable reports whether h is linearizable with respect to objs,
@@ -241,7 +242,9 @@ func TLinearizableMulti(objs map[string]spec.Object, h *history.History, t int, 
 	if t < 0 {
 		t = 0
 	}
-	ops := h.Operations()
+	var tb history.OpTable
+	tb.Fill(h)
+	ops := tb.Ops
 	if len(ops) > MaxOpsPerObject {
 		return false, ErrTooLarge
 	}
@@ -268,7 +271,7 @@ func TLinearizableMulti(objs map[string]spec.Object, h *history.History, t int, 
 	for i := range pr.stack {
 		pr.stack[i] = make([]spec.State, len(names))
 	}
-	pr.prepare(t)
+	pr.pred, pr.constrained, pr.completed = tableConstraints(&tb, t, nil)
 	return pr.dfs(states, 0)
 }
 
@@ -281,26 +284,33 @@ func oneObject(h *history.History) error {
 	return nil
 }
 
-// opConstraints precomputes, for an operation list and a cut t, the
-// predecessor masks, the constrained-response set and the completed set.
-// Shared by the single-object and product-state engines.
-func opConstraints(ops []history.Operation, t int) (pred []uint64, constrained, completed uint64) {
-	pred = make([]uint64, len(ops))
+// tableConstraints computes what the engines search under at cut t: each
+// operation's real-time predecessor mask, the constrained-response set and
+// the completed set. It is the auditor's opConstraints in O(n) on a prepared
+// table, one merge of the invocation order (tb.Ops) with the response order
+// (tb.ByRes): the predecessors of an invocation in the suffix are the
+// operations answered in the suffix before it, a set that only grows from one
+// invocation to the next, so the merge carries it as a running mask. An
+// invocation in the prefix needs no test: everything answered before it was
+// answered in the prefix, so the mask is still empty there. pred's buffer is
+// reused. Shared by the single-object and product-state engines.
+func tableConstraints(tb *history.OpTable, t int, pred []uint64) (_ []uint64, constrained, completed uint64) {
+	ops := tb.Ops
+	pred = slices.Grow(pred[:0], len(ops))[:len(ops)]
+	var before uint64
+	next := 0
 	for j := range ops {
-		opj := &ops[j]
-		if opj.Res >= 0 {
-			completed |= 1 << uint(j)
-			if opj.Res >= t {
-				constrained |= 1 << uint(j)
+		for ; next < len(tb.ByRes) && ops[tb.ByRes[next]].Res < ops[j].Inv; next++ {
+			if i := tb.ByRes[next]; ops[i].Res >= t {
+				before |= 1 << uint(i)
 			}
 		}
-		if opj.Inv < t {
-			continue // invocation in the prefix: no incoming real-time edges
-		}
-		for i := range ops {
-			if res := ops[i].Res; i != j && res >= t && res < opj.Inv {
-				pred[j] |= 1 << uint(i)
-			}
+		pred[j] = before
+	}
+	for _, i := range tb.ByRes {
+		completed |= 1 << uint(i)
+		if ops[i].Res >= t {
+			constrained |= 1 << uint(i)
 		}
 	}
 	return pred, constrained, completed
@@ -309,6 +319,9 @@ func opConstraints(ops []history.Operation, t int) (pred []uint64, constrained, 
 // ----------------------------------------------------------------------------
 // Single-object engine.
 
+// tlinProblem is the generic single-object search. It lives in a scratch and
+// is reset, not rebuilt, by every probe: the predecessor buffer and the memo
+// map are reused, so a monitor's steady-state window check allocates nothing.
 type tlinProblem struct {
 	typ         spec.Type
 	det         spec.DetStepper // non-nil fast path: no Step slice per node
@@ -320,6 +333,9 @@ type tlinProblem struct {
 	budget      int64
 	memo        map[memoKey]struct{}
 	noMemo      bool
+	// trace, when non-nil, receives the order of the successful branch (a
+	// witness linearization); decision-only probes leave it nil.
+	trace *[]LinStep
 }
 
 type memoKey struct {
@@ -327,20 +343,22 @@ type memoKey struct {
 	state spec.State
 }
 
-func newTLinProblem(obj spec.Object, ops []history.Operation, t int, opts Options) *tlinProblem {
-	pr := &tlinProblem{
-		typ:    obj.Type,
-		init:   obj.Init,
-		ops:    ops,
-		budget: opts.budget(),
-		memo:   make(map[memoKey]struct{}),
-		noMemo: opts.NoMemo,
+// memoKeep bounds the memo a probe hands on: a probe that left more entries
+// than this drops the map instead of clearing it, so one costly window does
+// not make every later clear pay for its buckets.
+const memoKeep = 1 << 10
+
+// reset prepares the search for one probe of obj at cut t on the table tb.
+func (pr *tlinProblem) reset(obj spec.Object, tb *history.OpTable, t int, opts Options) {
+	pr.typ, pr.init, pr.ops = obj.Type, obj.Init, tb.Ops
+	pr.det, _ = obj.Type.(spec.DetStepper)
+	pr.budget, pr.noMemo, pr.trace = opts.budget(), opts.NoMemo, nil
+	if pr.memo == nil || len(pr.memo) > memoKeep {
+		pr.memo = make(map[memoKey]struct{})
+	} else {
+		clear(pr.memo)
 	}
-	if det, ok := obj.Type.(spec.DetStepper); ok {
-		pr.det = det
-	}
-	pr.pred, pr.constrained, pr.completed = opConstraints(ops, t)
-	return pr
+	pr.pred, pr.constrained, pr.completed = tableConstraints(tb, t, pr.pred)
 }
 
 func (pr *tlinProblem) solve() (bool, error) {
@@ -361,35 +379,37 @@ func (pr *tlinProblem) dfs(state spec.State, chosen uint64) (bool, error) {
 			return false, nil
 		}
 	}
+	var one [1]spec.Outcome // a DetStepper's outcome, without a Step slice
 	for i := range pr.ops {
 		bit := uint64(1) << uint(i)
 		if chosen&bit != 0 || pr.pred[i]&^chosen != 0 {
 			continue
 		}
-		if pr.det != nil {
-			out, applicable := pr.det.StepDet(state, pr.ops[i].Op)
-			if !applicable || (pr.constrained&bit != 0 && out.Resp != pr.ops[i].Resp) {
-				continue
-			}
-			ok, err := pr.dfs(out.Next, chosen|bit)
-			if err != nil {
-				return false, err
-			}
-			if ok {
-				return true, nil
-			}
-			continue
+		op := &pr.ops[i]
+		outs := one[:0]
+		if pr.det == nil {
+			outs = pr.typ.Step(state, op.Op)
+		} else if out, applicable := pr.det.StepDet(state, op.Op); applicable {
+			outs = append(outs, out)
 		}
-		for _, out := range pr.typ.Step(state, pr.ops[i].Op) {
-			if pr.constrained&bit != 0 && out.Resp != pr.ops[i].Resp {
+		for _, out := range outs {
+			if pr.constrained&bit != 0 && out.Resp != op.Resp {
 				continue
 			}
-			ok, err := pr.dfs(out.Next, chosen|bit)
-			if err != nil {
-				return false, err
+			if pr.trace != nil {
+				*pr.trace = append(*pr.trace, LinStep{
+					OpIndex:     i,
+					Proc:        op.Proc,
+					Op:          op.Op,
+					Resp:        out.Resp,
+					RespDiffers: op.Pending() || out.Resp != op.Resp,
+				})
 			}
-			if ok {
-				return true, nil
+			if ok, err := pr.dfs(out.Next, chosen|bit); ok || err != nil {
+				return ok, err
+			}
+			if pr.trace != nil {
+				*pr.trace = (*pr.trace)[:len(*pr.trace)-1]
 			}
 		}
 	}
@@ -421,10 +441,6 @@ type multiProblem struct {
 	// into a child reuses a preallocated row instead of copying into a
 	// fresh slice per edge.
 	stack [][]spec.State
-}
-
-func (pr *multiProblem) prepare(t int) {
-	pr.pred, pr.constrained, pr.completed = opConstraints(pr.ops, t)
 }
 
 // appendProductKey appends a compact injective encoding of (mask, states)

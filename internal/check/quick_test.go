@@ -2,10 +2,12 @@ package check
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"github.com/elin-go/elin/internal/gen"
+	"github.com/elin-go/elin/internal/history"
 	"github.com/elin-go/elin/internal/spec"
 )
 
@@ -144,6 +146,37 @@ func TestQuickWeakResponsesExact(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: the O(n) merge the engines take their constraints from equals
+// the pairwise definition the auditor keeps, at every cut of register and
+// fetch&inc prefixes with pending operations and wrong responses.
+func TestQuickTableConstraintsMatchPairwise(t *testing.T) {
+	var tb history.OpTable
+	var pred []uint64
+	f := func(seed int64, fetchInc bool) bool {
+		r := rand.New(rand.NewSource(seed))
+		cfg := gen.HistoryConfig{Procs: 4, Ops: 24, Corrupt: 0.2, PendingBias: 0.5}
+		h := gen.Register(r, cfg)
+		if fetchInc {
+			h = gen.FetchInc(r, cfg)
+		}
+		h = h.Prefix(r.Intn(h.Len() + 1))
+		tb.Fill(h)
+		for cut := 0; cut <= h.Len(); cut++ {
+			wantPred, wantCons, wantComp := opConstraints(tb.Ops, cut)
+			var cons, comp uint64
+			pred, cons, comp = tableConstraints(&tb, cut, pred)
+			if !slices.Equal(pred, wantPred) || cons != wantCons || comp != wantComp {
+				t.Logf("t=%d on\n%s\nmerge %x %x %x, pairwise %x %x %x", cut, h, pred, cons, comp, wantPred, wantCons, wantComp)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

@@ -75,34 +75,51 @@ func BenchmarkMinT(b *testing.B) {
 	}
 }
 
-// TestIncrementalSteadyStateAllocs pins the fetch&inc full monitor's own
-// machinery at zero allocations per window once its buffers have grown: the
-// window history, the operation table and the kernel's scratch are reused.
-// The counter stays below 256 throughout, where Go boxes an int64 without
-// allocating: spec.State is an interface, so past that the fold's StepDet
-// allocates 8 bytes per completed operation for the successor state (the
-// 255 allocs/op BenchmarkIncrementalWindow/fi-512 reports), which is the
-// specification layer's cost and not the monitor's to remove.
+// TestIncrementalSteadyStateAllocs pins the full monitor's own machinery at
+// zero allocations per window once its buffers have grown, on both engines:
+// the window history, the operation table and the scratch are reused — the
+// fetch&inc kernel's buffers, and the generic engine's search, whose
+// predecessor masks and memo map every probe resets. The values stay below
+// 256 throughout, where Go boxes an int64 without allocating: spec.State is
+// an interface, so past that StepDet allocates 8 bytes per successor state
+// (the 255 allocs/op BenchmarkIncrementalWindow/fi-512 reports), which is
+// the specification layer's cost and not the monitor's to remove.
 func TestIncrementalSteadyStateAllocs(t *testing.T) {
-	const stride, warm, runs = 16, 4, 20
-	events := gen.FetchInc(rand.New(rand.NewSource(2)),
-		gen.HistoryConfig{Procs: 4, Ops: (warm + runs + 1) * stride / 2, PendingBias: 0.3}).Events()
-	m := NewIncremental(spec.NewObject(spec.FetchInc{}), IncrementalConfig{Stride: stride})
-	m.samples = make([]Sample, 0, warm+runs+1)
-	at := 0
-	// window feeds events until one more window has closed (a window opens
-	// with the operations pending at the cut, so it takes fewer than stride).
-	window := func() {
-		for closed := m.Checks(); m.Checks() == closed; at++ {
-			if v, err := m.Feed(events[at]); err != nil || v != nil {
-				t.Fatalf("event %d: violation %v, error %v", at, v, err)
+	const warm, runs = 4, 20
+	for _, tc := range []struct {
+		name   string
+		obj    spec.Object
+		stride int
+		events func(ops int) *history.History
+	}{
+		{"fetchinc", spec.NewObject(spec.FetchInc{}), 16, func(ops int) *history.History {
+			return gen.FetchInc(rand.New(rand.NewSource(2)), gen.HistoryConfig{Procs: 4, Ops: ops, PendingBias: 0.3})
+		}},
+		{"register", spec.NewObject(spec.Register{}), 32, func(ops int) *history.History {
+			return gen.Register(rand.New(rand.NewSource(2)), gen.HistoryConfig{Procs: 4, Ops: ops, PendingBias: 0.5})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			events := tc.events((warm + runs + 1) * tc.stride / 2).Events()
+			m := NewIncremental(tc.obj, IncrementalConfig{Stride: tc.stride})
+			m.samples = make([]Sample, 0, warm+runs+1)
+			at := 0
+			// window feeds events until one more window has closed (a window
+			// opens with the operations pending at the cut, so it takes fewer
+			// than stride).
+			window := func() {
+				for closed := m.Checks(); m.Checks() == closed; at++ {
+					if v, err := m.Feed(events[at]); err != nil || v != nil {
+						t.Fatalf("event %d: violation %v, error %v", at, v, err)
+					}
+				}
 			}
-		}
-	}
-	for i := 0; i < warm; i++ {
-		window()
-	}
-	if allocs := testing.AllocsPerRun(runs, window); allocs != 0 {
-		t.Errorf("%.0f allocations per window in steady state, want 0", allocs)
+			for i := 0; i < warm; i++ {
+				window()
+			}
+			if allocs := testing.AllocsPerRun(runs, window); allocs != 0 {
+				t.Errorf("%.0f allocations per window in steady state, want 0", allocs)
+			}
+		})
 	}
 }

@@ -51,64 +51,19 @@ func Linearization(obj spec.Object, h *history.History, t int, opts Options) ([]
 	if t < 0 {
 		t = 0
 	}
-	ops := h.Operations()
-	if len(ops) > MaxOpsPerObject {
+	var tb history.OpTable
+	tb.Fill(h)
+	if len(tb.Ops) > MaxOpsPerObject {
 		return nil, false, ErrTooLarge
 	}
-	pr := newTLinProblem(obj, ops, t, opts)
+	var pr tlinProblem
 	var trace []LinStep
-	ok, err := pr.dfsTrace(obj.Init, 0, &trace)
-	if err != nil {
+	pr.reset(obj, &tb, t, opts)
+	pr.trace = &trace
+	if ok, err := pr.solve(); !ok || err != nil {
 		return nil, false, err
 	}
-	if !ok {
-		return nil, false, nil
-	}
 	return trace, true, nil
-}
-
-// dfsTrace mirrors dfs but records the successful order.
-func (pr *tlinProblem) dfsTrace(state spec.State, chosen uint64, trace *[]LinStep) (bool, error) {
-	if chosen&pr.completed == pr.completed {
-		return true, nil
-	}
-	pr.budget--
-	if pr.budget < 0 {
-		return false, ErrBudget
-	}
-	key := memoKey{mask: chosen, state: state}
-	if _, seen := pr.memo[key]; seen {
-		return false, nil
-	}
-	for i := range pr.ops {
-		bit := uint64(1) << uint(i)
-		if chosen&bit != 0 || pr.pred[i]&^chosen != 0 {
-			continue
-		}
-		for _, out := range pr.typ.Step(state, pr.ops[i].Op) {
-			if pr.constrained&bit != 0 && out.Resp != pr.ops[i].Resp {
-				continue
-			}
-			op := pr.ops[i]
-			*trace = append(*trace, LinStep{
-				OpIndex:     i,
-				Proc:        op.Proc,
-				Op:          op.Op,
-				Resp:        out.Resp,
-				RespDiffers: op.Pending() || out.Resp != op.Resp,
-			})
-			ok, err := pr.dfsTrace(out.Next, chosen|bit, trace)
-			if err != nil {
-				return false, err
-			}
-			if ok {
-				return true, nil
-			}
-			*trace = (*trace)[:len(*trace)-1]
-		}
-	}
-	pr.memo[key] = struct{}{}
-	return false, nil
 }
 
 // ValidateLinearization checks that a claimed witness really is a
@@ -155,4 +110,30 @@ func ValidateLinearization(obj spec.Object, h *history.History, t int, steps []L
 		return fmt.Errorf("witness omits completed operations")
 	}
 	return nil
+}
+
+// opConstraints is the auditor's copy of the constraints at cut t, straight
+// from the definition by testing every pair of operations: O(n²), and
+// independent of the table and the merge the engines build theirs with
+// (tableConstraints).
+func opConstraints(ops []history.Operation, t int) (pred []uint64, constrained, completed uint64) {
+	pred = make([]uint64, len(ops))
+	for j := range ops {
+		opj := &ops[j]
+		if opj.Res >= 0 {
+			completed |= 1 << uint(j)
+			if opj.Res >= t {
+				constrained |= 1 << uint(j)
+			}
+		}
+		if opj.Inv < t {
+			continue // invocation in the prefix: no incoming real-time edges
+		}
+		for i := range ops {
+			if res := ops[i].Res; i != j && res >= t && res < opj.Inv {
+				pred[j] |= 1 << uint(i)
+			}
+		}
+	}
+	return pred, constrained, completed
 }

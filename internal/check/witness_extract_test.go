@@ -69,24 +69,26 @@ func TestLinearizationAbsentForViolation(t *testing.T) {
 }
 
 func TestLinearizationAgreesWithDecision(t *testing.T) {
-	r := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 40; trial++ {
-		h := randomRegisterHistory(r, 3, 7, 0.4)
-		for tt := 0; tt <= h.Len(); tt += 2 {
-			dec, err := TLinearizable(regX["X"], h, tt, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			steps, ok, err := Linearization(regX["X"], h, tt, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if dec != ok {
-				t.Fatalf("trial %d t=%d: decision %v, witness %v", trial, tt, dec, ok)
-			}
-			if ok {
-				if err := ValidateLinearization(regX["X"], h, tt, steps); err != nil {
-					t.Fatalf("trial %d t=%d: bad witness: %v", trial, tt, err)
+	for _, opts := range []Options{{}, {NoMemo: true}} {
+		r := rand.New(rand.NewSource(77))
+		for trial := 0; trial < 40; trial++ {
+			h := randomRegisterHistory(r, 3, 7, 0.4)
+			for tt := 0; tt <= h.Len(); tt += 2 {
+				dec, err := TLinearizable(regX["X"], h, tt, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				steps, ok, err := Linearization(regX["X"], h, tt, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if dec != ok {
+					t.Fatalf("%+v trial %d t=%d: decision %v, witness %v", opts, trial, tt, dec, ok)
+				}
+				if ok {
+					if err := ValidateLinearization(regX["X"], h, tt, steps); err != nil {
+						t.Fatalf("%+v trial %d t=%d: bad witness: %v", opts, trial, tt, err)
+					}
 				}
 			}
 		}

@@ -24,9 +24,11 @@
 package faults
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -100,18 +102,16 @@ func (s *Spec) Zero() bool {
 }
 
 // String renders the spec in the Parse grammar (canonical directive
-// order: stalls sorted by client then ticket, crash, jitter, corruption).
+// order: stalls sorted by client, ticket, then length, crash, jitter,
+// corruption).
 func (s *Spec) String() string {
 	if s.Zero() {
 		return "none"
 	}
 	var parts []string
-	stalls := append([]Stall(nil), s.Stalls...)
-	sort.Slice(stalls, func(i, j int) bool {
-		if stalls[i].Client != stalls[j].Client {
-			return stalls[i].Client < stalls[j].Client
-		}
-		return stalls[i].Ticket < stalls[j].Ticket
+	stalls := slices.Clone(s.Stalls)
+	slices.SortFunc(stalls, func(a, b Stall) int {
+		return cmp.Or(cmp.Compare(a.Client, b.Client), cmp.Compare(a.Ticket, b.Ticket), cmp.Compare(a.Ops, b.Ops))
 	})
 	for _, st := range stalls {
 		parts = append(parts, st.String())
@@ -158,7 +158,7 @@ func Parse(text string) (*Spec, error) {
 			sp.CrashAtCommit = k
 		case "jitter":
 			n, err := parseUint(arg, hasArg)
-			if err != nil || n == 0 {
+			if err != nil || n == 0 || n > math.MaxInt {
 				return nil, fmt.Errorf("faults: directive %q: want jitter:N with N >= 1", dir)
 			}
 			if sp.JitterMax != 0 {
@@ -180,7 +180,7 @@ func Parse(text string) (*Spec, error) {
 			sp.Corrupt = &Corrupt{Kind: KindFlip, Arg: off}
 		case KindTrunc:
 			n, err := parseUint(arg, hasArg)
-			if err != nil || n == 0 {
+			if err != nil || n == 0 || n > math.MaxInt64 {
 				return nil, fmt.Errorf("faults: directive %q: want trunc:N with N >= 1", dir)
 			}
 			if sp.Corrupt != nil {

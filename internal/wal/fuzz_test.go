@@ -68,10 +68,39 @@ func FuzzDecodeEventPayload(f *testing.F) {
 	f.Fuzz(checkPayload)
 }
 
-// The fuzz bodies in tier-1: random payloads of either kind, and the clean
-// log with random bytes spliced over a random span (plain random bytes would
-// never get past the magic).
+// checkSyncPolicy is FuzzParseSyncPolicy's property on s: the parser never
+// panics, and a policy it accepts prints as a spelling that parses back to
+// it.
+func checkSyncPolicy(t *testing.T, s string) {
+	t.Helper()
+	p, err := ParseSyncPolicy(s)
+	if err != nil {
+		return
+	}
+	if again, err := ParseSyncPolicy(p.String()); err != nil || again != p {
+		t.Fatalf("%q parses to %d, whose String %q parses to %d (err %v)", s, p, p.String(), again, err)
+	}
+}
+
+// FuzzParseSyncPolicy: arbitrary strings as a -wal-sync value. The seed
+// corpus is testdata/fuzz/FuzzParseSyncPolicy.
+func FuzzParseSyncPolicy(f *testing.F) {
+	f.Fuzz(checkSyncPolicy)
+}
+
+// The fuzz bodies in tier-1: random payloads of either kind, the clean log
+// with random bytes spliced over a random span (plain random bytes would
+// never get past the magic), and sync policies spelled from the grammar's
+// own tokens.
 func TestQuickFuzzBodies(t *testing.T) {
+	tokens := []string{"", "always", "never", "interval:", "interval", ":", "0", "16", "+2", "-1", " ", "9223372036854775808"}
+	policy := func(a, b, c uint8) bool {
+		checkSyncPolicy(t, tokens[int(a)%len(tokens)]+tokens[int(b)%len(tokens)]+tokens[int(c)%len(tokens)])
+		return !t.Failed()
+	}
+	if err := quick.Check(policy, &quick.Config{MaxCount: 3000}); err != nil {
+		t.Error(err)
+	}
 	path, _, _ := writeLog(t, SyncNever)
 	clean, err := os.ReadFile(path)
 	if err != nil {
