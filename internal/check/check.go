@@ -4,14 +4,17 @@
 // (Definition 1), and the eventual-linearizability monitor that observes
 // MinT across growing prefixes (the finite-data proxy for Definitions 3/4).
 //
-// The generic engine is a Wing&Gong-style depth-first search with
+// The generic engine is one Wing&Gong-style depth-first search with
 // memoization, generalized so that the first t events of the history impose
-// neither real-time nor response constraints. Checking is exponential in
-// the number of overlapping operations in the worst case; all entry points
-// take a node budget and return ErrBudget when it is exhausted. For
-// fetch&increment histories a polynomial-time checker derived from the
-// combinatorial argument in the proof of Lemma 17 is provided (see fik.go)
-// and is used automatically where applicable.
+// neither real-time nor response constraints. Other questions are inputs to
+// it (linearize.go): Figure 1's line-13 test and Definition 1's test are a
+// sequential question laid out as a table, Definition 1's response set that
+// question over a recording type, the multi-object check a product type.
+// Checking is exponential in the number of overlapping operations in the
+// worst case; all entry points take a node budget and return ErrBudget when
+// it is exhausted. For fetch&increment histories a polynomial-time checker
+// derived from the combinatorial argument in the proof of Lemma 17 is
+// provided (see fik.go) and is used automatically where applicable.
 package check
 
 import (

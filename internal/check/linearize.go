@@ -3,7 +3,6 @@ package check
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"github.com/elin-go/elin/internal/history"
@@ -204,33 +203,16 @@ func TLinearizableLocal(objs map[string]spec.Object, h *history.History, t int, 
 }
 
 // MinTMulti computes the exact least global t for which a multi-object
-// history is t-linearizable, by binary search over the product-state
-// checker (Lemma 5's monotonicity holds verbatim for multi-object
-// histories). It is exponential in the concurrent-operation count; for
-// real workloads use MinTGlobalUpper (the Lemma 7 lift), which bounds it
-// from above.
+// history is t-linearizable: MinT's search over the product-state checker
+// (Lemma 5's monotonicity holds verbatim for multi-object histories). It is
+// exponential in the concurrent-operation count; for real workloads use
+// MinTGlobalUpper (the Lemma 7 lift), which bounds it from above.
 func MinTMulti(objs map[string]spec.Object, h *history.History, opts Options) (int, bool, error) {
-	ok, err := TLinearizableMulti(objs, h, h.Len(), opts)
+	obj, tb, err := productOf(objs, h)
 	if err != nil {
 		return 0, false, err
 	}
-	if !ok {
-		return 0, false, nil
-	}
-	lo, hi := 0, h.Len()
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		ok, err := TLinearizableMulti(objs, h, mid, opts)
-		if err != nil {
-			return 0, false, err
-		}
-		if ok {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return hi, true, nil
+	return minT(obj, tb, opts, &scratch{})
 }
 
 // TLinearizableMulti checks t-linearizability of a multi-object history
@@ -239,40 +221,123 @@ func MinTMulti(objs map[string]spec.Object, h *history.History, opts Options) (i
 // histories where a single global t matters; prefer the per-object entry
 // points for real workloads.
 func TLinearizableMulti(objs map[string]spec.Object, h *history.History, t int, opts Options) (bool, error) {
-	if t < 0 {
-		t = 0
+	obj, tb, err := productOf(objs, h)
+	if err != nil {
+		return false, err
 	}
-	var tb history.OpTable
+	return tLinearizable(obj, tb, t, opts, &scratch{})
+}
+
+// productOf returns h as one object of type product, with the operation
+// table the search reads it through: each operation's Op is its index.
+func productOf(objs map[string]spec.Object, h *history.History) (spec.Object, *history.OpTable, error) {
+	tb := new(history.OpTable)
 	tb.Fill(h)
-	ops := tb.Ops
-	if len(ops) > MaxOpsPerObject {
-		return false, ErrTooLarge
-	}
 	names := h.Objects()
-	objIdx := make(map[string]int, len(names))
-	states := make([]spec.State, len(names))
+	place := make(map[string]int, len(names))
+	init := make([]spec.State, len(names))
 	for i, name := range names {
 		obj, ok := objs[name]
 		if !ok {
-			return false, fmt.Errorf("check: no specification for object %q", name)
+			return spec.Object{}, nil, fmt.Errorf("check: no specification for object %q", name)
 		}
-		objIdx[name] = i
-		states[i] = obj.Init
+		place[name], init[i] = i, obj.Init
 	}
-	pr := &multiProblem{
-		objs:   objs,
-		names:  names,
-		objIdx: objIdx,
-		ops:    ops,
-		budget: opts.budget(),
-		memo:   make(map[string]struct{}),
+	p := &product{ops: make([]productOp, len(tb.Ops)), rows: make(map[string]*[]spec.State)}
+	var typ spec.Type = p
+	for i := range tb.Ops {
+		o := &tb.Ops[i]
+		p.ops[i] = productOp{objs[o.Obj].Type, place[o.Obj], o.Op}
+		o.Op = spec.MakeOp1("op", int64(i)) // product's operations are indices
+		if _, det := p.ops[i].typ.(spec.DetStepper); !det {
+			typ = struct{ spec.Type }{p} // hides StepDet from the search
+		}
 	}
-	pr.stack = make([][]spec.State, len(ops)+1)
-	for i := range pr.stack {
-		pr.stack[i] = make([]spec.State, len(names))
+	p.init = p.intern(init)
+	return spec.Object{Type: typ, Init: p.init}, tb, nil
+}
+
+// product is the type of a multi-object history seen as one object, the
+// input that turns the single-object search into the product-state check.
+// Its operations are the history's operation indices and its states are
+// rows of per-object states, interned so that equal rows are one pointer:
+// memoKey{mask, state} then memoizes product states unchanged.
+type product struct {
+	ops  []productOp // by operation index
+	init *[]spec.State
+	rows map[string]*[]spec.State
+	key  []byte
+	next []spec.State
+}
+
+// productOp is one operation of a product: the operation itself, its
+// object's type and its object's place in a row.
+type productOp struct {
+	typ   spec.Type
+	place int
+	op    spec.Op
+}
+
+func (p *product) Name() string        { return "product" }
+func (p *product) Init() spec.State    { return p.init }
+func (p *product) Deterministic() bool { return false }
+
+func (p *product) Step(s spec.State, op spec.Op) []spec.Outcome {
+	o, row := &p.ops[op.Args[0]], *s.(*[]spec.State)
+	var outs []spec.Outcome
+	for _, out := range o.typ.Step(row[o.place], o.op) {
+		outs = append(outs, spec.Outcome{Resp: out.Resp, Next: p.with(row, o.place, out.Next)})
 	}
-	pr.pred, pr.constrained, pr.completed = tableConstraints(&tb, t, nil)
-	return pr.dfs(states, 0)
+	return outs
+}
+
+// StepDet is Step without the slice when every object's type is a
+// DetStepper; productOf hides it otherwise.
+func (p *product) StepDet(s spec.State, op spec.Op) (spec.Outcome, bool) {
+	o, row := &p.ops[op.Args[0]], *s.(*[]spec.State)
+	out, ok := o.typ.(spec.DetStepper).StepDet(row[o.place], o.op)
+	if ok {
+		out.Next = p.with(row, o.place, out.Next)
+	}
+	return out, ok
+}
+
+// with returns the interned row equal to row with place set to st.
+func (p *product) with(row []spec.State, place int, st spec.State) *[]spec.State {
+	p.next = append(p.next[:0], row...)
+	p.next[place] = st
+	return p.intern(p.next)
+}
+
+// intern returns the one stored row equal to row, keyed by appendProductKey.
+func (p *product) intern(row []spec.State) *[]spec.State {
+	p.key = appendProductKey(p.key[:0], row)
+	if r, ok := p.rows[string(p.key)]; ok {
+		return r
+	}
+	r := slices.Clone(row)
+	p.rows[string(p.key)] = &r
+	return &r
+}
+
+// appendProductKey appends a compact injective encoding of a product row to
+// b. States of the concrete spec types are int64 or string; anything else
+// falls back to fmt.
+func appendProductKey(b []byte, states []spec.State) []byte {
+	for _, st := range states {
+		switch v := st.(type) {
+		case int64:
+			b = spec.AppendFPInt(append(b, 'i'), v)
+		case string:
+			b = spec.AppendFPInt(append(b, 's'), int64(len(v)))
+			b = append(b, v...)
+		default:
+			b = append(b, '?')
+			b = fmt.Appendf(b, "%v", v)
+			b = append(b, 0)
+		}
+	}
+	return b
 }
 
 // oneObject is History.SingleObject as the single-object entry points' error.
@@ -293,7 +358,7 @@ func oneObject(h *history.History) error {
 // invocation to the next, so the merge carries it as a running mask. An
 // invocation in the prefix needs no test: everything answered before it was
 // answered in the prefix, so the mask is still empty there. pred's buffer is
-// reused. Shared by the single-object and product-state engines.
+// reused.
 func tableConstraints(tb *history.OpTable, t int, pred []uint64) (_ []uint64, constrained, completed uint64) {
 	ops := tb.Ops
 	pred = slices.Grow(pred[:0], len(ops))[:len(ops)]
@@ -361,6 +426,26 @@ func (pr *tlinProblem) reset(obj spec.Object, tb *history.OpTable, t int, opts O
 	pr.pred, pr.constrained, pr.completed = tableConstraints(tb, t, pr.pred)
 }
 
+// resetSeq prepares the search for a sequential question instead of a
+// history: is there a legal sequential execution from obj's initial state of
+// every operation in must, any subset of opt, and then final returning resp?
+// must takes bits 0..m-1, opt the next bits and final the last; final follows
+// all of must and is the one completed and constrained operation.
+func (pr *tlinProblem) resetSeq(obj spec.Object, must, opt []spec.Op, final spec.Op, resp int64, opts Options) {
+	ops := make([]history.Operation, 0, len(must)+len(opt)+1)
+	for _, set := range [2][]spec.Op{must, opt} {
+		for _, op := range set {
+			ops = append(ops, history.Operation{Op: op, Res: -1})
+		}
+	}
+	ops = append(ops, history.Operation{Op: final, Resp: resp, Res: -1})
+	pr.reset(obj, &history.OpTable{Ops: ops}, 0, opts)
+	last := uint64(1) << uint(len(ops)-1)
+	mustMask := uint64(1)<<uint(len(must)) - 1
+	pr.pred[len(ops)-1] = mustMask
+	pr.constrained, pr.completed = last, mustMask|last
+}
+
 func (pr *tlinProblem) solve() (bool, error) {
 	return pr.dfs(pr.init, 0)
 }
@@ -416,91 +501,5 @@ func (pr *tlinProblem) dfs(state spec.State, chosen uint64) (bool, error) {
 	if !pr.noMemo {
 		pr.memo[key] = struct{}{}
 	}
-	return false, nil
-}
-
-// ----------------------------------------------------------------------------
-// Product-state engine for multi-object histories.
-
-type multiProblem struct {
-	objs        map[string]spec.Object
-	names       []string
-	objIdx      map[string]int
-	ops         []history.Operation
-	pred        []uint64
-	constrained uint64
-	completed   uint64
-	budget      int64
-	// memo stores failed (mask, product-state) pairs under a compact byte
-	// encoding (appendProductKey) instead of the historical fmt-rendered
-	// string: lookups reuse keyBuf and allocate nothing; only first-time
-	// insertions materialize the key.
-	memo   map[string]struct{}
-	keyBuf []byte
-	// stack provides one product-state row per search depth, so advancing
-	// into a child reuses a preallocated row instead of copying into a
-	// fresh slice per edge.
-	stack [][]spec.State
-}
-
-// appendProductKey appends a compact injective encoding of (mask, states)
-// to b. States of the concrete spec types are int64 or string; anything
-// else falls back to fmt.
-func appendProductKey(b []byte, mask uint64, states []spec.State) []byte {
-	b = spec.AppendFPInt(b, int64(mask))
-	for _, st := range states {
-		switch v := st.(type) {
-		case int64:
-			b = spec.AppendFPInt(append(b, 'i'), v)
-		case string:
-			b = spec.AppendFPInt(append(b, 's'), int64(len(v)))
-			b = append(b, v...)
-		default:
-			b = append(b, '?')
-			b = fmt.Appendf(b, "%v", v)
-			b = append(b, 0)
-		}
-	}
-	return b
-}
-
-func (pr *multiProblem) dfs(states []spec.State, chosen uint64) (bool, error) {
-	if chosen&pr.completed == pr.completed {
-		return true, nil
-	}
-	pr.budget--
-	if pr.budget < 0 {
-		return false, ErrBudget
-	}
-	pr.keyBuf = appendProductKey(pr.keyBuf[:0], chosen, states)
-	if _, seen := pr.memo[string(pr.keyBuf)]; seen {
-		return false, nil
-	}
-	depth := bits.OnesCount64(chosen)
-	for i := range pr.ops {
-		bit := uint64(1) << uint(i)
-		if chosen&bit != 0 || pr.pred[i]&^chosen != 0 {
-			continue
-		}
-		oi := pr.objIdx[pr.ops[i].Obj]
-		typ := pr.objs[pr.ops[i].Obj].Type
-		for _, out := range typ.Step(states[oi], pr.ops[i].Op) {
-			if pr.constrained&bit != 0 && out.Resp != pr.ops[i].Resp {
-				continue
-			}
-			next := pr.stack[depth+1]
-			copy(next, states)
-			next[oi] = out.Next
-			ok, err := pr.dfs(next, chosen|bit)
-			if err != nil {
-				return false, err
-			}
-			if ok {
-				return true, nil
-			}
-		}
-	}
-	pr.keyBuf = appendProductKey(pr.keyBuf[:0], chosen, states)
-	pr.memo[string(pr.keyBuf)] = struct{}{}
 	return false, nil
 }

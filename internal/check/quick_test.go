@@ -195,7 +195,38 @@ func TestQuickMemoAblationSameAnswers(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return a == b
+		if a != b {
+			return false
+		}
+		// The inputs to the same search: the line-13 decision on a register
+		// and a queue, Definition 1's response set and the product state.
+		memo, noMemo := Options{NoFastPath: true}, Options{NoFastPath: true, NoMemo: true}
+		for kind := range 2 { // register, queue
+			data := make([]byte, 2+r.Intn(6))
+			r.Read(data)
+			data[0] = byte(kind)
+			c := decodeSeqCase(data)
+			resp := c.kind.resps[r.Intn(len(c.kind.resps))]
+			a, errA := SequentialWitness(c.kind.obj, c.must, c.opt, c.final, resp, memo)
+			b, errB := SequentialWitness(c.kind.obj, c.must, c.opt, c.final, resp, noMemo)
+			if errA != nil || errB != nil || a != b {
+				return false
+			}
+		}
+		if err := h.Invoke(3, "X", rd); err != nil {
+			return false
+		}
+		setA, errA := WeakResponses(objs["X"], h, 3, memo)
+		setB, errB := WeakResponses(objs["X"], h, 3, noMemo)
+		if errA != nil || errB != nil || !slices.Equal(setA, setB) {
+			return false
+		}
+		two := map[string]spec.Object{"X": spec.NewObject(spec.Register{}), "Y": spec.NewObject(spec.FetchInc{})}
+		h2 := randomTwoObjectHistory(r, 3, 6, 0.3)
+		cut := r.Intn(h2.Len() + 1)
+		a, errA = TLinearizableMulti(two, h2, cut, Options{})
+		b, errB = TLinearizableMulti(two, h2, cut, Options{NoMemo: true})
+		return errA == nil && errB == nil && a == b
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -2,6 +2,8 @@ package check
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"github.com/elin-go/elin/internal/history"
 	"github.com/elin-go/elin/internal/spec"
@@ -81,55 +83,29 @@ func WeakResponses(obj spec.Object, h *history.History, proc int, opts Options) 
 }
 
 // weakRegisterResponses computes the Definition 1 candidate set for a
-// register in linear time: a write may only be acked; a read may return any
-// value written by an operation invoked before the response position, or
-// the initial value provided the reader has no earlier writes of its own.
+// register in linear time (registerResponses, each value once).
 func weakRegisterResponses(obj spec.Object, ops []history.Operation, k, respIdx int) ([]int64, error) {
-	init, ok := obj.Init.(int64)
-	if !ok {
-		return nil, fmt.Errorf("check: register initial state %v is not int64", obj.Init)
-	}
-	op := ops[k]
-	switch op.Op.Method {
-	case spec.MethodWrite:
-		return []int64{0}, nil
-	case spec.MethodRead:
-		seen := make(map[int64]bool)
-		var out []int64
-		selfWrote := false
-		for i, other := range ops {
-			if i == k || other.Op.Method != spec.MethodWrite || other.Inv >= respIdx {
-				continue
-			}
-			if v := other.Op.Args[0]; !seen[v] {
-				seen[v] = true
-				out = append(out, v)
-			}
-			if other.Proc == op.Proc && other.Inv < op.Inv {
-				selfWrote = true
-			}
+	var out []int64
+	seen := make(map[int64]bool)
+	err := registerResponses(obj, ops, k, respIdx, func(v int64) bool {
+		if !seen[v] {
+			seen[v] = true
+			out = append(out, v)
 		}
-		if !selfWrote && !seen[init] {
-			out = append(out, init)
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("check: unexpected register method %q", op.Op.Method)
-	}
+		return true
+	})
+	return out, err
 }
 
 // weakFetchIncResponses computes the Definition 1 candidate set for a
-// fetch&increment in linear time: the contiguous range
-// [init+m, init+m+c] where m counts mandatory same-process predecessors and
-// c counts optional candidates.
+// fetch&increment in linear time: the contiguous range weakFetchIncRange.
 func weakFetchIncResponses(obj spec.Object, ops []history.Operation, k, respIdx int) ([]int64, error) {
-	init, ok := obj.Init.(int64)
-	if !ok {
-		return nil, fmt.Errorf("check: fetch&inc initial state %v is not int64", obj.Init)
+	lo, hi, err := weakFetchIncRange(obj, ops, k, respIdx)
+	if err != nil {
+		return nil, err
 	}
-	must, opt := weakCandidates(ops, k, respIdx)
-	out := make([]int64, 0, len(opt)+1)
-	for r := init + int64(len(must)); r <= init+int64(len(must))+int64(len(opt)); r++ {
+	out := make([]int64, 0, hi-lo+1)
+	for r := lo; r <= hi; r++ {
 		out = append(out, r)
 	}
 	return out, nil
@@ -137,171 +113,146 @@ func weakFetchIncResponses(obj spec.Object, ops []history.Operation, k, respIdx 
 
 // weakWitness decides Definition 1 for operation index k with response resp,
 // whose response event index is respIdx. Fast paths exist for registers and
-// fetch&increment; the generic path is a budgeted DFS.
+// fetch&increment; the generic path is Figure 1's line-13 test on k's
+// candidates, which returns at the first witness.
 func weakWitness(obj spec.Object, ops []history.Operation, k int, resp int64, respIdx int, opts Options) (bool, error) {
 	if !opts.NoFastPath {
-		switch t := obj.Type.(type) {
+		switch obj.Type.(type) {
 		case spec.Register:
 			return weakRegister(obj, ops, k, resp, respIdx)
 		case spec.FetchInc:
-			return weakFetchInc(obj, ops, k, resp, respIdx)
-		default:
-			_ = t
+			lo, hi, err := weakFetchIncRange(obj, ops, k, respIdx)
+			return err == nil && lo <= resp && resp <= hi, err
 		}
 	}
-	set, err := weakResponseSet(obj, ops, k, respIdx, opts)
-	if err != nil {
-		return false, err
-	}
-	for _, r := range set {
-		if r == resp {
-			return true, nil
-		}
-	}
-	return false, nil
+	must, opt := weakCandidates(ops, k, respIdx)
+	return SequentialWitness(obj, must, opt, ops[k].Op, resp, opts)
 }
 
-// weakRegister: a read may return any value written by an operation invoked
-// before the read's response, or the initial value provided the reading
-// process has no earlier writes (its own writes must appear in S before the
-// read). A write is weakly consistent iff its response is the ack 0.
+// weakRegister decides Definition 1 for a register operation in linear time
+// (registerResponses), stopping at the first value equal to resp.
 func weakRegister(obj spec.Object, ops []history.Operation, k int, resp int64, respIdx int) (bool, error) {
+	found := false
+	err := registerResponses(obj, ops, k, respIdx, func(v int64) bool {
+		found = v == resp
+		return !found
+	})
+	return found, err
+}
+
+// registerResponses yields what Definition 1 lets register operation k,
+// answered at respIdx, return until yield returns false; values may repeat.
+// A write may only be acked. A read may return any value written by an
+// operation invoked before respIdx, or the initial value provided k's process
+// has no earlier writes (its own writes must appear in S before the read).
+func registerResponses(obj spec.Object, ops []history.Operation, k, respIdx int, yield func(int64) bool) error {
 	init, ok := obj.Init.(int64)
 	if !ok {
-		return false, fmt.Errorf("check: register initial state %v is not int64", obj.Init)
+		return fmt.Errorf("check: register initial state %v is not int64", obj.Init)
 	}
-	op := ops[k]
-	switch op.Op.Method {
+	switch op := ops[k]; op.Op.Method {
 	case spec.MethodWrite:
-		return resp == 0, nil
+		yield(0)
 	case spec.MethodRead:
 		selfWrote := false
 		for i, other := range ops {
-			if i == k || other.Op.Method != spec.MethodWrite {
-				continue
+			if i == k || other.Op.Method != spec.MethodWrite || other.Inv >= respIdx {
+				continue // not a write, or invoked after the read terminated: not in S
 			}
-			if other.Inv >= respIdx {
-				continue // invoked after the read terminated: not in S
+			if other.Op.NArgs == 1 && !yield(other.Op.Args[0]) {
+				return nil
 			}
-			if other.Op.NArgs == 1 && other.Op.Args[0] == resp {
-				return true, nil
-			}
-			if other.Proc == op.Proc && other.Inv < op.Inv {
-				selfWrote = true
-			}
+			selfWrote = selfWrote || other.Proc == op.Proc && other.Inv < op.Inv
 		}
-		return resp == init && !selfWrote, nil
+		if !selfWrote {
+			yield(init)
+		}
 	default:
-		return false, fmt.Errorf("check: unexpected register method %q", op.Op.Method)
+		return fmt.Errorf("check: unexpected register method %q", op.Op.Method)
 	}
+	return nil
 }
 
-// weakFetchInc: with m mandatory same-process predecessors and c optional
-// candidates, a fetch&inc may return any r with m <= r - init <= m + c.
-func weakFetchInc(obj spec.Object, ops []history.Operation, k int, resp int64, respIdx int) (bool, error) {
+// weakFetchIncRange is fetchIncRange for operation k answered at respIdx,
+// counting its mandatory and optional candidates (weakRole) without listing
+// them.
+func weakFetchIncRange(obj spec.Object, ops []history.Operation, k, respIdx int) (lo, hi int64, err error) {
 	init, ok := obj.Init.(int64)
 	if !ok {
-		return false, fmt.Errorf("check: fetch&inc initial state %v is not int64", obj.Init)
+		return 0, 0, fmt.Errorf("check: fetch&inc initial state %v is not int64", obj.Init)
 	}
-	must, opt := weakCandidates(ops, k, respIdx)
-	m, c := int64(len(must)), int64(len(opt))
-	return resp-init >= m && resp-init <= m+c, nil
+	m, c := 0, 0
+	for i := range ops {
+		switch in, must := weakRole(ops, k, i, respIdx); {
+		case must:
+			m++
+		case in:
+			c++
+		}
+	}
+	lo, hi = fetchIncRange(init, m, c)
+	return lo, hi, nil
 }
 
-// weakCandidates splits the operations other than k into the mandatory set
-// (same process, preceding k) and the optional set (anything else invoked
-// before respIdx).
-func weakCandidates(ops []history.Operation, k, respIdx int) (must, opt []int) {
-	op := ops[k]
-	for i, other := range ops {
-		if i == k {
-			continue
-		}
-		if other.Proc == op.Proc && other.Inv < op.Inv {
-			must = append(must, i)
-			continue
-		}
-		if other.Inv < respIdx {
-			opt = append(opt, i)
+// weakRole places operation i in Definition 1's test of operation k answered
+// at respIdx: whether S may contain it (in), and whether S must (must: k's
+// own earlier operations). Anything else invoked before respIdx is optional.
+func weakRole(ops []history.Operation, k, i, respIdx int) (in, must bool) {
+	switch {
+	case i == k:
+		return false, false
+	case ops[i].Proc == ops[k].Proc && ops[i].Inv < ops[k].Inv:
+		return true, true
+	}
+	return ops[i].Inv < respIdx, false
+}
+
+// weakCandidates lists the operations weakRole puts in S: the mandatory ones
+// and the optional ones, in invocation order.
+func weakCandidates(ops []history.Operation, k, respIdx int) (must, opt []spec.Op) {
+	for i := range ops {
+		switch in, req := weakRole(ops, k, i, respIdx); {
+		case req:
+			must = append(must, ops[i].Op)
+		case in:
+			opt = append(opt, ops[i].Op)
 		}
 	}
 	return must, opt
 }
 
 // weakResponseSet enumerates every response the operation at index k could
-// legally return at response position respIdx under Definition 1, by
-// searching arrangements of mandatory and optional candidate operations.
+// legally return at response position respIdx under Definition 1. It is the
+// line-13 search over a recorder: the stand-in final operation is never
+// applicable, so the search visits every arrangement of k's candidates and
+// leaves the set behind.
 func weakResponseSet(obj spec.Object, ops []history.Operation, k, respIdx int, opts Options) ([]int64, error) {
 	must, opt := weakCandidates(ops, k, respIdx)
-	if len(must)+len(opt) > MaxOpsPerObject {
-		return nil, ErrTooLarge
-	}
-	// Index candidate ops with bits: must occupy bits [0,len(must)),
-	// optional the rest.
-	cand := make([]history.Operation, 0, len(must)+len(opt))
-	for _, i := range must {
-		cand = append(cand, ops[i])
-	}
-	for _, i := range opt {
-		cand = append(cand, ops[i])
-	}
-	mustMask := uint64(1)<<uint(len(must)) - 1
-
-	e := &weakEnum{
-		typ:      obj.Type,
-		cand:     cand,
-		mustMask: mustMask,
-		op:       ops[k].Op,
-		budget:   opts.budget(),
-		memo:     make(map[memoKey]struct{}),
-		found:    make(map[int64]bool),
-	}
-	if err := e.dfs(obj.Init, 0); err != nil {
+	rec := recorder{Type: obj.Type, final: ops[k].Op, found: make(map[int64]bool)}
+	if _, err := SequentialWitness(spec.Object{Type: rec, Init: obj.Init}, must, opt, recordOp, 0, opts); err != nil {
 		return nil, err
 	}
-	out := make([]int64, 0, len(e.found))
-	for r := range e.found {
-		out = append(out, r)
-	}
-	return out, nil
+	return slices.Sorted(maps.Keys(rec.found)), nil
 }
 
-type weakEnum struct {
-	typ      spec.Type
-	cand     []history.Operation
-	mustMask uint64
-	op       spec.Op
-	budget   int64
-	memo     map[memoKey]struct{}
-	found    map[int64]bool
+// recorder is a type with one operation more than its own, recordOp: in any
+// state, recordOp records every response final could give there, and is
+// itself never applicable.
+type recorder struct {
+	spec.Type
+	final spec.Op
+	found map[int64]bool
 }
 
-func (e *weakEnum) dfs(state spec.State, used uint64) error {
-	e.budget--
-	if e.budget < 0 {
-		return ErrBudget
+// recordOp is recorder's stand-in operation; no type has its method.
+var recordOp = spec.MakeOp("\x00record")
+
+func (r recorder) Step(s spec.State, op spec.Op) []spec.Outcome {
+	if op != recordOp {
+		return r.Type.Step(s, op)
 	}
-	key := memoKey{mask: used, state: state}
-	if _, seen := e.memo[key]; seen {
-		return nil
-	}
-	e.memo[key] = struct{}{}
-	if used&e.mustMask == e.mustMask {
-		// All mandatory predecessors placed: op may terminate here.
-		for _, out := range e.typ.Step(state, e.op) {
-			e.found[out.Resp] = true
-		}
-	}
-	for i := range e.cand {
-		bit := uint64(1) << uint(i)
-		if used&bit != 0 {
-			continue
-		}
-		for _, out := range e.typ.Step(state, e.cand[i].Op) {
-			if err := e.dfs(out.Next, used|bit); err != nil {
-				return err
-			}
-		}
+	for _, out := range r.Type.Step(s, r.final) {
+		r.found[out.Resp] = true
 	}
 	return nil
 }

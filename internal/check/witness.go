@@ -9,7 +9,9 @@ import (
 // subset of opt, and ends with final returning resp. This is exactly the
 // test on line 13 of Figure 1 (the announce/verify wrapper of
 // Proposition 11): must is the verifier's own announced operations, opt the
-// operations announced by others, final the operation being completed.
+// operations announced by others, final the operation being completed. It is
+// also Definition 1's test of one operation (weakWitness). The generic path
+// is the one search laid out by resetSeq, and returns at the first witness.
 func SequentialWitness(obj spec.Object, must, opt []spec.Op, final spec.Op, resp int64, opts Options) (bool, error) {
 	if !opts.NoFastPath {
 		if _, ok := obj.Type.(spec.FetchInc); ok {
@@ -19,88 +21,33 @@ func SequentialWitness(obj spec.Object, must, opt []spec.Op, final spec.Op, resp
 	if len(must)+len(opt) > MaxOpsPerObject {
 		return false, ErrTooLarge
 	}
-	w := &witnessSearch{
-		typ:      obj.Type,
-		must:     must,
-		opt:      opt,
-		mustMask: uint64(1)<<uint(len(must)) - 1,
-		final:    final,
-		resp:     resp,
-		budget:   opts.budget(),
-		memo:     make(map[memoKey]struct{}),
-	}
-	return w.dfs(obj.Init, 0)
+	var pr tlinProblem
+	pr.resetSeq(obj, must, opt, final, resp, opts)
+	return pr.solve()
 }
 
-// fetchIncWitness: all operations are fetch&incs, so only counts matter:
-// the final op returns r iff exactly r - init operations precede it, which
-// requires len(must) <= r - init <= len(must) + len(opt).
+// fetchIncWitness: all operations are fetch&incs, so only counts matter
+// (fetchIncRange).
 func fetchIncWitness(obj spec.Object, must, opt []spec.Op, final spec.Op, resp int64) (bool, error) {
 	init, ok := obj.Init.(int64)
-	if !ok {
+	if !ok || final.Method != spec.MethodFetchInc {
 		return false, nil
 	}
-	if final.Method != spec.MethodFetchInc {
-		return false, nil
-	}
-	for _, op := range append(append([]spec.Op{}, must...), opt...) {
-		if op.Method != spec.MethodFetchInc {
-			return false, nil
+	for _, set := range [2][]spec.Op{must, opt} {
+		for _, op := range set {
+			if op.Method != spec.MethodFetchInc {
+				return false, nil
+			}
 		}
 	}
-	d := resp - init
-	return d >= int64(len(must)) && d <= int64(len(must)+len(opt)), nil
+	lo, hi := fetchIncRange(init, len(must), len(opt))
+	return lo <= resp && resp <= hi, nil
 }
 
-type witnessSearch struct {
-	typ      spec.Type
-	must     []spec.Op
-	opt      []spec.Op
-	mustMask uint64
-	final    spec.Op
-	resp     int64
-	budget   int64
-	memo     map[memoKey]struct{}
-}
-
-func (w *witnessSearch) dfs(state spec.State, used uint64) (bool, error) {
-	w.budget--
-	if w.budget < 0 {
-		return false, ErrBudget
-	}
-	key := memoKey{mask: used, state: state}
-	if _, seen := w.memo[key]; seen {
-		return false, nil
-	}
-	if used&w.mustMask == w.mustMask {
-		for _, out := range w.typ.Step(state, w.final) {
-			if out.Resp == w.resp {
-				return true, nil
-			}
-		}
-	}
-	total := len(w.must) + len(w.opt)
-	for i := 0; i < total; i++ {
-		bit := uint64(1) << uint(i)
-		if used&bit != 0 {
-			continue
-		}
-		var op spec.Op
-		if i < len(w.must) {
-			op = w.must[i]
-		} else {
-			op = w.opt[i-len(w.must)]
-		}
-		for _, out := range w.typ.Step(state, op) {
-			ok, err := w.dfs(out.Next, used|bit)
-			if err != nil {
-				return false, err
-			}
-			if ok {
-				return true, nil
-			}
-		}
-	}
-	w.memo[key] = struct{}{}
-	return false, nil
+// fetchIncRange is the one fetch&inc rule behind both Figure 1's line 13 and
+// Definition 1: a fetch&inc that follows all of m mandatory fetch&incs and
+// any of c optional ones returns r iff exactly r - init of them precede it,
+// so r ranges over [init+m, init+m+c].
+func fetchIncRange(init int64, m, c int) (lo, hi int64) {
+	return init + int64(m), init + int64(m+c)
 }
