@@ -40,6 +40,7 @@ func runRecover(args []string, out io.Writer) error {
 	if *walPath == "" {
 		return fmt.Errorf("recover: -wal FILE is required")
 	}
+	var corrupted string // what -corrupt did, printed once the log recovers
 	if *corrupt != "" {
 		sp, err := registry.Faults(*corrupt)
 		if err != nil {
@@ -51,15 +52,16 @@ func runRecover(args []string, out io.Writer) error {
 		if err := sp.CorruptFile(*walPath, *seed); err != nil {
 			return err
 		}
-		hdr, err := wal.ReadHeaderOnly(*walPath)
-		if err == nil {
-			fmt.Fprintf(out, "corrupted %s (%s) — log of %s, %d procs x %d ops, seed %d\n",
-				*walPath, sp.Corrupt.String(), hdr.Object, hdr.Procs, hdr.Ops, hdr.Seed)
-		}
+		corrupted = sp.Corrupt.String()
 	}
 	rec, err := wal.Recover(*walPath)
 	if err != nil {
 		return err
+	}
+	if corrupted != "" {
+		hdr := rec.Header
+		fmt.Fprintf(out, "corrupted %s (%s) — log of %s, %d procs x %d ops, seed %d\n",
+			*walPath, corrupted, hdr.Object, hdr.Procs, hdr.Ops, hdr.Seed)
 	}
 	if *strict && rec.Torn {
 		return fmt.Errorf("recover: log %s is torn at byte %d (%d intact frames); rerun without -strict to truncate and continue",

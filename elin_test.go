@@ -1,7 +1,12 @@
 package elin
 
 import (
-	"strings"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"regexp"
 	"testing"
 
 	"github.com/elin-go/elin/internal/core/counter"
@@ -12,19 +17,19 @@ import (
 func TestFacadeEndToEnd(t *testing.T) {
 	// 1. Hand-built history checking.
 	h := NewHistory()
-	if err := h.Invoke(0, "X", MakeOp1("write", 1)); err != nil {
+	if err := h.Invoke(0, "X", MakeOp("fetchinc")); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Invoke(1, "X", MakeOp("read")); err != nil {
+	if err := h.Invoke(1, "X", MakeOp("fetchinc")); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Respond(1, 1); err != nil {
+	if err := h.Respond(1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Respond(0, 0); err != nil {
+	if err := h.Respond(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	objs := map[string]Object{"X": NewObject(Register{})}
+	objs := map[string]Object{"X": NewObject(FetchInc{})}
 	ok, err := Linearizable(objs, h, Options{})
 	if err != nil || !ok {
 		t.Fatalf("Linearizable = %v, %v", ok, err)
@@ -61,85 +66,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
-func TestFacadeSerialization(t *testing.T) {
-	text := "inv p0 X fetchinc\nres p0 X 0\n"
-	h, err := ReadHistoryText(strings.NewReader(text))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Len() != 2 {
-		t.Fatalf("len = %d", h.Len())
-	}
-	op, err := ParseOp("cas(1,2)")
-	if err != nil || op != MakeOp2("cas", 1, 2) {
-		t.Fatalf("ParseOp = %v, %v", op, err)
-	}
-}
-
-func TestFacadeTrendConstants(t *testing.T) {
-	if TrendStabilized.String() != "stabilized" ||
-		TrendDiverging.String() != "diverging" ||
-		TrendInconclusive.String() != "inconclusive" {
-		t.Error("trend constants mismatched")
-	}
-}
-
-func TestFacadeWeakResponses(t *testing.T) {
-	h := NewHistory()
-	if err := h.Call(0, "X", MakeOp("fetchinc"), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Invoke(1, "X", MakeOp("fetchinc")); err != nil {
-		t.Fatal(err)
-	}
-	resps, err := WeakResponses(NewObject(FetchInc{}), h, 1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resps) != 2 { // 0 (ignoring p0) or 1 (counting p0)
-		t.Fatalf("WeakResponses = %v", resps)
-	}
-}
-
-func TestFacadeLiveRuntime(t *testing.T) {
-	// The live layer end to end through the facade: a clean run, and a
-	// caught-shrunk-confirmed junk run.
-	res, err := LiveRun(LiveConfig{
-		Object:  NewAtomicFetchInc("C", 0),
-		Clients: 2,
-		Ops:     400,
-		Seed:    1,
-		Monitor: MonitorConfig{Stride: 128},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Violation != nil || res.Verdict.Trend != TrendStabilized {
-		t.Fatalf("clean live run: violation=%v trend=%s", res.Violation, res.Verdict.Trend)
-	}
-	same, err := LiveVerify(NewAtomicFetchInc("C", 0), res.History)
-	if err != nil || !same {
-		t.Fatalf("replay identity: same=%v err=%v", same, err)
-	}
-
-	junk, err := LiveFuzz(FuzzConfig{
-		Base: LiveConfig{
-			Object:  NewJunkFetchInc("C", 25),
-			Clients: 2,
-			Ops:     200,
-			Seed:    5,
-			Monitor: MonitorConfig{Stride: 64},
-		},
-		Runs: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !junk.Found() || !junk.Witness.Replay.Diverged {
-		t.Fatalf("junk not caught+confirmed: %+v", junk)
-	}
-}
-
 // TestFacadeScenario drives the declarative entry point through the
 // façade: one Scenario value on every engine, one Report schema.
 func TestFacadeScenario(t *testing.T) {
@@ -151,29 +77,63 @@ func TestFacadeScenario(t *testing.T) {
 		Seed:     1,
 		Budget:   ScenarioBudget{Depth: 22},
 	}
-	for _, e := range Engines() {
-		rep, err := e.Run(s)
+	for _, engine := range []string{"explore", "sim", "live", "serve"} {
+		rep, err := RunScenario(engine, s)
 		if err != nil {
-			t.Fatalf("%s: %v", e.Name(), err)
+			t.Fatalf("%s: %v", engine, err)
 		}
-		if rep.Verdict != VerdictOK {
-			t.Errorf("%s verdict = %s (%s)", e.Name(), rep.Verdict, rep.Detail)
+		if !rep.OK() {
+			t.Errorf("%s verdict = %s (%s)", engine, rep.Verdict, rep.Detail)
 		}
 	}
-	rep, err := RunScenario("explore", Scenario{
-		Impl:     "reg-consensus",
-		Procs:    2,
-		Ops:      1,
-		Analysis: AnalysisValency,
-		Budget:   ScenarioBudget{Depth: 14},
-	})
+}
+
+// TestFacadeNamesAreRead keeps the façade from regrowing: every name
+// elin.go exports must be written as elin.<Name> in an example program,
+// example_test.go or README.md.
+func TestFacadeNamesAreRead(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "elin.go", nil, parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Valency == nil || rep.Verdict != VerdictViolation {
-		t.Fatalf("valency scenario: verdict=%s valency=%+v", rep.Verdict, rep.Valency)
+	files, err := filepath.Glob(filepath.Join("examples", "*", "main.go"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := EngineByName("nosuch"); err == nil {
-		t.Error("unknown engine accepted")
+	var readers []byte
+	for _, name := range append(files, "example_test.go", "README.md") {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		readers = append(append(readers, b...), '\n')
+	}
+	exported := 0
+	for _, d := range f.Decls {
+		g, ok := d.(*ast.GenDecl)
+		if !ok {
+			continue
+		}
+		for _, s := range g.Specs {
+			var names []*ast.Ident
+			switch s := s.(type) {
+			case *ast.TypeSpec:
+				names = []*ast.Ident{s.Name}
+			case *ast.ValueSpec:
+				names = s.Names
+			}
+			for _, id := range names {
+				if !id.IsExported() {
+					continue
+				}
+				exported++
+				if !regexp.MustCompile(`\belin\.` + id.Name + `\b`).Match(readers) {
+					t.Errorf("elin.%s is exported but no example or README.md reads it", id.Name)
+				}
+			}
+		}
+	}
+	if exported == 0 {
+		t.Fatal("found no exported names in elin.go")
 	}
 }

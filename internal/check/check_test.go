@@ -484,7 +484,7 @@ func TestTLinearizableLocalNecessaryNotSufficient(t *testing.T) {
 	// With t=2: both projections pass (each object's write response is
 	// free in ITS OWN projection after its first 2 events — R1's;
 	// R2's projection sees t=2 remove only R2's first two events).
-	localOK, _, err := TLinearizableLocal(objs, h, 2, Options{})
+	localOK, _, err := tLinearizableLocal(objs, h, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +501,7 @@ func TestTLinearizableLocalNecessaryNotSufficient(t *testing.T) {
 		t.Fatal("global 2-linearizability should fail (R2 block in suffix)")
 	}
 	// Necessity: when the local check fails, the global must fail too.
-	localOK, badObj, err := TLinearizableLocal(objs, h, 0, Options{})
+	localOK, badObj, err := tLinearizableLocal(objs, h, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,7 +527,7 @@ func TestMinTMultiExact(t *testing.T) {
 		call(1, "R1", rd, 0).
 		call(0, "R2", wr(1), 0).
 		call(1, "R2", rd, 0).h
-	exact, ok, err := MinTMulti(objs, h, Options{})
+	exact, ok, err := minTMulti(objs, h, Options{})
 	if err != nil || !ok {
 		t.Fatal(ok, err)
 	}
@@ -623,4 +623,30 @@ func TestSection32Counterexample(t *testing.T) {
 			t.Fatalf("prefix with k=%d should not be 1-linearizable", k)
 		}
 	}
+}
+
+// tLinearizableLocal checks the necessary condition of Lemma 7's only-if
+// direction: if the multi-object history h is t-linearizable, then every
+// per-object projection is t-linearizable with the same numeral t. A false
+// result certifies that h is not t-linearizable (cheaply — no product
+// state); a true result is NOT sufficient, as the Proposition 9
+// counterexample shows even for histories over finitely many objects when
+// t is fixed: each projection can pass while the global cut fails.
+func tLinearizableLocal(objs map[string]spec.Object, h *history.History, t int, opts Options) (bool, string, error) {
+	return eachObject(objs, h, func(_ string, obj spec.Object, proj *history.History) (bool, error) {
+		return TLinearizable(obj, proj, t, opts)
+	})
+}
+
+// minTMulti computes the exact least global t for which a multi-object
+// history is t-linearizable: MinT's search over the product-state checker
+// (Lemma 5's monotonicity holds verbatim for multi-object histories). It is
+// exponential in the concurrent-operation count; for real workloads use
+// MinTGlobalUpper (the Lemma 7 lift), which bounds it from above.
+func minTMulti(objs map[string]spec.Object, h *history.History, opts Options) (int, bool, error) {
+	obj, tb, err := productOf(objs, h)
+	if err != nil {
+		return 0, false, err
+	}
+	return minT(obj, tb, opts, &scratch{})
 }

@@ -189,32 +189,6 @@ func MinTGlobalUpper(objs map[string]spec.Object, h *history.History, opts Optio
 	return t, nil
 }
 
-// TLinearizableLocal checks the necessary condition of Lemma 7's only-if
-// direction: if the multi-object history h is t-linearizable, then every
-// per-object projection is t-linearizable with the same numeral t. A false
-// result certifies that h is not t-linearizable (cheaply — no product
-// state); a true result is NOT sufficient, as the Proposition 9
-// counterexample shows even for histories over finitely many objects when
-// t is fixed: each projection can pass while the global cut fails.
-func TLinearizableLocal(objs map[string]spec.Object, h *history.History, t int, opts Options) (bool, string, error) {
-	return eachObject(objs, h, func(_ string, obj spec.Object, proj *history.History) (bool, error) {
-		return TLinearizable(obj, proj, t, opts)
-	})
-}
-
-// MinTMulti computes the exact least global t for which a multi-object
-// history is t-linearizable: MinT's search over the product-state checker
-// (Lemma 5's monotonicity holds verbatim for multi-object histories). It is
-// exponential in the concurrent-operation count; for real workloads use
-// MinTGlobalUpper (the Lemma 7 lift), which bounds it from above.
-func MinTMulti(objs map[string]spec.Object, h *history.History, opts Options) (int, bool, error) {
-	obj, tb, err := productOf(objs, h)
-	if err != nil {
-		return 0, false, err
-	}
-	return minT(obj, tb, opts, &scratch{})
-}
-
 // TLinearizableMulti checks t-linearizability of a multi-object history
 // directly, using a product-state search (no locality shortcut). It exists
 // to cross-validate the locality lemmas on small histories and to handle

@@ -359,12 +359,12 @@ func TestSingleObjectChecksInPlace(t *testing.T) {
 		}
 	})
 	local := testing.AllocsPerRun(50, func() {
-		if ok, _, err := TLinearizableLocal(objs, h, 0, Options{}); !ok || err != nil {
+		if ok, _, err := tLinearizableLocal(objs, h, 0, Options{}); !ok || err != nil {
 			t.Fatal(ok, err)
 		}
 	})
 	if explain != direct || local != direct {
-		t.Fatalf("allocs per run: TLinearizable %v, LinearizableExplain %v, TLinearizableLocal %v", direct, explain, local)
+		t.Fatalf("allocs per run: TLinearizable %v, LinearizableExplain %v, tLinearizableLocal %v", direct, explain, local)
 	}
 	minT := testing.AllocsPerRun(50, func() {
 		if _, _, err := MinT(obj, h, Options{}); err != nil {

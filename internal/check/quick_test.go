@@ -94,7 +94,7 @@ func TestQuickMinTMultiBelowLift(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		h := randomTwoObjectHistory(r, 3, 6, 0.3)
-		exact, ok, err := MinTMulti(objs, h, Options{})
+		exact, ok, err := minTMulti(objs, h, Options{})
 		if err != nil || !ok {
 			return false
 		}

@@ -194,6 +194,19 @@ func TestWeakResponsesFetchInc(t *testing.T) {
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("WeakResponses = %v, want [1 2]", got)
 	}
+
+	// p1's first op after p0's completed one may ignore it (0) or count it (1).
+	h2 := build(t).
+		call(0, "X", fi, 0).
+		inv(1, "X", fi).h
+	got, err = WeakResponses(fincX["X"], h2, 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Fatalf("WeakResponses = %v, want [0 1]", got)
+	}
 }
 
 func TestWeakResponsesErrors(t *testing.T) {

@@ -105,29 +105,6 @@ func DecodeOp(code int64) (spec.Op, error) {
 	}
 }
 
-// Reexecute applies an encoded log prefix to the object's initial state in
-// agreed order and returns every position's response — the pure function
-// stabilization computes. Because the log is append-only, a position's
-// response is fixed the moment it stabilizes: Reexecute(obj, l[:k]) is a
-// prefix of Reexecute(obj, l) for every k (the testing/quick invariant).
-func Reexecute(obj spec.Object, codes []int64) ([]int64, error) {
-	st := obj.Init
-	resps := make([]int64, len(codes))
-	for i, code := range codes {
-		op, err := DecodeOp(code)
-		if err != nil {
-			return nil, err
-		}
-		outs := obj.Type.Step(st, op)
-		if len(outs) == 0 {
-			return nil, fmt.Errorf("stablog: %s not applicable to %s state %v", op, obj.Type.Name(), st)
-		}
-		resps[i] = outs[0].Resp
-		st = outs[0].Next
-	}
-	return resps, nil
-}
-
 // ----------------------------------------------------------------------------
 // The implementation.
 

@@ -1,6 +1,7 @@
 package stablog
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -74,18 +75,18 @@ func randomLog(r *rand.Rand, n int) []int64 {
 
 // The stabilized-prefix invariant: once a position's response is computed
 // from the agreed order, appending more entries never changes it —
-// Reexecute over a prefix is a prefix of Reexecute over the full log.
+// reexecute over a prefix is a prefix of reexecute over the full log.
 func TestReexecutePrefixStable(t *testing.T) {
 	obj := spec.NewObject(spec.Register{})
 	f := func(seed int64, n uint8, cut uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		codes := randomLog(r, int(n%32)+1)
 		k := int(cut) % (len(codes) + 1)
-		full, err := Reexecute(obj, codes)
+		full, err := reexecute(obj, codes)
 		if err != nil {
 			return false
 		}
-		prefix, err := Reexecute(obj, codes[:k])
+		prefix, err := reexecute(obj, codes[:k])
 		if err != nil {
 			return false
 		}
@@ -169,9 +170,9 @@ func TestPromotionInvariants(t *testing.T) {
 			}
 			lastFrontier[pi] = m.frontier
 			if caughtUp {
-				agreed, err := Reexecute(obj, h.log[:m.pos+1])
+				agreed, err := reexecute(obj, h.log[:m.pos+1])
 				if err != nil {
-					t.Errorf("Reexecute: %v", err)
+					t.Errorf("reexecute: %v", err)
 					return false
 				}
 				if ret != agreed[m.pos] {
@@ -246,4 +247,27 @@ func TestValidateAndFingerprint(t *testing.T) {
 	if !reflect.DeepEqual(b, b2) {
 		t.Fatal("clone fingerprint differs from original")
 	}
+}
+
+// reexecute applies an encoded log prefix to the object's initial state in
+// agreed order and returns every position's response — the pure function
+// stabilization computes. Because the log is append-only, a position's
+// response is fixed the moment it stabilizes: reexecute(obj, l[:k]) is a
+// prefix of reexecute(obj, l) for every k (the testing/quick invariant).
+func reexecute(obj spec.Object, codes []int64) ([]int64, error) {
+	st := obj.Init
+	resps := make([]int64, len(codes))
+	for i, code := range codes {
+		op, err := DecodeOp(code)
+		if err != nil {
+			return nil, err
+		}
+		outs := obj.Type.Step(st, op)
+		if len(outs) == 0 {
+			return nil, fmt.Errorf("stablog: %s not applicable to %s state %v", op, obj.Type.Name(), st)
+		}
+		resps[i] = outs[0].Resp
+		st = outs[0].Next
+	}
+	return resps, nil
 }

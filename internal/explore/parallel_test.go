@@ -555,8 +555,8 @@ func TestCutHandsOverDuplicateFrontierNodes(t *testing.T) {
 		handed := map[string]int{}
 		done := 0
 		e.cutDepth, e.cut = k, func(path []pathStep) error {
-			if len(path) != k || e.sys.UndoDepth() != k {
-				t.Fatalf("cut at depth %d handed a path of %d steps at undo depth %d", k, len(path), e.sys.UndoDepth())
+			if len(path) != k || e.sys.Steps() != k {
+				t.Fatalf("cut at depth %d handed a path of %d steps at step %d", k, len(path), e.sys.Steps())
 			}
 			replayed := root.Clone()
 			if err := replayPath(replayed, path); err != nil {

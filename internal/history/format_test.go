@@ -228,7 +228,7 @@ func TestStorageMatchesEventSliceModel(t *testing.T) {
 		obj := []string{"X", "Y", "Z", "nowhere"}[r.Intn(4)]
 		sameAsModel(t, "ByObject", h.ByObject(obj), m.filter(func(e Event) bool { return e.Obj == obj }))
 		proc := modelProcs[r.Intn(len(modelProcs))]
-		sameAsModel(t, "ByProc", h.ByProc(proc), m.filter(func(e Event) bool { return e.Proc == proc }))
+		sameAsModel(t, "byProc", byProc(h, proc), m.filter(func(e Event) bool { return e.Proc == proc }))
 		k := r.Intn(len(m) + 1)
 		p := h.Prefix(k)
 		sameAsModel(t, "Prefix", p, m[:k])

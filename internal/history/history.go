@@ -400,11 +400,6 @@ func (h *History) ByObject(obj string) *History {
 	return h.project(len(h.recs), func(r *record) bool { return int(r.obj) == id })
 }
 
-// ByProc returns the projection H|proc as a new history.
-func (h *History) ByProc(proc int) *History {
-	return h.project(len(h.recs), func(r *record) bool { return r.proc == proc })
-}
-
 // ObjectEventIndex returns, for the projection H|obj, the index in H of each
 // projected event. It lets callers translate a per-object event count t_o
 // back to a global event count t (the construction in Lemma 7).

@@ -98,7 +98,7 @@ func TestProjections(t *testing.T) {
 			t.Fatalf("H|X event %d on %s", i, hx.Event(i).Obj)
 		}
 	}
-	hp := h.ByProc(0)
+	hp := byProc(h, 0)
 	if hp.Len() != 4 {
 		t.Fatalf("H|p0 len = %d, want 4", hp.Len())
 	}
@@ -353,4 +353,9 @@ func TestKindString(t *testing.T) {
 	if Kind(9).String() != "kind(9)" {
 		t.Errorf("unknown kind string = %q", Kind(9).String())
 	}
+}
+
+// byProc returns the projection H|proc as a new history.
+func byProc(h *History, proc int) *History {
+	return h.project(len(h.recs), func(r *record) bool { return r.proc == proc })
 }

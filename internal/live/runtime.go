@@ -27,30 +27,6 @@ func FetchIncGen() OpGen {
 	return func(int, int, *rand.Rand) spec.Op { return op }
 }
 
-// MixGen draws operations from a weighted mix.
-func MixGen(ops []spec.Op, weights []int) (OpGen, error) {
-	if len(ops) == 0 || len(ops) != len(weights) {
-		return nil, fmt.Errorf("live: mix of %d ops with %d weights", len(ops), len(weights))
-	}
-	total := 0
-	for _, w := range weights {
-		if w <= 0 {
-			return nil, fmt.Errorf("live: non-positive mix weight %d", w)
-		}
-		total += w
-	}
-	return func(_, _ int, r *rand.Rand) spec.Op {
-		k := r.Intn(total)
-		for j, w := range weights {
-			if k < w {
-				return ops[j]
-			}
-			k -= w
-		}
-		return ops[len(ops)-1]
-	}, nil
-}
-
 // RegisterMixGen returns a read/write mix for register-shaped objects:
 // writes (with values drawn from [1, valueRange]) occur with probability
 // writeRatio, reads otherwise.

@@ -52,10 +52,3 @@ func Faults(name string) (*faults.Spec, error) {
 	}
 	return sp, nil
 }
-
-// ValidateFaults checks a fault-spec name without constructing anything —
-// the syntax-only resolution campaign sweep specs validate against.
-func ValidateFaults(name string) error {
-	_, err := Faults(name)
-	return err
-}

@@ -32,10 +32,10 @@ func TestFaults(t *testing.T) {
 	if err != nil || sp.CrashAtCommit != 100 || sp.JitterMax != 2 {
 		t.Errorf("grammar resolution = %+v, %v", sp, err)
 	}
-	if err := ValidateFaults("chaos"); err != nil {
-		t.Errorf("ValidateFaults(chaos): %v", err)
+	if _, err := Faults("chaos"); err != nil {
+		t.Errorf("Faults(chaos): %v", err)
 	}
-	err = ValidateFaults("explode:9")
+	_, err = Faults("explode:9")
 	if err == nil || !strings.Contains(err.Error(), "chaos") || !strings.Contains(err.Error(), "stall:C@T+D") {
 		t.Errorf("unknown fault spec error does not list the vocabulary: %v", err)
 	}

@@ -191,9 +191,6 @@ func (s *Server) Serve(ln net.Listener) {
 // Addr returns the listen address (for clients of a :0 listener).
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
-// Seq returns the current commit ticket.
-func (s *Server) Seq() uint64 { return s.seq.Load() }
-
 // Shutdown stops accepting, waits for live connections to die and drains
 // the merge, whose last step finishes the pipeline (final monitor window,
 // sink closed). The returned Summary is the run's artifact.

@@ -363,9 +363,6 @@ func (s *System) EnableUndo() { s.undoOn = true }
 // programme cost; exploration exposes it as Config.CheckDeterminism.
 func (s *System) EnableDeterminismCheck() { s.detCheck = true }
 
-// UndoDepth returns the number of recorded steps available to Undo.
-func (s *System) UndoDepth() int { return len(s.undo) }
-
 // Undo reverts the most recent Advance recorded while undo was enabled:
 // programme, progress counters, histories, the touched base object and the
 // stabilization point are restored from the step's undo record.

@@ -82,7 +82,7 @@ func TestUndoRandomWalkMatchesReplay(t *testing.T) {
 			}
 			var path []move
 			for i := 0; i < 300; i++ {
-				if sys.UndoDepth() > 0 && (r.Intn(3) == 0 || sys.Done()) {
+				if undoDepth(sys) > 0 && (r.Intn(3) == 0 || sys.Done()) {
 					if err := sys.Undo(); err != nil {
 						t.Fatal(err)
 					}
@@ -151,7 +151,7 @@ func TestUndoRestoresStabilizationPoint(t *testing.T) {
 	if !stabilized() {
 		t.Fatal("workload finished without stabilization")
 	}
-	for sys.UndoDepth() > 0 {
+	for undoDepth(sys) > 0 {
 		if err := sys.Undo(); err != nil {
 			t.Fatal(err)
 		}
@@ -284,3 +284,6 @@ func TestStabilizedIndexMatchesMap(t *testing.T) {
 		t.Fatal("unknown base reported as tracked")
 	}
 }
+
+// undoDepth returns the number of recorded steps available to Undo.
+func undoDepth(s *System) int { return len(s.undo) }

@@ -148,40 +148,6 @@ type OpEnumerator interface {
 	EnumOps() []Op
 }
 
-// Total reports whether, in every state reachable from init within the
-// given exploration bound, every enumerated operation has at least one
-// outcome. The paper's examples are all total; totality guarantees that any
-// finite history is t-linearizable for t = |H| (Section 3.2).
-func Total(t Type, maxStates int) (bool, error) {
-	enum, ok := t.(OpEnumerator)
-	if !ok {
-		return false, fmt.Errorf("type %s does not enumerate operations", t.Name())
-	}
-	ops := enum.EnumOps()
-	seen := map[State]bool{t.Init(): true}
-	frontier := []State{t.Init()}
-	for len(frontier) > 0 {
-		if len(seen) > maxStates {
-			return false, fmt.Errorf("type %s: state bound %d exceeded", t.Name(), maxStates)
-		}
-		s := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		for _, op := range ops {
-			outs := t.Step(s, op)
-			if len(outs) == 0 {
-				return false, nil
-			}
-			for _, o := range outs {
-				if !seen[o.Next] {
-					seen[o.Next] = true
-					frontier = append(frontier, o.Next)
-				}
-			}
-		}
-	}
-	return true, nil
-}
-
 // Reachable returns all states reachable from init via enumerated
 // operations, bounded by maxStates.
 func Reachable(t Type, maxStates int) ([]State, error) {

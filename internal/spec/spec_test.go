@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -277,18 +278,18 @@ func TestTotality(t *testing.T) {
 		Register{}, FetchInc{}, Consensus{}, TestSet{}, CAS{}, MaxRegister{},
 	}
 	for _, typ := range types {
-		total, err := Total(typ, 1000)
+		total, err := isTotal(typ, 1000)
 		if err != nil {
 			// Unbounded-state types exhaust the bound; that is acceptable
 			// for fetchinc/maxregister whose state grows.
 			if typ.Name() == "fetchinc" || typ.Name() == "maxregister" {
 				continue
 			}
-			t.Errorf("Total(%s): %v", typ.Name(), err)
+			t.Errorf("isTotal(%s): %v", typ.Name(), err)
 			continue
 		}
 		if !total {
-			t.Errorf("Total(%s) = false, want true", typ.Name())
+			t.Errorf("isTotal(%s) = false, want true", typ.Name())
 		}
 	}
 }
@@ -334,9 +335,9 @@ func TestTableType(t *testing.T) {
 	if got := ct.Step(int64(5), MakeOp("get")); len(got) != 0 {
 		t.Errorf("constant accepted out-of-range state: %+v", got)
 	}
-	total, err := Total(ct, 10)
+	total, err := isTotal(ct, 10)
 	if err != nil || !total {
-		t.Errorf("constant Total = %v, %v", total, err)
+		t.Errorf("constant isTotal = %v, %v", total, err)
 	}
 }
 
@@ -382,4 +383,38 @@ func TestDeterminismIsStable(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// isTotal reports whether, in every state reachable from init within the
+// given exploration bound, every enumerated operation has at least one
+// outcome. The paper's examples are all total; totality guarantees that any
+// finite history is t-linearizable for t = |H| (Section 3.2).
+func isTotal(t Type, maxStates int) (bool, error) {
+	enum, ok := t.(OpEnumerator)
+	if !ok {
+		return false, fmt.Errorf("type %s does not enumerate operations", t.Name())
+	}
+	ops := enum.EnumOps()
+	seen := map[State]bool{t.Init(): true}
+	frontier := []State{t.Init()}
+	for len(frontier) > 0 {
+		if len(seen) > maxStates {
+			return false, fmt.Errorf("type %s: state bound %d exceeded", t.Name(), maxStates)
+		}
+		s := frontier[len(frontier)-1]
+		frontier = frontier[:len(frontier)-1]
+		for _, op := range ops {
+			outs := t.Step(s, op)
+			if len(outs) == 0 {
+				return false, nil
+			}
+			for _, o := range outs {
+				if !seen[o.Next] {
+					seen[o.Next] = true
+					frontier = append(frontier, o.Next)
+				}
+			}
+		}
+	}
+	return true, nil
 }

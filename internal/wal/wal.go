@@ -34,7 +34,6 @@ package wal
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -447,31 +446,6 @@ func readFrame(data []byte, off int64) (payload []byte, next int64, ok bool) {
 		return nil, 0, false
 	}
 	return payload, off + frameOverhead + int64(n), true
-}
-
-// ReadHeaderOnly returns just the header of a log file: it reads the magic
-// and the header frame and nothing after them, whatever the log's size (the
-// probe `elin recover` uses to say what it just corrupted).
-func ReadHeaderOnly(path string) (Header, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Header{}, fmt.Errorf("wal: recover: %w", err)
-	}
-	defer f.Close()
-	// The frame's length first, then the payload it names: the buffer grows
-	// by what the file holds, and a short file is parseHeader's to refuse.
-	var buf bytes.Buffer
-	_, err = io.CopyN(&buf, f, int64(len(magic)+frameOverhead))
-	if err == nil {
-		if plen := binary.LittleEndian.Uint32(buf.Bytes()[len(magic):]); plen <= maxFrame {
-			_, err = io.CopyN(&buf, f, int64(plen))
-		}
-	}
-	if err != nil && err != io.EOF {
-		return Header{}, fmt.Errorf("wal: recover: %w", err)
-	}
-	h, _, err := parseHeader(path, buf.Bytes())
-	return h, err
 }
 
 var _ io.Closer = (*Log)(nil)

@@ -375,52 +375,6 @@ func TestQuickFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadHeaderOnly: the probe reads the magic and the header frame and
-// nothing after them, so damage past the header is not its business, and it
-// refuses exactly the files Recover refuses.
-func TestReadHeaderOnly(t *testing.T) {
-	path, _, _ := writeLog(t, SyncNever)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hdrEnd := int(headerEnd(t, data))
-	garbage := append(bytes.Clone(data[:hdrEnd]), bytes.Repeat([]byte{0xff}, 64)...)
-	lying := bytes.Clone(data[:hdrEnd]) // the header frame claims maxFrame bytes
-	lying[len(magic)], lying[len(magic)+1], lying[len(magic)+2], lying[len(magic)+3] = 0, 0, 0x10, 0
-	for _, c := range []struct {
-		name string
-		data []byte
-		ok   bool
-	}{
-		{"clean", data, true},
-		{"first event frame is garbage", garbage, true},
-		{"nothing after the header", data[:hdrEnd], true},
-		{"header cut by one byte", data[:hdrEnd-1], false},
-		{"cut inside the frame prefix", data[:len(magic)+5], false},
-		{"magic only", data[:len(magic)], false},
-		{"short file", data[:3], false},
-		{"empty file", nil, false},
-		{"bad magic", append([]byte("ELINWAL2"), data[len(magic):]...), false},
-		{"lying header length", lying, false},
-	} {
-		if err := os.WriteFile(path, c.data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		h, err := ReadHeaderOnly(path)
-		_, recErr := Recover(path)
-		if (err == nil) != c.ok || fmt.Sprint(err) != fmt.Sprint(recErr) {
-			t.Errorf("%s: ReadHeaderOnly err = %v, Recover's = %v, want ok=%v", c.name, err, recErr, c.ok)
-		}
-		if c.ok && h != testHeader() {
-			t.Errorf("%s: header = %+v", c.name, h)
-		}
-	}
-	if _, err := ReadHeaderOnly(filepath.Join(t.TempDir(), "absent.wal")); err == nil {
-		t.Error("absent file: want error")
-	}
-}
-
 // TestDecodeKnownMethodAllocs: decoding the invocations the live runtime
 // logs allocates nothing (the method name is the spec constant, not a copy),
 // and a name outside the table still round-trips.
