@@ -3,6 +3,7 @@ package live
 import (
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"github.com/elin-go/elin/internal/history"
 	"github.com/elin-go/elin/internal/spec"
@@ -21,7 +22,8 @@ type rec struct {
 // key orders the merged run: commit t sits at (t,0), an invocation stamped
 // g in the gap after commit g at (g,1). Ties between invocations of
 // different clients are broken by client id in the merger (invocation
-// order among concurrent starts carries no precedence information).
+// order among concurrent starts carries no precedence information); the
+// watermarks that decide what is safe to merge compare (pos, kind) alone.
 func (r *rec) key() (uint64, int) {
 	if r.invoke {
 		return r.pos, 1
@@ -68,7 +70,8 @@ type Shard struct {
 	// promises every future record's key exceeds (pos, 0). The merger takes
 	// the larger of this and the last consumed key as the shard's
 	// watermark, so one idle or disconnected client cannot stall the merge
-	// behind records it will never write.
+	// behind records it will never write — nor behind a record of another
+	// client whose key equals it.
 	bound atomic.Uint64
 	head  atomic.Pointer[chunk] // first chunk; the merger takes it
 	spare atomic.Pointer[chunk] // one consumed chunk awaiting reuse
@@ -128,9 +131,11 @@ func (s *Shard) PushCommit(ticket uint64, resp int64, op spec.Op) bool {
 func (s *Shard) Finish() { s.done.Store(true) }
 
 // SetBound publishes the idle watermark: a promise that every record the
-// owner pushes from now on has key strictly greater than (pos, 0). Callers
-// must only advance it, and must read the sequencer stamp for pos only
-// while the client provably has no operation in flight.
+// owner pushes from now on has key strictly greater than (pos, 0), so the
+// merger may release any other client's record at or below (pos, 0) —
+// the commit at pos included. Callers must only advance it, and must read
+// the sequencer stamp for pos only while the client provably has no
+// operation in flight.
 func (s *Shard) SetBound(pos uint64) { s.bound.Store(pos + 1) }
 
 // cursor is the merger's place in one shard.
@@ -153,11 +158,12 @@ type cursor struct {
 
 // Merger performs the online k-way merge of client shards into one
 // history.History in key order. Safety is a per-client watermark argument:
-// a client's records are pushed in strictly increasing key order, and its
-// next unpublished record's key is strictly greater than its last
-// published one, so any available record whose key is at most every
+// a client's records are pushed in strictly increasing (pos, kind) order,
+// and both of its watermarks — the last consumed key and the idle bound —
+// promise that every record it has yet to publish is strictly above them
+// in that order. So any available record whose (pos, kind) is at most every
 // unfinished drained client's watermark can never be preceded by a record
-// that has not been published yet.
+// that has not been published yet, whatever the client ids.
 type Merger struct {
 	objName string
 	// procBase offsets recorded proc ids: shard i's events are appended as
@@ -165,6 +171,9 @@ type Merger struct {
 	// with the proc ids of a recovered history prefix.
 	procBase int
 	cur      []cursor // one per shard, in client order
+	// allDone is whether the last Drain's snapshot saw every shard done:
+	// that drain held nothing back, so the shards are consumed.
+	allDone bool
 }
 
 // NewMerger builds the merge over the given client shards: shard i's
@@ -202,15 +211,13 @@ func (cu *cursor) front() *rec {
 	return &cu.c.recs[cu.at]
 }
 
-// keyLess compares (pos,kind,client) triples.
-func keyLess(p1 uint64, k1, c1 int, p2 uint64, k2, c2 int) bool {
+// keyLess compares (pos,kind) keys. The merge breaks a tie by client id by
+// scanning the shards in client order and keeping the first least key.
+func keyLess(p1 uint64, k1 int, p2 uint64, k2 int) bool {
 	if p1 != p2 {
 		return p1 < p2
 	}
-	if k1 != k2 {
-		return k1 < k2
-	}
-	return c1 < c2
+	return k1 < k2
 }
 
 // Drain merges every safely-ordered published record into h, invoking feed
@@ -221,6 +228,7 @@ func keyLess(p1 uint64, k1, c1 int, p2 uint64, k2, c2 int) bool {
 // per call (one atomic load per shard), which is sound — records published
 // mid-drain are merged by the next call.
 func (m *Merger) Drain(h *history.History, feed func(history.Event, uint64) error) (int, error) {
+	m.allDone = true
 	for i := range m.cur {
 		cu := &m.cur[i]
 		// done before n: a shard observed done has pushed everything, so
@@ -231,6 +239,7 @@ func (m *Merger) Drain(h *history.History, feed func(history.Event, uint64) erro
 		// length reaching into it.
 		cu.done = cu.sh.done.Load()
 		cu.n = int(cu.sh.n.Load())
+		m.allDone = m.allDone && cu.done
 	}
 	moved := 0
 	for {
@@ -245,7 +254,7 @@ func (m *Merger) Drain(h *history.History, feed func(history.Event, uint64) erro
 			}
 			f := cu.front()
 			p, k := f.key()
-			if best < 0 || keyLess(p, k, i, bp, bk, best) {
+			if best < 0 || keyLess(p, k, bp, bk) {
 				best, bp, bk, r = i, p, k, f
 			}
 		}
@@ -256,6 +265,8 @@ func (m *Merger) Drain(h *history.History, feed func(history.Event, uint64) erro
 		// publish a record with key greater than its watermark — the larger
 		// of its last consumed key and its published idle bound; the
 		// candidate is safe only if it is at or below all such watermarks.
+		// Client ids take no part: both watermarks are strict promises, so
+		// a record equal to one can never be overtaken.
 		safe := true
 		for i := range m.cur {
 			cu := &m.cur[i]
@@ -263,10 +274,10 @@ func (m *Merger) Drain(h *history.History, feed func(history.Event, uint64) erro
 				continue
 			}
 			wp, wk := cu.lastPos, cu.lastInv
-			if b := cu.sh.bound.Load(); b > 0 && keyLess(wp, wk, i, b-1, 0, i) {
+			if b := cu.sh.bound.Load(); b > 0 && keyLess(wp, wk, b-1, 0) {
 				wp, wk = b-1, 0
 			}
-			if keyLess(wp, wk, i, bp, bk, best) {
+			if keyLess(wp, wk, bp, bk) {
 				safe = false
 				break
 			}
@@ -291,5 +302,29 @@ func (m *Merger) Drain(h *history.History, feed func(history.Event, uint64) erro
 			}
 		}
 		moved++
+	}
+}
+
+// idleWait is how long Run sleeps after a drain that moved nothing.
+const idleWait = 200 * time.Microsecond
+
+// Run is the merge loop both drivers share: it drains into h through feed,
+// calls after (if non-nil) behind every drain but the last, and sleeps
+// idleWait only after a drain that moved nothing. It returns nil after the first drain whose own
+// snapshot saw every shard done — that drain held nothing back, so every
+// record has been merged — and a merge or feed error (ErrStop included) as
+// soon as Drain returns it, leaving what to do about it to the driver.
+func (m *Merger) Run(h *history.History, feed func(history.Event, uint64) error, after func()) error {
+	for {
+		n, err := m.Drain(h, feed)
+		if err != nil || m.allDone {
+			return err
+		}
+		if after != nil {
+			after()
+		}
+		if n == 0 {
+			time.Sleep(idleWait)
+		}
 	}
 }

@@ -179,7 +179,7 @@ func (m *refMerger) Drain(h *history.History, feed func(history.Event, uint64) e
 				continue
 			}
 			p, k := recs[i][c].key()
-			if best < 0 || keyLess(p, k, i, bp, bk, best) {
+			if best < 0 || keyLess(p, k, bp, bk) {
 				best, bp, bk = i, p, k
 			}
 		}
@@ -196,10 +196,10 @@ func (m *refMerger) Drain(h *history.History, feed func(history.Event, uint64) e
 				continue
 			}
 			wp, wk := m.lastPos[i], m.lastInv[i]
-			if b := sh.bound.Load(); b > 0 && keyLess(wp, wk, i, b-1, 0, i) {
+			if b := sh.bound.Load(); b > 0 && keyLess(wp, wk, b-1, 0) {
 				wp, wk = b-1, 0
 			}
-			if keyLess(wp, wk, i, bp, bk, best) {
+			if keyLess(wp, wk, bp, bk) {
 				safe = false
 				break
 			}

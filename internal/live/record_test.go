@@ -1,6 +1,7 @@
 package live
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -8,6 +9,7 @@ import (
 	"time"
 	"unsafe"
 
+	"github.com/elin-go/elin/internal/check"
 	"github.com/elin-go/elin/internal/history"
 	"github.com/elin-go/elin/internal/spec"
 )
@@ -95,6 +97,79 @@ func TestMergerIdleBound(t *testing.T) {
 	}
 	if h.Len() != 4 {
 		t.Fatalf("history length %d, want 4", h.Len())
+	}
+
+	// The same with the idle shard below the busy one: its bound (1,0)
+	// equals busy's commit key, and a bound is a strict promise, so the
+	// commit is released too — client ids take no part in the watermark.
+	idle, busy = NewShard(0), NewShard(0)
+	busy.PushInvoke(0, op)
+	busy.PushCommit(1, 0, op)
+	idle.SetBound(1)
+	m = NewMerger("C", 0, []*Shard{idle, busy})
+	if n, err := m.Drain(history.New(), nil); err != nil || n != 2 {
+		t.Fatalf("drain with the idle shard first: n=%d err=%v, want 2 merged", n, err)
+	}
+}
+
+// Run ends on the done flags its own drain snapshotted, never on flags read
+// after it. Here the drain's feed finishes the last open shard while that
+// shard's bound holds a commit back: the drain that saw the shard open
+// merges one event, and only a further drain, whose snapshot sees every
+// shard done, may merge the held commit and end the loop.
+func TestMergerRunDrainsAfterFinishMidDrain(t *testing.T) {
+	op := spec.MakeOp(spec.MethodFetchInc)
+	busy, open := NewShard(0), NewShard(0)
+	busy.PushInvoke(0, op)
+	busy.PushCommit(2, 0, op)
+	busy.Finish()
+	open.SetBound(1) // releases busy's (0,1) invocation, holds back its (2,0) commit
+	feed := func(history.Event, uint64) error { open.Finish(); return nil }
+	h := history.New()
+	if err := NewMerger("C", 0, []*Shard{busy, open}).Run(h, feed, nil); err != nil {
+		t.Fatal(err)
+	}
+	if h.Len() != 2 {
+		t.Fatalf("Run returned with %d of 2 events merged", h.Len())
+	}
+}
+
+// Every way out of a concurrent Run leaves no goroutine behind: the clients
+// have exited and the merge loop has returned by the time Run does (the
+// count may take a moment to settle as exiting goroutines unwind).
+func TestMergerRunLeavesNoGoroutine(t *testing.T) {
+	fi := func() Object { return NewAtomicFetchInc("C", 0) }
+	cases := []struct {
+		name   string
+		cfg    Config
+		failAt int
+		exited func(*Result, error) bool
+	}{
+		{name: "clean", cfg: Config{Object: fi()},
+			exited: func(r *Result, err error) bool { return err == nil && r.Violation == nil }},
+		{name: "violation", cfg: Config{Object: NewJunkFetchInc("C", 20), Monitor: check.IncrementalConfig{Stride: 16}},
+			exited: func(r *Result, err error) bool { return err == nil && r.Violation != nil }},
+		{name: "crash", cfg: Config{Object: fi(), Faults: mustFaults(t, "crash:50")},
+			exited: func(r *Result, err error) bool { return err == nil && r.Crashed }},
+		{name: "sink error", cfg: Config{Object: fi()}, failAt: 7,
+			exited: func(_ *Result, err error) bool { return errors.Is(err, errSinkBoom) }},
+		{name: "client error", cfg: Config{Object: &failingObject{}},
+			exited: func(_ *Result, err error) bool { return err != nil }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			c.cfg.Sink = &recSink{failAt: c.failAt}
+			c.cfg.Clients, c.cfg.Ops, c.cfg.Seed = 2, 200, 1
+			if res, err := Run(c.cfg); !c.exited(res, err) {
+				t.Fatalf("Run = %+v, %v: not the %s exit", res, err, c.name)
+			}
+			for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after Run returned, baseline %d", runtime.NumGoroutine(), baseline)
+				}
+			}
+		})
 	}
 }
 

@@ -332,37 +332,16 @@ func Run(cfg Config) (*Result, error) {
 		}(c)
 	}
 
-	clientsDone := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(clientsDone)
-	}()
-
-	// Merge-and-monitor loop (runs on this goroutine).
-	m := NewMerger(cfg.Object.Name(), cfg.ProcBase, shards)
-	feed := pipe.Feed
-	done := false
-	for {
-		if _, err := m.Drain(env.h, feed); err != nil {
-			env.stop.Store(true)
-			if err != ErrStop {
-				<-clientsDone
-				return nil, err
-			}
-			break
-		}
-		if done {
-			break
-		}
-		select {
-		case <-clientsDone:
-			// One final drain after every shard finished.
-			done = true
-		default:
-			time.Sleep(100 * time.Microsecond)
-		}
+	// Merge-and-monitor loop (runs on this goroutine) until every client
+	// has finished its shard, or the pipeline stops the run.
+	err = NewMerger(cfg.Object.Name(), cfg.ProcBase, shards).Run(env.h, pipe.Feed, nil)
+	if err != nil {
+		env.stop.Store(true)
 	}
-	<-clientsDone
+	wg.Wait()
+	if err != nil && err != ErrStop {
+		return nil, err
+	}
 	elapsed := time.Since(start)
 	if err := joinClientErrors(cerrs); err != nil {
 		return nil, err

@@ -126,14 +126,14 @@ type Server struct {
 	sessions []*session
 	h        *history.History
 	pipe     *live.Pipeline
+	merger   *live.Merger
 
 	queued     atomic.Int64 // requests read but not yet applied
 	queuedHW   atomic.Int64 // high-water mark of queued since start
 	overloaded atomic.Bool
 
 	stop      atomic.Bool
-	finishing atomic.Bool
-	connWG    sync.WaitGroup
+	connWG    sync.WaitGroup // the accept goroutine and every connection
 	mergeDone chan struct{}
 	mergeErr  error
 
@@ -159,9 +159,12 @@ func New(cfg Config) (*Server, error) {
 		mergeDone: make(chan struct{}),
 	}
 	s.sessions = make([]*session, cfg.Clients)
+	shards := make([]*live.Shard, cfg.Clients)
 	for i := range s.sessions {
-		s.sessions[i] = &session{id: i, shard: live.NewShard(0)}
+		shards[i] = live.NewShard(0)
+		s.sessions[i] = &session{id: i, shard: shards[i]}
 	}
+	s.merger = live.NewMerger(cfg.Object.Name(), 0, shards)
 	if cfg.NetFaults != nil {
 		s.dropFired = make([]atomic.Bool, len(cfg.NetFaults.Drops))
 	}
@@ -173,7 +176,12 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) Serve(ln net.Listener) {
 	s.ln = ln
 	go s.mergeLoop()
+	// The accept goroutine is counted too, so that it can only add a
+	// connection while the count is above zero — never after Shutdown's
+	// Wait has seen it reach zero.
+	s.connWG.Add(1)
 	go func() {
+		defer s.connWG.Done()
 		for {
 			c, err := ln.Accept()
 			if err != nil {
@@ -191,9 +199,10 @@ func (s *Server) Serve(ln net.Listener) {
 // Addr returns the listen address (for clients of a :0 listener).
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
-// Shutdown stops accepting, waits for live connections to die and drains
-// the merge, whose last step finishes the pipeline (final monitor window,
-// sink closed). The returned Summary is the run's artifact.
+// Shutdown stops accepting, waits for live connections to die, finishes
+// the shards and waits for the merge, whose last step finishes the pipeline
+// (final monitor window, sink closed). The returned Summary is the run's
+// artifact.
 func (s *Server) Shutdown() (*Summary, error) {
 	s.stop.Store(true)
 	if s.ln != nil {
@@ -203,7 +212,6 @@ func (s *Server) Shutdown() (*Summary, error) {
 	for _, sess := range s.sessions {
 		sess.shard.Finish()
 	}
-	s.finishing.Store(true)
 	<-s.mergeDone
 	// No-op after the merge loop's Finish; on the merge-error path it is
 	// what stops a pooled monitor's workers and closes the sink.
@@ -242,67 +250,20 @@ func (s *Server) feed(e history.Event, pos uint64) error {
 	return nil
 }
 
-// mergeLoop drains the session shards into the history until Shutdown,
-// refreshing idle bounds (so an idle or disconnected client never stalls
-// the merge) and engaging the monitor's sampling fallback under overload.
+// mergeLoop drains the session shards into the history until Shutdown has
+// finished them, refreshing idle bounds after every drain (so an idle or
+// disconnected client never stalls the merge) and engaging the monitor's
+// sampling fallback under overload. A merge error ends the loop at once;
+// Shutdown reports it.
 func (s *Server) mergeLoop() {
 	defer close(s.mergeDone)
-	m := live.NewMerger(s.cfg.Object.Name(), 0, s.shards())
-	drain := func() (int, error) { return m.Drain(s.h, s.feed) }
-	for !s.mergeStep(drain) {
-	}
-}
-
-// mergeStep is one turn of the merge loop around one drain (Merger.Drain; a
-// parameter so a test can place Shutdown inside it) and reports whether the
-// merge is complete. finishing is loaded BEFORE the drain: Shutdown sets it
-// after finishing every shard, so a drain that starts with it set snapshots
-// every shard done and holds nothing back behind a watermark — only such a
-// drain moving nothing means the shards are consumed. Loaded after, it could
-// pair with a snapshot that predates the shards' Finish and end the loop one
-// drain early, losing the events that snapshot held back.
-func (s *Server) mergeStep(drain func() (int, error)) bool {
-	finishing := s.finishing.Load()
-	n, err := drain()
-	if err != nil {
-		s.mergeErr = err
-		// Keep draining nothing until Shutdown; the error is reported
-		// there. Feeding stopped, so no further events accumulate
-		// downstream state.
-		<-s.waitFinishing()
-		return true
-	}
-	if finishing && n == 0 {
+	s.mergeErr = s.merger.Run(s.h, s.feed, func() {
+		s.refreshBounds()
+		s.checkOverload()
+	})
+	if s.mergeErr == nil {
 		s.mergeErr = s.pipe.Finish()
-		return true
 	}
-	if n == 0 {
-		time.Sleep(200 * time.Microsecond)
-	}
-	s.refreshBounds()
-	s.checkOverload()
-	return false
-}
-
-// waitFinishing returns a channel closed once Shutdown has finished the
-// shards (poll-based; only used on the merge error path).
-func (s *Server) waitFinishing() <-chan struct{} {
-	ch := make(chan struct{})
-	go func() {
-		for !s.finishing.Load() {
-			time.Sleep(time.Millisecond)
-		}
-		close(ch)
-	}()
-	return ch
-}
-
-func (s *Server) shards() []*live.Shard {
-	sh := make([]*live.Shard, len(s.sessions))
-	for i, sess := range s.sessions {
-		sh[i] = sess.shard
-	}
-	return sh
 }
 
 // refreshBounds publishes the current sequencer value as the idle bound of

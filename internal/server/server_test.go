@@ -6,7 +6,9 @@ import (
 	"net"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/elin-go/elin/internal/check"
 	"github.com/elin-go/elin/internal/faults"
@@ -443,5 +445,24 @@ func TestServerClosesSinkOnce(t *testing.T) {
 				t.Fatalf("sink closed %d times, want exactly once", sink.closes)
 			}
 		})
+	}
+}
+
+// Shutdown leaves no goroutine behind, cleanly and after a sink error ended
+// the merge loop early: the accept goroutine, every connection's handler
+// and reader, and the merge loop have all returned.
+func TestServerShutdownLeavesNoGoroutine(t *testing.T) {
+	for _, failAt := range []int{0, 9} {
+		baseline := runtime.NumGoroutine()
+		s, addr := startServer(t, server.Config{Object: live.NewAtomicFetchInc("C", 0), Clients: 2, Sink: &countSink{failAt: failAt}})
+		load(t, loadgen.Config{Addr: addr, Clients: 2, Ops: 60, Gen: live.FetchIncGen(), Seed: 1})
+		if _, err := s.Shutdown(); (err != nil) != (failAt > 0) {
+			t.Fatalf("failAt=%d: Shutdown error = %v", failAt, err)
+		}
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("failAt=%d: %d goroutines after Shutdown, baseline %d", failAt, runtime.NumGoroutine(), baseline)
+			}
+		}
 	}
 }

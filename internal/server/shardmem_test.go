@@ -164,10 +164,7 @@ func TestSessionShardMemoryDoesNotGrowWithOps(t *testing.T) {
 				t.Fatalf("client %d: %v", i, err)
 			}
 		}
-		// All but one: the last commit of the phase can sit behind the other
-		// session's idle bound (equal keys, lower client id) until the next
-		// record or Shutdown releases it.
-		want := int64(2*sessions*int(clients[0].done)) - 1
+		want := int64(2 * sessions * int(clients[0].done))
 		for deadline := time.Now().Add(time.Minute); sink.n.Load() < want; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
 				t.Fatalf("merge loop merged %d of %d events in a minute", sink.n.Load(), want)
