@@ -33,7 +33,7 @@ func runLoad(args []string, out io.Writer) error {
 	pf := addPipelineFlags(fs, "wal") // -self only, like -net-faults: the server owns the pipeline
 	noVerify := fs.Bool("noverify", false, "skip the replay-identical check (-self only)")
 	rate := fs.Float64("rate", 0, "per-client open-loop pacing in ops/sec (0 = closed loop)")
-	latSample := fs.Int("latsample", 1, "record every Nth operation's latency")
+	latSample := fs.Int("latsample", 0, "record one latency sample every N ops per client (0 = the largest power of two leaving each client >= 1024 samples)")
 	maxAttempts := fs.Int("max-attempts", 0, "connection attempts per pending op before a client gives up (0 = 200)")
 	backoffBase := fs.Duration("backoff-base", 0, "reconnect backoff base (0 = 200µs)")
 	backoffCap := fs.Duration("backoff-cap", 0, "reconnect backoff cap (0 = 50ms)")

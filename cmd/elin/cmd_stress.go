@@ -19,7 +19,7 @@ func runStress(args []string, out io.Writer) error {
 	sf := addScenarioFlags(fs, "atomic-fi", 4, 10000, "window:400", 1)
 	rate := fs.Float64("rate", 0, "open-loop rate per client in ops/sec (0 = closed loop)")
 	pf := addPipelineFlags(fs, "wal")
-	latSample := fs.Int("latsample", 1, "record one latency sample every N ops per client")
+	latSample := fs.Int("latsample", 0, "record one latency sample every N ops per client (0 = the largest power of two leaving each client >= 1024 samples)")
 	fuzz := fs.Int("fuzz", 0, "run a fuzz campaign over N consecutive seeds instead of one run")
 	noShrink := fs.Bool("noshrink", false, "skip ddmin shrinking of a violation window")
 	noVerify := fs.Bool("noverify", false, "skip the byte-identical replay verification")

@@ -14,12 +14,11 @@ func benchRun(b *testing.B, mk func() Object, clients int, monitor bool) {
 	b.Helper()
 	ops := b.N/clients + 1
 	cfg := Config{
-		Object:        mk(),
-		Clients:       clients,
-		Ops:           ops,
-		Seed:          1,
-		MonitorSpec:   check.MonitorSpec{Kind: check.MonitorNone},
-		LatencySample: 64,
+		Object:      mk(),
+		Clients:     clients,
+		Ops:         ops,
+		Seed:        1,
+		MonitorSpec: check.MonitorSpec{Kind: check.MonitorNone},
 	}
 	if monitor {
 		cfg.MonitorSpec = check.MonitorSpec{}

@@ -68,8 +68,9 @@ type Config struct {
 	// throughput measurement).
 	MonitorSpec check.MonitorSpec
 	// LatencySample records one latency sample every LatencySample
-	// operations per client (default 1: every operation; raise it on
-	// multi-million-op runs to keep the timestamping off the hot path).
+	// operations per client. Zero, the default, picks the stride
+	// LatencyStride gives: the largest power of two that still leaves each
+	// client at least 1 024 samples (1 below 2 048 ops, 512 at 1M).
 	LatencySample int
 	// Faults is the injected fault plane (nil: a perfect machine). Every
 	// fault decision is a pure function of (Seed, commit ticket, client,
@@ -110,9 +111,26 @@ func (c *Config) fill() {
 	if c.Gen == nil {
 		c.Gen = FetchIncGen()
 	}
-	if c.LatencySample <= 0 {
-		c.LatencySample = 1
+	c.LatencySample = LatencyStride(c.Ops, c.LatencySample)
+}
+
+// minLatencySamples is the fewest latency samples the default stride
+// leaves a client.
+const minLatencySamples = 1024
+
+// LatencyStride is the latency sampling stride of a client that runs ops
+// operations: n itself when n ≥ 1, else the largest power of two s with
+// ops/s ≥ 1 024, so a long run times a sample of its operations and a short
+// one times them all. Both the live and the networked client loops use it.
+func LatencyStride(ops, n int) int {
+	if n >= 1 {
+		return n
 	}
+	s := 1
+	for ops/(2*s) >= minLatencySamples {
+		s *= 2
+	}
+	return s
 }
 
 // Result is the outcome of a live run.
@@ -298,18 +316,18 @@ func Run(cfg Config) (*Result, error) {
 					}
 				}
 				op := cfg.Gen(c, i, r)
-				// Timestamps stay off the hot path: closed-loop ops take one
+				// The clock stays off the hot path: closed-loop ops read it
 				// only when sampled; open-loop ops know their scheduled start
-				// for free.
+				// for free. Times are monotonic offsets from start.
 				sample := i%cfg.LatencySample == 0
-				var t0 time.Time
+				var t0 time.Duration
 				if interval > 0 {
-					t0 = start.Add(time.Duration(i) * interval)
-					if d := time.Until(t0); d > 0 {
+					t0 = time.Duration(i) * interval
+					if d := t0 - time.Since(start); d > 0 {
 						time.Sleep(d)
 					}
 				} else if sample {
-					t0 = time.Now()
+					t0 = time.Since(start)
 				}
 				if !sh.PushInvoke(env.seq.Load(), op) {
 					fail(c, fmt.Errorf("live: client %d shard overflow", c))
@@ -326,7 +344,7 @@ func Run(cfg Config) (*Result, error) {
 				}
 				clientOps[c]++
 				if sample {
-					lats[c] = append(lats[c], int64(time.Since(t0)))
+					lats[c] = append(lats[c], int64(time.Since(start)-t0))
 				}
 			}
 		}(c)
@@ -407,9 +425,9 @@ outer:
 			forced = -1
 			op := cfg.Gen(c, i, rngs[c])
 			sample := i%cfg.LatencySample == 0
-			var t0 time.Time
+			var t0 time.Duration
 			if sample {
-				t0 = time.Now()
+				t0 = time.Since(start)
 			}
 			proc := cfg.ProcBase + c
 			stamp := env.seq.Load()
@@ -445,7 +463,7 @@ outer:
 			remaining--
 			clientOps[c]++
 			if sample {
-				lats[c] = append(lats[c], int64(time.Since(t0)))
+				lats[c] = append(lats[c], int64(time.Since(start)-t0))
 			}
 			progress = true
 		}

@@ -274,21 +274,55 @@ func TestRunSerializedRegisterMix(t *testing.T) {
 }
 
 func TestRunLatencySampling(t *testing.T) {
-	res, err := Run(Config{
-		Object:        NewAtomicFetchInc("C", 0),
-		Clients:       2,
-		Ops:           1000,
-		Seed:          3,
-		MonitorSpec:   check.MonitorSpec{Kind: check.MonitorNone},
-		LatencySample: 100,
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name   string
+		ops    int
+		sample int
+		serial bool
+	}{
+		{"explicit", 1000, 100, false},
+		{"default", 100_000, 0, false},
+		{"default-serial", 100_000, 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Run(Config{
+				Object:        NewAtomicFetchInc("C", 0),
+				Clients:       2,
+				Ops:           tc.ops,
+				Seed:          3,
+				MonitorSpec:   check.MonitorSpec{Kind: check.MonitorNone},
+				LatencySample: tc.sample,
+				Serial:        tc.serial,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Violation != nil || len(res.Verdict.Samples) != 0 {
+				t.Fatalf("record-only run produced monitor output: %+v", res)
+			}
+			if res.LatP50 <= 0 || res.LatP99 < res.LatP50 {
+				t.Fatalf("latency percentiles: p50=%v p99=%v", res.LatP50, res.LatP99)
+			}
+		})
 	}
-	if res.Violation != nil || len(res.Verdict.Samples) != 0 {
-		t.Fatalf("record-only run produced monitor output: %+v", res)
-	}
-	if res.LatP50 <= 0 || res.LatP99 < res.LatP50 {
-		t.Fatalf("latency percentiles: p50=%v p99=%v", res.LatP50, res.LatP99)
+}
+
+// The default stride is the largest power of two leaving at least 1 024
+// samples a client; an explicit stride is kept as given.
+func TestLatencyStride(t *testing.T) {
+	for _, tc := range []struct{ ops, n, want int }{
+		{1, 0, 1},
+		{2047, 0, 1},
+		{2048, 0, 2},
+		{10_000, 0, 8},
+		{1_000_000, 0, 512},
+		{0, 0, 1},
+		{1_000_000, 1, 1},
+		{10, 100, 100},
+		{1_000_000, 7, 7},
+	} {
+		if got := LatencyStride(tc.ops, tc.n); got != tc.want {
+			t.Errorf("LatencyStride(%d, %d) = %d, want %d", tc.ops, tc.n, got, tc.want)
+		}
 	}
 }

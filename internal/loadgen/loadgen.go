@@ -42,7 +42,9 @@ type Config struct {
 	// Rate, when positive, paces each client open-loop at Rate ops/sec
 	// (scheduled starts; a late response does not shift later starts).
 	Rate float64
-	// LatencySample records every Nth operation's latency (default 1).
+	// LatencySample records every Nth operation's latency. Zero, the
+	// default, picks live.LatencyStride's power of two: at least 1 024
+	// samples per client, every operation below 2 048 ops.
 	LatencySample int
 	// MaxAttempts bounds connection attempts per pending operation
 	// (default 200); exceeding it fails the client.
@@ -57,10 +59,7 @@ type Config struct {
 }
 
 func (c *Config) latencySample() int {
-	if c.LatencySample <= 0 {
-		return 1
-	}
-	return c.LatencySample
+	return live.LatencyStride(c.Ops, c.LatencySample)
 }
 
 func (c *Config) maxAttempts() int {
@@ -232,17 +231,19 @@ func (c *client) run(start time.Time) error {
 	if err := c.connect(); err != nil {
 		return err
 	}
+	stride := c.cfg.latencySample()
 	for i := 0; i < c.cfg.Ops; i++ {
 		op := c.cfg.Gen(c.id, i, rng)
-		sample := i%c.cfg.latencySample() == 0
-		var t0 time.Time
+		// Times are monotonic offsets from start, as in live.Run.
+		sample := i%stride == 0
+		var t0 time.Duration
 		if interval > 0 {
-			t0 = start.Add(time.Duration(i) * interval)
-			if d := time.Until(t0); d > 0 {
+			t0 = time.Duration(i) * interval
+			if d := t0 - time.Since(start); d > 0 {
 				time.Sleep(d)
 			}
 		} else if sample {
-			t0 = time.Now()
+			t0 = time.Since(start)
 		}
 		c.attempts = 0
 		first := true
@@ -258,7 +259,7 @@ func (c *client) run(start time.Time) error {
 			}
 		}
 		if sample {
-			c.lats = append(c.lats, int64(time.Since(t0)))
+			c.lats = append(c.lats, int64(time.Since(start)-t0))
 		}
 	}
 	return nil

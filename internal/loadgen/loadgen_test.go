@@ -55,6 +55,40 @@ func TestBackoffShape(t *testing.T) {
 	}
 }
 
+// A fleet at the default sampling stride still reports latencies.
+func TestRunDefaultLatencySample(t *testing.T) {
+	const clients, ops = 2, 3000
+	srv, err := server.New(server.Config{
+		Object:      live.NewAtomicFetchInc("C", 0),
+		Clients:     clients,
+		MonitorSpec: check.MonitorSpec{Kind: check.MonitorNone},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Serve(ln)
+	res, err := Run(Config{
+		Addr: ln.Addr().String(), Clients: clients, Ops: ops,
+		Gen: live.FetchIncGen(), Seed: 1,
+	})
+	if _, serr := srv.Shutdown(); err == nil {
+		err = serr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != clients*ops {
+		t.Fatalf("completed = %d, want %d", res.Completed, clients*ops)
+	}
+	if res.P50NS <= 0 || res.P99NS < res.P50NS {
+		t.Fatalf("latency percentiles: p50=%dns p99=%dns", res.P50NS, res.P99NS)
+	}
+}
+
 // The idempotent-resume property, under testing/quick: for any drop
 // schedule (client, trigger ticket) and seed, a fleet driven through
 // forced disconnects completes with zero lost and zero duplicated

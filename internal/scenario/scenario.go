@@ -154,7 +154,8 @@ type Scenario struct {
 	// the MinT-trend stride (Sim). 0 picks automatically.
 	Stride int
 	// LatencySample records one latency sample every N operations per
-	// client (Live; default 1).
+	// client (Live and Serve). 0 picks live.LatencyStride's power of two:
+	// at least 1 024 samples per client, every operation below 2 048 ops.
 	LatencySample int
 	// Monitor names the online monitor implementation for the Live and
 	// Serve engines: "full" (default), "sample:N", "shard:K", or "none"
