@@ -338,6 +338,93 @@ func TestFormatLimits(t *testing.T) {
 	})
 }
 
+// TestAppendMatchesPrimitives runs one table of events through Append on one
+// history and through Invoke/Respond on another. Both paths take and refuse
+// the same events with the same error text, a refused event leaves its
+// history as it was, and the two histories stay equal. A response on
+// another object than its invocation's has no primitive form (Respond
+// takes the object from the pending invocation), so that row goes through
+// Append alone.
+func TestAppendMatchesPrimitives(t *testing.T) {
+	read := spec.MakeOp(spec.MethodRead)
+	inv := func(p int, obj string, op spec.Op) Event { return Event{Kind: KindInvoke, Proc: p, Obj: obj, Op: op} }
+	res := func(p int, obj string, v int64) Event { return Event{Kind: KindRespond, Proc: p, Obj: obj, Resp: v} }
+	primitive := func(h *History, e Event) error {
+		if e.Kind == KindInvoke {
+			return h.Invoke(e.Proc, e.Obj, e.Op)
+		}
+		return h.Respond(e.Proc, e.Resp)
+	}
+	steps := []struct {
+		e          Event
+		refused    string // a word of the refusal; "" when the event is taken
+		appendOnly bool
+		full       bool // maxEvents is the history's length for this event
+	}{
+		{e: inv(0, "X", read)},
+		{e: inv(0, "Y", read), refused: "pending"},
+		{e: inv(1, "Y", spec.MakeOp1(spec.MethodWrite, 4))},
+		{e: res(2, "X", 0), refused: "no pending"},
+		{e: res(0, "Y", 3), refused: "responds on Y", appendOnly: true},
+		{e: res(0, "X", 3)},
+		{e: inv(2, "X", spec.Op{Method: spec.MethodWrite, NArgs: 3}), refused: "arguments"},
+		{e: inv(2, "X", spec.Op{Method: spec.MethodWrite, NArgs: -1}), refused: "arguments"},
+		{e: inv(2, "X", spec.MakeOp("last"))}, // method number maxMethods
+		{e: inv(3, "X", spec.MakeOp("one-more")), refused: "distinct methods"},
+		{e: res(1, "Y", 5), full: true, refused: "full"},
+		{e: inv(3, "X", read), full: true, refused: "full"},
+		{e: res(1, "Y", 5)},
+		{e: res(2, "X", 6)},
+		{e: inv(0, "X", read)},
+	}
+	// Both histories start with maxMethods-3 methods, so that read, write
+	// and "last" fill the table.
+	a, b := New(), New()
+	for i := 0; i < maxMethods-3; i++ {
+		for _, h := range []*History{a, b} {
+			if err := h.Call(9, "X", spec.MakeOp(fmt.Sprint("m", i)), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	limit := maxEvents
+	defer func() { maxEvents = limit }()
+	for i, s := range steps {
+		var errs []string
+		for j, h := range []*History{a, b} {
+			if j == 1 && s.appendOnly {
+				continue
+			}
+			n, fp := h.Len(), h.AppendFingerprint(nil)
+			if s.full {
+				maxEvents = n
+			}
+			var err error
+			if j == 0 {
+				err = h.Append(s.e)
+			} else {
+				err = primitive(h, s.e)
+			}
+			maxEvents = limit
+			switch {
+			case s.refused == "" && err != nil:
+				t.Fatalf("step %d, path %d: %+v refused: %v", i, j, s.e, err)
+			case s.refused != "" && (err == nil || !strings.Contains(err.Error(), s.refused)):
+				t.Fatalf("step %d, path %d: %+v gave %v, want a refusal naming %q", i, j, s.e, err, s.refused)
+			case err != nil && (h.Len() != n || !bytes.Equal(h.AppendFingerprint(nil), fp)):
+				t.Fatalf("step %d, path %d: the refused %+v changed the history", i, j, s.e)
+			}
+			errs = append(errs, fmt.Sprint(err))
+		}
+		if len(errs) == 2 && errs[0] != errs[1] {
+			t.Fatalf("step %d: Append says %q, the primitive %q", i, errs[0], errs[1])
+		}
+		if !bytes.Equal(a.AppendFingerprint(nil), b.AppendFingerprint(nil)) {
+			t.Fatalf("step %d: the histories differ", i)
+		}
+	}
+}
+
 // TestPendingTableBoundary: process ids on both sides of the dense/map
 // boundary, negative ones included, keep their pending state in one history
 // through Append, Respond and Truncate.

@@ -238,49 +238,26 @@ func (h *History) Events() []Event {
 
 // Append adds an event, enforcing well-formedness: a process may not invoke
 // while it has a pending operation, and a response must match the process's
-// pending invocation (same object). It also refuses what the record format
-// cannot hold. A refused event leaves the history as it was.
+// pending invocation (same object). It checks a response's object and
+// dispatches to Invoke or Respond, the primitives that check the rest. A
+// refused event leaves the history as it was.
 func (h *History) Append(e Event) error {
-	if len(h.recs) >= maxEvents {
-		return fmt.Errorf("history is full: %d events is the most it indexes", maxEvents)
-	}
-	at := h.pendingAt(e.Proc)
 	switch e.Kind {
 	case KindInvoke:
-		if at != 0 {
-			return fmt.Errorf("process p%d invokes %s on %s while operation at event %d is pending",
-				e.Proc, e.Op, e.Obj, at-1)
-		}
-		obj, method := lookup(h.objs, e.Obj), lookup(h.methods, e.Op.Method)
-		switch {
-		case obj == maxObjs:
-			return fmt.Errorf("object %s is one more than the %d distinct objects a history holds", e.Obj, maxObjs)
-		case method == maxMethods:
-			return fmt.Errorf("method %s is one more than the %d distinct methods a history holds", e.Op.Method, maxMethods)
-		case uint(e.Op.NArgs) > uint(len(e.Op.Args)):
-			return fmt.Errorf("operation %s has %d arguments, outside 0..%d", e.Op.Method, e.Op.NArgs, len(e.Op.Args))
-		}
-		if obj == len(h.objs) {
-			h.objs = append(h.objs, e.Obj)
-		}
-		if method == len(h.methods) {
-			h.methods = append(h.methods, e.Op.Method)
-		}
-		h.push(record{a: e.Op.Args[0], b: e.Op.Args[1], proc: e.Proc,
-			obj: uint16(obj), method: uint8(method), meta: uint8(KindInvoke) | uint8(e.Op.NArgs)<<2}, 0)
+		return h.Invoke(e.Proc, e.Obj, e.Op)
 	case KindRespond:
-		if at == 0 {
-			return fmt.Errorf("process p%d responds with no pending invocation", e.Proc)
-		}
-		if on := h.objs[h.recs[at-1].obj]; on != e.Obj {
+		if at := h.pendingAt(e.Proc); at != 0 && h.objs[h.recs[at-1].obj] != e.Obj {
 			return fmt.Errorf("process p%d responds on %s but pending invocation at event %d is on %s",
-				e.Proc, e.Obj, at-1, on)
+				e.Proc, e.Obj, at-1, h.objs[h.recs[at-1].obj])
 		}
-		h.push(record{a: e.Resp, proc: e.Proc, meta: uint8(KindRespond)}, at)
-	default:
-		return fmt.Errorf("invalid event kind %d", int(e.Kind))
+		return h.Respond(e.Proc, e.Resp)
 	}
-	return nil
+	return fmt.Errorf("invalid event kind %d", int(e.Kind))
+}
+
+// errFull refuses the event past the most a history indexes.
+func errFull() error {
+	return fmt.Errorf("history is full: %d events is the most it indexes", maxEvents)
 }
 
 // push stores r, an event the caller knows to keep the history well-formed,
@@ -298,19 +275,49 @@ func (h *History) push(r record, at int32) {
 	h.recs = append(h.recs, r)
 }
 
-// Invoke appends an invocation event.
+// Invoke appends an invocation event. Invoke and Respond are the primitives
+// that validate an event and store it; a refused event leaves h as it was.
 func (h *History) Invoke(proc int, obj string, op spec.Op) error {
-	return h.Append(Event{Kind: KindInvoke, Proc: proc, Obj: obj, Op: op})
+	if len(h.recs) >= maxEvents {
+		return errFull()
+	}
+	if at := h.pendingAt(proc); at != 0 {
+		return fmt.Errorf("process p%d invokes %s on %s while operation at event %d is pending",
+			proc, op, obj, at-1)
+	}
+	o, method := lookup(h.objs, obj), lookup(h.methods, op.Method)
+	switch {
+	case o == maxObjs:
+		return fmt.Errorf("object %s is one more than the %d distinct objects a history holds", obj, maxObjs)
+	case method == maxMethods:
+		return fmt.Errorf("method %s is one more than the %d distinct methods a history holds", op.Method, maxMethods)
+	case uint(op.NArgs) > uint(len(op.Args)):
+		return fmt.Errorf("operation %s has %d arguments, outside 0..%d", op.Method, op.NArgs, len(op.Args))
+	}
+	if o == len(h.objs) {
+		h.objs = append(h.objs, obj)
+	}
+	if method == len(h.methods) {
+		h.methods = append(h.methods, op.Method)
+	}
+	h.push(record{a: op.Args[0], b: op.Args[1], proc: proc,
+		obj: uint16(o), method: uint8(method), meta: uint8(KindInvoke) | uint8(op.NArgs)<<2}, 0)
+	return nil
 }
 
-// Respond appends the response to proc's pending invocation, inferring the
-// object from the pending invocation.
+// Respond appends the response to proc's pending invocation, on that
+// invocation's object. It is a primitive, like Invoke: Append dispatches a
+// response event to it once the event's object matches.
 func (h *History) Respond(proc int, resp int64) error {
-	e := Event{Kind: KindRespond, Proc: proc, Resp: resp}
-	if at := h.pendingAt(proc); at != 0 {
-		e.Obj = h.objs[h.recs[at-1].obj]
+	if len(h.recs) >= maxEvents {
+		return errFull()
 	}
-	return h.Append(e)
+	at := h.pendingAt(proc)
+	if at == 0 {
+		return fmt.Errorf("process p%d responds with no pending invocation", proc)
+	}
+	h.push(record{a: resp, proc: proc, meta: uint8(KindRespond)}, at)
+	return nil
 }
 
 // Call appends a complete operation: an invocation immediately followed by

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/elin-go/elin/internal/check"
+	"github.com/elin-go/elin/internal/history"
 	"github.com/elin-go/elin/internal/spec"
 )
 
@@ -62,4 +63,49 @@ func BenchmarkLiveSerializedFIMonitored(b *testing.B) {
 		}
 		return s
 	}, 4, true)
+}
+
+// BenchmarkMergerDrain prices the merge alone: two shards pre-filled the
+// way two clients taking turns fill them, drained by one call into a
+// reserved history. feed=nil is the drain of a run with nothing downstream
+// (Pipeline.Feeder returns nil); feed=noop also builds the history.Event a
+// consumer would be handed.
+func BenchmarkMergerDrain(b *testing.B) {
+	const n = 1 << 16 // operations a shard: 4n events a drain
+	op := spec.MakeOp(spec.MethodFetchInc)
+	for _, bc := range []struct {
+		name string
+		feed func(history.Event, uint64) error
+	}{
+		{"feed=nil", nil},
+		{"feed=noop", func(history.Event, uint64) error { return nil }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			h := history.New()
+			h.Reserve(4 * n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				b.StopTimer()
+				shards := []*Shard{NewShard(2 * n), NewShard(2 * n)}
+				for i, ticket := 0, uint64(0); i < n; i++ {
+					for _, sh := range shards {
+						sh.PushInvoke(ticket, op)
+						sh.PushCommit(ticket+1, int64(ticket), op)
+						ticket++
+					}
+				}
+				for _, sh := range shards {
+					sh.Finish()
+				}
+				h.Reset()
+				m := NewMerger("C", 0, shards)
+				b.StartTimer()
+				if moved, err := m.Drain(h, bc.feed); err != nil || moved != 4*n {
+					b.Fatalf("drained %d of %d events: %v", moved, 4*n, err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(4*n*b.N), "ns/event")
+		})
+	}
 }

@@ -108,6 +108,16 @@ func (p *Pipeline) Feed(e history.Event, pos uint64) error {
 	return nil
 }
 
+// Feeder is the feed every driver passes its merge: Feed, or nil when
+// nothing is downstream (no sink, no crash cut, no monitor), so that a
+// record-only run builds no event for a Feed that would drop it.
+func (p *Pipeline) Feeder() func(history.Event, uint64) error {
+	if p.sink == nil && p.crashAt == 0 && p.mon == nil {
+		return nil
+	}
+	return p.Feed
+}
+
 // Finish ends the stream: the monitor checks its final partial window —
 // unless the run crashed (the partial window died with the process) or
 // already violated — and the sink is flushed and closed. The stream is cut

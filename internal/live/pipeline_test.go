@@ -200,6 +200,50 @@ func TestPipelineContract(t *testing.T) {
 			}
 		})
 	}
+
+	// Feeder is nil only when nothing is downstream of the merge.
+	for _, withSink := range []bool{false, true} {
+		for _, crashAt := range []uint64{0, 3} {
+			for _, ms := range []check.MonitorSpec{none, full} {
+				var sink CommitSink
+				if withSink {
+					sink = &recSink{}
+				}
+				p, err := NewPipeline(NewAtomicFetchInc("C", 0), ms, check.IncrementalConfig{Stride: 4}, sink, crashAt, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				empty := !withSink && crashAt == 0 && ms.Kind == check.MonitorNone
+				if (p.Feeder() == nil) != empty {
+					t.Errorf("sink %v, crash at %d, monitor %v: Feeder() nil is %v, want %v", withSink, crashAt, ms, p.Feeder() == nil, empty)
+				}
+				p.Abort()
+			}
+		}
+	}
+
+	// Under monitor none, both drivers still log every event and still stop
+	// at the crash commit.
+	for _, serial := range []bool{false, true} {
+		base := func() Config {
+			return Config{Object: NewAtomicFetchInc("C", 0), Clients: 2, Ops: 100, Seed: 1, Serial: serial, MonitorSpec: none}
+		}
+		sink := &recSink{}
+		logged := base()
+		logged.Sink = sink
+		if _, err := Run(logged); err != nil || len(sink.events) != 2*2*100 {
+			t.Fatalf("serial %v: record-only run logged %d frames (%v), want %d", serial, len(sink.events), err, 2*2*100)
+		}
+		crashed := base()
+		crashed.Faults = mustFaults(t, "crash:50")
+		res, err := Run(crashed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Crashed || res.CrashTicket != 50 {
+			t.Fatalf("serial %v: record-only run with crash:50 gave crashed %v at %d", serial, res.Crashed, res.CrashTicket)
+		}
+	}
 }
 
 // Every way out of Run — and every way NewPipeline refuses to start one —

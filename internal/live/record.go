@@ -223,10 +223,12 @@ func keyLess(p1 uint64, k1 int, p2 uint64, k2 int) bool {
 // Drain merges every safely-ordered published record into h, invoking feed
 // (if non-nil) on each appended event with its merge position (commit
 // ticket for responses, sequencer stamp for invocations — what a commit
-// sink persists). It returns the number of events appended; call it
-// repeatedly until the run completes. Shard progress is snapshotted once
-// per call (one atomic load per shard), which is sound — records published
-// mid-drain are merged by the next call.
+// sink persists). Records go into h through Invoke and Respond, and a nil
+// feed builds no history.Event at all — which is why drivers pass
+// Pipeline.Feeder, not Pipeline.Feed. It returns the number of events
+// appended; call it repeatedly until the run completes. Shard progress is
+// snapshotted once per call (one atomic load per shard), which is sound —
+// records published mid-drain are merged by the next call.
 func (m *Merger) Drain(h *history.History, feed func(history.Event, uint64) error) (int, error) {
 	m.allDone = true
 	for i := range m.cur {
@@ -289,14 +291,21 @@ func (m *Merger) Drain(h *history.History, feed func(history.Event, uint64) erro
 		cu.at++
 		cu.read++
 		cu.lastPos, cu.lastInv = bp, bk
-		e := history.Event{Kind: history.KindRespond, Proc: m.procBase + best, Obj: m.objName, Resp: r.resp}
+		proc := m.procBase + best
+		var err error
 		if r.invoke {
-			e = history.Event{Kind: history.KindInvoke, Proc: m.procBase + best, Obj: m.objName, Op: r.op}
+			err = h.Invoke(proc, m.objName, r.op)
+		} else {
+			err = h.Respond(proc, r.resp)
 		}
-		if err := h.Append(e); err != nil {
+		if err != nil {
 			return moved, fmt.Errorf("live: merge: %w", err)
 		}
 		if feed != nil {
+			e := history.Event{Kind: history.KindRespond, Proc: proc, Obj: m.objName, Resp: r.resp}
+			if r.invoke {
+				e = history.Event{Kind: history.KindInvoke, Proc: proc, Obj: m.objName, Op: r.op}
+			}
 			if err := feed(e, r.pos); err != nil {
 				return moved, err
 			}

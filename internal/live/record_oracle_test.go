@@ -234,39 +234,100 @@ type recorder interface {
 	Finish()
 }
 
-// Random single-threaded schedules of pushes, idle bounds, finishes and
-// drains over 1–5 shards, each shard crossing at least three chunk
-// boundaries, applied to the chunked recorder and to the slice-backed
-// reference: every drain moves the same number of events, the feed sees the
-// same positions and the merged histories have the same fingerprint. Drains
-// come often in a third of the trials (the merger follows the writer inside
-// one chunk and every chunk is recycled), rarely in another (chunks pile up
-// and are allocated fresh) and in bursts in the rest.
-func TestShardMatchesSliceReference(t *testing.T) {
+// scheduleShape seeds one random schedule: the trial's generator, its
+// number of clients (1–5), and how rarely it drains at random. Drains come
+// often in a third of the trials (the merger follows the writer inside one
+// chunk and every chunk is recycled), rarely in another (chunks pile up and
+// are allocated fresh) and in bursts in the rest.
+func scheduleShape(trial int) (r *rand.Rand, k, drainGap int) {
+	r = rand.New(rand.NewSource(int64(trial) + 1))
+	return r, 1 + r.Intn(5), []int{4, 40 * chunkLen, 3 * chunkLen}[trial%3]
+}
+
+// playSchedule plays one random single-threaded schedule of pushes, idle
+// bounds and finishes on len(rs) clients, client i's on every recorder in
+// rs[i] alike, each client crossing at least three chunk boundaries. It
+// calls drain at random moments and twice at the end. A commit's response
+// is 3·ticket + client.
+func playSchedule(r *rand.Rand, drainGap int, rs [][]recorder, drain func(step int)) {
 	ops := []spec.Op{
 		spec.MakeOp(spec.MethodFetchInc),
 		spec.MakeOp1(spec.MethodWrite, 7),
 		spec.MakeOp2(spec.MethodCAS, 3, 4),
 	}
-	for trial := 0; trial < 24; trial++ {
-		r := rand.New(rand.NewSource(int64(trial) + 1))
-		k := 1 + r.Intn(5)
-		drainGap := []int{4, 40 * chunkLen, 3 * chunkLen}[trial%3]
+	k := len(rs)
+	left := make([]int, k) // operations the client has still to start
+	for i := range left {
+		// 2 records an operation: past 3 boundaries, up to 5.
+		left[i] = 3*chunkLen/2 + 1 + r.Intn(chunkLen)
+	}
+	var seq uint64
+	open := make([]bool, k)    // an operation is in flight
+	opOf := make([]spec.Op, k) // the operation in flight
+	finished := make([]bool, k)
+	pushed := make([]int, k) // records pushed so far
+	live := k
+	for step := 0; live > 0; step++ {
+		i := r.Intn(k)
+		// Besides the random drains, half of the moments a shard has just
+		// filled a chunk exactly: the cursor then rests on the chunk's end
+		// while the writer moves on, the state in which a chunk handed back
+		// too early is overwritten or relinked.
+		if r.Intn(drainGap) == 0 || pushed[i] > 0 && pushed[i]%chunkLen == 0 && r.Intn(2) == 0 {
+			drain(step)
+		}
+		if finished[i] {
+			continue
+		}
+		switch {
+		case open[i]:
+			seq++
+			for _, s := range rs[i] {
+				s.PushCommit(seq, int64(seq)*3+int64(i), opOf[i])
+			}
+			open[i] = false
+			pushed[i]++
+		case left[i] == 0:
+			for _, s := range rs[i] {
+				s.Finish()
+			}
+			finished[i] = true
+			live--
+		case r.Intn(16) == 0:
+			for _, s := range rs[i] {
+				s.SetBound(seq)
+			}
+		default:
+			opOf[i] = ops[r.Intn(len(ops))]
+			for _, s := range rs[i] {
+				s.PushInvoke(seq, opOf[i])
+			}
+			open[i] = true
+			left[i]--
+			pushed[i]++
+		}
+	}
+	drain(-1)
+	drain(-2)
+}
 
+// Random schedules applied to the chunked recorder and to the slice-backed
+// reference: every drain moves the same number of events, the feed sees the
+// same positions and the merged histories have the same fingerprint.
+func TestShardMatchesSliceReference(t *testing.T) {
+	for trial := 0; trial < 24; trial++ {
+		r, k, drainGap := scheduleShape(trial)
 		shards := make([]*Shard, k)
 		refs := make([]*refShard, k)
-		both := make([][2]recorder, k)
-		left := make([]int, k) // operations the shard has still to start
+		rs := make([][]recorder, k)
 		for i := range shards {
 			shards[i], refs[i] = NewShard(0), newRefShard(0)
-			both[i] = [2]recorder{shards[i], refs[i]}
-			// 2 records an operation: past 3 boundaries, up to 5.
-			left[i] = 3*chunkLen/2 + 1 + r.Intn(chunkLen)
+			rs[i] = []recorder{shards[i], refs[i]}
 		}
 		m, rm := NewMerger("C", 0, shards), newRefMerger("C", 0, refs)
 		h, rh := history.New(), history.New()
 		var pos, rpos []uint64
-		drain := func(step int) {
+		playSchedule(r, drainGap, rs, func(step int) {
 			t.Helper()
 			n, err := m.Drain(h, func(_ history.Event, p uint64) error { pos = append(pos, p); return nil })
 			rn, rerr := rm.Drain(rh, func(_ history.Event, p uint64) error { rpos = append(rpos, p); return nil })
@@ -276,56 +337,7 @@ func TestShardMatchesSliceReference(t *testing.T) {
 			if n != rn {
 				t.Fatalf("trial %d step %d: drain moved %d events, reference %d", trial, step, n, rn)
 			}
-		}
-
-		var seq uint64
-		open := make([]bool, k)    // an operation is in flight
-		opOf := make([]spec.Op, k) // the operation in flight
-		finished := make([]bool, k)
-		pushed := make([]int, k) // records pushed so far
-		live := k
-		for step := 0; live > 0; step++ {
-			i := r.Intn(k)
-			// Besides the random drains, half of the moments a shard has
-			// just filled a chunk exactly: the cursor then rests on the
-			// chunk's end while the writer moves on, the state in which a
-			// chunk handed back too early is overwritten or relinked.
-			if r.Intn(drainGap) == 0 || pushed[i] > 0 && pushed[i]%chunkLen == 0 && r.Intn(2) == 0 {
-				drain(step)
-			}
-			if finished[i] {
-				continue
-			}
-			switch {
-			case open[i]:
-				seq++
-				for _, s := range both[i] {
-					s.PushCommit(seq, int64(seq)*3+int64(i), opOf[i])
-				}
-				open[i] = false
-				pushed[i]++
-			case left[i] == 0:
-				for _, s := range both[i] {
-					s.Finish()
-				}
-				finished[i] = true
-				live--
-			case r.Intn(16) == 0:
-				for _, s := range both[i] {
-					s.SetBound(seq)
-				}
-			default:
-				opOf[i] = ops[r.Intn(len(ops))]
-				for _, s := range both[i] {
-					s.PushInvoke(seq, opOf[i])
-				}
-				open[i] = true
-				left[i]--
-				pushed[i]++
-			}
-		}
-		drain(-1)
-		drain(-2)
+		})
 
 		want := 0
 		for i := range refs {
@@ -339,6 +351,53 @@ func TestShardMatchesSliceReference(t *testing.T) {
 		}
 		if !slices.Equal(pos, rpos) {
 			t.Fatalf("trial %d: feed positions differ from the reference's", trial)
+		}
+	}
+}
+
+// The same schedules drained with a nil feed and with a recording one: the
+// merged histories are byte-identical, and the feed sees exactly the merged
+// events, each with its merge position. Tickets are dense, so that position
+// is the number of responses up to and including the event: a commit's
+// ticket, or the stamp of an invocation merged right after commit stamp.
+func TestMergerNilFeedSameHistory(t *testing.T) {
+	for trial := 0; trial < 24; trial++ {
+		r, k, drainGap := scheduleShape(trial)
+		bare, fed := make([]*Shard, k), make([]*Shard, k)
+		rs := make([][]recorder, k)
+		for i := range bare {
+			bare[i], fed[i] = NewShard(0), NewShard(0)
+			rs[i] = []recorder{bare[i], fed[i]}
+		}
+		m, fm := NewMerger("C", 0, bare), NewMerger("C", 0, fed)
+		h, fh := history.New(), history.New()
+		var events []history.Event
+		var pos []uint64
+		playSchedule(r, drainGap, rs, func(step int) {
+			t.Helper()
+			n, err := m.Drain(h, nil)
+			fn, ferr := fm.Drain(fh, func(e history.Event, p uint64) error {
+				events, pos = append(events, e), append(pos, p)
+				return nil
+			})
+			if err != nil || ferr != nil || n != fn {
+				t.Fatalf("trial %d step %d: nil feed moved %d (%v), recording feed %d (%v)", trial, step, n, err, fn, ferr)
+			}
+		})
+		if !bytes.Equal(h.AppendFingerprint(nil), fh.AppendFingerprint(nil)) {
+			t.Fatalf("trial %d: the nil feed merged a different history (%d events against %d)", trial, h.Len(), fh.Len())
+		}
+		if len(events) != h.Len() {
+			t.Fatalf("trial %d: feed saw %d of %d events", trial, len(events), h.Len())
+		}
+		var responses uint64
+		for i, e := range events {
+			if e.Kind == history.KindRespond {
+				responses++
+			}
+			if e != h.Event(i) || pos[i] != responses {
+				t.Fatalf("trial %d event %d: feed saw %v at %d, want %v at %d", trial, i, e, pos[i], h.Event(i), responses)
+			}
 		}
 	}
 }

@@ -352,7 +352,7 @@ func Run(cfg Config) (*Result, error) {
 
 	// Merge-and-monitor loop (runs on this goroutine) until every client
 	// has finished its shard, or the pipeline stops the run.
-	err = NewMerger(cfg.Object.Name(), cfg.ProcBase, shards).Run(env.h, pipe.Feed, nil)
+	err = NewMerger(cfg.Object.Name(), cfg.ProcBase, shards).Run(env.h, pipe.Feeder(), nil)
 	if err != nil {
 		env.stop.Store(true)
 	}
@@ -389,6 +389,7 @@ func runSerial(cfg *Config, env *runEnv) (*Result, error) {
 	wait := make([]int, cfg.Clients)   // jitter turns left before the next op
 	armed := make([]bool, cfg.Clients) // jitter drawn for the pending op
 	objName := cfg.Object.Name()
+	feed := env.pipe.Feeder()
 	start := time.Now()
 	remaining := cfg.Clients * cfg.Ops
 	forced := -1
@@ -431,32 +432,34 @@ outer:
 			}
 			proc := cfg.ProcBase + c
 			stamp := env.seq.Load()
-			inv := history.Event{Kind: history.KindInvoke, Proc: proc, Obj: objName, Op: op}
-			if err := env.h.Append(inv); err != nil {
+			if err := env.h.Invoke(proc, objName, op); err != nil {
 				runErr = fmt.Errorf("live: serial merge: %w", err)
 				break outer
 			}
-			if err := env.pipe.Feed(inv, stamp); err != nil {
-				if err != ErrStop {
-					runErr = err
+			if feed != nil {
+				if err := feed(history.Event{Kind: history.KindInvoke, Proc: proc, Obj: objName, Op: op}, stamp); err != nil {
+					if err != ErrStop {
+						runErr = err
+					}
+					break outer
 				}
-				break outer
 			}
 			resp, ticket, err := cfg.Object.Apply(proc, op, &env.seq)
 			if err != nil {
 				runErr = fmt.Errorf("live: client %d op %d (ticket %d): %w", c, i, env.seq.Load(), err)
 				break outer
 			}
-			res := history.Event{Kind: history.KindRespond, Proc: proc, Obj: objName, Resp: resp}
-			if err := env.h.Append(res); err != nil {
+			if err := env.h.Respond(proc, resp); err != nil {
 				runErr = fmt.Errorf("live: serial merge: %w", err)
 				break outer
 			}
-			if err := env.pipe.Feed(res, ticket); err != nil {
-				if err != ErrStop {
-					runErr = err
+			if feed != nil {
+				if err := feed(history.Event{Kind: history.KindRespond, Proc: proc, Obj: objName, Resp: resp}, ticket); err != nil {
+					if err != ErrStop {
+						runErr = err
+					}
+					break outer
 				}
-				break outer
 			}
 			next[c] = i + 1
 			armed[c] = false

@@ -257,7 +257,13 @@ func (s *Server) feed(e history.Event, pos uint64) error {
 // Shutdown reports it.
 func (s *Server) mergeLoop() {
 	defer close(s.mergeDone)
-	s.mergeErr = s.merger.Run(s.h, s.feed, func() {
+	// The pipeline's rule decides whether the drain feeds at all; the
+	// server's policy wraps the feed only when there is one.
+	feed := s.pipe.Feeder()
+	if feed != nil {
+		feed = s.feed
+	}
+	s.mergeErr = s.merger.Run(s.h, feed, func() {
 		s.refreshBounds()
 		s.checkOverload()
 	})
