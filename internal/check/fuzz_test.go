@@ -3,6 +3,9 @@ package check
 import (
 	"testing"
 	"testing/quick"
+
+	"github.com/elin-go/elin/internal/history"
+	"github.com/elin-go/elin/internal/spec"
 )
 
 // checkMonitorSpec is FuzzParseMonitorSpec's property on s: the parser never
@@ -35,4 +38,45 @@ func TestQuickParseMonitorSpecBody(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Error(err)
 	}
+}
+
+// fuzzMonitorEvents turns bytes into a monitor stride and an event stream:
+// byte 0 picks the stride (2..17), and each further pair of bytes is one
+// event. The first byte of a pair holds the kind (bit 0), the process
+// (bits 1-2), the object (bit 3: X or Y), the method (bit 4: fetchinc or
+// read) and NArgs (bits 5-6, so 0..3 with 3 out of range); the second is the
+// response, or both arguments.
+func fuzzMonitorEvents(data []byte) (int, []history.Event) {
+	if len(data) == 0 {
+		return 2, nil
+	}
+	stride := 2 + int(data[0]%16)
+	var events []history.Event
+	for i := 1; i+1 < len(data); i += 2 {
+		b, v := data[i], int64(data[i+1])
+		e := history.Event{Kind: history.KindInvoke, Proc: int(b>>1) & 3, Obj: "X", Resp: v,
+			Op: spec.Op{Method: spec.MethodFetchInc, Args: [2]int64{v, v}, NArgs: int(b>>5) & 3}}
+		if b&1 != 0 {
+			e.Kind = history.KindRespond
+		}
+		if b&8 != 0 {
+			e.Obj = "Y"
+		}
+		if b&16 != 0 {
+			e.Op.Method = spec.MethodRead
+		}
+		events = append(events, e)
+	}
+	return stride, events
+}
+
+// FuzzMonitorFeed: the monitor's operation table must refuse the first
+// event a History-built window refuses, with the same words, and a window
+// on two objects at its close. The seed corpus is
+// testdata/fuzz/FuzzMonitorFeed.
+func FuzzMonitorFeed(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		stride, events := fuzzMonitorEvents(data)
+		feedLikeHistory(t, spec.NewObject(spec.FetchInc{}), stride, events)
+	})
 }

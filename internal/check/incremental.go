@@ -44,11 +44,11 @@ type WindowViolation struct {
 	// Start and End are the global event indexes the window covers
 	// ([Start, End) in the full merged history).
 	Start, End int
-	// Window is the offending window as a standalone history (safe to keep:
-	// the frozen monitor never touches it again). Operations that were
-	// already open when the window started appear with their invocations
-	// moved to the window start, which only weakens real-time constraints —
-	// a violation is never manufactured by the windowing.
+	// Window is the offending window as a standalone history, materialized
+	// from the monitor's operation table for the violation. Operations that
+	// were already open when the window started appear with their
+	// invocations moved to the window start, which only weakens real-time
+	// constraints — a violation is never manufactured by the windowing.
 	Window *history.History
 	// Object is the specification the window was checked against, with the
 	// initial state rebased past the committed prefix.
@@ -108,14 +108,13 @@ type Incremental struct {
 	obj spec.Object
 	det spec.DetStepper // non-nil fast path for the rebase fold
 
-	// win is the current window as a standalone history; tb is its operation
-	// table, filled once when the window closes and shared by the MinT search
-	// and the rebase fold; sc is the checker's scratch. All three are reused
-	// from window to window by the inline path; a window handed to the pool
-	// leaves with its own table and win is replaced.
-	win *history.History
-	tb  history.OpTable
-	sc  scratch
+	// tb is the current window's operation table and its only copy: Feed
+	// writes its rows, the MinT search and the rebase fold read them. The
+	// fold writes the rows open at the cut into spare, and the two swap. sc
+	// is the checker's scratch. A window handed to the pool leaves with its
+	// table, and spare is dropped; inline, all three are reused.
+	tb, spare history.OpTable
+	sc        scratch
 	// start is the global event index of the window's first event.
 	start int
 	// events counts all events fed so far.
@@ -166,13 +165,12 @@ type SamplingStats struct {
 
 // windowTask is one closed window handed to the pool. The feeding goroutine
 // folds the window's completed operations into the rebased state BEFORE
-// sending, after which the task's window and table belong exclusively to
-// the worker until done is published — no clone, no lock.
+// sending, after which the task's table belongs exclusively to the worker
+// until done is published — no clone, no lock.
 type windowTask struct {
 	// start and end are the global event indexes the window covers
 	// ([start, end)); end is also the event count the sample is keyed by.
 	start, end int
-	win        *history.History
 	tb         history.OpTable
 	obj        spec.Object
 
@@ -200,7 +198,6 @@ func NewIncremental(obj spec.Object, cfg IncrementalConfig) *Incremental {
 	m := &Incremental{
 		cfg:      cfg,
 		obj:      obj,
-		win:      history.New(),
 		sampling: SamplingStats{Every: 1},
 	}
 	m.det, _ = obj.Type.(spec.DetStepper)
@@ -227,7 +224,7 @@ func (m *Incremental) startPool(workers int) {
 				case <-p.done:
 					return
 				case t := <-p.tasks:
-					t.minT, t.ok, t.err = windowMinT(t.obj, t.win, &t.tb, opts, &sc)
+					t.minT, t.ok, t.err = windowMinT(t.obj, &t.tb, opts, &sc)
 					t.done.Store(true)
 				}
 			}
@@ -295,12 +292,21 @@ func (m *Incremental) Feed(e history.Event) (*WindowViolation, error) {
 		}
 		return nil, fmt.Errorf("check: monitor feed after finish")
 	}
-	if err := m.win.Append(e); err != nil {
+	var err error
+	switch e.Kind {
+	case history.KindInvoke:
+		err = m.tb.Invoke(e.Proc, e.Obj, e.Op)
+	case history.KindRespond:
+		err = m.tb.Respond(e.Proc, e.Obj, e.Resp)
+	default:
+		err = fmt.Errorf("invalid event kind %d", int(e.Kind))
+	}
+	if err != nil {
 		m.shutdown()
 		return nil, fmt.Errorf("check: monitor feed: %w", err)
 	}
 	m.events++
-	if m.pool == nil && m.win.Len() < m.cfg.stride() {
+	if m.pool == nil && m.tb.Events < m.cfg.stride() {
 		return nil, nil // no window to close, no results to collect
 	}
 	return m.step(false)
@@ -340,7 +346,7 @@ func (m *Incremental) shutdown() {
 // whatever Finish found in it) and records the pool's finished results: the
 // ones ready now, or at the end all of them.
 func (m *Incremental) step(end bool) (v *WindowViolation, err error) {
-	if n := m.win.Len(); n >= m.cfg.stride() || end && n > 0 {
+	if n := m.tb.Events; n >= m.cfg.stride() || end && n > 0 {
 		v, err = m.closeWindow(end)
 	}
 	if v == nil && err == nil {
@@ -361,17 +367,17 @@ func (m *Incremental) closeWindow(force bool) (*WindowViolation, error) {
 	if !force && m.skipLeft > 0 {
 		m.skipLeft--
 		m.sampling.Skipped++
-		m.tb.Fill(m.win)
-		m.win.Reset()
-		return nil, m.advanceCut(&m.tb, m.win)
+		return nil, m.advanceCut()
 	}
 	m.skipLeft = m.sampling.Every - 1
 	if m.pool != nil {
-		t := &windowTask{start: m.start, end: m.events, win: m.win, obj: m.obj}
-		t.tb.Fill(m.win)
+		t := &windowTask{start: m.start, end: m.events, tb: m.tb, obj: m.obj}
 		// Fold before the send: the table is read one last time on this
-		// goroutine; after the send only the worker touches the task.
-		if err := m.advanceCut(&t.tb, history.New()); err != nil {
+		// goroutine; after the send only the worker touches the task, so
+		// the spare the fold swaps out, which is the task's table, goes.
+		err := m.advanceCut()
+		m.spare = history.OpTable{}
+		if err != nil {
 			return nil, err
 		}
 		m.pending = append(m.pending, t)
@@ -381,61 +387,63 @@ func (m *Incremental) closeWindow(force bool) (*WindowViolation, error) {
 		}
 		return nil, nil
 	}
-	m.tb.Fill(m.win)
-	t, ok, err := windowMinT(m.obj, m.win, &m.tb, m.cfg.Opts, &m.sc)
+	t, ok, err := windowMinT(m.obj, &m.tb, m.cfg.Opts, &m.sc)
 	if err != nil {
 		return nil, fmt.Errorf("check: monitor window [%d,%d): %w", m.start, m.events, err)
 	}
-	if v := m.record(m.start, m.events, m.win, m.obj, t, ok); v != nil {
-		return v, nil
+	if v, err := m.record(m.start, m.events, &m.tb, m.obj, t, ok); v != nil || err != nil {
+		return v, err
 	}
-	m.win.Reset()
-	return nil, m.advanceCut(&m.tb, m.win)
+	return nil, m.advanceCut()
 }
 
-// advanceCut folds the completed operations of the window tb describes into
-// the rebased initial state and makes next, which must be empty, the current
-// window, primed with the still-open operations' invocations. The fold runs
-// in response-event order: in the live runtime response events are placed at
-// their commit tickets, so this is the commit order.
-func (m *Incremental) advanceCut(tb *history.OpTable, next *history.History) error {
+// advanceCut folds the completed operations of the current window into the
+// rebased initial state and makes the next window current, primed with the
+// rows of the still-open operations. The fold runs in response-event order:
+// in the live runtime response events are placed at their commit tickets,
+// so this is the commit order.
+func (m *Incremental) advanceCut() error {
 	state := m.obj.Init
-	for _, j := range tb.ByRes {
-		op := &tb.Ops[j]
+	for _, j := range m.tb.ByRes {
+		op := &m.tb.Ops[j]
 		to, applied := stepRebase(m.obj, m.det, state, op.Op, op.Resp)
 		if !applied {
 			return fmt.Errorf("check: incremental rebase: %s inapplicable in state %v", op.Op, state)
 		}
 		state = to
 	}
-	for i := range tb.Ops {
-		if op := &tb.Ops[i]; op.Pending() {
-			if err := next.Invoke(op.Proc, op.Obj, op.Op); err != nil {
-				return fmt.Errorf("check: incremental rebase: %w", err)
-			}
+	m.spare.Reset()
+	for i := range m.tb.Ops {
+		if op := &m.tb.Ops[i]; op.Pending() {
+			_ = m.spare.Invoke(op.Proc, op.Obj, op.Op) // one open row a process: never refused
 		}
 	}
 	m.obj = spec.Object{Type: m.obj.Type, Init: state}
 	m.start = m.events
-	m.win = next
+	m.tb, m.spare = m.spare, m.tb
 	return nil
 }
 
 // record books one measured window [start, end): count the check, append
-// the sample, raise the violation or note a near-violation escalation. win
-// and obj are the window as it was checked; the violation keeps them.
-func (m *Incremental) record(start, end int, win *history.History, obj spec.Object, t int, ok bool) *WindowViolation {
+// the sample, raise the violation or note a near-violation escalation. tb
+// and obj are the window as it was checked; a violation keeps obj and the
+// history materialized from tb.
+func (m *Incremental) record(start, end int, tb *history.OpTable, obj spec.Object, t int, ok bool) (*WindowViolation, error) {
 	m.checks++
 	if !ok {
 		t = -1
 	}
 	m.samples = append(m.samples, Sample{Events: end, MinT: t})
 	if m.cfg.MaxT >= 0 && (t < 0 || t > m.cfg.MaxT) {
+		win, err := tb.History()
+		if err != nil {
+			return nil, fmt.Errorf("check: monitor window [%d,%d): %w", start, end, err)
+		}
 		m.violation = &WindowViolation{Start: start, End: end, Window: win, Object: obj, MinT: t, MaxT: m.cfg.MaxT}
 		// Freeze: the windows handed out after the violating one are never
 		// recorded (the inline path never checks them), so stop the pool.
 		m.shutdown()
-		return m.violation
+		return m.violation, nil
 	}
 	// Near-violation escalation: a measured MinT past half the tolerance
 	// ends sampling — the trend is drifting toward the threshold, so every
@@ -447,7 +455,7 @@ func (m *Incremental) record(start, end int, win *history.History, obj spec.Obje
 		m.skipLeft = 0
 		m.sampling.Escalations++
 	}
-	return nil
+	return nil, nil
 }
 
 // collect records the pool's finished results in window order. With
@@ -467,17 +475,22 @@ func (m *Incremental) collect(wait bool) (*WindowViolation, error) {
 		if t.err != nil {
 			return nil, fmt.Errorf("check: monitor window [%d,%d): %w", t.start, t.end, t.err)
 		}
-		if v := m.record(t.start, t.end, t.win, t.obj, t.minT, t.ok); v != nil {
-			return v, nil
+		if v, err := m.record(t.start, t.end, &t.tb, t.obj, t.minT, t.ok); v != nil || err != nil {
+			return v, err
 		}
 	}
 	return nil, nil
 }
 
-// windowMinT is MinT of win given its operation table tb: the check of one
-// closed window, inline or on a pool worker.
-func windowMinT(obj spec.Object, win *history.History, tb *history.OpTable, opts Options, sc *scratch) (int, bool, error) {
-	if err := oneObject(win); err != nil {
+// windowMinT is MinT of the window tb describes: the check of one closed
+// window, inline or on a pool worker. Only a window on more than one object
+// is materialized, for oneObject to name its objects.
+func windowMinT(obj spec.Object, tb *history.OpTable, opts Options, sc *scratch) (int, bool, error) {
+	if !tb.SingleObject() {
+		win, err := tb.History()
+		if err == nil {
+			err = oneObject(win)
+		}
 		return 0, false, err
 	}
 	return minT(obj, tb, opts, sc)

@@ -108,7 +108,7 @@ func eachObject(objs map[string]spec.Object, h *history.History,
 func MinT(obj spec.Object, h *history.History, opts Options) (int, bool, error) {
 	var tb history.OpTable
 	tb.Fill(h)
-	return windowMinT(obj, h, &tb, opts, &scratch{})
+	return windowMinT(obj, &tb, opts, &scratch{})
 }
 
 // minT is MinT on a prepared operation table. It probes t = 0 first: by the

@@ -43,7 +43,7 @@ func TestIncrementalWindowsMatchStandalone(t *testing.T) {
 		}
 		for i := 0; i < h.Len(); i++ {
 			e := h.Event(i)
-			win, obj = m.win.Clone(), m.obj
+			win, obj = materialize(t, &m.tb), m.obj
 			mustDo(t, win.Append(e))
 			checks := m.Checks()
 			if v, err := m.Feed(e); err != nil || v != nil {
@@ -55,7 +55,7 @@ func TestIncrementalWindowsMatchStandalone(t *testing.T) {
 			}
 		}
 	}
-	win, obj = m.win.Clone(), m.obj
+	win, obj = materialize(t, &m.tb), m.obj
 	checks := m.Checks()
 	if _, err := m.Finish(); err != nil {
 		t.Fatal(err)

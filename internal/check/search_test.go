@@ -296,7 +296,8 @@ func TestQuickMultiOneObjectMatchesSingle(t *testing.T) {
 // Property: every generic "yes" is auditable. At t = 0 and at t = MinT,
 // whenever the generic search says a register or fetch&inc history is
 // t-linearizable, Linearization names an order the independent auditor
-// accepts; on fetch&inc the Lemma 17 kernel gives the same verdict.
+// accepts; on fetch&inc the Lemma 17 kernel gives the same verdict, and its
+// own "yes" is audited too, through the order kernelOrder builds.
 func TestQuickGenericYesIsAudited(t *testing.T) {
 	yes := 0
 	f := func(seed int64, fetchInc bool) bool {
@@ -319,6 +320,13 @@ func TestQuickGenericYesIsAudited(t *testing.T) {
 				if kernel, err := TLinearizable(obj, h, cut, Options{}); err != nil || kernel != generic {
 					t.Logf("t=%d: kernel %v (%v), generic %v\n%s", cut, kernel, err, generic, h)
 					return false
+				}
+				if generic {
+					steps := kernelOrder(t, obj, h, cut)
+					if err := ValidateLinearization(obj, h, cut, steps); err != nil {
+						t.Logf("t=%d: auditor rejects the kernel's order: %v\n%s\n%s", cut, err, h, FormatLinearization(steps))
+						return false
+					}
 				}
 			}
 			if !generic {
@@ -343,6 +351,69 @@ func TestQuickGenericYesIsAudited(t *testing.T) {
 	if yes < 100 {
 		t.Fatalf("only %d generic yes verdicts were audited", yes)
 	}
+}
+
+// kernelOrder turns the fetch&inc kernel's "yes" at cut into a
+// t-linearization of h. FetchIncSlots places the operations answered in the
+// suffix; each other slot up to the top one is filled greedily, by an
+// operation answered in the prefix, or else by a pending one whose real-time
+// lower bound (the top slot answered before its suffix invocation) lies
+// below it; the prefix-answered operations left over follow. Any eligible
+// filler serves, since one eligible for a slot is eligible for every slot
+// above it.
+func kernelOrder(t *testing.T, obj spec.Object, h *history.History, cut int) []LinStep {
+	t.Helper()
+	slots, err := FetchIncSlots(obj, h, cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := h.Operations()
+	at := make(map[int64]int, len(slots))
+	top := int64(-1)
+	for i, s := range slots {
+		at[s], top = i, max(top, s)
+	}
+	var free, pending []int
+	bound := make(map[int]int64)
+	for i, op := range ops {
+		switch _, constrained := slots[i]; {
+		case constrained:
+		case !op.Pending():
+			free = append(free, i)
+		default:
+			pending, bound[i] = append(pending, i), -1
+			for j, s := range slots {
+				if op.Inv >= cut && ops[j].Res < op.Inv {
+					bound[i] = max(bound[i], s)
+				}
+			}
+		}
+	}
+	var order []LinStep
+	place := func(i int) {
+		order = append(order, LinStep{OpIndex: i, Proc: ops[i].Proc, Op: ops[i].Op, Resp: obj.Init.(int64) + int64(len(order))})
+	}
+	for g := int64(0); g <= top; g++ {
+		if i, ok := at[g]; ok {
+			place(i)
+			continue
+		}
+		if len(free) > 0 {
+			place(free[0])
+			free = free[1:]
+			continue
+		}
+		k := slices.IndexFunc(pending, func(i int) bool { return bound[i] < g })
+		if k < 0 {
+			t.Fatalf("t=%d: the kernel said yes, but no operation fills slot %d\n%s", cut, g, h)
+		}
+		place(pending[k])
+		pending = slices.Delete(pending, k, k+1)
+	}
+	for _, i := range free {
+		place(i)
+	}
+	return order
 }
 
 // composeLinearization is the constructive proof of locality (Lemmas 7/8 at

@@ -77,13 +77,14 @@ func BenchmarkMinT(b *testing.B) {
 
 // TestIncrementalSteadyStateAllocs pins the full monitor's own machinery at
 // zero allocations per window once its buffers have grown, on both engines:
-// the window history, the operation table and the scratch are reused — the
-// fetch&inc kernel's buffers, and the generic engine's search, whose
-// predecessor masks and memo map every probe resets. The values stay below
-// 256 throughout, where Go boxes an int64 without allocating: spec.State is
-// an interface, so past that StepDet allocates 8 bytes per successor state
-// (the 255 allocs/op BenchmarkIncrementalWindow/fi-512 reports), which is
-// the specification layer's cost and not the monitor's to remove.
+// the two operation tables Feed and the cut write and the scratch are
+// reused — the fetch&inc kernel's buffers, and the generic engine's search,
+// whose predecessor masks and memo map every probe resets. The values stay
+// below 256 throughout, where Go boxes an int64 without allocating:
+// spec.State is an interface, so past that StepDet allocates 8 bytes per
+// successor state (the 254 allocs/op BenchmarkIncrementalWindow/fi-512
+// reports), which is the specification layer's cost and not the monitor's
+// to remove.
 func TestIncrementalSteadyStateAllocs(t *testing.T) {
 	const warm, runs = 4, 20
 	for _, tc := range []struct {

@@ -244,8 +244,8 @@ func TestStorageMatchesEventSliceModel(t *testing.T) {
 			}
 		}
 		sameAsModel(t, "Prefix, extended", p, pm)
-		h.Reset()
-		sameAsModel(t, "Reset", h, nil)
+		h.Truncate(0)
+		sameAsModel(t, "Truncate(0)", h, nil)
 	}
 }
 
@@ -459,8 +459,8 @@ func TestPendingTableBoundary(t *testing.T) {
 		}
 	}
 	h.Truncate(0)
-	if len(h.far) != 0 {
-		t.Fatalf("an empty history keeps %d map entries", len(h.far))
+	if len(h.pending.far) != 0 {
+		t.Fatalf("an empty history keeps %d map entries", len(h.pending.far))
 	}
 }
 

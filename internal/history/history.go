@@ -97,12 +97,9 @@ type History struct {
 	// objs and methods intern the names the records index, in first-use
 	// order. Truncate leaves them alone, so an entry may outlive its events.
 	objs, methods []string
-	// invokes counts the invocation events: the link of the next one.
-	invokes int32
-	// pending[p] is one more than the index of process p's pending
-	// invocation, or 0. Ids outside [0, denseProcs) are kept in far.
-	pending []int32
-	far     map[int]int32
+	// pending maps a process to one more than the index of its pending
+	// invocation, or 0.
+	pending procSlots
 }
 
 // record is the stored form of an Event: 32 bytes and no pointers, so a
@@ -113,8 +110,7 @@ type record struct {
 	a, b int64
 	proc int
 	// link is, for a response, the index of the matching invocation event
-	// (Truncate reopens it in O(1)); for an invocation, the number of
-	// invocations before it, which is its index in Operations().
+	// (Truncate reopens it in O(1)); an invocation's is 0.
 	link int32
 	// obj and method index History.objs and History.methods.
 	obj    uint16
@@ -127,8 +123,8 @@ type record struct {
 const (
 	maxObjs    = 1 << 16
 	maxMethods = 1 << 8
-	// denseProcs bounds the pending table; larger and negative process ids
-	// fall back to a map.
+	// denseProcs bounds a procSlots' slice; larger and negative process ids
+	// fall back to its map.
 	denseProcs = 1024
 )
 
@@ -167,29 +163,35 @@ func lookup(tab []string, name string) int {
 	return len(tab)
 }
 
-// pendingAt returns one more than the index of proc's pending invocation,
-// or 0 when it has none.
-func (h *History) pendingAt(proc int) int32 {
-	if uint(proc) < uint(len(h.pending)) {
-		return h.pending[proc]
-	}
-	return h.far[proc]
+// procSlots maps a process id to an int32, 0 standing for none: the pending
+// table of a History and the open-row table of an OpTable. Ids in
+// [0, denseProcs) index dense; the rest are kept in far.
+type procSlots struct {
+	dense []int32
+	far   map[int]int32
 }
 
-func (h *History) setPending(proc int, at int32) {
+func (s *procSlots) at(proc int) int32 {
+	if uint(proc) < uint(len(s.dense)) {
+		return s.dense[proc]
+	}
+	return s.far[proc]
+}
+
+func (s *procSlots) set(proc int, v int32) {
 	switch {
-	case uint(proc) < uint(len(h.pending)):
-		h.pending[proc] = at
+	case uint(proc) < uint(len(s.dense)):
+		s.dense[proc] = v
 	case uint(proc) < denseProcs:
-		h.pending = append(h.pending, make([]int32, proc+1-len(h.pending))...)
-		h.pending[proc] = at
-	case at == 0:
-		delete(h.far, proc)
+		s.dense = append(s.dense, make([]int32, proc+1-len(s.dense))...)
+		s.dense[proc] = v
+	case v == 0:
+		delete(s.far, proc)
 	default:
-		if h.far == nil {
-			h.far = make(map[int]int32)
+		if s.far == nil {
+			s.far = make(map[int]int32)
 		}
-		h.far[proc] = at
+		s.far[proc] = v
 	}
 }
 
@@ -246,7 +248,7 @@ func (h *History) Append(e Event) error {
 	case KindInvoke:
 		return h.Invoke(e.Proc, e.Obj, e.Op)
 	case KindRespond:
-		if at := h.pendingAt(e.Proc); at != 0 && h.objs[h.recs[at-1].obj] != e.Obj {
+		if at := h.pending.at(e.Proc); at != 0 && h.objs[h.recs[at-1].obj] != e.Obj {
 			return fmt.Errorf("process p%d responds on %s but pending invocation at event %d is on %s",
 				e.Proc, e.Obj, at-1, h.objs[h.recs[at-1].obj])
 		}
@@ -261,16 +263,14 @@ func errFull() error {
 }
 
 // push stores r, an event the caller knows to keep the history well-formed,
-// and fills in what its position decides: the link, a response's object and
-// the process's pending state. at is pendingAt(r.proc).
+// and fills in what its position decides: a response's link and object and
+// the process's pending state. at is pending.at(r.proc).
 func (h *History) push(r record, at int32) {
 	if r.kind() == KindInvoke {
-		r.link = h.invokes
-		h.invokes++
-		h.setPending(r.proc, int32(len(h.recs))+1)
+		h.pending.set(r.proc, int32(len(h.recs))+1)
 	} else {
 		r.link, r.obj = at-1, h.recs[at-1].obj
-		h.setPending(r.proc, 0)
+		h.pending.set(r.proc, 0)
 	}
 	h.recs = append(h.recs, r)
 }
@@ -281,7 +281,7 @@ func (h *History) Invoke(proc int, obj string, op spec.Op) error {
 	if len(h.recs) >= maxEvents {
 		return errFull()
 	}
-	if at := h.pendingAt(proc); at != 0 {
+	if at := h.pending.at(proc); at != 0 {
 		return fmt.Errorf("process p%d invokes %s on %s while operation at event %d is pending",
 			proc, op, obj, at-1)
 	}
@@ -312,7 +312,7 @@ func (h *History) Respond(proc int, resp int64) error {
 	if len(h.recs) >= maxEvents {
 		return errFull()
 	}
-	at := h.pendingAt(proc)
+	at := h.pending.at(proc)
 	if at == 0 {
 		return fmt.Errorf("process p%d responds with no pending invocation", proc)
 	}
@@ -331,56 +331,115 @@ func (h *History) Call(proc int, obj string, op spec.Op, resp int64) error {
 
 // Operations returns the history's operations in invocation order.
 func (h *History) Operations() []Operation {
-	return h.operations(make([]Operation, 0, len(h.recs)/2+1), nil)
+	var t OpTable
+	t.Fill(h)
+	return t.Ops
 }
 
 // OpTable is a history's operation table in caller-owned buffers: a monitor
-// that closes a window every few hundred events fills one table per window
-// and reuses it, instead of deriving Operations afresh for every question it
-// asks about the window.
+// writes its window's rows as the events arrive and reuses the table from
+// window to window. The zero OpTable is empty and ready to use.
 type OpTable struct {
 	// Ops are the operations in invocation order (what Operations returns).
 	Ops []Operation
 	// ByRes lists the completed operations, as indexes into Ops, in
 	// response-event order.
 	ByRes []int
-	// Events is the length of the history the table was filled from.
+	// Events is the number of events the rows hold.
 	Events int
+	// open maps a process to one more than the index of its open row, or 0;
+	// mixed is set by a row on another object than the first row's.
+	open  procSlots
+	mixed bool
 }
+
+// Reset empties the table and keeps its buffers.
+func (t *OpTable) Reset() {
+	t.Ops, t.ByRes, t.Events, t.mixed = t.Ops[:0], t.ByRes[:0], 0, false
+	clear(t.open.dense)
+	clear(t.open.far)
+}
+
+// SingleObject reports whether all rows are on one object.
+func (t *OpTable) SingleObject() bool { return !t.mixed }
 
 // Fill rebuilds the table from h, reusing the buffers: once they have grown
 // to the history's size a Fill allocates nothing.
 func (t *OpTable) Fill(h *History) {
+	t.Reset()
 	if n := len(h.recs)/2 + 1; cap(t.Ops) < n {
 		t.Ops = make([]Operation, 0, n)
 		t.ByRes = make([]int, 0, n)
 	}
-	t.ByRes = t.ByRes[:0]
-	t.Ops = h.operations(t.Ops[:0], &t.ByRes)
-	t.Events = len(h.recs)
-}
-
-// operations appends the operations to ops and, when byRes is non-nil, the
-// index of each completed one to *byRes as its response event is met. A
-// response finds its operation through the links: its invocation's event
-// index, then that invocation's rank among the invocations.
-func (h *History) operations(ops []Operation, byRes *[]int) []Operation {
 	for i := range h.recs {
-		r := &h.recs[i]
-		if r.kind() == KindInvoke {
-			ops = append(ops, Operation{
-				Proc: r.proc, Obj: h.objs[r.obj], Op: h.op(r), Inv: i, Res: -1,
-			})
-			continue
-		}
-		j := int(h.recs[r.link].link)
-		ops[j].Res = i
-		ops[j].Resp = r.a
-		if byRes != nil {
-			*byRes = append(*byRes, j)
+		// A well-formed history's events are never refused.
+		if r := &h.recs[i]; r.kind() == KindInvoke {
+			_ = t.Invoke(r.proc, h.objs[r.obj], h.op(r))
+		} else {
+			_ = t.Respond(r.proc, h.objs[r.obj], r.a)
 		}
 	}
-	return ops
+}
+
+// Invoke adds the row of proc's invocation of op on obj as the next event.
+// Invoke and Respond are the table's only writers. They refuse what
+// History.Append refuses for well-formedness, in the same words, and leave
+// the table as it was; the limits of the record format are History's.
+func (t *OpTable) Invoke(proc int, obj string, op spec.Op) error {
+	if at := t.open.at(proc); at != 0 {
+		return fmt.Errorf("process p%d invokes %s on %s while operation at event %d is pending",
+			proc, op, obj, t.Ops[at-1].Inv)
+	}
+	if uint(op.NArgs) > uint(len(op.Args)) {
+		return fmt.Errorf("operation %s has %d arguments, outside 0..%d", op.Method, op.NArgs, len(op.Args))
+	}
+	t.mixed = t.mixed || len(t.Ops) > 0 && obj != t.Ops[0].Obj
+	// Filled in place: appending the literal would copy the 88-byte row.
+	t.Ops = append(t.Ops, Operation{})
+	o := &t.Ops[len(t.Ops)-1]
+	o.Proc, o.Obj, o.Op, o.Inv, o.Res = proc, obj, op, t.Events, -1
+	t.open.set(proc, int32(len(t.Ops)))
+	t.Events++
+	return nil
+}
+
+// Respond closes proc's open row, on obj, with resp as the next event.
+func (t *OpTable) Respond(proc int, obj string, resp int64) error {
+	at := t.open.at(proc)
+	if at == 0 {
+		return fmt.Errorf("process p%d responds with no pending invocation", proc)
+	}
+	o := &t.Ops[at-1]
+	if o.Obj != obj {
+		return fmt.Errorf("process p%d responds on %s but pending invocation at event %d is on %s",
+			proc, obj, o.Inv, o.Obj)
+	}
+	o.Res, o.Resp = t.Events, resp
+	t.open.set(proc, 0)
+	t.ByRes = append(t.ByRes, int(at-1))
+	t.Events++
+	return nil
+}
+
+// History materializes the table's events as a standalone history, each
+// invocation at its row's Inv and each response at its Res. The record
+// format's limits are met here: it fails at the first event past one.
+func (t *OpTable) History() (*History, error) {
+	h := &History{recs: make([]record, 0, t.Events)}
+	var err error
+	for i, j := 0, 0; err == nil && len(h.recs) < t.Events; {
+		if i < len(t.Ops) && t.Ops[i].Inv == len(h.recs) {
+			err = h.Invoke(t.Ops[i].Proc, t.Ops[i].Obj, t.Ops[i].Op)
+			i++
+		} else {
+			err = h.Respond(t.Ops[t.ByRes[j]].Proc, t.Ops[t.ByRes[j]].Resp)
+			j++
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return h, nil
 }
 
 // project returns the events among the first k that keep accepts (all of
@@ -394,7 +453,7 @@ func (h *History) project(k int, keep func(*record) bool) *History {
 	}
 	for i := range h.recs[:k] {
 		if r := &h.recs[i]; keep == nil || keep(r) {
-			p.push(*r, p.pendingAt(r.proc))
+			p.push(*r, p.pending.at(r.proc))
 		}
 	}
 	return p
@@ -465,17 +524,6 @@ func (h *History) Prefix(k int) *History {
 	return h.project(max(0, min(k, len(h.recs))), nil)
 }
 
-// Reset empties the history and keeps its buffers, so a monitor window can
-// be refilled without allocating.
-func (h *History) Reset() {
-	h.recs = h.recs[:0]
-	h.objs = h.objs[:0]
-	h.methods = h.methods[:0]
-	h.invokes = 0
-	clear(h.pending)
-	clear(h.far)
-}
-
 // Clone returns a deep copy.
 func (h *History) Clone() *History {
 	return h.Prefix(len(h.recs))
@@ -494,12 +542,11 @@ func (h *History) Truncate(n int) {
 		if r.kind() == KindRespond {
 			// Removing a response reopens its invocation (recorded at
 			// append time, so undo is O(1) per event).
-			h.setPending(r.proc, r.link+1)
+			h.pending.set(r.proc, r.link+1)
 		} else {
 			// Removing an invocation leaves the process with no pending
 			// operation (it had none before invoking).
-			h.setPending(r.proc, 0)
-			h.invokes--
+			h.pending.set(r.proc, 0)
 		}
 		h.recs = h.recs[:i]
 	}

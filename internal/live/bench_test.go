@@ -98,7 +98,7 @@ func BenchmarkMergerDrain(b *testing.B) {
 				for _, sh := range shards {
 					sh.Finish()
 				}
-				h.Reset()
+				h.Truncate(0)
 				m := NewMerger("C", 0, shards)
 				b.StartTimer()
 				if moved, err := m.Drain(h, bc.feed); err != nil || moved != 4*n {
