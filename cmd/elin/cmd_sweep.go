@@ -21,7 +21,7 @@ func runSweep(args []string, out io.Writer) error {
 	baselinePath := fs.String("baseline", "", "baseline campaign report to diff and gate against")
 	jsonOut := fs.Bool("json", false, "emit the campaign report as JSON (schema elin/campaign/v1)")
 	canonical := fs.Bool("canonical", false, "emit the canonical (wall-clock-free) report JSON — the form baselines are committed in; implies -json")
-	monitor := fs.String("monitor", "", "override the spec's monitor axis with a single spec (full | sample:N | shard:K | none)")
+	monitor := fs.String("monitor", "", "override the spec's monitor axis with a single spec (full | sample:N | none)")
 	workers := fs.Int("workers", 0, "concurrent cells on the shared pool (0 = GOMAXPROCS)")
 	quiet := fs.Bool("quiet", false, "suppress the streamed per-cell progress lines")
 	if err := fs.Parse(args); err != nil {
@@ -36,7 +36,7 @@ func runSweep(args []string, out io.Writer) error {
 	}
 	if *monitor != "" {
 		// Collapse the monitor axis: rerun the whole grid under one monitor
-		// (e.g. -monitor shard:4 to compare against a full-checking baseline).
+		// (e.g. -monitor sample:4 to compare against a full-checking baseline).
 		sp.Axes.Monitor = []string{*monitor}
 		if err := sp.Validate(); err != nil {
 			return err

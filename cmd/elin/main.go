@@ -172,7 +172,7 @@ type pipelineFlags struct {
 // reads.
 func addPipelineFlags(fs *flag.FlagSet, walFlag string) *pipelineFlags {
 	return &pipelineFlags{
-		monitor: fs.String("monitor", "", "monitor spec: full | sample:N | shard:K | none (see 'elin list -section monitors')"),
+		monitor: fs.String("monitor", "", "monitor spec: full | sample:N | none (see 'elin list -section monitors')"),
 		stride:  fs.Int("stride", 0, "monitor window stride in events (0 = auto)"),
 		wal:     fs.String(walFlag, "", "write a durable, self-contained commit log to this path (recover it with 'elin recover')"),
 		walSync: fs.String("wal-sync", "", "durability of -"+walFlag+": always | never | interval:N (default never)"),

@@ -43,7 +43,7 @@ func shellFields(cmd string) []string {
 
 // TestReproRoundTrip executes the rerun commands the sweep gate prints:
 // for chosen cells of the two committed CI grids (every engine; a faulted
-// and a sharded-monitor live cell, a net-faulted wal-sync serve cell, a
+// and a sampled-monitor live cell, a net-faulted wal-sync serve cell, a
 // parameterized slog-batch:K impl) plus one cell whose workload needs
 // shell quoting, the printed command goes back through run() with -json,
 // and the report it produces must occupy the very cell that printed it.
@@ -65,7 +65,7 @@ func TestReproRoundTrip(t *testing.T) {
 		{smokeSpecPath, "engine=explore impl=cas-counter procs=3 ops=2", "elin explore -mode lin -depth 12"},
 		{smokeSpecPath, "engine=sim impl=slog-batch:1 policy=window:2", "elin sim -impl slog-batch:1 -chooser stale"},
 		{smokeSpecPath, "engine=live faults=stall:0@2+2,jitter:2", "elin stress -faults 'stall:0@2+2,jitter:2'"},
-		{smokeSpecPath, "engine=live impl=slog-batch:1 monitor=shard:2", "-monitor shard:2"},
+		{smokeSpecPath, "engine=live impl=slog-batch:1 monitor=sample:2", "-monitor sample:2"},
 		{"../../.github/sweeps/netsmoke.json", "engine=serve netfaults=drop:0@40 walsync=interval:4",
 			"elin load -self -net-faults 'drop:0@40' -wal-sync interval:4 -wal /tmp/elin-rerun.wal"},
 		{"", "engine=sim workload=uniform:write(3)", "-workload 'uniform:write(3)'"},

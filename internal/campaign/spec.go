@@ -54,7 +54,7 @@ type Axes struct {
 	// the fsyncs.
 	WALSync []string `json:"wal-sync,omitempty"`
 	// Monitor sweeps the online monitor implementation over live and serve
-	// cells ("full" — the default, "sample:N", "shard:K", "none"). The
+	// cells ("full" — the default, "sample:N", "none"). The
 	// other engines reject non-default monitors, under the same
 	// exclude-explicitly rule as Faults.
 	Monitor   []string `json:"monitor,omitempty"`

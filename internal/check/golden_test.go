@@ -75,7 +75,7 @@ var goldenCases = []goldenCase{
 		serialRun("el-fi", "window:300", 9, 2, 1500)},
 }
 
-var goldenMonitors = []string{"full", "sample:3", "shard:1", "shard:2", "shard:4"}
+var goldenMonitors = []string{"full", "sample:3"}
 
 // goldenResult is what one monitor reports on one stream.
 type goldenResult struct {

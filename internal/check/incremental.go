@@ -2,9 +2,6 @@ package check
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"github.com/elin-go/elin/internal/history"
 	"github.com/elin-go/elin/internal/spec"
@@ -90,17 +87,6 @@ func (v *WindowViolation) String() string {
 // their trend, which is the live analog of TrackMinT — stabilized windows
 // are the Definition 4 signature, persistently growing window MinT the
 // Corollary 19 one.
-//
-// The MinT search of a closed window runs either inline, on the feeding
-// goroutine, or — when the monitor was built with a checker pool (spec
-// shard:K) — on one of K workers while recording continues. Everything else
-// is the same code: the rebase fold stays on the feeding goroutine and
-// results are recorded strictly in window order, so the sample series,
-// verdict, violation window and check count do not depend on the pool. Two
-// things may lag under a pool: Events() can run past a violating window
-// before its result is collected (Feed reports the violation a few events
-// later), and a sampling escalation takes effect only when the triggering
-// window's result is collected.
 type Incremental struct {
 	cfg IncrementalConfig
 
@@ -111,8 +97,7 @@ type Incremental struct {
 	// tb is the current window's operation table and its only copy: Feed
 	// writes its rows, the MinT search and the rebase fold read them. The
 	// fold writes the rows open at the cut into spare, and the two swap. sc
-	// is the checker's scratch. A window handed to the pool leaves with its
-	// table, and spare is dropped; inline, all three are reused.
+	// is the checker's scratch; all three are reused.
 	tb, spare history.OpTable
 	sc        scratch
 	// start is the global event index of the window's first event.
@@ -124,8 +109,8 @@ type Incremental struct {
 	violation *WindowViolation
 	// checks counts windows whose measurement was recorded.
 	checks int
-	// finished is set by Finish, Abort, a violation and a failed Feed: the
-	// pool is gone and nothing further is checked.
+	// finished is set by Finish, Abort, a violation and a failed Feed:
+	// nothing further is checked.
 	finished bool
 
 	// Sampling fallback: with sampling.Every > 1 only every Nth closed window
@@ -140,13 +125,6 @@ type Incremental struct {
 	// ints: they are touched only from the single goroutine driving Feed.
 	sampling SamplingStats
 	skipLeft int // windows to skip before the next measured one
-
-	// pool is nil when windows are measured inline; pending holds the
-	// windows handed to it whose results are not yet recorded, in window
-	// order — the in-order collector is what pins a pooled run to the
-	// inline one.
-	pool    *checkerPool
-	pending []*windowTask
 }
 
 // SamplingStats is a monitor's sampling-fallback accounting.
@@ -163,37 +141,8 @@ type SamplingStats struct {
 	MaxEvery int
 }
 
-// windowTask is one closed window handed to the pool. The feeding goroutine
-// folds the window's completed operations into the rebased state BEFORE
-// sending, after which the task's table belongs exclusively to the worker
-// until done is published — no clone, no lock.
-type windowTask struct {
-	// start and end are the global event indexes the window covers
-	// ([start, end)); end is also the event count the sample is keyed by.
-	start, end int
-	tb         history.OpTable
-	obj        spec.Object
-
-	minT int
-	ok   bool
-	err  error
-	done atomic.Bool
-}
-
-// checkerPool is the optional worker pool: one task channel shared by the
-// workers, closed-on-shutdown done, and the WaitGroup shutdown waits on.
-type checkerPool struct {
-	tasks chan *windowTask
-	done  chan struct{}
-	wg    sync.WaitGroup
-}
-
 // NewIncremental returns the monitor for a single-object history against
-// obj, measuring its windows inline.
-//
-// Deprecated: construct monitors through NewMonitor with a MonitorSpec — it
-// also covers sampling and the checker pool. NewIncremental stays for
-// callers that need the concrete type.
+// obj, measuring every window.
 func NewIncremental(obj spec.Object, cfg IncrementalConfig) *Incremental {
 	m := &Incremental{
 		cfg:      cfg,
@@ -204,40 +153,10 @@ func NewIncremental(obj spec.Object, cfg IncrementalConfig) *Incremental {
 	return m
 }
 
-// startPool moves the MinT searches onto workers goroutines. The channel is
-// small on purpose: each task pins a full window of events, so its capacity
-// bounds how far checking may lag recording before Feed blocks.
-func (m *Incremental) startPool(workers int) {
-	p := &checkerPool{
-		tasks: make(chan *windowTask, 8*workers),
-		done:  make(chan struct{}),
-	}
-	m.pool = p
-	opts := m.cfg.Opts
-	for i := 0; i < workers; i++ {
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			var sc scratch
-			for {
-				select {
-				case <-p.done:
-					return
-				case t := <-p.tasks:
-					t.minT, t.ok, t.err = windowMinT(t.obj, &t.tb, opts, &sc)
-					t.done.Store(true)
-				}
-			}
-		}()
-	}
-}
-
 // Events returns the number of events fed so far.
 func (m *Incremental) Events() int { return m.events }
 
-// Checks returns the number of windows checked so far (recorded results
-// only, so a pooled run that discards in-flight work past a violation
-// counts what the inline one does).
+// Checks returns the number of windows checked so far.
 func (m *Incremental) Checks() int { return m.checks }
 
 // Samples returns the per-window MinT measurements (one per measured window,
@@ -282,9 +201,8 @@ func (m *Incremental) Verdict() Verdict {
 // Feed appends one event. When the event closes a window the window is
 // checked; a tolerance breach returns the violation (also retained for
 // Violation) and freezes the monitor — further Feeds return the same
-// violation without checking. Under a pool the violation is returned as
-// soon as its window's result has been collected. Feed after Finish or
-// Abort is an error, and so is every Feed after one that failed.
+// violation without checking. Feed after Finish or Abort is an error, and so
+// is every Feed after one that failed.
 func (m *Incremental) Feed(e history.Event) (*WindowViolation, error) {
 	if m.finished {
 		if m.violation != nil {
@@ -302,67 +220,48 @@ func (m *Incremental) Feed(e history.Event) (*WindowViolation, error) {
 		err = fmt.Errorf("invalid event kind %d", int(e.Kind))
 	}
 	if err != nil {
-		m.shutdown()
+		m.finished = true
 		return nil, fmt.Errorf("check: monitor feed: %w", err)
 	}
 	m.events++
-	if m.pool == nil && m.tb.Events < m.cfg.stride() {
-		return nil, nil // no window to close, no results to collect
+	if m.tb.Events < m.cfg.stride() {
+		return nil, nil
 	}
 	return m.step(false)
 }
 
-// Finish checks the final partial window (if it has any events), collects
-// every pending result in order and stops the pool. Call it after the last
-// Feed; the returned violation, if any, covers the tail. A second Finish
-// returns the same violation.
+// Finish checks the final partial window (if it has any events). Call it
+// after the last Feed; the returned violation, if any, covers the tail. A
+// second Finish returns the same violation.
 func (m *Incremental) Finish() (*WindowViolation, error) {
 	if m.finished {
 		return m.violation, nil
 	}
 	v, err := m.step(true)
-	m.shutdown()
+	m.finished = true
 	return v, err
 }
 
-// Abort stops the pool and discards pending results without measuring the
-// tail window. Idempotent; a no-op after Finish.
-func (m *Incremental) Abort() { m.shutdown() }
+// Abort stops the monitor without measuring the tail window. Idempotent; a
+// no-op after Finish.
+func (m *Incremental) Abort() { m.finished = true }
 
-// shutdown stops the workers, waits them out and drops unrecorded tasks.
-func (m *Incremental) shutdown() {
-	if m.finished {
-		return
-	}
-	m.finished = true
-	if m.pool != nil {
-		close(m.pool.done)
-		m.pool.wg.Wait()
-		m.pending = nil
-	}
-}
-
-// step closes the current window if it is due (a full stride, or at the end
-// whatever Finish found in it) and records the pool's finished results: the
-// ones ready now, or at the end all of them.
+// step closes the current window if it is due: a full stride, or at the end
+// whatever Finish found in it. An error freezes the monitor.
 func (m *Incremental) step(end bool) (v *WindowViolation, err error) {
 	if n := m.tb.Events; n >= m.cfg.stride() || end && n > 0 {
 		v, err = m.closeWindow(end)
 	}
-	if v == nil && err == nil {
-		v, err = m.collect(end)
-	}
 	if err != nil {
-		m.shutdown()
+		m.finished = true
 	}
 	return v, err
 }
 
-// closeWindow decides whether the closed window is measured, has it
-// measured — inline, or by handing it to the pool — and advances the cut.
-// Under sampling, unsampled windows skip the MinT search but still advance
-// the cut; force (Finish's tail window) always measures, so a run never
-// ends on an unchecked window.
+// closeWindow decides whether the closed window is measured, measures it
+// and advances the cut. Under sampling, unsampled windows skip the MinT
+// search but still advance the cut; force (Finish's tail window) always
+// measures, so a run never ends on an unchecked window.
 func (m *Incremental) closeWindow(force bool) (*WindowViolation, error) {
 	if !force && m.skipLeft > 0 {
 		m.skipLeft--
@@ -370,28 +269,11 @@ func (m *Incremental) closeWindow(force bool) (*WindowViolation, error) {
 		return nil, m.advanceCut()
 	}
 	m.skipLeft = m.sampling.Every - 1
-	if m.pool != nil {
-		t := &windowTask{start: m.start, end: m.events, tb: m.tb, obj: m.obj}
-		// Fold before the send: the table is read one last time on this
-		// goroutine; after the send only the worker touches the task, so
-		// the spare the fold swaps out, which is the task's table, goes.
-		err := m.advanceCut()
-		m.spare = history.OpTable{}
-		if err != nil {
-			return nil, err
-		}
-		m.pending = append(m.pending, t)
-		select {
-		case m.pool.tasks <- t:
-		case <-m.pool.done: // a send blocked on a full channel gives up with the pool
-		}
-		return nil, nil
-	}
 	t, ok, err := windowMinT(m.obj, &m.tb, m.cfg.Opts, &m.sc)
 	if err != nil {
 		return nil, fmt.Errorf("check: monitor window [%d,%d): %w", m.start, m.events, err)
 	}
-	if v, err := m.record(m.start, m.events, &m.tb, m.obj, t, ok); v != nil || err != nil {
+	if v, err := m.record(t, ok); v != nil || err != nil {
 		return v, err
 	}
 	return nil, m.advanceCut()
@@ -424,25 +306,23 @@ func (m *Incremental) advanceCut() error {
 	return nil
 }
 
-// record books one measured window [start, end): count the check, append
-// the sample, raise the violation or note a near-violation escalation. tb
-// and obj are the window as it was checked; a violation keeps obj and the
-// history materialized from tb.
-func (m *Incremental) record(start, end int, tb *history.OpTable, obj spec.Object, t int, ok bool) (*WindowViolation, error) {
+// record books the measured current window [start, events): count the
+// check, append the sample, raise the violation or note a near-violation
+// escalation. A violation keeps the window's object and the history
+// materialized from its table, and freezes the monitor.
+func (m *Incremental) record(t int, ok bool) (*WindowViolation, error) {
 	m.checks++
 	if !ok {
 		t = -1
 	}
-	m.samples = append(m.samples, Sample{Events: end, MinT: t})
+	m.samples = append(m.samples, Sample{Events: m.events, MinT: t})
 	if m.cfg.MaxT >= 0 && (t < 0 || t > m.cfg.MaxT) {
-		win, err := tb.History()
+		win, err := m.tb.History()
 		if err != nil {
-			return nil, fmt.Errorf("check: monitor window [%d,%d): %w", start, end, err)
+			return nil, fmt.Errorf("check: monitor window [%d,%d): %w", m.start, m.events, err)
 		}
-		m.violation = &WindowViolation{Start: start, End: end, Window: win, Object: obj, MinT: t, MaxT: m.cfg.MaxT}
-		// Freeze: the windows handed out after the violating one are never
-		// recorded (the inline path never checks them), so stop the pool.
-		m.shutdown()
+		m.violation = &WindowViolation{Start: m.start, End: m.events, Window: win, Object: m.obj, MinT: t, MaxT: m.cfg.MaxT}
+		m.finished = true
 		return m.violation, nil
 	}
 	// Near-violation escalation: a measured MinT past half the tolerance
@@ -458,33 +338,9 @@ func (m *Incremental) record(start, end int, tb *history.OpTable, obj spec.Objec
 	return nil, nil
 }
 
-// collect records the pool's finished results in window order. With
-// wait=false it stops at the first unfinished task (the Feed fast path);
-// with wait=true it yields until every pending task has been recorded.
-func (m *Incremental) collect(wait bool) (*WindowViolation, error) {
-	for len(m.pending) > 0 {
-		t := m.pending[0]
-		if !t.done.Load() {
-			if !wait {
-				return nil, nil
-			}
-			runtime.Gosched()
-			continue
-		}
-		m.pending = m.pending[1:]
-		if t.err != nil {
-			return nil, fmt.Errorf("check: monitor window [%d,%d): %w", t.start, t.end, t.err)
-		}
-		if v, err := m.record(t.start, t.end, &t.tb, t.obj, t.minT, t.ok); v != nil || err != nil {
-			return v, err
-		}
-	}
-	return nil, nil
-}
-
 // windowMinT is MinT of the window tb describes: the check of one closed
-// window, inline or on a pool worker. Only a window on more than one object
-// is materialized, for oneObject to name its objects.
+// window. Only a window on more than one object is materialized, for
+// oneObject to name its objects.
 func windowMinT(obj spec.Object, tb *history.OpTable, opts Options, sc *scratch) (int, bool, error) {
 	if !tb.SingleObject() {
 		win, err := tb.History()

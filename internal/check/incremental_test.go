@@ -287,8 +287,7 @@ func TestIncrementalCrashCutGap(t *testing.T) {
 // measured as pending and never folded. Each row is a linearizable counter
 // run with stride 4 in which proc 1's operation X stays open across cuts;
 // the rebased counter after Finish must equal the number of completed
-// operations, and no window may raise anything. Rows run inline and under a
-// pool of 2.
+// operations, and no window may raise anything.
 func TestIncrementalPendingAtWindowCut(t *testing.T) {
 	inc := spec.MakeOp(spec.MethodFetchInc)
 	type step struct {
@@ -329,40 +328,34 @@ func TestIncrementalPendingAtWindowCut(t *testing.T) {
 				mustDo(t, h.Respond(s.proc, s.resp))
 			}
 		}
-		for _, workers := range []int{0, 2} {
-			for _, skipMiddle := range []bool{false, true} {
-				label := fmt.Sprintf("%s/workers=%d/skip-middle=%v", row.name, workers, skipMiddle)
-				obj, cfg := spec.NewObject(spec.FetchInc{}), IncrementalConfig{Stride: 4}
-				m := NewIncremental(obj, cfg)
-				if workers > 0 {
-					m = pooled(t, obj, cfg, workers)
+		for _, skipMiddle := range []bool{false, true} {
+			label := fmt.Sprintf("%s/skip-middle=%v", row.name, skipMiddle)
+			m := NewIncremental(spec.NewObject(spec.FetchInc{}), IncrementalConfig{Stride: 4})
+			for i := 0; i < h.Len(); i++ {
+				if i == 4 && skipMiddle {
+					m.SetSampleEvery(2) // first window measured, second skipped
 				}
-				for i := 0; i < h.Len(); i++ {
-					if i == 4 && skipMiddle {
-						m.SetSampleEvery(2) // first window measured, second skipped
-					}
-					if v, err := m.Feed(h.Event(i)); v != nil || err != nil {
-						t.Fatalf("%s: event %d: violation %v, error %v", label, i, v, err)
-					}
+				if v, err := m.Feed(h.Event(i)); v != nil || err != nil {
+					t.Fatalf("%s: event %d: violation %v, error %v", label, i, v, err)
 				}
-				if v, err := m.Finish(); v != nil || err != nil {
-					t.Fatalf("%s: Finish: violation %v, error %v", label, v, err)
-				}
-				if got := m.obj.Init; got != row.completed {
-					t.Errorf("%s: rebased counter %v, want %d (each completed operation folded once)", label, got, row.completed)
-				}
-				skipped := 0
-				if skipMiddle {
-					skipped = row.skipped
-				}
-				if m.Checks()+m.Sampling().Skipped != row.windows || m.Sampling().Skipped != skipped {
-					t.Errorf("%s: %d checked + %d skipped, want %d windows with %d skipped",
-						label, m.Checks(), m.Sampling().Skipped, row.windows, skipped)
-				}
-				for _, s := range m.Samples() {
-					if s.MinT != 0 {
-						t.Errorf("%s: window closing at event %d has MinT %d", label, s.Events, s.MinT)
-					}
+			}
+			if v, err := m.Finish(); v != nil || err != nil {
+				t.Fatalf("%s: Finish: violation %v, error %v", label, v, err)
+			}
+			if got := m.obj.Init; got != row.completed {
+				t.Errorf("%s: rebased counter %v, want %d (each completed operation folded once)", label, got, row.completed)
+			}
+			skipped := 0
+			if skipMiddle {
+				skipped = row.skipped
+			}
+			if m.Checks()+m.Sampling().Skipped != row.windows || m.Sampling().Skipped != skipped {
+				t.Errorf("%s: %d checked + %d skipped, want %d windows with %d skipped",
+					label, m.Checks(), m.Sampling().Skipped, row.windows, skipped)
+			}
+			for _, s := range m.Samples() {
+				if s.MinT != 0 {
+					t.Errorf("%s: window closing at event %d has MinT %d", label, s.Events, s.MinT)
 				}
 			}
 		}

@@ -13,10 +13,9 @@ import (
 // pipeline (live.Pipeline) holds it: something that watches a growing
 // single-object history event by event and answers with a per-window MinT
 // trend, a violation, and its own perf accounting. *Incremental is the one
-// implementation; exhaustive checking, sampling and the checker pool are one
-// configuration knob — the spec vocabulary parsed by ParseMonitorSpec
-// ("full", "sample:N", "shard:K", "none"); under "none" the pipeline holds
-// no monitor at all.
+// implementation; exhaustive checking and sampling are one configuration
+// knob — the spec vocabulary parsed by ParseMonitorSpec ("full",
+// "sample:N", "none"); under "none" the pipeline holds no monitor at all.
 //
 // Goroutine discipline: Feed, Finish, Abort and SetSampleEvery are called
 // from one driving goroutine; the read accessors are safe from that
@@ -24,18 +23,15 @@ import (
 // returned.
 type Monitor interface {
 	// Feed appends one event. When the event completes a window whose MinT
-	// exceeds the tolerance, the violation is returned (and retained); under
-	// a checker pool it may instead come back from a later Feed — the
-	// detection lag of checking off the hot path. After a violation the
-	// monitor is frozen: further Feeds return the same violation. Feed after
-	// Finish or Abort is an error.
+	// exceeds the tolerance, the violation is returned (and retained). After
+	// a violation the monitor is frozen: further Feeds return the same
+	// violation. Feed after Finish or Abort is an error.
 	Feed(e history.Event) (*WindowViolation, error)
-	// Finish checks the final partial window, drains any in-flight checks,
-	// and releases the monitor's resources. The returned violation, if any,
-	// covers the tail.
+	// Finish checks the final partial window and stops the monitor. The
+	// returned violation, if any, covers the tail.
 	Finish() (*WindowViolation, error)
-	// Abort releases the monitor's resources without measuring the tail
-	// window (the crash path: the partial window died with the process).
+	// Abort stops the monitor without measuring the tail window (the crash
+	// path: the partial window died with the process).
 	// Idempotent, and a no-op after Finish.
 	Abort()
 
@@ -72,20 +68,24 @@ const (
 	MonitorFull MonitorKind = iota
 	// MonitorSample: full, pre-degraded to every-Nth-window sampling.
 	MonitorSample
-	// MonitorShardWindow: full, with the window checks fanned out to a pool
-	// of N workers while recording continues.
-	MonitorShardWindow
 	// MonitorNone: record only — the pipeline builds no monitor.
 	MonitorNone
 )
 
+// The checker pool is deleted. Its kind survives as this alias of
+// MonitorFull (the full monitor; N is ignored) for its one reader, the
+// benchmark module's monitor probe (bench/layers.go). The change to that
+// module that drops the probe's pool leg removes the alias.
+//
+// Deprecated: use MonitorFull.
+const MonitorShardWindow = MonitorFull
+
 // MonitorSpec is a parsed monitor selection: which configuration, and its
-// parameter (sample interval or shard worker count). The zero value selects
-// full exhaustive checking.
+// parameter (the sample interval). The zero value selects full exhaustive
+// checking.
 type MonitorSpec struct {
 	Kind MonitorKind
-	// N is the sample interval (MonitorSample) or worker count
-	// (MonitorShardWindow); 0 elsewhere.
+	// N is the sample interval (MonitorSample); 0 elsewhere.
 	N int
 }
 
@@ -93,7 +93,6 @@ type MonitorSpec struct {
 //
 //	full        exhaustive windowed checking (the default; "" parses as full)
 //	sample:N    check every Nth window, escalate back on a near-violation
-//	shard:K     the same checks run on a pool of K workers
 //	none        record only, no online checking
 func ParseMonitorSpec(s string) (MonitorSpec, error) {
 	switch s {
@@ -102,25 +101,15 @@ func ParseMonitorSpec(s string) (MonitorSpec, error) {
 	case "none":
 		return MonitorSpec{Kind: MonitorNone}, nil
 	}
-	kind, arg, ok := strings.Cut(s, ":")
+	arg, ok := strings.CutPrefix(s, "sample:")
 	if !ok {
-		return MonitorSpec{}, fmt.Errorf("check: unknown monitor spec %q (want full, sample:N, shard:K or none)", s)
+		return MonitorSpec{}, fmt.Errorf("check: unknown monitor spec %q (want full, sample:N or none)", s)
 	}
-	switch kind {
-	case "sample":
-		n, err := strconv.Atoi(arg)
-		if err != nil || n < 2 {
-			return MonitorSpec{}, fmt.Errorf("check: monitor spec %q: sample interval must be an integer >= 2", s)
-		}
-		return MonitorSpec{Kind: MonitorSample, N: n}, nil
-	case "shard":
-		n, err := strconv.Atoi(arg)
-		if err != nil || n < 1 {
-			return MonitorSpec{}, fmt.Errorf("check: monitor spec %q: shard count must be an integer >= 1", s)
-		}
-		return MonitorSpec{Kind: MonitorShardWindow, N: n}, nil
+	n, err := strconv.Atoi(arg)
+	if err != nil || n < 2 {
+		return MonitorSpec{}, fmt.Errorf("check: monitor spec %q: sample interval must be an integer >= 2", s)
 	}
-	return MonitorSpec{}, fmt.Errorf("check: unknown monitor spec %q (want full, sample:N, shard:K or none)", s)
+	return MonitorSpec{Kind: MonitorSample, N: n}, nil
 }
 
 // String returns the canonical spelling ParseMonitorSpec accepts.
@@ -128,8 +117,6 @@ func (ms MonitorSpec) String() string {
 	switch ms.Kind {
 	case MonitorSample:
 		return fmt.Sprintf("sample:%d", ms.N)
-	case MonitorShardWindow:
-		return fmt.Sprintf("shard:%d", ms.N)
 	case MonitorNone:
 		return "none"
 	default:
@@ -149,11 +136,6 @@ func NewMonitor(ms MonitorSpec, obj spec.Object, cfg IncrementalConfig) (Monitor
 			return nil, fmt.Errorf("check: monitor sample interval %d (want >= 2)", ms.N)
 		}
 		m.SetSampleEvery(ms.N)
-	case MonitorShardWindow:
-		if ms.N < 1 {
-			return nil, fmt.Errorf("check: monitor checker pool needs >= 1 worker, got %d", ms.N)
-		}
-		m.startPool(ms.N)
 	default:
 		return nil, fmt.Errorf("check: no monitor to build for spec %s", ms)
 	}

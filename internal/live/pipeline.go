@@ -138,8 +138,8 @@ func (p *Pipeline) Finish() error {
 
 // Abort releases the monitor and closes the sink without checking the tail
 // window — the error-path counterpart of Finish, safe to defer: it is
-// idempotent and a no-op after Finish. It is what keeps a pooled
-// monitor's workers and an open log file from outliving an early return.
+// idempotent and a no-op after Finish. It is what keeps an open log file
+// from outliving an early return.
 func (p *Pipeline) Abort() {
 	if p.mon != nil {
 		p.mon.Abort()

@@ -61,11 +61,10 @@ type Config struct {
 	Rate float64
 	// Monitor tunes the online windowed monitor.
 	Monitor check.IncrementalConfig
-	// MonitorSpec selects the monitor implementation (full, sample:N,
-	// shard:K, none — see check.ParseMonitorSpec). The zero
-	// value is the sequential exhaustive monitor. Kind none disables online
-	// checking: the run records and merges only (the configuration for pure
-	// throughput measurement).
+	// MonitorSpec selects the monitor implementation (full, sample:N, none —
+	// see check.ParseMonitorSpec). The zero value is the exhaustive
+	// monitor. Kind none disables online checking: the run records and
+	// merges only (the configuration for pure throughput measurement).
 	MonitorSpec check.MonitorSpec
 	// LatencySample records one latency sample every LatencySample
 	// operations per client. Zero, the default, picks the stride
@@ -288,6 +287,12 @@ func Run(cfg Config) (*Result, error) {
 			defer wg.Done()
 			defer active.Add(-1)
 			defer shards[c].Finish()
+			// The op count and latencies stay in locals until the client
+			// ends: the clients' slots of clientOps and lats share a cache
+			// line, and writing it on every operation would have the
+			// clients' cores trade it for the whole run.
+			ops, lat := 0, lats[c]
+			defer func() { clientOps[c], lats[c] = ops, lat }()
 			r := rand.New(rand.NewSource(cfg.Seed ^ int64(c+1)*0x5DEECE66D))
 			sh := shards[c]
 			proc := cfg.ProcBase + c
@@ -342,9 +347,9 @@ func Run(cfg Config) (*Result, error) {
 					fail(c, fmt.Errorf("live: client %d shard overflow", c))
 					return
 				}
-				clientOps[c]++
+				ops++
 				if sample {
-					lats[c] = append(lats[c], int64(time.Since(start)-t0))
+					lat = append(lat, int64(time.Since(start)-t0))
 				}
 			}
 		}(c)

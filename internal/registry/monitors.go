@@ -19,7 +19,6 @@ type MonitorDoc struct {
 var monitorForms = []MonitorDoc{
 	{"full", "sequential exhaustive windowed checking (the default)"},
 	{"sample:N", "check every Nth window, escalate back to full on a near-violation"},
-	{"shard:K", "pipelined windowed checking on K parallel workers"},
 	{"none", "record only, no online checking"},
 }
 

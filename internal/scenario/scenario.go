@@ -158,7 +158,7 @@ type Scenario struct {
 	// at least 1 024 samples per client, every operation below 2 048 ops.
 	LatencySample int
 	// Monitor names the online monitor implementation for the Live and
-	// Serve engines: "full" (default), "sample:N", "shard:K", or "none"
+	// Serve engines: "full" (default), "sample:N", or "none"
 	// (record only; pure throughput). Empty means full. Echoed in
 	// the report header and the campaign cell identity when non-default.
 	Monitor string

@@ -30,9 +30,9 @@ type Config struct {
 	Clients int
 	// Monitor configures the server-side online monitor.
 	Monitor check.IncrementalConfig
-	// MonitorSpec selects the monitor implementation (full, sample:N,
-	// shard:K, none — see check.ParseMonitorSpec). The zero
-	// value is the sequential exhaustive monitor; kind none disables it.
+	// MonitorSpec selects the monitor implementation (full, sample:N, none —
+	// see check.ParseMonitorSpec). The zero value is the exhaustive monitor;
+	// kind none disables it.
 	MonitorSpec check.MonitorSpec
 	// NetFaults is the seeded network fault plane, injected at the
 	// connection read/write seam (nil = no faults).
@@ -214,7 +214,7 @@ func (s *Server) Shutdown() (*Summary, error) {
 	}
 	<-s.mergeDone
 	// No-op after the merge loop's Finish; on the merge-error path it is
-	// what stops a pooled monitor's workers and closes the sink.
+	// what stops the monitor and closes the sink.
 	s.pipe.Abort()
 
 	sum := &Summary{
