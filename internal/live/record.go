@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -60,6 +61,10 @@ type chunk struct {
 // chunk that finds it occupied is left to the collector — so a shard that
 // once lagged keeps at most that one chunk beyond the ones still unread.
 //
+// The writer yields before each chunk after the first: writers that never
+// block would hold every P until preemption (10 ms), starving a merger that
+// slept; yielding before taking spare lets that merger refill it.
+//
 // The writer dirties this struct's cache line on every push, so the merger
 // loads it once per drain and keeps everything it reads per event in its own
 // cursor.
@@ -96,6 +101,9 @@ func (s *Shard) push(r rec) bool {
 	}
 	at := s.w % chunkLen
 	if at == 0 {
+		if s.w > 0 {
+			runtime.Gosched()
+		}
 		c := s.spare.Swap(nil)
 		if c == nil {
 			c = new(chunk)
@@ -319,10 +327,12 @@ const idleWait = 200 * time.Microsecond
 
 // Run is the merge loop both drivers share: it drains into h through feed,
 // calls after (if non-nil) behind every drain but the last, and sleeps
-// idleWait only after a drain that moved nothing. It returns nil after the first drain whose own
-// snapshot saw every shard done — that drain held nothing back, so every
-// record has been merged — and a merge or feed error (ErrStop included) as
-// soon as Drain returns it, leaving what to do about it to the driver.
+// idleWait only after a drain that moved nothing; while writers run, their
+// once-a-chunk yield in push, not that sleep, is what gets it a core. It
+// returns nil after the first drain whose own snapshot saw every shard done
+// — that drain held nothing back, so every record has been merged — and a
+// merge or feed error (ErrStop included) as soon as Drain returns it,
+// leaving what to do about it to the driver.
 func (m *Merger) Run(h *history.History, feed func(history.Event, uint64) error, after func()) error {
 	for {
 		n, err := m.Drain(h, feed)

@@ -173,6 +173,50 @@ func TestMergerRunLeavesNoGoroutine(t *testing.T) {
 	}
 }
 
+// A writer that never blocks does not starve the merge on a single P: it
+// yields once a chunk, so Run drains while the writer is still pushing,
+// not only after it has finished. Without the yield the merger, asleep in
+// idleWait, gets the P back only at preemption, which a writer of 64
+// chunks rarely lasts until.
+func TestMergerRunDrainsWhileWriterRuns(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const total = 64 * chunkLen
+	op := spec.MakeOp(spec.MethodFetchInc)
+	sh := NewShard(0)
+	go func() {
+		defer sh.Finish()
+		for i := 0; i < total; i++ {
+			ok := false
+			if i%2 == 0 {
+				ok = sh.PushInvoke(uint64(i/2), op)
+			} else {
+				ok = sh.PushCommit(uint64(i/2)+1, int64(i/2), op)
+			}
+			if !ok {
+				t.Errorf("push %d refused", i)
+				return
+			}
+		}
+	}()
+	h := history.New()
+	beside := 0
+	after := func() {
+		if n := h.Len(); n > 0 && n < total {
+			beside++
+		}
+	}
+	if err := NewMerger("C", 0, []*Shard{sh}).Run(h, nil, after); err != nil {
+		t.Fatal(err)
+	}
+	if h.Len() != total {
+		t.Fatalf("Run merged %d of %d records", h.Len(), total)
+	}
+	if beside < total/chunkLen/8 {
+		t.Fatalf("%d drains ran while the writer was pushing, want at least one per 8 chunks (%d)",
+			beside, total/chunkLen/8)
+	}
+}
+
 // chunkBytes is the size of one chunk (the allocator rounds it up to 64 KiB).
 const chunkBytes = int64(unsafe.Sizeof(chunk{}))
 
