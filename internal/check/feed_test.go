@@ -3,6 +3,7 @@ package check
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -201,5 +202,83 @@ func TestIncrementalWindowMaterializes(t *testing.T) {
 	}
 	if windows < 100 {
 		t.Fatalf("only %d windows were compared", windows)
+	}
+}
+
+// feedThenAdvance runs the events of h through two monitors built alike:
+// one fed them one by one, the other advanced over h in chunks of the sizes
+// chunk draws. It fails t unless both stop at the same violation or error
+// and then end alike: Finish's answer, Events, Checks, Samples, Sampling,
+// and the violation down to its window's text and rebased object.
+func feedThenAdvance(t *testing.T, obj spec.Object, cfg IncrementalConfig, h *history.History, chunk func() int) {
+	t.Helper()
+	fed, adv := NewIncremental(obj, cfg), NewIncremental(obj, cfg)
+	var fv, av *WindowViolation
+	var ferr, aerr error
+	for i := 0; i < h.Len() && fv == nil && ferr == nil; i++ {
+		fv, ferr = fed.Feed(h.Event(i))
+	}
+	for adv.Events() < h.Len() && av == nil && aerr == nil {
+		av, aerr = adv.Advance(h, min(h.Len(), adv.Events()+chunk()))
+	}
+	if fmt.Sprint(ferr) != fmt.Sprint(aerr) || fv != fed.Violation() || av != adv.Violation() {
+		t.Fatalf("Feed stopped on %v, %v; Advance on %v, %v", fv, ferr, av, aerr)
+	}
+	fv, ferr = fed.Finish()
+	av, aerr = adv.Finish()
+	if fmt.Sprint(ferr) != fmt.Sprint(aerr) || (fv == nil) != (av == nil) {
+		t.Fatalf("Finish: Feed %v, %v; Advance %v, %v", fv, ferr, av, aerr)
+	}
+	if fed.Events() != adv.Events() || fed.Checks() != adv.Checks() || fed.Sampling() != adv.Sampling() ||
+		!slices.Equal(fed.Samples(), adv.Samples()) {
+		t.Fatalf("Feed: %d events, %d checks, %+v, samples %v\nAdvance: %d events, %d checks, %+v, samples %v",
+			fed.Events(), fed.Checks(), fed.Sampling(), fed.Samples(), adv.Events(), adv.Checks(), adv.Sampling(), adv.Samples())
+	}
+	if fv != nil && (fv.Start != av.Start || fv.End != av.End || fv.MinT != av.MinT || fv.MaxT != av.MaxT ||
+		fv.Window.String() != av.Window.String() || !reflect.DeepEqual(fv.Object, av.Object)) {
+		t.Fatalf("Feed's violation %v on\n%s(object %v)\nAdvance's %v on\n%s(object %v)",
+			fv, fv.Window, fv.Object, av, av.Window, av.Object)
+	}
+}
+
+// TestAdvanceMatchesFeed pins Advance to Feed: over fetch&inc and register
+// histories with open operations carried over the cuts, and with corrupted
+// responses for violations, a monitor advanced in random chunks, in chunks
+// of one and in one chunk must end exactly as one fed event by event. The
+// register windows at stride 512 exceed the generic engine's operation cap,
+// so there the two must fail alike.
+func TestAdvanceMatchesFeed(t *testing.T) {
+	runs, violations := 0, 0
+	for _, c := range []struct {
+		obj    spec.Object
+		stream func(*rand.Rand, gen.HistoryConfig) *history.History
+	}{
+		{spec.NewObject(spec.FetchInc{}), gen.FetchInc},
+		{spec.NewObject(spec.Register{}), gen.Register},
+	} {
+		for _, stride := range []int{7, 32, 512} {
+			for seed := int64(1); seed <= 3; seed++ {
+				for _, corrupt := range []float64{0, 0.02} {
+					h := c.stream(rand.New(rand.NewSource(seed)), gen.HistoryConfig{Procs: 4, Ops: 700, Corrupt: corrupt, PendingBias: 0.4})
+					r := rand.New(rand.NewSource(seed))
+					for _, chunk := range []func() int{
+						func() int { return 1 + r.Intn(900) },
+						func() int { return 1 },
+						func() int { return h.Len() },
+					} {
+						feedThenAdvance(t, c.obj, IncrementalConfig{Stride: stride}, h, chunk)
+						runs++
+					}
+					if m := NewIncremental(c.obj, IncrementalConfig{Stride: stride}); corrupt > 0 {
+						if v, _ := m.Advance(h, h.Len()); v != nil {
+							violations++
+						}
+					}
+				}
+			}
+		}
+	}
+	if runs != 108 || violations < 6 {
+		t.Fatalf("%d runs, %d with a violation", runs, violations)
 	}
 }

@@ -72,11 +72,24 @@ func fuzzMonitorEvents(data []byte) (int, []history.Event) {
 
 // FuzzMonitorFeed: the monitor's operation table must refuse the first
 // event a History-built window refuses, with the same words, and a window
-// on two objects at its close. The seed corpus is
-// testdata/fuzz/FuzzMonitorFeed.
+// on two objects at its close. And Advance over the part of the stream a
+// History accepts, in chunks the input's bytes size, must end as Feed over
+// it does. The seed corpus is testdata/fuzz/FuzzMonitorFeed.
 func FuzzMonitorFeed(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		stride, events := fuzzMonitorEvents(data)
-		feedLikeHistory(t, spec.NewObject(spec.FetchInc{}), stride, events)
+		obj := spec.NewObject(spec.FetchInc{})
+		feedLikeHistory(t, obj, stride, events)
+		h := history.New()
+		for _, e := range events {
+			if h.Append(e) != nil {
+				break
+			}
+		}
+		k := 0
+		feedThenAdvance(t, obj, IncrementalConfig{Stride: stride}, h, func() int {
+			k++
+			return 1 + int(data[k%len(data)]%32)
+		})
 	})
 }

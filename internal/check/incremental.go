@@ -63,8 +63,8 @@ func (v *WindowViolation) String() string {
 }
 
 // Incremental is the online t-linearizability monitor: a growing
-// single-object history is fed event by event and checked in windows, so a
-// run of millions of operations pays a bounded (per-window) search instead
+// single-object history is fed, or advanced over, and checked in windows, so
+// a run of millions of operations pays a bounded (per-window) search instead
 // of one post-hoc check over the whole history — post-hoc linearizability
 // checking is NP-hard in the history length, windowed monitoring is the
 // standard way long-lived objects stay checkable online.
@@ -224,15 +224,36 @@ func (m *Incremental) Feed(e history.Event) (*WindowViolation, error) {
 		return nil, fmt.Errorf("check: monitor feed: %w", err)
 	}
 	m.events++
-	if m.tb.Events < m.cfg.stride() {
-		return nil, nil
-	}
 	return m.step(false)
 }
 
+// Advance feeds h's events [Events(), end) as Feed would one by one (the
+// same windows, samples and violation), reading h's records: no event is
+// built and nothing is proved again. h's first Events() events must be the
+// ones already seen. Frozen by a violation it returns that violation; after
+// Finish, and for an end outside [Events(), h.Len()], it is an error.
+func (m *Incremental) Advance(h *history.History, end int) (*WindowViolation, error) {
+	if m.finished || end < m.events || end > h.Len() {
+		if m.violation != nil {
+			return m.violation, nil
+		}
+		return nil, fmt.Errorf("check: monitor advance to event %d: finished, or outside [%d,%d]", end, m.events, h.Len())
+	}
+	for m.events < end {
+		// At least one: a cut that carried stride open rows closes next.
+		n := min(end-m.events, max(1, m.cfg.stride()-m.tb.Events))
+		m.tb.Extend(h, m.events, m.events+n)
+		m.events += n
+		if v, err := m.step(false); v != nil || err != nil {
+			return v, err
+		}
+	}
+	return nil, nil
+}
+
 // Finish checks the final partial window (if it has any events). Call it
-// after the last Feed; the returned violation, if any, covers the tail. A
-// second Finish returns the same violation.
+// after the last Feed or Advance; the returned violation, if any, covers the
+// tail. A second Finish returns the same violation.
 func (m *Incremental) Finish() (*WindowViolation, error) {
 	if m.finished {
 		return m.violation, nil

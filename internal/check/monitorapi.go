@@ -10,15 +10,15 @@ import (
 )
 
 // Monitor is the online t-linearizability monitor as the runtime's commit
-// pipeline (live.Pipeline) holds it: something that watches a growing
-// single-object history event by event and answers with a per-window MinT
-// trend, a violation, and its own perf accounting. *Incremental is the one
-// implementation; exhaustive checking and sampling are one configuration
-// knob — the spec vocabulary parsed by ParseMonitorSpec ("full",
-// "sample:N", "none"); under "none" the pipeline holds no monitor at all.
+// pipeline (live.Pipeline) holds it: something that advances over a growing
+// single-object history once per merge drain and answers with a per-window
+// MinT trend, a violation, and its own perf accounting. *Incremental is the
+// one implementation; exhaustive checking and sampling are one
+// configuration knob — the spec vocabulary parsed by ParseMonitorSpec
+// ("full", "sample:N", "none"); under "none" the pipeline holds no monitor.
 //
-// Goroutine discipline: Feed, Finish, Abort and SetSampleEvery are called
-// from one driving goroutine; the read accessors are safe from that
+// Goroutine discipline: Feed, Advance, Finish, Abort and SetSampleEvery are
+// called from one driving goroutine; the read accessors are safe from that
 // goroutine at any time and from anywhere after Finish or Abort has
 // returned.
 type Monitor interface {
@@ -27,6 +27,9 @@ type Monitor interface {
 	// a violation the monitor is frozen: further Feeds return the same
 	// violation. Feed after Finish or Abort is an error.
 	Feed(e history.Event) (*WindowViolation, error)
+	// Advance feeds h's events [Events(), end), as Feed would one by one;
+	// h's first Events() events are the ones already seen.
+	Advance(h *history.History, end int) (*WindowViolation, error)
 	// Finish checks the final partial window and stops the monitor. The
 	// returned violation, if any, covers the tail.
 	Finish() (*WindowViolation, error)

@@ -16,7 +16,8 @@ const benchWindows = 256
 // BenchmarkIncrementalWindow measures the full monitor per closed window:
 // stride Feeds, one MinT search, one rebase fold. fi-512 is the fetch&inc
 // kernel at the live runtime's stride, reg-32 the generic engine at the
-// offline register workload's.
+// offline register workload's. The /advance legs close the same windows
+// through Advance over the history, the live pipeline's path.
 func BenchmarkIncrementalWindow(b *testing.B) {
 	for _, bc := range []struct {
 		name   string
@@ -31,25 +32,45 @@ func BenchmarkIncrementalWindow(b *testing.B) {
 			return gen.Register(rand.New(rand.NewSource(1)), gen.HistoryConfig{Procs: 4, Ops: ops, PendingBias: 0.5})
 		}},
 	} {
-		b.Run(bc.name, func(b *testing.B) {
-			events := bc.events(benchWindows * bc.stride / 2).Events()
-			cfg := IncrementalConfig{Stride: bc.stride}
-			m := NewIncremental(bc.obj, cfg)
-			at := 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if len(events)-at < bc.stride {
-					m, at = NewIncremental(bc.obj, cfg), 0
-				}
-				for closed := m.Checks(); m.Checks() == closed; at++ {
-					if v, err := m.Feed(events[at]); err != nil || v != nil {
+		h := bc.events(benchWindows * bc.stride / 2)
+		for _, advance := range []bool{false, true} {
+			name := bc.name
+			if advance {
+				name += "/advance"
+			}
+			b.Run(name, func(b *testing.B) {
+				events := h.Events()
+				cfg := IncrementalConfig{Stride: bc.stride}
+				m := NewIncremental(bc.obj, cfg)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if h.Len()-m.Events() < bc.stride {
+						m = NewIncremental(bc.obj, cfg)
+					}
+					if v, err := closeWindow(m, h, events, advance); err != nil || v != nil {
 						b.Fatalf("window %d: violation %v, error %v", i, v, err)
 					}
 				}
-			}
-		})
+			})
+		}
 	}
+}
+
+// closeWindow takes m through h until one more window has closed (a window
+// opens with the operations pending at the cut, so it takes fewer than
+// stride events): by feeding events, which are h's, one at a time, or by
+// one Advance to the window's close, as a drain that reaches it does.
+func closeWindow(m *Incremental, h *history.History, events []history.Event, advance bool) (*WindowViolation, error) {
+	if advance {
+		return m.Advance(h, m.Events()+max(1, m.cfg.stride()-m.tb.Events))
+	}
+	for closed := m.Checks(); m.Checks() == closed; {
+		if v, err := m.Feed(events[m.Events()]); v != nil || err != nil {
+			return v, err
+		}
+	}
+	return nil, nil
 }
 
 // BenchmarkMinT measures one MinT search on a 512-event fetch&inc history:
@@ -76,15 +97,15 @@ func BenchmarkMinT(b *testing.B) {
 }
 
 // TestIncrementalSteadyStateAllocs pins the full monitor's own machinery at
-// zero allocations per window once its buffers have grown, on both engines:
-// the two operation tables Feed and the cut write and the scratch are
-// reused — the fetch&inc kernel's buffers, and the generic engine's search,
-// whose predecessor masks and memo map every probe resets. The values stay
-// below 256 throughout, where Go boxes an int64 without allocating:
-// spec.State is an interface, so past that StepDet allocates 8 bytes per
-// successor state (the 254 allocs/op BenchmarkIncrementalWindow/fi-512
-// reports), which is the specification layer's cost and not the monitor's
-// to remove.
+// zero allocations per window once its buffers have grown, on both engines
+// and through both Feed and Advance: the two operation tables the rows and
+// the cut write and the scratch are reused — the fetch&inc kernel's
+// buffers, and the generic engine's search, whose predecessor masks and
+// memo map every probe resets. The values stay below 256 throughout, where
+// Go boxes an int64 without allocating: spec.State is an interface, so past
+// that StepDet allocates 8 bytes per successor state (the 254 allocs/op
+// BenchmarkIncrementalWindow/fi-512 reports), which is the specification
+// layer's cost and not the monitor's to remove.
 func TestIncrementalSteadyStateAllocs(t *testing.T) {
 	const warm, runs = 4, 20
 	for _, tc := range []struct {
@@ -101,25 +122,22 @@ func TestIncrementalSteadyStateAllocs(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			events := tc.events((warm + runs + 1) * tc.stride / 2).Events()
-			m := NewIncremental(tc.obj, IncrementalConfig{Stride: tc.stride})
-			m.samples = make([]Sample, 0, warm+runs+1)
-			at := 0
-			// window feeds events until one more window has closed (a window
-			// opens with the operations pending at the cut, so it takes fewer
-			// than stride).
-			window := func() {
-				for closed := m.Checks(); m.Checks() == closed; at++ {
-					if v, err := m.Feed(events[at]); err != nil || v != nil {
-						t.Fatalf("event %d: violation %v, error %v", at, v, err)
+			h := tc.events((warm + runs + 1) * tc.stride / 2)
+			events := h.Events()
+			for _, advance := range []bool{false, true} {
+				m := NewIncremental(tc.obj, IncrementalConfig{Stride: tc.stride})
+				m.samples = make([]Sample, 0, warm+runs+1)
+				window := func() {
+					if v, err := closeWindow(m, h, events, advance); err != nil || v != nil {
+						t.Fatalf("advance %v, event %d: violation %v, error %v", advance, m.Events(), v, err)
 					}
 				}
-			}
-			for i := 0; i < warm; i++ {
-				window()
-			}
-			if allocs := testing.AllocsPerRun(runs, window); allocs != 0 {
-				t.Errorf("%.0f allocations per window in steady state, want 0", allocs)
+				for i := 0; i < warm; i++ {
+					window()
+				}
+				if allocs := testing.AllocsPerRun(runs, window); allocs != 0 {
+					t.Errorf("advance %v: %.0f allocations per window in steady state, want 0", advance, allocs)
+				}
 			}
 		})
 	}

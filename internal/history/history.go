@@ -371,18 +371,24 @@ func (t *OpTable) Fill(h *History) {
 		t.Ops = make([]Operation, 0, n)
 		t.ByRes = make([]int, 0, n)
 	}
-	for i := range h.recs {
-		// A well-formed history's events are never refused.
+	t.Extend(h, 0, len(h.recs))
+}
+
+// Extend writes the rows of h's events [from, to) as the next events, from
+// h's records, checking nothing again. Every invocation pending in h at from
+// must have its open row here, as in a table that has seen h from event 0.
+func (t *OpTable) Extend(h *History, from, to int) {
+	for i := from; i < to; i++ {
 		if r := &h.recs[i]; r.kind() == KindInvoke {
-			_ = t.Invoke(r.proc, h.objs[r.obj], h.op(r))
+			t.invoke(r.proc, h.objs[r.obj], h.op(r))
 		} else {
-			_ = t.Respond(r.proc, h.objs[r.obj], r.a)
+			t.respond(t.open.at(r.proc), r.a)
 		}
 	}
 }
 
 // Invoke adds the row of proc's invocation of op on obj as the next event.
-// Invoke and Respond are the table's only writers. They refuse what
+// Invoke and Respond are the table's validating writers. They refuse what
 // History.Append refuses for well-formedness, in the same words, and leave
 // the table as it was; the limits of the record format are History's.
 func (t *OpTable) Invoke(proc int, obj string, op spec.Op) error {
@@ -393,6 +399,12 @@ func (t *OpTable) Invoke(proc int, obj string, op spec.Op) error {
 	if uint(op.NArgs) > uint(len(op.Args)) {
 		return fmt.Errorf("operation %s has %d arguments, outside 0..%d", op.Method, op.NArgs, len(op.Args))
 	}
+	t.invoke(proc, obj, op)
+	return nil
+}
+
+// invoke opens proc's row for an invocation known to be well-formed.
+func (t *OpTable) invoke(proc int, obj string, op spec.Op) {
 	t.mixed = t.mixed || len(t.Ops) > 0 && obj != t.Ops[0].Obj
 	// Filled in place: appending the literal would copy the 88-byte row.
 	t.Ops = append(t.Ops, Operation{})
@@ -400,7 +412,6 @@ func (t *OpTable) Invoke(proc int, obj string, op spec.Op) error {
 	o.Proc, o.Obj, o.Op, o.Inv, o.Res = proc, obj, op, t.Events, -1
 	t.open.set(proc, int32(len(t.Ops)))
 	t.Events++
-	return nil
 }
 
 // Respond closes proc's open row, on obj, with resp as the next event.
@@ -409,16 +420,21 @@ func (t *OpTable) Respond(proc int, obj string, resp int64) error {
 	if at == 0 {
 		return fmt.Errorf("process p%d responds with no pending invocation", proc)
 	}
-	o := &t.Ops[at-1]
-	if o.Obj != obj {
+	if o := &t.Ops[at-1]; o.Obj != obj {
 		return fmt.Errorf("process p%d responds on %s but pending invocation at event %d is on %s",
 			proc, obj, o.Inv, o.Obj)
 	}
+	t.respond(at, resp)
+	return nil
+}
+
+// respond closes row at-1, the one open holds at, with resp.
+func (t *OpTable) respond(at int32, resp int64) {
+	o := &t.Ops[at-1]
 	o.Res, o.Resp = t.Events, resp
-	t.open.set(proc, 0)
+	t.open.set(o.Proc, 0)
 	t.ByRes = append(t.ByRes, int(at-1))
 	t.Events++
-	return nil
 }
 
 // History materializes the table's events as a standalone history, each

@@ -67,9 +67,9 @@ func BenchmarkLiveSerializedFIMonitored(b *testing.B) {
 
 // BenchmarkMergerDrain prices the merge alone: two shards pre-filled the
 // way two clients taking turns fill them, drained by one call into a
-// reserved history. feed=nil is the drain of a run with nothing downstream
-// (Pipeline.Feeder returns nil); feed=noop also builds the history.Event a
-// consumer would be handed.
+// reserved history. feed=nil is the drain Merger.Run makes (the pipeline
+// reads the history afterwards); feed=noop also builds the history.Event a
+// per-event consumer would be handed.
 func BenchmarkMergerDrain(b *testing.B) {
 	const n = 1 << 16 // operations a shard: 4n events a drain
 	op := spec.MakeOp(spec.MethodFetchInc)

@@ -8,29 +8,30 @@ import (
 	"github.com/elin-go/elin/internal/history"
 )
 
-// ErrStop is what Pipeline.Feed returns for the event that cuts the checked
-// stream: the injected crash commit, or the event that completed a window
-// violating tolerance (Crashed and Violation say which). The pipeline has
-// recorded the cut; stopping the run on it (live.Run) or carrying on
-// (the server) is the driver's policy.
+// ErrStop is what Pipeline.Advance returns when the stream is cut: at the
+// injected crash commit, or at the event that completed a window violating
+// tolerance (Crashed and Violation say which). The pipeline has recorded
+// the cut; stopping the run on it (live.Run) or carrying on (the server) is
+// the driver's policy.
 var ErrStop = errors.New("live: pipeline stop")
 
-// Pipeline is the commit pipeline every driver funnels its merged event
-// stream through — the one place the order
+// Pipeline is the commit pipeline every driver funnels its merged history
+// through — the one place the order
 //
 //	merged event -> commit sink (durable) -> injected crash cut -> online monitor
 //
-// is written down. A commit is durable before anything else sees it; the
-// crash commit IS durable (what a real machine loses is everything after its
-// last synced frame, injected separately via WAL corruption) and the monitor
-// never sees it; the monitor checks only what the log already holds.
+// is written down. A commit is durable before the run reports anything
+// about it; the crash commit IS durable (what a real machine loses is
+// everything after its last synced frame, injected separately via WAL
+// corruption) and the monitor never sees it; a sink failure ends the run
+// before any verdict on events the sink has not taken.
 //
 // The pipeline owns what it is built from: the sink is closed exactly once
 // — by Finish, by Abort, or by NewPipeline itself when construction fails —
-// and the monitor's resources are released on the same paths. Feed, Finish
-// and Abort are called from the single merging goroutine; the accessors are
-// safe from there at any time and from anywhere once Finish or Abort has
-// returned.
+// and the monitor's resources are released on the same paths. Advance,
+// Finish and Abort are called from the single merging goroutine; the
+// accessors are safe from there at any time and from anywhere once Finish
+// or Abort has returned.
 type Pipeline struct {
 	sink        CommitSink    // nil when the run keeps no log, and once closed
 	mon         check.Monitor // nil under monitor spec none
@@ -38,6 +39,7 @@ type Pipeline struct {
 	crashed     bool
 	crashTicket uint64
 	violation   *check.WindowViolation
+	at          int // events passed down the pipeline; after a stop, the cut
 }
 
 // NewPipeline builds the pipeline for a run of obj: the monitor ms selects
@@ -46,9 +48,9 @@ type Pipeline struct {
 // (0: no injected crash), and an optional recovered history prefix. The
 // prefix primes the monitor, so window accounting and commit-order state
 // span the crash cut; it is not re-appended to the sink (it is already
-// durable in the log it came from). A prefix that itself violates tolerance
-// fails construction, before any new client runs. On every error the sink
-// has been closed.
+// durable in the log it came from), and Advance takes the history that
+// extends it. A prefix that itself violates tolerance fails construction,
+// before any new client runs. On every error the sink has been closed.
 func NewPipeline(obj Object, ms check.MonitorSpec, mc check.IncrementalConfig, sink CommitSink, crashAt uint64, prefix *history.History) (*Pipeline, error) {
 	p := &Pipeline{sink: sink, crashAt: crashAt}
 	if obj == nil {
@@ -63,60 +65,71 @@ func NewPipeline(obj Object, ms check.MonitorSpec, mc check.IncrementalConfig, s
 		}
 		p.mon = mon
 	}
+	if prefix != nil {
+		p.at = prefix.Len()
+	}
 	if p.mon == nil || prefix == nil {
 		return p, nil
 	}
-	for i := 0; i < prefix.Len(); i++ {
-		v, err := p.mon.Feed(prefix.Event(i))
-		if err == nil && v != nil {
-			err = fmt.Errorf("violates %d-linearizability in window [%d,%d)", v.MaxT, v.Start, v.End)
-		}
-		if err != nil {
-			p.Abort()
-			return nil, fmt.Errorf("live: priming monitor with recovered history: %w", err)
-		}
+	v, err := p.mon.Advance(prefix, prefix.Len())
+	if err == nil && v != nil {
+		err = fmt.Errorf("violates %d-linearizability in window [%d,%d)", v.MaxT, v.Start, v.End)
+	}
+	if err != nil {
+		p.Abort()
+		return nil, fmt.Errorf("live: priming monitor with recovered history: %w", err)
 	}
 	return p, nil
 }
 
-// Feed passes one merged event, with its merge position (commit ticket for
-// responses, sequencer stamp for invocations), down the pipeline. A sink or
-// monitor failure is returned wrapped and the event goes no further; the
-// crash commit and the first violation return ErrStop, bare. After a
-// violation the monitor is frozen, so later events are persisted but not
-// checked.
-func (p *Pipeline) Feed(e history.Event, pos uint64) error {
-	if p.sink != nil {
-		if err := p.sink.Append(e, pos); err != nil {
-			return fmt.Errorf("live: commit sink: %w", err)
-		}
-	}
-	if p.crashAt > 0 && e.Kind == history.KindRespond && pos >= p.crashAt {
-		p.crashed, p.crashTicket = true, pos
+// Positions reports whether Advance reads positions: a sink or crash cut does.
+func (p *Pipeline) Positions() bool { return p.sink != nil || p.crashAt > 0 }
+
+// Advance passes down the pipeline the events of h it has not passed yet: a
+// drain's worth, or one event. pos holds the merge positions (commit ticket
+// or sequencer stamp) of h's last len(pos) events, those at least; it may be
+// nil unless Positions. The outcome is that of passing the events one at a
+// time: the monitor advances up to the crash commit c (the first response
+// at or past crashAt), the stream stops at the violating window's End, else
+// just after c, and the sink appends every event before the stop. A stop
+// returns ErrStop, bare; a sink or monitor failure, wrapped. After a
+// violation the monitor is frozen and later calls only log; after a crash
+// the stream is over.
+func (p *Pipeline) Advance(h *history.History, pos []uint64) error {
+	if p.crashed {
 		return ErrStop
 	}
+	from, stop, base, crash := p.at, h.Len(), h.Len()-len(pos), -1
+	for i := from; p.crashAt > 0 && i < stop; i++ {
+		if pos[i-base] >= p.crashAt && h.Event(i).Kind == history.KindRespond {
+			crash, stop = i, i
+			break
+		}
+	}
+	var err error
 	if p.mon != nil && p.violation == nil {
-		v, err := p.mon.Feed(e)
-		if err != nil {
-			return fmt.Errorf("live: monitor: %w", err)
+		v, merr := p.mon.Advance(h, stop)
+		if merr != nil {
+			return fmt.Errorf("live: monitor: %w", merr)
 		}
 		if v != nil {
-			p.violation = v
-			return ErrStop
+			p.violation, stop, crash, err = v, v.End, -1, ErrStop
 		}
 	}
-	return nil
+	if crash >= 0 {
+		p.crashed, p.crashTicket, stop, err = true, pos[crash-base], crash+1, ErrStop
+	}
+	for i := from; p.sink != nil && i < stop; i++ {
+		if serr := p.sink.Append(h.Event(i), pos[i-base]); serr != nil {
+			return fmt.Errorf("live: commit sink: %w", serr)
+		}
+	}
+	p.at = stop
+	return err
 }
 
-// Feeder is the feed every driver passes its merge: Feed, or nil when
-// nothing is downstream (no sink, no crash cut, no monitor), so that a
-// record-only run builds no event for a Feed that would drop it.
-func (p *Pipeline) Feeder() func(history.Event, uint64) error {
-	if p.sink == nil && p.crashAt == 0 && p.mon == nil {
-		return nil
-	}
-	return p.Feed
-}
+// Events is the number of events passed down: after a stop, the run's.
+func (p *Pipeline) Events() int { return p.at }
 
 // Finish ends the stream: the monitor checks its final partial window —
 // unless the run crashed (the partial window died with the process) or

@@ -60,24 +60,57 @@ func counterHistory(t *testing.T, n, stickAt int) *history.History {
 	return h
 }
 
-// feedAll drives h through p the way a driver does — invocations at their
-// sequencer stamp, responses at their commit ticket — and returns how many
-// events went in and the first error.
-func feedAll(p *Pipeline, h *history.History) (int, error) {
-	for i := 0; i < h.Len(); i++ {
-		e := h.Event(i)
-		pos := uint64(i / 2)
-		if e.Kind == history.KindRespond {
-			pos++
+// advanceAll drives h's events from p.Events() on through p the way a
+// driver does — invocations at their sequencer stamp, responses at their
+// commit ticket — either in one drain-sized call or one event at a time
+// (stepwise) over a history growing to h. A stop ends the drive unless
+// again is set, when the drive carries on the server's way: the same call
+// once more, for the rest of its events. It returns the number of ErrStops
+// and the first other error.
+func advanceAll(t *testing.T, p *Pipeline, h *history.History, stepwise, again bool) (int, error) {
+	t.Helper()
+	pos := make([]uint64, h.Len())
+	for i := range pos {
+		pos[i] = uint64(i/2 + i%2)
+	}
+	g, from, stops := h, p.Events(), 0
+	if stepwise {
+		g = h.Prefix(from)
+	}
+	for i := from; i < h.Len(); i++ {
+		to := h.Len()
+		if stepwise {
+			mustDo(t, g.Append(h.Event(i)))
+			to = i + 1
 		}
-		if err := p.Feed(e, pos); err != nil {
-			return i + 1, err
+		err := p.Advance(g, pos[from:to])
+		if err == ErrStop && again {
+			stops++
+			err = p.Advance(g, pos[from:to])
+		}
+		switch {
+		case err == ErrStop:
+			return stops + 1, nil
+		case err != nil:
+			return stops, err
+		}
+		if from = to; !stepwise {
+			break
 		}
 	}
-	return h.Len(), nil
+	return stops, nil
 }
 
-// The pipeline contract both drivers rely on, one row per clause.
+// mustDo fails t on a non-nil err.
+func mustDo(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The pipeline contract both drivers rely on, one row per clause. Each row
+// is driven twice: as one drain-sized Advance, and one event at a time.
 func TestPipelineContract(t *testing.T) {
 	full := check.MonitorSpec{}
 	none := check.MonitorSpec{Kind: check.MonitorNone}
@@ -88,14 +121,14 @@ func TestPipelineContract(t *testing.T) {
 		failAt  int
 		prefix  *history.History
 		newErr  bool
-		drive   func(t *testing.T, p *Pipeline, sink *recSink)
+		drive   func(t *testing.T, p *Pipeline, sink *recSink, stepwise bool)
 	}{
 		{
 			name: "order: the crash commit is durable and unchecked", spec: full, crashAt: 3,
-			drive: func(t *testing.T, p *Pipeline, sink *recSink) {
-				n, err := feedAll(p, counterHistory(t, 8, -1))
-				if err != ErrStop || n != 6 {
-					t.Fatalf("fed %d events, err %v; want ErrStop at event 6", n, err)
+			drive: func(t *testing.T, p *Pipeline, sink *recSink, stepwise bool) {
+				stops, err := advanceAll(t, p, counterHistory(t, 8, -1), stepwise, false)
+				if err != nil || stops != 1 || p.Events() != 6 {
+					t.Fatalf("%d stops, err %v, stream cut at %d; want one stop at event 6", stops, err, p.Events())
 				}
 				if len(sink.events) != 6 || sink.pos[5] != 3 || sink.events[5].Kind != history.KindRespond {
 					t.Fatalf("sink holds %d frames ending at pos %d; want the crash commit (ticket 3) as frame 6", len(sink.events), sink.pos[len(sink.pos)-1])
@@ -106,35 +139,54 @@ func TestPipelineContract(t *testing.T) {
 				if ticket, ok := p.Crashed(); !ok || ticket != 3 {
 					t.Fatalf("Crashed() = %d, %v", ticket, ok)
 				}
-				if err := p.Finish(); err != nil {
-					t.Fatal(err)
-				}
+				mustDo(t, p.Finish())
 				if p.Monitor().Checks() != 1 {
 					t.Fatalf("%d windows checked, want only the one closed before the crash (the partial window dies with the process)", p.Monitor().Checks())
 				}
 			},
 		},
 		{
-			name: "a sink error stops the event and reaches the caller", spec: full, failAt: 3,
-			drive: func(t *testing.T, p *Pipeline, sink *recSink) {
-				n, err := feedAll(p, counterHistory(t, 8, -1))
-				if !errors.Is(err, errSinkBoom) || n != 3 {
-					t.Fatalf("fed %d events, err %v; want the sink's error at event 3", n, err)
+			name: "a violation, then a crash commit, in one call: the violation cuts", spec: full, crashAt: 5,
+			drive: func(t *testing.T, p *Pipeline, sink *recSink, stepwise bool) {
+				stops, err := advanceAll(t, p, counterHistory(t, 8, 2), stepwise, false)
+				v := p.Violation()
+				if err != nil || stops != 1 || v == nil || v.End != 8 || p.Events() != 8 {
+					t.Fatalf("%d stops, err %v, violation %v, cut at %d; want the window [4,8)", stops, err, v, p.Events())
 				}
-				if got := p.Monitor().Events(); got != 2 {
-					t.Fatalf("monitor saw %d events, want 2 (not the one the sink refused)", got)
+				if _, crashed := p.Crashed(); crashed || len(sink.events) != v.End {
+					t.Fatalf("crashed %v, sink holds %d frames; want no crash and [0,%d)", crashed, len(sink.events), v.End)
+				}
+			},
+		},
+		{
+			name: "a crash commit, then a violation: the crash cuts", spec: full, crashAt: 3,
+			drive: func(t *testing.T, p *Pipeline, sink *recSink, stepwise bool) {
+				stops, err := advanceAll(t, p, counterHistory(t, 8, 2), stepwise, false)
+				if ticket, crashed := p.Crashed(); err != nil || stops != 1 || !crashed || ticket != 3 || p.Violation() != nil {
+					t.Fatalf("%d stops, err %v, crashed %v at %d, violation %v; want the crash at ticket 3", stops, err, crashed, ticket, p.Violation())
+				}
+				if len(sink.events) != 6 || p.Monitor().Events() != 5 {
+					t.Fatalf("sink holds %d frames, monitor saw %d events; want [0,5] and [0,5)", len(sink.events), p.Monitor().Events())
+				}
+			},
+		},
+		{
+			name: "a sink error stops the event and reaches the caller", spec: full, failAt: 3,
+			drive: func(t *testing.T, p *Pipeline, sink *recSink, stepwise bool) {
+				_, err := advanceAll(t, p, counterHistory(t, 8, -1), stepwise, false)
+				if !errors.Is(err, errSinkBoom) || len(sink.events) != 2 || p.Events() > 2 {
+					t.Fatalf("err %v, sink holds %d frames, stream passed %d events; want the sink's error at event 3, unpassed",
+						err, len(sink.events), p.Events())
 				}
 			},
 		},
 		{
 			name: "none: no monitor, no verdict, everything logged", spec: none,
-			drive: func(t *testing.T, p *Pipeline, sink *recSink) {
-				if _, err := feedAll(p, counterHistory(t, 8, 2)); err != nil {
-					t.Fatal(err)
+			drive: func(t *testing.T, p *Pipeline, sink *recSink, stepwise bool) {
+				if stops, err := advanceAll(t, p, counterHistory(t, 8, 2), stepwise, false); stops != 0 || err != nil {
+					t.Fatalf("%d stops, err %v", stops, err)
 				}
-				if err := p.Finish(); err != nil {
-					t.Fatal(err)
-				}
+				mustDo(t, p.Finish())
 				if p.Monitor() != nil || p.Violation() != nil || len(sink.events) != 16 {
 					t.Fatalf("monitor %v violation %v frames %d", p.Monitor(), p.Violation(), len(sink.events))
 				}
@@ -147,33 +199,28 @@ func TestPipelineContract(t *testing.T) {
 		{
 			name: "a prefix primes the monitor and is not logged again", spec: full,
 			prefix: counterHistory(t, 3, -1),
-			drive: func(t *testing.T, p *Pipeline, sink *recSink) {
-				if got := p.Monitor().Events(); got != 6 || len(sink.events) != 0 {
-					t.Fatalf("monitor primed with %d events, sink holds %d; want 6 and 0", got, len(sink.events))
+			drive: func(t *testing.T, p *Pipeline, sink *recSink, stepwise bool) {
+				if got := p.Monitor().Events(); got != 6 || p.Events() != 6 || len(sink.events) != 0 {
+					t.Fatalf("monitor primed with %d events, pipeline at %d, sink holds %d; want 6, 6 and 0", got, p.Events(), len(sink.events))
+				}
+				if stops, err := advanceAll(t, p, counterHistory(t, 6, -1), stepwise, false); stops != 0 || err != nil {
+					t.Fatalf("%d stops, err %v", stops, err)
+				}
+				if got := p.Monitor().Events(); got != 12 || len(sink.events) != 6 || sink.pos[0] != 3 {
+					t.Fatalf("monitor saw %d events, sink holds %d from pos %d; want 12, and the 6 past the prefix from 3", got, len(sink.events), sink.pos[0])
 				}
 			},
 		},
 		{
 			name: "violation: one ErrStop, then logged but unchecked; Abort after Finish is a no-op", spec: full,
-			drive: func(t *testing.T, p *Pipeline, sink *recSink) {
+			drive: func(t *testing.T, p *Pipeline, sink *recSink, stepwise bool) {
 				h := counterHistory(t, 8, 2)
-				stops := 0
-				for i := 0; i < h.Len(); i++ {
-					switch err := p.Feed(h.Event(i), uint64(i)); err {
-					case nil:
-					case ErrStop:
-						stops++
-					default:
-						t.Fatal(err)
-					}
-				}
-				if stops != 1 || p.Violation() == nil || len(sink.events) != h.Len() {
-					t.Fatalf("%d stops, violation %v, %d frames", stops, p.Violation(), len(sink.events))
+				stops, err := advanceAll(t, p, h, stepwise, true)
+				if err != nil || stops != 1 || p.Violation() == nil || len(sink.events) != h.Len() {
+					t.Fatalf("%d stops, err %v, violation %v, %d frames", stops, err, p.Violation(), len(sink.events))
 				}
 				seen := p.Monitor().Events()
-				if err := p.Finish(); err != nil {
-					t.Fatal(err)
-				}
+				mustDo(t, p.Finish())
 				if sink.closes != 1 {
 					t.Fatalf("sink closed %d times by Finish", sink.closes)
 				}
@@ -186,39 +233,64 @@ func TestPipelineContract(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			sink := &recSink{failAt: c.failAt}
-			p, err := NewPipeline(NewAtomicFetchInc("C", 0), c.spec, check.IncrementalConfig{Stride: 4}, sink, c.crashAt, c.prefix)
-			if (err != nil) != c.newErr {
-				t.Fatalf("NewPipeline error = %v, want error %v", err, c.newErr)
-			}
-			if err == nil {
-				c.drive(t, p, sink)
-				p.Abort()
-			}
-			if sink.closes != 1 {
-				t.Fatalf("sink closed %d times, want exactly once", sink.closes)
+			for _, stepwise := range []bool{false, true} {
+				t.Run(map[bool]string{false: "drain", true: "stepwise"}[stepwise], func(t *testing.T) {
+					sink := &recSink{failAt: c.failAt}
+					p, err := NewPipeline(NewAtomicFetchInc("C", 0), c.spec, check.IncrementalConfig{Stride: 4}, sink, c.crashAt, c.prefix)
+					if (err != nil) != c.newErr {
+						t.Fatalf("NewPipeline error = %v, want error %v", err, c.newErr)
+					}
+					if err == nil {
+						c.drive(t, p, sink, stepwise)
+						p.Abort()
+					}
+					if sink.closes != 1 {
+						t.Fatalf("sink closed %d times, want exactly once", sink.closes)
+					}
+				})
 			}
 		})
 	}
 
-	// Feeder is nil only when nothing is downstream of the merge.
+	// Positions only for a sink or a crash cut.
 	for _, withSink := range []bool{false, true} {
 		for _, crashAt := range []uint64{0, 3} {
-			for _, ms := range []check.MonitorSpec{none, full} {
-				var sink CommitSink
-				if withSink {
-					sink = &recSink{}
-				}
-				p, err := NewPipeline(NewAtomicFetchInc("C", 0), ms, check.IncrementalConfig{Stride: 4}, sink, crashAt, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				empty := !withSink && crashAt == 0 && ms.Kind == check.MonitorNone
-				if (p.Feeder() == nil) != empty {
-					t.Errorf("sink %v, crash at %d, monitor %v: Feeder() nil is %v, want %v", withSink, crashAt, ms, p.Feeder() == nil, empty)
-				}
-				p.Abort()
+			var sink CommitSink
+			if withSink {
+				sink = &recSink{}
 			}
+			p, err := NewPipeline(NewAtomicFetchInc("C", 0), full, check.IncrementalConfig{Stride: 4}, sink, crashAt, nil)
+			mustDo(t, err)
+			if p.Positions() != (withSink || crashAt > 0) {
+				t.Errorf("sink %v, crash at %d: Positions() = %v", withSink, crashAt, p.Positions())
+			}
+			p.Abort()
+		}
+	}
+
+	// On both drivers the run's history ends where the pipeline cut the
+	// stream, whatever the drain merged past it: at the violating window's
+	// End, and at the crash commit, the sink's last frame.
+	for _, serial := range []bool{false, true} {
+		sink := &recSink{}
+		res, err := Run(Config{Object: NewJunkFetchInc("C", 20), Clients: 2, Ops: 200, Seed: 1, Serial: serial,
+			Monitor: check.IncrementalConfig{Stride: 16}, Sink: sink})
+		if err != nil || res.Violation == nil {
+			t.Fatalf("serial %v: junk run gave violation %v, err %v", serial, res.Violation, err)
+		}
+		if n := res.History.Len(); n != res.Violation.End || len(sink.events) != n {
+			t.Fatalf("serial %v: history of %d events, sink of %d, violation ends at %d", serial, n, len(sink.events), res.Violation.End)
+		}
+		sink = &recSink{}
+		res, err = Run(Config{Object: NewAtomicFetchInc("C", 0), Clients: 2, Ops: 200, Seed: 1, Serial: serial,
+			Faults: mustFaults(t, "crash:50"), Sink: sink})
+		if err != nil || !res.Crashed {
+			t.Fatalf("serial %v: crash run gave crashed %v, err %v", serial, res.Crashed, err)
+		}
+		n := res.History.Len()
+		if last := res.History.Event(n - 1); last.Kind != history.KindRespond || last.Resp != 49 ||
+			len(sink.events) != n || sink.pos[n-1] != res.CrashTicket {
+			t.Fatalf("serial %v: history ends at %v (sink: %d frames to pos %d); want the commit of ticket %d", serial, last, len(sink.events), sink.pos[len(sink.pos)-1], res.CrashTicket)
 		}
 	}
 

@@ -159,9 +159,10 @@ type cursor struct {
 	// invocation may be stamped 0.
 	lastPos uint64
 	lastInv int
-	// n/done are the per-drain snapshot of the shard's progress.
-	n    int
-	done bool
+	// n/done/bound are the per-drain snapshot of the shard's progress.
+	n     int
+	done  bool
+	bound uint64
 }
 
 // Merger performs the online k-way merge of client shards into one
@@ -182,6 +183,7 @@ type Merger struct {
 	// allDone is whether the last Drain's snapshot saw every shard done:
 	// that drain held nothing back, so the shards are consumed.
 	allDone bool
+	pos     []uint64 // Run's reused merge positions of one drain
 }
 
 // NewMerger builds the merge over the given client shards: shard i's
@@ -232,27 +234,38 @@ func keyLess(p1 uint64, k1 int, p2 uint64, k2 int) bool {
 // (if non-nil) on each appended event with its merge position (commit
 // ticket for responses, sequencer stamp for invocations — what a commit
 // sink persists). Records go into h through Invoke and Respond, and a nil
-// feed builds no history.Event at all — which is why drivers pass
-// Pipeline.Feeder, not Pipeline.Feed. It returns the number of events
+// feed builds no history.Event at all. It returns the number of events
 // appended; call it repeatedly until the run completes. Shard progress is
-// snapshotted once per call (one atomic load per shard), which is sound —
-// records published mid-drain are merged by the next call.
+// snapshotted once per call (done, bound and n of each shard), which is
+// sound — records published mid-drain are merged by the next call.
 func (m *Merger) Drain(h *history.History, feed func(history.Event, uint64) error) (int, error) {
+	return m.drain(h, feed, false)
+}
+
+// drain is Drain, also appending merge positions to m.pos under keepPos,
+// up to posLimit of them.
+func (m *Merger) drain(h *history.History, feed func(history.Event, uint64) error, keepPos bool) (int, error) {
 	m.allDone = true
 	for i := range m.cur {
 		cu := &m.cur[i]
-		// done before n: a shard observed done has pushed everything, so
-		// the later n load is guaranteed to cover its final records (the
-		// reverse order could skip the watermark of a shard whose last
-		// records are invisible in this snapshot). And n before any chunk
-		// link (front): the writer links a chunk before it publishes a
-		// length reaching into it.
+		// done and bound before n: a shard observed done has pushed
+		// everything, and a bound was published after every record pushed
+		// before it, so the later n load is guaranteed to cover those
+		// records (the reverse order could take the watermark of a shard
+		// whose last records are invisible in this snapshot). And n before
+		// any chunk link (front): the writer links a chunk before it
+		// publishes a length reaching into it.
 		cu.done = cu.sh.done.Load()
+		cu.bound = cu.sh.bound.Load()
 		cu.n = int(cu.sh.n.Load())
 		m.allDone = m.allDone && cu.done
 	}
 	moved := 0
 	for {
+		if keepPos && len(m.pos) == posLimit {
+			m.allDone = false // what is left is the next drain's
+			return moved, nil
+		}
 		best := -1
 		var bp uint64
 		var bk int
@@ -284,7 +297,7 @@ func (m *Merger) Drain(h *history.History, feed func(history.Event, uint64) erro
 				continue
 			}
 			wp, wk := cu.lastPos, cu.lastInv
-			if b := cu.sh.bound.Load(); b > 0 && keyLess(wp, wk, b-1, 0) {
+			if b := cu.bound; b > 0 && keyLess(wp, wk, b-1, 0) {
 				wp, wk = b-1, 0
 			}
 			if keyLess(wp, wk, bp, bk) {
@@ -309,6 +322,9 @@ func (m *Merger) Drain(h *history.History, feed func(history.Event, uint64) erro
 		if err != nil {
 			return moved, fmt.Errorf("live: merge: %w", err)
 		}
+		if keepPos {
+			m.pos = append(m.pos, r.pos)
+		}
 		if feed != nil {
 			e := history.Event{Kind: history.KindRespond, Proc: proc, Obj: m.objName, Resp: r.resp}
 			if r.invoke {
@@ -325,17 +341,29 @@ func (m *Merger) Drain(h *history.History, feed func(history.Event, uint64) erro
 // idleWait is how long Run sleeps after a drain that moved nothing.
 const idleWait = 200 * time.Microsecond
 
-// Run is the merge loop both drivers share: it drains into h through feed,
-// calls after (if non-nil) behind every drain but the last, and sleeps
-// idleWait only after a drain that moved nothing; while writers run, their
-// once-a-chunk yield in push, not that sleep, is what gets it a core. It
-// returns nil after the first drain whose own snapshot saw every shard done
-// — that drain held nothing back, so every record has been merged — and a
-// merge or feed error (ErrStop included) as soon as Drain returns it,
-// leaving what to do about it to the driver.
-func (m *Merger) Run(h *history.History, feed func(history.Event, uint64) error, after func()) error {
+// posLimit is the most events a drain that keeps positions merges, so that
+// Run's one slice of positions (32 KiB) never grows with the merger's lag.
+const posLimit = 4096
+
+// Run is the merge loop both drivers share: it drains into h, calls step
+// (if non-nil) behind every drain with the drain's merge positions (nil
+// unless keepPos), after (if non-nil) behind every drain but the last, and
+// sleeps idleWait only after a drain that moved nothing; while writers run,
+// their once-a-chunk yield in push, not that sleep, gets it a core. It
+// returns nil after the step of the first drain whose own snapshot saw
+// every shard done — that drain held nothing back, so every record has been
+// merged — and a merge or step error (ErrStop included) at once, leaving
+// what to do about it to the driver.
+func (m *Merger) Run(h *history.History, keepPos bool, step func(pos []uint64) error, after func()) error {
+	if keepPos {
+		m.pos = make([]uint64, 0, posLimit)
+	}
 	for {
-		n, err := m.Drain(h, feed)
+		m.pos = m.pos[:0]
+		n, err := m.drain(h, nil, keepPos)
+		if err == nil && step != nil {
+			err = step(m.pos)
+		}
 		if err != nil || m.allDone {
 			return err
 		}

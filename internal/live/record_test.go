@@ -3,6 +3,7 @@ package live
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -112,8 +113,42 @@ func TestMergerIdleBound(t *testing.T) {
 	}
 }
 
+// A bound covers only the records the drain's snapshot saw. Here an idle
+// shard, mid-drain, publishes an operation and then a bound above it; a
+// drain that took the fresh bound with its stale length would release the
+// busy shard's commit past that operation's invocation.
+func TestMergerBoundAfterSnapshotHoldsBack(t *testing.T) {
+	op := spec.MakeOp(spec.MethodFetchInc)
+	busy, idle := NewShard(0), NewShard(0)
+	busy.PushInvoke(0, op)
+	busy.PushCommit(2, 0, op)
+	busy.Finish()
+	idle.SetBound(1) // releases busy's (0,1) invocation only
+	h := history.New()
+	m := NewMerger("C", 0, []*Shard{busy, idle})
+	late := func(history.Event, uint64) error {
+		if idle.bound.Load() == 2 {
+			idle.PushInvoke(1, op) // (1,1): above the bound, below busy's (2,0)
+			idle.PushCommit(3, 1, op)
+			idle.SetBound(3)
+		}
+		return nil
+	}
+	for i := 0; i < 3 && h.Len() < 4; i++ {
+		if _, err := m.Drain(h, late); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{"inv p0 C fetchinc", "inv p1 C fetchinc", "res p0 C 0", "res p1 C 1"}
+	for i, w := range want {
+		if i >= h.Len() || h.Event(i).String() != w {
+			t.Fatalf("merged\n%swant %q", h, want)
+		}
+	}
+}
+
 // Run ends on the done flags its own drain snapshotted, never on flags read
-// after it. Here the drain's feed finishes the last open shard while that
+// after it. Here the drain's step finishes the last open shard while that
 // shard's bound holds a commit back: the drain that saw the shard open
 // merges one event, and only a further drain, whose snapshot sees every
 // shard done, may merge the held commit and end the loop.
@@ -124,13 +159,44 @@ func TestMergerRunDrainsAfterFinishMidDrain(t *testing.T) {
 	busy.PushCommit(2, 0, op)
 	busy.Finish()
 	open.SetBound(1) // releases busy's (0,1) invocation, holds back its (2,0) commit
-	feed := func(history.Event, uint64) error { open.Finish(); return nil }
+	step := func([]uint64) error { open.Finish(); return nil }
 	h := history.New()
-	if err := NewMerger("C", 0, []*Shard{busy, open}).Run(h, feed, nil); err != nil {
+	if err := NewMerger("C", 0, []*Shard{busy, open}).Run(h, false, step, nil); err != nil {
 		t.Fatal(err)
 	}
 	if h.Len() != 2 {
 		t.Fatalf("Run returned with %d of 2 events merged", h.Len())
+	}
+}
+
+// Run keeps merge positions in one slice of posLimit: a drain stops there,
+// and the step sees every event's position once, in merge order, whatever
+// the backlog.
+func TestMergerRunKeepsPositionsInBoundedDrains(t *testing.T) {
+	const ops = 3*posLimit/2 + 5
+	op := spec.MakeOp(spec.MethodFetchInc)
+	sh := NewShard(0)
+	var want []uint64
+	for i := uint64(0); i < ops; i++ {
+		sh.PushInvoke(i, op)
+		sh.PushCommit(i+1, int64(i), op)
+		want = append(want, i, i+1)
+	}
+	sh.Finish()
+	h := history.New()
+	var got []uint64
+	step := func(pos []uint64) error {
+		if len(pos) > posLimit || cap(pos) != posLimit {
+			t.Fatalf("step handed %d positions in a slice of %d", len(pos), cap(pos))
+		}
+		got = append(got, pos...)
+		return nil
+	}
+	if err := NewMerger("C", 0, []*Shard{sh}).Run(h, true, step, nil); err != nil {
+		t.Fatal(err)
+	}
+	if h.Len() != 2*ops || !slices.Equal(got, want) {
+		t.Fatalf("merged %d of %d events, %d positions", h.Len(), 2*ops, len(got))
 	}
 }
 
@@ -205,7 +271,7 @@ func TestMergerRunDrainsWhileWriterRuns(t *testing.T) {
 			beside++
 		}
 	}
-	if err := NewMerger("C", 0, []*Shard{sh}).Run(h, nil, after); err != nil {
+	if err := NewMerger("C", 0, []*Shard{sh}).Run(h, false, nil, after); err != nil {
 		t.Fatal(err)
 	}
 	if h.Len() != total {

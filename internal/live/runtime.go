@@ -178,11 +178,13 @@ type runEnv struct {
 	pipe *Pipeline
 }
 
-// finish ends the pipeline and assembles the Result.
+// finish ends the pipeline and assembles the Result. The history ends
+// where the pipeline stopped: a drain may have merged past the stop.
 func (env *runEnv) finish(clientOps []int, elapsed time.Duration, lats [][]int64) (*Result, error) {
 	if err := env.pipe.Finish(); err != nil {
 		return nil, err
 	}
+	env.h.Truncate(env.pipe.Events())
 	res := &Result{
 		History:   env.h,
 		ClientOps: clientOps,
@@ -357,7 +359,9 @@ func Run(cfg Config) (*Result, error) {
 
 	// Merge-and-monitor loop (runs on this goroutine) until every client
 	// has finished its shard, or the pipeline stops the run.
-	err = NewMerger(cfg.Object.Name(), cfg.ProcBase, shards).Run(env.h, pipe.Feeder(), nil)
+	err = NewMerger(cfg.Object.Name(), cfg.ProcBase, shards).Run(env.h, pipe.Positions(), func(pos []uint64) error {
+		return pipe.Advance(env.h, pos)
+	}, nil)
 	if err != nil {
 		env.stop.Store(true)
 	}
@@ -394,7 +398,6 @@ func runSerial(cfg *Config, env *runEnv) (*Result, error) {
 	wait := make([]int, cfg.Clients)   // jitter turns left before the next op
 	armed := make([]bool, cfg.Clients) // jitter drawn for the pending op
 	objName := cfg.Object.Name()
-	feed := env.pipe.Feeder()
 	start := time.Now()
 	remaining := cfg.Clients * cfg.Ops
 	forced := -1
@@ -441,13 +444,8 @@ outer:
 				runErr = fmt.Errorf("live: serial merge: %w", err)
 				break outer
 			}
-			if feed != nil {
-				if err := feed(history.Event{Kind: history.KindInvoke, Proc: proc, Obj: objName, Op: op}, stamp); err != nil {
-					if err != ErrStop {
-						runErr = err
-					}
-					break outer
-				}
+			if runErr = env.pipe.Advance(env.h, []uint64{stamp}); runErr != nil {
+				break outer
 			}
 			resp, ticket, err := cfg.Object.Apply(proc, op, &env.seq)
 			if err != nil {
@@ -458,13 +456,8 @@ outer:
 				runErr = fmt.Errorf("live: serial merge: %w", err)
 				break outer
 			}
-			if feed != nil {
-				if err := feed(history.Event{Kind: history.KindRespond, Proc: proc, Obj: objName, Resp: resp}, ticket); err != nil {
-					if err != ErrStop {
-						runErr = err
-					}
-					break outer
-				}
+			if runErr = env.pipe.Advance(env.h, []uint64{ticket}); runErr != nil {
+				break outer
 			}
 			next[c] = i + 1
 			armed[c] = false
@@ -492,7 +485,7 @@ outer:
 		}
 	}
 	elapsed := time.Since(start)
-	if runErr != nil {
+	if runErr != nil && runErr != ErrStop {
 		return nil, runErr
 	}
 	return env.finish(clientOps, elapsed, lats)

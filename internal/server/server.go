@@ -239,15 +239,17 @@ func (s *Server) Shutdown() (*Summary, error) {
 	return sum, s.mergeErr
 }
 
-// feed is the merge drain's per-event hook: the commit pipeline under the
+// step is the merge loop's per-drain step: the commit pipeline under the
 // server's policy. A monitor violation does not stop the server — the
 // pipeline records it, stops checking, and it surfaces in the Summary; a
-// long-lived server keeps serving (and logging) while operators decide.
-func (s *Server) feed(e history.Event, pos uint64) error {
-	if err := s.pipe.Feed(e, pos); err != live.ErrStop {
-		return err
+// long-lived server keeps serving and logging, so the rest of the drain
+// goes down again, to the sink only.
+func (s *Server) step(pos []uint64) error {
+	err := s.pipe.Advance(s.h, pos)
+	if err == live.ErrStop {
+		err = s.pipe.Advance(s.h, pos)
 	}
-	return nil
+	return err
 }
 
 // mergeLoop drains the session shards into the history until Shutdown has
@@ -257,13 +259,7 @@ func (s *Server) feed(e history.Event, pos uint64) error {
 // Shutdown reports it.
 func (s *Server) mergeLoop() {
 	defer close(s.mergeDone)
-	// The pipeline's rule decides whether the drain feeds at all; the
-	// server's policy wraps the feed only when there is one.
-	feed := s.pipe.Feeder()
-	if feed != nil {
-		feed = s.feed
-	}
-	s.mergeErr = s.merger.Run(s.h, feed, func() {
+	s.mergeErr = s.merger.Run(s.h, s.pipe.Positions(), s.step, func() {
 		s.refreshBounds()
 		s.checkOverload()
 	})
