@@ -5,6 +5,7 @@ import (
 
 	"github.com/elin-go/elin/internal/base"
 	"github.com/elin-go/elin/internal/check"
+	"github.com/elin-go/elin/internal/core/passthrough"
 	"github.com/elin-go/elin/internal/live"
 	"github.com/elin-go/elin/internal/spec"
 )
@@ -49,7 +50,7 @@ func E17Stress(cfg Config) (*Table, error) {
 		{
 			name: "mutex-fi",
 			mk: func() (live.Object, error) {
-				return live.NewSerialized("C", spec.NewObject(spec.FetchInc{}), 17)
+				return live.NewSerializedImpl(passthrough.New("C", spec.NewObject(spec.FetchInc{}), false), 4, nil, 17, check.Options{})
 			},
 			clients: 4, ops: 1500,
 			monitor: check.IncrementalConfig{Stride: 512},
@@ -57,8 +58,8 @@ func E17Stress(cfg Config) (*Table, error) {
 		{
 			name: "el-fi(window:400)",
 			mk: func() (live.Object, error) {
-				return live.NewSerializedEventual("C", spec.NewObject(spec.FetchInc{}),
-					base.Window{K: 400}, 17, check.Options{})
+				return live.NewSerializedImpl(passthrough.New("C", spec.NewObject(spec.FetchInc{}), true), 1,
+					base.SamePolicy(base.Window{K: 400}), 17, check.Options{})
 			},
 			clients: 1, ops: 1200,
 			monitor: check.IncrementalConfig{Stride: 256, MaxT: -1},

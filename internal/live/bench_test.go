@@ -46,23 +46,11 @@ func BenchmarkLiveAtomicFIMonitored(b *testing.B) {
 }
 
 func BenchmarkLiveSerializedFIRecord(b *testing.B) {
-	benchRun(b, func() Object {
-		s, err := NewSerialized("C", spec.NewObject(spec.FetchInc{}), 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return s
-	}, 4, false)
+	benchRun(b, func() Object { return newPassthrough(b, "C", spec.NewObject(spec.FetchInc{}), nil, 4, 1) }, 4, false)
 }
 
 func BenchmarkLiveSerializedFIMonitored(b *testing.B) {
-	benchRun(b, func() Object {
-		s, err := NewSerialized("C", spec.NewObject(spec.FetchInc{}), 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return s
-	}, 4, true)
+	benchRun(b, func() Object { return newPassthrough(b, "C", spec.NewObject(spec.FetchInc{}), nil, 4, 1) }, 4, true)
 }
 
 // BenchmarkMergerDrain prices the merge alone: two shards pre-filled the

@@ -11,8 +11,7 @@ import (
 // the first violation.
 type FuzzConfig struct {
 	// Base is the run configuration; Base.Seed is the campaign's first
-	// seed. When Base.Object implements Fresh (all Objects do), each run
-	// gets a pristine instance.
+	// seed. Each run gets a pristine instance from Base.Object.Fresh.
 	Base Config
 	// Runs is the number of seeds to try (default 8).
 	Runs int
@@ -56,7 +55,11 @@ func Fuzz(cfg FuzzConfig) (*FuzzResult, error) {
 	for i := 0; i < cfg.Runs; i++ {
 		run := cfg.Base
 		run.Seed = cfg.Base.Seed + int64(i)
-		run.Object = cfg.Base.Object.Fresh()
+		obj, err := cfg.Base.Object.Fresh()
+		if err != nil {
+			return nil, fmt.Errorf("live: fuzz run %d (seed %d): %w", i, run.Seed, err)
+		}
+		run.Object = obj
 		res, err := Run(run)
 		if err != nil {
 			return nil, fmt.Errorf("live: fuzz run %d (seed %d): %w", i, run.Seed, err)

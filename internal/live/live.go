@@ -14,7 +14,7 @@
 //
 // One shared atomic counter sequences the run, and it counts commits only:
 // an operation draws its commit ticket at the object's linearization point
-// (inside the mutex for Serialized; for AtomicFetchInc the draw IS the
+// (inside the mutex for SerializedImpl; for AtomicFetchInc the draw IS the
 // fetch-add — a fetch&increment is itself a sequencer, so the ticket is
 // the response). Invocation events do not draw tickets; they carry a
 // seq.Load() stamp taken at operation start and are merged into the gap
@@ -47,11 +47,8 @@ package live
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
-	"github.com/elin-go/elin/internal/base"
-	"github.com/elin-go/elin/internal/check"
 	"github.com/elin-go/elin/internal/spec"
 )
 
@@ -73,122 +70,9 @@ type Object interface {
 	// object's commit history in ticket order.
 	Apply(proc int, op spec.Op, seq *atomic.Uint64) (resp int64, ticket uint64, err error)
 	// Fresh returns a new instance with the same parameters and pristine
-	// state (the replay and fuzz layers re-execute against it).
-	Fresh() Object
-}
-
-// ----------------------------------------------------------------------------
-// Serialized: the mutex adapter.
-
-// Serialized makes any base.Object concurrency-safe by serializing Apply
-// under a mutex — the correctness baseline every lock-free object is
-// measured against, and the only generic way to run eventually linearizable
-// base objects (whose candidate computation is stateful) under real
-// concurrency. Response choices among weak-consistency candidates are a
-// pure function of (seed, commit ticket), keeping runs reproducible from
-// the recorded commit order.
-type Serialized struct {
-	name     string
-	sp       spec.Object
-	eventual bool
-	policy   base.Policy
-	seed     int64
-	opts     check.Options
-
-	mu  sync.Mutex
-	obj base.Object
-}
-
-var _ Object = (*Serialized)(nil)
-
-// NewSerialized wraps an atomic (linearizable) base object of the given
-// specification.
-func NewSerialized(name string, obj spec.Object, seed int64) (*Serialized, error) {
-	return newSerialized(name, obj, false, nil, seed, check.Options{})
-}
-
-// NewSerializedEventual wraps an eventually linearizable base object: before
-// the policy's stabilization point responses range over the Definition 1
-// candidate set, chosen deterministically from (seed, commit ticket).
-func NewSerializedEventual(name string, obj spec.Object, policy base.Policy, seed int64, opts check.Options) (*Serialized, error) {
-	if policy == nil {
-		policy = base.Never{}
-	}
-	return newSerialized(name, obj, true, policy, seed, opts)
-}
-
-func newSerialized(name string, obj spec.Object, eventual bool, policy base.Policy, seed int64, opts check.Options) (*Serialized, error) {
-	s := &Serialized{name: name, sp: obj, eventual: eventual, policy: policy, seed: seed, opts: opts}
-	var err error
-	if eventual {
-		s.obj, err = base.NewEventual(name, obj, policy, opts)
-	} else {
-		s.obj, err = base.NewAtomic(name, obj)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// Name implements Object.
-func (s *Serialized) Name() string { return s.name }
-
-// Spec implements Object.
-func (s *Serialized) Spec() spec.Object { return s.sp }
-
-// TryFresh implements TryFresher: a pristine instance, with construction
-// failures (possible when recovery rebuilds objects under injected faults)
-// returned as errors instead of panics.
-func (s *Serialized) TryFresh() (Object, error) {
-	cp, err := newSerialized(s.name, s.sp, s.eventual, s.policy, s.seed, s.opts)
-	if err != nil {
-		return nil, fmt.Errorf("live: Serialized.TryFresh: %w", err)
-	}
-	return cp, nil
-}
-
-// Fresh implements Object. Construction succeeded once with identical
-// parameters, so a failure here is a programming error; error-aware
-// callers use TryFresh.
-func (s *Serialized) Fresh() Object {
-	cp, err := s.TryFresh()
-	if err != nil {
-		panic(err.Error())
-	}
-	return cp
-}
-
-// Apply implements Object: candidates, ticket draw and commit happen inside
-// one critical section, so the commit ticket is the linearization point.
-func (s *Serialized) Apply(proc int, op spec.Op, seq *atomic.Uint64) (int64, uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cands, err := s.obj.Candidates(proc, op)
-	if err != nil {
-		return 0, 0, err
-	}
-	ticket := seq.Add(1)
-	resp := cands[0]
-	if len(cands) > 1 {
-		resp = cands[pickIndex(s.seed, ticket, len(cands))]
-	}
-	if err := s.obj.Commit(proc, op, resp); err != nil {
-		return 0, 0, err
-	}
-	return resp, ticket, nil
-}
-
-// pickIndex chooses a candidate index as a pure function of (seed, ticket):
-// a splitmix64 step over the combined value.
-func pickIndex(seed int64, ticket uint64, n int) int {
-	x := uint64(seed) ^ (ticket * 0x9E3779B97F4A7C15)
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return int(x % uint64(n))
+	// state (the replay, resume and fuzz layers re-execute against it), or
+	// the error that rebuilding it met.
+	Fresh() (Object, error)
 }
 
 // ----------------------------------------------------------------------------
@@ -223,7 +107,7 @@ func (c *AtomicFetchInc) Spec() spec.Object {
 }
 
 // Fresh implements Object.
-func (c *AtomicFetchInc) Fresh() Object { return NewAtomicFetchInc(c.name, c.init) }
+func (c *AtomicFetchInc) Fresh() (Object, error) { return NewAtomicFetchInc(c.name, c.init), nil }
 
 // Apply implements Object.
 func (c *AtomicFetchInc) Apply(proc int, op spec.Op, seq *atomic.Uint64) (int64, uint64, error) {
@@ -263,7 +147,7 @@ func (c *JunkFetchInc) Name() string { return c.name }
 func (c *JunkFetchInc) Spec() spec.Object { return spec.NewObject(spec.FetchInc{}) }
 
 // Fresh implements Object.
-func (c *JunkFetchInc) Fresh() Object { return NewJunkFetchInc(c.name, c.stick) }
+func (c *JunkFetchInc) Fresh() (Object, error) { return NewJunkFetchInc(c.name, c.stick), nil }
 
 // Apply implements Object.
 func (c *JunkFetchInc) Apply(proc int, op spec.Op, seq *atomic.Uint64) (int64, uint64, error) {

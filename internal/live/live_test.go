@@ -7,6 +7,7 @@ import (
 
 	"github.com/elin-go/elin/internal/base"
 	"github.com/elin-go/elin/internal/check"
+	"github.com/elin-go/elin/internal/core/passthrough"
 	"github.com/elin-go/elin/internal/spec"
 )
 
@@ -48,12 +49,22 @@ func TestAtomicFetchIncParallel(t *testing.T) {
 	}
 }
 
+// newPassthrough is the mutex-serialized passthrough over one base object
+// of type obj for clients clients — registry's mutex-fi and mutex-reg when
+// policy is nil, its el-fi (an eventually linearizable base stabilizing
+// under policy) otherwise.
+func newPassthrough(tb testing.TB, name string, obj spec.Object, policy base.Policy, clients int, seed int64) *SerializedImpl {
+	tb.Helper()
+	s, err := NewSerializedImpl(passthrough.New(name, obj, policy != nil), clients, base.SamePolicy(policy), seed, check.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
 func TestSerializedMatchesBaseObject(t *testing.T) {
 	// Serial application through the adapter equals direct base stepping.
-	s, err := NewSerialized("C", spec.NewObject(spec.FetchInc{}), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newPassthrough(t, "C", spec.NewObject(spec.FetchInc{}), nil, 1, 1)
 	var seq atomic.Uint64
 	op := spec.MakeOp(spec.MethodFetchInc)
 	for i := int64(0); i < 10; i++ {
@@ -73,11 +84,7 @@ func TestSerializedMatchesBaseObject(t *testing.T) {
 func TestSerializedEventualDeterministicChoice(t *testing.T) {
 	// The same (seed, commit order) must yield the same responses.
 	runOnce := func() []int64 {
-		s, err := NewSerializedEventual("C", spec.NewObject(spec.FetchInc{}),
-			base.Never{}, 42, check.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := newPassthrough(t, "C", spec.NewObject(spec.FetchInc{}), base.Never{}, 3, 42)
 		var seq atomic.Uint64
 		op := spec.MakeOp(spec.MethodFetchInc)
 		var out []int64
@@ -97,11 +104,7 @@ func TestSerializedEventualDeterministicChoice(t *testing.T) {
 		}
 	}
 	// And a different seed should (here) make different stale choices.
-	s2, err := NewSerializedEventual("C", spec.NewObject(spec.FetchInc{}),
-		base.Never{}, 43, check.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := newPassthrough(t, "C", spec.NewObject(spec.FetchInc{}), base.Never{}, 3, 43)
 	var seq atomic.Uint64
 	op := spec.MakeOp(spec.MethodFetchInc)
 	diff := false

@@ -43,7 +43,7 @@ type ResumeResult struct {
 // (wrong template parameters, or an object whose responses are not a
 // function of its commit order) and aborts the resume.
 func Resume(template Object, rec *wal.Recovered) (*ResumeResult, error) {
-	fresh, err := tryFresh(template)
+	fresh, err := template.Fresh()
 	if err != nil {
 		return nil, fmt.Errorf("live: resume: %w", err)
 	}

@@ -377,7 +377,7 @@ func (f *failingObject) Apply(proc int, op spec.Op, seq *atomic.Uint64) (int64, 
 	return 0, 0, fmt.Errorf("synthetic fault")
 }
 
-func (f *failingObject) Fresh() Object { return f }
+func (f *failingObject) Fresh() (Object, error) { return f, nil }
 
 func TestClientErrorContext(t *testing.T) {
 	_, err := Run(Config{
@@ -412,24 +412,5 @@ func TestJoinClientErrors(t *testing.T) {
 	}
 	if i0 > i2 {
 		t.Fatalf("victims not sorted by client id: %q", msg)
-	}
-}
-
-func TestTryFresh(t *testing.T) {
-	s, err := NewSerialized("C", spec.NewObject(spec.FetchInc{}), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := s.TryFresh()
-	if err != nil || cp == nil {
-		t.Fatalf("TryFresh: %v", err)
-	}
-	if cp == Object(s) {
-		t.Fatal("TryFresh returned the same instance")
-	}
-	// tryFresh falls back to Fresh for plain objects.
-	o, err := tryFresh(NewAtomicFetchInc("C", 0))
-	if err != nil || o == nil {
-		t.Fatalf("tryFresh fallback: %v", err)
 	}
 }

@@ -524,7 +524,7 @@ func Percentiles(samples ...[]int64) (p50, p95, p99, max time.Duration) {
 // only reshape the commit order the history already records, and a crash
 // only truncates it.
 func Replay(obj Object, h *history.History) (*history.History, error) {
-	fresh, err := tryFresh(obj)
+	fresh, err := obj.Fresh()
 	if err != nil {
 		return nil, err
 	}

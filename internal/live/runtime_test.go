@@ -51,25 +51,10 @@ func TestRunReplayByteIdentical(t *testing.T) {
 	// The reproducibility contract: replaying a recorded run re-derives it
 	// byte for byte, for every object kind (the junk counter runs with the
 	// monitor in observe-only mode so its run completes).
-	mkSerial := func() Object {
-		s, err := NewSerialized("C", spec.NewObject(spec.FetchInc{}), 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	mkEventual := func() Object {
-		s, err := NewSerializedEventual("C", spec.NewObject(spec.FetchInc{}),
-			base.Window{K: 200}, 3, check.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
 	objects := map[string]Object{
 		"atomic-fi":   NewAtomicFetchInc("C", 0),
-		"serialized":  mkSerial(),
-		"el-counter":  mkEventual(),
+		"serialized":  newPassthrough(t, "C", spec.NewObject(spec.FetchInc{}), nil, 6, 3),
+		"el-counter":  newPassthrough(t, "C", spec.NewObject(spec.FetchInc{}), base.Window{K: 200}, 6, 3),
 		"junk-sticky": NewJunkFetchInc("C", 40),
 	}
 	for name, obj := range objects {
@@ -108,11 +93,7 @@ func TestRunReplayByteIdentical(t *testing.T) {
 func TestRunEventualStabilizes(t *testing.T) {
 	// An eventually linearizable counter: stale windows early, exact after
 	// the policy stabilizes. In observe-only mode the trend must stabilize.
-	s, err := NewSerializedEventual("C", spec.NewObject(spec.FetchInc{}),
-		base.Window{K: 300}, 9, check.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newPassthrough(t, "C", spec.NewObject(spec.FetchInc{}), base.Window{K: 300}, 3, 9)
 	res, err := Run(Config{
 		Object:  s,
 		Clients: 3,
@@ -250,10 +231,7 @@ func TestRunSerializedRegisterMix(t *testing.T) {
 	// A non-counter type through the generic checker: read/write mix on a
 	// mutex-serialized register. Stride keeps each window under the
 	// generic engine's operation cap.
-	s, err := NewSerialized("R", spec.NewObject(spec.Register{}), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newPassthrough(t, "R", spec.NewObject(spec.Register{}), nil, 4, 4)
 	res, err := Run(Config{
 		Object:  s,
 		Clients: 4,

@@ -84,26 +84,15 @@ func (s *SerializedImpl) Name() string { return s.impl.Name() }
 // Spec implements Object.
 func (s *SerializedImpl) Spec() spec.Object { return s.impl.Spec() }
 
-// TryFresh implements TryFresher: a pristine instance, with construction
-// failures (possible when recovery rebuilds objects under injected faults)
-// returned as errors instead of panics.
-func (s *SerializedImpl) TryFresh() (Object, error) {
+// Fresh implements Object: construction can fail (recovery rebuilds
+// objects under injected faults), and the error is returned for the
+// caller to report.
+func (s *SerializedImpl) Fresh() (Object, error) {
 	cp, err := NewSerializedImpl(s.impl, s.clients, s.policies, s.seed, s.opts)
 	if err != nil {
-		return nil, fmt.Errorf("live: SerializedImpl.TryFresh: %w", err)
+		return nil, fmt.Errorf("live: SerializedImpl.Fresh: %w", err)
 	}
 	return cp, nil
-}
-
-// Fresh implements Object. Construction succeeded once with identical
-// parameters, so a failure here is a programming error; error-aware
-// callers use TryFresh.
-func (s *SerializedImpl) Fresh() Object {
-	cp, err := s.TryFresh()
-	if err != nil {
-		panic(err.Error())
-	}
-	return cp
 }
 
 // Apply implements Object: the client's programme runs to completion inside
@@ -150,9 +139,11 @@ func (s *SerializedImpl) Apply(proc int, op spec.Op, seq *atomic.Uint64) (int64,
 // pickIndexStep chooses a weak-consistency candidate as a pure function of
 // (seed, ticket, step index): a splitmix64 step over the combined value, so
 // every base action of every operation draws an independent, reproducible
-// choice.
+// choice. The step term vanishes at step 0, so a one-step implementation
+// (a passthrough over one base object) draws a pure function of (seed,
+// ticket).
 func pickIndexStep(seed int64, ticket uint64, step, n int) int {
-	x := uint64(seed) ^ (ticket * 0x9E3779B97F4A7C15) ^ (uint64(step+1) * 0xD1B54A32D192ED03)
+	x := uint64(seed) ^ (ticket * 0x9E3779B97F4A7C15) ^ (uint64(step) * 0xD1B54A32D192ED03)
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 27

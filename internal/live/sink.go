@@ -21,21 +21,3 @@ type CommitSink interface {
 	Append(e history.Event, pos uint64) error
 	Close() error
 }
-
-// TryFresher is the non-panicking variant of Object.Fresh: objects whose
-// construction can fail (the Serialized wrappers rebuild base objects)
-// implement it so that a failure during recovery surfaces as a verdict
-// instead of a crash. tryFresh is the runtime's accessor; plain objects
-// whose Fresh cannot fail need not implement it.
-type TryFresher interface {
-	TryFresh() (Object, error)
-}
-
-// tryFresh returns a pristine instance of obj, via TryFresh when the
-// object implements it and Fresh otherwise.
-func tryFresh(obj Object) (Object, error) {
-	if tf, ok := obj.(TryFresher); ok {
-		return tf.TryFresh()
-	}
-	return obj.Fresh(), nil
-}

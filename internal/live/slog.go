@@ -65,12 +65,12 @@ func (c *SlogFetchInc) Name() string { return c.name }
 func (c *SlogFetchInc) Spec() spec.Object { return spec.NewObject(spec.FetchInc{}) }
 
 // Fresh implements Object.
-func (c *SlogFetchInc) Fresh() Object {
+func (c *SlogFetchInc) Fresh() (Object, error) {
 	cp, err := NewSlogFetchInc(c.name, c.batch, len(c.clients))
 	if err != nil {
-		panic(err.Error()) // construction succeeded once with the same parameters
+		return nil, err
 	}
-	return cp
+	return cp, nil
 }
 
 // Apply implements Object: the ticket draw is the append, position

@@ -62,7 +62,11 @@ func TestSlogFetchIncReplayDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := run(obj)
-	b := run(obj.Fresh())
+	fresh, err := obj.Fresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := run(fresh)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("replay diverged at op %d: %d vs %d", i, a[i], b[i])

@@ -7,6 +7,7 @@ import (
 
 	"github.com/elin-go/elin/internal/base"
 	"github.com/elin-go/elin/internal/check"
+	"github.com/elin-go/elin/internal/core/passthrough"
 	"github.com/elin-go/elin/internal/core/stablog"
 	"github.com/elin-go/elin/internal/live"
 	"github.com/elin-go/elin/internal/spec"
@@ -27,10 +28,11 @@ func LiveObjectNames() []string {
 // Live-native objects:
 //
 //	atomic-fi[:init]   lock-free fetch&increment (one atomic fetch-add)
-//	mutex-fi[:init]    mutex-serialized atomic counter base object
-//	mutex-reg[:init]   mutex-serialized atomic register
-//	el-fi[:init]       mutex-serialized eventually linearizable counter
-//	                   (stabilization from policy)
+//	mutex-fi[:init]    passthrough over an atomic counter, mutex-serialized
+//	mutex-reg[:init]   passthrough over an atomic register, mutex-serialized
+//	el-fi[:init]       passthrough over an eventually linearizable counter,
+//	                   mutex-serialized (stabilization from policy, never
+//	                   when nil)
 //	junk-fi:K          injected bug: loses every increment past K
 //	slog-fi[:K]        lock-free stabilizing-log counter, promotion batch K
 //
@@ -64,25 +66,20 @@ func LiveObject(name string, clients int, policy base.Policy, seed int64, opts c
 			return nil, err
 		}
 		return live.NewAtomicFetchInc("C", init), nil
-	case "mutex-fi":
+	case "mutex-fi", "mutex-reg", "el-fi":
 		init, err := argInt(0)
 		if err != nil {
 			return nil, err
 		}
-		return live.NewSerialized("C", spec.Object{Type: spec.FetchInc{InitVal: init}, Init: init}, seed)
-	case "mutex-reg":
-		init, err := argInt(0)
-		if err != nil {
-			return nil, err
+		objName, obj := "C", spec.Object{Type: spec.FetchInc{InitVal: init}, Init: init}
+		if kind == "mutex-reg" {
+			objName, obj = "R", spec.Object{Type: spec.Register{InitVal: init}, Init: init}
 		}
-		return live.NewSerialized("R", spec.Object{Type: spec.Register{InitVal: init}, Init: init}, seed)
-	case "el-fi":
-		init, err := argInt(0)
-		if err != nil {
-			return nil, err
+		eventual := kind == "el-fi"
+		if eventual && policy == nil {
+			policy = base.Never{}
 		}
-		return live.NewSerializedEventual("C",
-			spec.Object{Type: spec.FetchInc{InitVal: init}, Init: init}, policy, seed, opts)
+		return live.NewSerializedImpl(passthrough.New(objName, obj, eventual), clients, base.SamePolicy(policy), seed, opts)
 	case "junk-fi":
 		stick, err := argInt(32)
 		if err != nil {

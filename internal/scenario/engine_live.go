@@ -146,8 +146,8 @@ func (s Scenario) liveReport(res *live.Result) (*Report, error) {
 // Run implements Engine.
 func (Live) Run(s Scenario) (*Report, error) {
 	s = s.withDefaults()
-	if s.NetFaults != "" && s.NetFaults != "none" {
-		return nil, fmt.Errorf("scenario: net-faults %q are a serve-engine feature; engine %q rejects them (the live engine has no connections to sever)", s.NetFaults, "live")
+	if nf := s.option("net-faults"); nf != "" {
+		return nil, fmt.Errorf("scenario: net-faults %q are a serve-engine feature; engine %q rejects them (the live engine has no connections to sever)", nf, "live")
 	}
 	obj, err := s.resolveLive()
 	if err != nil {

@@ -132,6 +132,34 @@ func TestServeEngineRejections(t *testing.T) {
 	}
 }
 
+// Explore and Sim refuse every option coordinate away from its default,
+// naming the axis and the engine, and accept each at its default.
+func TestLiveOnlyRejections(t *testing.T) {
+	cases := []struct {
+		s    Scenario
+		want string
+	}{
+		{Scenario{Faults: "chaos"}, "faults"},
+		{Scenario{NetFaults: "flaky-net"}, "net-faults"},
+		{Scenario{WALSync: "never"}, "wal-sync"},
+		{Scenario{Monitor: "sample:2"}, "monitor"},
+		{Scenario{WAL: "x.wal"}, "WAL commit logging"},
+		{Scenario{Serial: true}, "serial driver"},
+	}
+	defaults := Scenario{Faults: "none", NetFaults: "none", WALSync: "none", Monitor: "full"}
+	for _, engine := range []string{"explore", "sim"} {
+		for _, c := range cases {
+			err := c.s.rejectLiveOnly(engine)
+			if err == nil || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), `"`+engine+`"`) {
+				t.Errorf("%s accepted %s (err %v)", engine, c.want, err)
+			}
+		}
+		if err := defaults.rejectLiveOnly(engine); err != nil {
+			t.Errorf("%s refused the defaults: %v", engine, err)
+		}
+	}
+}
+
 // Net-fault and WAL-sync coordinates enter the cell identity — and
 // canonicalize, so a preset and its grammar spelling share a cell.
 func TestServeEngineCellID(t *testing.T) {

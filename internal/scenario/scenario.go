@@ -352,21 +352,25 @@ func (s Scenario) resolveFaults() (*faults.Spec, error) {
 
 // rejectLiveOnly errors when a scenario carries live-only features into
 // another engine. Explore quantifies over every schedule and Sim picks one
-// deterministically, so wall-clock fault injection, commit logging and the
-// serial driver have no meaning there — silently ignoring them would make
-// a faulted campaign axis lie about what its explore/sim cells ran.
+// deterministically, so wall-clock fault injection, network faults,
+// commit logging, a monitor choice and the serial driver have no meaning
+// there — silently ignoring them would make a campaign axis lie about what
+// its explore/sim cells ran. Every option coordinate away from its default
+// is such a feature.
 func (s Scenario) rejectLiveOnly(engine string) error {
+	for _, c := range Coords {
+		if c.Kind != CoordOption {
+			continue
+		}
+		if name := c.name(&s); name != "" {
+			return fmt.Errorf("scenario: %s %q is a live/serve-engine feature; engine %q rejects it (exclude such cells from %s sweeps)", c.Axis, name, engine, engine)
+		}
+	}
 	switch {
-	case s.Faults != "" && s.Faults != "none":
-		return fmt.Errorf("scenario: faults %q are a live-engine feature; engine %q rejects them (exclude faulted cells from %s sweeps)", s.Faults, engine, engine)
-	case s.NetFaults != "" && s.NetFaults != "none":
-		return fmt.Errorf("scenario: net-faults %q are a serve-engine feature; engine %q rejects them", s.NetFaults, engine)
-	case s.WAL != "" || s.WALSync != "":
+	case s.WAL != "":
 		return fmt.Errorf("scenario: WAL commit logging is a live/serve-engine feature; engine %q rejects it", engine)
 	case s.Serial:
 		return fmt.Errorf("scenario: the serial driver is a live-engine feature; engine %q rejects it", engine)
-	case s.Monitor != "" && s.Monitor != "full":
-		return fmt.Errorf("scenario: monitor %q selects the online monitor, a live/serve-engine feature; engine %q rejects it (exclude monitor cells from %s sweeps)", s.Monitor, engine, engine)
 	}
 	return nil
 }
@@ -376,15 +380,27 @@ func (s Scenario) rejectLiveOnly(engine string) error {
 // flips) acts inside live.Run's client goroutines, which a networked run
 // does not have — its fault plane is NetFaults, acting on connections.
 func (s Scenario) rejectNonServe() error {
+	if f := s.option("faults"); f != "" {
+		return fmt.Errorf("scenario: faults %q are a live-engine feature; engine %q rejects them (its fault plane is net-faults)", f, "serve")
+	}
 	switch {
-	case s.Faults != "" && s.Faults != "none":
-		return fmt.Errorf("scenario: process faults %q are a live-engine feature; the serve engine's fault plane is NetFaults", s.Faults)
 	case s.Serial:
-		return fmt.Errorf("scenario: the serial driver is a live-engine feature; the serve engine rejects it")
+		return fmt.Errorf("scenario: the serial driver is a live-engine feature; engine %q rejects it", "serve")
 	case s.FuzzRuns > 0:
-		return fmt.Errorf("scenario: fuzz campaigns are a live-engine feature; the serve engine rejects them")
+		return fmt.Errorf("scenario: fuzz campaigns are a live-engine feature; engine %q rejects them", "serve")
 	}
 	return nil
+}
+
+// option is the stored form of the option coordinate on axis: "" at its
+// default, its canonical spelling otherwise.
+func (s Scenario) option(axis string) string {
+	for _, c := range Coords {
+		if c.Axis == axis {
+			return c.name(&s)
+		}
+	}
+	panic("scenario: no coordinate " + axis)
 }
 
 // monitorOff reports whether the resolved monitor spec is the record-only
