@@ -92,7 +92,7 @@ func TestExploreErrors(t *testing.T) {
 func TestSimGoldenRun(t *testing.T) {
 	out := runOut(t, "sim", "-impl", "warmup-counter:2", "-procs", "2", "-ops", "2",
 		"-sched", "rr", "-chooser", "stale", "-policy", "window:2", "-seed", "5", "-tolerance", "-1", "-dump")
-	want := `engine=sim impl=warmup-counter:2 workload=default procs=2 ops=2 seed=5
+	want := `engine=sim impl=warmup-counter:2 workload=default policy=window:2 procs=2 ops=2 tolerance=-1 seed=5
 verdict: ok (observe-only (negative tolerance))
 checks: linearizable=false weakly-consistent=true MinT=3
 trend: stabilized final-MinT=3 slope=0.0000 windows=4

@@ -144,16 +144,27 @@ func TestReproRoundTrip(t *testing.T) {
 
 // TestHeaderEchoesEveryOption pins the human header against the cell
 // identity: every option the CellID carries is echoed, in CellID order and
-// under its axis name, monitor last (ci.yml greps `monitor=…$`). The
-// faults= echo was missing before the header walked the coordinate table.
+// under its axis name, monitor last (ci.yml greps `monitor=…$`), and so
+// are a policy other than immediate and a non-zero tolerance. The faults=
+// echo was missing before the header walked the coordinate table, and the
+// policy= and tolerance= echoes before two runs differing only in them
+// printed the same header.
 func TestHeaderEchoesEveryOption(t *testing.T) {
 	header := func(args ...string) string {
 		first, _, _ := strings.Cut(runOut(t, args...), "\n")
 		return first
 	}
 	base := []string{"stress", "-impl", "atomic-fi", "-procs", "2", "-ops", "50", "-serial"}
-	if got, want := header(base...), "engine=live impl=atomic-fi workload=default procs=2 ops=50 seed=1"; got != want {
+	// stress defaults to the window:400 policy.
+	if got, want := header(base...), "engine=live impl=atomic-fi workload=default policy=window:400 procs=2 ops=50 seed=1"; got != want {
 		t.Errorf("default header = %q, want %q", got, want)
+	}
+	if got, want := header(append(base, "-policy", "window:300", "-tolerance", "-1")...),
+		"engine=live impl=atomic-fi workload=default policy=window:300 procs=2 ops=50 tolerance=-1 seed=1"; got != want {
+		t.Errorf("policy and tolerance header = %q, want %q", got, want)
+	}
+	if got, want := header(append(base, "-policy", "immediate")...), "engine=live impl=atomic-fi workload=default procs=2 ops=50 seed=1"; got != want {
+		t.Errorf("immediate-policy header = %q, want %q", got, want)
 	}
 	got := header(append(base, "-faults", "jitter-light", "-monitor", "sample:02",
 		"-wal", filepath.Join(t.TempDir(), "h.wal"))...)

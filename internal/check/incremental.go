@@ -1,6 +1,7 @@
 package check
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/elin-go/elin/internal/history"
@@ -131,7 +132,9 @@ type Incremental struct {
 type SamplingStats struct {
 	// Every is the current sampling interval (1 = exhaustive).
 	Every int
-	// Skipped counts closed windows whose MinT search was skipped.
+	// Skipped counts closed windows that record no sample: skipped by the
+	// sampling cadence or, observe-only (MaxT < 0), left undecided by the
+	// search budget.
 	Skipped int
 	// Escalations counts the times a near-violation (measured MinT past half
 	// the tolerance) forced sampling back to exhaustive.
@@ -291,6 +294,11 @@ func (m *Incremental) closeWindow(force bool) (*WindowViolation, error) {
 	}
 	m.skipLeft = m.sampling.Every - 1
 	t, ok, err := windowMinT(m.obj, &m.tb, m.cfg.Opts, &m.sc)
+	if errors.Is(err, ErrBudget) && m.cfg.MaxT < 0 {
+		// Observe-only: a window the budget cannot decide is no sample.
+		m.sampling.Skipped++
+		return nil, m.advanceCut()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("check: monitor window [%d,%d): %w", m.start, m.events, err)
 	}

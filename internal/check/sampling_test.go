@@ -1,6 +1,7 @@
 package check
 
 import (
+	"errors"
 	"testing"
 
 	"github.com/elin-go/elin/internal/history"
@@ -174,5 +175,42 @@ func TestIncrementalSamplingNoEscalationObserved(t *testing.T) {
 	}
 	if m.Sampling().Every != 2 {
 		t.Fatalf("observe-only SampleEvery = %d, want 2", m.Sampling().Every)
+	}
+}
+
+// A window the search budget cannot decide is no sample for an
+// observe-only monitor (MaxT < 0): it counts as skipped and the cut folds
+// on. A monitor with a tolerance still fails on it.
+func TestIncrementalBudgetExhaustedWindow(t *testing.T) {
+	obj := spec.NewObject(spec.Register{})
+	h := history.New()
+	for v := int64(1); v <= 4; v++ { // overlapping write/read pairs: 2 windows of 8 events
+		mustDo(t, h.Invoke(0, "R", spec.MakeOp1(spec.MethodWrite, v)))
+		mustDo(t, h.Invoke(1, "R", spec.MakeOp(spec.MethodRead)))
+		mustDo(t, h.Respond(0, 0))
+		mustDo(t, h.Respond(1, v))
+	}
+	for _, maxT := range []int{-1, 0} {
+		m := NewIncremental(obj, IncrementalConfig{Stride: 8, MaxT: maxT, Opts: Options{Budget: 1}})
+		var err error
+		for i := 0; i < h.Len() && err == nil; i++ {
+			_, err = m.Feed(h.Event(i))
+		}
+		if err == nil {
+			_, err = m.Finish()
+		}
+		if maxT >= 0 {
+			if !errors.Is(err, ErrBudget) {
+				t.Fatalf("MaxT %d: err = %v, want ErrBudget", maxT, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("MaxT %d: %v", maxT, err)
+		}
+		if s := m.Sampling(); s.Skipped != 2 || m.Checks() != 0 || len(m.Samples()) != 0 {
+			t.Fatalf("MaxT %d: skipped %d, checks %d, samples %v; want 2 skipped and no sample",
+				maxT, s.Skipped, m.Checks(), m.Samples())
+		}
 	}
 }

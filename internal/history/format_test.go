@@ -134,6 +134,13 @@ func sameAsModel(t *testing.T, what string, h *History, m model) {
 	if got := h.Operations(); !reflect.DeepEqual(got, ops) {
 		t.Fatalf("%s: Operations() = %v, model %v", what, got, ops)
 	}
+	for _, o := range ops {
+		for _, i := range []int{o.Inv, o.Res} {
+			if i >= 0 && h.Op(i) != o.Op {
+				t.Fatalf("%s: Op(%d) = %v, model %v", what, i, h.Op(i), o.Op)
+			}
+		}
+	}
 	var tab OpTable
 	tab.Fill(h)
 	if !reflect.DeepEqual(tab.Ops, ops) || tab.Events != len(m) {

@@ -229,6 +229,16 @@ func (h *History) Len() int { return len(h.recs) }
 // Event returns the i-th event.
 func (h *History) Event(i int) Event { return h.decode(&h.recs[i]) }
 
+// Op returns the operation event i invokes or, for a response, the
+// operation it answers.
+func (h *History) Op(i int) spec.Op {
+	r := &h.recs[i]
+	if r.kind() == KindRespond {
+		r = &h.recs[r.link]
+	}
+	return h.op(r)
+}
+
 // Events returns a copy of the event sequence.
 func (h *History) Events() []Event {
 	cp := make([]Event, len(h.recs))

@@ -10,15 +10,18 @@ import (
 
 func TestTruncateRestoresPendingState(t *testing.T) {
 	h := New()
-	read := spec.MakeOp(spec.MethodRead)
+	read, inc := spec.MakeOp(spec.MethodRead), spec.MakeOp(spec.MethodFetchInc)
 	if err := h.Invoke(0, "X", read); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Invoke(1, "X", read); err != nil {
+	if err := h.Invoke(1, "X", inc); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.Respond(0, 7); err != nil {
 		t.Fatal(err)
+	}
+	if h.Op(0) != read || h.Op(1) != inc || h.Op(2) != read {
+		t.Fatalf("Op(0..2) = %v %v %v, want read fetchinc read", h.Op(0), h.Op(1), h.Op(2))
 	}
 	// Truncating the response reopens p0's invocation: responding again must
 	// succeed, re-invoking must fail.
@@ -29,8 +32,8 @@ func TestTruncateRestoresPendingState(t *testing.T) {
 	if err := h.Respond(0, 9); err != nil {
 		t.Fatalf("p0 could not respond after truncate: %v", err)
 	}
-	if h.Event(2).Resp != 9 {
-		t.Fatalf("event 2 = %v", h.Event(2))
+	if h.Event(2).Resp != 9 || h.Op(2) != read {
+		t.Fatalf("event 2 = %v answering %v", h.Event(2), h.Op(2))
 	}
 	// Truncating an invocation frees the process to invoke again.
 	h.Truncate(1)

@@ -39,10 +39,10 @@
 // everything *except* the race outcomes: per-client operation streams are
 // deterministic RNG streams, and response choices of eventually
 // linearizable objects are pure functions of (seed, commit ticket). The
-// recorded commit order therefore determines the entire run: Replay
+// recorded commit order therefore determines the entire run: Verify
 // re-executes a merged history serially, re-deriving every response, and
-// must reproduce it byte for byte — the reproducibility contract the fuzz
-// and shrink layers build on.
+// must find each one recorded — the reproducibility contract the fuzz,
+// shrink and recovery layers build on.
 package live
 
 import (
@@ -55,8 +55,8 @@ import (
 // Object is a concurrency-safe shared object: many client goroutines call
 // Apply simultaneously. Implementations draw the operation's commit ticket
 // from seq at their linearization point (see the package comment) and must
-// be deterministic functions of the commit order, so that Replay can
-// re-derive every response from a recorded run.
+// be deterministic functions of the commit order, so that Verify (and
+// Resume) can re-derive every response from a recorded run.
 type Object interface {
 	// Name is the object's name in recorded histories.
 	Name() string
@@ -84,7 +84,7 @@ type Object interface {
 // away. The fetch-add is performed directly on the run's commit sequencer:
 // a fetch&increment is itself a sequencer, so the linearization point, the
 // commit ticket and the response are one atomic operation — which is what
-// makes the recorded run exactly commit-deterministic (Replay re-derives
+// makes the recorded run exactly commit-deterministic (Verify re-derives
 // every response from the ticket alone).
 type AtomicFetchInc struct {
 	name string

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"github.com/elin-go/elin/internal/history"
-	"github.com/elin-go/elin/internal/spec"
 	"github.com/elin-go/elin/internal/wal"
 )
 
@@ -50,35 +49,22 @@ func Resume(template Object, rec *wal.Recovered) (*ResumeResult, error) {
 	var seq atomic.Uint64
 	h := history.New()
 	h.Reserve(rec.Frames)
-	pending := make(map[int]spec.Op)
 	committed, i := 0, -1
 	for e, pos := range rec.All() {
 		i++
-		if e.Kind == history.KindInvoke {
-			if _, dup := pending[e.Proc]; dup {
-				return nil, fmt.Errorf("live: resume event %d: client %d invoked twice without a response", i, e.Proc)
-			}
-			pending[e.Proc] = e.Op
-			if err := h.Invoke(e.Proc, e.Obj, e.Op); err != nil {
-				return nil, fmt.Errorf("live: resume event %d: %w", i, err)
-			}
+		if err := h.Append(e); err != nil {
+			return nil, fmt.Errorf("live: resume event %d: %w", i, err)
+		}
+		if e.Kind != history.KindRespond {
 			continue
 		}
-		op, ok := pending[e.Proc]
-		if !ok {
-			return nil, fmt.Errorf("live: resume event %d: response without invocation (client %d)", i, e.Proc)
-		}
-		delete(pending, e.Proc)
-		resp, ticket, err := fresh.Apply(e.Proc, op, &seq)
+		resp, ticket, err := fresh.Apply(e.Proc, h.Op(i), &seq)
 		if err != nil {
 			return nil, fmt.Errorf("live: resume event %d: %w", i, err)
 		}
 		if resp != e.Resp || ticket != pos {
 			return nil, fmt.Errorf("live: resume event %d: log says client %d %s -> %d at ticket %d, replay derives %d at ticket %d (wrong template, or object is not commit-deterministic)",
-				i, e.Proc, op, e.Resp, pos, resp, ticket)
-		}
-		if err := h.Respond(e.Proc, resp); err != nil {
-			return nil, fmt.Errorf("live: resume event %d: %w", i, err)
+				i, e.Proc, h.Op(i), e.Resp, pos, resp, ticket)
 		}
 		committed++
 	}
@@ -87,6 +73,6 @@ func Resume(template Object, rec *wal.Recovered) (*ResumeResult, error) {
 		NextSeq:   seq.Load(),
 		History:   h,
 		Committed: committed,
-		Pending:   len(pending),
+		Pending:   h.Len() - 2*committed,
 	}, nil
 }

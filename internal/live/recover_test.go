@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -412,5 +413,86 @@ func TestJoinClientErrors(t *testing.T) {
 	}
 	if i0 > i2 {
 		t.Fatalf("victims not sorted by client id: %q", msg)
+	}
+}
+
+// TestReplayRefusals is the negative table of the commit-order replay.
+// Verify reports one altered response as a mismatch. Resume refuses a log
+// whose response or ticket the replay does not derive, and a log History
+// refuses (a double invoke, an orphan response), naming the event.
+func TestReplayRefusals(t *testing.T) {
+	clean, err := wal.Recover(serialLog(t, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []history.Event
+	var pos []uint64
+	for e, p := range clean.All() {
+		events, pos = append(events, e), append(pos, p)
+	}
+	const inv, res = 6, 7 // an invocation and its response (serial: adjacent)
+	if events[inv].Kind != history.KindInvoke || events[res].Kind != history.KindRespond || events[res].Proc != events[inv].Proc {
+		t.Fatalf("events %d, %d = %v, %v; want an operation", inv, res, events[inv], events[res])
+	}
+
+	h, err := history.FromEvents(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same, err := Verify(NewAtomicFetchInc("C", 0), h); !same || err != nil {
+		t.Fatalf("clean history: Verify = %v, %v", same, err)
+	}
+	altered := slices.Clone(events)
+	altered[res].Resp++
+	if h, err = history.FromEvents(altered); err != nil {
+		t.Fatal(err)
+	}
+	if same, err := Verify(NewAtomicFetchInc("C", 0), h); same || err != nil {
+		t.Fatalf("altered response: Verify = %v, %v; want false, nil", same, err)
+	}
+
+	for _, c := range []struct {
+		name  string
+		edit  func(ev []history.Event, ps []uint64) ([]history.Event, []uint64)
+		event int
+		want  string
+	}{
+		{"altered response", func(ev []history.Event, ps []uint64) ([]history.Event, []uint64) {
+			ev[res].Resp++
+			return ev, ps
+		}, res, "log says"},
+		{"altered ticket", func(ev []history.Event, ps []uint64) ([]history.Event, []uint64) {
+			ps[res]++
+			return ev, ps
+		}, res, "log says"},
+		{"double invoke", func(ev []history.Event, ps []uint64) ([]history.Event, []uint64) {
+			return slices.Insert(ev, inv, ev[inv]), slices.Insert(ps, inv, ps[inv])
+		}, inv + 1, "while operation at event 6 is pending"},
+		{"orphan response", func(ev []history.Event, ps []uint64) ([]history.Event, []uint64) {
+			return slices.Delete(ev, inv, inv+1), slices.Delete(ps, inv, inv+1)
+		}, inv, "responds with no pending invocation"},
+	} {
+		ev, ps := c.edit(slices.Clone(events), slices.Clone(pos))
+		path := filepath.Join(t.TempDir(), "edited.wal")
+		log, err := wal.Create(path, clean.Header, wal.SyncNever)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range ev {
+			if err := log.Append(ev[i], ps[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := wal.Recover(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Resume(NewAtomicFetchInc("C", 0), rec)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("resume event %d: ", c.event)) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Resume error %v, want one naming event %d and %q", c.name, err, c.event, c.want)
+		}
 	}
 }

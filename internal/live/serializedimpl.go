@@ -31,8 +31,8 @@ const implMaxSteps = 1 << 20
 // (drawn at entry) is the linearization point and mutex order equals
 // ticket order. Responses of eventually linearizable bases are chosen as a
 // pure function of (seed, ticket, step index), so a recorded run is a
-// deterministic function of its commit order and Replay reproduces it byte
-// for byte — the package's reproducibility contract.
+// deterministic function of its commit order and Verify re-derives every
+// response — the package's reproducibility contract.
 //
 // Note the regime difference: under the mutex, base-object actions of
 // different operations never interleave, so implementation-level races the

@@ -25,7 +25,7 @@ import (
 // and is exactly AtomicFetchInc.
 //
 // Responses are a pure function of the (proc, ticket) commit sequence, so
-// Replay re-derives them byte-identically — the package's reproducibility
+// Verify re-derives every one of them — the package's reproducibility
 // contract.
 type SlogFetchInc struct {
 	name    string

@@ -20,9 +20,6 @@ func (Explore) Run(s Scenario) (*Report, error) {
 	if err := s.rejectLiveOnly("explore"); err != nil {
 		return nil, err
 	}
-	if s.LiveValue != nil && s.ImplValue == nil && s.Impl == "" {
-		return nil, fmt.Errorf("scenario: the explore engine needs an implementation (Impl or ImplValue), not a live object")
-	}
 	root, _, err := buildSystem(s)
 	if err != nil {
 		return nil, err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"github.com/elin-go/elin/internal/base"
 	"github.com/elin-go/elin/internal/check"
 	"github.com/elin-go/elin/internal/live"
 	"github.com/elin-go/elin/internal/registry"
@@ -22,23 +21,14 @@ type Live struct{}
 // Name implements Engine.
 func (Live) Name() string { return "live" }
 
-// resolveLive resolves the object under stress.
-func (s Scenario) resolveLive() (live.Object, error) {
-	if s.LiveValue != nil {
-		return s.LiveValue, nil
-	}
-	if s.ImplValue != nil {
-		policy, err := s.resolvePolicy()
-		if err != nil {
-			return nil, err
-		}
-		return live.NewSerializedImpl(s.ImplValue, s.Procs, base.SamePolicy(policy), s.Seed, s.Check)
-	}
+// resolveLive resolves the object under stress for clients recording
+// clients, its response choices pinned to seed.
+func (s Scenario) resolveLive(clients int, seed int64) (live.Object, error) {
 	policy, err := s.resolvePolicy()
 	if err != nil {
 		return nil, err
 	}
-	return registry.LiveObject(s.Impl, s.Procs, policy, s.Seed, s.Check)
+	return registry.LiveObject(s.Impl, clients, policy, seed, s.Check)
 }
 
 // monitorStride picks the window stride: generous for the polynomial
@@ -80,8 +70,9 @@ func (s Scenario) resolveMonitor(obj live.Object, clients int) (check.MonitorSpe
 // the run's sink (nil when the scenario writes none). The header records
 // what a later Recover needs to rebuild the object: its registry and
 // history names, the proc-id space and the seed its response choices are
-// a function of.
-func (s Scenario) openWAL(objName string, procs int, seed int64) (live.CommitSink, error) {
+// a function of. A continuation's log starts with the recovered prefix
+// rec, so it is self-contained and itself recoverable.
+func (s Scenario) openWAL(objName string, procs int, seed int64, rec *wal.Recovered) (live.CommitSink, error) {
 	if s.WAL == "" {
 		if s.WALSync != "" {
 			return nil, fmt.Errorf("scenario: WALSync %q set without a WAL path", s.WALSync)
@@ -93,7 +84,7 @@ func (s Scenario) openWAL(objName string, procs int, seed int64) (live.CommitSin
 		return nil, err
 	}
 	log, err := wal.Create(s.WAL, wal.Header{
-		Object:    s.implName(),
+		Object:    s.Impl,
 		ObjName:   objName,
 		Procs:     procs,
 		Ops:       s.Ops,
@@ -105,13 +96,23 @@ func (s Scenario) openWAL(objName string, procs int, seed int64) (live.CommitSin
 	if err != nil {
 		return nil, err
 	}
+	if rec != nil {
+		for e, pos := range rec.All() {
+			if err := log.Append(e, pos); err != nil {
+				log.Close()
+				return nil, fmt.Errorf("scenario: recover: copying prefix into %s: %w", s.WAL, err)
+			}
+		}
+	}
 	return log, nil
 }
 
-// liveReport reports a finished live run: history, perf, the monitor's
-// trend when one ran, and on a violation the detail and witness. A clean
-// run's detail is the caller's to word.
-func (s Scenario) liveReport(res *live.Result) (*Report, error) {
+// liveReport reports a finished live run of obj: history, perf, the
+// monitor's trend when one ran, what a continuation of rec recovered, and
+// on a violation the detail and witness. A clean run that did not crash
+// is replayed against a fresh obj (Checks.ReplayIdentical) unless
+// s.NoVerify is set.
+func (s Scenario) liveReport(obj live.Object, res *live.Result, rec *wal.Recovered, rr *live.ResumeResult) (*Report, error) {
 	rep := &Report{Schema: Schema, Engine: "live", Scenario: s.info("live"), Verdict: VerdictOK}
 	rep.history = res.History
 	rep.Perf = &PerfInfo{
@@ -127,29 +128,74 @@ func (s Scenario) liveReport(res *live.Result) (*Report, error) {
 	if !s.monitorOff() {
 		rep.Trend = trendInfo(res.Verdict)
 	}
-	if res.Violation == nil {
-		return rep, nil
-	}
-	rep.Verdict = VerdictViolation
-	rep.Detail = res.Violation.String()
-	var w *live.Witness
-	if !s.NoShrink {
-		var err error
-		if w, err = live.Shrink(res.Violation, s.Check); err != nil {
-			return nil, err
+	if rec != nil {
+		rep.Recovery = &RecoveryInfo{
+			Frames:           rec.Frames,
+			Torn:             rec.Torn,
+			TornAt:           rec.TornAt,
+			RecoveredEvents:  rec.Frames,
+			RecoveredCommits: rr.Committed,
+			PendingOps:       rr.Pending,
+			ResumedSeq:       rr.NextSeq,
+			ContinuedOps:     res.Ops,
+			StitchedEvents:   res.History.Len(),
 		}
 	}
-	rep.Witness = witnessInfo(res.Violation, w)
+	if res.Violation != nil {
+		rep.Verdict = VerdictViolation
+		rep.Detail = res.Violation.String()
+		var w *live.Witness
+		if !s.NoShrink {
+			var err error
+			if w, err = live.Shrink(res.Violation, s.Check); err != nil {
+				return nil, err
+			}
+		}
+		rep.Witness = witnessInfo(res.Violation, w)
+		return rep, nil
+	}
+	switch {
+	case rec != nil:
+		rep.Detail = s.recoveryDetail(rec, rr, res)
+	case res.Crashed:
+		rep.Detail = fmt.Sprintf("crashed at commit %d (injected fault); %d ops merged before the cut", res.CrashTicket, res.Ops)
+	case s.monitorOff():
+		rep.Detail = "run completed (monitoring disabled)"
+	default:
+		rep.Detail = "no monitor window exceeded tolerance"
+	}
+	if res.Crashed || s.NoVerify {
+		// A crashed run's history ends mid-flight: replay verification
+		// applies to its recovered continuation (Continue), not the cut.
+		return rep, nil
+	}
+	same, err := live.Verify(obj, res.History)
+	if err != nil {
+		return nil, err
+	}
+	rep.Checks = &Checks{ReplayIdentical: boolPtr(same)}
 	return rep, nil
 }
 
 // Run implements Engine.
 func (Live) Run(s Scenario) (*Report, error) {
-	s = s.withDefaults()
+	return s.withDefaults().runLive(nil)
+}
+
+// runLive runs s on the live engine. With rec set it continues that
+// recovered log (Continue): the object is built for the crashed run's
+// clients plus s.Procs under the header seed, which pins the logged
+// response choices, and resumed to the log's last commit, and a WAL the
+// scenario writes starts with the recovered prefix.
+func (s Scenario) runLive(rec *wal.Recovered) (*Report, error) {
 	if nf := s.option("net-faults"); nf != "" {
 		return nil, fmt.Errorf("scenario: net-faults %q are a serve-engine feature; engine %q rejects them (the live engine has no connections to sever)", nf, "live")
 	}
-	obj, err := s.resolveLive()
+	clients, seed := s.Procs, s.Seed
+	if rec != nil {
+		clients, seed = rec.Header.Procs+s.Procs, rec.Header.Seed
+	}
+	obj, err := s.resolveLive(clients, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +203,7 @@ func (Live) Run(s Scenario) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	mspec, mcfg, err := s.resolveMonitor(obj, s.Procs)
+	mspec, mcfg, err := s.resolveMonitor(obj, clients)
 	if err != nil {
 		return nil, err
 	}
@@ -179,43 +225,26 @@ func (Live) Run(s Scenario) (*Report, error) {
 		Serial:        s.Serial,
 	}
 	if s.FuzzRuns > 0 {
-		if s.WAL != "" || !fspec.Zero() || s.Serial {
-			return nil, fmt.Errorf("scenario: fuzz campaigns do not compose with faults, WAL logging or the serial driver")
+		if rec != nil || s.WAL != "" || !fspec.Zero() || s.Serial {
+			return nil, fmt.Errorf("scenario: fuzz campaigns do not compose with recovery, faults, WAL logging or the serial driver")
 		}
 		return runFuzz(cfg, s)
 	}
-	if cfg.Sink, err = s.openWAL(obj.Name(), s.Procs, s.Seed); err != nil {
+	var rr *live.ResumeResult
+	if rec != nil {
+		if rr, err = live.Resume(obj, rec); err != nil {
+			return nil, err
+		}
+		cfg.Object, cfg.StartSeq, cfg.History, cfg.ProcBase = rr.Object, rr.NextSeq, rr.History, rec.Header.Procs
+	}
+	if cfg.Sink, err = s.openWAL(obj.Name(), clients, seed, rec); err != nil {
 		return nil, err
 	}
 	res, err := live.Run(cfg)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := s.liveReport(res)
-	if err != nil || !rep.OK() {
-		return rep, err
-	}
-	switch {
-	case res.Crashed:
-		rep.Detail = fmt.Sprintf("crashed at commit %d (injected fault); %d ops merged before the cut", res.CrashTicket, res.Ops)
-	case s.monitorOff():
-		rep.Detail = "run completed (monitoring disabled)"
-	default:
-		rep.Detail = "no monitor window exceeded tolerance"
-	}
-	if res.Crashed {
-		// The history ends mid-flight: replay verification applies to the
-		// recovered continuation (scenario.Recover), not the cut.
-		return rep, nil
-	}
-	if !s.NoVerify {
-		same, err := live.Verify(obj, res.History)
-		if err != nil {
-			return nil, err
-		}
-		rep.Checks = &Checks{ReplayIdentical: boolPtr(same)}
-	}
-	return rep, nil
+	return s.liveReport(obj, res, rec, rr)
 }
 
 // witnessInfo reports a violating window: as the monitor froze it, or —

@@ -38,7 +38,7 @@ func BuildServer(s Scenario) (*server.Server, error) {
 	if err := s.rejectNonServe(); err != nil {
 		return nil, err
 	}
-	obj, err := s.resolveLive()
+	obj, err := s.resolveLive(s.Procs, s.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -50,7 +50,7 @@ func BuildServer(s Scenario) (*server.Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	sink, err := s.openWAL(obj.Name(), s.Procs, s.Seed)
+	sink, err := s.openWAL(obj.Name(), s.Procs, s.Seed, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +135,7 @@ func (Serve) Run(s Scenario) (*Report, error) {
 	}
 	// A fresh resolve for the fleet's generator and the replay check; the
 	// served instance accumulates state.
-	obj, err := s.resolveLive()
+	obj, err := s.resolveLive(s.Procs, s.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -25,7 +25,7 @@ func (Sim) Run(s Scenario) (*Report, error) {
 	if err := s.rejectLiveOnly("sim"); err != nil {
 		return nil, err
 	}
-	impl, err := s.resolveImpl()
+	impl, err := registry.Impl(s.Impl)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/elin-go/elin/internal/registry"
 )
 
 // TestFaultedCellID pins the faults coordinate: inserted after policy only
@@ -187,6 +189,62 @@ func TestRecoverHonoursMonitorSpec(t *testing.T) {
 			if rep.Trend.Windows >= fullWindows {
 				t.Errorf("sample:2 measured %d windows, full %d: the continuation ran the full monitor", rep.Trend.Windows, fullWindows)
 			}
+		}
+	}
+}
+
+// TestContinuationReplayChecked pins that a continuation gets the replay
+// check every clean live run gets: the stitched history replays to
+// replay-identical=true from a clean atomic-fi log, an el-fi window:8 log
+// and a torn log, and there is no check under NoVerify or on a
+// continuation that crashes again.
+func TestContinuationReplayChecked(t *testing.T) {
+	dir := t.TempDir()
+	logOf := func(name string, s Scenario, corrupt string) string {
+		s.WAL, s.Serial = filepath.Join(dir, name+".wal"), true
+		if _, err := Run("live", s); err != nil {
+			t.Fatal(err)
+		}
+		if corrupt != "" {
+			sp, err := registry.Faults(corrupt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sp.CorruptFile(s.WAL, s.Seed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s.WAL
+	}
+	atomic := logOf("atomic", Scenario{Impl: "atomic-fi", Procs: 2, Ops: 100, Seed: 3, Faults: "crash:120"}, "")
+	el := logOf("el", Scenario{Impl: "el-fi", Procs: 2, Ops: 200, Seed: 5, Tolerance: -1, Policy: "window:8", Faults: "crash:300"}, "")
+	torn := logOf("torn", Scenario{Impl: "el-fi", Procs: 2, Ops: 150, Seed: 7, Tolerance: -1, Policy: "window:8"}, "trunc:7")
+	for _, c := range []struct {
+		name, wal string
+		cont      Scenario
+		detail    string
+		want      *bool
+	}{
+		{"atomic-fi", atomic, Scenario{Ops: 50}, "recovered 120 commits and continued", boolPtr(true)},
+		{"el-fi window:8", el, Scenario{Ops: 100, Stride: 64}, "recovered 300 commits and continued", boolPtr(true)},
+		{"torn", torn, Scenario{Ops: 100, Stride: 64}, "from a torn log", boolPtr(true)},
+		{"NoVerify", atomic, Scenario{Ops: 50, NoVerify: true}, "and continued", nil},
+		{"crashed again", atomic, Scenario{Ops: 50, Faults: "crash:150"}, "crashed again at commit 150", nil},
+	} {
+		c.cont.Serial = true
+		rep, err := Recover(c.wal, c.cont)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !rep.OK() || rep.Recovery == nil || !strings.Contains(rep.Detail, c.detail) {
+			t.Fatalf("%s: verdict %s (%s), recovery %+v", c.name, rep.Verdict, rep.Detail, rep.Recovery)
+		}
+		var got *bool
+		if rep.Checks != nil {
+			got = rep.Checks.ReplayIdentical
+		}
+		if (got == nil) != (c.want == nil) || got != nil && *got != *c.want {
+			t.Errorf("%s: checks %+v, want replay-identical %v", c.name, rep.Checks, c.want)
 		}
 	}
 }

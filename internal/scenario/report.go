@@ -328,8 +328,15 @@ func (r *Report) EncodeJSON(w io.Writer) error {
 // Render writes the human-readable form of the report.
 func (r *Report) Render(w io.Writer) error {
 	sc := r.Scenario
-	fmt.Fprintf(w, "engine=%s impl=%s workload=%s procs=%d ops=%d seed=%d",
-		r.Engine, sc.Impl, sc.Workload, sc.Procs, sc.Ops, sc.Seed)
+	fmt.Fprintf(w, "engine=%s impl=%s workload=%s", r.Engine, sc.Impl, sc.Workload)
+	if sc.Policy != DefaultPolicy {
+		fmt.Fprintf(w, " policy=%s", sc.Policy)
+	}
+	fmt.Fprintf(w, " procs=%d ops=%d", sc.Procs, sc.Ops)
+	if sc.Tolerance != 0 {
+		fmt.Fprintf(w, " tolerance=%d", sc.Tolerance)
+	}
+	fmt.Fprintf(w, " seed=%d", sc.Seed)
 	for _, c := range Coords[1:] {
 		if v := c.Get(&sc); c.Kind == CoordOption && v != "" {
 			fmt.Fprintf(w, " %s=%s", c.Axis, v)

@@ -19,8 +19,7 @@
 //
 // Implementations, workloads, schedulers, choosers, policies and engines
 // are all resolved by registry name, so adding one registry entry lights up
-// every engine and the elin CLI at once; direct values (ImplValue,
-// LiveValue) are accepted for programmatic use.
+// every engine and the elin CLI at once.
 package scenario
 
 import (
@@ -30,7 +29,6 @@ import (
 	"github.com/elin-go/elin/internal/base"
 	"github.com/elin-go/elin/internal/check"
 	"github.com/elin-go/elin/internal/faults"
-	"github.com/elin-go/elin/internal/live"
 	"github.com/elin-go/elin/internal/machine"
 	"github.com/elin-go/elin/internal/registry"
 	"github.com/elin-go/elin/internal/sim"
@@ -93,12 +91,6 @@ type Scenario struct {
 	// implementation names run live through the mutex-serialized
 	// step-machine adapter. Default "cas-counter".
 	Impl string
-	// ImplValue overrides Impl with a direct implementation value for the
-	// Explore and Sim engines.
-	ImplValue machine.Impl
-	// LiveValue overrides Impl with a direct object value for the Live
-	// engine.
-	LiveValue live.Object
 
 	// Workload names the operation mix: "default", "uniform:OP", "rw:P".
 	Workload string
@@ -205,7 +197,7 @@ type Scenario struct {
 
 // withDefaults returns s with the documented defaults filled in.
 func (s Scenario) withDefaults() Scenario {
-	if s.Impl == "" && s.ImplValue == nil && s.LiveValue == nil {
+	if s.Impl == "" {
 		s.Impl = DefaultImpl
 	}
 	if s.Procs <= 0 {
@@ -226,30 +218,9 @@ func (s Scenario) withDefaults() Scenario {
 	return s
 }
 
-// resolveImpl resolves the step-machine implementation of the Explore and
-// Sim engines.
-func (s Scenario) resolveImpl() (machine.Impl, error) {
-	if s.ImplValue != nil {
-		return s.ImplValue, nil
-	}
-	return registry.Impl(s.Impl)
-}
-
 // resolvePolicy resolves the stabilization policy.
 func (s Scenario) resolvePolicy() (base.Policy, error) {
 	return registry.Policy(s.Policy)
-}
-
-// implName names the object under test for reports.
-func (s Scenario) implName() string {
-	switch {
-	case s.ImplValue != nil:
-		return s.ImplValue.Name()
-	case s.LiveValue != nil:
-		return s.LiveValue.Name()
-	default:
-		return s.Impl
-	}
 }
 
 // Engine executes scenarios in one regime. Implementations are stateless
@@ -294,7 +265,7 @@ func Run(engine string, s Scenario) (*Report, error) {
 
 // buildSystem constructs the simulation root for the Explore engine.
 func buildSystem(s Scenario) (*sim.System, machine.Impl, error) {
-	impl, err := s.resolveImpl()
+	impl, err := registry.Impl(s.Impl)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -325,7 +296,6 @@ func (s Scenario) info(engine string) ScenarioInfo {
 	for _, c := range Coords[1:] {
 		c.Set(&inf, c.name(&s))
 	}
-	inf.Impl = s.implName() // a direct value names itself
 	switch engine {
 	case "explore":
 		inf.Analysis = s.Analysis
