@@ -108,8 +108,9 @@ type Incremental struct {
 
 	samples   []Sample
 	violation *WindowViolation
-	// checks counts windows whose measurement was recorded.
-	checks int
+	// checks counts windows whose measurement was recorded, undecided the
+	// observe-only windows the search budget could not decide.
+	checks, undecided int
 	// finished is set by Finish, Abort, a violation and a failed Feed:
 	// nothing further is checked.
 	finished bool
@@ -132,9 +133,8 @@ type Incremental struct {
 type SamplingStats struct {
 	// Every is the current sampling interval (1 = exhaustive).
 	Every int
-	// Skipped counts closed windows that record no sample: skipped by the
-	// sampling cadence or, observe-only (MaxT < 0), left undecided by the
-	// search budget.
+	// Skipped counts the closed windows the sampling cadence skipped.
+	// Windows the search budget leaves undecided are Verdict.Undecided.
 	Skipped int
 	// Escalations counts the times a near-violation (measured MinT past half
 	// the tolerance) forced sampling back to exhaustive.
@@ -193,7 +193,7 @@ func (m *Incremental) Sampling() SamplingStats { return m.sampling }
 
 // Verdict classifies the trend of the per-window MinT series.
 func (m *Incremental) Verdict() Verdict {
-	v := Verdict{Samples: m.samples}
+	v := Verdict{Samples: m.samples, Undecided: m.undecided}
 	if len(m.samples) > 0 {
 		v.FinalMinT = m.samples[len(m.samples)-1].MinT
 	}
@@ -296,7 +296,7 @@ func (m *Incremental) closeWindow(force bool) (*WindowViolation, error) {
 	t, ok, err := windowMinT(m.obj, &m.tb, m.cfg.Opts, &m.sc)
 	if errors.Is(err, ErrBudget) && m.cfg.MaxT < 0 {
 		// Observe-only: a window the budget cannot decide is no sample.
-		m.sampling.Skipped++
+		m.undecided++
 		return nil, m.advanceCut()
 	}
 	if err != nil {

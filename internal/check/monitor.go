@@ -57,6 +57,9 @@ type Verdict struct {
 	Slope float64
 	// Trend is the classification.
 	Trend Trend
+	// Undecided counts the windows an observe-only monitor (MaxT < 0) closed
+	// without a sample: the search budget could not decide them.
+	Undecided int
 }
 
 // TrackMinT measures MinT on prefixes of the single-object history h at

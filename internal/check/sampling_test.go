@@ -208,9 +208,9 @@ func TestIncrementalBudgetExhaustedWindow(t *testing.T) {
 		if err != nil {
 			t.Fatalf("MaxT %d: %v", maxT, err)
 		}
-		if s := m.Sampling(); s.Skipped != 2 || m.Checks() != 0 || len(m.Samples()) != 0 {
-			t.Fatalf("MaxT %d: skipped %d, checks %d, samples %v; want 2 skipped and no sample",
-				maxT, s.Skipped, m.Checks(), m.Samples())
+		if s, u := m.Sampling().Skipped, m.Verdict().Undecided; s != 0 || u != 2 || m.Checks() != 0 || len(m.Samples()) != 0 {
+			t.Fatalf("MaxT %d: skipped %d, undecided %d, checks %d, samples %v; want 2 undecided, none skipped and no sample",
+				maxT, s, u, m.Checks(), m.Samples())
 		}
 	}
 }

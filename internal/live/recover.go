@@ -9,52 +9,43 @@ import (
 )
 
 // ResumeResult is a run rebuilt from its commit log: the object at its
-// recovered state, the ticket to continue from, and the recovered history
-// prefix a continuation run extends.
+// recovered state and the ticket to continue from. The history prefix a
+// continuation extends is the log's own, wal.Recovered.History.
 type ResumeResult struct {
-	// Object is a fresh instance of the template replayed to the log's last
-	// commit. Pass it (plus NextSeq/History/ProcBase) to Run to continue.
+	// Object is a fresh instance of the template replayed to the last
+	// commit; Run continues it, given NextSeq, ProcBase and rec.History.Clone().
 	Object Object
 	// NextSeq is the last committed ticket — Config.StartSeq for the
 	// continuation, so ticket numbering spans the crash without a gap.
 	NextSeq uint64
-	// History is the recovered merged history, including invocations that
-	// never committed (in-flight at the crash; they stay pending forever,
-	// which the t-lin checkers tolerate by construction).
-	History *history.History
 	// Committed counts the completed operations replayed into Object;
 	// Pending counts the in-flight invocations lost to the crash.
 	Committed int
 	Pending   int
 }
 
-// Resume replays a recovered commit log against a fresh instance of
-// template, rebuilding the object state and the merged history up to the
-// log's last durable commit; rec is only read (its frames decode as they
-// replay), so one recovery can be resumed any number of times. The template
-// must be constructed with the log header's parameters — same registry
-// object, same Seed (response choices of eventually linearizable objects are
-// pure functions of the original seed and the ticket), and a client count
-// covering both the crashed run's procs and any continuation clients.
+// Resume replays the history wal.Recover checked against a fresh instance
+// of template, rebuilding the object state up to the log's last durable
+// commit. rec is only read, so one recovery can be resumed any number of
+// times. The template must be constructed with the log header's parameters
+// — same registry object, same Seed (response choices of eventually
+// linearizable objects are pure functions of the original seed and the
+// ticket), and a client count covering both the crashed run's procs and any
+// continuation clients.
 //
-// Every replayed response is checked against the recorded one: a mismatch
-// means the log and the object disagree on the commit-determinism contract
-// (wrong template parameters, or an object whose responses are not a
-// function of its commit order) and aborts the resume.
+// Every replayed response and ticket is checked against the recorded one:
+// a mismatch means the log and the object disagree on the commit-determinism
+// contract (wrong template parameters, or an object whose responses are not
+// a function of its commit order) and aborts the resume.
 func Resume(template Object, rec *wal.Recovered) (*ResumeResult, error) {
 	fresh, err := template.Fresh()
 	if err != nil {
 		return nil, fmt.Errorf("live: resume: %w", err)
 	}
 	var seq atomic.Uint64
-	h := history.New()
-	h.Reserve(rec.Frames)
-	committed, i := 0, -1
-	for e, pos := range rec.All() {
-		i++
-		if err := h.Append(e); err != nil {
-			return nil, fmt.Errorf("live: resume event %d: %w", i, err)
-		}
+	h, committed := rec.History, 0
+	for i := 0; i < h.Len(); i++ {
+		e := h.Event(i)
 		if e.Kind != history.KindRespond {
 			continue
 		}
@@ -62,7 +53,7 @@ func Resume(template Object, rec *wal.Recovered) (*ResumeResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("live: resume event %d: %w", i, err)
 		}
-		if resp != e.Resp || ticket != pos {
+		if pos := rec.Tickets[committed]; resp != e.Resp || ticket != pos {
 			return nil, fmt.Errorf("live: resume event %d: log says client %d %s -> %d at ticket %d, replay derives %d at ticket %d (wrong template, or object is not commit-deterministic)",
 				i, e.Proc, h.Op(i), e.Resp, pos, resp, ticket)
 		}
@@ -71,7 +62,6 @@ func Resume(template Object, rec *wal.Recovered) (*ResumeResult, error) {
 	return &ResumeResult{
 		Object:    fresh,
 		NextSeq:   seq.Load(),
-		History:   h,
 		Committed: committed,
 		Pending:   h.Len() - 2*committed,
 	}, nil

@@ -68,8 +68,8 @@ func crashRecoverContinue(t *testing.T) (*history.History, []byte) {
 	if rec.Torn {
 		t.Fatalf("clean crash cut reported torn at %d", rec.TornAt)
 	}
-	if got := rec.LastCommit(); got != 60 {
-		t.Fatalf("LastCommit = %d, want 60", got)
+	if got := lastTicket(rec); got != 60 {
+		t.Fatalf("last ticket = %d, want 60", got)
 	}
 	rr, err := Resume(NewAtomicFetchInc("C", 0), rec)
 	if err != nil {
@@ -87,7 +87,7 @@ func crashRecoverContinue(t *testing.T) (*history.History, []byte) {
 		Serial:   true,
 		StartSeq: rr.NextSeq,
 		ProcBase: hdr.Procs,
-		History:  rr.History,
+		History:  rec.History.Clone(),
 		Monitor:  check.IncrementalConfig{Stride: 32},
 	})
 	if err != nil {
@@ -162,8 +162,8 @@ func TestCrashRecoverGoroutine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rec.LastCommit(); got != res.CrashTicket {
-		t.Fatalf("LastCommit = %d, CrashTicket = %d", got, res.CrashTicket)
+	if got := lastTicket(rec); got != res.CrashTicket {
+		t.Fatalf("last ticket = %d, CrashTicket = %d", got, res.CrashTicket)
 	}
 	rr, err := Resume(NewAtomicFetchInc("C", 0), rec)
 	if err != nil {
@@ -196,11 +196,10 @@ func TestCorruptTailRecoverLongestPrefix(t *testing.T) {
 	if rec.Frames >= clean.Frames || rec.Frames == 0 {
 		t.Fatalf("recovered %d events of %d", rec.Frames, clean.Frames)
 	}
-	rr, err := Resume(NewAtomicFetchInc("C", 0), rec)
-	if err != nil {
+	if _, err := Resume(NewAtomicFetchInc("C", 0), rec); err != nil {
 		t.Fatal(err)
 	}
-	ok, err := Verify(NewAtomicFetchInc("C", 0), rr.History)
+	ok, err := Verify(NewAtomicFetchInc("C", 0), rec.History)
 	if err != nil || !ok {
 		t.Fatalf("recovered prefix failed verification: ok=%v err=%v", ok, err)
 	}
@@ -242,8 +241,17 @@ func serialLog(t *testing.T, ops int) string {
 	return path
 }
 
+// lastTicket returns the commit ticket of rec's last response.
+func lastTicket(rec *wal.Recovered) uint64 {
+	if len(rec.Tickets) == 0 {
+		return 0
+	}
+	return rec.Tickets[len(rec.Tickets)-1]
+}
+
 // A Recovered holds the log, not a handle on the file, and Resume only reads
-// it: a second Resume, after the file is gone, rebuilds the same history.
+// it: a second Resume, after the file is gone, replays the same history to
+// the same result and leaves that history as it was.
 func TestResumeTwiceOnOneRecovered(t *testing.T) {
 	path := serialLog(t, 40)
 	if err := mustFaults(t, "trunc:7").CorruptFile(path, 5); err != nil { // pending invocations too
@@ -253,6 +261,7 @@ func TestResumeTwiceOnOneRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fp := string(rec.History.AppendFingerprint(nil))
 	first, err := Resume(NewAtomicFetchInc("C", 0), rec)
 	if err != nil {
 		t.Fatal(err)
@@ -264,21 +273,23 @@ func TestResumeTwiceOnOneRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.History.Len() != rec.Frames || first.Committed == 0 || first.Pending == 0 {
+	if rec.History.Len() != rec.Frames || first.Committed == 0 || first.Pending == 0 {
 		t.Fatalf("first resume: %d events of %d frames, %d committed, %d pending",
-			first.History.Len(), rec.Frames, first.Committed, first.Pending)
+			rec.History.Len(), rec.Frames, first.Committed, first.Pending)
 	}
-	if string(first.History.AppendFingerprint(nil)) != string(second.History.AppendFingerprint(nil)) ||
-		first.NextSeq != second.NextSeq || first.Committed != second.Committed || first.Pending != second.Pending {
+	if first.NextSeq != second.NextSeq || first.Committed != second.Committed || first.Pending != second.Pending {
 		t.Fatalf("second resume differs: %+v vs %+v", first, second)
+	}
+	if string(rec.History.AppendFingerprint(nil)) != fp {
+		t.Fatal("Resume changed the recovered history")
 	}
 }
 
 // Recovery costs memory in proportion to the log, not to a materialised
 // copy of it: Recover plus Resume of a 100 000-event log allocate at most the
-// file's size (the validated frames) plus 40 B/event (the rebuilt history's
-// records, 32 B/event, and slack). Growing event and position slices by
-// append spent about 570 B/event here.
+// file's size (the validated frames) plus 40 B/event: the recovered
+// history's records, 32 B/event, the tickets, 8 B a response, and slack.
+// Growing event and position slices by append spent about 570 B/event here.
 func TestRecoverResumeAllocBytes(t *testing.T) {
 	const events = 100_000
 	path := serialLog(t, events/4)
@@ -418,17 +429,24 @@ func TestJoinClientErrors(t *testing.T) {
 
 // TestReplayRefusals is the negative table of the commit-order replay.
 // Verify reports one altered response as a mismatch. Resume refuses a log
-// whose response or ticket the replay does not derive, and a log History
-// refuses (a double invoke, an orphan response), naming the event.
+// whose response or ticket the replay does not derive; wal.Recover refuses
+// a log History refuses (a double invoke, an orphan response) and an event
+// of a process the header does not name. Each error names the event.
 func TestReplayRefusals(t *testing.T) {
 	clean, err := wal.Recover(serialLog(t, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events []history.Event
-	var pos []uint64
-	for e, p := range clean.All() {
-		events, pos = append(events, e), append(pos, p)
+	// The positions to write back: each response's ticket and, for an
+	// invocation, the last ticket before it (what the serial driver stamps).
+	events := clean.History.Events()
+	pos := make([]uint64, len(events))
+	var last uint64
+	for i, k := 0, 0; i < len(events); i++ {
+		if events[i].Kind == history.KindRespond {
+			last, k = clean.Tickets[k], k+1
+		}
+		pos[i] = last
 	}
 	const inv, res = 6, 7 // an invocation and its response (serial: adjacent)
 	if events[inv].Kind != history.KindInvoke || events[res].Kind != history.KindRespond || events[res].Proc != events[inv].Proc {
@@ -452,25 +470,30 @@ func TestReplayRefusals(t *testing.T) {
 	}
 
 	for _, c := range []struct {
-		name  string
-		edit  func(ev []history.Event, ps []uint64) ([]history.Event, []uint64)
-		event int
-		want  string
+		name   string
+		edit   func(ev []history.Event, ps []uint64) ([]history.Event, []uint64)
+		prefix string // the error's source and the event it names
+		event  int
+		want   string
 	}{
 		{"altered response", func(ev []history.Event, ps []uint64) ([]history.Event, []uint64) {
 			ev[res].Resp++
 			return ev, ps
-		}, res, "log says"},
+		}, "live: resume event %d: ", res, "log says"},
 		{"altered ticket", func(ev []history.Event, ps []uint64) ([]history.Event, []uint64) {
 			ps[res]++
 			return ev, ps
-		}, res, "log says"},
+		}, "live: resume event %d: ", res, "log says"},
 		{"double invoke", func(ev []history.Event, ps []uint64) ([]history.Event, []uint64) {
 			return slices.Insert(ev, inv, ev[inv]), slices.Insert(ps, inv, ps[inv])
-		}, inv + 1, "while operation at event 6 is pending"},
+		}, "edited.wal: event %d: ", inv + 1, "while operation at event 6 is pending"},
 		{"orphan response", func(ev []history.Event, ps []uint64) ([]history.Event, []uint64) {
 			return slices.Delete(ev, inv, inv+1), slices.Delete(ps, inv, inv+1)
-		}, inv, "responds with no pending invocation"},
+		}, "edited.wal: event %d: ", inv, "responds with no pending invocation"},
+		{"process past the header's", func(ev []history.Event, ps []uint64) ([]history.Event, []uint64) {
+			ev[inv].Proc, ev[res].Proc = clean.Header.Procs, clean.Header.Procs
+			return ev, ps
+		}, "edited.wal: event %d: ", inv, "outside the header's 0..1"},
 	} {
 		ev, ps := c.edit(slices.Clone(events), slices.Clone(pos))
 		path := filepath.Join(t.TempDir(), "edited.wal")
@@ -487,12 +510,11 @@ func TestReplayRefusals(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec, err := wal.Recover(path)
-		if err != nil {
-			t.Fatal(err)
+		if err == nil {
+			_, err = Resume(NewAtomicFetchInc("C", 0), rec)
 		}
-		_, err = Resume(NewAtomicFetchInc("C", 0), rec)
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("resume event %d: ", c.event)) || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: Resume error %v, want one naming event %d and %q", c.name, err, c.event, c.want)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf(c.prefix, c.event)) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one naming event %d and %q", c.name, err, c.event, c.want)
 		}
 	}
 }

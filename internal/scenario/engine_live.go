@@ -70,8 +70,8 @@ func (s Scenario) resolveMonitor(obj live.Object, clients int) (check.MonitorSpe
 // the run's sink (nil when the scenario writes none). The header records
 // what a later Recover needs to rebuild the object: its registry and
 // history names, the proc-id space and the seed its response choices are
-// a function of. A continuation's log starts with the recovered prefix
-// rec, so it is self-contained and itself recoverable.
+// a function of. A continuation's log starts with the bytes of the
+// recovered prefix rec, so it is self-contained and itself recoverable.
 func (s Scenario) openWAL(objName string, procs int, seed int64, rec *wal.Recovered) (live.CommitSink, error) {
 	if s.WAL == "" {
 		if s.WALSync != "" {
@@ -97,11 +97,9 @@ func (s Scenario) openWAL(objName string, procs int, seed int64, rec *wal.Recove
 		return nil, err
 	}
 	if rec != nil {
-		for e, pos := range rec.All() {
-			if err := log.Append(e, pos); err != nil {
-				log.Close()
-				return nil, fmt.Errorf("scenario: recover: copying prefix into %s: %w", s.WAL, err)
-			}
+		if err := log.AppendRecovered(rec); err != nil {
+			log.Close()
+			return nil, fmt.Errorf("scenario: recover: copying prefix into %s: %w", s.WAL, err)
 		}
 	}
 	return log, nil
@@ -235,7 +233,7 @@ func (s Scenario) runLive(rec *wal.Recovered) (*Report, error) {
 		if rr, err = live.Resume(obj, rec); err != nil {
 			return nil, err
 		}
-		cfg.Object, cfg.StartSeq, cfg.History, cfg.ProcBase = rr.Object, rr.NextSeq, rr.History, rec.Header.Procs
+		cfg.Object, cfg.StartSeq, cfg.History, cfg.ProcBase = rr.Object, rr.NextSeq, rec.History.Clone(), rec.Header.Procs
 	}
 	if cfg.Sink, err = s.openWAL(obj.Name(), clients, seed, rec); err != nil {
 		return nil, err

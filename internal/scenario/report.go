@@ -84,8 +84,10 @@ type TrendInfo struct {
 	Slope     float64 `json:"slope"`
 	// Windows counts the measurements taken; it stays meaningful when an
 	// archiver strips the sample list.
-	Windows int           `json:"windows"`
-	Samples []TrendSample `json:"samples,omitempty"`
+	Windows int `json:"windows"`
+	// Undecided counts the windows the search budget left without a sample.
+	Undecided int           `json:"undecided,omitempty"`
+	Samples   []TrendSample `json:"samples,omitempty"`
 }
 
 // ExploreInfo aggregates exhaustive-exploration counters.
@@ -365,8 +367,12 @@ func (r *Report) Render(w io.Writer) error {
 		fmt.Fprintln(w)
 	}
 	if t := r.Trend; t != nil {
-		fmt.Fprintf(w, "trend: %s final-MinT=%d slope=%.4f windows=%d\n",
+		fmt.Fprintf(w, "trend: %s final-MinT=%d slope=%.4f windows=%d",
 			t.Trend, t.FinalMinT, t.Slope, t.Windows)
+		if t.Undecided > 0 {
+			fmt.Fprintf(w, " undecided=%d", t.Undecided)
+		}
+		fmt.Fprintln(w)
 	}
 	if e := r.Explore; e != nil {
 		fmt.Fprintf(w, "explored: nodes=%d leaves=%d truncated=%v", e.Nodes, e.Leaves, e.Truncated)
@@ -446,6 +452,7 @@ func trendInfo(v check.Verdict) *TrendInfo {
 		Trend:     v.Trend.String(),
 		FinalMinT: v.FinalMinT,
 		Slope:     v.Slope,
+		Undecided: v.Undecided,
 	}
 	for _, s := range v.Samples {
 		t.Samples = append(t.Samples, TrendSample{Events: s.Events, MinT: s.MinT})

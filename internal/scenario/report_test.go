@@ -3,10 +3,13 @@ package scenario
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/elin-go/elin/internal/check"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden report files")
@@ -148,5 +151,31 @@ func TestReportRender(t *testing.T) {
 		if !strings.Contains(out, "engine="+tc.engine) {
 			t.Errorf("%s render misses engine:\n%s", tc.name, out)
 		}
+	}
+}
+
+// An observe-only live run reports the windows its search budget could not
+// decide apart from the windows it measured, canonically and rendered.
+func TestLiveReportCountsUndecidedWindows(t *testing.T) {
+	rep, err := Run("live", Scenario{
+		Impl: "el-register", Procs: 2, Ops: 200, Seed: 9, Tolerance: -1, Serial: true,
+		Check: check.Options{Budget: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := rep.Trend
+	if tr == nil || tr.Undecided == 0 {
+		t.Fatalf("trend %+v, want undecided windows", tr)
+	}
+	if got := rep.Canonical().Trend.Undecided; got != tr.Undecided {
+		t.Errorf("canonical undecided = %d, want %d", got, tr.Undecided)
+	}
+	var buf bytes.Buffer
+	if err := rep.Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf(" windows=%d undecided=%d\n", tr.Windows, tr.Undecided); !strings.Contains(buf.String(), want) {
+		t.Errorf("render lacks %q:\n%s", want, buf.String())
 	}
 }

@@ -228,16 +228,14 @@ func TestServeWALPersistsMergedStream(t *testing.T) {
 	if rec.Frames != sum.Events {
 		t.Fatalf("recovered %d frames, server merged %d events", rec.Frames, sum.Events)
 	}
-	if rec.LastCommit() != sum.Commits {
-		t.Fatalf("recovered last commit %d, server at %d", rec.LastCommit(), sum.Commits)
+	if last := rec.Tickets[len(rec.Tickets)-1]; last != sum.Commits {
+		t.Fatalf("recovered last commit %d, server at %d", last, sum.Commits)
 	}
-	i := 0
-	for e := range rec.All() {
-		got := sum.History.Event(i)
+	for i := 0; i < rec.History.Len(); i++ {
+		e, got := rec.History.Event(i), sum.History.Event(i)
 		if e.Kind != got.Kind || e.Proc != got.Proc || e.Resp != got.Resp {
 			t.Fatalf("event %d diverges: wal %+v vs history %+v", i, e, got)
 		}
-		i++
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+
+	"github.com/elin-go/elin/internal/history"
 )
 
 // checkPayload is FuzzDecodeEventPayload's property: decoding never panics,
@@ -27,19 +29,20 @@ func checkPayload(t *testing.T, b []byte) {
 
 // checkLog is FuzzRecover's property on data as a log file: Recover never
 // panics, agrees with the materialising oracle on everything (error, header,
-// events, positions, Frames, Torn, TornAt <= the file's length, LastCommit),
-// yields Frames events, every one of which survives re-encoding, and
+// events, tickets, kept positions, Frames, Torn, TornAt <= the file's
+// length), recovers events every one of which survives re-encoding, and
 // allocates in proportion to the file however large a length prefix claims
 // its frame to be.
 func checkLog(t *testing.T, path string, data []byte) {
 	t.Helper()
-	rec, _ := recoverChecked(t, path, data)
+	rec, evs := recoverChecked(t, path, data)
 	if rec == nil {
 		return
 	}
-	for e, pos := range rec.All() {
+	pos := keptPositions(t, rec)
+	for i, e := range evs {
 		e.Obj = "" // travels in the header, not in the payload
-		checkPayload(t, AppendEventPayload(nil, e, pos))
+		checkPayload(t, AppendEventPayload(nil, e, pos[i]))
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -103,7 +106,7 @@ func TestQuickFuzzBodies(t *testing.T) {
 	}
 	payload := func(b []byte) bool {
 		if len(b) > 0 {
-			b[0] = frameInvoke + b[0]&1 // a kind the decoder reads past
+			b[0] = byte(history.KindInvoke) + b[0]&1 // a kind the decoder reads past
 		}
 		checkPayload(t, b)
 		return !t.Failed()

@@ -1,7 +1,7 @@
 // Package wal is the durable write-ahead commit log of the live runtime:
 // an append-only file of CRC-framed records carrying the run's merged
 // event stream (the commit log a live.CommitSink receives), plus the
-// recovery reader that replays a log back into events — truncating any
+// recovery reader that decodes a log back into a history — truncating any
 // torn tail at the first bad frame, which is what makes a crash at an
 // arbitrary point recoverable to the longest valid prefix.
 //
@@ -18,9 +18,9 @@
 // from event payloads); an event payload is the compact binary encoding of
 // one history.Event plus its merge position (commit ticket for responses,
 // sequencer stamp for invocations). Everything after the first frame whose
-// length is implausible or whose CRC fails is a torn tail: Recover stops
-// there, reports Torn, and returns the events before it — a frame is
-// either wholly durable or it never happened.
+// length, CRC or payload is bad is a torn tail: Recover stops there, reports
+// Torn, and returns the history before it — a frame is either wholly
+// durable or it never happened. An intact frame the history refuses fails.
 //
 // # Durability knob
 //
@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"iter"
 	"os"
 	"strconv"
 	"strings"
@@ -54,6 +53,9 @@ var magic = [8]byte{'E', 'L', 'I', 'N', 'W', 'A', 'L', '1'}
 // maxFrame bounds a frame payload; longer lengths are treated as
 // corruption (an event payload is tens of bytes, a header well under 4k).
 const maxFrame = 1 << 20
+
+// maxProcs bounds Header.Procs: the width of a History's dense process table.
+const maxProcs = 1024
 
 // Sync policies. Positive SyncPolicy values fsync every N appends.
 const (
@@ -129,6 +131,9 @@ type Log struct {
 
 // Create creates (truncating) a log file and writes magic plus header.
 func Create(path string, h Header, pol SyncPolicy) (*Log, error) {
+	if uint(h.Procs) > maxProcs {
+		return nil, fmt.Errorf("wal: create: header procs %d outside 0..%d", h.Procs, maxProcs)
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("wal: create: %w", err)
@@ -155,12 +160,9 @@ func Create(path string, h Header, pol SyncPolicy) (*Log, error) {
 	return l, nil
 }
 
-// Frame payload type tags (first payload byte).
-const (
-	frameHeader  = 0x00
-	frameInvoke  = byte(history.KindInvoke)  // 0x01
-	frameRespond = byte(history.KindRespond) // 0x02
-)
+// frameHeader is the header payload's first byte; an event payload's is its
+// history.Kind (1 invoke, 2 respond).
+const frameHeader = 0x00
 
 // frameOverhead is what a frame spends before its payload: length and CRC.
 const frameOverhead = 8
@@ -288,11 +290,23 @@ func (l *Log) Append(e history.Event, pos uint64) error {
 	if err := l.writeFrame(); err != nil {
 		return err
 	}
-	l.pending++
-	switch {
-	case l.pol == SyncAlways:
-		return l.Sync()
-	case l.pol > 0 && l.pending >= int(l.pol):
+	return l.appended(1)
+}
+
+// AppendRecovered writes rec's validated frames verbatim, in one Write: a
+// continuation's log starts with the log it continues, byte for byte. The
+// frames count toward the sync policy as rec.Frames appends.
+func (l *Log) AppendRecovered(rec *Recovered) error {
+	if _, err := l.w.Write(rec.frames); err != nil {
+		return fmt.Errorf("wal: write: %w", err)
+	}
+	return l.appended(rec.Frames)
+}
+
+// appended counts n appended frames and syncs if the policy says so.
+func (l *Log) appended(n int) error {
+	l.pending += n
+	if l.pol == SyncAlways || l.pol > 0 && l.pending >= int(l.pol) {
 		return l.Sync()
 	}
 	return nil
@@ -332,10 +346,10 @@ func (l *Log) Close() error {
 	return err
 }
 
-// Recovered is a log read back from disk: the header, the counts, and the
-// bytes of the event frames, each of which passed Recover's length, CRC and
-// payload-decode checks. All decodes them again on demand, so a Recovered
-// costs about the log's size in memory and outlives its file.
+// Recovered is a log read back from disk: the header, the counts, the
+// recovered history and each response's commit ticket. Its frames, each of
+// which passed Recover's length, CRC, payload-decode and history checks,
+// are kept for AppendRecovered; a Recovered outlives its file.
 type Recovered struct {
 	// Header is the run description the log was created with.
 	Header Header
@@ -345,40 +359,21 @@ type Recovered struct {
 	// first bad frame, and everything before it was recovered.
 	Torn   bool
 	TornAt int64
+	// History is the recovered merged history under Header.ObjName; the
+	// invocations in flight at the crash stay pending in it.
+	History *history.History
+	// Tickets holds the commit ticket of each response, in log order.
+	Tickets []uint64
 
-	lastCommit uint64
-	frames     []byte // the Frames validated frames, back to back
+	frames []byte // the Frames validated frames, back to back
 }
 
-// LastCommit returns the highest response position in the log — the commit
-// ticket a resumed run's sequencer must continue from.
-func (r *Recovered) LastCommit() uint64 { return r.lastCommit }
-
-// All iterates the recovered events in log order, each with its merge
-// position and the header's ObjName substituted. It decodes as it goes and
-// may be ranged over any number of times.
-func (r *Recovered) All() iter.Seq2[history.Event, uint64] {
-	return func(yield func(history.Event, uint64) bool) {
-		for b := r.frames; len(b) > 0; {
-			next := frameOverhead + int(binary.LittleEndian.Uint32(b))
-			e, pos, err := DecodeEventPayload(b[frameOverhead:next])
-			if err != nil {
-				panic("wal: a frame Recover validated no longer decodes: " + err.Error())
-			}
-			e.Obj = r.Header.ObjName
-			if !yield(e, pos) {
-				return
-			}
-			b = b[next:]
-		}
-	}
-}
-
-// Recover reads a log file back: magic and header must be intact (without
-// them nothing is interpretable), then event frames are validated until EOF
-// or the first bad frame — implausible length, short read, CRC mismatch, or
-// an undecodable payload — at which point the tail is declared torn and
-// everything before it kept. A clean shutdown yields Torn false.
+// Recover reads a log file back: magic and header must be intact, then
+// event frames are decoded into a history until EOF or the first bad frame
+// (see the package comment), where the tail is declared torn and everything
+// before it kept. A clean shutdown yields Torn false. No crash writes a whole
+// checksummed frame out of order, so an event the history refuses, or of a
+// process outside [0, Header.Procs), is an error.
 func Recover(path string) (*Recovered, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -388,19 +383,38 @@ func Recover(path string) (*Recovered, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := &Recovered{Header: hdr}
-	off := start
-	for off < int64(len(data)) {
-		payload, next, ok := readFrame(data, off)
-		if !ok {
+	// Frame first, so the history and tickets are sized exactly; the
+	// decoding pass below then reads the lengths alone. A payload shorter
+	// than the shortest event (kind, proc, pos, value: 4 bytes) ends both,
+	// so a zero-filled tail, a run of empty frames, is sized as nothing.
+	n, end := 0, start
+	for {
+		payload, next, ok := readFrame(data, end)
+		if !ok || len(payload) < 4 {
 			break
 		}
-		e, pos, err := DecodeEventPayload(payload)
+		n, end = n+1, next
+	}
+	rec := &Recovered{Header: hdr, History: history.New(), Tickets: make([]uint64, 0, n/2)}
+	rec.History.Reserve(n)
+	off := start
+	for off < end {
+		next := off + frameOverhead + int64(binary.LittleEndian.Uint32(data[off:]))
+		e, pos, err := DecodeEventPayload(data[off+frameOverhead : next])
 		if err != nil {
 			break
 		}
-		if e.Kind == history.KindRespond && pos > rec.lastCommit {
-			rec.lastCommit = pos
+		if e.Proc >= hdr.Procs {
+			return nil, fmt.Errorf("wal: recover %s: event %d: process p%d outside the header's 0..%d", path, rec.Frames, e.Proc, hdr.Procs-1)
+		}
+		if e.Kind == history.KindInvoke {
+			err = rec.History.Invoke(e.Proc, hdr.ObjName, e.Op)
+		} else {
+			err = rec.History.Respond(e.Proc, e.Resp)
+			rec.Tickets = append(rec.Tickets, pos)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("wal: recover %s: event %d: %w", path, rec.Frames, err)
 		}
 		rec.Frames++
 		off = next
@@ -425,6 +439,9 @@ func parseHeader(path string, data []byte) (Header, int64, error) {
 	var h Header
 	if err := json.Unmarshal(payload[1:], &h); err != nil {
 		return Header{}, 0, fmt.Errorf("wal: recover %s: header: %w", path, err)
+	}
+	if uint(h.Procs) > maxProcs {
+		return Header{}, 0, fmt.Errorf("wal: recover %s: header procs %d outside 0..%d", path, h.Procs, maxProcs)
 	}
 	return h, next, nil
 }

@@ -2,13 +2,16 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -55,8 +58,8 @@ func writeLog(t *testing.T, pol SyncPolicy) (string, []history.Event, []uint64) 
 	return path, evs, pos
 }
 
-// materialised is what Recover returned before Recovered became a view of
-// the frames: every event and position decoded into slices.
+// materialised is what Recover returned before it decoded into a history:
+// every event and position decoded into slices.
 type materialised struct {
 	Header Header
 	Events []history.Event
@@ -66,7 +69,10 @@ type materialised struct {
 	TornAt int64
 }
 
-// recoverEvents is that reader, kept as the oracle the view is held to.
+// recoverEvents is that reader, kept as the oracle Recover is held to. It
+// mirrors Recover's refusals the slow way: a header past maxProcs, an event
+// whose process the header does not name, and an event sequence
+// history.FromEvents would refuse.
 func recoverEvents(path string) (*materialised, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -83,6 +89,9 @@ func recoverEvents(path string) (*materialised, error) {
 	rec := &materialised{}
 	if err := json.Unmarshal(payload[1:], &rec.Header); err != nil {
 		return nil, fmt.Errorf("wal: recover %s: header: %w", path, err)
+	}
+	if p := rec.Header.Procs; p < 0 || p > maxProcs {
+		return nil, fmt.Errorf("wal: recover %s: header procs %d outside 0..%d", path, p, maxProcs)
 	}
 	off = next
 	for off < int64(len(data)) {
@@ -102,22 +111,54 @@ func recoverEvents(path string) (*materialised, error) {
 		rec.Frames++
 		off = next
 	}
+	// The first refusal wins: an ill-formed prefix before the first event
+	// of a process the header does not name, else that event.
+	far := slices.IndexFunc(rec.Events, func(e history.Event) bool { return e.Proc >= rec.Header.Procs })
+	if far < 0 {
+		far = len(rec.Events)
+	}
+	if _, err := history.FromEvents(rec.Events[:far]); err != nil {
+		return nil, fmt.Errorf("wal: recover %s: %w", path, err)
+	}
+	if far < len(rec.Events) {
+		return nil, fmt.Errorf("wal: recover %s: event %d: process p%d outside the header's 0..%d",
+			path, far, rec.Events[far].Proc, rec.Header.Procs-1)
+	}
 	return rec, nil
 }
 
-// collect ranges over rec.All into slices.
-func collect(rec *Recovered) (evs []history.Event, pos []uint64) {
-	for e, p := range rec.All() {
-		evs, pos = append(evs, e), append(pos, p)
+// keptPositions decodes the merge position of every frame rec keeps for
+// AppendRecovered: the invocation stamps live only there.
+func keptPositions(t *testing.T, rec *Recovered) []uint64 {
+	t.Helper()
+	var pos []uint64
+	for b := rec.frames; len(b) > 0; {
+		next := frameOverhead + int(binary.LittleEndian.Uint32(b))
+		_, p, err := DecodeEventPayload(b[frameOverhead:next])
+		if err != nil {
+			t.Fatalf("kept frame %d does not decode: %v", len(pos), err)
+		}
+		pos, b = append(pos, p), b[next:]
 	}
-	return evs, pos
+	return pos
 }
 
-// recoverChecked writes data to path and recovers it with the view and with
+// responsePositions returns the positions of evs' responses.
+func responsePositions(evs []history.Event, pos []uint64) []uint64 {
+	var out []uint64
+	for i, e := range evs {
+		if e.Kind == history.KindRespond {
+			out = append(out, pos[i])
+		}
+	}
+	return out
+}
+
+// recoverChecked writes data to path and recovers it with Recover and with
 // the oracle, failing unless the two agree on the error, the header, every
-// event and position, Frames, Torn, TornAt and LastCommit — twice over, so
-// an iteration that consumed the view would show. It returns the view and
-// its events; rec is nil when the log is not recoverable.
+// event, Tickets (the oracle's response positions), every kept position,
+// Frames, Torn and TornAt. It returns the recovery and its events; rec is
+// nil when the log is not recoverable.
 func recoverChecked(t *testing.T, path string, data []byte) (*Recovered, []history.Event) {
 	t.Helper()
 	if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -138,25 +179,15 @@ func recoverChecked(t *testing.T, path string, data []byte) (*Recovered, []histo
 	if rec.TornAt > int64(len(data)) {
 		t.Fatalf("TornAt = %d in a file of %d bytes", rec.TornAt, len(data))
 	}
-	var last uint64
-	for i, e := range want.Events {
-		if e.Kind == history.KindRespond && want.Pos[i] > last {
-			last = want.Pos[i]
-		}
+	evs := rec.History.Events()
+	if !slices.Equal(evs, want.Events) {
+		t.Fatalf("History holds\n %+v\noracle\n %+v", evs, want.Events)
 	}
-	if got := rec.LastCommit(); got != last {
-		t.Fatalf("LastCommit = %d, oracle's events say %d", got, last)
+	if got, wantT := rec.Tickets, responsePositions(want.Events, want.Pos); !slices.Equal(got, wantT) {
+		t.Fatalf("Tickets = %v, oracle's response positions %v", got, wantT)
 	}
-	var evs []history.Event
-	for pass := 0; pass < 2; pass++ {
-		var pos []uint64
-		evs, pos = collect(rec)
-		if len(evs) != rec.Frames {
-			t.Fatalf("pass %d: All yielded %d events, Frames = %d", pass, len(evs), rec.Frames)
-		}
-		if !slices.Equal(evs, want.Events) || !slices.Equal(pos, want.Pos) {
-			t.Fatalf("pass %d: All yielded\n %+v %v\noracle\n %+v %v", pass, evs, pos, want.Events, want.Pos)
-		}
+	if got := keptPositions(t, rec); !slices.Equal(got, want.Pos) {
+		t.Fatalf("kept frames carry positions %v, oracle %v", got, want.Pos)
 	}
 	return rec, evs
 }
@@ -174,15 +205,14 @@ func TestRoundTrip(t *testing.T) {
 		if rec.Header != testHeader() {
 			t.Fatalf("pol %v: header = %+v", pol, rec.Header)
 		}
-		if gotEvs, gotPos := collect(rec); !reflect.DeepEqual(gotEvs, evs) || !reflect.DeepEqual(gotPos, pos) {
-			t.Fatalf("pol %v: events mismatch:\n got %+v %v\nwant %+v %v",
-				pol, gotEvs, gotPos, evs, pos)
+		if got := rec.History.Events(); !reflect.DeepEqual(got, evs) {
+			t.Fatalf("pol %v: events mismatch:\n got %+v\nwant %+v", pol, got, evs)
+		}
+		if want := responsePositions(evs, pos); !slices.Equal(rec.Tickets, want) {
+			t.Fatalf("pol %v: Tickets = %v, want %v", pol, rec.Tickets, want)
 		}
 		if rec.Frames != len(evs) {
 			t.Fatalf("pol %v: Frames = %d, want %d", pol, rec.Frames, len(evs))
-		}
-		if got := rec.LastCommit(); got != 3 {
-			t.Fatalf("pol %v: LastCommit = %d, want 3", pol, got)
 		}
 	}
 }
@@ -412,6 +442,127 @@ func TestGoldenBytes(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("pol %v: log bytes differ from testdata/golden.wal:\n got %x\nwant %x", pol, got, want)
+		}
+	}
+}
+
+// frame is one frame around payload, as writeFrame lays it out.
+func frame(payload []byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	return append(b, payload...)
+}
+
+// craftLog lays out a log by hand, past the checks Create makes: magic, a
+// header frame for h, then one frame per event.
+func craftLog(t *testing.T, h Header, evs []history.Event, pos []uint64) []byte {
+	t.Helper()
+	hdr, err := json.Marshal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := append(bytes.Clone(magic[:]), frame(append([]byte{frameHeader}, hdr...))...)
+	for i, e := range evs {
+		b = append(b, frame(AppendEventPayload(nil, e, pos[i]))...)
+	}
+	return b
+}
+
+// A preallocated extent can come back zero-filled after a crash. A zero
+// frame has length 0 and the CRC of no bytes, 0, so it passes the CRC
+// check; being no event is what tears the tail at its first byte, with
+// every event before it intact. A 64 KiB zero tail must not be sized as
+// 8 192 events either: that would break checkLog's allocation bound.
+func TestZeroFilledTail(t *testing.T) {
+	path, evs, pos := writeLog(t, SyncNever)
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, got := recoverChecked(t, path, append(bytes.Clone(clean), make([]byte, 64)...))
+	if rec == nil || !rec.Torn || rec.TornAt != int64(len(clean)) {
+		t.Fatalf("zero-filled tail: recovered %+v, want torn at byte %d", rec, len(clean))
+	}
+	if !slices.Equal(got, evs) || !slices.Equal(rec.Tickets, responsePositions(evs, pos)) {
+		t.Fatalf("zero-filled tail: recovered %+v tickets %v, want %+v", got, rec.Tickets, evs)
+	}
+	checkLog(t, path, append(bytes.Clone(clean), make([]byte, 64<<10)...))
+}
+
+// A header claiming more processes than a history's dense table holds is
+// refused on both sides of the log. (The refusals of an intact event frame
+// are TestReplayRefusals' rows in package live.)
+func TestHeaderProcsCap(t *testing.T) {
+	h := testHeader()
+	h.Procs = maxProcs + 1
+	path := filepath.Join(t.TempDir(), "wide.wal")
+	if _, err := Create(path, h, SyncNever); err == nil || !strings.Contains(err.Error(), "header procs 1025 outside 0..1024") {
+		t.Errorf("Create of a 1025-proc header: %v", err)
+	}
+	evs, pos := testEvents()
+	if rec, _ := recoverChecked(t, path, craftLog(t, h, evs, pos)); rec != nil {
+		t.Errorf("recovered %d frames under a 1025-proc header", rec.Frames)
+	}
+}
+
+// A log of invocations by 20 000 distinct processes past the dense table
+// would keep each in a History's map, past checkLog's allocation bound; the
+// header cap and the process range refuse it before then.
+func TestFarProcessLogWithinBound(t *testing.T) {
+	const n = 20_000
+	evs, pos := make([]history.Event, n), make([]uint64, n)
+	for i := range evs {
+		evs[i] = history.Event{Kind: history.KindInvoke, Proc: maxProcs + i, Op: spec.MakeOp(spec.MethodFetchInc)}
+	}
+	dir := t.TempDir()
+	for _, procs := range []int{1 << 20, maxProcs} {
+		h := testHeader()
+		h.Procs = procs
+		checkLog(t, filepath.Join(dir, "far.wal"), craftLog(t, h, evs, pos))
+	}
+}
+
+// AppendRecovered copies the recovered prefix byte for byte, torn tail
+// excluded, and a log continued after it is itself recoverable.
+func TestAppendRecovered(t *testing.T) {
+	path, evs, pos := writeLog(t, SyncNever)
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, clean[:len(clean)-3], 0o644); err != nil { // tear the last frame
+		t.Fatal(err)
+	}
+	rec, err := Recover(path)
+	if err != nil || !rec.Torn || rec.Frames != len(evs)-1 {
+		t.Fatalf("torn log: %+v, %v", rec, err)
+	}
+	// The five copied frames count toward the sync policy: interval:2 and
+	// always sync after them, interval:8 and never leave five pending.
+	for pol, pending := range map[SyncPolicy]int{SyncNever: 5, SyncAlways: 0, SyncPolicy(2): 0, SyncPolicy(8): 5} {
+		out := filepath.Join(t.TempDir(), "out.wal")
+		l, err := Create(out, testHeader(), pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.AppendRecovered(rec); err != nil {
+			t.Fatal(err)
+		}
+		if l.pending != pending {
+			t.Errorf("pol %v: %d appends pending after the copy, want %d", pol, l.pending, pending)
+		}
+		if err := l.Append(evs[len(evs)-1], pos[len(pos)-1]); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, clean) {
+			t.Errorf("pol %v: recovered prefix plus the torn event\n got %x\nwant %x", pol, got, clean)
 		}
 	}
 }
