@@ -229,6 +229,12 @@ func (h *History) Len() int { return len(h.recs) }
 // Event returns the i-th event.
 func (h *History) Event(i int) Event { return h.decode(&h.recs[i]) }
 
+// Kind, Proc and Resp return one field of event i without building the
+// Event; Resp is meaningful only for a response.
+func (h *History) Kind(i int) Kind  { return h.recs[i].kind() }
+func (h *History) Proc(i int) int   { return h.recs[i].proc }
+func (h *History) Resp(i int) int64 { return h.recs[i].a }
+
 // Op returns the operation event i invokes or, for a response, the
 // operation it answers.
 func (h *History) Op(i int) spec.Op {

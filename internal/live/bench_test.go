@@ -6,6 +6,7 @@ import (
 	"github.com/elin-go/elin/internal/check"
 	"github.com/elin-go/elin/internal/history"
 	"github.com/elin-go/elin/internal/spec"
+	"github.com/elin-go/elin/internal/wal"
 )
 
 // benchRun drives one live run sized by b.N and reports achieved
@@ -96,4 +97,23 @@ func BenchmarkMergerDrain(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(4*n*b.N), "ns/event")
 		})
 	}
+}
+
+// BenchmarkRecoverResume prices recovery: wal.Recover and Resume of the log
+// of a serial run of 1M fetch&inc operations, ns per event of the log.
+func BenchmarkRecoverResume(b *testing.B) {
+	const ops = 1 << 20
+	path := serialLog(b, ops/2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		rec, err := wal.Recover(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Resume(NewAtomicFetchInc("C", 0), rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*ops*b.N), "ns/event")
 }

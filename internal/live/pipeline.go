@@ -91,17 +91,17 @@ func (p *Pipeline) Positions() bool { return p.sink != nil || p.crashAt > 0 }
 // nil unless Positions. The outcome is that of passing the events one at a
 // time: the monitor advances up to the crash commit c (the first response
 // at or past crashAt), the stream stops at the violating window's End, else
-// just after c, and the sink appends every event before the stop. A stop
-// returns ErrStop, bare; a sink or monitor failure, wrapped. After a
-// violation the monitor is frozen and later calls only log; after a crash
-// the stream is over.
+// just after c, and the sink takes every event before the stop, in one
+// AppendEvents. A stop returns ErrStop, bare; a sink or monitor failure,
+// wrapped. After a violation the monitor is frozen and later calls only
+// log; after a crash the stream is over.
 func (p *Pipeline) Advance(h *history.History, pos []uint64) error {
 	if p.crashed {
 		return ErrStop
 	}
 	from, stop, base, crash := p.at, h.Len(), h.Len()-len(pos), -1
 	for i := from; p.crashAt > 0 && i < stop; i++ {
-		if pos[i-base] >= p.crashAt && h.Event(i).Kind == history.KindRespond {
+		if pos[i-base] >= p.crashAt && h.Kind(i) == history.KindRespond {
 			crash, stop = i, i
 			break
 		}
@@ -119,8 +119,8 @@ func (p *Pipeline) Advance(h *history.History, pos []uint64) error {
 	if crash >= 0 {
 		p.crashed, p.crashTicket, stop, err = true, pos[crash-base], crash+1, ErrStop
 	}
-	for i := from; p.sink != nil && i < stop; i++ {
-		if serr := p.sink.Append(h.Event(i), pos[i-base]); serr != nil {
+	if p.sink != nil && from < stop {
+		if serr := p.sink.AppendEvents(h, from, stop, pos[from-base:stop-base]); serr != nil {
 			return fmt.Errorf("live: commit sink: %w", serr)
 		}
 	}

@@ -13,8 +13,9 @@ import (
 
 var errSinkBoom = errors.New("disk on fire")
 
-// recSink is a recording CommitSink: it keeps every frame, counts Close
-// calls, and fails the failAt-th Append (1-based; 0 never fails).
+// recSink is a recording CommitSink: it keeps every event of every drain
+// with its position, counts Close calls, and fails at the failAt-th event
+// (1-based; 0 never fails), keeping the events before it.
 type recSink struct {
 	events []history.Event
 	pos    []uint64
@@ -22,15 +23,17 @@ type recSink struct {
 	failAt int
 }
 
-func (s *recSink) Append(e history.Event, pos uint64) error {
+func (s *recSink) AppendEvents(h *history.History, from, to int, pos []uint64) error {
 	if s.closes > 0 {
 		return errors.New("append after close")
 	}
-	if s.failAt > 0 && len(s.events)+1 == s.failAt {
-		return errSinkBoom
+	for i := from; i < to; i++ {
+		if s.failAt > 0 && len(s.events)+1 == s.failAt {
+			return errSinkBoom
+		}
+		s.events = append(s.events, h.Event(i))
+		s.pos = append(s.pos, pos[i-from])
 	}
-	s.events = append(s.events, e)
-	s.pos = append(s.pos, pos)
 	return nil
 }
 

@@ -45,17 +45,16 @@ func Resume(template Object, rec *wal.Recovered) (*ResumeResult, error) {
 	var seq atomic.Uint64
 	h, committed := rec.History, 0
 	for i := 0; i < h.Len(); i++ {
-		e := h.Event(i)
-		if e.Kind != history.KindRespond {
+		if h.Kind(i) != history.KindRespond {
 			continue
 		}
-		resp, ticket, err := fresh.Apply(e.Proc, h.Op(i), &seq)
+		resp, ticket, err := fresh.Apply(h.Proc(i), h.Op(i), &seq)
 		if err != nil {
 			return nil, fmt.Errorf("live: resume event %d: %w", i, err)
 		}
-		if pos := rec.Tickets[committed]; resp != e.Resp || ticket != pos {
+		if pos := rec.Tickets[committed]; resp != h.Resp(i) || ticket != pos {
 			return nil, fmt.Errorf("live: resume event %d: log says client %d %s -> %d at ticket %d, replay derives %d at ticket %d (wrong template, or object is not commit-deterministic)",
-				i, e.Proc, h.Op(i), e.Resp, pos, resp, ticket)
+				i, h.Proc(i), h.Op(i), h.Resp(i), pos, resp, ticket)
 		}
 		committed++
 	}

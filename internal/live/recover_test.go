@@ -225,7 +225,7 @@ func TestCorruptTailRecoverLongestPrefix(t *testing.T) {
 
 // serialLog writes the commit log of a serial 2-client atomic-fi run of ops
 // operations per client and returns its path.
-func serialLog(t *testing.T, ops int) string {
+func serialLog(t testing.TB, ops int) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "run.wal")
 	log, err := wal.Create(path, wal.Header{Object: "atomic-fi", ObjName: "C", Procs: 2, Ops: ops, Seed: 5}, wal.SyncNever)

@@ -153,8 +153,10 @@ type Result struct {
 	// start).
 	LatP50, LatP95, LatP99, LatMax time.Duration
 	// Verdict is the online monitor's trend over per-window MinT samples
-	// (zero under monitor spec none).
-	Verdict check.Verdict
+	// (zero under monitor spec none); MonSkipped counts the windows whose
+	// MinT search a sampling monitor skipped.
+	Verdict    check.Verdict
+	MonSkipped int
 	// Violation is the offending window when the monitor stopped the run.
 	Violation *check.WindowViolation
 	// Stopped reports that the monitor stopped the run early at a
@@ -200,7 +202,7 @@ func (env *runEnv) finish(clientOps []int, elapsed time.Duration, lats [][]int64
 		res.Throughput = float64(res.Ops) / elapsed.Seconds()
 	}
 	if mon := env.pipe.Monitor(); mon != nil {
-		res.Verdict = mon.Verdict()
+		res.Verdict, res.MonSkipped = mon.Verdict(), mon.Sampling().Skipped
 	}
 	res.LatP50, res.LatP95, res.LatP99, res.LatMax = Percentiles(lats...)
 	return res, nil

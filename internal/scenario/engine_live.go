@@ -114,14 +114,15 @@ func (s Scenario) liveReport(obj live.Object, res *live.Result, rec *wal.Recover
 	rep := &Report{Schema: Schema, Engine: "live", Scenario: s.info("live"), Verdict: VerdictOK}
 	rep.history = res.History
 	rep.Perf = &PerfInfo{
-		Ops:            res.Ops,
-		Events:         res.History.Len(),
-		NS:             res.Elapsed.Nanoseconds(),
-		ThroughputOpsS: res.Throughput,
-		P50NS:          res.LatP50.Nanoseconds(),
-		P95NS:          res.LatP95.Nanoseconds(),
-		P99NS:          res.LatP99.Nanoseconds(),
-		Gomaxprocs:     runtime.GOMAXPROCS(0),
+		Ops:               res.Ops,
+		Events:            res.History.Len(),
+		NS:                res.Elapsed.Nanoseconds(),
+		ThroughputOpsS:    res.Throughput,
+		P50NS:             res.LatP50.Nanoseconds(),
+		P95NS:             res.LatP95.Nanoseconds(),
+		P99NS:             res.LatP99.Nanoseconds(),
+		Gomaxprocs:        runtime.GOMAXPROCS(0),
+		MonWindowsSkipped: res.MonSkipped,
 	}
 	if !s.monitorOff() {
 		rep.Trend = trendInfo(res.Verdict)

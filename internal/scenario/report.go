@@ -170,8 +170,9 @@ type PerfInfo struct {
 	// degraded the monitor to sampling; MonSampleEvery is the widest
 	// sampling interval reached (0 when never degraded), MonWindowsSkipped
 	// the windows that skipped their MinT search (their events still fold
-	// into the incremental state), MonEscalations the near-violation
-	// escalations back to exhaustive checking.
+	// into the incremental state) on either engine, under a degraded or a
+	// sample:N monitor, MonEscalations the near-violation escalations back
+	// to exhaustive checking.
 	Overloaded        bool `json:"overloaded,omitempty"`
 	MonSampleEvery    int  `json:"mon_sample_every,omitempty"`
 	MonWindowsSkipped int  `json:"mon_windows_skipped,omitempty"`
@@ -402,6 +403,8 @@ func (r *Report) Render(w io.Writer) error {
 			if p.Overloaded {
 				fmt.Fprintf(w, " overloaded sample-every=%d skipped=%d escalations=%d",
 					p.MonSampleEvery, p.MonWindowsSkipped, p.MonEscalations)
+			} else if p.MonWindowsSkipped > 0 {
+				fmt.Fprintf(w, " skipped=%d", p.MonWindowsSkipped)
 			}
 			fmt.Fprintln(w)
 		}

@@ -179,3 +179,27 @@ func TestLiveReportCountsUndecidedWindows(t *testing.T) {
 		t.Errorf("render lacks %q:\n%s", want, buf.String())
 	}
 }
+
+// A live run under a sampling monitor reports the windows it skipped, on
+// the run: line; the canonical report zeroes the count, as it does the
+// Serve engine's.
+func TestLiveReportCountsSkippedWindows(t *testing.T) {
+	rep, err := Run("live", Scenario{Impl: "atomic-fi", Procs: 2, Ops: 400, Seed: 1, Serial: true, Stride: 16, Monitor: "sample:4"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	skipped := rep.Perf.MonWindowsSkipped
+	if skipped == 0 || rep.Perf.Overloaded {
+		t.Fatalf("perf %+v, want skipped windows without overload", rep.Perf)
+	}
+	if got := rep.Canonical().Perf.MonWindowsSkipped; got != 0 {
+		t.Errorf("canonical skipped = %d, want 0", got)
+	}
+	var buf bytes.Buffer
+	if err := rep.Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf(" skipped=%d\n", skipped); !strings.Contains(buf.String(), want) {
+		t.Errorf("render lacks %q:\n%s", want, buf.String())
+	}
+}

@@ -360,18 +360,20 @@ func TestShutdownMergesLastEvent(t *testing.T) {
 
 var errSinkBoom = errors.New("disk on fire")
 
-// countSink is a CommitSink that counts frames and Close calls and fails
-// the failAt-th Append (1-based; 0 never fails). The merge goroutine is its
-// only caller until Shutdown returns, so the test reads it unlocked after.
+// countSink is a CommitSink that counts events and Close calls and fails
+// at the failAt-th event (1-based; 0 never fails), counting the events
+// before it. The merge goroutine is its only caller until Shutdown returns,
+// so the test reads it unlocked after.
 type countSink struct {
 	frames, closes, failAt int
 }
 
-func (s *countSink) Append(history.Event, uint64) error {
-	if s.failAt > 0 && s.frames+1 == s.failAt {
+func (s *countSink) AppendEvents(_ *history.History, from, to int, _ []uint64) error {
+	if s.failAt > 0 && s.frames < s.failAt && s.failAt <= s.frames+to-from {
+		s.frames = s.failAt - 1
 		return errSinkBoom
 	}
-	s.frames++
+	s.frames += to - from
 	return nil
 }
 

@@ -55,8 +55,11 @@ func TestNewIdleSessionsCostNoChunk(t *testing.T) {
 // established, so a test can wait for the merge to catch up.
 type mergedCount struct{ n atomic.Int64 }
 
-func (c *mergedCount) Append(history.Event, uint64) error { c.n.Add(1); return nil }
-func (c *mergedCount) Close() error                       { return nil }
+func (c *mergedCount) AppendEvents(_ *history.History, from, to int, _ []uint64) error {
+	c.n.Add(int64(to - from))
+	return nil
+}
+func (c *mergedCount) Close() error { return nil }
 
 // opClient is a protocol client that keeps a window of requests in flight.
 type opClient struct {

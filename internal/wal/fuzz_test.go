@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -64,6 +65,16 @@ func FuzzRecover(f *testing.F) {
 // corpus is testdata/fuzz/FuzzDecodeEventPayload.
 func FuzzDecodeEventPayload(f *testing.F) {
 	f.Fuzz(checkPayload)
+}
+
+// FuzzChecksum: arbitrary bytes checksummed by the kernel and by the
+// library. The seed corpus is testdata/fuzz/FuzzChecksum.
+func FuzzChecksum(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if got, want := checksum(b), crc32.ChecksumIEEE(b); got != want {
+			t.Fatalf("checksum of %x = %08x, want %08x", b, got, want)
+		}
+	})
 }
 
 // checkSyncPolicy is FuzzParseSyncPolicy's property on s: the parser never

@@ -24,21 +24,19 @@
 //
 // # Durability knob
 //
-// Appends are buffered; the fsync policy ("always", "interval:N",
+// Events are buffered; the fsync policy ("always", "interval:N",
 // "never") trades commit durability against throughput: always fsyncs
-// every append (each commit durable before the next), interval:N fsyncs
-// every N appends (at most N-1 commits lost to an OS crash; a process
-// crash alone loses nothing buffered once Flush runs), never leaves
-// syncing to the OS.
+// after every event (each commit durable before the next), interval:N
+// after every N events (at most N-1 commits lost to an OS crash; a
+// process crash alone loses nothing buffered once Flush runs), never
+// leaves syncing to the OS.
 package wal
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -57,14 +55,14 @@ const maxFrame = 1 << 20
 // maxProcs bounds Header.Procs: the width of a History's dense process table.
 const maxProcs = 1024
 
-// Sync policies. Positive SyncPolicy values fsync every N appends.
+// Sync policies. Positive SyncPolicy values fsync every N events.
 const (
 	SyncNever  SyncPolicy = 0  // buffered writes, OS decides when to sync
-	SyncAlways SyncPolicy = -1 // fsync after every append
+	SyncAlways SyncPolicy = -1 // fsync after every event
 )
 
 // SyncPolicy is the fsync cadence: SyncAlways, SyncNever, or a positive
-// interval N (fsync every N appends).
+// interval N (fsync every N events).
 type SyncPolicy int
 
 // ParseSyncPolicy reads "always", "never", "interval:N" or "" (never).
@@ -119,40 +117,35 @@ type Header struct {
 	Tolerance int `json:"tolerance,omitempty"`
 }
 
-// Log is an open write-ahead log. Append is single-writer (the live
+// Log is an open write-ahead log. Its appends are single-writer (the live
 // runtime's merge loop); Recover reads files, not open Logs.
 type Log struct {
 	f       *os.File
-	w       *bufio.Writer
 	pol     SyncPolicy
-	pending int    // appends since the last fsync
-	buf     []byte // the frame being built: frameOverhead bytes, then the payload
+	pending int    // events since the last fsync
+	buf     []byte // frames not yet written to f
+	err     error  // the first write or fsync failure, which every later call returns
 }
+
+// writeChunk is the most bytes buf gathers before they are written to f.
+const writeChunk = 1 << 16
 
 // Create creates (truncating) a log file and writes magic plus header.
 func Create(path string, h Header, pol SyncPolicy) (*Log, error) {
 	if uint(h.Procs) > maxProcs {
 		return nil, fmt.Errorf("wal: create: header procs %d outside 0..%d", h.Procs, maxProcs)
 	}
+	hdr, err := json.Marshal(h)
+	if err != nil {
+		return nil, fmt.Errorf("wal: encode header: %w", err)
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("wal: create: %w", err)
 	}
-	l := &Log{f: f, w: bufio.NewWriterSize(f, 1<<16), pol: pol, buf: make([]byte, frameOverhead, 64)}
-	if _, err := l.w.Write(magic[:]); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: create: %w", err)
-	}
-	hdr, err := json.Marshal(h)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: encode header: %w", err)
-	}
-	l.buf = append(append(l.buf[:frameOverhead], frameHeader), hdr...)
-	if err := l.writeFrame(); err != nil {
-		f.Close()
-		return nil, err
-	}
+	l := &Log{f: f, pol: pol, buf: append(magic[:], make([]byte, frameOverhead)...)}
+	l.buf = append(append(l.buf, frameHeader), hdr...)
+	sealFrame(l.buf[len(magic):])
 	if err := l.Flush(); err != nil {
 		f.Close()
 		return nil, err
@@ -167,22 +160,56 @@ const frameHeader = 0x00
 // frameOverhead is what a frame spends before its payload: length and CRC.
 const frameOverhead = 8
 
-// writeFrame fills in the length and CRC of the frame in l.buf and hands
-// the whole frame to the writer in one Write.
-func (l *Log) writeFrame() error {
-	payload := l.buf[frameOverhead:]
-	binary.LittleEndian.PutUint32(l.buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(l.buf[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := l.w.Write(l.buf); err != nil {
-		return fmt.Errorf("wal: write: %w", err)
+// sealFrame fills in the length and CRC of frame, whose payload runs to its
+// end.
+func sealFrame(frame []byte) {
+	payload := frame[frameOverhead:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], checksum(payload))
+}
+
+// crcTab is crc32.IEEETable extended for slicing by 8: crcTab[k][b] is the
+// table entry of byte b followed by k zero bytes.
+var crcTab = func() (t [8][256]uint32) {
+	t[0] = *crc32.IEEETable
+	for k := 1; k < 8; k++ {
+		for b, c := range t[k-1] {
+			t[k][b] = t[0][c&0xff] ^ c>>8
+		}
 	}
-	return nil
+	return t
+}()
+
+// checksum is crc32.ChecksumIEEE(p). The library takes a slice shorter than
+// 16 bytes, as an event payload is, a byte at a time; this is its
+// slicing-by-8 without that cutoff, then a 4-byte step and single bytes.
+func checksum(p []byte) uint32 {
+	crc := ^uint32(0)
+	for ; len(p) >= 8; p = p[8:] {
+		crc ^= binary.LittleEndian.Uint32(p)
+		crc = crcTab[0][p[7]] ^ crcTab[1][p[6]] ^ crcTab[2][p[5]] ^ crcTab[3][p[4]] ^
+			crcTab[4][crc>>24] ^ crcTab[5][crc>>16&0xff] ^ crcTab[6][crc>>8&0xff] ^ crcTab[7][crc&0xff]
+	}
+	if len(p) >= 4 {
+		crc ^= binary.LittleEndian.Uint32(p)
+		crc = crcTab[0][crc>>24] ^ crcTab[1][crc>>16&0xff] ^ crcTab[2][crc>>8&0xff] ^ crcTab[3][crc&0xff]
+		p = p[4:]
+	}
+	for _, b := range p {
+		crc = crcTab[0][byte(crc)^b] ^ crc>>8
+	}
+	return ^crc
 }
 
 // AppendEventPayload appends the binary encoding of one event (without
 // framing) to b and returns the extended slice. Exported for the frame
-// round-trip tests; Append is the writing path.
+// round-trip tests; AppendEvents is the writing path.
 func AppendEventPayload(b []byte, e history.Event, pos uint64) []byte {
+	return appendPayload(b, &e, pos)
+}
+
+// appendPayload is AppendEventPayload of *e, which it only reads.
+func appendPayload(b []byte, e *history.Event, pos uint64) []byte {
 	b = append(b, byte(e.Kind))
 	b = binary.AppendUvarint(b, uint64(e.Proc))
 	b = binary.AppendUvarint(b, pos)
@@ -203,8 +230,15 @@ func AppendEventPayload(b []byte, e history.Event, pos uint64) []byte {
 // AppendEventPayload). The object name is not part of the payload — the
 // caller substitutes the header's ObjName.
 func DecodeEventPayload(b []byte) (e history.Event, pos uint64, err error) {
-	bad := func(what string) (history.Event, uint64, error) {
-		return history.Event{}, 0, fmt.Errorf("wal: bad event payload: %s", what)
+	pos, err = decodePayload(b, &e)
+	return e, pos, err
+}
+
+// decodePayload decodes one event payload into e, all but e.Obj, and
+// returns its merge position.
+func decodePayload(b []byte, e *history.Event) (uint64, error) {
+	bad := func(what string) (uint64, error) {
+		return 0, fmt.Errorf("wal: bad event payload: %s", what)
 	}
 	if len(b) < 1 {
 		return bad("empty")
@@ -219,12 +253,12 @@ func DecodeEventPayload(b []byte) (e history.Event, pos uint64, err error) {
 		return bad("proc")
 	}
 	b = b[n:]
-	pos, n = binary.Uvarint(b)
+	pos, n := binary.Uvarint(b)
 	if n <= 0 {
 		return bad("pos")
 	}
 	b = b[n:]
-	e = history.Event{Kind: kind, Proc: int(proc)}
+	e.Kind, e.Proc, e.Op, e.Resp = kind, int(proc), spec.Op{}, 0
 	if kind == history.KindInvoke {
 		mlen, n := binary.Uvarint(b)
 		if n <= 0 || mlen > uint64(len(b)-n) {
@@ -261,7 +295,7 @@ func DecodeEventPayload(b []byte) (e history.Event, pos uint64, err error) {
 	if len(b) != 0 {
 		return bad("trailing bytes")
 	}
-	return e, pos, nil
+	return pos, nil
 }
 
 // knownMethods are shared by decoded invocations instead of copied; the
@@ -282,28 +316,58 @@ func methodName(b []byte) string {
 	return string(b)
 }
 
-// Append logs one merged event. It implements the live runtime's
-// CommitSink contract: a response frame is the durability point of its
-// commit ticket under the configured fsync policy.
-func (l *Log) Append(e history.Event, pos uint64) error {
-	l.buf = AppendEventPayload(l.buf[:frameOverhead], e, pos)
-	if err := l.writeFrame(); err != nil {
-		return err
+// AppendEvents logs the merged events [from, to) of h, one frame each
+// encoded from h's records, at merge positions pos[i-from]. It implements
+// the live runtime's CommitSink contract: a response frame is the
+// durability point of its commit ticket under the configured fsync policy.
+func (l *Log) AppendEvents(h *history.History, from, to int, pos []uint64) error {
+	var e history.Event // filled field by field: appendPayload reads only the kind's fields
+	for i := from; i < to; i++ {
+		if e.Kind = h.Kind(i); e.Kind == history.KindInvoke {
+			e.Op = h.Op(i)
+		}
+		e.Proc, e.Resp = h.Proc(i), h.Resp(i)
+		if err := l.appendEvent(&e, pos[i-from]); err != nil {
+			return err
+		}
 	}
-	return l.appended(1)
+	return nil
 }
 
-// AppendRecovered writes rec's validated frames verbatim, in one Write: a
+// Append logs one event: AppendEvents of a one-event drain.
+func (l *Log) Append(e history.Event, pos uint64) error {
+	return l.appendEvent(&e, pos)
+}
+
+// appendEvent builds e's frame at the end of l.buf and counts it toward the
+// sync policy. The frames gathered go to the file in one write at each
+// fsync point and at writeChunk bytes, so a log fsyncs after exactly the
+// events it would if every event were written on its own.
+func (l *Log) appendEvent(e *history.Event, pos uint64) error {
+	start := len(l.buf)
+	l.buf = appendPayload(append(l.buf, make([]byte, frameOverhead)...), e, pos)
+	sealFrame(l.buf[start:])
+	if err := l.appended(1); err != nil || len(l.buf) < writeChunk && l.err == nil {
+		return err
+	}
+	return l.Flush()
+}
+
+// AppendRecovered writes rec's validated frames verbatim, in one write: a
 // continuation's log starts with the log it continues, byte for byte. The
-// frames count toward the sync policy as rec.Frames appends.
+// frames count toward the sync policy as rec.Frames events.
 func (l *Log) AppendRecovered(rec *Recovered) error {
-	if _, err := l.w.Write(rec.frames); err != nil {
-		return fmt.Errorf("wal: write: %w", err)
+	if err := l.Flush(); err != nil {
+		return err
+	}
+	if _, err := l.f.Write(rec.frames); err != nil {
+		l.err = fmt.Errorf("wal: write: %w", err)
+		return l.err
 	}
 	return l.appended(rec.Frames)
 }
 
-// appended counts n appended frames and syncs if the policy says so.
+// appended counts n appended events and syncs if the policy says so.
 func (l *Log) appended(n int) error {
 	l.pending += n
 	if l.pol == SyncAlways || l.pol > 0 && l.pending >= int(l.pol) {
@@ -312,12 +376,16 @@ func (l *Log) appended(n int) error {
 	return nil
 }
 
-// Flush pushes buffered frames to the OS (no fsync).
+// Flush writes the buffered frames to the OS (no fsync). A failure sticks:
+// a frame written after a lost one would sit past a torn tail.
 func (l *Log) Flush() error {
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("wal: flush: %w", err)
+	if l.err == nil {
+		if _, err := l.f.Write(l.buf); err != nil {
+			l.err = fmt.Errorf("wal: write: %w", err)
+		}
+		l.buf = l.buf[:0]
 	}
-	return nil
+	return l.err
 }
 
 // Sync flushes and fsyncs.
@@ -326,7 +394,8 @@ func (l *Log) Sync() error {
 		return err
 	}
 	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
+		l.err = fmt.Errorf("wal: fsync: %w", err)
+		return l.err
 	}
 	l.pending = 0
 	return nil
@@ -397,10 +466,11 @@ func Recover(path string) (*Recovered, error) {
 	}
 	rec := &Recovered{Header: hdr, History: history.New(), Tickets: make([]uint64, 0, n/2)}
 	rec.History.Reserve(n)
+	var e history.Event
 	off := start
 	for off < end {
 		next := off + frameOverhead + int64(binary.LittleEndian.Uint32(data[off:]))
-		e, pos, err := DecodeEventPayload(data[off+frameOverhead : next])
+		pos, err := decodePayload(data[off+frameOverhead:next], &e)
 		if err != nil {
 			break
 		}
@@ -459,10 +529,8 @@ func readFrame(data []byte, off int64) (payload []byte, next int64, ok bool) {
 		return nil, 0, false
 	}
 	payload = data[off+frameOverhead : off+frameOverhead+int64(n)]
-	if crc32.ChecksumIEEE(payload) != crc {
+	if checksum(payload) != crc {
 		return nil, 0, false
 	}
 	return payload, off + frameOverhead + int64(n), true
 }
-
-var _ io.Closer = (*Log)(nil)

@@ -428,25 +428,204 @@ func TestDecodeKnownMethodAllocs(t *testing.T) {
 }
 
 // TestGoldenBytes pins the file format: testdata/golden.wal is writeLog's
-// log as written by the Append that made two Writes per frame.
+// log as written by the Append that made two Writes per frame. The drain
+// writer lays down the same bytes whatever the drains and the policy.
 func TestGoldenBytes(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "golden.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	evs, _ := testEvents()
 	for _, pol := range []SyncPolicy{SyncNever, SyncAlways, SyncPolicy(2)} {
-		path, _, _ := writeLog(t, pol)
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("pol %v: log bytes differ from testdata/golden.wal:\n got %x\nwant %x", pol, got, want)
+		path, _, _ := writeLog(t, pol) // drain 0: one Append per event
+		for _, drain := range []int{0, 1, 3, len(evs)} {
+			if drain > 0 {
+				path = writeDrains(t, pol, drain, nil)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("pol %v, drains of %d: log bytes differ from testdata/golden.wal:\n got %x\nwant %x", pol, drain, got, want)
+			}
 		}
 	}
 }
 
-// frame is one frame around payload, as writeFrame lays it out.
+// writeDrains writes testEvents through AppendEvents in drains of drain
+// events, calling after(l, k) once the first k events are logged, and
+// returns the closed log's path.
+func writeDrains(t *testing.T, pol SyncPolicy, drain int, after func(l *Log, k int)) string {
+	t.Helper()
+	evs, pos := testEvents()
+	h, err := history.FromEvents(evs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run.wal")
+	l, err := Create(path, testHeader(), pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for from := 0; from < len(evs); from += drain {
+		to := min(from+drain, len(evs))
+		if err := l.AppendEvents(h, from, to, pos[from:to]); err != nil {
+			t.Fatalf("AppendEvents [%d,%d): %v", from, to, err)
+		}
+		if after != nil {
+			after(l, to)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// Every event counts toward the sync policy wherever a drain ends: after
+// each drain of every size, and after each one-event Append, the sync
+// counter and the bytes on file (a log this small reaches the file only at
+// a sync) are those of an fsync after every event (always), after every
+// N-th (interval:N) or never.
+func TestDrainSyncPoints(t *testing.T) {
+	evs, pos := testEvents()
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// end[k] is the size of the log of the first k events.
+	end := []int64{headerEnd(t, golden)}
+	for i, e := range evs {
+		end = append(end, end[i]+int64(frameOverhead+len(AppendEventPayload(nil, e, pos[i]))))
+	}
+	check := func(pol SyncPolicy, how string, l *Log, k int) {
+		t.Helper()
+		synced := 0 // events an fsync has covered
+		switch {
+		case pol == SyncAlways:
+			synced = k
+		case pol > 0:
+			synced = k - k%int(pol)
+		}
+		st, err := os.Stat(l.f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.pending != k-synced || st.Size() != end[synced] {
+			t.Errorf("pol %v, %s: after %d events %d pending and %d bytes on file, want %d and %d",
+				pol, how, k, l.pending, st.Size(), k-synced, end[synced])
+		}
+	}
+	for _, pol := range []SyncPolicy{SyncNever, SyncAlways, SyncPolicy(1), SyncPolicy(2), SyncPolicy(3), SyncPolicy(4)} {
+		l, err := Create(filepath.Join(t.TempDir(), "one.wal"), testHeader(), pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range evs {
+			if err := l.Append(e, pos[i]); err != nil {
+				t.Fatal(err)
+			}
+			check(pol, "Append", l, i+1)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for drain := 1; drain <= len(evs); drain++ {
+			writeDrains(t, pol, drain, func(l *Log, k int) { check(pol, fmt.Sprintf("drains of %d", drain), l, k) })
+		}
+	}
+}
+
+// Recovery decodes every frame into one Event: an invocation with fewer
+// arguments than the one before it must not keep the earlier arguments.
+func TestRecoverResetsArgs(t *testing.T) {
+	h := history.New()
+	for _, op := range []spec.Op{spec.MakeOp2(spec.MethodCAS, 1, 2), spec.MakeOp1(spec.MethodWrite, 5), spec.MakeOp(spec.MethodRead)} {
+		if err := h.Call(0, "C", op, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "args.wal")
+	l, err := Create(path, testHeader(), SyncNever)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendEvents(h, 0, h.Len(), make([]uint64, h.Len())); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Recover(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The fingerprint skips arguments past NArgs; Op compares them all.
+	if got, want := rec.History.AppendFingerprint(nil), h.AppendFingerprint(nil); !bytes.Equal(got, want) {
+		t.Errorf("recovered fingerprint %x, written %x", got, want)
+	}
+	for i := range h.Len() {
+		if got, want := rec.History.Op(i), h.Op(i); got != want {
+			t.Errorf("event %d: recovered %#v, written %#v", i, got, want)
+		}
+	}
+}
+
+// A failed write is the log's last: once it loses frames, every later
+// append, Flush, Sync and Close fails, even when the file takes writes
+// again, and nothing lands past the lost frames.
+func TestWriteFailureSticks(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fail.wal")
+	l, err := Create(path, testHeader(), SyncNever)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, pos := testEvents()
+	if err := l.Append(evs[0], pos[0]); err != nil {
+		t.Fatal(err)
+	}
+	file := l.f
+	if l.f, err = os.Open(path); err != nil { // read-only: the write fails
+		t.Fatal(err)
+	}
+	if err := l.Flush(); err == nil {
+		t.Fatal("Flush to a read-only file succeeded")
+	}
+	l.f.Close()
+	l.f = file
+	if err := l.Append(evs[1], pos[1]); err == nil {
+		t.Error("Append after a failed write succeeded")
+	}
+	for i, call := range []func() error{l.Flush, l.Sync, l.Close} {
+		if err := call(); err == nil || !strings.Contains(err.Error(), "wal: write") {
+			t.Errorf("call %d (Flush, Sync, Close) after a failed write = %v, want the write error", i, err)
+		}
+	}
+	rec, err := Recover(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Frames != 0 || rec.Torn {
+		t.Errorf("recovered %d frames (torn %v), want the header alone", rec.Frames, rec.Torn)
+	}
+}
+
+// checksum is the IEEE CRC-32 at every length across the kernel's steps.
+func TestChecksumMatchesIEEE(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	random, ones := make([]byte, 256), bytes.Repeat([]byte{0xff}, 256)
+	rng.Read(random)
+	for n := 0; n <= 256; n++ {
+		for _, b := range [][]byte{random[:n], ones[:n]} {
+			if got, want := checksum(b), crc32.ChecksumIEEE(b); got != want {
+				t.Errorf("checksum of %x = %08x, want %08x", b, got, want)
+			}
+		}
+	}
+}
+
+// frame is one frame around payload, as sealFrame lays it out.
 func frame(payload []byte) []byte {
 	b := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
 	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
