@@ -103,14 +103,24 @@ type Totals struct {
 	Ties  int `json:"ties"`
 }
 
+// count adds one cell of the given winner.
+func (t *Totals) count(winner string) {
+	t.Cells++
+	switch winner {
+	case WinnerA:
+		t.AWins++
+	case WinnerB:
+		t.BWins++
+	default:
+		t.Ties++
+	}
+}
+
 // AxisCount is one rollup row: the win counts of every matched cell
 // sharing one value on one axis.
 type AxisCount struct {
 	Value string `json:"value"`
-	Cells int    `json:"cells"`
-	AWins int    `json:"a_wins"`
-	BWins int    `json:"b_wins"`
-	Ties  int    `json:"ties"`
+	Totals
 }
 
 // Report is a head-to-head comparison: every matched cell in key order,
@@ -381,15 +391,7 @@ func (r *Report) aggregate() {
 	rollups := map[string]map[string]*AxisCount{}
 	for i := range r.Cells {
 		cell := &r.Cells[i]
-		r.Totals.Cells++
-		switch cell.Winner {
-		case WinnerA:
-			r.Totals.AWins++
-		case WinnerB:
-			r.Totals.BWins++
-		default:
-			r.Totals.Ties++
-		}
+		r.Totals.count(cell.Winner)
 		for axis, value := range keyCoordinates(cell.Key) {
 			byValue := rollups[axis]
 			if byValue == nil {
@@ -401,15 +403,7 @@ func (r *Report) aggregate() {
 				row = &AxisCount{Value: value}
 				byValue[value] = row
 			}
-			row.Cells++
-			switch cell.Winner {
-			case WinnerA:
-				row.AWins++
-			case WinnerB:
-				row.BWins++
-			default:
-				row.Ties++
-			}
+			row.count(cell.Winner)
 		}
 	}
 	for axis, byValue := range rollups {

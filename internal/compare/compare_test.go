@@ -2,6 +2,7 @@ package compare
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -164,6 +165,18 @@ func TestCanonicalByteStable(t *testing.T) {
 	a, b := encode(), encode()
 	if !bytes.Equal(a, b) {
 		t.Fatalf("canonical comparison not byte-stable:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// TestAxisCountJSON pins a rollup row's encoding: the embedded Totals
+// keeps the field order value, cells, a_wins, b_wins, ties.
+func TestAxisCountJSON(t *testing.T) {
+	b, err := json.Marshal(AxisCount{Value: "v", Totals: Totals{Cells: 4, AWins: 1, BWins: 2, Ties: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"value":"v","cells":4,"a_wins":1,"b_wins":2,"ties":1}`; string(b) != want {
+		t.Fatalf("AxisCount encodes as %s, want %s", b, want)
 	}
 }
 

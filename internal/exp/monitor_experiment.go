@@ -3,8 +3,7 @@ package exp
 import (
 	"fmt"
 
-	"github.com/elin-go/elin/internal/check"
-	"github.com/elin-go/elin/internal/live"
+	"github.com/elin-go/elin/internal/scenario"
 )
 
 // E20MonitorGap is the monitored-gap matrix behind the check.Monitor API:
@@ -27,42 +26,27 @@ func E20MonitorGap(cfg Config) (*Table, error) {
 		},
 	}
 
-	workloads := []struct {
-		name string
-		mk   func() live.Object
-	}{
-		{"atomic-fi", func() live.Object { return live.NewAtomicFetchInc("C", 0) }},
-		{"junk-fi(stick:120)", func() live.Object { return live.NewJunkFetchInc("C", 120) }},
+	workloads := []struct{ name, impl string }{
+		{"atomic-fi", "atomic-fi"},
+		{"junk-fi(stick:120)", "junk-fi:120"},
 	}
-	specs := []check.MonitorSpec{
-		{Kind: check.MonitorFull},
-		{Kind: check.MonitorSample, N: 4},
-		{Kind: check.MonitorNone},
-	}
-
 	for _, w := range workloads {
-		for _, ms := range specs {
-			res, err := live.Run(live.Config{
-				Object:      w.mk(),
-				Clients:     4,
-				Ops:         300,
-				Seed:        3,
-				Serial:      true,
-				Monitor:     check.IncrementalConfig{Stride: 64},
-				MonitorSpec: ms,
+		for _, monitor := range []string{"full", "sample:4", "none"} {
+			rep, err := scenario.Run("live", scenario.Scenario{
+				Impl: w.impl, Procs: 4, Ops: 300, Seed: 3, Serial: true,
+				Stride: 64, Monitor: monitor, NoShrink: true, NoVerify: true,
 			})
 			if err != nil {
-				return nil, fmt.Errorf("E20 %s %s: %w", w.name, ms, err)
+				return nil, fmt.Errorf("E20 %s %s: %w", w.name, monitor, err)
 			}
-			verdict, trend, finalMinT := "clean", res.Verdict.Trend.String(), fmt.Sprint(res.Verdict.FinalMinT)
-			if res.Violation != nil {
-				verdict = "caught"
+			verdict, trend, finalMinT, windows := "recorded", "-", "-", 0
+			if tr := rep.Trend; tr != nil {
+				verdict, trend, finalMinT, windows = "clean", tr.Trend, fmt.Sprint(tr.FinalMinT), tr.Windows
+				if rep.Verdict == scenario.VerdictViolation {
+					verdict = "caught"
+				}
 			}
-			if ms.Kind == check.MonitorNone {
-				verdict, trend, finalMinT = "recorded", "-", "-"
-			}
-			t.AddRow(w.name, ms.String(), res.History.Len(), len(res.Verdict.Samples),
-				verdict, trend, finalMinT)
+			t.AddRow(w.name, monitor, rep.Perf.Events, windows, verdict, trend, finalMinT)
 		}
 	}
 	return t, nil

@@ -3,11 +3,9 @@ package exp
 import (
 	"fmt"
 
-	"github.com/elin-go/elin/internal/base"
-	"github.com/elin-go/elin/internal/check"
-	"github.com/elin-go/elin/internal/core/passthrough"
 	"github.com/elin-go/elin/internal/live"
-	"github.com/elin-go/elin/internal/spec"
+	"github.com/elin-go/elin/internal/registry"
+	"github.com/elin-go/elin/internal/scenario"
 )
 
 // E17Stress exercises the live concurrent runtime end to end: goroutine
@@ -32,89 +30,62 @@ func E17Stress(cfg Config) (*Table, error) {
 		},
 	}
 
-	type row struct {
-		name    string
-		mk      func() (live.Object, error)
-		clients int
-		ops     int
-		monitor check.IncrementalConfig
-		buggy   bool
-	}
-	rows := []row{
-		{
-			name:    "atomic-fi",
-			mk:      func() (live.Object, error) { return live.NewAtomicFetchInc("C", 0), nil },
-			clients: 4, ops: 1500,
-			monitor: check.IncrementalConfig{Stride: 512},
-		},
-		{
-			name: "mutex-fi",
-			mk: func() (live.Object, error) {
-				return live.NewSerializedImpl(passthrough.New("C", spec.NewObject(spec.FetchInc{}), false), 4, nil, 17, check.Options{})
-			},
-			clients: 4, ops: 1500,
-			monitor: check.IncrementalConfig{Stride: 512},
-		},
-		{
-			name: "el-fi(window:400)",
-			mk: func() (live.Object, error) {
-				return live.NewSerializedImpl(passthrough.New("C", spec.NewObject(spec.FetchInc{}), true), 1,
-					base.SamePolicy(base.Window{K: 400}), 17, check.Options{})
-			},
-			clients: 1, ops: 1200,
-			monitor: check.IncrementalConfig{Stride: 256, MaxT: -1},
-		},
-		{
-			name:    "junk-fi(stick:40)",
-			mk:      func() (live.Object, error) { return live.NewJunkFetchInc("C", 40), nil },
-			clients: 1, ops: 150,
-			monitor: check.IncrementalConfig{Stride: 64},
-			buggy:   true,
-		},
+	rows := []struct {
+		name  string
+		s     scenario.Scenario
+		buggy bool
+	}{
+		{name: "atomic-fi", s: scenario.Scenario{Impl: "atomic-fi", Procs: 4, Ops: 1500, Stride: 512}},
+		{name: "mutex-fi", s: scenario.Scenario{Impl: "mutex-fi", Procs: 4, Ops: 1500, Stride: 512}},
+		{name: "el-fi(window:400)", s: scenario.Scenario{Impl: "el-fi", Policy: "window:400", Procs: 1, Ops: 1200, Stride: 256, Tolerance: -1}},
+		{name: "junk-fi(stick:40)", s: scenario.Scenario{Impl: "junk-fi:40", Procs: 1, Ops: 150, Stride: 64}, buggy: true},
 	}
 
 	for _, r := range rows {
-		obj, err := r.mk()
-		if err != nil {
-			return nil, fmt.Errorf("E17 %s: %w", r.name, err)
-		}
-		res, err := live.Run(live.Config{
-			Object:  obj,
-			Clients: r.clients,
-			Ops:     r.ops,
-			Seed:    17,
-			Monitor: r.monitor,
-		})
+		r.s.Seed = 17
+		rep, err := scenario.Run("live", r.s)
 		if err != nil {
 			return nil, fmt.Errorf("E17 %s: %w", r.name, err)
 		}
 		verdict := "clean"
 		shrunk, simDiverged := "-", "-"
-		if res.Violation != nil {
+		var same bool
+		if rep.Verdict == scenario.VerdictViolation {
 			verdict = "caught"
-			w, err := live.Shrink(res.Violation, check.Options{})
-			if err != nil {
-				return nil, fmt.Errorf("E17 %s shrink: %w", r.name, err)
+			shrunk = fmt.Sprint(rep.Witness.Shrunk.Ops)
+			simDiverged = fmt.Sprint(rep.Witness.Shrunk.SimDiverged)
+			// A violation report carries no replay check: replay the
+			// history it merged (cut at the offending window's end)
+			// against a fresh object here.
+			if same, err = replayFresh(r.s, rep); err != nil {
+				return nil, fmt.Errorf("E17 %s verify: %w", r.name, err)
 			}
-			shrunk = fmt.Sprintf("%d", w.Ops)
-			simDiverged = fmt.Sprintf("%v", w.Replay.Diverged)
+		} else {
+			same = *rep.Checks.ReplayIdentical
 		}
 		if r.buggy != (verdict == "caught") {
 			return nil, fmt.Errorf("E17 %s: verdict %s does not match expectation (buggy=%v)",
 				r.name, verdict, r.buggy)
 		}
-		// Replay identity covers whatever was merged (a violation stop
-		// truncates the history at the offending window's end).
-		same, err := live.Verify(obj, res.History)
-		if err != nil {
-			return nil, fmt.Errorf("E17 %s verify: %w", r.name, err)
-		}
 		replay := "identical"
 		if !same {
 			replay = "DIVERGED"
 		}
-		t.AddRow(r.name, r.clients, res.History.Len(), len(res.Verdict.Samples), verdict,
-			res.Verdict.Trend.String(), replay, shrunk, simDiverged)
+		t.AddRow(r.name, r.s.Procs, rep.Perf.Events, rep.Trend.Windows, verdict,
+			rep.Trend.Trend, replay, shrunk, simDiverged)
 	}
 	return t, nil
+}
+
+// replayFresh replays rep's history against a fresh registry object of s.
+func replayFresh(s scenario.Scenario, rep *scenario.Report) (bool, error) {
+	pol, err := registry.Policy(s.Policy)
+	if err != nil {
+		return false, err
+	}
+	obj, err := registry.LiveObject(s.Impl, s.Procs, pol, s.Seed, s.Check)
+	if err != nil {
+		return false, err
+	}
+	return live.Verify(obj, rep.History())
 }

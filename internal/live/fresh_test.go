@@ -15,7 +15,7 @@ import (
 // TestFresh pins Object.Fresh on every live object the registry names, and
 // on a step-machine implementation: a distinct, pristine instance that
 // reruns a recorded serial run byte for byte. An object whose Fresh fails
-// makes Replay, Fuzz and Resume return the error instead of panicking.
+// makes Verify and Resume return the error instead of panicking.
 func TestFresh(t *testing.T) {
 	kinds := []string{"cas-counter"}
 	for _, name := range registry.LiveObjectNames() {
@@ -67,13 +67,6 @@ func TestFresh(t *testing.T) {
 	broken := freshFails{live.NewAtomicFetchInc("C", 0)}
 	if _, err := live.Verify(broken, history.New()); !errors.Is(err, errFresh) {
 		t.Errorf("Verify: err = %v, want the Fresh error", err)
-	}
-	_, err = live.Fuzz(live.FuzzConfig{Base: live.Config{
-		Object: broken, Clients: 1, Ops: 10, Serial: true,
-		MonitorSpec: check.MonitorSpec{Kind: check.MonitorNone},
-	}, Runs: 1})
-	if !errors.Is(err, errFresh) {
-		t.Errorf("Fuzz: err = %v, want the Fresh error", err)
 	}
 	if _, err := live.Resume(broken, &wal.Recovered{}); !errors.Is(err, errFresh) {
 		t.Errorf("Resume: err = %v, want the Fresh error", err)

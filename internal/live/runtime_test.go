@@ -147,51 +147,6 @@ func TestRunJunkCaughtShrunkConfirmed(t *testing.T) {
 	}
 }
 
-func TestFuzzFindsJunkAndCleanPasses(t *testing.T) {
-	junk, err := Fuzz(FuzzConfig{
-		Base: Config{
-			Object:  NewJunkFetchInc("C", 30),
-			Clients: 4,
-			Ops:     100,
-			Seed:    100,
-			Monitor: check.IncrementalConfig{Stride: 64},
-		},
-		Runs: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !junk.Found() {
-		t.Fatal("fuzz missed the junk counter")
-	}
-	if junk.Witness == nil || !junk.Witness.Replay.Diverged {
-		t.Fatalf("fuzz witness not sim-confirmed: %+v", junk.Witness)
-	}
-	if junk.Seed != 100 {
-		t.Fatalf("violating seed %d, want 100 (first run)", junk.Seed)
-	}
-
-	clean, err := Fuzz(FuzzConfig{
-		Base: Config{
-			Object:  NewAtomicFetchInc("C", 0),
-			Clients: 4,
-			Ops:     200,
-			Seed:    100,
-			Monitor: check.IncrementalConfig{Stride: 64},
-		},
-		Runs: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clean.Found() {
-		t.Fatalf("fuzz flagged the correct counter: %+v", clean.Violation)
-	}
-	if clean.Runs != 3 || clean.TotalOps != 3*4*200 {
-		t.Fatalf("campaign stats: %+v", clean)
-	}
-}
-
 func TestRunOpenLoop(t *testing.T) {
 	res, err := Run(Config{
 		Object:  NewAtomicFetchInc("C", 0),

@@ -15,7 +15,7 @@ import (
 // genuinely shared object, an online windowed monitor t-lin-checks the
 // merged history as it grows, and a violation is ddmin-shrunk and
 // confirmed in the deterministic simulator. With FuzzRuns > 0 the engine
-// runs a seeded fuzz campaign instead of a single run.
+// runs a fuzz campaign: FuzzRuns single runs at consecutive seeds.
 type Live struct{}
 
 // Name implements Engine.
@@ -190,6 +190,16 @@ func (s Scenario) runLive(rec *wal.Recovered) (*Report, error) {
 	if nf := s.option("net-faults"); nf != "" {
 		return nil, fmt.Errorf("scenario: net-faults %q are a serve-engine feature; engine %q rejects them (the live engine has no connections to sever)", nf, "live")
 	}
+	if s.FuzzRuns > 0 {
+		fspec, err := s.resolveFaults()
+		if err != nil {
+			return nil, err
+		}
+		if rec != nil || s.WAL != "" || !fspec.Zero() {
+			return nil, fmt.Errorf("scenario: fuzz campaigns do not compose with recovery, faults or WAL logging")
+		}
+		return s.fuzzLive()
+	}
 	clients, seed := s.Procs, s.Seed
 	if rec != nil {
 		clients, seed = rec.Header.Procs+s.Procs, rec.Header.Seed
@@ -222,12 +232,6 @@ func (s Scenario) runLive(rec *wal.Recovered) (*Report, error) {
 		LatencySample: s.LatencySample,
 		Faults:        fspec,
 		Serial:        s.Serial,
-	}
-	if s.FuzzRuns > 0 {
-		if rec != nil || s.WAL != "" || !fspec.Zero() || s.Serial {
-			return nil, fmt.Errorf("scenario: fuzz campaigns do not compose with recovery, faults, WAL logging or the serial driver")
-		}
-		return runFuzz(cfg, s)
 	}
 	var rr *live.ResumeResult
 	if rec != nil {
@@ -273,26 +277,32 @@ func witnessInfo(v *check.WindowViolation, w *live.Witness) *WitnessInfo {
 	return wi
 }
 
-// runFuzz executes a fuzz campaign and reports it.
-func runFuzz(cfg live.Config, s Scenario) (*Report, error) {
-	res, err := live.Fuzz(live.FuzzConfig{
-		Base:      cfg,
-		Runs:      s.FuzzRuns,
-		NoShrink:  s.NoShrink,
-		CheckOpts: s.Check,
-	})
-	if err != nil {
-		return nil, err
+// fuzzLive runs s as a fuzz campaign. Run i is the single run of s at
+// seed s.Seed+i — object, client streams and response choices alike — so
+// a reported seed X reruns as the scenario with Seed X and no FuzzRuns.
+// The campaign stops at the first violation and reports its witness.
+func (s Scenario) fuzzLive() (*Report, error) {
+	rep := &Report{Schema: Schema, Engine: "live", Scenario: s.info("live"), Verdict: VerdictOK}
+	rep.Fuzz = &FuzzInfo{}
+	one := s
+	// The campaign report carries no checks, so its runs skip replay.
+	one.FuzzRuns, one.NoVerify = 0, true
+	for i := 0; i < s.FuzzRuns; i++ {
+		one.Seed = s.Seed + int64(i)
+		run, err := one.runLive(nil)
+		if err != nil {
+			return nil, fmt.Errorf("scenario: fuzz run %d (seed %d): %w", i, one.Seed, err)
+		}
+		rep.Fuzz.Runs++
+		rep.Fuzz.TotalOps += run.Perf.Ops
+		if run.Verdict == VerdictViolation {
+			rep.Verdict = VerdictViolation
+			rep.Detail = fmt.Sprintf("violation at seed %d: %s", one.Seed, run.Detail)
+			rep.Fuzz.Found, rep.Fuzz.Seed = true, one.Seed
+			rep.Witness = run.Witness
+			return rep, nil
+		}
 	}
-	rep := &Report{Schema: Schema, Engine: "live", Scenario: s.info("live")}
-	rep.Fuzz = &FuzzInfo{Runs: res.Runs, TotalOps: res.TotalOps, Found: res.Found(), Seed: res.Seed}
-	if !res.Found() {
-		rep.Verdict = VerdictOK
-		rep.Detail = fmt.Sprintf("no violation in %d runs", res.Runs)
-		return rep, nil
-	}
-	rep.Verdict = VerdictViolation
-	rep.Detail = fmt.Sprintf("violation at seed %d: %s", res.Seed, res.Violation)
-	rep.Witness = witnessInfo(res.Violation, res.Witness)
+	rep.Detail = fmt.Sprintf("no violation in %d runs", rep.Fuzz.Runs)
 	return rep, nil
 }

@@ -185,7 +185,10 @@ type Scenario struct {
 	// (stalls skip turns, jitter defers them, crashes cut the run).
 	Serial bool
 	// FuzzRuns, when positive, turns the Live engine into a fuzz campaign
-	// over FuzzRuns consecutive seeds.
+	// over FuzzRuns consecutive seeds: run i is the single run of this
+	// scenario at Seed+i, object included, so a reported seed reruns with
+	// Seed set to it. It stops at the first violation. Serial composes;
+	// faults, WAL logging and recovery do not.
 	FuzzRuns int
 	// NoShrink reports a Live violation as-is instead of ddmin-shrinking
 	// and sim-confirming it.

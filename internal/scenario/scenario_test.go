@@ -1,8 +1,12 @@
 package scenario
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/elin-go/elin/internal/wal"
 )
 
 // TestOneScenarioEveryEngine is the tentpole contract: one Scenario value,
@@ -241,7 +245,8 @@ func TestExploreAnalyses(t *testing.T) {
 }
 
 // TestLiveFuzzScenario drives the fuzz path through the Scenario API: the
-// junk counter must be caught, shrunk and sim-refuted.
+// junk counter must be caught at the first seed, shrunk and sim-refuted;
+// the correct counter must pass every run.
 func TestLiveFuzzScenario(t *testing.T) {
 	s := Scenario{
 		Impl:     "junk-fi:20",
@@ -258,7 +263,84 @@ func TestLiveFuzzScenario(t *testing.T) {
 	if rep.Verdict != VerdictViolation || rep.Fuzz == nil || !rep.Fuzz.Found {
 		t.Fatalf("junk fuzz: verdict=%s fuzz=%+v", rep.Verdict, rep.Fuzz)
 	}
+	if rep.Fuzz.Seed != 1 || rep.Fuzz.Runs != 1 {
+		t.Errorf("junk fuzz stopped at seed %d after %d runs, want seed 1 after 1", rep.Fuzz.Seed, rep.Fuzz.Runs)
+	}
 	if rep.Witness == nil || rep.Witness.Shrunk == nil || !rep.Witness.Shrunk.SimDiverged {
 		t.Fatalf("junk fuzz witness not sim-refuted: %+v", rep.Witness)
+	}
+
+	clean, err := Run("live", Scenario{Impl: "atomic-fi", Procs: 4, Ops: 200, Seed: 100, Stride: 64, FuzzRuns: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !clean.OK() || clean.Fuzz == nil || clean.Fuzz.Found || clean.Witness != nil {
+		t.Fatalf("fuzz flagged the correct counter: %s (%s)", clean.Verdict, clean.Detail)
+	}
+	if clean.Fuzz.Runs != 3 || clean.Fuzz.TotalOps != 3*4*200 || clean.Detail != "no violation in 3 runs" {
+		t.Fatalf("campaign stats: %+v, detail %q", clean.Fuzz, clean.Detail)
+	}
+}
+
+// TestLiveFuzzSeedReruns pins a campaign to its single runs: run i is the
+// scenario at Seed+i, response choices included, so the seed a campaign
+// reports reruns its violation. The serial driver makes both runs
+// deterministic; el-fi's stale responses depend on the seed's choices.
+func TestLiveFuzzSeedReruns(t *testing.T) {
+	s := Scenario{
+		Impl: "el-fi", Policy: "window:20", Procs: 2, Ops: 100, Stride: 64,
+		Tolerance: 35, Serial: true, Seed: 1, FuzzRuns: 4, NoShrink: true,
+	}
+	camp, err := Run("live", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if camp.Fuzz == nil || !camp.Fuzz.Found || camp.Fuzz.Seed != 3 || camp.Fuzz.Runs != 3 {
+		t.Fatalf("campaign: verdict=%s fuzz=%+v, want found at seed 3 after 3 runs", camp.Verdict, camp.Fuzz)
+	}
+	one := s
+	one.Seed, one.FuzzRuns = camp.Fuzz.Seed, 0
+	rep, err := Run("live", one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Verdict != VerdictViolation {
+		t.Fatalf("seed %d rerun: verdict=%s (%s), want the campaign's violation", one.Seed, rep.Verdict, rep.Detail)
+	}
+	if want := "violation at seed 3: " + rep.Detail; camp.Detail != want {
+		t.Errorf("campaign detail %q, want %q", camp.Detail, want)
+	}
+	cw, rw := camp.Witness, rep.Witness
+	if cw == nil || rw == nil || cw.WindowStart != rw.WindowStart || cw.WindowEnd != rw.WindowEnd || cw.MinT != rw.MinT {
+		t.Errorf("campaign witness %+v, rerun witness %+v: want the same window and MinT", cw, rw)
+	}
+	if got, want := camp.Fuzz.TotalOps, 2*2*100+rep.Perf.Ops; got != want {
+		t.Errorf("campaign total_ops = %d, want %d (two clean runs + the violating one)", got, want)
+	}
+}
+
+// TestLiveFuzzRejects pins what a campaign does not compose with: faults,
+// a WAL and a recovered prefix. A rejected campaign writes no log.
+func TestLiveFuzzRejects(t *testing.T) {
+	s := Scenario{Impl: "atomic-fi", Procs: 1, Ops: 10, FuzzRuns: 2}
+	faulted, logged := s, s
+	faulted.Faults = "jitter:2"
+	logged.WAL = filepath.Join(t.TempDir(), "fuzz.wal")
+	for name, run := range map[string]func() (*Report, error){
+		"faults":   func() (*Report, error) { return Run("live", faulted) },
+		"wal":      func() (*Report, error) { return Run("live", logged) },
+		"recovery": func() (*Report, error) { return Continue(&wal.Recovered{}, s) },
+	} {
+		if _, err := run(); err == nil || !strings.Contains(err.Error(), "fuzz campaigns do not compose") {
+			t.Errorf("%s: err = %v, want the fuzz rejection", name, err)
+		}
+	}
+	if _, err := os.Stat(logged.WAL); !os.IsNotExist(err) {
+		t.Errorf("a rejected campaign created its WAL: %v", err)
+	}
+	bad := s
+	bad.Faults = "explode:9"
+	if _, err := Run("live", bad); err == nil || strings.Contains(err.Error(), "fuzz campaigns") {
+		t.Errorf("unparseable faults: err = %v, want the parse error", err)
 	}
 }

@@ -18,11 +18,12 @@ import (
 // encoder never emits).
 func checkPayload(t *testing.T, b []byte) {
 	t.Helper()
-	e, pos, err := DecodeEventPayload(b)
+	var e, e2 history.Event
+	pos, err := decodePayload(b, &e)
 	if err != nil {
 		return
 	}
-	e2, pos2, err := DecodeEventPayload(AppendEventPayload(nil, e, pos))
+	pos2, err := decodePayload(appendPayload(nil, &e, pos), &e2)
 	if err != nil || e2 != e || pos2 != pos {
 		t.Fatalf("payload %x decodes to %+v@%d, whose encoding decodes to %+v@%d (err %v)", b, e, pos, e2, pos2, err)
 	}
@@ -43,7 +44,7 @@ func checkLog(t *testing.T, path string, data []byte) {
 	pos := keptPositions(t, rec)
 	for i, e := range evs {
 		e.Obj = "" // travels in the header, not in the payload
-		checkPayload(t, AppendEventPayload(nil, e, pos[i]))
+		checkPayload(t, appendPayload(nil, &e, pos[i]))
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

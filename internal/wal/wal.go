@@ -201,14 +201,8 @@ func checksum(p []byte) uint32 {
 	return ^crc
 }
 
-// AppendEventPayload appends the binary encoding of one event (without
-// framing) to b and returns the extended slice. Exported for the frame
-// round-trip tests; AppendEvents is the writing path.
-func AppendEventPayload(b []byte, e history.Event, pos uint64) []byte {
-	return appendPayload(b, &e, pos)
-}
-
-// appendPayload is AppendEventPayload of *e, which it only reads.
+// appendPayload appends the binary encoding of one event (without
+// framing) to b and returns the extended slice. It only reads *e.
 func appendPayload(b []byte, e *history.Event, pos uint64) []byte {
 	b = append(b, byte(e.Kind))
 	b = binary.AppendUvarint(b, uint64(e.Proc))
@@ -226,16 +220,10 @@ func appendPayload(b []byte, e *history.Event, pos uint64) []byte {
 	return b
 }
 
-// DecodeEventPayload decodes one event payload (the inverse of
-// AppendEventPayload). The object name is not part of the payload — the
-// caller substitutes the header's ObjName.
-func DecodeEventPayload(b []byte) (e history.Event, pos uint64, err error) {
-	pos, err = decodePayload(b, &e)
-	return e, pos, err
-}
-
-// decodePayload decodes one event payload into e, all but e.Obj, and
-// returns its merge position.
+// decodePayload decodes one event payload (the inverse of appendPayload)
+// into e, all but e.Obj — the object name is not part of the payload, the
+// caller substitutes the header's ObjName — and returns its merge
+// position.
 func decodePayload(b []byte, e *history.Event) (uint64, error) {
 	bad := func(what string) (uint64, error) {
 		return 0, fmt.Errorf("wal: bad event payload: %s", what)

@@ -100,7 +100,8 @@ func recoverEvents(path string) (*materialised, error) {
 			rec.Torn, rec.TornAt = true, off
 			break
 		}
-		e, pos, err := DecodeEventPayload(payload)
+		var e history.Event
+		pos, err := decodePayload(payload, &e)
 		if err != nil {
 			rec.Torn, rec.TornAt = true, off
 			break
@@ -132,9 +133,10 @@ func recoverEvents(path string) (*materialised, error) {
 func keptPositions(t *testing.T, rec *Recovered) []uint64 {
 	t.Helper()
 	var pos []uint64
+	var e history.Event
 	for b := rec.frames; len(b) > 0; {
 		next := frameOverhead + int(binary.LittleEndian.Uint32(b))
-		_, p, err := DecodeEventPayload(b[frameOverhead:next])
+		p, err := decodePayload(b[frameOverhead:next], &e)
 		if err != nil {
 			t.Fatalf("kept frame %d does not decode: %v", len(pos), err)
 		}
@@ -372,8 +374,9 @@ func TestQuickFrameRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	prop := func(q quickEvent, corruptAt uint16) bool {
 		e, pos := q.event()
-		b := AppendEventPayload(nil, e, pos)
-		got, gotPos, err := DecodeEventPayload(b)
+		b := appendPayload(nil, &e, pos)
+		var got history.Event
+		gotPos, err := decodePayload(b, &got)
 		if err != nil {
 			t.Logf("decode clean: %v", err)
 			return false
@@ -390,7 +393,8 @@ func TestQuickFrameRoundTrip(t *testing.T) {
 		bad := append([]byte(nil), b...)
 		off := int(corruptAt) % len(bad)
 		bad[off] ^= 1 << uint(rng.Intn(8))
-		ce, cpos, cerr := DecodeEventPayload(bad)
+		var ce history.Event
+		cpos, cerr := decodePayload(bad, &ce)
 		if cerr == nil {
 			ce.Obj = e.Obj
 			if reflect.DeepEqual(ce, e) && cpos == pos {
@@ -412,17 +416,18 @@ func TestDecodeKnownMethodAllocs(t *testing.T) {
 	for _, op := range []spec.Op{
 		spec.MakeOp(spec.MethodFetchInc), spec.MakeOp(spec.MethodRead), spec.MakeOp1(spec.MethodWrite, 1),
 	} {
-		b := AppendEventPayload(nil, history.Event{Kind: history.KindInvoke, Proc: 3, Op: op}, 9)
+		b := appendPayload(nil, &history.Event{Kind: history.KindInvoke, Proc: 3, Op: op}, 9)
 		var got history.Event
-		if n := testing.AllocsPerRun(100, func() { got, _, _ = DecodeEventPayload(b) }); n != 0 {
+		if n := testing.AllocsPerRun(100, func() { _, _ = decodePayload(b, &got) }); n != 0 {
 			t.Errorf("decoding %s: %v allocs, want 0", op, n)
 		}
 		if got.Op != op {
 			t.Errorf("decoded %s as %s", op, got.Op)
 		}
 	}
-	b := AppendEventPayload(nil, history.Event{Kind: history.KindInvoke, Op: spec.MakeOp("frobnicate")}, 0)
-	if e, _, err := DecodeEventPayload(b); err != nil || e.Op.Method != "frobnicate" {
+	b := appendPayload(nil, &history.Event{Kind: history.KindInvoke, Op: spec.MakeOp("frobnicate")}, 0)
+	var e history.Event
+	if _, err := decodePayload(b, &e); err != nil || e.Op.Method != "frobnicate" {
 		t.Errorf("unknown method decoded as %q, err %v", e.Op.Method, err)
 	}
 }
@@ -497,7 +502,7 @@ func TestDrainSyncPoints(t *testing.T) {
 	// end[k] is the size of the log of the first k events.
 	end := []int64{headerEnd(t, golden)}
 	for i, e := range evs {
-		end = append(end, end[i]+int64(frameOverhead+len(AppendEventPayload(nil, e, pos[i]))))
+		end = append(end, end[i]+int64(frameOverhead+len(appendPayload(nil, &e, pos[i]))))
 	}
 	check := func(pol SyncPolicy, how string, l *Log, k int) {
 		t.Helper()
@@ -642,7 +647,7 @@ func craftLog(t *testing.T, h Header, evs []history.Event, pos []uint64) []byte 
 	}
 	b := append(bytes.Clone(magic[:]), frame(append([]byte{frameHeader}, hdr...))...)
 	for i, e := range evs {
-		b = append(b, frame(AppendEventPayload(nil, e, pos[i]))...)
+		b = append(b, frame(appendPayload(nil, &e, pos[i]))...)
 	}
 	return b
 }
