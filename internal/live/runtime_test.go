@@ -147,6 +147,70 @@ func TestRunJunkCaughtShrunkConfirmed(t *testing.T) {
 	}
 }
 
+// fuzzLoop runs a campaign the way the scenario layer does: run i is a single
+// live run at base.Seed+i on a fresh object, stopping at the first violation.
+// It returns the violating run's seed and result (nil when none), the number
+// of runs made and their summed ops.
+func fuzzLoop(t *testing.T, base Config, runs int) (seed int64, found *Result, n, ops int) {
+	t.Helper()
+	for i := 0; i < runs; i++ {
+		cfg := base
+		cfg.Seed = base.Seed + int64(i)
+		obj, err := base.Object.Fresh()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Object = obj
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("run %d (seed %d): %v", i, cfg.Seed, err)
+		}
+		n++
+		ops += res.Ops
+		if res.Violation != nil {
+			return cfg.Seed, res, n, ops
+		}
+	}
+	return 0, nil, n, ops
+}
+
+func TestFuzzFindsJunkAndCleanPasses(t *testing.T) {
+	seed, junk, _, _ := fuzzLoop(t, Config{
+		Object:  NewJunkFetchInc("C", 30),
+		Clients: 4,
+		Ops:     100,
+		Seed:    100,
+		Monitor: check.IncrementalConfig{Stride: 64},
+	}, 4)
+	if junk == nil {
+		t.Fatal("fuzz missed the junk counter")
+	}
+	if seed != 100 {
+		t.Fatalf("violating seed %d, want 100 (first run)", seed)
+	}
+	w, err := Shrink(junk.Violation, check.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !w.Replay.Diverged {
+		t.Fatalf("fuzz witness not sim-confirmed: %+v", w)
+	}
+
+	_, clean, n, ops := fuzzLoop(t, Config{
+		Object:  NewAtomicFetchInc("C", 0),
+		Clients: 4,
+		Ops:     200,
+		Seed:    100,
+		Monitor: check.IncrementalConfig{Stride: 64},
+	}, 3)
+	if clean != nil {
+		t.Fatalf("fuzz flagged the correct counter: %+v", clean.Violation)
+	}
+	if n != 3 || ops != 3*4*200 {
+		t.Fatalf("campaign stats: runs %d, ops %d", n, ops)
+	}
+}
+
 func TestRunOpenLoop(t *testing.T) {
 	res, err := Run(Config{
 		Object:  NewAtomicFetchInc("C", 0),
