@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -156,19 +157,35 @@ func TestHeaderEchoesEveryOption(t *testing.T) {
 	}
 	base := []string{"stress", "-impl", "atomic-fi", "-procs", "2", "-ops", "50", "-serial"}
 	// stress defaults to the window:400 policy.
-	if got, want := header(base...), "engine=live impl=atomic-fi workload=default policy=window:400 procs=2 ops=50 seed=1"; got != want {
+	if got, want := header(base...), "engine=live impl=atomic-fi workload=default policy=window:400 procs=2 ops=50 serial=true seed=1"; got != want {
 		t.Errorf("default header = %q, want %q", got, want)
 	}
 	if got, want := header(append(base, "-policy", "window:300", "-tolerance", "-1")...),
-		"engine=live impl=atomic-fi workload=default policy=window:300 procs=2 ops=50 tolerance=-1 seed=1"; got != want {
+		"engine=live impl=atomic-fi workload=default policy=window:300 procs=2 ops=50 tolerance=-1 serial=true seed=1"; got != want {
 		t.Errorf("policy and tolerance header = %q, want %q", got, want)
 	}
-	if got, want := header(append(base, "-policy", "immediate")...), "engine=live impl=atomic-fi workload=default procs=2 ops=50 seed=1"; got != want {
+	if got, want := header(append(base, "-policy", "immediate")...), "engine=live impl=atomic-fi workload=default procs=2 ops=50 serial=true seed=1"; got != want {
 		t.Errorf("immediate-policy header = %q, want %q", got, want)
 	}
 	got := header(append(base, "-faults", "jitter-light", "-monitor", "sample:02",
 		"-wal", filepath.Join(t.TempDir(), "h.wal"))...)
 	if want := " seed=1 faults=jitter:3 wal-sync=never monitor=sample:2"; !strings.HasSuffix(got, want) {
 		t.Errorf("header = %q, want suffix %q", got, want)
+	}
+	// The driver and the stride decide this run's verdict: the serial run
+	// is a violation, the goroutine run is not, and the headers say so.
+	elfi := []string{"stress", "-impl", "el-fi", "-policy", "window:20", "-procs", "2", "-ops", "100",
+		"-stride", "64", "-tolerance", "35", "-seed", "3"}
+	for _, c := range []struct {
+		extra []string
+		want  string
+	}{
+		{nil, "engine=live impl=el-fi workload=default policy=window:20 procs=2 ops=100 tolerance=35 stride=64 seed=3"},
+		{[]string{"-serial"}, "engine=live impl=el-fi workload=default policy=window:20 procs=2 ops=100 tolerance=35 serial=true stride=64 seed=3"},
+	} {
+		args := append(slices.Clone(elfi), c.extra...)
+		if got := header(args...); got != c.want {
+			t.Errorf("%v: header = %q, want %q", args, got, c.want)
+		}
 	}
 }

@@ -147,9 +147,8 @@ func clip(list []CellDiff, n int) []CellDiff {
 // repro builds the cell's single-run CLI command from its report's
 // resolved scenario echo — or, for error cells that never produced a
 // report, from the grid coordinate and spec: every coordinate under its
-// flag (options only when set), then the engine's own knobs and the
-// spec-level one the echo does not carry (the monitor/trend stride), so
-// rerunning it reproduces the cell exactly.
+// flag (options only when set), then the engine's own knobs, so rerunning
+// it reproduces the cell exactly.
 func (c *Cell) repro(sp *Spec) string {
 	var engine string
 	var inf scenario.ScenarioInfo
@@ -205,8 +204,8 @@ func (c *Cell) repro(sp *Spec) string {
 	if inf.Serial {
 		fmt.Fprint(&b, " -serial")
 	}
-	if sp != nil && sp.Stride > 0 && engine != "explore" {
-		fmt.Fprintf(&b, " -stride %d", sp.Stride)
+	if inf.Stride > 0 {
+		fmt.Fprintf(&b, " -stride %d", inf.Stride)
 	}
 	return b.String()
 }

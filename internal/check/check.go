@@ -29,14 +29,16 @@ import (
 var ErrBudget = errors.New("check: search budget exhausted")
 
 // ErrTooLarge is returned when a history has more operations on a single
-// object than the engine supports (63).
+// object than the engine supports (63) — for the path checker, more open at
+// once.
 var ErrTooLarge = errors.New("check: too many operations on one object (max 63)")
 
 // DefaultBudget is the node budget used when Options.Budget is zero.
 const DefaultBudget = 4 << 20
 
 // MaxOpsPerObject is the largest number of operations on a single object the
-// generic engine accepts (operation sets are tracked in a 64-bit mask).
+// generic engine accepts, and of operations open at once the path checker
+// accepts (operation sets are tracked in a 64-bit mask).
 const MaxOpsPerObject = 63
 
 // Options tunes the search.
@@ -84,35 +86,15 @@ func Legal(objs map[string]spec.Object, h *history.History) (bool, error) {
 	return true, nil
 }
 
-// legalOneObject checks legality of a single-object sequential history. For
-// nondeterministic types it searches over transition choices.
+// legalOneObject checks legality of a single-object sequential history: the
+// path checker's frontier on it is the set of states its operations can
+// reach, and a trailing pending invocation stays optional.
 func legalOneObject(obj spec.Object, h *history.History) (bool, error) {
-	ops := h.Operations()
-	// A trailing pending invocation imposes no constraint on legality.
-	seq := make([]history.Operation, 0, len(ops))
-	for _, op := range ops {
-		if !op.Pending() {
-			seq = append(seq, op)
+	pc := NewPathChecker(obj, Options{})
+	for i := 0; i < h.Len(); i++ {
+		if err := pc.Push(h.Event(i)); err != nil {
+			return false, err
 		}
 	}
-	states := []spec.State{obj.Init}
-	for i, op := range seq {
-		next := make(map[spec.State]bool)
-		for _, s := range states {
-			for _, out := range obj.Type.Step(s, op.Op) {
-				if out.Resp == op.Resp {
-					next[out.Next] = true
-				}
-			}
-		}
-		if len(next) == 0 {
-			return false, nil
-		}
-		states = states[:0]
-		for s := range next {
-			states = append(states, s)
-		}
-		_ = i
-	}
-	return true, nil
+	return pc.Linearizable(), nil
 }

@@ -82,6 +82,33 @@ func TestLegal(t *testing.T) {
 	}
 }
 
+// TestLegalLongHistory: a sequential history longer than a mask has bits is
+// judged, and a wrong read late in it is seen.
+func TestLegalLongHistory(t *testing.T) {
+	// Operation 2k reads what operation 2k-1 wrote: k%3+1 for k >= 1.
+	long := func(wrongAt int) *history.History {
+		b, v := build(t), int64(0)
+		for i := 0; i < 200; i++ {
+			switch {
+			case i%2 == 1:
+				v = int64(i/2%3 + 1)
+				b.call(0, "X", wr(v), 0)
+			case i == wrongAt:
+				b.call(0, "X", rd, v+1)
+			default:
+				b.call(0, "X", rd, v)
+			}
+		}
+		return b.h
+	}
+	if ok, err := Legal(regX, long(-1)); err != nil || !ok {
+		t.Fatalf("200 legal operations: Legal = %v, %v; want true", ok, err)
+	}
+	if ok, err := Legal(regX, long(150)); err != nil || ok {
+		t.Fatalf("operation 150 corrupted: Legal = %v, %v; want false", ok, err)
+	}
+}
+
 func TestLinearizableRegisterClassic(t *testing.T) {
 	// w(1) by p0 concurrent with read by p1 returning 1: linearizable.
 	h := build(t).

@@ -26,6 +26,12 @@ import (
 // configuration and is compared when the response arrives. The history is
 // linearizable iff the top frontier is non-empty.
 //
+// Masks are keyed by slot, not by operation: an invocation takes the lowest
+// slot no open operation holds, and a response frees it. Every
+// configuration of a frontier has linearized each answered operation, so
+// only the open ones are kept, and the width of a frontier is bounded by the
+// operations open at once, not by the length of the history.
+//
 // TLinearizable from scratch is the oracle this type is tested against. Not
 // safe for concurrent use.
 type PathChecker struct {
@@ -34,31 +40,34 @@ type PathChecker struct {
 	budget int64           // configurations one event may expand (Options.Budget)
 	left   int64           // what the event being pushed has left of it
 	obj    string
-	ops    []pathOp     // operations in invocation order
-	levels []pathLevel  // levels[n] describes the first n events
-	cfgs   []pathConfig // arena: the frontiers, level after level
-	asg    []int64      // arena: the configurations' assigned responses
-	// cur[i]: the response assigned to open operation i, if linearized, in
-	// the configuration being extended.
+	ops    []pathOp             // operations in invocation order
+	at     [MaxOpsPerObject]int // at[s]: the index in ops of slot s's holder
+	levels []pathLevel          // levels[n] describes the first n events
+	cfgs   []pathConfig         // arena: the frontiers, level after level
+	asg    []int64              // arena: the configurations' assigned responses
+	// cur[s]: the response assigned to the open operation in slot s, if
+	// linearized, in the configuration being extended.
 	cur [MaxOpsPerObject]int64
 }
 
 type pathOp struct {
 	op   spec.Op
 	proc int
+	slot int
+	prev int // at[slot] before this operation took the slot
 }
 
 type pathLevel struct {
 	lo, hi int    // the frontier is cfgs[lo:hi]
 	asg    int    // len(asg) once the level was built
 	ops    int    // operations invoked so far
-	open   uint64 // those of them still unanswered
+	open   uint64 // the slots of those still unanswered
 }
 
 type pathConfig struct {
-	mask  uint64 // operations linearized
+	mask  uint64 // open operations linearized, by slot
 	state spec.State
-	asg   int // offset in asg of the responses assigned to mask&open, by operation
+	asg   int // offset in asg of the responses assigned to mask, by slot
 }
 
 // NewPathChecker returns a checker holding the empty history of obj. Of
@@ -90,17 +99,21 @@ func (pc *PathChecker) Truncate(n int) {
 	}
 	pc.levels = pc.levels[:n+1]
 	top := pc.levels[n]
+	for i := len(pc.ops) - 1; i >= top.ops; i-- {
+		pc.at[pc.ops[i].slot] = pc.ops[i].prev
+	}
 	pc.cfgs, pc.asg, pc.ops = pc.cfgs[:top.hi], pc.asg[:top.asg], pc.ops[:top.ops]
 }
 
 // Push appends one event. It fails, leaving the checker as it was, on an
 // event that is not well-formed after the ones held or is on another
-// object, with ErrTooLarge on a 64th operation, and with ErrBudget.
+// object, with ErrTooLarge on a 64th operation open at once, and with
+// ErrBudget.
 func (pc *PathChecker) Push(e history.Event) error {
 	top := pc.levels[len(pc.levels)-1]
 	j := -1 // the open operation of e.Proc
 	for rest := top.open; rest != 0; rest &= rest - 1 {
-		if i := bits.TrailingZeros64(rest); pc.ops[i].proc == e.Proc {
+		if i := bits.TrailingZeros64(rest); pc.ops[pc.at[i]].proc == e.Proc {
 			j = i
 		}
 	}
@@ -108,11 +121,13 @@ func (pc *PathChecker) Push(e history.Event) error {
 	case pc.Len() > 0 && e.Obj != pc.obj:
 		return fmt.Errorf("check: path checker on %s given %s", pc.obj, e)
 	case e.Kind == history.KindInvoke && j < 0:
-		if top.ops == MaxOpsPerObject {
+		if bits.OnesCount64(top.open) == MaxOpsPerObject {
 			return ErrTooLarge
 		}
-		pc.ops = append(pc.ops, pathOp{op: e.Op, proc: e.Proc})
-		top.open |= 1 << top.ops
+		s := bits.TrailingZeros64(^top.open)
+		pc.ops = append(pc.ops, pathOp{op: e.Op, proc: e.Proc, slot: s, prev: pc.at[s]})
+		pc.at[s] = top.ops
+		top.open |= 1 << s
 		top.ops++
 	case e.Kind == history.KindRespond && j >= 0:
 		if err := pc.respond(&top, j, e.Resp); err != nil {
@@ -164,8 +179,8 @@ func (pc *PathChecker) linearize(top *pathLevel, open, mask uint64, state spec.S
 		var one [1]spec.Outcome
 		outs := one[:0]
 		if pc.det == nil {
-			outs = pc.typ.Step(state, pc.ops[i].op)
-		} else if out, ok := pc.det.StepDet(state, pc.ops[i].op); ok {
+			outs = pc.typ.Step(state, pc.ops[pc.at[i]].op)
+		} else if out, ok := pc.det.StepDet(state, pc.ops[pc.at[i]].op); ok {
 			outs = append(outs, out)
 		}
 		for _, out := range outs {
@@ -182,13 +197,14 @@ func (pc *PathChecker) linearize(top *pathLevel, open, mask uint64, state spec.S
 	return nil
 }
 
-// emit adds (mask, state, cur of the operations still open) to the frontier
-// being built at cfgs[top.lo:], unless it is there. The scan is short: a
-// frontier's configurations differ only in the open operations they
-// linearized, at most one per process.
+// emit adds (mask, state, cur), mask and cur cut down to the operations
+// still open, to the frontier being built at cfgs[top.lo:], unless it is
+// there. The scan is short: a frontier's configurations differ only in the
+// open operations they linearized, at most one per process.
 func (pc *PathChecker) emit(top *pathLevel, mask uint64, state spec.State) {
+	mask &= top.open
 	at := len(pc.asg)
-	for rest := mask & top.open; rest != 0; rest &= rest - 1 {
+	for rest := mask; rest != 0; rest &= rest - 1 {
 		pc.asg = append(pc.asg, pc.cur[bits.TrailingZeros64(rest)])
 	}
 	for _, c := range pc.cfgs[top.lo:] {

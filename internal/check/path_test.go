@@ -136,7 +136,7 @@ func pushSkippingAssigned(pc *PathChecker, e history.Event) error {
 	top := pc.levels[len(pc.levels)-1]
 	j := -1
 	for rest := top.open; rest != 0; rest &= rest - 1 {
-		if i := bits.TrailingZeros64(rest); pc.ops[i].proc == e.Proc {
+		if i := bits.TrailingZeros64(rest); pc.ops[pc.at[i]].proc == e.Proc {
 			j = i
 		}
 	}
@@ -278,7 +278,8 @@ func TestQuickPathCheckerRandomStreams(t *testing.T) {
 }
 
 // TestPathCheckerLimits: a failed Push leaves the checker as it was — on the
-// budget, on the 64th operation and on a malformed event.
+// budget, on a 64th operation open at once and on a malformed event — and an
+// answered operation frees its slot.
 func TestPathCheckerLimits(t *testing.T) {
 	fi := spec.NewObject(spec.FetchInc{})
 	inv := func(p int) history.Event {
@@ -307,20 +308,42 @@ func TestPathCheckerLimits(t *testing.T) {
 	}
 
 	pc = NewPathChecker(fi, Options{})
-	for i := 0; i < MaxOpsPerObject; i++ {
-		if err := errors.Join(pc.Push(inv(0)), pc.Push(res(0, int64(i)))); err != nil {
-			t.Fatal(err)
+	for p := 0; p < MaxOpsPerObject; p++ {
+		if err := pc.Push(inv(p)); err != nil {
+			t.Fatalf("operation %d open at once: %v", p+1, err)
 		}
 	}
-	if err := pc.Push(inv(0)); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("64th operation: err = %v, want ErrTooLarge", err)
+	if err := pc.Push(inv(MaxOpsPerObject)); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("64th operation open at once: err = %v, want ErrTooLarge", err)
 	}
-	if pc.Len() != 2*MaxOpsPerObject || !pc.Linearizable() {
+	if pc.Len() != MaxOpsPerObject || !pc.Linearizable() {
 		t.Fatalf("after ErrTooLarge: %d events, linearizable %v", pc.Len(), pc.Linearizable())
 	}
-	pc.Truncate(2*MaxOpsPerObject - 2)
-	if err := errors.Join(pc.Push(inv(1)), pc.Push(res(1, 7))); err != nil || pc.Linearizable() {
-		t.Fatalf("63rd operation answering 7: err %v, linearizable %v", err, pc.Linearizable())
+
+	// One process, one operation at a time: the slot is reused past the
+	// 63rd operation, and a wrong answer late in the path is still seen.
+	const long = 200
+	pc = NewPathChecker(fi, Options{})
+	for i := 0; i < long; i++ {
+		if err := errors.Join(pc.Push(inv(0)), pc.Push(res(0, int64(i)))); err != nil {
+			t.Fatalf("operation %d: %v", i, err)
+		}
+	}
+	if pc.Len() != 2*long || !pc.Linearizable() {
+		t.Fatalf("%d sequential operations: %d events, linearizable %v", long, pc.Len(), pc.Linearizable())
+	}
+	pc.Truncate(2*long - 1)
+	if err := pc.Push(res(0, 7)); err != nil || pc.Linearizable() {
+		t.Fatalf("operation %d answering 7: err %v, linearizable %v", long, err, pc.Linearizable())
+	}
+
+	// p0 and p1 invoke, p0 answers, p2 takes slot 0; the truncation back
+	// before p0's answer must hand slot 0 back to p0.
+	script := pushes([]history.Event{inv(0), inv(1), res(0, 1), inv(2), res(2, 2)})
+	script = append(script, pathMove{cut: 2})
+	script = append(script, pushes([]history.Event{res(0, 0), res(1, 1), inv(2), res(2, 2)})...)
+	if d := pathDiverges(fi, script, (*PathChecker).Push); d != "" {
+		t.Fatal(d)
 	}
 
 	pc = NewPathChecker(fi, Options{})

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -229,6 +230,66 @@ func TestQuickMemoAblationSameAnswers(t *testing.T) {
 		return errA == nil && errB == nil && a == b
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+// coinHistory is a sequential history of coinType: ops operations of
+// process 0 answered the way the coin does, each answer corrupted with
+// probability corrupt.
+func coinHistory(r *rand.Rand, ops int, corrupt float64) *history.History {
+	h := history.New()
+	typ := coinType()
+	state := int64(0)
+	for i := 0; i < ops; i++ {
+		op := typ.Ops[r.Intn(len(typ.Ops))]
+		if op.Method == "flip" {
+			state = int64(r.Intn(2))
+		}
+		resp := state
+		if r.Float64() < corrupt {
+			resp = int64(r.Intn(3))
+		}
+		if err := errors.Join(h.Invoke(0, "X", op), h.Respond(0, resp)); err != nil {
+			panic(err)
+		}
+	}
+	return h
+}
+
+// Property: on a sequential history — one process, corrupted or not, with
+// or without a pending invocation at its end — Legal is linearizability,
+// kernel and generic engine alike.
+func TestQuickLegalMatchesTLinearizable(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		cfg := gen.HistoryConfig{Procs: 1, Ops: 1 + r.Intn(MaxOpsPerObject), Corrupt: float64(r.Intn(3)) * 0.05, PendingBias: 0.3}
+		cases := []struct {
+			obj spec.Object
+			h   *history.History
+		}{
+			{spec.NewObject(spec.Register{}), gen.Register(r, cfg)},
+			{spec.NewObject(spec.FetchInc{}), gen.FetchInc(r, cfg)},
+			{spec.NewObject(coinType()), coinHistory(r, cfg.Ops, cfg.Corrupt)},
+		}
+		for _, c := range cases {
+			h := c.h.Prefix(r.Intn(c.h.Len() + 1))
+			legal, err := Legal(map[string]spec.Object{"X": c.obj}, h)
+			if err != nil {
+				t.Logf("%s: Legal: %v\n%s", c.obj.Type.Name(), err, h)
+				return false
+			}
+			for _, opts := range []Options{{}, {NoFastPath: true}} {
+				lin, err := TLinearizable(c.obj, h, 0, opts)
+				if err != nil || lin != legal {
+					t.Logf("%s: Legal %v, TLinearizable(%+v) %v, %v\n%s", c.obj.Type.Name(), legal, opts, lin, err, h)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

@@ -306,17 +306,14 @@ func (e *engine) sub(depth, horizon int, st *Stats, walk func() error) error {
 // engine's path checker (built at the first leaf that asks). The checker
 // holds the history up to the deepest ancestor this leaf shares with the
 // one before it and the leaf pushes the events since, so each event of the
-// tree is pushed once. Past check.MaxOpsPerObject operations the leaf is
-// checked from scratch.
+// tree is pushed once.
 func (e *engine) linearizable(opts check.Options) (bool, error) {
 	if e.path == nil {
 		e.path = check.NewPathChecker(e.sys.Impl().Spec(), opts)
 	}
 	h := e.sys.History()
 	for i := e.path.Len(); i < h.Len(); i++ {
-		if err := e.path.Push(h.Event(i)); errors.Is(err, check.ErrTooLarge) {
-			return check.Linearizable(implSpecs(e.sys), h, opts)
-		} else if err != nil {
+		if err := e.path.Push(h.Event(i)); err != nil {
 			return false, fmt.Errorf("explore: path check at event %d: %w", i, err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"github.com/elin-go/elin/internal/check"
 	"github.com/elin-go/elin/internal/core/counter"
 	"github.com/elin-go/elin/internal/core/elconsensus"
+	"github.com/elin-go/elin/internal/core/eltestset"
 	"github.com/elin-go/elin/internal/core/passthrough"
 	"github.com/elin-go/elin/internal/machine"
 	"github.com/elin-go/elin/internal/sim"
@@ -100,17 +101,18 @@ func TestPathCheckerMatchesLinearizable(t *testing.T) {
 	t.Logf("%d leaves, %d violations", leaves, violations)
 }
 
-// TestPathCheckerFallsBackPast63Ops: a path with more operations than the
-// path checker's mask holds leaves the checker behind and is judged from
-// scratch, leaf by leaf, with the verdicts the per-leaf search gave.
-func TestPathCheckerFallsBackPast63Ops(t *testing.T) {
+// TestPathCheckerHoldsLongPaths: a path with more operations than a mask
+// has bits stays in the path checker, which keys its masks by open
+// operation, with the verdicts the per-leaf search gives where that search
+// has a fast path, and a verdict where it has none.
+func TestPathCheckerHoldsLongPaths(t *testing.T) {
 	const ops = check.MaxOpsPerObject + 2
 	root := mustSystem(t, counter.CAS{}, sim.UniformWorkload(1, ops, fetchinc), nil)
 	var st Stats
 	e := newEngine(root, 4*ops, Config{}, &st)
 	err := e.leaves(0, func(leaf *sim.System) error {
 		ok, err := e.linearizable(check.Options{})
-		if !ok || e.path.Len() != 2*check.MaxOpsPerObject || leaf.History().Len() != 2*ops {
+		if !ok || e.path.Len() != leaf.History().Len() || leaf.History().Len() != 2*ops {
 			t.Fatalf("ok=%v, checker holds %d of %d events", ok, e.path.Len(), leaf.History().Len())
 		}
 		return err
@@ -133,6 +135,15 @@ func TestPathCheckerFallsBackPast63Ops(t *testing.T) {
 				t.Fatalf("%s workers=%d: ok=%v witness=%v stats %+v; per leaf: ok=%v witness=%v stats %+v",
 					impl.Name(), w, ok, bad != nil, st, wantOK, wantBad != nil, wantSt)
 			}
+		}
+	}
+	// test&set has no fast path: check.Linearizable refuses the 70
+	// operations of this leaf with ErrTooLarge.
+	root = mustSystem(t, eltestset.FromCAS{}, sim.UniformWorkload(1, 70, spec.MakeOp(spec.MethodTestSet)), nil)
+	for _, w := range []int{1, 2} {
+		ok, bad, st, err := LinearizableEverywhere(root, 400, Config{Workers: w}, check.Options{})
+		if err != nil || !ok || bad != nil || st.Nodes != 141 || st.Leaves != 1 || st.Truncated {
+			t.Fatalf("cas-testset workers=%d: ok=%v witness=%v err=%v stats %+v", w, ok, bad != nil, err, st)
 		}
 	}
 }

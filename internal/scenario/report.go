@@ -47,9 +47,11 @@ type ScenarioInfo struct {
 	// The option coordinates, each "" at its default: the canonical
 	// fault-injection spec (Live), network fault spec (Serve), durability
 	// policy of a run writing a commit log, and monitor spec. Serial reports
-	// the Live engine's deterministic serial driver.
+	// the Live engine's deterministic serial driver, Stride the monitor or
+	// trend stride asked for (0: automatic) on Live, Serve and Sim.
 	Faults    string `json:"faults,omitempty"`
 	Serial    bool   `json:"serial,omitempty"`
+	Stride    int    `json:"stride,omitempty"`
 	NetFaults string `json:"net_faults,omitempty"`
 	WALSync   string `json:"wal_sync,omitempty"`
 	Monitor   string `json:"monitor,omitempty"`
@@ -338,6 +340,12 @@ func (r *Report) Render(w io.Writer) error {
 	fmt.Fprintf(w, " procs=%d ops=%d", sc.Procs, sc.Ops)
 	if sc.Tolerance != 0 {
 		fmt.Fprintf(w, " tolerance=%d", sc.Tolerance)
+	}
+	if sc.Serial {
+		fmt.Fprint(w, " serial=true")
+	}
+	if sc.Stride != 0 {
+		fmt.Fprintf(w, " stride=%d", sc.Stride)
 	}
 	fmt.Fprintf(w, " seed=%d", sc.Seed)
 	for _, c := range Coords[1:] {

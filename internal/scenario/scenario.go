@@ -142,8 +142,8 @@ type Scenario struct {
 	// Rate switches the Live engine to open-loop mode: each client issues
 	// operations at Rate ops/second. 0 means closed loop.
 	Rate float64
-	// Stride is the online monitor's window stride in events (Live) and
-	// the MinT-trend stride (Sim). 0 picks automatically.
+	// Stride is the online monitor's window stride in events (Live and
+	// Serve) and the MinT-trend stride (Sim). 0 picks automatically.
 	Stride int
 	// LatencySample records one latency sample every N operations per
 	// client (Live and Serve). 0 picks live.LatencyStride's power of two:
@@ -313,6 +313,9 @@ func (s Scenario) info(engine string) ScenarioInfo {
 		inf.MaxSteps = s.Budget.MaxSteps
 	case "live":
 		inf.Serial = s.Serial
+	}
+	if engine != "explore" {
+		inf.Stride = s.Stride
 	}
 	return inf
 }
