@@ -67,18 +67,26 @@ type Verdict struct {
 // cannot be checked directly, so this is the paper-faithful finite
 // instrument: Definitions 3/4 quantify over infinite histories, and by
 // Lemma 5/6 a history family is eventually linearizable exactly when MinT
-// of its prefixes is eventually constant.
+// of its prefixes is eventually constant. The last sample is the whole
+// history's MinT, and the history is linearizable iff it is 0. The prefixes
+// share one operation table, extended by each stride, and one scratch, as a
+// monitor's windows do.
 func TrackMinT(obj spec.Object, h *history.History, stride int, opts Options) (Verdict, error) {
 	if stride <= 0 {
 		stride = 1
 	}
-	var v Verdict
+	var (
+		v  Verdict
+		tb history.OpTable
+		sc scratch
+	)
 	for k := stride; ; k += stride {
 		last := k >= h.Len()
 		if last {
 			k = h.Len()
 		}
-		t, ok, err := MinT(obj, h.Prefix(k), opts)
+		tb.Extend(h, tb.Events, k)
+		t, ok, err := windowMinT(obj, &tb, opts, &sc)
 		if err != nil {
 			return Verdict{}, fmt.Errorf("prefix %d: %w", k, err)
 		}

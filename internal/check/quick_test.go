@@ -293,3 +293,51 @@ func TestQuickLegalMatchesTLinearizable(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Property: TrackMinT's one pass, which extends a single table and reuses a
+// single scratch, samples what MinT answers on a fresh table of each prefix,
+// on register and fetch&inc histories with pending and corrupted responses,
+// kernel and generic engine alike.
+func TestQuickTrackMinTMatchesPrefixMinT(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		cfg := gen.HistoryConfig{Procs: 3, Ops: 4 + r.Intn(7), Corrupt: 0.3, PendingBias: 0.5}
+		cases := []struct {
+			obj spec.Object
+			h   *history.History
+		}{
+			{spec.NewObject(spec.Register{}), gen.Register(r, cfg)},
+			{spec.NewObject(spec.FetchInc{}), gen.FetchInc(r, cfg)},
+		}
+		stride := 1 + r.Intn(4)
+		for _, c := range cases {
+			for _, opts := range []Options{{}, {NoFastPath: true}} {
+				v, err := TrackMinT(c.obj, c.h, stride, opts)
+				if err != nil {
+					t.Logf("%s: TrackMinT(%+v): %v\n%s", c.obj.Type.Name(), opts, err, c.h)
+					return false
+				}
+				for i, s := range v.Samples {
+					if want := min((i+1)*stride, c.h.Len()); s.Events != want {
+						t.Logf("sample %d covers %d events, want %d", i, s.Events, want)
+						return false
+					}
+					mt, ok, err := MinT(c.obj, c.h.Prefix(s.Events), opts)
+					if err != nil || !ok || mt != s.MinT {
+						t.Logf("%s (%+v) prefix %d: TrackMinT %d, MinT %d, %v, %v\n%s",
+							c.obj.Type.Name(), opts, s.Events, s.MinT, mt, ok, err, c.h)
+						return false
+					}
+				}
+				if last := v.Samples[len(v.Samples)-1]; last.Events != c.h.Len() || v.FinalMinT != last.MinT {
+					t.Logf("last sample %+v, FinalMinT %d, history of %d events", last, v.FinalMinT, c.h.Len())
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}

@@ -60,12 +60,8 @@ func TestCheckDeterminismCatchesNondetProgramme(t *testing.T) {
 		name string
 		run  func(root *sim.System, cfg Config) error
 	}{
-		{"DFS", func(root *sim.System, cfg Config) error {
-			_, err := DFS(root, 4, cfg, nil)
-			return err
-		}},
 		{"Leaves", func(root *sim.System, cfg Config) error {
-			_, err := Leaves(root, 4, cfg, func(*sim.System) error { return nil })
+			_, err := Leaves(root, 4, cfg, noLeaf)
 			return err
 		}},
 		{"LinearizableEverywhere", func(root *sim.System, cfg Config) error {
@@ -112,12 +108,12 @@ func TestCheckDeterminismPassesDeterministicImpl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := DFS(root, 12, Config{}, nil)
+	base, err := Leaves(root, 12, Config{}, noLeaf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		st, err := DFS(root, 12, Config{Workers: workers, CheckDeterminism: true}, nil)
+		st, err := Leaves(root, 12, Config{Workers: workers, CheckDeterminism: true}, noLeaf)
 		if err != nil {
 			t.Fatalf("workers=%d: deterministic impl flagged: %v", workers, err)
 		}

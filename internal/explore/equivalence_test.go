@@ -1,7 +1,6 @@
 package explore
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -83,15 +82,17 @@ func seedScenarios(t *testing.T) []scenario {
 	}
 }
 
+// TestUndoEngineMatchesCloneEngineDFS compares the counting walk, Leaves
+// with a no-op callback, on both engines.
 func TestUndoEngineMatchesCloneEngineDFS(t *testing.T) {
 	for _, sc := range seedScenarios(t) {
 		t.Run(sc.name, func(t *testing.T) {
 			root := mustSystem(t, sc.impl, sc.workload, sc.policies)
-			undoStats, err := DFS(root, sc.depth, Config{}, nil)
+			undoStats, err := Leaves(root, sc.depth, Config{}, noLeaf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cloneStats, err := CloneDFS(root, sc.depth, nil)
+			cloneStats, err := CloneLeaves(root, sc.depth, noLeaf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -307,11 +308,11 @@ func TestParallelEngineMatchesCloneEngine(t *testing.T) {
 	for _, sc := range seedScenarios(t) {
 		t.Run(sc.name, func(t *testing.T) {
 			root := mustSystem(t, sc.impl, sc.workload, sc.policies)
-			cloneStats, err := CloneDFS(root, sc.depth, nil)
+			cloneStats, err := CloneLeaves(root, sc.depth, noLeaf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			parStats, err := DFS(root, sc.depth, Config{Workers: 4}, nil)
+			parStats, err := Leaves(root, sc.depth, Config{Workers: 4}, noLeaf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -406,44 +407,20 @@ func TestDedupMatchesExactAnalysis(t *testing.T) {
 	}
 }
 
-// TestDedupDFSLeafReduction checks the generic visited-set option on DFS.
+// TestDedupDFSLeafReduction checks the generic visited-set option on the
+// counting walk.
 func TestDedupDFSLeafReduction(t *testing.T) {
 	root := mustSystem(t, counter.CAS{}, sim.UniformWorkload(2, 2, fetchinc), nil)
-	exact, err := DFS(root, 12, Config{}, nil)
+	exact, err := Leaves(root, 12, Config{}, noLeaf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dedup, err := DFS(root, 12, Config{Dedup: true}, nil)
+	dedup, err := Leaves(root, 12, Config{Dedup: true}, noLeaf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dedup.Deduped == 0 || dedup.Nodes >= exact.Nodes {
 		t.Fatalf("dedup ineffective: exact %+v, dedup %+v", exact, dedup)
-	}
-}
-
-// TestVisitorSeesConsistentDepths pins the visitor contract on the undo
-// engine: depths increase by one along edges and the preorder matches the
-// clone engine's.
-func TestVisitorSeesConsistentDepths(t *testing.T) {
-	root := mustSystem(t, counter.CAS{}, sim.UniformWorkload(2, 1, fetchinc), nil)
-	trace := func(explorer func(*sim.System, int, Visitor) (Stats, error)) []string {
-		var tr []string
-		_, err := explorer(root, 8, func(s *sim.System, depth int) (bool, error) {
-			tr = append(tr, fmt.Sprintf("%d:%d", depth, s.History().Len()))
-			return true, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	}
-	undoTrace := trace(func(root *sim.System, maxDepth int, visit Visitor) (Stats, error) {
-		return DFS(root, maxDepth, Config{}, visit)
-	})
-	cloneTrace := trace(CloneDFS)
-	if !reflect.DeepEqual(undoTrace, cloneTrace) {
-		t.Fatalf("visitor traces diverge:\nundo:  %v\nclone: %v", undoTrace, cloneTrace)
 	}
 }
 

@@ -23,10 +23,9 @@
 // fingerprint of sim.System.Fingerprint, turning the tree into a DAG; see
 // Config for the soundness conditions.
 //
-// There is one per-node protocol per walk kind — engine.dfs (preorder with a
-// pruning visitor), engine.leaves (leaf enumeration) and valAnalyzer.analyze
-// (postorder valence classification) — and every entry point, at every
-// worker count, runs on one of the three.
+// There is one per-node protocol per walk kind — engine.leaves (leaf
+// enumeration) and valAnalyzer.analyze (postorder valence classification) —
+// and every entry point, at every worker count, runs on one of the two.
 //
 // Exploration cost is intrinsically exponential, so the engine also scales
 // across cores, and a parallel walk is the sequential walk cut at a frontier
@@ -78,24 +77,26 @@ type Config struct {
 	// Stats.Deduped. Merging is sound when the quantity being computed
 	// depends only on the configuration's future behaviour (reachable
 	// decisions, reachable configurations), NOT when it depends on the path
-	// taken to the node (e.g. linearizability of the recorded history).
-	// Dedup silently disables itself when some programme does not implement
-	// machine.Fingerprinter.
+	// taken to the node (e.g. linearizability of the recorded history), so
+	// Leaves and Analyze honour it and the leaf-verdict searches
+	// (LinearizableEverywhere, WeaklyConsistentEverywhere, NodeStable,
+	// FindStable) ignore it. Dedup silently disables itself when some
+	// programme does not implement machine.Fingerprinter.
 	Dedup bool
 
 	// Workers is the number of exploration workers. 0 picks the engine
 	// default: GOMAXPROCS for the verdict and analysis searches
 	// (LinearizableEverywhere, WeaklyConsistentEverywhere, Analyze,
 	// NodeStable, FindStable), whose results are deterministic for every
-	// worker count, and sequential for the callback walks (DFS, Leaves),
-	// whose visitors are typically stateful. A negative value forces
+	// worker count, and sequential for the callback walk (Leaves), whose
+	// leaf function is typically stateful. A negative value forces
 	// GOMAXPROCS everywhere; 1 forces the sequential in-place engine (the
 	// semantic reference). With more than one worker the execution tree is
 	// split at a frontier depth and the root subtrees are handed to a
-	// worker pool; counters and verdicts stay deterministic, but
-	// visitor/leaf callbacks may be invoked concurrently and in
-	// schedule-dependent order, so stateful callbacks must either
-	// synchronize or keep the walk sequential.
+	// worker pool; counters and verdicts stay deterministic, but leaf
+	// callbacks may be invoked concurrently and in schedule-dependent
+	// order, so a stateful callback must either synchronize or keep the
+	// walk sequential.
 	Workers int
 
 	// CheckDeterminism re-steps every probe on a second programme clone and
@@ -111,12 +112,6 @@ type Config struct {
 	// caller outside the package can have, probes for one (chooseFrontier).
 	frontierDepth int
 }
-
-// Visitor observes a configuration during DFS. Returning descend=false
-// prunes the subtree below the node. The system passed to the visitor is
-// the engine's working copy: it is valid only during the call, and visitors
-// that keep a configuration must Clone it.
-type Visitor func(s *sim.System, depth int) (descend bool, err error)
 
 // errViolation aborts a leaf enumeration as soon as one violating leaf is
 // found (the early-exit sentinel of LinearizableEverywhere, NodeStable and
@@ -320,37 +315,6 @@ func (e *engine) linearizable(opts check.Options) (bool, error) {
 	return e.path.Linearizable(), nil
 }
 
-func (e *engine) dfs(depth int, visit Visitor) error {
-	if e.atCut(depth) {
-		return e.cut(e.steps[:depth])
-	}
-	if e.pruneDup(depth) {
-		return nil
-	}
-	e.st.Nodes++
-	descend := true
-	if visit != nil {
-		var err error
-		descend, err = visit(e.sys, depth)
-		if err != nil {
-			return err
-		}
-	}
-	if e.sys.Done() {
-		e.st.Leaves++
-		return nil
-	}
-	if !descend {
-		return nil
-	}
-	if depth >= e.maxDepth {
-		e.st.Leaves++
-		e.st.Truncated = true
-		return nil
-	}
-	return e.expand(depth, func(d int) error { return e.dfs(d, visit) })
-}
-
 func (e *engine) leaves(depth int, fn func(*sim.System) error) error {
 	if e.atCut(depth) {
 		return e.cut(e.steps[:depth])
@@ -370,18 +334,6 @@ func (e *engine) leaves(depth int, fn func(*sim.System) error) error {
 	return e.expand(depth, func(d int) error { return e.leaves(d, fn) })
 }
 
-// DFS explores every interleaving (and every eventually linearizable
-// response choice) from root down to maxDepth, invoking visit on each node
-// in preorder. The root system is never mutated (the engine works on a
-// clone). With the zero Config the walk is sequential, so stateful
-// visitors need no synchronization; with more than one worker the visitor
-// may be invoked concurrently from multiple goroutines and the preorder
-// across subtrees is schedule-dependent, while Stats stay deterministic.
-func DFS(root *sim.System, maxDepth int, cfg Config, visit Visitor) (Stats, error) {
-	return walkTree(root, maxDepth, cfg, cfg.callbackWorkerCount(),
-		func(e *engine, depth int) error { return e.dfs(depth, visit) }, nil)
-}
-
 // Leaves explores to maxDepth and invokes fn on every leaf (terminal or
 // horizon configuration). The leaf system passed to fn is the engine's
 // working copy: valid only during the call, Clone it to keep it. With the
@@ -390,7 +342,11 @@ func DFS(root *sim.System, maxDepth int, cfg Config, visit Visitor) (Stats, erro
 // subtrees is schedule-dependent, while Stats and the set of leaves stay
 // deterministic.
 func Leaves(root *sim.System, maxDepth int, cfg Config, fn func(leaf *sim.System) error) (Stats, error) {
-	return walkTree(root, maxDepth, cfg, cfg.callbackWorkerCount(),
+	workers := 1
+	if cfg.Workers != 0 {
+		workers = cfg.workerCount()
+	}
+	return walkTree(root, maxDepth, cfg, workers,
 		func(e *engine, depth int) error { return e.leaves(depth, fn) }, nil)
 }
 

@@ -24,10 +24,13 @@ func mustSystem(t *testing.T, impl machine.Impl, workload [][]spec.Op, pol base.
 	return s
 }
 
+// noLeaf is the leaf callback of a walk that only counts.
+func noLeaf(*sim.System) error { return nil }
+
 func TestDFSCountsTinyTree(t *testing.T) {
 	// CAS counter, 1 process, 1 op: read, cas, return — a single path.
 	root := mustSystem(t, counter.CAS{}, sim.UniformWorkload(1, 1, fetchinc), nil)
-	st, err := DFS(root, 10, Config{}, nil)
+	st, err := Leaves(root, 10, Config{}, noLeaf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,29 +47,12 @@ func TestDFSCountsTinyTree(t *testing.T) {
 
 func TestDFSTruncation(t *testing.T) {
 	root := mustSystem(t, counter.CAS{}, sim.UniformWorkload(2, 2, fetchinc), nil)
-	st, err := DFS(root, 3, Config{}, nil)
+	st, err := Leaves(root, 3, Config{}, noLeaf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !st.Truncated {
 		t.Fatal("depth 3 must truncate a 12-step tree")
-	}
-}
-
-func TestDFSVisitorPrune(t *testing.T) {
-	root := mustSystem(t, counter.CAS{}, sim.UniformWorkload(2, 1, fetchinc), nil)
-	full, err := DFS(root, 20, Config{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pruned, err := DFS(root, 20, Config{}, func(s *sim.System, depth int) (bool, error) {
-		return depth < 2, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pruned.Nodes >= full.Nodes {
-		t.Fatalf("pruned %d nodes, full %d", pruned.Nodes, full.Nodes)
 	}
 }
 
@@ -121,11 +107,11 @@ func TestEventualBaseBranching(t *testing.T) {
 	}
 	never := mustSystem(t, impl, w, base.SamePolicy(base.Never{}))
 	atomicish := mustSystem(t, impl, w, base.SamePolicy(base.Immediate()))
-	stNever, err := DFS(never, 10, Config{}, nil)
+	stNever, err := Leaves(never, 10, Config{}, noLeaf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stAtomic, err := DFS(atomicish, 10, Config{}, nil)
+	stAtomic, err := Leaves(atomicish, 10, Config{}, noLeaf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,16 +53,6 @@ func (c Config) workerCount() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// callbackWorkerCount resolves Config.Workers for the callback walks (DFS,
-// Leaves): 0 means sequential — the safe default for stateful visitors —
-// and a negative value opts in to GOMAXPROCS.
-func (c Config) callbackWorkerCount() int {
-	if c.Workers == 0 {
-		return 1
-	}
-	return c.workerCount()
-}
-
 // pathStep is one edge of the execution tree: process proc advances by its
 // branch-th candidate response. A []pathStep from the root identifies a
 // configuration, and lexicographic order over paths is exactly the order
@@ -252,8 +242,8 @@ const (
 // whose width is comfortably larger than the worker count. The probe is the
 // leaf walk itself with the horizon pulled up to the candidate depth,
 // counting the leaves that still have work to do and stopping once there
-// are enough; it is a heuristic, so it ignores dedup and visitor pruning,
-// and it counts into nobody's Stats.
+// are enough; it is a heuristic, so it ignores dedup, and it counts into
+// nobody's Stats.
 func chooseFrontier(e *engine, workers, explicit int) (int, error) {
 	if explicit > 0 {
 		return explicit, nil
@@ -311,10 +301,9 @@ func (f *fatalErr) get() error {
 	return f.err
 }
 
-// walkFn is one walk kind bound to its callbacks (dfs with a visitor,
-// leaves with a leaf function, analyze with a report to fill): it explores
-// the subtree below the engine's current configuration, which sits at
-// depth.
+// walkFn is one walk kind bound to its callbacks (leaves with a leaf
+// function, analyze with a report to fill): it explores the subtree below
+// the engine's current configuration, which sits at depth.
 type walkFn func(e *engine, depth int) error
 
 // runTasks fans the frontier subtrees out to workers pulling from a shared
@@ -387,7 +376,7 @@ func runTasks(root *sim.System, maxDepth, workers int, cfg Config, tasks [][]pat
 	return fatal.get()
 }
 
-// walkTree is the one driver behind DFS, Leaves and the violation
+// walkTree is the one driver behind Leaves and the violation
 // searches. With one worker it is walk from the root. With more it is the
 // same call with the cut installed at the frontier — which visits the
 // prefix and records a task per frontier node — followed by walk below

@@ -1,7 +1,6 @@
 package explore
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -70,12 +69,12 @@ func TestParallelDFSMatchesSequential(t *testing.T) {
 	for _, sc := range seedScenarios(t) {
 		t.Run(sc.name, func(t *testing.T) {
 			root := mustSystem(t, sc.impl, sc.workload, sc.policies)
-			seqStats, err := DFS(root, sc.depth, Config{}, nil)
+			seqStats, err := Leaves(root, sc.depth, Config{}, noLeaf)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range parWorkerCounts {
-				parStats, err := DFS(root, sc.depth, Config{Workers: w}, nil)
+				parStats, err := Leaves(root, sc.depth, Config{Workers: w}, noLeaf)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -87,34 +86,11 @@ func TestParallelDFSMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelDFSVisitorPrune checks that visitor pruning composes with the
-// frontier split: pruning at a prefix depth and pruning below the frontier
-// must both match the sequential walk.
-func TestParallelDFSVisitorPrune(t *testing.T) {
-	root := mustSystem(t, counter.CAS{}, sim.UniformWorkload(2, 2, fetchinc), nil)
-	for _, cut := range []int{1, 3, 5} {
-		visit := func(s *sim.System, depth int) (bool, error) { return depth < cut, nil }
-		seqStats, err := DFS(root, 12, Config{}, visit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range parWorkerCounts {
-			parStats, err := DFS(root, 12, Config{Workers: w}, visit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if parStats != seqStats {
-				t.Fatalf("cut=%d workers=%d: stats diverge: par %+v, seq %+v", cut, w, parStats, seqStats)
-			}
-		}
-	}
-}
-
 // TestParallelDedupCounts checks the sharded concurrent visited set: the
 // merged DAG has schedule-independent counters.
 func TestParallelDedupCounts(t *testing.T) {
 	root := mustSystem(t, counter.CAS{}, sim.UniformWorkload(2, 2, fetchinc), nil)
-	seqStats, err := DFS(root, 12, Config{Dedup: true, Workers: 1}, nil)
+	seqStats, err := Leaves(root, 12, Config{Dedup: true, Workers: 1}, noLeaf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +98,7 @@ func TestParallelDedupCounts(t *testing.T) {
 		t.Fatal("symmetric workload should merge configurations")
 	}
 	for _, w := range parWorkerCounts {
-		parStats, err := DFS(root, 12, Config{Dedup: true, Workers: w}, nil)
+		parStats, err := Leaves(root, 12, Config{Dedup: true, Workers: w}, noLeaf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +253,7 @@ func TestParallelLinearizableEverywhereClean(t *testing.T) {
 // stop at the first violating leaf instead of enumerating the full tree.
 func TestEarlyExitOnViolation(t *testing.T) {
 	root := mustSystem(t, counter.Sloppy{}, sim.UniformWorkload(2, 1, fetchinc), nil)
-	full, err := DFS(root, 10, Config{}, nil)
+	full, err := Leaves(root, 10, Config{}, noLeaf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,60 +379,42 @@ func TestParallelExplicitFrontierDepths(t *testing.T) {
 			root := mustSystem(t, sc.impl, sc.workload, sc.policies)
 
 			// The sequential side of every comparison, and the shape of the
-			// tree: where its runs complete, and which depths hold the same
-			// configuration twice.
+			// tree: where its runs complete, and whether depth 2 holds the
+			// same configuration twice.
 			var mu sync.Mutex
-			var visits []string
-			doneAt := map[int]bool{}
-			prune := func(s *sim.System, depth int) (bool, error) {
-				mu.Lock()
-				visits = append(visits, fmt.Sprintf("%d|%s", depth, s.History()))
-				mu.Unlock()
-				return (s.History().Len()+depth)%4 != 3, nil
-			}
-			seqDFS, err := DFS(root, sc.depth, Config{Workers: 1}, prune)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seqVisits := sortedCopy(visits)
-			dupAt := map[int]bool{}
-			configs := map[string]bool{}
-			if _, err := DFS(root, sc.depth, Config{Workers: 1}, func(s *sim.System, depth int) (bool, error) {
-				if s.Done() {
-					doneAt[depth] = true
-				}
-				key, _ := s.AppendConfigFingerprint([]byte{byte(depth)})
-				if configs[string(key)] {
-					dupAt[depth] = true
-				}
-				configs[string(key)] = true
-				return true, nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			firstDone := sc.depth
-			for d := range doneAt {
-				firstDone = min(firstDone, d)
-			}
-			if firstDone+1 > sc.depth-1 {
-				t.Fatalf("first completed run at depth %d: no cut depth has one above it", firstDone)
-			}
-			if !dupAt[2] {
-				t.Fatal("no configuration occurs twice at depth 2: no cut depth has a duplicated frontier node")
-			}
-			seqDedupDFS, err := DFS(root, sc.depth, Config{Workers: 1, Dedup: true}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
 			var leafHist []string
+			firstDone := sc.depth
 			seqLeaves, err := Leaves(root, sc.depth, Config{Workers: 1}, func(leaf *sim.System) error {
 				leafHist = append(leafHist, leaf.History().String())
+				if leaf.Done() {
+					firstDone = min(firstDone, leaf.Steps())
+				}
 				return nil
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			seqLeafHist := sortedCopy(leafHist)
+			if firstDone+1 > sc.depth-1 {
+				t.Fatalf("first completed run at depth %d: no cut depth has one above it", firstDone)
+			}
+			configs := map[string]bool{}
+			dupAt2 := false
+			if _, err := Leaves(root, 2, Config{Workers: 1}, func(leaf *sim.System) error {
+				key, _ := leaf.AppendConfigFingerprint([]byte{byte(leaf.Steps())})
+				dupAt2 = dupAt2 || configs[string(key)]
+				configs[string(key)] = true
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if !dupAt2 {
+				t.Fatal("no configuration occurs twice at depth 2: no cut depth has a duplicated frontier node")
+			}
+			seqDedupLeaves, err := Leaves(root, sc.depth, Config{Workers: 1, Dedup: true}, noLeaf)
+			if err != nil {
+				t.Fatal(err)
+			}
 			seqRep, err := Analyze(root, sc.depth, Config{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
@@ -477,19 +435,11 @@ func TestParallelExplicitFrontierDepths(t *testing.T) {
 				cfg := Config{Workers: 4, frontierDepth: k}
 				dedupCfg := Config{Workers: 4, frontierDepth: k, Dedup: true}
 
-				visits = visits[:0]
-				st, err := DFS(root, sc.depth, cfg, prune)
+				st, err := Leaves(root, sc.depth, dedupCfg, noLeaf)
 				if err != nil {
 					t.Fatal(err)
-				}
-				if st != seqDFS || !reflect.DeepEqual(sortedCopy(visits), seqVisits) {
-					t.Fatalf("k=%d: pruned DFS diverges: %+v with %d visits, sequential %+v with %d",
-						k, st, len(visits), seqDFS, len(seqVisits))
-				}
-				if st, err = DFS(root, sc.depth, dedupCfg, nil); err != nil {
-					t.Fatal(err)
-				} else if st != seqDedupDFS {
-					t.Fatalf("k=%d: dedup DFS stats diverge: %+v, sequential %+v", k, st, seqDedupDFS)
+				} else if st != seqDedupLeaves {
+					t.Fatalf("k=%d: dedup Leaves stats diverge: %+v, sequential %+v", k, st, seqDedupLeaves)
 				}
 
 				leafHist = leafHist[:0]
@@ -572,7 +522,7 @@ func TestCutHandsOverDuplicateFrontierNodes(t *testing.T) {
 			}
 			return nil
 		}
-		if err := e.dfs(0, nil); err != nil {
+		if err := e.leaves(0, noLeaf); err != nil {
 			t.Fatal(err)
 		}
 		twice := 0

@@ -14,56 +14,6 @@ import (
 // quantify what the undo engine buys. It is not used on any production
 // path.
 
-// CloneDFS is the clone-per-edge reference implementation of DFS: every
-// edge deep-copies the entire configuration (programmes, base objects and
-// both histories) before advancing.
-func CloneDFS(root *sim.System, maxDepth int, visit Visitor) (Stats, error) {
-	var st Stats
-	err := cloneDFS(root, 0, maxDepth, visit, &st)
-	return st, err
-}
-
-func cloneDFS(s *sim.System, depth, maxDepth int, visit Visitor, st *Stats) error {
-	st.Nodes++
-	descend := true
-	if visit != nil {
-		var err error
-		descend, err = visit(s, depth)
-		if err != nil {
-			return err
-		}
-	}
-	enabled := s.Enabled()
-	if len(enabled) == 0 {
-		st.Leaves++
-		return nil
-	}
-	if !descend {
-		return nil
-	}
-	if depth >= maxDepth {
-		st.Leaves++
-		st.Truncated = true
-		return nil
-	}
-	for _, p := range enabled {
-		cands, err := s.Candidates(p)
-		if err != nil {
-			return fmt.Errorf("explore: candidates for p%d at depth %d: %w", p, depth, err)
-		}
-		for branch := range cands {
-			child := s.Clone()
-			if err := child.Advance(p, branch); err != nil {
-				return fmt.Errorf("explore: advance p%d branch %d at depth %d: %w", p, branch, depth, err)
-			}
-			if err := cloneDFS(child, depth+1, maxDepth, visit, st); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // CloneLeaves is the clone-per-edge reference implementation of Leaves.
 func CloneLeaves(root *sim.System, maxDepth int, fn func(leaf *sim.System) error) (Stats, error) {
 	var st Stats

@@ -1,12 +1,6 @@
 package live
 
-import (
-	"fmt"
-	"sync/atomic"
-
-	"github.com/elin-go/elin/internal/history"
-	"github.com/elin-go/elin/internal/wal"
-)
+import "github.com/elin-go/elin/internal/wal"
 
 // ResumeResult is a run rebuilt from its commit log: the object at its
 // recovered state and the ticket to continue from. The history prefix a
@@ -38,30 +32,14 @@ type ResumeResult struct {
 // contract (wrong template parameters, or an object whose responses are not
 // a function of its commit order) and aborts the resume.
 func Resume(template Object, rec *wal.Recovered) (*ResumeResult, error) {
-	fresh, err := template.Fresh()
+	fresh, next, committed, err := replay(template, rec.History, rec.Tickets, "resume")
 	if err != nil {
-		return nil, fmt.Errorf("live: resume: %w", err)
-	}
-	var seq atomic.Uint64
-	h, committed := rec.History, 0
-	for i := 0; i < h.Len(); i++ {
-		if h.Kind(i) != history.KindRespond {
-			continue
-		}
-		resp, ticket, err := fresh.Apply(h.Proc(i), h.Op(i), &seq)
-		if err != nil {
-			return nil, fmt.Errorf("live: resume event %d: %w", i, err)
-		}
-		if pos := rec.Tickets[committed]; resp != h.Resp(i) || ticket != pos {
-			return nil, fmt.Errorf("live: resume event %d: log says client %d %s -> %d at ticket %d, replay derives %d at ticket %d (wrong template, or object is not commit-deterministic)",
-				i, h.Proc(i), h.Op(i), h.Resp(i), pos, resp, ticket)
-		}
-		committed++
+		return nil, err
 	}
 	return &ResumeResult{
 		Object:    fresh,
-		NextSeq:   seq.Load(),
+		NextSeq:   next,
 		Committed: committed,
-		Pending:   h.Len() - 2*committed,
+		Pending:   rec.History.Len() - 2*committed,
 	}, nil
 }

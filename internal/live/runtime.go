@@ -522,23 +522,47 @@ func Percentiles(samples ...[]int64) (p50, p95, p99, max time.Duration) {
 // (stalls and jitter only reshape the recorded commit order, and a crash
 // only truncates it).
 func Verify(obj Object, h *history.History) (bool, error) {
+	_, _, _, err := replay(obj, h, nil, "verify")
+	if errors.Is(err, errDiverged) {
+		return false, nil
+	}
+	return err == nil, err
+}
+
+// errDiverged ends a replay whose derived response or ticket is not the
+// recorded one.
+var errDiverged = errors.New("wrong template, or object is not commit-deterministic")
+
+// replay is the one commit-order replay, behind Verify and Resume: it
+// applies every response of h, in order, to a fresh instance of obj and
+// checks each derived response against the recorded one and, when tickets
+// is not nil, each derived ticket against the next of tickets. It returns
+// the replayed object, its last ticket and the number of responses applied;
+// op names the caller in its errors.
+func replay(obj Object, h *history.History, tickets []uint64, op string) (Object, uint64, int, error) {
 	fresh, err := obj.Fresh()
 	if err != nil {
-		return false, err
+		return nil, 0, 0, fmt.Errorf("live: %s: %w", op, err)
 	}
 	var seq atomic.Uint64
+	n := 0
 	for i := 0; i < h.Len(); i++ {
-		e := h.Event(i)
-		if e.Kind != history.KindRespond {
+		if h.Kind(i) != history.KindRespond {
 			continue
 		}
-		resp, _, err := fresh.Apply(e.Proc, h.Op(i), &seq)
+		resp, ticket, err := fresh.Apply(h.Proc(i), h.Op(i), &seq)
 		if err != nil {
-			return false, fmt.Errorf("live: verify event %d: %w", i, err)
+			return nil, 0, n, fmt.Errorf("live: %s event %d: %w", op, i, err)
 		}
-		if resp != e.Resp {
-			return false, nil
+		pos := ticket
+		if tickets != nil {
+			pos = tickets[n]
 		}
+		if resp != h.Resp(i) || ticket != pos {
+			return nil, 0, n, fmt.Errorf("live: %s event %d: log says client %d %s -> %d at ticket %d, replay derives %d at ticket %d (%w)",
+				op, i, h.Proc(i), h.Op(i), h.Resp(i), pos, resp, ticket, errDiverged)
+		}
+		n++
 	}
-	return true, nil
+	return fresh, seq.Load(), n, nil
 }

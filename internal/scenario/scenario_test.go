@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/elin-go/elin/internal/check"
+	"github.com/elin-go/elin/internal/registry"
+	"github.com/elin-go/elin/internal/spec"
 	"github.com/elin-go/elin/internal/wal"
 )
 
@@ -342,5 +345,48 @@ func TestLiveFuzzRejects(t *testing.T) {
 	bad.Faults = "explode:9"
 	if _, err := Run("live", bad); err == nil || strings.Contains(err.Error(), "fuzz campaigns") {
 		t.Errorf("unparseable faults: err = %v, want the parse error", err)
+	}
+}
+
+// TestSimChecksReadOffTrend pins the sim engine's one pass: the report's
+// MinT is the trend's last sample, linearizable means MinT 0, and both equal
+// what check.MinT and check.Linearizable answer on the recorded history.
+func TestSimChecksReadOffTrend(t *testing.T) {
+	for _, s := range []Scenario{
+		{Impl: "cas-counter", Procs: 2, Ops: 3, Seed: 1},
+		{Impl: "junk-counter", Procs: 3, Ops: 3, Seed: 1, Tolerance: -1},
+		{Impl: "warmup-counter:2", Procs: 2, Ops: 2, Chooser: "stale", Policy: "window:2", Seed: 5, Tolerance: -1},
+		{Impl: "sloppy-counter", Procs: 2, Ops: 3, Seed: 2, Tolerance: -1, Check: check.Options{NoFastPath: true}},
+		{Impl: "el-register", Procs: 2, Ops: 3, Policy: "never", Seed: 3, Tolerance: -1},
+		{Impl: "slog-counter", Procs: 2, Ops: 3, Seed: 4, Tolerance: -1},
+	} {
+		rep, err := Sim{}.Run(s)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Impl, err)
+		}
+		c, tr := rep.Checks, rep.Trend
+		if c == nil || c.MinT == nil || c.Linearizable == nil || tr == nil {
+			t.Fatalf("%s: checks %+v, trend %+v", s.Impl, c, tr)
+		}
+		if *c.MinT != tr.FinalMinT || *c.Linearizable != (*c.MinT == 0) {
+			t.Errorf("%s: MinT %d, linearizable %v, trend final MinT %d", s.Impl, *c.MinT, *c.Linearizable, tr.FinalMinT)
+		}
+		impl, err := registry.Impl(s.Impl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := rep.History()
+		mt, _, err := check.MinT(impl.Spec(), h, s.Check)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lin, err := check.Linearizable(map[string]spec.Object{impl.Name(): impl.Spec()}, h, s.Check)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mt != *c.MinT || lin != *c.Linearizable {
+			t.Errorf("%s: report MinT %d linearizable %v, history MinT %d linearizable %v\n%s",
+				s.Impl, *c.MinT, *c.Linearizable, mt, lin, h)
+		}
 	}
 }
