@@ -15,18 +15,21 @@ import (
 )
 
 // Object is a live base object in an execution. Each base-object action is
-// atomic: the runtime asks for the permitted responses (Candidates) and then
-// commits one of them.
+// atomic: the runtime asks for the permitted responses (AppendCandidates)
+// and then commits one of them.
 type Object interface {
 	// Name returns the object's name for base-level histories.
 	Name() string
-	// Candidates returns the responses the object may give to op invoked
-	// by proc in the current state. The first element is always the "true"
-	// response — the one a linearizable object would give. Linearizable
-	// objects return exactly one candidate.
-	Candidates(proc int, op spec.Op) ([]int64, error)
+	// AppendCandidates appends to buf the responses the object may give to
+	// op invoked by proc in the current state and returns the extended
+	// slice; callers pass a reused buffer, so a linearizable object
+	// answers without allocating. The first appended element is always
+	// the "true" response — the one a linearizable object would give.
+	// Linearizable objects append exactly one candidate. On error buf's
+	// contents past its original length are unspecified.
+	AppendCandidates(buf []int64, proc int, op spec.Op) ([]int64, error)
 	// Commit applies op by proc with the chosen response, which must be
-	// one of Candidates' values.
+	// one of AppendCandidates' values.
 	Commit(proc int, op spec.Op, resp int64) error
 	// State returns the object's current abstract state (for the
 	// Proposition 18 configuration capture). For eventually linearizable
@@ -107,13 +110,13 @@ func stepOne(typ spec.Type, det spec.DetStepper, s spec.State, op spec.Op) (spec
 // Name implements Object.
 func (a *Atomic) Name() string { return a.name }
 
-// Candidates implements Object: the unique legal response.
-func (a *Atomic) Candidates(proc int, op spec.Op) ([]int64, error) {
+// AppendCandidates implements Object: the unique legal response.
+func (a *Atomic) AppendCandidates(buf []int64, proc int, op spec.Op) ([]int64, error) {
 	out, ok := stepOne(a.typ, a.det, a.state, op)
 	if !ok {
-		return nil, fmt.Errorf("base: %s (%s) rejects %s in state %v", a.name, a.typ.Name(), op, a.state)
+		return buf, fmt.Errorf("base: %s (%s) rejects %s in state %v", a.name, a.typ.Name(), op, a.state)
 	}
-	return []int64{out.Resp}, nil
+	return append(buf, out.Resp), nil
 }
 
 // Commit implements Object.
@@ -278,15 +281,16 @@ func (e *Eventual) trueResponse(op spec.Op) (int64, error) {
 	return out.Resp, nil
 }
 
-// Candidates implements Object. The true response is always first;
+// AppendCandidates implements Object. The true response is always first;
 // pre-stabilization, every other weakly consistent response follows.
-func (e *Eventual) Candidates(proc int, op spec.Op) ([]int64, error) {
+func (e *Eventual) AppendCandidates(buf []int64, proc int, op spec.Op) ([]int64, error) {
 	truth, err := e.trueResponse(op)
 	if err != nil {
-		return nil, err
+		return buf, err
 	}
+	buf = append(buf, truth)
 	if e.Stabilized() {
-		return []int64{truth}, nil
+		return buf, nil
 	}
 	// Build the hypothetical history with this operation pending and
 	// enumerate Definition 1 responses. The pending invocation is appended
@@ -295,21 +299,19 @@ func (e *Eventual) Candidates(proc int, op spec.Op) ([]int64, error) {
 	// history).
 	logLen := e.log.Len()
 	if err := e.log.Invoke(proc, e.name, op); err != nil {
-		return nil, fmt.Errorf("base: %s candidates: %w", e.name, err)
+		return buf, fmt.Errorf("base: %s candidates: %w", e.name, err)
 	}
 	weak, err := check.WeakResponses(e.obj, e.log, proc, e.opts)
 	e.log.Truncate(logLen)
 	if err != nil {
-		return nil, fmt.Errorf("base: %s candidates: %w", e.name, err)
+		return buf, fmt.Errorf("base: %s candidates: %w", e.name, err)
 	}
-	out := make([]int64, 0, len(weak)+1)
-	out = append(out, truth)
 	for _, r := range weak {
 		if r != truth {
-			out = append(out, r)
+			buf = append(buf, r)
 		}
 	}
-	return out, nil
+	return buf, nil
 }
 
 // Commit implements Object: the mutation follows the type's transition in

@@ -14,14 +14,14 @@ func TestAtomicRegister(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands, err := a.Candidates(0, spec.MakeOp(spec.MethodRead))
+	cands, err := a.AppendCandidates(nil, 0, spec.MakeOp(spec.MethodRead))
 	if err != nil || len(cands) != 1 || cands[0] != 0 {
 		t.Fatalf("read candidates = %v, %v", cands, err)
 	}
 	if err := a.Commit(0, spec.MakeOp1(spec.MethodWrite, 7), 0); err != nil {
 		t.Fatal(err)
 	}
-	cands, _ = a.Candidates(1, spec.MakeOp(spec.MethodRead))
+	cands, _ = a.AppendCandidates(nil, 1, spec.MakeOp(spec.MethodRead))
 	if len(cands) != 1 || cands[0] != 7 {
 		t.Fatalf("read after write = %v", cands)
 	}
@@ -36,7 +36,7 @@ func TestAtomicRegister(t *testing.T) {
 		t.Error("atomic commit accepted wrong response")
 	}
 	// Unknown op is rejected.
-	if _, err := a.Candidates(0, spec.MakeOp("zap")); err == nil {
+	if _, err := a.AppendCandidates(nil, 0, spec.MakeOp("zap")); err == nil {
 		t.Error("atomic candidates accepted unknown op")
 	}
 	// Clone is independent.
@@ -74,7 +74,7 @@ func TestEventualRegisterCandidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fresh object: only the initial value.
-	cands, err := e.Candidates(0, spec.MakeOp(spec.MethodRead))
+	cands, err := e.AppendCandidates(nil, 0, spec.MakeOp(spec.MethodRead))
 	if err != nil || len(cands) != 1 || cands[0] != 0 {
 		t.Fatalf("fresh read candidates = %v, %v", cands, err)
 	}
@@ -87,7 +87,7 @@ func TestEventualRegisterCandidates(t *testing.T) {
 	}
 	// p2 (never wrote) may see 5, 9, or the initial 0. True response (9)
 	// must be first.
-	cands, err = e.Candidates(2, spec.MakeOp(spec.MethodRead))
+	cands, err = e.AppendCandidates(nil, 2, spec.MakeOp(spec.MethodRead))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestEventualRegisterCandidates(t *testing.T) {
 		t.Fatalf("candidates = %v, want %v", sorted, want)
 	}
 	// p0 wrote, so the initial value is off the table for p0.
-	cands, err = e.Candidates(0, spec.MakeOp(spec.MethodRead))
+	cands, err = e.AppendCandidates(nil, 0, spec.MakeOp(spec.MethodRead))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestEventualStabilization(t *testing.T) {
 		t.Fatal("not stabilized after window")
 	}
 	// Post-stabilization reads offer only the truth.
-	cands, err := e.Candidates(2, spec.MakeOp(spec.MethodRead))
+	cands, err := e.AppendCandidates(nil, 2, spec.MakeOp(spec.MethodRead))
 	if err != nil || len(cands) != 1 || cands[0] != 9 {
 		t.Fatalf("stabilized candidates = %v, %v", cands, err)
 	}
@@ -150,7 +150,7 @@ func TestEventualMutationsAlwaysApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		cands, err := e.Candidates(0, spec.MakeOp(spec.MethodFetchInc))
+		cands, err := e.AppendCandidates(nil, 0, spec.MakeOp(spec.MethodFetchInc))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestEventualCloneIndependence(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The clone's write must not pollute the original's candidate set.
-	cands, err := e.Candidates(2, spec.MakeOp(spec.MethodRead))
+	cands, err := e.AppendCandidates(nil, 2, spec.MakeOp(spec.MethodRead))
 	if err != nil {
 		t.Fatal(err)
 	}

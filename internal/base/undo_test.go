@@ -29,7 +29,7 @@ func TestAtomicSnapshotRestore(t *testing.T) {
 		t.Fatalf("restore: state %v steps %d", a.State(), a.Steps())
 	}
 	// The undone step must replay identically.
-	cands, err := a.Candidates(1, fi)
+	cands, err := a.AppendCandidates(nil, 1, fi)
 	if err != nil || len(cands) != 1 || cands[0] != 1 {
 		t.Fatalf("candidates after restore: %v %v", cands, err)
 	}
@@ -46,7 +46,7 @@ func TestEventualSnapshotRestore(t *testing.T) {
 	if err := e.Commit(0, w1, 0); err != nil {
 		t.Fatal(err)
 	}
-	before, err := e.Candidates(1, read)
+	before, err := e.AppendCandidates(nil, 1, read)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestEventualSnapshotRestore(t *testing.T) {
 	if e.State() != int64(1) || e.Steps() != 1 {
 		t.Fatalf("restore: state %v steps %d", e.State(), e.Steps())
 	}
-	after, err := e.Candidates(1, read)
+	after, err := e.AppendCandidates(nil, 1, read)
 	if err != nil {
 		t.Fatal(err)
 	}

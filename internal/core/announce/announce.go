@@ -235,12 +235,14 @@ func (c *proc) finish() int64 {
 	return c.rprivate
 }
 
-func (c *proc) Clone() machine.Process {
-	cp := *c
-	cp.inner = c.inner.Clone()
-	cp.ownOps = append([]spec.Op(nil), c.ownOps...)
-	cp.otherOps = append([]spec.Op(nil), c.otherOps...)
-	return &cp
+func (c *proc) CloneInto(dst machine.Process) machine.Process {
+	cp := machine.Reuse[proc](dst)
+	inner, own, other := cp.inner, cp.ownOps[:0], cp.otherOps[:0]
+	*cp = *c
+	cp.inner = c.inner.CloneInto(inner)
+	cp.ownOps = append(own, c.ownOps...)
+	cp.otherOps = append(other, c.otherOps...)
+	return cp
 }
 
 // AppendFingerprint implements machine.Fingerprinter; it reports false

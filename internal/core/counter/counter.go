@@ -87,9 +87,10 @@ func (c *casProc) Step(resp int64) machine.Action {
 	}
 }
 
-func (c *casProc) Clone() machine.Process {
-	cp := *c
-	return &cp
+func (c *casProc) CloneInto(dst machine.Process) machine.Process {
+	cp := machine.Reuse[casProc](dst)
+	*cp = *c
+	return cp
 }
 
 // AppendFingerprint implements machine.Fingerprinter.
@@ -192,9 +193,10 @@ func (s *sloppyProc) Step(resp int64) machine.Action {
 	}
 }
 
-func (s *sloppyProc) Clone() machine.Process {
-	cp := *s
-	return &cp
+func (s *sloppyProc) CloneInto(dst machine.Process) machine.Process {
+	cp := machine.Reuse[sloppyProc](dst)
+	*cp = *s
+	return cp
 }
 
 // AppendFingerprint implements machine.Fingerprinter.
@@ -275,9 +277,10 @@ func (w *warmupProc) Step(resp int64) machine.Action {
 	}
 }
 
-func (w *warmupProc) Clone() machine.Process {
-	cp := *w
-	return &cp
+func (w *warmupProc) CloneInto(dst machine.Process) machine.Process {
+	cp := machine.Reuse[warmupProc](dst)
+	*cp = *w
+	return cp
 }
 
 // AppendFingerprint implements machine.Fingerprinter.

@@ -202,7 +202,7 @@ func TestCloneMidOperation(t *testing.T) {
 	p := impl.NewProcess(0, 1)
 	p.Begin(fetchinc)
 	p.Step(0) // read issued
-	q := p.Clone()
+	q := p.CloneInto(nil)
 	// Feed different read responses to original and clone: they must
 	// diverge independently.
 	actP := p.Step(5)

@@ -75,9 +75,10 @@ func (j *junkProc) Step(resp int64) machine.Action {
 	}
 }
 
-func (j *junkProc) Clone() machine.Process {
-	cp := *j
-	return &cp
+func (j *junkProc) CloneInto(dst machine.Process) machine.Process {
+	cp := machine.Reuse[junkProc](dst)
+	*cp = *j
+	return cp
 }
 
 // AppendFingerprint implements machine.Fingerprinter.

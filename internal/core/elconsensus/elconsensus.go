@@ -115,9 +115,10 @@ func (c *proc) startScan() machine.Action {
 	return machine.Invoke(0, spec.MakeOp(spec.MethodRead))
 }
 
-func (c *proc) Clone() machine.Process {
-	cp := *c
-	return &cp
+func (c *proc) CloneInto(dst machine.Process) machine.Process {
+	cp := machine.Reuse[proc](dst)
+	*cp = *c
+	return cp
 }
 
 // AppendFingerprint implements machine.Fingerprinter.

@@ -86,7 +86,7 @@ func TestCloneIndependence(t *testing.T) {
 	p := impl.NewProcess(0, 2)
 	p.Begin(spec.MakeOp1(spec.MethodPropose, 5))
 	p.Step(0)
-	q := p.Clone()
+	q := p.CloneInto(nil)
 	actP := p.Step(spec.NoValue) // own cell empty: write
 	actQ := q.Step(7)            // own cell occupied: scan
 	if actP.Op.Method != spec.MethodWrite {

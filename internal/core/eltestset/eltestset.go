@@ -50,9 +50,10 @@ func (l *localProc) Step(resp int64) machine.Action {
 	return machine.Return(0)
 }
 
-func (l *localProc) Clone() machine.Process {
-	cp := *l
-	return &cp
+func (l *localProc) CloneInto(dst machine.Process) machine.Process {
+	cp := machine.Reuse[localProc](dst)
+	*cp = *l
+	return cp
 }
 
 // AppendFingerprint implements machine.Fingerprinter.
@@ -102,9 +103,10 @@ func (c *casTSProc) Step(resp int64) machine.Action {
 	return machine.Return(1)
 }
 
-func (c *casTSProc) Clone() machine.Process {
-	cp := *c
-	return &cp
+func (c *casTSProc) CloneInto(dst machine.Process) machine.Process {
+	cp := machine.Reuse[casTSProc](dst)
+	*cp = *c
+	return cp
 }
 
 // AppendFingerprint implements machine.Fingerprinter.

@@ -46,7 +46,7 @@ func TestLocalClone(t *testing.T) {
 	p := impl.NewProcess(0, 1)
 	p.Begin(testset)
 	p.Step(0)
-	q := p.Clone()
+	q := p.CloneInto(nil)
 	q.Begin(testset)
 	if act := q.Step(0); act.Ret != 1 {
 		t.Fatalf("clone lost state: %v", act)

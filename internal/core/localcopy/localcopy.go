@@ -121,13 +121,11 @@ func (c *proc) Step(resp int64) machine.Action {
 	return machine.Return(act.Ret)
 }
 
-func (c *proc) Clone() machine.Process {
-	cp := &proc{
-		inner:    c.inner.Clone(),
-		copies:   make([]localObj, len(c.copies)),
-		maxInner: c.maxInner,
-	}
-	copy(cp.copies, c.copies)
+func (c *proc) CloneInto(dst machine.Process) machine.Process {
+	cp := machine.Reuse[proc](dst)
+	cp.inner = c.inner.CloneInto(cp.inner)
+	cp.copies = append(cp.copies[:0], c.copies...)
+	cp.maxInner = c.maxInner
 	return cp
 }
 

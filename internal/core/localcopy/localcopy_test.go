@@ -176,7 +176,7 @@ func TestLocalCopyCloneIndependence(t *testing.T) {
 	if act := p.Step(0); act.Kind != machine.ActReturn {
 		t.Fatalf("write action = %v", act)
 	}
-	q := p.Clone()
+	q := p.CloneInto(nil)
 	q.Begin(spec.MakeOp1(spec.MethodWrite, 3))
 	if act := q.Step(0); act.Kind != machine.ActReturn {
 		t.Fatal("clone write failed")
@@ -222,4 +222,6 @@ func (l *loopProc) Begin(op spec.Op) {}
 func (l *loopProc) Step(resp int64) machine.Action {
 	return machine.Invoke(0, spec.MakeOp(spec.MethodRead))
 }
-func (l *loopProc) Clone() machine.Process { return &loopProc{} }
+func (l *loopProc) CloneInto(dst machine.Process) machine.Process {
+	return machine.Reuse[loopProc](dst)
+}

@@ -67,9 +67,10 @@ func (c *proc) Step(resp int64) machine.Action {
 	return machine.Return(resp)
 }
 
-func (c *proc) Clone() machine.Process {
-	cp := *c
-	return &cp
+func (c *proc) CloneInto(dst machine.Process) machine.Process {
+	cp := machine.Reuse[proc](dst)
+	*cp = *c
+	return cp
 }
 
 // AppendFingerprint implements machine.Fingerprinter.

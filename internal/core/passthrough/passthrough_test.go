@@ -38,7 +38,7 @@ func TestPassthroughClone(t *testing.T) {
 	impl := New("reg", spec.NewObject(spec.Register{}), false)
 	p := impl.NewProcess(0, 1)
 	p.Begin(spec.MakeOp(spec.MethodRead))
-	q := p.Clone()
+	q := p.CloneInto(nil)
 	actP := p.Step(0)
 	if actP.Kind != machine.ActInvoke {
 		t.Fatal("original did not invoke")

@@ -165,7 +165,7 @@ func Transform(impl machine.Impl, cfg Config) (*Impl, *Report, error) {
 	rep.BaseStates = sys.BaseStates()
 	procs := make([]machine.Process, cfg.NumProcs)
 	for q := 0; q < cfg.NumProcs; q++ {
-		procs[q] = sys.Proc(q).Clone()
+		procs[q] = sys.Proc(q).CloneInto(nil)
 	}
 
 	// Step 4: A′.
@@ -239,7 +239,7 @@ func (im *Impl) NewProcess(p, n int) machine.Process {
 	if p < 0 || p >= len(im.procs) {
 		panic(fmt.Sprintf("stabilize: A′ was constructed for %d processes, got p%d", len(im.procs), p))
 	}
-	return &offsetProc{inner: im.procs[p].Clone(), v0: im.v0}
+	return &offsetProc{inner: im.procs[p].CloneInto(nil), v0: im.v0}
 }
 
 type offsetProc struct {
@@ -257,8 +257,11 @@ func (c *offsetProc) Step(resp int64) machine.Action {
 	return act
 }
 
-func (c *offsetProc) Clone() machine.Process {
-	return &offsetProc{inner: c.inner.Clone(), v0: c.v0}
+func (c *offsetProc) CloneInto(dst machine.Process) machine.Process {
+	cp := machine.Reuse[offsetProc](dst)
+	cp.inner = c.inner.CloneInto(cp.inner)
+	cp.v0 = c.v0
+	return cp
 }
 
 // AppendFingerprint implements machine.Fingerprinter; it reports false

@@ -254,11 +254,12 @@ func (m *proc) apply(st spec.State, code int64) spec.Outcome {
 	return outs[0]
 }
 
-// Clone implements machine.Process. States are immutable values (int64 or
+// CloneInto implements machine.Process. States are immutable values (int64 or
 // string), so a value copy is a deep copy.
-func (m *proc) Clone() machine.Process {
-	cp := *m
-	return &cp
+func (m *proc) CloneInto(dst machine.Process) machine.Process {
+	cp := machine.Reuse[proc](dst)
+	*cp = *m
+	return cp
 }
 
 // AppendFingerprint implements machine.Fingerprinter.

@@ -242,7 +242,7 @@ func TestValidateAndFingerprint(t *testing.T) {
 	if !ok || len(b) == 0 {
 		t.Fatalf("AppendFingerprint: ok=%v len=%d", ok, len(b))
 	}
-	cl := p.Clone().(machine.Fingerprinter)
+	cl := p.CloneInto(nil).(machine.Fingerprinter)
 	b2, _ := cl.AppendFingerprint(nil)
 	if !reflect.DeepEqual(b, b2) {
 		t.Fatal("clone fingerprint differs from original")

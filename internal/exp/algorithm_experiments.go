@@ -305,7 +305,8 @@ func E14Checker(cfg Config) (*Table, error) {
 	for _, nops := range []int{8, 16, 32, 64, 128} {
 		h := historyOfAtomicCounter(nops)
 		start := time.Now()
-		if _, err := check.TLinearizable(obj, h, 0, check.Options{}); err != nil {
+		fastOK, err := check.TLinearizable(obj, h, 0, check.Options{})
+		if err != nil {
 			return nil, err
 		}
 		fast := time.Since(start)
@@ -313,10 +314,14 @@ func E14Checker(cfg Config) (*Table, error) {
 		generic := "—"
 		if nops <= 32 {
 			start = time.Now()
-			if _, err := check.TLinearizable(obj, h, 0, check.Options{NoFastPath: true}); err != nil {
+			ok, err := check.TLinearizable(obj, h, 0, check.Options{NoFastPath: true})
+			if err != nil {
 				return nil, err
 			}
 			generic = time.Since(start).String()
+			if ok != fastOK {
+				return nil, fmt.Errorf("E14 %d ops: the fast path says linearizable=%v, the generic engine %v", nops, fastOK, ok)
+			}
 		}
 
 		start = time.Now()

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 
 	"github.com/elin-go/elin/internal/explore"
 )
@@ -61,18 +62,19 @@ func (t *Table) AddRow(cells ...any) {
 	t.Rows = append(t.Rows, row)
 }
 
-// Render writes the table as aligned text.
+// Render writes the table as aligned text. Columns are padded by rune
+// count, so a multi-byte cell such as "—" keeps its column aligned.
 func (t *Table) Render(w io.Writer) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %s\n%s\n", t.ID, t.Artifact, t.Title)
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
-		widths[i] = len(c)
+		widths[i] = utf8.RuneCountInString(c)
 	}
 	for _, row := range t.Rows {
 		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
+			if i < len(widths) && utf8.RuneCountInString(cell) > widths[i] {
+				widths[i] = utf8.RuneCountInString(cell)
 			}
 		}
 	}
@@ -83,7 +85,7 @@ func (t *Table) Render(w io.Writer) error {
 			}
 			b.WriteString(cell)
 			if i < len(widths) {
-				b.WriteString(strings.Repeat(" ", widths[i]-len(cell)))
+				b.WriteString(strings.Repeat(" ", widths[i]-utf8.RuneCountInString(cell)))
 			}
 		}
 		b.WriteByte('\n')

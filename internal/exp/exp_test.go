@@ -30,6 +30,22 @@ func runExp(t *testing.T, id string) *Table {
 	return tab
 }
 
+// TestRenderPadsByRunes: a multi-byte cell ("—" is three bytes, one rune)
+// is padded like any one-character cell, so the next column stays aligned.
+func TestRenderPadsByRunes(t *testing.T) {
+	tab := &Table{ID: "T", Artifact: "a", Title: "t", Columns: []string{"x", "next"}}
+	tab.AddRow("—", "b")
+	tab.AddRow("ab", "c")
+	var buf bytes.Buffer
+	if err := tab.Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := "T — a\nt\nx   next\n----------\n—   b   \nab  c   \n\n"
+	if buf.String() != want {
+		t.Fatalf("rendered %q, want %q", buf.String(), want)
+	}
+}
+
 func cell(t *testing.T, tab *Table, row, col int) string {
 	t.Helper()
 	if row >= len(tab.Rows) || col >= len(tab.Rows[row]) {
@@ -236,11 +252,30 @@ func TestE9AndE14Run(t *testing.T) {
 		t.Skip("long experiments")
 	}
 	tab := runExp(t, "E9")
+	meanMinT := map[string][]float64{} // per process count, in window order
 	for _, row := range tab.Rows {
 		if row[2] != "true" || row[3] != "true" {
 			t.Errorf("E9 run not wait-free/weakly consistent: %v", row)
 		}
+		m, err := strconv.ParseFloat(row[4], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		meanMinT[row[0]] = append(meanMinT[row[0]], m)
 	}
+	// Proposition 16's MinT tracks the adversary's window (0, 2, 6).
+	for procs, ms := range meanMinT {
+		for i := 1; i < len(ms); i++ {
+			if ms[i] < ms[i-1] {
+				t.Errorf("E9 procs=%s: mean MinT fell as the window grew: %v", procs, ms)
+			}
+		}
+		if len(ms) != 3 || ms[2] <= ms[0] {
+			t.Errorf("E9 procs=%s: mean MinT at window 6 not above window 0: %v", procs, ms)
+		}
+	}
+	// E14 fails unless the fast path and the generic engine agree where
+	// both answer (8, 16 and 32 operations).
 	runExp(t, "E14")
 }
 

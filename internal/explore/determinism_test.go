@@ -12,7 +12,7 @@ import (
 )
 
 // ndImpl is a deliberately nondeterministic implementation: its processes
-// share a mutable counter that Clone does NOT deep-copy, so two clones of
+// share a mutable counter that CloneInto does NOT deep-copy, so two clones of
 // the same programme stepped identically observe different counter values
 // and return different actions — exactly the contract violation
 // CheckDeterminism exists to catch.
@@ -35,9 +35,10 @@ func (p *ndProc) Step(resp int64) machine.Action {
 	*p.shared++
 	return machine.Return(*p.shared % 2)
 }
-func (p *ndProc) Clone() machine.Process {
-	cp := *p // shallow: cp.shared aliases p.shared
-	return &cp
+func (p *ndProc) CloneInto(dst machine.Process) machine.Process {
+	cp := machine.Reuse[ndProc](dst)
+	*cp = *p // shallow: cp.shared aliases p.shared
+	return cp
 }
 
 func ndRoot(t *testing.T) *sim.System {

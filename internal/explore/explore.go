@@ -99,13 +99,13 @@ type Config struct {
 	// walk sequential.
 	Workers int
 
-	// CheckDeterminism re-steps every probe on a second programme clone and
+	// CheckDeterminism re-steps every probe on a second programme copy and
 	// turns a probe-vs-probe divergence into a hard error. The in-place
 	// engine installs the stepped probe without re-stepping the live
 	// programme, so a nondeterministic implementation (Step depending on
-	// state outside Clone) would otherwise yield one arbitrary behaviour
-	// per node instead of failing loudly; enable this when validating a new
-	// implementation. Costs roughly one extra Clone+Step per node.
+	// state outside CloneInto) would otherwise yield one arbitrary
+	// behaviour instead of failing loudly; enable this when validating a
+	// new implementation. Costs one extra copy and Step per probe.
 	CheckDeterminism bool
 
 	// frontierDepth pins the depth of the cut for tests; 0, the only value a

@@ -150,17 +150,22 @@ func TestPathCheckerHoldsLongPaths(t *testing.T) {
 
 // TestLinearizableEverywhereLeafAllocs pins what the path checker is for:
 // judging a leaf allocates nothing on top of walking to it. (Rebuilding the
-// operation table per leaf cost about 16 allocations a leaf.)
+// operation table per leaf cost about 16 allocations a leaf.) It also pins
+// the walk itself: an edge recycles programmes and candidate buffers, so
+// the 18 929-node tree costs a bounded set-up, not allocations per node.
 func TestLinearizableEverywhereLeafAllocs(t *testing.T) {
 	root := mustSystem(t, counter.CAS{}, sim.UniformWorkload(2, 2, fetchinc), nil)
 	var leaves int
 	walk := testing.AllocsPerRun(3, func() {
 		st, err := Leaves(root, 22, Config{Workers: 1}, func(*sim.System) error { return nil })
-		if err != nil {
-			t.Fatal(err)
+		if err != nil || st.Nodes != 18929 {
+			t.Fatalf("err=%v nodes %d, want 18929", err, st.Nodes)
 		}
 		leaves = st.Leaves
 	})
+	if walk >= 200 {
+		t.Fatalf("the walk made %v allocations, want < 200", walk)
+	}
 	judged := testing.AllocsPerRun(3, func() {
 		ok, _, st, err := LinearizableEverywhere(root, 22, Config{Workers: 1}, check.Options{})
 		if err != nil || !ok || st.Leaves != leaves {

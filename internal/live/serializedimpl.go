@@ -50,6 +50,7 @@ type SerializedImpl struct {
 	mu    sync.Mutex
 	bases []base.Object
 	procs []machine.Process
+	cands []int64 // candidate scratch, reused under mu
 }
 
 var _ Object = (*SerializedImpl)(nil)
@@ -121,7 +122,8 @@ func (s *SerializedImpl) Apply(proc int, op spec.Op, seq *atomic.Uint64) (int64,
 			return 0, 0, fmt.Errorf("live: %s action on unknown base %d", s.impl.Name(), act.Obj)
 		}
 		obj := s.bases[act.Obj]
-		cands, err := obj.Candidates(proc, act.Op)
+		cands, err := obj.AppendCandidates(s.cands[:0], proc, act.Op)
+		s.cands = cands
 		if err != nil {
 			return 0, 0, err
 		}

@@ -78,10 +78,23 @@ type Process interface {
 	// Step consumes the response to the previous ActInvoke (the first call
 	// after Begin receives a dummy 0) and returns the next action.
 	Step(resp int64) Action
-	// Clone returns a deep copy of the process, used by the model checker
-	// to branch executions and by the Proposition 18 construction to
-	// capture local variables at a configuration.
-	Clone() Process
+	// CloneInto returns a deep copy of the process, used by the model
+	// checker to branch executions and by the Proposition 18 construction
+	// to capture local variables at a configuration. A nil dst allocates
+	// the copy. Otherwise dst is a programme of the same concrete type that
+	// nothing else references: it is overwritten (reusing its slices and
+	// the inner programmes of wrappers) and returned, so a runtime that
+	// recycles displaced programmes copies without allocating.
+	CloneInto(dst Process) Process
+}
+
+// Reuse is CloneInto's destination: a new T when dst is nil, else dst,
+// which must be a *T (anything else is a broken contract and panics).
+func Reuse[T any](dst Process) *T {
+	if dst == nil {
+		return new(T)
+	}
+	return any(dst).(*T)
 }
 
 // Base describes one shared base object an implementation uses.

@@ -43,9 +43,9 @@ func (s stubImpl) NewProcess(p, n int) Process {
 
 type nopProc struct{}
 
-func (nopProc) Begin(spec.Op)     {}
-func (nopProc) Step(int64) Action { return Return(0) }
-func (nopProc) Clone() Process    { return nopProc{} }
+func (nopProc) Begin(spec.Op)             {}
+func (nopProc) Step(int64) Action         { return Return(0) }
+func (nopProc) CloneInto(Process) Process { return nopProc{} }
 
 func TestValidate(t *testing.T) {
 	good := stubImpl{

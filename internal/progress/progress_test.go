@@ -111,7 +111,9 @@ func (s *spinProc) Begin(op spec.Op) {}
 func (s *spinProc) Step(resp int64) machine.Action {
 	return machine.Invoke(0, spec.MakeOp(spec.MethodRead))
 }
-func (s *spinProc) Clone() machine.Process { return &spinProc{} }
+func (s *spinProc) CloneInto(dst machine.Process) machine.Process {
+	return machine.Reuse[spinProc](dst)
+}
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.defaults()

@@ -46,17 +46,25 @@ type System struct {
 
 	// stateID uniquely identifies the current configuration along the
 	// Advance/Undo path: every Advance assigns a fresh id, every Undo
-	// restores the pre-step id. Caches tag their entries with the id they
-	// were computed at; a tag mismatch means the configuration changed.
+	// restores the pre-step id. The candidate memo is tagged with it.
 	stateID uint64
 	nextID  uint64
 
-	// actCache memoizes NextAction per process: the probe programme is
-	// cloned and stepped once per (configuration, process) and the stepped
-	// clone is installed by Advance, replacing the historical
-	// probe-then-restep double execution. The displaced programme becomes
-	// the undo record.
+	// actCache holds each process's next action. The probe programme is
+	// a copy of the process's programme, begun if an operation starts and
+	// stepped once, and Advance installs it instead of re-stepping the
+	// live programme. An entry reads only its process's programme,
+	// running flag, operation index and pending response, and those
+	// change only when that process advances: so an entry stays valid
+	// until its process moves, an Advance empties it, and the Undo of
+	// that Advance restores it from the undo record, whose probe is the
+	// programme the Undo uninstalls. A node costs one step, for the
+	// process that moved.
 	actCache []actCache
+	// spare holds, per process, programmes nothing references, which
+	// probes are copied into: a probe an Undo discards and, without undo,
+	// the programme an Advance displaces.
+	spare [][]machine.Process
 
 	// candScratch memoizes the most recent candidate set (candTagProc at
 	// candTagID). Advance(p, branch) immediately after Candidates/
@@ -73,22 +81,22 @@ type System struct {
 	// EnableDeterminismCheck.
 	detCheck bool
 
-	fpBuf  []byte  // scratch for Fingerprint
-	advBuf []int64 // scratch for Advance's branch resolution
+	fpBuf []byte // scratch for Fingerprint
 }
 
 // actCache memoizes one process's next action.
 type actCache struct {
-	id     uint64 // stateID the entry was computed at (0 = empty)
 	act    machine.Action
 	begins bool
-	probe  machine.Process // the programme after taking act
+	probe  machine.Process // the programme after taking act; nil while empty
 }
 
 // undoRec records everything one Advance changed.
 type undoRec struct {
 	proc         int
 	prevProc     machine.Process
+	act          machine.Action // with begins, p's cache entry before the step
+	begins       bool
 	prevRunning  bool
 	prevOpIdx    int
 	prevNextResp int64
@@ -129,6 +137,7 @@ func NewSystem(impl machine.Impl, workload [][]spec.Op, policies base.PolicyFor,
 		stateID:      1,
 		nextID:       1,
 		actCache:     make([]actCache, n),
+		spare:        make([][]machine.Process, n),
 		candTagProc:  -1,
 	}
 	if recordBase {
@@ -250,70 +259,91 @@ func (s *System) OpsBegun(p int) int { return s.opIdx[p] }
 // Running reports whether process p is mid-operation.
 func (s *System) Running(p int) bool { return s.running[p] }
 
-// nextActionCached computes (and memoizes) process p's next action. The
-// probe programme is cloned from p's current programme, Begin'd if a new
-// operation starts, and stepped once; the stepped clone is kept so Advance
-// can install it directly instead of re-stepping the live programme. The
-// cache entry stays valid for the current configuration only (stateID tag),
-// which also revalidates it after an Undo returns to this configuration.
+// nextActionCached returns process p's cache entry, computing it if p has
+// moved since it was last filled: p's programme is copied into a spare
+// one, Begin'd if a new operation starts, and stepped once; the stepped
+// copy is kept so Advance can install it directly instead of re-stepping
+// the live programme.
 func (s *System) nextActionCached(p int) (*actCache, error) {
 	if p < 0 || p >= len(s.procs) {
 		return nil, fmt.Errorf("sim: no process p%d", p)
 	}
 	c := &s.actCache[p]
-	if c.id == s.stateID {
+	if c.probe != nil {
 		return c, nil
 	}
-	probe := s.procs[p].Clone()
-	begins := false
-	if !s.running[p] {
-		if s.opIdx[p] >= len(s.workload[p]) {
-			return nil, fmt.Errorf("sim: process p%d has no work", p)
-		}
-		probe.Begin(s.workload[p][s.opIdx[p]])
-		begins = true
+	if !s.CanStep(p) {
+		return nil, fmt.Errorf("sim: process p%d has no work", p)
 	}
-	act := probe.Step(s.nextResp[p])
+	probe, act := s.stepCopy(p)
 	if act.Kind == machine.ActInvoke && (act.Obj < 0 || act.Obj >= len(s.bases)) {
 		return nil, fmt.Errorf("sim: %s p%d invokes unknown base %d",
 			s.impl.Name(), p, act.Obj)
 	}
 	if s.detCheck {
-		// Step a second, independent clone identically and compare: the
+		// Step a second, independent copy identically and compare: the
 		// machine.Process contract requires Step to be a deterministic
 		// function of the programme state, and the advance/undo engine
 		// silently assumes it (the stepped probe is installed without
 		// re-stepping the live programme). A divergence here means the
-		// implementation draws on state outside its Clone — shared pointers,
-		// global randomness, map iteration — and every exploration result
-		// over it is suspect.
-		probe2 := s.procs[p].Clone()
-		if begins {
-			probe2.Begin(s.workload[p][s.opIdx[p]])
-		}
-		if act2 := probe2.Step(s.nextResp[p]); act2 != act {
+		// implementation draws on state outside its CloneInto — shared
+		// pointers, global randomness, map iteration — and every
+		// exploration result over it is suspect.
+		probe2, act2 := s.stepCopy(p)
+		s.spare[p] = append(s.spare[p], probe2)
+		if act2 != act {
 			return nil, fmt.Errorf(
 				"sim: %s p%d is nondeterministic: identical probes stepped to %v and %v",
 				s.impl.Name(), p, act, act2)
 		}
 	}
-	c.id = s.stateID
-	c.act = act
-	c.begins = begins
-	c.probe = probe
+	*c = actCache{act: act, begins: !s.running[p], probe: probe}
 	return c, nil
+}
+
+// stepCopy copies p's programme into a spare one (a new one when there is
+// none), begins p's next operation on the copy when p is idle, and steps
+// it once with p's pending response.
+func (s *System) stepCopy(p int) (machine.Process, machine.Action) {
+	var dst machine.Process
+	if free := s.spare[p]; len(free) > 0 {
+		dst = free[len(free)-1]
+		s.spare[p] = free[:len(free)-1]
+	}
+	probe := s.procs[p].CloneInto(dst)
+	if !s.running[p] {
+		probe.Begin(s.workload[p][s.opIdx[p]])
+	}
+	return probe, probe.Step(s.nextResp[p])
 }
 
 // NextAction returns the action process p would take if scheduled now,
 // without advancing the system, plus whether scheduling p would begin a new
-// operation. The system is unchanged (the probe runs on a clone of p's
-// programme, which is cached and reused by the following Advance).
+// operation. The system is unchanged (the probe runs on a copy of p's
+// programme, which is cached and installed by p's next Advance).
 func (s *System) NextAction(p int) (machine.Action, bool, error) {
 	c, err := s.nextActionCached(p)
 	if err != nil {
 		return machine.Action{}, false, err
 	}
 	return c.act, c.begins, nil
+}
+
+// memoCandidates computes the permitted responses for process p's next
+// action c into the candidate memo and tags it with the configuration.
+func (s *System) memoCandidates(p int, c *actCache) error {
+	s.candTagProc = -1 // the buffer is overwritten: an error leaves no memo
+	if c.act.Kind == machine.ActReturn {
+		s.candScratch = append(s.candScratch[:0], c.act.Ret)
+	} else {
+		cands, err := s.bases[c.act.Obj].AppendCandidates(s.candScratch[:0], p, c.act.Op)
+		s.candScratch = cands
+		if err != nil {
+			return err
+		}
+	}
+	s.candTagProc, s.candTagID = p, s.stateID
+	return nil
 }
 
 // CandidatesAppend appends the permitted responses for process p's next
@@ -327,20 +357,10 @@ func (s *System) CandidatesAppend(p int, buf []int64) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	start := len(buf)
-	if c.act.Kind == machine.ActReturn {
-		buf = append(buf, c.act.Ret)
-	} else {
-		cands, err := s.bases[c.act.Obj].Candidates(p, c.act.Op)
-		if err != nil {
-			return nil, err
-		}
-		buf = append(buf, cands...)
+	if err := s.memoCandidates(p, c); err != nil {
+		return nil, err
 	}
-	s.candScratch = append(s.candScratch[:0], buf[start:]...)
-	s.candTagProc = p
-	s.candTagID = s.stateID
-	return buf, nil
+	return append(buf, s.candScratch...), nil
 }
 
 // Candidates returns the permitted responses for process p's next action as
@@ -356,25 +376,35 @@ func (s *System) Candidates(p int) ([]int64, error) {
 // (sim.Run) leave it off so the step log does not grow without bound.
 func (s *System) EnableUndo() { s.undoOn = true }
 
-// EnableDeterminismCheck makes every probe step its programme clone twice
+// EnableDeterminismCheck makes every probe step its programme copy twice
 // and compare the actions, turning a nondeterministic implementation (one
-// whose Step depends on state outside its Clone) into a hard error instead
-// of one arbitrary explored behaviour. It roughly doubles the per-step
-// programme cost; exploration exposes it as Config.CheckDeterminism.
+// whose Step depends on state outside its CloneInto) into a hard error
+// instead of one arbitrary explored behaviour. It roughly doubles the
+// per-step programme cost; exploration exposes it as
+// Config.CheckDeterminism.
 func (s *System) EnableDeterminismCheck() { s.detCheck = true }
 
 // Undo reverts the most recent Advance recorded while undo was enabled:
 // programme, progress counters, histories, the touched base object and the
-// stabilization point are restored from the step's undo record.
+// stabilization point are restored from the step's undo record, and so is
+// the process's cache entry — the programme Undo uninstalls is exactly the
+// probe of the step it reverts.
 func (s *System) Undo() error {
 	if len(s.undo) == 0 {
 		return fmt.Errorf("sim: nothing to undo")
 	}
 	rec := &s.undo[len(s.undo)-1]
-	s.procs[rec.proc] = rec.prevProc
-	s.running[rec.proc] = rec.prevRunning
-	s.opIdx[rec.proc] = rec.prevOpIdx
-	s.nextResp[rec.proc] = rec.prevNextResp
+	p := rec.proc
+	c := &s.actCache[p]
+	if c.probe != nil {
+		// A probe of the programme being uninstalled, never installed.
+		s.spare[p] = append(s.spare[p], c.probe)
+	}
+	*c = actCache{act: rec.act, begins: rec.begins, probe: s.procs[p]}
+	s.procs[p] = rec.prevProc
+	s.running[p] = rec.prevRunning
+	s.opIdx[p] = rec.prevOpIdx
+	s.nextResp[p] = rec.prevNextResp
 	s.hist.Truncate(rec.histLen)
 	if s.baseHist != nil {
 		s.baseHist.Truncate(rec.baseHistLen)
@@ -387,7 +417,6 @@ func (s *System) Undo() error {
 	}
 	s.steps--
 	s.stateID = rec.prevStateID
-	rec.prevProc = nil // release for GC
 	s.undo = s.undo[:len(s.undo)-1]
 	return nil
 }
@@ -412,21 +441,19 @@ func (s *System) UndoTo(n int) error {
 // invocation with the branch-th candidate response. For a return action,
 // branch must be 0. It records history events and stabilization points.
 func (s *System) Advance(p, branch int) error {
-	if s.candTagProc == p && s.candTagID == s.stateID {
-		if branch < 0 || branch >= len(s.candScratch) {
-			return fmt.Errorf("sim: branch %d out of range (%d candidates)", branch, len(s.candScratch))
+	if s.candTagProc != p || s.candTagID != s.stateID {
+		c, err := s.nextActionCached(p)
+		if err != nil {
+			return err
 		}
-		return s.AdvanceResp(p, s.candScratch[branch])
+		if err := s.memoCandidates(p, c); err != nil {
+			return err
+		}
 	}
-	buf, err := s.CandidatesAppend(p, s.advBuf[:0])
-	if err != nil {
-		return err
+	if branch < 0 || branch >= len(s.candScratch) {
+		return fmt.Errorf("sim: branch %d out of range (%d candidates)", branch, len(s.candScratch))
 	}
-	s.advBuf = buf
-	if branch < 0 || branch >= len(buf) {
-		return fmt.Errorf("sim: branch %d out of range (%d candidates)", branch, len(buf))
-	}
-	return s.AdvanceResp(p, buf[branch])
+	return s.AdvanceResp(p, s.candScratch[branch])
 }
 
 // AdvanceResp performs one atomic step of process p, resolving a base
@@ -441,22 +468,20 @@ func (s *System) AdvanceResp(p int, resp int64) error {
 	if err != nil {
 		return err
 	}
-	switch c.act.Kind {
+	act, begins := c.act, c.begins
+	switch act.Kind {
 	case machine.ActReturn:
-		if resp != c.act.Ret {
-			return fmt.Errorf("sim: return action yields %d, got response %d", c.act.Ret, resp)
+		if resp != act.Ret {
+			return fmt.Errorf("sim: return action yields %d, got response %d", act.Ret, resp)
 		}
 	case machine.ActInvoke:
-		cands := s.candScratch
 		if s.candTagProc != p || s.candTagID != s.stateID {
-			cands, err = s.CandidatesAppend(p, s.advBuf[:0])
-			if err != nil {
+			if err := s.memoCandidates(p, c); err != nil {
 				return err
 			}
-			s.advBuf = cands
 		}
 		member := false
-		for _, r := range cands {
+		for _, r := range s.candScratch {
 			if r == resp {
 				member = true
 				break
@@ -464,81 +489,85 @@ func (s *System) AdvanceResp(p int, resp int64) error {
 		}
 		if !member {
 			return fmt.Errorf("sim: response %d is not a candidate (%v) for p%d on %s",
-				resp, cands, p, s.bases[c.act.Obj].Name())
+				resp, s.candScratch, p, s.bases[act.Obj].Name())
 		}
 	default:
-		return fmt.Errorf("sim: invalid action kind %d", int(c.act.Kind))
+		return fmt.Errorf("sim: invalid action kind %d", int(act.Kind))
 	}
-	var rec undoRec
+	var rec *undoRec
 	if s.undoOn {
-		rec = undoRec{
-			proc:         p,
-			prevProc:     s.procs[p],
-			prevRunning:  s.running[p],
-			prevOpIdx:    s.opIdx[p],
-			prevNextResp: s.nextResp[p],
-			prevStateID:  s.stateID,
-			histLen:      s.hist.Len(),
-			baseIdx:      -1,
-		}
+		// The record is written in place, in the slot the log grows into,
+		// before anything changes: an error below leaves a step Undo
+		// reverts.
+		rec = s.pushUndo()
+		rec.proc, rec.prevProc, rec.act, rec.begins = p, s.procs[p], act, begins
+		rec.prevRunning, rec.prevOpIdx, rec.prevNextResp = s.running[p], s.opIdx[p], s.nextResp[p]
+		rec.prevStateID, rec.histLen, rec.baseIdx, rec.stabName = s.stateID, s.hist.Len(), -1, ""
 		if s.baseHist != nil {
 			rec.baseHistLen = s.baseHist.Len()
 		}
+	} else {
+		s.spare[p] = append(s.spare[p], s.procs[p])
 	}
-	if c.begins {
-		op := s.workload[p][s.opIdx[p]]
-		if err := s.hist.Invoke(p, s.impl.Name(), op); err != nil {
+	// Install the probe: it is the live programme advanced by exactly this
+	// step, so the live programme is never stepped twice. This leans on
+	// the machine.Process contract that Step is deterministic; a
+	// nondeterministic Step yields one arbitrary behaviour instead of an
+	// error unless EnableDeterminismCheck is on.
+	s.procs[p] = c.probe
+	*c = actCache{}
+	s.steps++
+	s.nextID++
+	s.stateID = s.nextID
+	if begins {
+		if err := s.hist.Invoke(p, s.impl.Name(), s.workload[p][s.opIdx[p]]); err != nil {
 			return fmt.Errorf("sim: record invoke: %w", err)
 		}
 		s.opIdx[p]++
 		s.running[p] = true
 	}
-	// Install the probe: it is the live programme advanced by exactly this
-	// step. The displaced programme is untouched and serves as the undo
-	// record, eliminating the historical probe-then-restep double execution.
-	// This leans on the machine.Process contract that Step is deterministic:
-	// the old engine re-stepped the live programme and could detect a
-	// divergent (buggy) implementation; this one cannot, so a
-	// nondeterministic Step yields one arbitrary behaviour instead of an
-	// error.
-	s.procs[p] = c.probe
-	if c.act.Kind == machine.ActReturn {
-		if err := s.hist.Respond(p, c.act.Ret); err != nil {
+	if act.Kind == machine.ActReturn {
+		if err := s.hist.Respond(p, act.Ret); err != nil {
 			return fmt.Errorf("sim: record respond: %w", err)
 		}
 		s.running[p] = false
 		s.nextResp[p] = 0
-	} else {
-		obj := s.bases[c.act.Obj]
-		if s.undoOn {
-			rec.baseIdx = c.act.Obj
-			rec.baseSnap = obj.Snapshot()
+		return nil
+	}
+	obj := s.bases[act.Obj]
+	if rec != nil {
+		rec.baseIdx = act.Obj
+		rec.baseSnap = obj.Snapshot()
+	}
+	if err := obj.Commit(p, act.Op, resp); err != nil {
+		return err
+	}
+	if s.baseHist != nil {
+		if err := s.baseHist.Call(p, obj.Name(), act.Op, resp); err != nil {
+			return fmt.Errorf("sim: record base call: %w", err)
 		}
-		if err := obj.Commit(p, c.act.Op, resp); err != nil {
-			return err
-		}
-		if s.baseHist != nil {
-			if err := s.baseHist.Call(p, obj.Name(), c.act.Op, resp); err != nil {
-				return fmt.Errorf("sim: record base call: %w", err)
+	}
+	if ev, ok := obj.(*base.Eventual); ok {
+		if at, tracked := s.stabilizedAt[obj.Name()]; tracked && at < 0 && ev.Stabilized() {
+			s.stabilizedAt[obj.Name()] = s.hist.Len()
+			if rec != nil {
+				rec.stabName = obj.Name()
 			}
 		}
-		if ev, ok := obj.(*base.Eventual); ok {
-			if at, tracked := s.stabilizedAt[obj.Name()]; tracked && at < 0 && ev.Stabilized() {
-				s.stabilizedAt[obj.Name()] = s.hist.Len()
-				if s.undoOn {
-					rec.stabName = obj.Name()
-				}
-			}
-		}
-		s.nextResp[p] = resp
 	}
-	s.steps++
-	s.nextID++
-	s.stateID = s.nextID
-	if s.undoOn {
-		s.undo = append(s.undo, rec)
-	}
+	s.nextResp[p] = resp
 	return nil
+}
+
+// pushUndo grows the undo log by one slot, reusing the one an Undo
+// vacated when there is one, and returns it for the caller to overwrite.
+func (s *System) pushUndo() *undoRec {
+	if n := len(s.undo); n < cap(s.undo) {
+		s.undo = s.undo[:n+1]
+	} else {
+		s.undo = append(s.undo, undoRec{})
+	}
+	return &s.undo[len(s.undo)-1]
 }
 
 // AppendConfigFingerprint appends an injective byte encoding of the
@@ -610,6 +639,7 @@ func (s *System) Clone() *System {
 		stateID:      1,
 		nextID:       1,
 		actCache:     make([]actCache, len(s.procs)),
+		spare:        make([][]machine.Process, len(s.procs)),
 		candTagProc:  -1,
 		detCheck:     s.detCheck,
 	}
@@ -617,7 +647,7 @@ func (s *System) Clone() *System {
 		cp.bases[i] = b.Clone()
 	}
 	for i, p := range s.procs {
-		cp.procs[i] = p.Clone()
+		cp.procs[i] = p.CloneInto(nil)
 	}
 	if s.baseHist != nil {
 		cp.baseHist = s.baseHist.Clone()
