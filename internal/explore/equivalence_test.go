@@ -82,6 +82,27 @@ func seedScenarios(t *testing.T) []scenario {
 	}
 }
 
+// TestUndoEngineMatchesCloneEngineDFS compares the counting walk of Leaves
+// with the clone-per-edge CloneLeaves on every seed scenario: the same Stats.
+func TestUndoEngineMatchesCloneEngineDFS(t *testing.T) {
+	for _, sc := range seedScenarios(t) {
+		t.Run(sc.name, func(t *testing.T) {
+			root := mustSystem(t, sc.impl, sc.workload, sc.policies)
+			undoStats, err := Leaves(root, sc.depth, Config{}, noLeaf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cloneStats, err := CloneLeaves(root, sc.depth, noLeaf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if undoStats != cloneStats {
+				t.Fatalf("stats diverge: undo %+v, clone %+v", undoStats, cloneStats)
+			}
+		})
+	}
+}
+
 // TestUndoEngineMatchesCloneEngineLeafHistories compares Leaves with the
 // clone-per-edge CloneLeaves on every seed scenario: the same Stats and the
 // same leaf histories in the same order.
