@@ -221,9 +221,13 @@ func BenchmarkWeakResponsesELRegister(b *testing.B) {
 	if err := h.Invoke(0, "R", spec.MakeOp(spec.MethodRead)); err != nil {
 		b.Fatal(err)
 	}
+	var tb history.OpTable
+	var buf []int64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := check.WeakResponses(obj, h, 0, check.Options{}); err != nil {
+		tb.Fill(h)
+		var err error
+		if buf, err = check.AppendWeakResponses(buf[:0], obj, &tb, 0, check.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

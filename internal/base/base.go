@@ -7,6 +7,7 @@ package base
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/elin-go/elin/internal/check"
 	"github.com/elin-go/elin/internal/history"
@@ -74,7 +75,6 @@ type Snapshot struct {
 type Atomic struct {
 	name  string
 	typ   spec.Type
-	det   spec.DetStepper // non-nil allocation-free fast path
 	state spec.State
 	steps int
 }
@@ -88,23 +88,7 @@ func NewAtomic(name string, obj spec.Object) (*Atomic, error) {
 		return nil, fmt.Errorf("base: atomic object %q requires a deterministic type, %s is not",
 			name, obj.Type.Name())
 	}
-	a := &Atomic{name: name, typ: obj.Type, state: obj.Init}
-	a.det, _ = obj.Type.(spec.DetStepper)
-	return a, nil
-}
-
-// stepOne returns the unique outcome of op in state s, preferring the
-// allocation-free DetStepper fast path. Commit and candidate computation
-// run once per explored edge, so avoiding the Step slice here matters.
-func stepOne(typ spec.Type, det spec.DetStepper, s spec.State, op spec.Op) (spec.Outcome, bool) {
-	if det != nil {
-		return det.StepDet(s, op)
-	}
-	outs := typ.Step(s, op)
-	if len(outs) == 0 {
-		return spec.Outcome{}, false
-	}
-	return outs[0], true
+	return &Atomic{name: name, typ: obj.Type, state: obj.Init}, nil
 }
 
 // Name implements Object.
@@ -112,8 +96,8 @@ func (a *Atomic) Name() string { return a.name }
 
 // AppendCandidates implements Object: the unique legal response.
 func (a *Atomic) AppendCandidates(buf []int64, proc int, op spec.Op) ([]int64, error) {
-	out, ok := stepOne(a.typ, a.det, a.state, op)
-	if !ok {
+	out, n := a.typ.Step(a.state, op, 0)
+	if n == 0 {
 		return buf, fmt.Errorf("base: %s (%s) rejects %s in state %v", a.name, a.typ.Name(), op, a.state)
 	}
 	return append(buf, out.Resp), nil
@@ -121,8 +105,8 @@ func (a *Atomic) AppendCandidates(buf []int64, proc int, op spec.Op) ([]int64, e
 
 // Commit implements Object.
 func (a *Atomic) Commit(proc int, op spec.Op, resp int64) error {
-	out, ok := stepOne(a.typ, a.det, a.state, op)
-	if !ok {
+	out, n := a.typ.Step(a.state, op, 0)
+	if n == 0 {
 		return fmt.Errorf("base: %s (%s) rejects %s in state %v", a.name, a.typ.Name(), op, a.state)
 	}
 	if out.Resp != resp {
@@ -225,7 +209,6 @@ func Immediate() Policy { return Window{K: 0} }
 type Eventual struct {
 	name   string
 	typ    spec.Type
-	det    spec.DetStepper // non-nil allocation-free fast path
 	obj    spec.Object
 	state  spec.State
 	steps  int
@@ -233,7 +216,10 @@ type Eventual struct {
 	// log records committed (proc, op) pairs as a sequential history; weak
 	// consistency candidates are computed against it. Responses recorded
 	// are the true responses (Definition 1 ignores them).
-	log  *history.History
+	log *history.History
+	// tb is the operation table of log and a pending invocation, refilled
+	// for every candidate set; its buffers are reused.
+	tb   history.OpTable
 	opts check.Options
 }
 
@@ -249,7 +235,7 @@ func NewEventual(name string, obj spec.Object, policy Policy, opts check.Options
 	if policy == nil {
 		return nil, fmt.Errorf("base: eventual object %q requires a policy", name)
 	}
-	e := &Eventual{
+	return &Eventual{
 		name:   name,
 		typ:    obj.Type,
 		obj:    obj,
@@ -257,9 +243,7 @@ func NewEventual(name string, obj spec.Object, policy Policy, opts check.Options
 		policy: policy,
 		log:    history.New(),
 		opts:   opts,
-	}
-	e.det, _ = obj.Type.(spec.DetStepper)
-	return e, nil
+	}, nil
 }
 
 // Name implements Object.
@@ -274,8 +258,8 @@ func (e *Eventual) Policy() Policy { return e.policy }
 
 // trueResponse computes the response a linearizable object would give.
 func (e *Eventual) trueResponse(op spec.Op) (int64, error) {
-	out, ok := stepOne(e.typ, e.det, e.state, op)
-	if !ok {
+	out, n := e.typ.Step(e.state, op, 0)
+	if n == 0 {
 		return 0, fmt.Errorf("base: %s (%s) rejects %s in state %v", e.name, e.typ.Name(), op, e.state)
 	}
 	return out.Resp, nil
@@ -292,33 +276,30 @@ func (e *Eventual) AppendCandidates(buf []int64, proc int, op spec.Op) ([]int64,
 	if e.Stabilized() {
 		return buf, nil
 	}
-	// Build the hypothetical history with this operation pending and
+	// Tabulate the hypothetical history with this operation pending and
 	// enumerate Definition 1 responses. The pending invocation is appended
-	// to the live log and truncated away afterwards, avoiding a full log
-	// clone per candidate computation (WeakResponses does not retain the
-	// history).
+	// to the live log and truncated away once the table holds it, avoiding
+	// a full log clone per candidate computation.
 	logLen := e.log.Len()
 	if err := e.log.Invoke(proc, e.name, op); err != nil {
 		return buf, fmt.Errorf("base: %s candidates: %w", e.name, err)
 	}
-	weak, err := check.WeakResponses(e.obj, e.log, proc, e.opts)
+	e.tb.Fill(e.log)
 	e.log.Truncate(logLen)
+	from := len(buf)
+	buf, err = check.AppendWeakResponses(buf, e.obj, &e.tb, proc, e.opts)
 	if err != nil {
 		return buf, fmt.Errorf("base: %s candidates: %w", e.name, err)
 	}
-	for _, r := range weak {
-		if r != truth {
-			buf = append(buf, r)
-		}
-	}
-	return buf, nil
+	weak := slices.DeleteFunc(buf[from:], func(r int64) bool { return r == truth })
+	return buf[:from+len(weak)], nil
 }
 
 // Commit implements Object: the mutation follows the type's transition in
 // commit order regardless of the (possibly stale) response handed out.
 func (e *Eventual) Commit(proc int, op spec.Op, resp int64) error {
-	out, ok := stepOne(e.typ, e.det, e.state, op)
-	if !ok {
+	out, n := e.typ.Step(e.state, op, 0)
+	if n == 0 {
 		return fmt.Errorf("base: %s (%s) rejects %s in state %v", e.name, e.typ.Name(), op, e.state)
 	}
 	if e.Stabilized() && resp != out.Resp {
@@ -343,6 +324,7 @@ func (e *Eventual) Steps() int { return e.steps }
 func (e *Eventual) Clone() Object {
 	cp := *e
 	cp.log = e.log.Clone()
+	cp.tb = history.OpTable{}
 	return &cp
 }
 

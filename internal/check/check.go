@@ -29,8 +29,8 @@ import (
 var ErrBudget = errors.New("check: search budget exhausted")
 
 // ErrTooLarge is returned when a history has more operations on a single
-// object than the engine supports (63) — for the path checker, more open at
-// once.
+// object than the engine supports (63) at t > 0 — at t = 0, and for the path
+// checker, more open at once.
 var ErrTooLarge = errors.New("check: too many operations on one object (max 63)")
 
 // DefaultBudget is the node budget used when Options.Budget is zero.
@@ -75,7 +75,7 @@ func Legal(objs map[string]spec.Object, h *history.History) (bool, error) {
 		if !ok {
 			return false, fmt.Errorf("check: no specification for object %q", name)
 		}
-		legal, err := legalOneObject(obj, h.ByObject(name))
+		legal, err := pathLinearizable(obj, h.ByObject(name), Options{})
 		if err != nil {
 			return false, err
 		}
@@ -86,11 +86,12 @@ func Legal(objs map[string]spec.Object, h *history.History) (bool, error) {
 	return true, nil
 }
 
-// legalOneObject checks legality of a single-object sequential history: the
-// path checker's frontier on it is the set of states its operations can
+// pathLinearizable decides linearizability of a single-object history on the
+// path checker, whose only cap is 63 operations open at once. On a
+// sequential history its frontier is the set of states the operations can
 // reach, and a trailing pending invocation stays optional.
-func legalOneObject(obj spec.Object, h *history.History) (bool, error) {
-	pc := NewPathChecker(obj, Options{})
+func pathLinearizable(obj spec.Object, h *history.History, opts Options) (bool, error) {
+	pc := NewPathChecker(obj, opts)
 	for i := 0; i < h.Len(); i++ {
 		if err := pc.Push(h.Event(i)); err != nil {
 			return false, err

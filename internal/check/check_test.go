@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/elin-go/elin/internal/gen"
 	"github.com/elin-go/elin/internal/history"
 	"github.com/elin-go/elin/internal/spec"
 )
@@ -84,28 +85,77 @@ func TestLegal(t *testing.T) {
 
 // TestLegalLongHistory: a sequential history longer than a mask has bits is
 // judged, and a wrong read late in it is seen.
-func TestLegalLongHistory(t *testing.T) {
-	// Operation 2k reads what operation 2k-1 wrote: k%3+1 for k >= 1.
-	long := func(wrongAt int) *history.History {
-		b, v := build(t), int64(0)
-		for i := 0; i < 200; i++ {
-			switch {
-			case i%2 == 1:
-				v = int64(i/2%3 + 1)
-				b.call(0, "X", wr(v), 0)
-			case i == wrongAt:
-				b.call(0, "X", rd, v+1)
-			default:
-				b.call(0, "X", rd, v)
-			}
+// longRegisterHistory is a sequential register history of 200 operations
+// in which operation 2k reads what operation 2k-1 wrote, k%3+1 for k >= 1,
+// except that operation wrongAt reads one more.
+func longRegisterHistory(t *testing.T, wrongAt int) *history.History {
+	b, v := build(t), int64(0)
+	for i := 0; i < 200; i++ {
+		switch {
+		case i%2 == 1:
+			v = int64(i/2%3 + 1)
+			b.call(0, "X", wr(v), 0)
+		case i == wrongAt:
+			b.call(0, "X", rd, v+1)
+		default:
+			b.call(0, "X", rd, v)
 		}
-		return b.h
 	}
-	if ok, err := Legal(regX, long(-1)); err != nil || !ok {
+	return b.h
+}
+
+func TestLegalLongHistory(t *testing.T) {
+	if ok, err := Legal(regX, longRegisterHistory(t, -1)); err != nil || !ok {
 		t.Fatalf("200 legal operations: Legal = %v, %v; want true", ok, err)
 	}
-	if ok, err := Legal(regX, long(150)); err != nil || ok {
+	if ok, err := Legal(regX, longRegisterHistory(t, 150)); err != nil || ok {
 		t.Fatalf("operation 150 corrupted: Legal = %v, %v; want false", ok, err)
+	}
+}
+
+// Past 63 operations, t = 0 is decided on the path checker: Linearizable
+// accepts long linearizable histories and refuses each once a response after
+// operation 63 is corrupted.
+func TestLinearizableLongHistory(t *testing.T) {
+	// corrupt answers 99, a value no operation writes, to the first read
+	// that responds after operation 63 was invoked.
+	corrupt := func(h *history.History) *history.History {
+		out, ops, done := history.New(), 0, false
+		reads := make(map[int]bool)
+		for _, e := range h.Events() {
+			switch {
+			case e.Kind == history.KindInvoke:
+				ops++
+				reads[e.Proc] = e.Op.Method == spec.MethodRead
+			case !done && ops > MaxOpsPerObject && reads[e.Proc]:
+				e.Resp, done = 99, true
+			}
+			if err := out.Append(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !done {
+			t.Fatal("no read responds after operation 63")
+		}
+		return out
+	}
+	concurrent := gen.Register(rand.New(rand.NewSource(1)), gen.HistoryConfig{Procs: 2, Ops: 100})
+	if n := len(concurrent.Operations()); n <= MaxOpsPerObject {
+		t.Fatalf("gen history has %d operations, want more than %d", n, MaxOpsPerObject)
+	}
+	for _, tc := range []struct {
+		name      string
+		good, bad *history.History
+	}{
+		{"sequential", longRegisterHistory(t, -1), longRegisterHistory(t, 150)},
+		{"gen 2 procs", concurrent, corrupt(concurrent)},
+	} {
+		if ok, err := Linearizable(regX, tc.good, Options{}); err != nil || !ok {
+			t.Errorf("%s: Linearizable = %v, %v; want true", tc.name, ok, err)
+		}
+		if ok, err := Linearizable(regX, tc.bad, Options{}); err != nil || ok {
+			t.Errorf("%s corrupted: Linearizable = %v, %v; want false", tc.name, ok, err)
+		}
 	}
 }
 
@@ -371,6 +421,8 @@ func TestSingleObjectGuard(t *testing.T) {
 	}
 }
 
+// Past 63 operations only t > 0 is refused: t = 0 runs on the path checker,
+// which refuses a 64th operation open at once.
 func TestTooLarge(t *testing.T) {
 	h := history.New()
 	for i := 0; i < MaxOpsPerObject+1; i++ {
@@ -378,9 +430,20 @@ func TestTooLarge(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, err := TLinearizable(regX["X"], h, 0, Options{})
-	if !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("err = %v, want ErrTooLarge", err)
+	if _, err := TLinearizable(regX["X"], h, 1, Options{}); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("t = 1: err = %v, want ErrTooLarge", err)
+	}
+	if ok, err := TLinearizable(regX["X"], h, 0, Options{}); err != nil || !ok {
+		t.Fatalf("t = 0: %v, %v; want true", ok, err)
+	}
+	open := history.New()
+	for p := 0; p < MaxOpsPerObject+1; p++ {
+		if err := open.Invoke(p, "X", rd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := TLinearizable(regX["X"], open, 0, Options{}); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("64 open at t = 0: err = %v, want ErrTooLarge", err)
 	}
 }
 

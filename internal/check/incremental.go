@@ -93,7 +93,6 @@ type Incremental struct {
 
 	// obj is the specification with Init rebased past the committed prefix.
 	obj spec.Object
-	det spec.DetStepper // non-nil fast path for the rebase fold
 
 	// tb is the current window's operation table and its only copy: Feed
 	// writes its rows, the MinT search and the rebase fold read them. The
@@ -147,13 +146,11 @@ type SamplingStats struct {
 // NewIncremental returns the monitor for a single-object history against
 // obj, measuring every window.
 func NewIncremental(obj spec.Object, cfg IncrementalConfig) *Incremental {
-	m := &Incremental{
+	return &Incremental{
 		cfg:      cfg,
 		obj:      obj,
 		sampling: SamplingStats{Every: 1},
 	}
-	m.det, _ = obj.Type.(spec.DetStepper)
-	return m
 }
 
 // Events returns the number of events fed so far.
@@ -317,7 +314,7 @@ func (m *Incremental) advanceCut() error {
 	state := m.obj.Init
 	for _, j := range m.tb.ByRes {
 		op := &m.tb.Ops[j]
-		to, applied := stepRebase(m.obj, m.det, state, op.Op, op.Resp)
+		to, applied := stepRebase(m.obj.Type, state, op.Op, op.Resp)
 		if !applied {
 			return fmt.Errorf("check: incremental rebase: %s inapplicable in state %v", op.Op, state)
 		}
@@ -368,36 +365,27 @@ func (m *Incremental) record(t int, ok bool) (*WindowViolation, error) {
 }
 
 // windowMinT is MinT of the window tb describes: the check of one closed
-// window. Only a window on more than one object is materialized, for
-// oneObject to name its objects.
+// window.
 func windowMinT(obj spec.Object, tb *history.OpTable, opts Options, sc *scratch) (int, bool, error) {
-	if !tb.SingleObject() {
-		win, err := tb.History()
-		if err == nil {
-			err = oneObject(win)
-		}
+	if err := tableOneObject(tb); err != nil {
 		return 0, false, err
 	}
 	return minT(obj, tb, opts, sc)
 }
 
-// stepRebase advances state by op. Deterministic types ignore resp; for a
-// nondeterministic type the outcome matching the recorded response is
-// selected (the branch the implementation claims to have taken), falling
-// back to the first applicable outcome when none matches.
-func stepRebase(obj spec.Object, det spec.DetStepper, state spec.State, op spec.Op, resp int64) (spec.State, bool) {
-	if det != nil {
-		out, ok := det.StepDet(state, op)
-		return out.Next, ok
-	}
-	outs := obj.Type.Step(state, op)
-	if len(outs) == 0 {
+// stepRebase advances state by op. Of several outcomes the one matching the
+// recorded response is selected (the branch the implementation claims to
+// have taken), falling back to the first when none matches; a deterministic
+// type has only the first.
+func stepRebase(typ spec.Type, state spec.State, op spec.Op, resp int64) (spec.State, bool) {
+	first, n := typ.Step(state, op, 0)
+	if n == 0 {
 		return state, false
 	}
-	for _, out := range outs {
-		if out.Resp == resp {
+	for k := 1; k < n && first.Resp != resp; k++ {
+		if out, _ := typ.Step(state, op, k); out.Resp == resp {
 			return out.Next, true
 		}
 	}
-	return outs[0].Next, true
+	return first.Next, true
 }

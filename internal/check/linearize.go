@@ -47,7 +47,18 @@ func tLinearizable(obj spec.Object, tb *history.OpTable, t int, opts Options, sc
 		}
 	}
 	if len(tb.Ops) > MaxOpsPerObject {
-		return false, ErrTooLarge
+		if t > 0 {
+			return false, ErrTooLarge
+		}
+		// Past the mask DFS's cap, t = 0 is decided on the path checker,
+		// whose cap is on operations open at once. Monitor windows at the
+		// automatic stride never come here, so they keep the DFS's reused
+		// scratch.
+		h, err := tb.History()
+		if err != nil {
+			return false, err
+		}
+		return pathLinearizable(obj, h, opts)
 	}
 	sc.lin.reset(obj, tb, t, opts)
 	return sc.lin.solve()
@@ -218,17 +229,13 @@ func productOf(objs map[string]spec.Object, h *history.History) (spec.Object, *h
 		place[name], init[i] = i, obj.Init
 	}
 	p := &product{ops: make([]productOp, len(tb.Ops)), rows: make(map[string]*[]spec.State)}
-	var typ spec.Type = p
 	for i := range tb.Ops {
 		o := &tb.Ops[i]
 		p.ops[i] = productOp{objs[o.Obj].Type, place[o.Obj], o.Op}
 		o.Op = spec.MakeOp1("op", int64(i)) // product's operations are indices
-		if _, det := p.ops[i].typ.(spec.DetStepper); !det {
-			typ = struct{ spec.Type }{p} // hides StepDet from the search
-		}
 	}
 	p.init = p.intern(init)
-	return spec.Object{Type: typ, Init: p.init}, tb, nil
+	return spec.Object{Type: p, Init: p.init}, tb, nil
 }
 
 // product is the type of a multi-object history seen as one object, the
@@ -256,24 +263,13 @@ func (p *product) Name() string        { return "product" }
 func (p *product) Init() spec.State    { return p.init }
 func (p *product) Deterministic() bool { return false }
 
-func (p *product) Step(s spec.State, op spec.Op) []spec.Outcome {
+func (p *product) Step(s spec.State, op spec.Op, i int) (spec.Outcome, int) {
 	o, row := &p.ops[op.Args[0]], *s.(*[]spec.State)
-	var outs []spec.Outcome
-	for _, out := range o.typ.Step(row[o.place], o.op) {
-		outs = append(outs, spec.Outcome{Resp: out.Resp, Next: p.with(row, o.place, out.Next)})
-	}
-	return outs
-}
-
-// StepDet is Step without the slice when every object's type is a
-// DetStepper; productOf hides it otherwise.
-func (p *product) StepDet(s spec.State, op spec.Op) (spec.Outcome, bool) {
-	o, row := &p.ops[op.Args[0]], *s.(*[]spec.State)
-	out, ok := o.typ.(spec.DetStepper).StepDet(row[o.place], o.op)
-	if ok {
+	out, n := o.typ.Step(row[o.place], o.op, i)
+	if i < n {
 		out.Next = p.with(row, o.place, out.Next)
 	}
-	return out, ok
+	return out, n
 }
 
 // with returns the interned row equal to row with place set to st.
@@ -323,6 +319,19 @@ func oneObject(h *history.History) error {
 	return nil
 }
 
+// tableOneObject is oneObject on a table. Only a table on more than one
+// object is materialized, for oneObject to name its objects.
+func tableOneObject(tb *history.OpTable) error {
+	if tb.SingleObject() {
+		return nil
+	}
+	h, err := tb.History()
+	if err != nil {
+		return err
+	}
+	return oneObject(h)
+}
+
 // tableConstraints computes what the engines search under at cut t: each
 // operation's real-time predecessor mask, the constrained-response set and
 // the completed set. It is the auditor's opConstraints in O(n) on a prepared
@@ -363,7 +372,6 @@ func tableConstraints(tb *history.OpTable, t int, pred []uint64) (_ []uint64, co
 // map are reused, so a monitor's steady-state window check allocates nothing.
 type tlinProblem struct {
 	typ         spec.Type
-	det         spec.DetStepper // non-nil fast path: no Step slice per node
 	init        spec.State
 	ops         []history.Operation
 	pred        []uint64
@@ -390,7 +398,6 @@ const memoKeep = 1 << 10
 // reset prepares the search for one probe of obj at cut t on the table tb.
 func (pr *tlinProblem) reset(obj spec.Object, tb *history.OpTable, t int, opts Options) {
 	pr.typ, pr.init, pr.ops = obj.Type, obj.Init, tb.Ops
-	pr.det, _ = obj.Type.(spec.DetStepper)
 	pr.budget, pr.noMemo, pr.trace = opts.budget(), opts.NoMemo, nil
 	if pr.memo == nil || len(pr.memo) > memoKeep {
 		pr.memo = make(map[memoKey]struct{})
@@ -438,20 +445,17 @@ func (pr *tlinProblem) dfs(state spec.State, chosen uint64) (bool, error) {
 			return false, nil
 		}
 	}
-	var one [1]spec.Outcome // a DetStepper's outcome, without a Step slice
 	for i := range pr.ops {
 		bit := uint64(1) << uint(i)
 		if chosen&bit != 0 || pr.pred[i]&^chosen != 0 {
 			continue
 		}
 		op := &pr.ops[i]
-		outs := one[:0]
-		if pr.det == nil {
-			outs = pr.typ.Step(state, op.Op)
-		} else if out, applicable := pr.det.StepDet(state, op.Op); applicable {
-			outs = append(outs, out)
-		}
-		for _, out := range outs {
+		for k, n := 0, 1; k < n; k++ {
+			var out spec.Outcome
+			if out, n = pr.typ.Step(state, op.Op, k); k >= n {
+				break
+			}
 			if pr.constrained&bit != 0 && out.Resp != op.Resp {
 				continue
 			}

@@ -36,9 +36,8 @@ import (
 // safe for concurrent use.
 type PathChecker struct {
 	typ    spec.Type
-	det    spec.DetStepper // non-nil fast path: no Step slice per expansion
-	budget int64           // configurations one event may expand (Options.Budget)
-	left   int64           // what the event being pushed has left of it
+	budget int64 // configurations one event may expand (Options.Budget)
+	left   int64 // what the event being pushed has left of it
 	obj    string
 	ops    []pathOp             // operations in invocation order
 	at     [MaxOpsPerObject]int // at[s]: the index in ops of slot s's holder
@@ -73,14 +72,12 @@ type pathConfig struct {
 // NewPathChecker returns a checker holding the empty history of obj. Of
 // opts only Budget is read: the configurations one event may expand.
 func NewPathChecker(obj spec.Object, opts Options) *PathChecker {
-	pc := &PathChecker{
+	return &PathChecker{
 		typ:    obj.Type,
 		budget: opts.budget(),
 		levels: []pathLevel{{hi: 1}},
 		cfgs:   []pathConfig{{state: obj.Init}},
 	}
-	pc.det, _ = obj.Type.(spec.DetStepper)
-	return pc
 }
 
 // Len returns the number of events held.
@@ -176,14 +173,11 @@ func (pc *PathChecker) linearize(top *pathLevel, open, mask uint64, state spec.S
 	}
 	for rest := open &^ mask; rest != 0; rest &= rest - 1 {
 		i := bits.TrailingZeros64(rest)
-		var one [1]spec.Outcome
-		outs := one[:0]
-		if pc.det == nil {
-			outs = pc.typ.Step(state, pc.ops[pc.at[i]].op)
-		} else if out, ok := pc.det.StepDet(state, pc.ops[pc.at[i]].op); ok {
-			outs = append(outs, out)
-		}
-		for _, out := range outs {
+		for k, n := 0, 1; k < n; k++ {
+			var out spec.Outcome
+			if out, n = pc.typ.Step(state, pc.ops[pc.at[i]].op, k); k >= n {
+				break
+			}
 			if i != j {
 				pc.cur[i] = out.Resp
 				if err := pc.linearize(top, open, mask|1<<i, out.Next, j, v); err != nil {

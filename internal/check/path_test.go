@@ -182,8 +182,8 @@ func TestPathOracleRejectsPerturbedKernel(t *testing.T) {
 	t.Logf("perturbed kernel caught on %d of 600 scripts", caught)
 }
 
-// coinType is a nondeterministic type (no StepDet): flip answers 0 or 1 and
-// remembers it, last answers the latest flip.
+// coinType is a nondeterministic type (flip has two outcomes): flip answers 0
+// or 1 and remembers it, last answers the latest flip.
 func coinType() *spec.TableType {
 	flip, last := spec.MakeOp("flip"), spec.MakeOp("last")
 	delta := map[spec.TableKey][]spec.Outcome{}

@@ -110,7 +110,7 @@ func TestQuickMinTMultiBelowLift(t *testing.T) {
 	}
 }
 
-// Property: every response enumerated by WeakResponses is accepted by the
+// Property: every response enumerated by AppendWeakResponses is accepted by the
 // weak-consistency checker once appended, and every other small value is
 // rejected (soundness and completeness of the candidate set).
 func TestQuickWeakResponsesExact(t *testing.T) {
@@ -123,7 +123,7 @@ func TestQuickWeakResponsesExact(t *testing.T) {
 		if err := h.Invoke(3, "X", spec.MakeOp(spec.MethodRead)); err != nil {
 			return false
 		}
-		cands, err := WeakResponses(obj, h, 3, Options{})
+		cands, err := weakResponses(obj, h, 3, Options{})
 		if err != nil {
 			return false
 		}
@@ -217,8 +217,8 @@ func TestQuickMemoAblationSameAnswers(t *testing.T) {
 		if err := h.Invoke(3, "X", rd); err != nil {
 			return false
 		}
-		setA, errA := WeakResponses(objs["X"], h, 3, memo)
-		setB, errB := WeakResponses(objs["X"], h, 3, noMemo)
+		setA, errA := weakResponses(objs["X"], h, 3, memo)
+		setB, errB := weakResponses(objs["X"], h, 3, noMemo)
 		if errA != nil || errB != nil || !slices.Equal(setA, setB) {
 			return false
 		}

@@ -32,14 +32,14 @@ func bruteResponses(obj spec.Object, must, opt []spec.Op, final spec.Op) map[int
 			for _, op := range ops {
 				var next []spec.State
 				for _, s := range states {
-					for _, out := range obj.Type.Step(s, op) {
+					for _, out := range spec.Outcomes(obj.Type, s, op) {
 						next = append(next, out.Next)
 					}
 				}
 				states = next
 			}
 			for _, s := range states {
-				for _, out := range obj.Type.Step(s, final) {
+				for _, out := range spec.Outcomes(obj.Type, s, final) {
 					found[out.Resp] = true
 				}
 			}
@@ -241,7 +241,7 @@ func randomOpHistory(r *rand.Rand, ops []spec.Op, n int) (h *history.History, p 
 	return h, p, must, opt, final
 }
 
-// WeakResponses, generic and fast, is the set of responses the brute-force
+// AppendWeakResponses, generic and fast, is the set of responses the brute-force
 // oracle accepts for the pending operation.
 func TestWeakResponsesMatchBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
@@ -250,13 +250,13 @@ func TestWeakResponsesMatchBruteForce(t *testing.T) {
 		h, p, must, opt, final := randomOpHistory(r, k.ops, r.Intn(6))
 		want := slices.Sorted(maps.Keys(bruteResponses(k.obj, must, opt, final)))
 		for _, opts := range []Options{{}, {NoFastPath: true}, {NoFastPath: true, NoMemo: true}} {
-			got, err := WeakResponses(k.obj, h, p, opts)
+			got, err := weakResponses(k.obj, h, p, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			slices.Sort(got)
 			if !slices.Equal(got, want) {
-				t.Fatalf("%s trial %d %+v: WeakResponses = %v, brute force %v\n%s", k.name, trial, opts, got, want, h)
+				t.Fatalf("%s trial %d %+v: AppendWeakResponses = %v, brute force %v\n%s", k.name, trial, opts, got, want, h)
 			}
 		}
 	}
@@ -486,7 +486,7 @@ func auditGlobal(objs map[string]spec.Object, h *history.History, order []LinSte
 			return fmt.Errorf("step %d: %v takes response %d", k, o, s.Resp)
 		}
 		legal := false
-		for _, out := range objs[o.Obj].Type.Step(states[o.Obj], o.Op) {
+		for _, out := range spec.Outcomes(objs[o.Obj].Type, states[o.Obj], o.Op) {
 			if out.Resp == s.Resp {
 				states[o.Obj], legal = out.Next, true
 				break

@@ -48,67 +48,58 @@ func WeaklyConsistentExplain(objs map[string]spec.Object, h *history.History, op
 	return true, "", nil
 }
 
-// WeakResponses returns the set of responses r such that, were process
-// proc's pending operation on the (single-object) history h to return r
-// now, the operation would satisfy Definition 1. This is the candidate set
-// an eventually linearizable object may answer from before stabilizing:
-// anything else would be "out of left field". The history must contain a
-// pending operation by proc.
-func WeakResponses(obj spec.Object, h *history.History, proc int, opts Options) ([]int64, error) {
-	if err := oneObject(h); err != nil {
-		return nil, err
+// AppendWeakResponses appends to buf the set of responses r such that, were
+// process proc's pending operation in the single-object table tb to return
+// r now, the operation would satisfy Definition 1, and returns the extended
+// slice. This is the candidate set an eventually linearizable object may
+// answer from before stabilizing: anything else would be "out of left
+// field". The table must hold a pending operation by proc. On the register
+// and fetch&inc rules a reused buf and table make the call allocation-free.
+func AppendWeakResponses(buf []int64, obj spec.Object, tb *history.OpTable, proc int, opts Options) ([]int64, error) {
+	if err := tableOneObject(tb); err != nil {
+		return buf, err
 	}
-	ops := h.Operations()
+	ops := tb.Ops
 	k := -1
-	for i, op := range ops {
-		if op.Proc == proc && op.Pending() {
+	for i := range ops {
+		if ops[i].Proc == proc && ops[i].Pending() {
 			k = i
 			break
 		}
 	}
 	if k < 0 {
-		return nil, fmt.Errorf("check: process p%d has no pending operation", proc)
+		return buf, fmt.Errorf("check: process p%d has no pending operation", proc)
 	}
-	// The hypothetical response event would land at index h.Len(), so every
-	// operation already invoked is a candidate member of S.
+	// The hypothetical response event would land at index tb.Events, so
+	// every operation already invoked is a candidate member of S.
 	if !opts.NoFastPath {
 		switch obj.Type.(type) {
 		case spec.Register:
-			return weakRegisterResponses(obj, ops, k, h.Len())
+			return appendWeakRegister(buf, obj, ops, k, tb.Events)
 		case spec.FetchInc:
-			return weakFetchIncResponses(obj, ops, k, h.Len())
+			lo, hi, err := weakFetchIncRange(obj, ops, k, tb.Events)
+			for r := lo; err == nil && r <= hi; r++ {
+				buf = append(buf, r)
+			}
+			return buf, err
 		}
 	}
-	return weakResponseSet(obj, ops, k, h.Len(), opts)
+	set, err := weakResponseSet(obj, ops, k, tb.Events, opts)
+	return append(buf, set...), err
 }
 
-// weakRegisterResponses computes the Definition 1 candidate set for a
-// register in linear time (registerResponses, each value once).
-func weakRegisterResponses(obj spec.Object, ops []history.Operation, k, respIdx int) ([]int64, error) {
-	var out []int64
-	seen := make(map[int64]bool)
+// appendWeakRegister appends the Definition 1 candidate set of a register
+// operation (registerResponses), each value once: the few distinct values
+// are deduplicated by scanning what it appended.
+func appendWeakRegister(buf []int64, obj spec.Object, ops []history.Operation, k, respIdx int) ([]int64, error) {
+	from := len(buf)
 	err := registerResponses(obj, ops, k, respIdx, func(v int64) bool {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
+		if !slices.Contains(buf[from:], v) {
+			buf = append(buf, v)
 		}
 		return true
 	})
-	return out, err
-}
-
-// weakFetchIncResponses computes the Definition 1 candidate set for a
-// fetch&increment in linear time: the contiguous range weakFetchIncRange.
-func weakFetchIncResponses(obj spec.Object, ops []history.Operation, k, respIdx int) ([]int64, error) {
-	lo, hi, err := weakFetchIncRange(obj, ops, k, respIdx)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, 0, hi-lo+1)
-	for r := lo; r <= hi; r++ {
-		out = append(out, r)
-	}
-	return out, nil
+	return buf, err
 }
 
 // weakWitness decides Definition 1 for operation index k with response resp,
@@ -247,12 +238,12 @@ type recorder struct {
 // recordOp is recorder's stand-in operation; no type has its method.
 var recordOp = spec.MakeOp("\x00record")
 
-func (r recorder) Step(s spec.State, op spec.Op) []spec.Outcome {
+func (r recorder) Step(s spec.State, op spec.Op, i int) (spec.Outcome, int) {
 	if op != recordOp {
-		return r.Type.Step(s, op)
+		return r.Type.Step(s, op, i)
 	}
-	for _, out := range r.Type.Step(s, r.final) {
+	for _, out := range spec.Outcomes(r.Type, s, r.final) {
 		r.found[out.Resp] = true
 	}
-	return nil
+	return spec.Outcome{}, 0
 }

@@ -2,11 +2,20 @@ package check
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
+	"github.com/elin-go/elin/internal/history"
 	"github.com/elin-go/elin/internal/spec"
 )
+
+// weakResponses is AppendWeakResponses on h's table and a fresh buffer.
+func weakResponses(obj spec.Object, h *history.History, proc int, opts Options) ([]int64, error) {
+	var tb history.OpTable
+	tb.Fill(h)
+	return AppendWeakResponses(nil, obj, &tb, proc, opts)
+}
 
 func TestWeakConsistencyRegisterBasics(t *testing.T) {
 	// A read that returns a value nobody wrote is "out of left field".
@@ -148,19 +157,29 @@ func TestWeakResponsesRegister(t *testing.T) {
 		call(0, "X", wr(1), 0).
 		inv(2, "X", wr(5)).
 		inv(1, "X", rd).h
-	got, err := WeakResponses(regX["X"], h, 1, Options{})
+	got, err := weakResponses(regX["X"], h, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 	want := []int64{0, 1, 5}
 	if len(got) != len(want) {
-		t.Fatalf("WeakResponses = %v, want %v", got, want)
+		t.Fatalf("AppendWeakResponses = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("WeakResponses = %v, want %v", got, want)
+			t.Fatalf("AppendWeakResponses = %v, want %v", got, want)
 		}
+	}
+
+	// The set is appended after what buf holds, and deduplicated only
+	// among itself: in the order the writes were invoked, then the initial
+	// value.
+	var tb history.OpTable
+	tb.Fill(h)
+	got, err = AppendWeakResponses([]int64{1}, regX["X"], &tb, 1, Options{})
+	if err != nil || !slices.Equal(got, []int64{1, 1, 5, 0}) {
+		t.Fatalf("AppendWeakResponses([1]) = %v, %v, want [1 1 5 0]", got, err)
 	}
 
 	// After p1 writes 9 itself, 0 is no longer an answer for its read.
@@ -168,14 +187,14 @@ func TestWeakResponsesRegister(t *testing.T) {
 		call(0, "X", wr(1), 0).
 		call(1, "X", wr(9), 0).
 		inv(1, "X", rd).h
-	got, err = WeakResponses(regX["X"], h2, 1, Options{})
+	got, err = weakResponses(regX["X"], h2, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 	want = []int64{1, 9}
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("WeakResponses = %v, want %v", got, want)
+		t.Fatalf("AppendWeakResponses = %v, want %v", got, want)
 	}
 }
 
@@ -186,37 +205,37 @@ func TestWeakResponsesFetchInc(t *testing.T) {
 		call(0, "X", fi, 0).
 		inv(1, "X", fi).
 		inv(0, "X", fi).h
-	got, err := WeakResponses(fincX["X"], h, 0, Options{})
+	got, err := weakResponses(fincX["X"], h, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("WeakResponses = %v, want [1 2]", got)
+		t.Fatalf("AppendWeakResponses = %v, want [1 2]", got)
 	}
 
 	// p1's first op after p0's completed one may ignore it (0) or count it (1).
 	h2 := build(t).
 		call(0, "X", fi, 0).
 		inv(1, "X", fi).h
-	got, err = WeakResponses(fincX["X"], h2, 1, Options{})
+	got, err = weakResponses(fincX["X"], h2, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("WeakResponses = %v, want [0 1]", got)
+		t.Fatalf("AppendWeakResponses = %v, want [0 1]", got)
 	}
 }
 
 func TestWeakResponsesErrors(t *testing.T) {
 	h := build(t).call(0, "X", fi, 0).h
-	if _, err := WeakResponses(fincX["X"], h, 0, Options{}); err == nil {
-		t.Error("WeakResponses accepted a process with no pending op")
+	if _, err := weakResponses(fincX["X"], h, 0, Options{}); err == nil {
+		t.Error("AppendWeakResponses accepted a process with no pending op")
 	}
 	multi := build(t).call(0, "X", fi, 0).inv(0, "Y", rd).h
-	if _, err := WeakResponses(fincX["X"], multi, 0, Options{}); err == nil {
-		t.Error("WeakResponses accepted a multi-object history")
+	if _, err := weakResponses(fincX["X"], multi, 0, Options{}); err == nil {
+		t.Error("AppendWeakResponses accepted a multi-object history")
 	}
 }
 

@@ -103,7 +103,7 @@ func BenchmarkMinT(b *testing.B) {
 // buffers, and the generic engine's search, whose predecessor masks and
 // memo map every probe resets. The values stay below 256 throughout, where
 // Go boxes an int64 without allocating: spec.State is an interface, so past
-// that StepDet allocates 8 bytes per successor state (the 254 allocs/op
+// that a type's Step allocates 8 bytes per successor state (the 254 allocs/op
 // BenchmarkIncrementalWindow/fi-512 reports), which is the specification
 // layer's cost and not the monitor's to remove.
 func TestIncrementalSteadyStateAllocs(t *testing.T) {

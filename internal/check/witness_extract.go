@@ -93,7 +93,7 @@ func ValidateLinearization(obj spec.Object, h *history.History, t int, steps []L
 				k, s.OpIndex, ops[s.OpIndex].Resp, s.Resp)
 		}
 		legal := false
-		for _, out := range obj.Type.Step(state, ops[s.OpIndex].Op) {
+		for _, out := range spec.Outcomes(obj.Type, state, ops[s.OpIndex].Op) {
 			if out.Resp == s.Resp {
 				state = out.Next
 				legal = true

@@ -163,12 +163,12 @@ func (c *proc) Step(resp int64) machine.Action {
 		return machine.Invoke(c.arrayBase+c.me, spec.MakeOp2(spec.MethodWrite, c.c, code))
 	case phAnnounced:
 		c.c++
-		outs := c.obj.Type.Step(c.q, c.op)
-		if len(outs) == 0 {
+		out, n := c.obj.Type.Step(c.q, c.op, 0)
+		if n == 0 {
 			panic(fmt.Sprintf("announce: %s inapplicable to private state %v", c.op, c.q))
 		}
-		c.q = outs[0].Next
-		c.rprivate = outs[0].Resp
+		c.q = out.Next
+		c.rprivate = out.Resp
 		c.inner.Begin(c.op)
 		return c.driveInner(0)
 	case phInner:

@@ -18,12 +18,12 @@ func soloDrive(t *testing.T, impl machine.Impl, proc machine.Process, states []s
 		if act.Kind == machine.ActReturn {
 			return act.Ret
 		}
-		outs := bases[act.Obj].Obj.Type.Step(states[act.Obj], act.Op)
-		if len(outs) == 0 {
+		out, n := bases[act.Obj].Obj.Type.Step(states[act.Obj], act.Op, 0)
+		if n == 0 {
 			t.Fatalf("base %d rejects %s", act.Obj, act.Op)
 		}
-		states[act.Obj] = outs[0].Next
-		resp = outs[0].Resp
+		states[act.Obj] = out.Next
+		resp = out.Resp
 	}
 	t.Fatal("propose did not complete")
 	return 0

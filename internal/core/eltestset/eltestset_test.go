@@ -69,9 +69,9 @@ func TestFromCASWinnerAndLosers(t *testing.T) {
 			if act.Kind == machine.ActReturn {
 				return act.Ret
 			}
-			outs := typ.Step(state, act.Op)
-			state = outs[0].Next
-			resp = outs[0].Resp
+			out, _ := typ.Step(state, act.Op, 0)
+			state = out.Next
+			resp = out.Resp
 		}
 	}
 	if got := run(impl.NewProcess(0, 2)); got != 0 {

@@ -110,13 +110,13 @@ func (c *proc) Step(resp int64) machine.Action {
 			panic(fmt.Sprintf("localcopy: inner programme invoked unknown base %d", act.Obj))
 		}
 		obj := &c.copies[act.Obj]
-		outs := obj.typ.Step(obj.state, act.Op)
-		if len(outs) == 0 {
+		out, n := obj.typ.Step(obj.state, act.Op, 0)
+		if n == 0 {
 			panic(fmt.Sprintf("localcopy: base %d (%s) rejects %s in state %v",
 				act.Obj, obj.typ.Name(), act.Op, obj.state))
 		}
-		obj.state = outs[0].Next
-		act = c.inner.Step(outs[0].Resp)
+		obj.state = out.Next
+		act = c.inner.Step(out.Resp)
 	}
 	return machine.Return(act.Ret)
 }

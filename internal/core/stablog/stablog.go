@@ -247,11 +247,11 @@ func (m *proc) apply(st spec.State, code int64) spec.Outcome {
 	if err != nil {
 		panic(fmt.Sprintf("stablog: %v", err))
 	}
-	outs := m.typ.Step(st, op)
-	if len(outs) == 0 {
+	out, n := m.typ.Step(st, op, 0)
+	if n == 0 {
 		panic(fmt.Sprintf("stablog: %s not applicable to %s state %v", op, m.typ.Name(), st))
 	}
-	return outs[0]
+	return out
 }
 
 // CloneInto implements machine.Process. States are immutable values (int64 or

@@ -262,12 +262,12 @@ func reexecute(obj spec.Object, codes []int64) ([]int64, error) {
 		if err != nil {
 			return nil, err
 		}
-		outs := obj.Type.Step(st, op)
-		if len(outs) == 0 {
+		out, n := obj.Type.Step(st, op, 0)
+		if n == 0 {
 			return nil, fmt.Errorf("stablog: %s not applicable to %s state %v", op, obj.Type.Name(), st)
 		}
-		resps[i] = outs[0].Resp
-		st = outs[0].Next
+		resps[i] = out.Resp
+		st = out.Next
 	}
 	return resps, nil
 }

@@ -49,19 +49,19 @@ func Decide(t spec.Type, maxStates int) (Result, error) {
 		var resp int64
 		var firstState spec.State
 		for _, s := range states {
-			outs := t.Step(s, op)
-			if len(outs) == 0 {
+			out, n := t.Step(s, op, 0)
+			if n == 0 {
 				// Inapplicable somewhere: no response is correct in every
 				// reachable state.
 				return nonTrivial(op, firstState, s), nil
 			}
 			if first {
 				first = false
-				resp = outs[0].Resp
+				resp = out.Resp
 				firstState = s
 				continue
 			}
-			if outs[0].Resp != resp {
+			if out.Resp != resp {
 				return nonTrivial(op, firstState, s), nil
 			}
 		}

@@ -10,6 +10,7 @@ import (
 	"github.com/elin-go/elin/internal/core/eltestset"
 	"github.com/elin-go/elin/internal/core/passthrough"
 	"github.com/elin-go/elin/internal/machine"
+	"github.com/elin-go/elin/internal/registry"
 	"github.com/elin-go/elin/internal/sim"
 	"github.com/elin-go/elin/internal/spec"
 )
@@ -174,5 +175,39 @@ func TestLinearizableEverywhereLeafAllocs(t *testing.T) {
 	})
 	if perLeaf := (judged - walk) / float64(leaves); perLeaf >= 0.1 {
 		t.Fatalf("%.2f allocations per leaf on top of the walk (%v judged, %v walked, %d leaves)", perLeaf, judged, walk, leaves)
+	}
+}
+
+// The walk's allocations past cas-counter: an edge steps its base objects
+// and, before an eventually linearizable base stabilizes, computes its
+// candidate set into reused buffers. What is left is the programmes' own
+// state (announced-cas's scan lists, slog's replicas).
+func TestWalkAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		impl         string
+		procs, ops   int
+		depth, nodes int
+		policy       base.Policy
+		below        float64
+	}{
+		{"announced-cas", 2, 1, 40, 86635, base.Immediate(), 340000},
+		{"slog-register", 2, 2, 16, 811, base.Immediate(), 1250},
+		{"el-register", 2, 2, 14, 639, base.Never{}, 100},
+	} {
+		impl, err := registry.Impl(tc.impl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := mustSystem(t, impl, registry.Workload(impl, tc.procs, tc.ops), base.SamePolicy(tc.policy))
+		allocs := testing.AllocsPerRun(1, func() {
+			st, err := Leaves(root, tc.depth, Config{Workers: 1}, noLeaf)
+			if err != nil || st.Nodes != tc.nodes {
+				t.Fatalf("%s: err=%v nodes %d, want %d", tc.impl, err, st.Nodes, tc.nodes)
+			}
+		})
+		t.Logf("%s: %v allocations over %d nodes", tc.impl, allocs, tc.nodes)
+		if allocs >= tc.below {
+			t.Errorf("%s: the walk made %v allocations, want < %v", tc.impl, allocs, tc.below)
+		}
 	}
 }

@@ -110,33 +110,37 @@ type Outcome struct {
 	Next State
 }
 
-// Type is a sequential object type. Implementations must be deterministic
-// functions of (state, op): Step must always return the same outcome set for
-// the same inputs, and every returned outcome's Next state must be a valid
-// State (immutable and comparable).
+// Type is a sequential object type. Implementations must be pure functions
+// of their arguments, so repeated calls agree, and every returned outcome's
+// Next state must be a valid State (immutable and comparable).
 type Type interface {
 	// Name returns a short identifier for the type, e.g. "register".
 	Name() string
 	// Init returns the canonical initial state q0.
 	Init() State
-	// Step returns every (response, next-state) pair permitted by delta
-	// when op is applied in state s. An empty slice means the operation is
-	// not applicable in s (delta contains no such transition).
-	Step(s State, op Op) []Outcome
+	// Step returns outcome i of the n (response, next-state) pairs delta
+	// permits when op is applied in state s, together with n; n = 0 means
+	// the operation is not applicable in s. n is the same for every i < n.
+	// Callers ask for i = 0 first and never for i ≥ n, so a deterministic
+	// type ignores i.
+	Step(s State, op Op, i int) (Outcome, int)
 	// Deterministic reports whether every (state, op) pair admits at most
-	// one outcome.
+	// one outcome: Step's n is never above 1.
 	Deterministic() bool
 }
 
-// DetStepper is optionally implemented by deterministic types that can
-// report their unique (response, next-state) outcome without allocating the
-// Step slice. The checkers and the simulation runtime prefer it on hot
-// paths; Step and StepDet must agree (Step returns exactly the outcome
-// StepDet reports, or an empty slice when ok is false).
-type DetStepper interface {
-	// StepDet returns the unique outcome of op in state s, or ok=false when
-	// the operation is not applicable.
-	StepDet(s State, op Op) (Outcome, bool)
+// Outcomes returns every outcome of op in state s, in Step's index order;
+// it is nil when op is not applicable.
+func Outcomes(t Type, s State, op Op) []Outcome {
+	var outs []Outcome
+	for i, n := 0, 1; i < n; i++ {
+		var out Outcome
+		if out, n = t.Step(s, op, i); i >= n {
+			break
+		}
+		outs = append(outs, out)
+	}
+	return outs
 }
 
 // OpEnumerator is implemented by types whose (restricted) operation set can
@@ -163,7 +167,7 @@ func Reachable(t Type, maxStates int) ([]State, error) {
 			return nil, fmt.Errorf("type %s: state bound %d exceeded", t.Name(), maxStates)
 		}
 		for _, op := range ops {
-			for _, o := range t.Step(order[i], op) {
+			for _, o := range Outcomes(t, order[i], op) {
 				if !seen[o.Next] {
 					seen[o.Next] = true
 					order = append(order, o.Next)

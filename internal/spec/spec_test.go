@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -84,25 +85,25 @@ func TestParseOpRoundTrip(t *testing.T) {
 func TestRegister(t *testing.T) {
 	r := Register{InitVal: 7}
 	s := r.Init()
-	outs := r.Step(s, MakeOp(MethodRead))
+	outs := Outcomes(r, s, MakeOp(MethodRead))
 	if len(outs) != 1 || outs[0].Resp != 7 || outs[0].Next != int64(7) {
 		t.Fatalf("read in init state: %+v", outs)
 	}
-	outs = r.Step(s, MakeOp1(MethodWrite, 42))
+	outs = Outcomes(r, s, MakeOp1(MethodWrite, 42))
 	if len(outs) != 1 || outs[0].Resp != 0 || outs[0].Next != int64(42) {
 		t.Fatalf("write(42): %+v", outs)
 	}
-	outs = r.Step(outs[0].Next, MakeOp(MethodRead))
+	outs = Outcomes(r, outs[0].Next, MakeOp(MethodRead))
 	if len(outs) != 1 || outs[0].Resp != 42 {
 		t.Fatalf("read after write(42): %+v", outs)
 	}
-	if got := r.Step(s, MakeOp(MethodFetchInc)); got != nil {
+	if got := Outcomes(r, s, MakeOp(MethodFetchInc)); got != nil {
 		t.Errorf("register accepted fetchinc: %+v", got)
 	}
-	if got := r.Step("bogus", MakeOp(MethodRead)); got != nil {
+	if got := Outcomes(r, "bogus", MakeOp(MethodRead)); got != nil {
 		t.Errorf("register accepted bogus state: %+v", got)
 	}
-	if got := r.Step(s, MakeOp1(MethodRead, 1)); got != nil {
+	if got := Outcomes(r, s, MakeOp1(MethodRead, 1)); got != nil {
 		t.Errorf("register accepted read with argument: %+v", got)
 	}
 }
@@ -111,7 +112,7 @@ func TestFetchInc(t *testing.T) {
 	f := FetchInc{}
 	s := f.Init()
 	for want := int64(0); want < 5; want++ {
-		outs := f.Step(s, MakeOp(MethodFetchInc))
+		outs := Outcomes(f, s, MakeOp(MethodFetchInc))
 		if len(outs) != 1 {
 			t.Fatalf("fetchinc outcome count = %d", len(outs))
 		}
@@ -120,7 +121,7 @@ func TestFetchInc(t *testing.T) {
 		}
 		s = outs[0].Next
 	}
-	if got := f.Step(s, MakeOp(MethodRead)); got != nil {
+	if got := Outcomes(f, s, MakeOp(MethodRead)); got != nil {
 		t.Errorf("fetchinc accepted read: %+v", got)
 	}
 }
@@ -128,16 +129,16 @@ func TestFetchInc(t *testing.T) {
 func TestConsensus(t *testing.T) {
 	c := Consensus{}
 	s := c.Init()
-	outs := c.Step(s, MakeOp1(MethodPropose, 3))
+	outs := Outcomes(c, s, MakeOp1(MethodPropose, 3))
 	if len(outs) != 1 || outs[0].Resp != 3 {
 		t.Fatalf("first propose(3): %+v", outs)
 	}
 	s = outs[0].Next
-	outs = c.Step(s, MakeOp1(MethodPropose, 9))
+	outs = Outcomes(c, s, MakeOp1(MethodPropose, 9))
 	if len(outs) != 1 || outs[0].Resp != 3 {
 		t.Fatalf("second propose(9) should return 3: %+v", outs)
 	}
-	if got := c.Step(s, MakeOp1(MethodPropose, -2)); got != nil {
+	if got := Outcomes(c, s, MakeOp1(MethodPropose, -2)); got != nil {
 		t.Errorf("consensus accepted negative proposal: %+v", got)
 	}
 }
@@ -145,13 +146,13 @@ func TestConsensus(t *testing.T) {
 func TestTestSet(t *testing.T) {
 	ts := TestSet{}
 	s := ts.Init()
-	outs := ts.Step(s, MakeOp(MethodTestSet))
+	outs := Outcomes(ts, s, MakeOp(MethodTestSet))
 	if len(outs) != 1 || outs[0].Resp != 0 {
 		t.Fatalf("first testset: %+v", outs)
 	}
 	s = outs[0].Next
 	for i := 0; i < 3; i++ {
-		outs = ts.Step(s, MakeOp(MethodTestSet))
+		outs = Outcomes(ts, s, MakeOp(MethodTestSet))
 		if len(outs) != 1 || outs[0].Resp != 1 {
 			t.Fatalf("testset #%d: %+v", i+2, outs)
 		}
@@ -162,16 +163,16 @@ func TestTestSet(t *testing.T) {
 func TestCAS(t *testing.T) {
 	c := CAS{}
 	s := c.Init()
-	outs := c.Step(s, MakeOp2(MethodCAS, 0, 5))
+	outs := Outcomes(c, s, MakeOp2(MethodCAS, 0, 5))
 	if len(outs) != 1 || outs[0].Resp != 1 || outs[0].Next != int64(5) {
 		t.Fatalf("cas(0,5) from 0: %+v", outs)
 	}
 	s = outs[0].Next
-	outs = c.Step(s, MakeOp2(MethodCAS, 0, 9))
+	outs = Outcomes(c, s, MakeOp2(MethodCAS, 0, 9))
 	if len(outs) != 1 || outs[0].Resp != 0 || outs[0].Next != int64(5) {
 		t.Fatalf("failed cas(0,9) from 5: %+v", outs)
 	}
-	outs = c.Step(s, MakeOp(MethodRead))
+	outs = Outcomes(c, s, MakeOp(MethodRead))
 	if len(outs) != 1 || outs[0].Resp != 5 {
 		t.Fatalf("read from 5: %+v", outs)
 	}
@@ -180,9 +181,9 @@ func TestCAS(t *testing.T) {
 func TestMaxRegister(t *testing.T) {
 	m := MaxRegister{}
 	s := m.Init()
-	s = m.Step(s, MakeOp1(MethodWriteMax, 4))[0].Next
-	s = m.Step(s, MakeOp1(MethodWriteMax, 2))[0].Next
-	outs := m.Step(s, MakeOp(MethodRead))
+	s = Outcomes(m, s, MakeOp1(MethodWriteMax, 4))[0].Next
+	s = Outcomes(m, s, MakeOp1(MethodWriteMax, 2))[0].Next
+	outs := Outcomes(m, s, MakeOp(MethodRead))
 	if outs[0].Resp != 4 {
 		t.Fatalf("read after writemax(4),writemax(2) = %d, want 4", outs[0].Resp)
 	}
@@ -191,18 +192,18 @@ func TestMaxRegister(t *testing.T) {
 func TestQueue(t *testing.T) {
 	q := Queue{}
 	s := q.Init()
-	outs := q.Step(s, MakeOp(MethodDeq))
+	outs := Outcomes(q, s, MakeOp(MethodDeq))
 	if outs[0].Resp != EmptyDeq {
 		t.Fatalf("deq on empty = %d", outs[0].Resp)
 	}
-	s = q.Step(s, MakeOp1(MethodEnq, 10))[0].Next
-	s = q.Step(s, MakeOp1(MethodEnq, 20))[0].Next
-	outs = q.Step(s, MakeOp(MethodDeq))
+	s = Outcomes(q, s, MakeOp1(MethodEnq, 10))[0].Next
+	s = Outcomes(q, s, MakeOp1(MethodEnq, 20))[0].Next
+	outs = Outcomes(q, s, MakeOp(MethodDeq))
 	if outs[0].Resp != 10 {
 		t.Fatalf("first deq = %d, want 10", outs[0].Resp)
 	}
 	s = outs[0].Next
-	outs = q.Step(s, MakeOp(MethodDeq))
+	outs = Outcomes(q, s, MakeOp(MethodDeq))
 	if outs[0].Resp != 20 {
 		t.Fatalf("second deq = %d, want 20", outs[0].Resp)
 	}
@@ -219,16 +220,16 @@ func TestQueueFIFOProperty(t *testing.T) {
 		}
 		s := q.Init()
 		for _, v := range vals {
-			s = q.Step(s, MakeOp1(MethodEnq, v))[0].Next
+			s = Outcomes(q, s, MakeOp1(MethodEnq, v))[0].Next
 		}
 		for _, want := range vals {
-			outs := q.Step(s, MakeOp(MethodDeq))
+			outs := Outcomes(q, s, MakeOp(MethodDeq))
 			if len(outs) != 1 || outs[0].Resp != want {
 				return false
 			}
 			s = outs[0].Next
 		}
-		return q.Step(s, MakeOp(MethodDeq))[0].Resp == EmptyDeq
+		return Outcomes(q, s, MakeOp(MethodDeq))[0].Resp == EmptyDeq
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -238,22 +239,22 @@ func TestQueueFIFOProperty(t *testing.T) {
 func TestRegisterArray(t *testing.T) {
 	ra := RegisterArray{InitVal: NoValue}
 	s := ra.Init()
-	outs := ra.Step(s, MakeOp1(MethodRead, 3))
+	outs := Outcomes(ra, s, MakeOp1(MethodRead, 3))
 	if outs[0].Resp != NoValue {
 		t.Fatalf("read(3) on fresh array = %d, want %d", outs[0].Resp, NoValue)
 	}
-	s = ra.Step(s, MakeOp2(MethodWrite, 3, 77))[0].Next
-	s = ra.Step(s, MakeOp2(MethodWrite, 1, 11))[0].Next
-	if got := ra.Step(s, MakeOp1(MethodRead, 3))[0].Resp; got != 77 {
+	s = Outcomes(ra, s, MakeOp2(MethodWrite, 3, 77))[0].Next
+	s = Outcomes(ra, s, MakeOp2(MethodWrite, 1, 11))[0].Next
+	if got := Outcomes(ra, s, MakeOp1(MethodRead, 3))[0].Resp; got != 77 {
 		t.Fatalf("read(3) = %d, want 77", got)
 	}
-	if got := ra.Step(s, MakeOp1(MethodRead, 1))[0].Resp; got != 11 {
+	if got := Outcomes(ra, s, MakeOp1(MethodRead, 1))[0].Resp; got != 11 {
 		t.Fatalf("read(1) = %d, want 11", got)
 	}
-	if got := ra.Step(s, MakeOp1(MethodRead, 0))[0].Resp; got != NoValue {
+	if got := Outcomes(ra, s, MakeOp1(MethodRead, 0))[0].Resp; got != NoValue {
 		t.Fatalf("read(0) = %d, want %d", got, NoValue)
 	}
-	if got := ra.Step(s, MakeOp1(MethodRead, -1)); got != nil {
+	if got := Outcomes(ra, s, MakeOp1(MethodRead, -1)); got != nil {
 		t.Errorf("read(-1) accepted: %+v", got)
 	}
 }
@@ -263,11 +264,11 @@ func TestRegisterArrayStateCanonical(t *testing.T) {
 	// checker memoization depends on canonical state encodings.
 	ra := RegisterArray{InitVal: NoValue}
 	s1 := ra.Init()
-	s1 = ra.Step(s1, MakeOp2(MethodWrite, 2, 5))[0].Next
-	s1 = ra.Step(s1, MakeOp2(MethodWrite, 0, 9))[0].Next
+	s1 = Outcomes(ra, s1, MakeOp2(MethodWrite, 2, 5))[0].Next
+	s1 = Outcomes(ra, s1, MakeOp2(MethodWrite, 0, 9))[0].Next
 	s2 := ra.Init()
-	s2 = ra.Step(s2, MakeOp2(MethodWrite, 0, 9))[0].Next
-	s2 = ra.Step(s2, MakeOp2(MethodWrite, 2, 5))[0].Next
+	s2 = Outcomes(ra, s2, MakeOp2(MethodWrite, 0, 9))[0].Next
+	s2 = Outcomes(ra, s2, MakeOp2(MethodWrite, 2, 5))[0].Next
 	if s1 != s2 {
 		t.Fatalf("non-canonical states: %v vs %v", s1, s2)
 	}
@@ -320,19 +321,84 @@ func TestDeterministicFlags(t *testing.T) {
 	}
 }
 
+// TestStepContract pins Type.Step's contract on every type here, over the
+// states a few steps reach and their operations: n is the same at every
+// i < n, a deterministic type has n ≤ 1, and Outcomes lists Step's outcomes
+// in index order — for a TableType, its Delta entry.
+func TestStepContract(t *testing.T) {
+	flip := MakeOp("flip")
+	coin := &TableType{
+		TypeName: "coin",
+		NStates:  2,
+		Ops:      []Op{flip},
+		Delta: map[TableKey][]Outcome{
+			{State: 0, Op: flip}: {{Resp: 0, Next: int64(0)}, {Resp: 1, Next: int64(1)}},
+			{State: 1, Op: flip}: {{Resp: 1, Next: int64(1)}, {Resp: 0, Next: int64(0)}},
+		},
+	}
+	arrayOps := []Op{MakeOp1(MethodRead, 0), MakeOp1(MethodRead, 2), MakeOp2(MethodWrite, 0, 1), MakeOp2(MethodWrite, 2, 3)}
+	types := []Type{Register{}, FetchInc{}, Consensus{}, TestSet{}, CAS{}, MaxRegister{}, Queue{}, RegisterArray{}, ConstantType(7), coin}
+	for _, typ := range types {
+		ops := arrayOps
+		if enum, ok := typ.(OpEnumerator); ok {
+			ops = enum.EnumOps()
+		}
+		ops = append(ops, MakeOp("none")) // applicable nowhere
+		// Breadth first, at most 64 states: fetch&inc's and the queue's
+		// are unbounded.
+		states, seen := []State{typ.Init()}, map[State]bool{typ.Init(): true}
+		for i := 0; i < len(states) && len(states) < 64; i++ {
+			for _, op := range ops {
+				for _, o := range Outcomes(typ, states[i], op) {
+					if !seen[o.Next] {
+						seen[o.Next] = true
+						states = append(states, o.Next)
+					}
+				}
+			}
+		}
+		for _, s := range states {
+			for _, op := range ops {
+				_, n := typ.Step(s, op, 0)
+				if typ.Deterministic() && n > 1 {
+					t.Errorf("%s: deterministic, but %s in %v has %d outcomes", typ.Name(), op, s, n)
+				}
+				outs := Outcomes(typ, s, op)
+				if len(outs) != n || (outs == nil) != (n == 0) {
+					t.Errorf("%s: %s in %v: Outcomes = %v, Step's n = %d", typ.Name(), op, s, outs, n)
+					continue
+				}
+				for i := range n {
+					if out, m := typ.Step(s, op, i); m != n || out != outs[i] {
+						t.Errorf("%s: %s in %v: Step(%d) = %v, %d; want %v, %d", typ.Name(), op, s, i, out, m, outs[i], n)
+					}
+				}
+				if tt, ok := typ.(*TableType); ok {
+					if want := tt.Delta[TableKey{State: s.(int64), Op: op}]; !slices.Equal(outs, want) {
+						t.Errorf("%s: %s in %v: Outcomes = %v, Delta %v", typ.Name(), op, s, outs, want)
+					}
+				}
+			}
+		}
+	}
+	if coin.Deterministic() {
+		t.Error("coin type should be nondeterministic")
+	}
+}
+
 func TestTableType(t *testing.T) {
 	ct := ConstantType(42)
 	if !ct.Deterministic() {
 		t.Error("constant type should be deterministic")
 	}
-	outs := ct.Step(ct.Init(), MakeOp("get"))
+	outs := Outcomes(ct, ct.Init(), MakeOp("get"))
 	if len(outs) != 1 || outs[0].Resp != 42 {
 		t.Fatalf("constant get: %+v", outs)
 	}
-	if got := ct.Step(ct.Init(), MakeOp("other")); len(got) != 0 {
+	if got := Outcomes(ct, ct.Init(), MakeOp("other")); len(got) != 0 {
 		t.Errorf("constant accepted unknown op: %+v", got)
 	}
-	if got := ct.Step(int64(5), MakeOp("get")); len(got) != 0 {
+	if got := Outcomes(ct, int64(5), MakeOp("get")); len(got) != 0 {
 		t.Errorf("constant accepted out-of-range state: %+v", got)
 	}
 	total, err := isTotal(ct, 10)
@@ -357,7 +423,7 @@ func TestTableTypeNondeterministic(t *testing.T) {
 	if nd.Deterministic() {
 		t.Error("coin type should be nondeterministic")
 	}
-	if got := len(nd.Step(nd.Init(), flip)); got != 2 {
+	if got := len(Outcomes(nd, nd.Init(), flip)); got != 2 {
 		t.Errorf("coin outcomes = %d, want 2", got)
 	}
 }
@@ -371,8 +437,8 @@ func TestDeterminismIsStable(t *testing.T) {
 		r := Register{}
 		s := r.Init()
 		for _, w := range writes {
-			a := r.Step(s, MakeOp1(MethodWrite, w))
-			b := r.Step(s, MakeOp1(MethodWrite, w))
+			a := Outcomes(r, s, MakeOp1(MethodWrite, w))
+			b := Outcomes(r, s, MakeOp1(MethodWrite, w))
 			if len(a) != 1 || len(b) != 1 || a[0] != b[0] {
 				return false
 			}
@@ -404,7 +470,7 @@ func isTotal(t Type, maxStates int) (bool, error) {
 		s := frontier[len(frontier)-1]
 		frontier = frontier[:len(frontier)-1]
 		for _, op := range ops {
-			outs := t.Step(s, op)
+			outs := Outcomes(t, s, op)
 			if len(outs) == 0 {
 				return false, nil
 			}

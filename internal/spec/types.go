@@ -32,16 +32,6 @@ const EmptyDeq int64 = -1
 // application value domain; all examples use non-negative proposal values.
 const NoValue int64 = -1
 
-// detStep adapts a DetStepper to the Step slice contract: one allocation
-// for callers of Step, none for callers of StepDet.
-func detStep(d DetStepper, s State, op Op) []Outcome {
-	out, ok := d.StepDet(s, op)
-	if !ok {
-		return nil
-	}
-	return []Outcome{out}
-}
-
 // ----------------------------------------------------------------------------
 // Read/write register.
 
@@ -68,29 +58,24 @@ func (r Register) Init() State { return r.InitVal }
 func (Register) Deterministic() bool { return true }
 
 // Step implements Type.
-func (r Register) Step(s State, op Op) []Outcome {
-	return detStep(r, s, op)
-}
-
-// StepDet implements DetStepper.
-func (Register) StepDet(s State, op Op) (Outcome, bool) {
+func (Register) Step(s State, op Op, _ int) (Outcome, int) {
 	v, ok := s.(int64)
 	if !ok {
-		return Outcome{}, false
+		return Outcome{}, 0
 	}
 	switch op.Method {
 	case MethodRead:
 		if op.NArgs != 0 {
-			return Outcome{}, false
+			return Outcome{}, 0
 		}
-		return Outcome{Resp: v, Next: v}, true
+		return Outcome{Resp: v, Next: v}, 1
 	case MethodWrite:
 		if op.NArgs != 1 {
-			return Outcome{}, false
+			return Outcome{}, 0
 		}
-		return Outcome{Resp: 0, Next: op.Args[0]}, true
+		return Outcome{Resp: 0, Next: op.Args[0]}, 1
 	default:
-		return Outcome{}, false
+		return Outcome{}, 0
 	}
 }
 
@@ -132,20 +117,15 @@ func (f FetchInc) Init() State { return f.InitVal }
 func (FetchInc) Deterministic() bool { return true }
 
 // Step implements Type.
-func (f FetchInc) Step(s State, op Op) []Outcome {
-	return detStep(f, s, op)
-}
-
-// StepDet implements DetStepper.
-func (FetchInc) StepDet(s State, op Op) (Outcome, bool) {
+func (FetchInc) Step(s State, op Op, _ int) (Outcome, int) {
 	v, ok := s.(int64)
 	if !ok {
-		return Outcome{}, false
+		return Outcome{}, 0
 	}
 	if op.Method != MethodFetchInc || op.NArgs != 0 {
-		return Outcome{}, false
+		return Outcome{}, 0
 	}
-	return Outcome{Resp: v, Next: v + 1}, true
+	return Outcome{Resp: v, Next: v + 1}, 1
 }
 
 // EnumOps implements OpEnumerator.
@@ -175,23 +155,18 @@ func (Consensus) Init() State { return NoValue }
 func (Consensus) Deterministic() bool { return true }
 
 // Step implements Type.
-func (c Consensus) Step(s State, op Op) []Outcome {
-	return detStep(c, s, op)
-}
-
-// StepDet implements DetStepper.
-func (Consensus) StepDet(s State, op Op) (Outcome, bool) {
+func (Consensus) Step(s State, op Op, _ int) (Outcome, int) {
 	decided, ok := s.(int64)
 	if !ok {
-		return Outcome{}, false
+		return Outcome{}, 0
 	}
 	if op.Method != MethodPropose || op.NArgs != 1 || op.Args[0] < 0 {
-		return Outcome{}, false
+		return Outcome{}, 0
 	}
 	if decided == NoValue {
-		return Outcome{Resp: op.Args[0], Next: op.Args[0]}, true
+		return Outcome{Resp: op.Args[0], Next: op.Args[0]}, 1
 	}
-	return Outcome{Resp: decided, Next: decided}, true
+	return Outcome{Resp: decided, Next: decided}, 1
 }
 
 // EnumOps implements OpEnumerator.
@@ -227,20 +202,15 @@ func (TestSet) Init() State { return int64(0) }
 func (TestSet) Deterministic() bool { return true }
 
 // Step implements Type.
-func (t TestSet) Step(s State, op Op) []Outcome {
-	return detStep(t, s, op)
-}
-
-// StepDet implements DetStepper.
-func (TestSet) StepDet(s State, op Op) (Outcome, bool) {
+func (TestSet) Step(s State, op Op, _ int) (Outcome, int) {
 	set, ok := s.(int64)
 	if !ok {
-		return Outcome{}, false
+		return Outcome{}, 0
 	}
 	if op.Method != MethodTestSet || op.NArgs != 0 {
-		return Outcome{}, false
+		return Outcome{}, 0
 	}
-	return Outcome{Resp: set, Next: int64(1)}, true
+	return Outcome{Resp: set, Next: int64(1)}, 1
 }
 
 // EnumOps implements OpEnumerator.
@@ -273,32 +243,27 @@ func (c CAS) Init() State { return c.InitVal }
 func (CAS) Deterministic() bool { return true }
 
 // Step implements Type.
-func (c CAS) Step(s State, op Op) []Outcome {
-	return detStep(c, s, op)
-}
-
-// StepDet implements DetStepper.
-func (CAS) StepDet(s State, op Op) (Outcome, bool) {
+func (CAS) Step(s State, op Op, _ int) (Outcome, int) {
 	v, ok := s.(int64)
 	if !ok {
-		return Outcome{}, false
+		return Outcome{}, 0
 	}
 	switch op.Method {
 	case MethodRead:
 		if op.NArgs != 0 {
-			return Outcome{}, false
+			return Outcome{}, 0
 		}
-		return Outcome{Resp: v, Next: v}, true
+		return Outcome{Resp: v, Next: v}, 1
 	case MethodCAS:
 		if op.NArgs != 2 {
-			return Outcome{}, false
+			return Outcome{}, 0
 		}
 		if v == op.Args[0] {
-			return Outcome{Resp: 1, Next: op.Args[1]}, true
+			return Outcome{Resp: 1, Next: op.Args[1]}, 1
 		}
-		return Outcome{Resp: 0, Next: v}, true
+		return Outcome{Resp: 0, Next: v}, 1
 	default:
-		return Outcome{}, false
+		return Outcome{}, 0
 	}
 }
 
@@ -342,33 +307,28 @@ func (m MaxRegister) Init() State { return m.InitVal }
 func (MaxRegister) Deterministic() bool { return true }
 
 // Step implements Type.
-func (m MaxRegister) Step(s State, op Op) []Outcome {
-	return detStep(m, s, op)
-}
-
-// StepDet implements DetStepper.
-func (MaxRegister) StepDet(s State, op Op) (Outcome, bool) {
+func (MaxRegister) Step(s State, op Op, _ int) (Outcome, int) {
 	v, ok := s.(int64)
 	if !ok {
-		return Outcome{}, false
+		return Outcome{}, 0
 	}
 	switch op.Method {
 	case MethodRead:
 		if op.NArgs != 0 {
-			return Outcome{}, false
+			return Outcome{}, 0
 		}
-		return Outcome{Resp: v, Next: v}, true
+		return Outcome{Resp: v, Next: v}, 1
 	case MethodWriteMax:
 		if op.NArgs != 1 {
-			return Outcome{}, false
+			return Outcome{}, 0
 		}
 		next := v
 		if op.Args[0] > next {
 			next = op.Args[0]
 		}
-		return Outcome{Resp: 0, Next: next}, true
+		return Outcome{Resp: 0, Next: next}, 1
 	default:
-		return Outcome{}, false
+		return Outcome{}, 0
 	}
 }
 
@@ -409,32 +369,27 @@ func (Queue) Init() State { return "" }
 func (Queue) Deterministic() bool { return true }
 
 // Step implements Type.
-func (q Queue) Step(s State, op Op) []Outcome {
-	return detStep(q, s, op)
-}
-
-// StepDet implements DetStepper.
-func (Queue) StepDet(s State, op Op) (Outcome, bool) {
+func (Queue) Step(s State, op Op, _ int) (Outcome, int) {
 	enc, ok := s.(string)
 	if !ok {
-		return Outcome{}, false
+		return Outcome{}, 0
 	}
 	switch op.Method {
 	case MethodEnq:
 		if op.NArgs != 1 {
-			return Outcome{}, false
+			return Outcome{}, 0
 		}
 		next := strconv.FormatInt(op.Args[0], 10)
 		if enc != "" {
 			next = enc + "," + next
 		}
-		return Outcome{Resp: 0, Next: next}, true
+		return Outcome{Resp: 0, Next: next}, 1
 	case MethodDeq:
 		if op.NArgs != 0 {
-			return Outcome{}, false
+			return Outcome{}, 0
 		}
 		if enc == "" {
-			return Outcome{Resp: EmptyDeq, Next: ""}, true
+			return Outcome{Resp: EmptyDeq, Next: ""}, 1
 		}
 		head := enc
 		rest := ""
@@ -443,11 +398,11 @@ func (Queue) StepDet(s State, op Op) (Outcome, bool) {
 		}
 		v, err := strconv.ParseInt(head, 10, 64)
 		if err != nil {
-			return Outcome{}, false
+			return Outcome{}, 0
 		}
-		return Outcome{Resp: v, Next: rest}, true
+		return Outcome{Resp: v, Next: rest}, 1
 	default:
-		return Outcome{}, false
+		return Outcome{}, 0
 	}
 }
 
@@ -489,32 +444,27 @@ func (OpLog) Init() State { return "" }
 func (OpLog) Deterministic() bool { return true }
 
 // Step implements Type.
-func (l OpLog) Step(s State, op Op) []Outcome {
-	return detStep(l, s, op)
-}
-
-// StepDet implements DetStepper.
-func (OpLog) StepDet(s State, op Op) (Outcome, bool) {
+func (OpLog) Step(s State, op Op, _ int) (Outcome, int) {
 	enc, ok := s.(string)
 	if !ok {
-		return Outcome{}, false
+		return Outcome{}, 0
 	}
 	switch op.Method {
 	case MethodAppend:
 		if op.NArgs != 1 || op.Args[0] < 0 {
-			return Outcome{}, false
+			return Outcome{}, 0
 		}
 		entry := strconv.FormatInt(op.Args[0], 10)
 		if enc == "" {
-			return Outcome{Resp: 0, Next: entry}, true
+			return Outcome{Resp: 0, Next: entry}, 1
 		}
-		return Outcome{Resp: int64(strings.Count(enc, ",")) + 1, Next: enc + "," + entry}, true
+		return Outcome{Resp: int64(strings.Count(enc, ",")) + 1, Next: enc + "," + entry}, 1
 	case MethodRead:
 		if op.NArgs != 1 || op.Args[0] < 0 {
-			return Outcome{}, false
+			return Outcome{}, 0
 		}
 		if enc == "" {
-			return Outcome{Resp: NoValue, Next: enc}, true
+			return Outcome{Resp: NoValue, Next: enc}, 1
 		}
 		rest := enc
 		for i := int64(0); ; i++ {
@@ -527,16 +477,16 @@ func (OpLog) StepDet(s State, op Op) (Outcome, bool) {
 			if i == op.Args[0] {
 				v, err := strconv.ParseInt(head, 10, 64)
 				if err != nil {
-					return Outcome{}, false
+					return Outcome{}, 0
 				}
-				return Outcome{Resp: v, Next: enc}, true
+				return Outcome{Resp: v, Next: enc}, 1
 			}
 			if rest == "" {
-				return Outcome{Resp: NoValue, Next: enc}, true
+				return Outcome{Resp: NoValue, Next: enc}, 1
 			}
 		}
 	default:
-		return Outcome{}, false
+		return Outcome{}, 0
 	}
 }
 
@@ -573,33 +523,33 @@ func (RegisterArray) Init() State { return "" }
 func (RegisterArray) Deterministic() bool { return true }
 
 // Step implements Type.
-func (ra RegisterArray) Step(s State, op Op) []Outcome {
+func (ra RegisterArray) Step(s State, op Op, _ int) (Outcome, int) {
 	enc, ok := s.(string)
 	if !ok {
-		return nil
+		return Outcome{}, 0
 	}
 	cells, err := decodeCells(enc)
 	if err != nil {
-		return nil
+		return Outcome{}, 0
 	}
 	switch op.Method {
 	case MethodRead:
 		if op.NArgs != 1 || op.Args[0] < 0 {
-			return nil
+			return Outcome{}, 0
 		}
 		v, present := cells[op.Args[0]]
 		if !present {
 			v = ra.InitVal
 		}
-		return []Outcome{{Resp: v, Next: enc}}
+		return Outcome{Resp: v, Next: enc}, 1
 	case MethodWrite:
 		if op.NArgs != 2 || op.Args[0] < 0 {
-			return nil
+			return Outcome{}, 0
 		}
 		cells[op.Args[0]] = op.Args[1]
-		return []Outcome{{Resp: 0, Next: encodeCells(cells)}}
+		return Outcome{Resp: 0, Next: encodeCells(cells)}, 1
 	default:
-		return nil
+		return Outcome{}, 0
 	}
 }
 
@@ -697,17 +647,17 @@ func (t *TableType) Deterministic() bool {
 	return true
 }
 
-// Step implements Type.
-func (t *TableType) Step(s State, op Op) []Outcome {
+// Step implements Type: outcome i is Delta's entry i.
+func (t *TableType) Step(s State, op Op, i int) (Outcome, int) {
 	v, ok := s.(int64)
 	if !ok || v < 0 || v >= t.NStates {
-		return nil
+		return Outcome{}, 0
 	}
 	outs := t.Delta[TableKey{State: v, Op: op}]
-	// Copy to keep the table immutable from the caller's perspective.
-	cp := make([]Outcome, len(outs))
-	copy(cp, outs)
-	return cp
+	if i >= len(outs) {
+		return Outcome{}, len(outs)
+	}
+	return outs[i], len(outs)
 }
 
 // EnumOps implements OpEnumerator.
