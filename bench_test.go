@@ -6,6 +6,7 @@ package elin
 // bench` shows the tables themselves.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -210,26 +211,32 @@ func BenchmarkWeakConsistencyRegister(b *testing.B) {
 }
 
 func BenchmarkWeakResponsesELRegister(b *testing.B) {
-	// The inner loop of every eventually linearizable base-object action.
-	obj := spec.NewObject(spec.Register{})
-	h := history.New()
-	for i := 0; i < 8; i++ {
-		if err := h.Call(i%3, "R", spec.MakeOp1(spec.MethodWrite, int64(i)), 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := h.Invoke(0, "R", spec.MakeOp(spec.MethodRead)); err != nil {
-		b.Fatal(err)
-	}
-	var tb history.OpTable
-	var buf []int64
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tb.Fill(h)
-		var err error
-		if buf, err = check.AppendWeakResponses(buf[:0], obj, &tb, 0, check.Options{}); err != nil {
-			b.Fatal(err)
-		}
+	// The inner loop of every eventually linearizable base-object action:
+	// a read after W distinct writes has W+1 candidates (rw:P writes a new
+	// value every time, so W grows with the run).
+	for _, writes := range []int{8, 512} {
+		b.Run(fmt.Sprintf("writes=%d", writes), func(b *testing.B) {
+			obj := spec.NewObject(spec.Register{})
+			h := history.New()
+			for i := 0; i < writes; i++ {
+				if err := h.Call(i%3, "R", spec.MakeOp1(spec.MethodWrite, int64(i)), 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := h.Invoke(0, "R", spec.MakeOp(spec.MethodRead)); err != nil {
+				b.Fatal(err)
+			}
+			var tb history.OpTable
+			var buf []int64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tb.Fill(h)
+				var err error
+				if buf, err = check.AppendWeakResponses(buf[:0], obj, &tb, 0, check.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -445,6 +445,18 @@ func TestTooLarge(t *testing.T) {
 	if _, err := TLinearizable(regX["X"], open, 0, Options{}); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("64 open at t = 0: err = %v, want ErrTooLarge", err)
 	}
+	// The product-state check reads a multi-object table: past the cap it
+	// stays ErrTooLarge at t = 0.
+	two := history.New()
+	objs := map[string]spec.Object{"X": regX["X"], "Y": regX["X"]}
+	for i := 0; i < MaxOpsPerObject+1; i++ {
+		if err := two.Call(0, []string{"X", "Y"}[i%2], rd, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := TLinearizableMulti(objs, two, 0, Options{}); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("two objects at t = 0: err = %v, want ErrTooLarge", err)
+	}
 }
 
 func TestBudgetExhaustion(t *testing.T) {

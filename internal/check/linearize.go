@@ -47,13 +47,14 @@ func tLinearizable(obj spec.Object, tb *history.OpTable, t int, opts Options, sc
 		}
 	}
 	if len(tb.Ops) > MaxOpsPerObject {
-		if t > 0 {
+		if t > 0 || !tb.SingleObject() {
 			return false, ErrTooLarge
 		}
-		// Past the mask DFS's cap, t = 0 is decided on the path checker,
-		// whose cap is on operations open at once. Monitor windows at the
-		// automatic stride never come here, so they keep the DFS's reused
-		// scratch.
+		// Past the mask DFS's cap, t = 0 on one object is decided on the
+		// path checker, whose cap is on operations open at once. Monitor
+		// windows at the automatic stride never come here, so they keep the
+		// DFS's reused scratch. A product table (TLinearizableMulti) keeps
+		// its operations' object names, which the path checker refuses.
 		h, err := tb.History()
 		if err != nil {
 			return false, err

@@ -89,18 +89,39 @@ func AppendWeakResponses(buf []int64, obj spec.Object, tb *history.OpTable, proc
 }
 
 // appendWeakRegister appends the Definition 1 candidate set of a register
-// operation (registerResponses), each value once: the few distinct values
-// are deduplicated by scanning what it appended.
+// operation (registerResponses), each value once, in first-yield order. A
+// set of up to weakScanMax values is deduplicated by scanning what it
+// appended, which allocates nothing; past that a map takes over, so that a
+// run writing many distinct values (rw:P writes a new one every time) pays
+// O(W) per set, not O(W²).
 func appendWeakRegister(buf []int64, obj spec.Object, ops []history.Operation, k, respIdx int) ([]int64, error) {
 	from := len(buf)
+	var seen map[int64]struct{}
 	err := registerResponses(obj, ops, k, respIdx, func(v int64) bool {
-		if !slices.Contains(buf[from:], v) {
-			buf = append(buf, v)
+		switch {
+		case seen != nil:
+			if _, dup := seen[v]; dup {
+				return true
+			}
+			seen[v] = struct{}{}
+		case slices.Contains(buf[from:], v):
+			return true
+		case len(buf)-from == weakScanMax:
+			seen = make(map[int64]struct{}, len(ops)+1) // at most one value per write, and init
+			for _, u := range buf[from:] {
+				seen[u] = struct{}{}
+			}
+			seen[v] = struct{}{}
 		}
+		buf = append(buf, v)
 		return true
 	})
 	return buf, err
 }
+
+// weakScanMax is the largest register candidate set appendWeakRegister
+// deduplicates by scanning.
+const weakScanMax = 16
 
 // weakWitness decides Definition 1 for operation index k with response resp,
 // whose response event index is respIdx. Fast paths exist for registers and

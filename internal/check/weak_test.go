@@ -196,6 +196,23 @@ func TestWeakResponsesRegister(t *testing.T) {
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("AppendWeakResponses = %v, want %v", got, want)
 	}
+
+	// Past weakScanMax distinct values the set is deduplicated by a map:
+	// the order and the set are the same. Writes of 0..39, each value twice
+	// (once before the switch, once after), then the read.
+	b := build(t)
+	want = nil
+	for i := 0; i < 40; i++ {
+		b.call(0, "X", wr(int64(i)), 0)
+		want = append(want, int64(i))
+	}
+	for i := 0; i < 40; i++ {
+		b.call(0, "X", wr(int64(i)), 0)
+	}
+	got, err = weakResponses(regX["X"], b.inv(1, "X", rd).h, 1, Options{})
+	if err != nil || !slices.Equal(got, want) {
+		t.Fatalf("AppendWeakResponses after 80 writes = %v, %v, want %v", got, err, want)
+	}
 }
 
 func TestWeakResponsesFetchInc(t *testing.T) {

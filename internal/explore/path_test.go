@@ -138,8 +138,8 @@ func TestPathCheckerHoldsLongPaths(t *testing.T) {
 			}
 		}
 	}
-	// test&set has no fast path: check.Linearizable refuses the 70
-	// operations of this leaf with ErrTooLarge.
+	// A 70-operation test&set leaf, past the mask search's cap: the
+	// explorer decides it on its own path checker.
 	root = mustSystem(t, eltestset.FromCAS{}, sim.UniformWorkload(1, 70, spec.MakeOp(spec.MethodTestSet)), nil)
 	for _, w := range []int{1, 2} {
 		ok, bad, st, err := LinearizableEverywhere(root, 400, Config{Workers: w}, check.Options{})
