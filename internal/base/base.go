@@ -142,13 +142,13 @@ func (a *Atomic) Restore(s Snapshot) {
 
 // AppendFingerprint implements Object.
 func (a *Atomic) AppendFingerprint(b []byte) []byte {
-	b, ok := machine.AppendFPState(b, a.state)
+	b, ok := spec.AppendFPState(b, a.state)
 	if !ok {
 		// Unsupported state kinds cannot occur for the concrete types in
 		// spec; fall back to a marker so fingerprints stay deterministic.
 		b = append(b, '?')
 	}
-	return machine.AppendFPInt(b, int64(a.steps))
+	return spec.AppendFPInt(b, int64(a.steps))
 }
 
 // ----------------------------------------------------------------------------
@@ -345,11 +345,11 @@ func (e *Eventual) Restore(s Snapshot) {
 // against it: two Eventual objects behave identically iff state, step count
 // and log agree.
 func (e *Eventual) AppendFingerprint(b []byte) []byte {
-	b, ok := machine.AppendFPState(b, e.state)
+	b, ok := spec.AppendFPState(b, e.state)
 	if !ok {
 		b = append(b, '?')
 	}
-	b = machine.AppendFPInt(b, int64(e.steps))
+	b = spec.AppendFPInt(b, int64(e.steps))
 	return e.log.AppendFingerprint(b)
 }
 

@@ -280,35 +280,22 @@ func (p *product) with(row []spec.State, place int, st spec.State) *[]spec.State
 	return p.intern(p.next)
 }
 
-// intern returns the one stored row equal to row, keyed by appendProductKey.
+// intern returns the one stored row equal to row, keyed by the states'
+// fingerprints; a state with none falls back to fmt.
 func (p *product) intern(row []spec.State) *[]spec.State {
-	p.key = appendProductKey(p.key[:0], row)
+	p.key = p.key[:0]
+	for _, st := range row {
+		var ok bool
+		if p.key, ok = spec.AppendFPState(p.key, st); !ok {
+			p.key = fmt.Appendf(append(p.key, '?'), "%v\x00", st)
+		}
+	}
 	if r, ok := p.rows[string(p.key)]; ok {
 		return r
 	}
 	r := slices.Clone(row)
 	p.rows[string(p.key)] = &r
 	return &r
-}
-
-// appendProductKey appends a compact injective encoding of a product row to
-// b. States of the concrete spec types are int64 or string; anything else
-// falls back to fmt.
-func appendProductKey(b []byte, states []spec.State) []byte {
-	for _, st := range states {
-		switch v := st.(type) {
-		case int64:
-			b = spec.AppendFPInt(append(b, 'i'), v)
-		case string:
-			b = spec.AppendFPInt(append(b, 's'), int64(len(v)))
-			b = append(b, v...)
-		default:
-			b = append(b, '?')
-			b = fmt.Appendf(b, "%v", v)
-			b = append(b, 0)
-		}
-	}
-	return b
 }
 
 // oneObject is History.SingleObject as the single-object entry points' error.

@@ -124,9 +124,9 @@ func appendWeakRegister(buf []int64, obj spec.Object, ops []history.Operation, k
 const weakScanMax = 16
 
 // weakWitness decides Definition 1 for operation index k with response resp,
-// whose response event index is respIdx. Fast paths exist for registers and
-// fetch&increment; the generic path is Figure 1's line-13 test on k's
-// candidates, which returns at the first witness.
+// whose response event index is respIdx. Fast paths exist for registers,
+// fetch&increment, test&set and consensus; the generic path is Figure 1's
+// line-13 test on k's candidates, which returns at the first witness.
 func weakWitness(obj spec.Object, ops []history.Operation, k int, resp int64, respIdx int, opts Options) (bool, error) {
 	if !opts.NoFastPath {
 		switch obj.Type.(type) {
@@ -135,6 +135,10 @@ func weakWitness(obj spec.Object, ops []history.Operation, k int, resp int64, re
 		case spec.FetchInc:
 			lo, hi, err := weakFetchIncRange(obj, ops, k, respIdx)
 			return err == nil && lo <= resp && resp <= hi, err
+		case spec.TestSet:
+			return weakTestSet(obj, ops, k, resp, respIdx)
+		case spec.Consensus:
+			return weakConsensus(obj, ops, k, resp, respIdx)
 		}
 	}
 	must, opt := weakCandidates(ops, k, respIdx)
@@ -204,6 +208,61 @@ func weakFetchIncRange(obj spec.Object, ops []history.Operation, k, respIdx int)
 	}
 	lo, hi = fetchIncRange(init, m, c)
 	return lo, hi, nil
+}
+
+// weakTestSet decides Definition 1 for test&set operation k answered at
+// respIdx. It returns the state before it: the initial state when S holds
+// no other operation, which needs k's process to have none earlier, and 1
+// when S holds one, which needs some candidate.
+func weakTestSet(obj spec.Object, ops []history.Operation, k int, resp int64, respIdx int) (bool, error) {
+	init, ok := obj.Init.(int64)
+	if !ok {
+		return false, fmt.Errorf("check: test&set initial state %v is not int64", obj.Init)
+	}
+	m, c, _, ok := weakScan(obj, ops, k, respIdx, 0)
+	return ok && (resp == init && m == 0 || resp == 1 && m+c > 0), nil
+}
+
+// weakConsensus decides Definition 1 for proposal k answered at respIdx. A
+// pre-decided object answers its value. Otherwise the first proposal in S
+// decides, and S may begin with any of k's candidates, or with k itself
+// when k's process has no earlier operation.
+func weakConsensus(obj spec.Object, ops []history.Operation, k int, resp int64, respIdx int) (bool, error) {
+	init, ok := obj.Init.(int64)
+	if !ok {
+		return false, fmt.Errorf("check: consensus initial state %v is not int64", obj.Init)
+	}
+	m, _, hit, ok := weakScan(obj, ops, k, respIdx, resp)
+	if ok && init != spec.NoValue {
+		return resp == init, nil
+	}
+	return ok && (hit || m == 0 && resp == ops[k].Op.Args[0]), nil
+}
+
+// weakScan counts the candidates of operation k answered at respIdx
+// (weakRole) that obj's type can apply: m that S must hold and c that it
+// may, with hit set when one's first argument is v. ok reports whether k
+// itself is applicable. A candidate skipped cannot be in S; one S must hold
+// is an earlier operation of k's process, which fails its own check.
+// Applicability is asked in the initial state, which is exact where it does
+// not depend on the state (test&set, consensus).
+func weakScan(obj spec.Object, ops []history.Operation, k, respIdx int, v int64) (m, c int, hit, ok bool) {
+	applies := func(op spec.Op) bool {
+		_, n := obj.Type.Step(obj.Init, op, 0)
+		return n > 0
+	}
+	for i := range ops {
+		switch in, must := weakRole(ops, k, i, respIdx); {
+		case !in || !applies(ops[i].Op):
+			continue
+		case must:
+			m++
+		default:
+			c++
+		}
+		hit = hit || ops[i].Op.Args[0] == v
+	}
+	return m, c, hit, applies(ops[k].Op)
 }
 
 // weakRole places operation i in Definition 1's test of operation k answered

@@ -32,50 +32,20 @@ import (
 // MaxProcs bounds the number of processes (one announcement array each).
 const MaxProcs = 8
 
-// Codec translates operations to and from announcement register values
-// (which must be non-negative; spec.NoValue marks empty cells).
-type Codec struct {
-	// Encode maps an operation to a non-negative announcement value.
-	Encode func(spec.Op) (int64, error)
-	// Decode inverts Encode.
-	Decode func(int64) (spec.Op, error)
-}
-
-// FetchIncCodec encodes the single fetch&inc operation as 0.
-func FetchIncCodec() Codec {
-	return Codec{
-		Encode: func(op spec.Op) (int64, error) {
-			if op.Method != spec.MethodFetchInc {
-				return 0, fmt.Errorf("announce: cannot encode %s", op)
-			}
-			return 0, nil
-		},
-		Decode: func(v int64) (spec.Op, error) {
-			if v != 0 {
-				return spec.Op{}, fmt.Errorf("announce: cannot decode %d", v)
-			}
-			return spec.MakeOp(spec.MethodFetchInc), nil
-		},
-	}
-}
-
 // Impl is the Figure 1 wrapper around an inner implementation.
 type Impl struct {
 	inner machine.Impl
-	codec Codec
 	opts  check.Options
 }
 
 var _ machine.Impl = (*Impl)(nil)
 
 // New wraps inner with the Figure 1 algorithm. The inner implementation's
-// type must have finite nondeterminism (all types in this module do); codec
-// translates its operations into announcement values.
-func New(inner machine.Impl, codec Codec, opts check.Options) (*Impl, error) {
-	if codec.Encode == nil || codec.Decode == nil {
-		return nil, fmt.Errorf("announce: codec must provide Encode and Decode")
-	}
-	return &Impl{inner: inner, codec: codec, opts: opts}, nil
+// type must have finite nondeterminism (all types in this module do), and
+// its operations must have a word encoding (spec.EncodeOpWord): that word
+// is the announcement value.
+func New(inner machine.Impl, opts check.Options) *Impl {
+	return &Impl{inner: inner, opts: opts}
 }
 
 // Name implements machine.Impl.
@@ -110,7 +80,6 @@ func (im *Impl) NewProcess(p, n int) machine.Process {
 		n:         n,
 		arrayBase: len(im.inner.Bases()),
 		inner:     im.inner.NewProcess(p, n),
-		codec:     im.codec,
 		obj:       im.inner.Spec(),
 		q:         im.inner.Spec().Init,
 		opts:      im.opts,
@@ -128,7 +97,6 @@ type proc struct {
 	me, n     int
 	arrayBase int
 	inner     machine.Process
-	codec     Codec
 	obj       spec.Object
 	opts      check.Options
 
@@ -155,9 +123,9 @@ func (c *proc) Begin(op spec.Op) {
 func (c *proc) Step(resp int64) machine.Action {
 	switch c.phase {
 	case phStart:
-		code, err := c.codec.Encode(c.op)
-		if err != nil || code < 0 {
-			panic(fmt.Sprintf("announce: encode %s: %v (code %d)", c.op, err, code))
+		code, err := spec.EncodeOpWord(c.op)
+		if err != nil {
+			panic(fmt.Sprintf("announce: %v", err))
 		}
 		c.phase = phAnnounced
 		return machine.Invoke(c.arrayBase+c.me, spec.MakeOp2(spec.MethodWrite, c.c, code))
@@ -202,9 +170,9 @@ func (c *proc) scanStep(resp int64) machine.Action {
 		c.scanJ++
 		c.scanK = 0
 	} else {
-		op, err := c.codec.Decode(resp)
+		op, err := spec.DecodeOpWord(resp)
 		if err != nil {
-			panic(fmt.Sprintf("announce: decode announcement %d: %v", resp, err))
+			panic(fmt.Sprintf("announce: announcement %d: %v", resp, err))
 		}
 		if c.scanJ == c.me {
 			c.ownOps = append(c.ownOps, op)
@@ -256,24 +224,24 @@ func (c *proc) AppendFingerprint(b []byte) ([]byte, bool) {
 	if !ok {
 		return b, false
 	}
-	b = machine.AppendFPInt(b, c.c)
-	b, ok = machine.AppendFPState(b, c.q)
+	b = spec.AppendFPInt(b, c.c)
+	b, ok = spec.AppendFPState(b, c.q)
 	if !ok {
 		return b, false
 	}
-	b = machine.AppendFPInt(b, int64(c.phase))
-	b = machine.AppendFPOp(b, c.op)
-	b = machine.AppendFPInt(b, c.rprivate)
-	b = machine.AppendFPInt(b, c.rshared)
-	b = machine.AppendFPInt(b, int64(c.scanJ))
-	b = machine.AppendFPInt(b, c.scanK)
-	b = machine.AppendFPInt(b, int64(len(c.ownOps)))
+	b = spec.AppendFPInt(b, int64(c.phase))
+	b = spec.AppendFPOp(b, c.op)
+	b = spec.AppendFPInt(b, c.rprivate)
+	b = spec.AppendFPInt(b, c.rshared)
+	b = spec.AppendFPInt(b, int64(c.scanJ))
+	b = spec.AppendFPInt(b, c.scanK)
+	b = spec.AppendFPInt(b, int64(len(c.ownOps)))
 	for _, op := range c.ownOps {
-		b = machine.AppendFPOp(b, op)
+		b = spec.AppendFPOp(b, op)
 	}
-	b = machine.AppendFPInt(b, int64(len(c.otherOps)))
+	b = spec.AppendFPInt(b, int64(len(c.otherOps)))
 	for _, op := range c.otherOps {
-		b = machine.AppendFPOp(b, op)
+		b = spec.AppendFPOp(b, op)
 	}
 	return b, true
 }

@@ -51,10 +51,7 @@ func TestWrapperRestoresWeakConsistency(t *testing.T) {
 	// Figure 1 in action: wrapping the junk counter yields weakly
 	// consistent histories on every schedule tried.
 	inner := counter.Junk{}
-	impl, err := New(inner, FetchIncCodec(), check.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	impl := New(inner, check.Options{})
 	if !strings.HasSuffix(impl.Name(), "-announced") {
 		t.Errorf("name = %q", impl.Name())
 	}
@@ -86,10 +83,7 @@ func TestWrapperPreservesGoodResponses(t *testing.T) {
 	// Wrapping the honest CAS counter: the verification accepts the shared
 	// responses, so the wrapper behaves linearizably too.
 	inner := counter.CAS{}
-	impl, err := New(inner, FetchIncCodec(), check.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	impl := New(inner, check.Options{})
 	for seed := int64(0); seed < 10; seed++ {
 		res, err := sim.Run(sim.Config{
 			Impl:      impl,
@@ -115,10 +109,7 @@ func TestWrapperSoloSequence(t *testing.T) {
 	// overshoots are replaced by the private count, which solo coincides
 	// with the true count.
 	inner := counter.Junk{}
-	impl, err := New(inner, FetchIncCodec(), check.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	impl := New(inner, check.Options{})
 	res, err := sim.Run(sim.Config{
 		Impl:     impl,
 		Workload: [][]spec.Op{{fetchinc, fetchinc, fetchinc, fetchinc}},
@@ -141,10 +132,7 @@ func TestWrapperPreservesProgress(t *testing.T) {
 	// write, the inner call, and the bounded scan add only finitely many
 	// steps per operation (the scan is bounded by operations already
 	// announced).
-	impl, err := New(counter.Junk{}, FetchIncCodec(), check.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	impl := New(counter.Junk{}, check.Options{})
 	rep, err := progress.Probe(impl, progress.Config{Procs: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -154,35 +142,8 @@ func TestWrapperPreservesProgress(t *testing.T) {
 	}
 }
 
-func TestFetchIncCodec(t *testing.T) {
-	c := FetchIncCodec()
-	code, err := c.Encode(fetchinc)
-	if err != nil || code != 0 {
-		t.Fatalf("encode = %d, %v", code, err)
-	}
-	op, err := c.Decode(0)
-	if err != nil || op != fetchinc {
-		t.Fatalf("decode = %v, %v", op, err)
-	}
-	if _, err := c.Encode(spec.MakeOp(spec.MethodRead)); err == nil {
-		t.Error("encoded a read")
-	}
-	if _, err := c.Decode(5); err == nil {
-		t.Error("decoded an unknown announcement")
-	}
-}
-
-func TestNewValidation(t *testing.T) {
-	if _, err := New(counter.CAS{}, Codec{}, check.Options{}); err == nil {
-		t.Fatal("accepted a codec without Encode/Decode")
-	}
-}
-
 func TestWrapperBasesLayout(t *testing.T) {
-	impl, err := New(counter.CAS{}, FetchIncCodec(), check.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	impl := New(counter.CAS{}, check.Options{})
 	bases := impl.Bases()
 	if len(bases) != 1+MaxProcs {
 		t.Fatalf("bases = %d, want %d", len(bases), 1+MaxProcs)

@@ -95,8 +95,8 @@ func (c *casProc) CloneInto(dst machine.Process) machine.Process {
 
 // AppendFingerprint implements machine.Fingerprinter.
 func (c *casProc) AppendFingerprint(b []byte) ([]byte, bool) {
-	b = machine.AppendFPInt(b, int64(c.pc))
-	return machine.AppendFPInt(b, c.v), true
+	b = spec.AppendFPInt(b, int64(c.pc))
+	return spec.AppendFPInt(b, c.v), true
 }
 
 // ----------------------------------------------------------------------------
@@ -201,10 +201,10 @@ func (s *sloppyProc) CloneInto(dst machine.Process) machine.Process {
 
 // AppendFingerprint implements machine.Fingerprinter.
 func (s *sloppyProc) AppendFingerprint(b []byte) ([]byte, bool) {
-	b = machine.AppendFPInt(b, int64(s.pc))
-	b = machine.AppendFPInt(b, s.mine)
-	b = machine.AppendFPInt(b, s.sum)
-	return machine.AppendFPInt(b, int64(s.nextRead)), true
+	b = spec.AppendFPInt(b, int64(s.pc))
+	b = spec.AppendFPInt(b, s.mine)
+	b = spec.AppendFPInt(b, s.sum)
+	return spec.AppendFPInt(b, int64(s.nextRead)), true
 }
 
 // ----------------------------------------------------------------------------
@@ -285,7 +285,7 @@ func (w *warmupProc) CloneInto(dst machine.Process) machine.Process {
 
 // AppendFingerprint implements machine.Fingerprinter.
 func (w *warmupProc) AppendFingerprint(b []byte) ([]byte, bool) {
-	b = machine.AppendFPInt(b, int64(w.pc))
-	b = machine.AppendFPInt(b, w.v)
-	return machine.AppendFPInt(b, w.done), true
+	b = spec.AppendFPInt(b, int64(w.pc))
+	b = spec.AppendFPInt(b, w.v)
+	return spec.AppendFPInt(b, w.done), true
 }

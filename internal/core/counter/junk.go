@@ -83,6 +83,6 @@ func (j *junkProc) CloneInto(dst machine.Process) machine.Process {
 
 // AppendFingerprint implements machine.Fingerprinter.
 func (j *junkProc) AppendFingerprint(b []byte) ([]byte, bool) {
-	b = machine.AppendFPInt(b, int64(j.pc))
-	return machine.AppendFPInt(b, j.v), true
+	b = spec.AppendFPInt(b, int64(j.pc))
+	return spec.AppendFPInt(b, j.v), true
 }

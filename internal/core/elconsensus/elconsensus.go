@@ -123,8 +123,8 @@ func (c *proc) CloneInto(dst machine.Process) machine.Process {
 
 // AppendFingerprint implements machine.Fingerprinter.
 func (c *proc) AppendFingerprint(b []byte) ([]byte, bool) {
-	b = machine.AppendFPInt(b, int64(c.pc))
-	b = machine.AppendFPInt(b, c.v)
-	b = machine.AppendFPInt(b, int64(c.scan))
-	return machine.AppendFPInt(b, c.leftmost), true
+	b = spec.AppendFPInt(b, int64(c.pc))
+	b = spec.AppendFPInt(b, c.v)
+	b = spec.AppendFPInt(b, int64(c.scan))
+	return spec.AppendFPInt(b, c.leftmost), true
 }

@@ -142,7 +142,7 @@ func (c *proc) AppendFingerprint(b []byte) ([]byte, bool) {
 		return b, false
 	}
 	for i := range c.copies {
-		b, ok = machine.AppendFPState(b, c.copies[i].state)
+		b, ok = spec.AppendFPState(b, c.copies[i].state)
 		if !ok {
 			return b, false
 		}

@@ -80,5 +80,5 @@ func (c *proc) AppendFingerprint(b []byte) ([]byte, bool) {
 	} else {
 		b = append(b, 0)
 	}
-	return machine.AppendFPOp(b, c.op), true
+	return spec.AppendFPOp(b, c.op), true
 }

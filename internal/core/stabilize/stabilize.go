@@ -275,5 +275,5 @@ func (c *offsetProc) AppendFingerprint(b []byte) ([]byte, bool) {
 	if !ok {
 		return b, false
 	}
-	return machine.AppendFPInt(b, c.v0), true
+	return spec.AppendFPInt(b, c.v0), true
 }

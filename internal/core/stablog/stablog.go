@@ -4,7 +4,8 @@
 // paper's local-copy construction (Theorem 12, internal/core/localcopy).
 //
 // One linearizable append-only log L (spec.OpLog) is shared by every
-// process. Performing an operation means appending its encoded form to L;
+// process. Performing an operation means appending its word encoding
+// (spec.EncodeOpWord) to L;
 // the position the log assigns is the operation's place in the single
 // agreed total order. What a process answers depends on how far its
 // *stable prefix* lags behind its own append:
@@ -42,68 +43,6 @@ import (
 // DefaultBatch is the promotion batch K used by the unparameterized
 // registry family members (slog-counter, slog-register, slog-testset).
 const DefaultBatch = 4
-
-// ----------------------------------------------------------------------------
-// Operation codec: log entries are non-negative int64 encodings of ops.
-
-// Operation tags (the low 3 bits of an encoded entry).
-const (
-	tagFetchInc int64 = 1
-	tagRead     int64 = 2
-	tagWrite    int64 = 3
-	tagTestSet  int64 = 4
-	tagWriteMax int64 = 5
-)
-
-// EncodeOp encodes an operation as a non-negative int64 log entry: the
-// method tag in the low 3 bits, the zigzag-encoded argument above. The
-// codec covers the total one-word types the family implements (fetchinc,
-// register read/write, testset, writemax).
-func EncodeOp(op spec.Op) (int64, error) {
-	var tag, arg int64
-	switch {
-	case op.Method == spec.MethodFetchInc && op.NArgs == 0:
-		tag = tagFetchInc
-	case op.Method == spec.MethodRead && op.NArgs == 0:
-		tag = tagRead
-	case op.Method == spec.MethodWrite && op.NArgs == 1:
-		tag, arg = tagWrite, op.Args[0]
-	case op.Method == spec.MethodTestSet && op.NArgs == 0:
-		tag = tagTestSet
-	case op.Method == spec.MethodWriteMax && op.NArgs == 1:
-		tag, arg = tagWriteMax, op.Args[0]
-	default:
-		return 0, fmt.Errorf("stablog: operation %s has no log encoding", op)
-	}
-	z := uint64(arg<<1) ^ uint64(arg>>63) // zigzag: sign into bit 0
-	if z>>60 != 0 {
-		return 0, fmt.Errorf("stablog: argument of %s out of encodable range", op)
-	}
-	return tag | int64(z)<<3, nil
-}
-
-// DecodeOp inverts EncodeOp.
-func DecodeOp(code int64) (spec.Op, error) {
-	if code < 0 {
-		return spec.Op{}, fmt.Errorf("stablog: negative log entry %d", code)
-	}
-	z := uint64(code) >> 3
-	arg := int64(z>>1) ^ -int64(z&1)
-	switch code & 7 {
-	case tagFetchInc:
-		return spec.MakeOp(spec.MethodFetchInc), nil
-	case tagRead:
-		return spec.MakeOp(spec.MethodRead), nil
-	case tagWrite:
-		return spec.MakeOp1(spec.MethodWrite, arg), nil
-	case tagTestSet:
-		return spec.MakeOp(spec.MethodTestSet), nil
-	case tagWriteMax:
-		return spec.MakeOp1(spec.MethodWriteMax, arg), nil
-	default:
-		return spec.Op{}, fmt.Errorf("stablog: unknown tag in log entry %d", code)
-	}
-}
 
 // ----------------------------------------------------------------------------
 // The implementation.
@@ -189,7 +128,7 @@ type proc struct {
 
 // Begin implements machine.Process.
 func (m *proc) Begin(op spec.Op) {
-	code, err := EncodeOp(op)
+	code, err := spec.EncodeOpWord(op)
 	if err != nil {
 		panic(fmt.Sprintf("stablog: %v (workload op does not match the implemented type?)", err))
 	}
@@ -243,7 +182,7 @@ func (m *proc) Step(resp int64) machine.Action {
 // apply decodes and applies one log entry to a state; entries were encoded
 // by Begin, so a failure here is a programming error.
 func (m *proc) apply(st spec.State, code int64) spec.Outcome {
-	op, err := DecodeOp(code)
+	op, err := spec.DecodeOpWord(code)
 	if err != nil {
 		panic(fmt.Sprintf("stablog: %v", err))
 	}
@@ -264,16 +203,16 @@ func (m *proc) CloneInto(dst machine.Process) machine.Process {
 
 // AppendFingerprint implements machine.Fingerprinter.
 func (m *proc) AppendFingerprint(b []byte) ([]byte, bool) {
-	b = machine.AppendFPInt(b, int64(m.pc))
-	b = machine.AppendFPInt(b, m.frontier)
-	b = machine.AppendFPInt(b, m.pending)
-	b = machine.AppendFPInt(b, m.code)
-	b = machine.AppendFPInt(b, m.pos)
-	b = machine.AppendFPInt(b, m.scan)
-	b = machine.AppendFPInt(b, m.resp)
+	b = spec.AppendFPInt(b, int64(m.pc))
+	b = spec.AppendFPInt(b, m.frontier)
+	b = spec.AppendFPInt(b, m.pending)
+	b = spec.AppendFPInt(b, m.code)
+	b = spec.AppendFPInt(b, m.pos)
+	b = spec.AppendFPInt(b, m.scan)
+	b = spec.AppendFPInt(b, m.resp)
 	var ok bool
-	if b, ok = machine.AppendFPState(b, m.replica); !ok {
+	if b, ok = spec.AppendFPState(b, m.replica); !ok {
 		return b, false
 	}
-	return machine.AppendFPState(b, m.specState)
+	return spec.AppendFPState(b, m.specState)
 }

@@ -11,46 +11,6 @@ import (
 	"github.com/elin-go/elin/internal/spec"
 )
 
-func TestCodecRoundTrip(t *testing.T) {
-	f := func(kind uint8, arg int64) bool {
-		arg %= 1 << 40
-		var op spec.Op
-		switch kind % 5 {
-		case 0:
-			op = spec.MakeOp(spec.MethodFetchInc)
-		case 1:
-			op = spec.MakeOp(spec.MethodRead)
-		case 2:
-			op = spec.MakeOp1(spec.MethodWrite, arg)
-		case 3:
-			op = spec.MakeOp(spec.MethodTestSet)
-		case 4:
-			op = spec.MakeOp1(spec.MethodWriteMax, arg)
-		}
-		code, err := EncodeOp(op)
-		if err != nil || code < 0 {
-			return false
-		}
-		got, err := DecodeOp(code)
-		return err == nil && got == op
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEncodeOpRejectsUnknown(t *testing.T) {
-	if _, err := EncodeOp(spec.MakeOp1(spec.MethodEnq, 1)); err == nil {
-		t.Fatal("EncodeOp(enq) did not fail")
-	}
-	if _, err := EncodeOp(spec.MakeOp1(spec.MethodWrite, 1<<62)); err == nil {
-		t.Fatal("EncodeOp(write(1<<62)) did not fail (out of encodable range)")
-	}
-	if _, err := DecodeOp(-1); err == nil {
-		t.Fatal("DecodeOp(-1) did not fail")
-	}
-}
-
 // randomLog builds a random encodable log over the register ops.
 func randomLog(r *rand.Rand, n int) []int64 {
 	codes := make([]int64, n)
@@ -64,7 +24,7 @@ func randomLog(r *rand.Rand, n int) []int64 {
 		default:
 			op = spec.MakeOp1(spec.MethodWrite, -r.Int63n(16))
 		}
-		code, err := EncodeOp(op)
+		code, err := spec.EncodeOpWord(op)
 		if err != nil {
 			panic(err)
 		}
@@ -258,7 +218,7 @@ func reexecute(obj spec.Object, codes []int64) ([]int64, error) {
 	st := obj.Init
 	resps := make([]int64, len(codes))
 	for i, code := range codes {
-		op, err := DecodeOp(code)
+		op, err := spec.DecodeOpWord(code)
 		if err != nil {
 			return nil, err
 		}

@@ -36,15 +36,10 @@ func E5Announce(cfg Config) (*Table, error) {
 			"weakly consistent — the announce arrays let line 13 reject the junk",
 		},
 	}
-	wrapJunk, err := announce.New(counter.Junk{}, announce.FetchIncCodec(), check.Options{})
-	if err != nil {
-		return nil, err
+	impls := []machine.Impl{
+		counter.Junk{}, announce.New(counter.Junk{}, check.Options{}),
+		counter.CAS{}, announce.New(counter.CAS{}, check.Options{}),
 	}
-	wrapCAS, err := announce.New(counter.CAS{}, announce.FetchIncCodec(), check.Options{})
-	if err != nil {
-		return nil, err
-	}
-	impls := []machine.Impl{counter.Junk{}, wrapJunk, counter.CAS{}, wrapCAS}
 	const runs = 40
 	for _, impl := range impls {
 		wcCount, linCount := 0, 0

@@ -32,10 +32,7 @@ type scenario struct {
 
 func seedScenarios(t *testing.T) []scenario {
 	t.Helper()
-	wrapJunk, err := announce.New(counter.Junk{}, announce.FetchIncCodec(), check.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	wrapJunk := announce.New(counter.Junk{}, check.Options{})
 	propose := [][]spec.Op{
 		{spec.MakeOp1(spec.MethodPropose, 10)},
 		{spec.MakeOp1(spec.MethodPropose, 20)},
@@ -79,27 +76,6 @@ func seedScenarios(t *testing.T) []scenario {
 			workload: sim.UniformWorkload(2, 1, fetchinc),
 			depth:    12,
 		},
-	}
-}
-
-// TestUndoEngineMatchesCloneEngineDFS compares the counting walk of Leaves
-// with the clone-per-edge CloneLeaves on every seed scenario: the same Stats.
-func TestUndoEngineMatchesCloneEngineDFS(t *testing.T) {
-	for _, sc := range seedScenarios(t) {
-		t.Run(sc.name, func(t *testing.T) {
-			root := mustSystem(t, sc.impl, sc.workload, sc.policies)
-			undoStats, err := Leaves(root, sc.depth, Config{}, noLeaf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cloneStats, err := CloneLeaves(root, sc.depth, noLeaf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if undoStats != cloneStats {
-				t.Fatalf("stats diverge: undo %+v, clone %+v", undoStats, cloneStats)
-			}
-		})
 	}
 }
 

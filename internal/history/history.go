@@ -601,17 +601,7 @@ func (h *History) AppendFingerprint(b []byte) []byte {
 			b = spec.AppendFPInt(b, r.a)
 			continue
 		}
-		method := h.methods[r.method]
-		b = spec.AppendFPInt(b, int64(len(method)))
-		b = append(b, method...)
-		nargs := r.meta >> 2
-		b = append(b, nargs)
-		if nargs > 0 {
-			b = spec.AppendFPInt(b, r.a)
-		}
-		if nargs > 1 {
-			b = spec.AppendFPInt(b, r.b)
-		}
+		b = spec.AppendFPOp(b, h.op(r))
 	}
 	return b
 }

@@ -1,9 +1,5 @@
 package machine
 
-import (
-	"github.com/elin-go/elin/internal/spec"
-)
-
 // Fingerprinter is optionally implemented by Process machines that can
 // encode their complete local state into bytes. The encoding must be
 // injective per implementation: two processes of the same implementation
@@ -22,43 +18,4 @@ type Fingerprinter interface {
 	// its state (e.g. a wrapper whose inner programme is not a
 	// Fingerprinter); deduplication then disables itself.
 	AppendFingerprint(b []byte) ([]byte, bool)
-}
-
-// AppendFPInt appends a fixed 8-byte encoding of v to b. It is the helper
-// Process implementations use to build fingerprints from integer fields
-// (the canonical encoding lives in spec.AppendFPInt).
-func AppendFPInt(b []byte, v int64) []byte {
-	return spec.AppendFPInt(b, v)
-}
-
-// AppendFPOp appends a canonical encoding of an operation to b.
-func AppendFPOp(b []byte, op spec.Op) []byte {
-	b = spec.AppendFPInt(b, int64(len(op.Method)))
-	b = append(b, op.Method...)
-	b = append(b, byte(op.NArgs)) // NArgs <= 2 by construction
-	for i := 0; i < op.NArgs; i++ {
-		b = AppendFPInt(b, op.Args[i])
-	}
-	return b
-}
-
-// AppendFPState appends a canonical encoding of a spec.State to b. The
-// second result is false when the state's dynamic type is not supported
-// (all states of the paper's concrete types are int64 or string).
-func AppendFPState(b []byte, s spec.State) ([]byte, bool) {
-	switch v := s.(type) {
-	case int64:
-		return AppendFPInt(append(b, 'i'), v), true
-	case string:
-		b = append(b, 's')
-		b = AppendFPInt(b, int64(len(v)))
-		return append(b, v...), true
-	case bool:
-		if v {
-			return append(b, 'T'), true
-		}
-		return append(b, 'F'), true
-	default:
-		return b, false
-	}
 }

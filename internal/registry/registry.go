@@ -95,13 +95,9 @@ var implTable = map[string]implEntry{
 	"junk-counter": {doc: "weak-consistency violator (announce-wrapper demo input)",
 		make: implOK(counter.Junk{})},
 	"announced-junk": {doc: "junk-counter wrapped in the Figure 1 announce/verify algorithm",
-		make: func(int64) (machine.Impl, error) {
-			return announce.New(counter.Junk{}, announce.FetchIncCodec(), check.Options{})
-		}},
+		make: implOK(announce.New(counter.Junk{}, check.Options{}))},
 	"announced-cas": {doc: "cas-counter wrapped in the Figure 1 announce/verify algorithm",
-		make: func(int64) (machine.Impl, error) {
-			return announce.New(counter.CAS{}, announce.FetchIncCodec(), check.Options{})
-		}},
+		make: implOK(announce.New(counter.CAS{}, check.Options{}))},
 	"el-consensus": {doc: "Proposition 16 consensus over eventually linearizable registers",
 		make: implOK(elconsensus.Impl{})},
 	"reg-consensus": {doc: "the Proposition 16 consensus algorithm over atomic registers",

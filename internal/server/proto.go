@@ -19,6 +19,11 @@
 // reconciliation this makes every reconnect exactly-once: an operation the
 // server committed is never re-applied, an operation it never saw is
 // resent, and nothing else is possible.
+//
+// A request carries its operation in spec's byte encoding (spec.AppendOp),
+// the same bytes a commit-log event carries; the frame codec stays this
+// package's own, since a stream reader and a file reader treat damage
+// differently. TestProtoGoldenBytes pins every message's bytes.
 package server
 
 import (
@@ -184,18 +189,12 @@ func DecodeHelloAck(b []byte) (HelloAck, error) {
 	return a, nil
 }
 
-// AppendRequest encodes a request payload (op encoding mirrors the WAL's
-// event payload: method length, method, arg count, varint args).
+// AppendRequest encodes a request payload: the op index, then the
+// operation's byte encoding (spec.AppendOp).
 func AppendRequest(b []byte, r Request) []byte {
 	b = append(b, MsgRequest)
 	b = binary.AppendUvarint(b, r.OpIndex)
-	b = binary.AppendUvarint(b, uint64(len(r.Op.Method)))
-	b = append(b, r.Op.Method...)
-	b = append(b, byte(r.Op.NArgs))
-	for i := 0; i < r.Op.NArgs; i++ {
-		b = binary.AppendVarint(b, r.Op.Args[i])
-	}
-	return b
+	return spec.AppendOp(b, r.Op)
 }
 
 // DecodeRequest decodes a request payload.
@@ -213,31 +212,11 @@ func DecodeRequest(b []byte) (Request, error) {
 		return bad("op index")
 	}
 	b = b[n:]
-	mlen, n := binary.Uvarint(b)
-	if n <= 0 || mlen > uint64(len(b)-n) {
-		return bad("method length")
+	var err error
+	if r.Op, n, err = spec.DecodeOp(b); err != nil {
+		return bad(err.Error())
 	}
-	b = b[n:]
-	r.Op.Method = string(b[:mlen])
-	b = b[mlen:]
-	if len(b) < 1 {
-		return bad("arg count")
-	}
-	nargs := int(b[0])
-	b = b[1:]
-	if nargs < 0 || nargs > len(r.Op.Args) {
-		return bad("arg count range")
-	}
-	r.Op.NArgs = nargs
-	for i := 0; i < nargs; i++ {
-		v, n := binary.Varint(b)
-		if n <= 0 {
-			return bad("arg")
-		}
-		r.Op.Args[i] = v
-		b = b[n:]
-	}
-	if len(b) != 0 {
+	if len(b) != n {
 		return bad("trailing bytes")
 	}
 	return r, nil

@@ -594,10 +594,10 @@ func (s *System) AppendConfigFingerprint(b []byte) ([]byte, bool) {
 		if s.running[p] {
 			flag = 1
 		}
-		b = machine.AppendFPInt(b, int64(p))
+		b = spec.AppendFPInt(b, int64(p))
 		b = append(b, flag)
-		b = machine.AppendFPInt(b, int64(s.opIdx[p]))
-		b = machine.AppendFPInt(b, s.nextResp[p])
+		b = spec.AppendFPInt(b, int64(s.opIdx[p]))
+		b = spec.AppendFPInt(b, s.nextResp[p])
 		b, ok = f.AppendFingerprint(b)
 		if !ok {
 			return b, false

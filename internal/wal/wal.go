@@ -17,7 +17,9 @@
 // The header payload is a JSON Header (byte 0x00 first, distinguishing it
 // from event payloads); an event payload is the compact binary encoding of
 // one history.Event plus its merge position (commit ticket for responses,
-// sequencer stamp for invocations). Everything after the first frame whose
+// sequencer stamp for invocations); an invocation's operation is spec's
+// byte encoding (spec.AppendOp), the bytes a wire request carries too.
+// testdata/golden.wal pins the format. Everything after the first frame whose
 // length, CRC or payload is bad is a torn tail: Recover stops there, reports
 // Torn, and returns the history before it — a frame is either wholly
 // durable or it never happened. An intact frame the history refuses fails.
@@ -208,16 +210,9 @@ func appendPayload(b []byte, e *history.Event, pos uint64) []byte {
 	b = binary.AppendUvarint(b, uint64(e.Proc))
 	b = binary.AppendUvarint(b, pos)
 	if e.Kind == history.KindInvoke {
-		b = binary.AppendUvarint(b, uint64(len(e.Op.Method)))
-		b = append(b, e.Op.Method...)
-		b = append(b, byte(e.Op.NArgs))
-		for i := 0; i < e.Op.NArgs; i++ {
-			b = binary.AppendVarint(b, e.Op.Args[i])
-		}
-	} else {
-		b = binary.AppendVarint(b, e.Resp)
+		return spec.AppendOp(b, e.Op)
 	}
-	return b
+	return binary.AppendVarint(b, e.Resp)
 }
 
 // decodePayload decodes one event payload (the inverse of appendPayload)
@@ -248,60 +243,17 @@ func decodePayload(b []byte, e *history.Event) (uint64, error) {
 	b = b[n:]
 	e.Kind, e.Proc, e.Op, e.Resp = kind, int(proc), spec.Op{}, 0
 	if kind == history.KindInvoke {
-		mlen, n := binary.Uvarint(b)
-		if n <= 0 || mlen > uint64(len(b)-n) {
-			return bad("method length")
+		var err error
+		if e.Op, n, err = spec.DecodeOp(b); err != nil {
+			return bad(err.Error())
 		}
-		b = b[n:]
-		e.Op.Method = methodName(b[:mlen])
-		b = b[mlen:]
-		if len(b) < 1 {
-			return bad("nargs")
-		}
-		nargs := int(b[0])
-		b = b[1:]
-		if nargs < 0 || nargs > len(e.Op.Args) {
-			return bad("nargs range")
-		}
-		e.Op.NArgs = nargs
-		for i := 0; i < nargs; i++ {
-			v, n := binary.Varint(b)
-			if n <= 0 {
-				return bad("arg")
-			}
-			e.Op.Args[i] = v
-			b = b[n:]
-		}
-	} else {
-		v, n := binary.Varint(b)
-		if n <= 0 {
-			return bad("resp")
-		}
-		e.Resp = v
-		b = b[n:]
+	} else if e.Resp, n = binary.Varint(b); n <= 0 {
+		return bad("resp")
 	}
-	if len(b) != 0 {
+	if len(b) != n {
 		return bad("trailing bytes")
 	}
 	return pos, nil
-}
-
-// knownMethods are shared by decoded invocations instead of copied; the
-// live runtime's own come first.
-var knownMethods = []string{
-	spec.MethodFetchInc, spec.MethodRead, spec.MethodWrite, spec.MethodCAS, spec.MethodPropose,
-	spec.MethodTestSet, spec.MethodWriteMax, spec.MethodEnq, spec.MethodDeq, spec.MethodAppend,
-}
-
-// methodName returns b as a string: the constant it spells (the comparison
-// converts without allocating), else a copy.
-func methodName(b []byte) string {
-	for _, m := range knownMethods {
-		if string(b) == m {
-			return m
-		}
-	}
-	return string(b)
 }
 
 // AppendEvents logs the merged events [from, to) of h, one frame each

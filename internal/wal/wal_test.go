@@ -409,29 +409,6 @@ func TestQuickFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeKnownMethodAllocs: decoding the invocations the live runtime
-// logs allocates nothing (the method name is the spec constant, not a copy),
-// and a name outside the table still round-trips.
-func TestDecodeKnownMethodAllocs(t *testing.T) {
-	for _, op := range []spec.Op{
-		spec.MakeOp(spec.MethodFetchInc), spec.MakeOp(spec.MethodRead), spec.MakeOp1(spec.MethodWrite, 1),
-	} {
-		b := appendPayload(nil, &history.Event{Kind: history.KindInvoke, Proc: 3, Op: op}, 9)
-		var got history.Event
-		if n := testing.AllocsPerRun(100, func() { _, _ = decodePayload(b, &got) }); n != 0 {
-			t.Errorf("decoding %s: %v allocs, want 0", op, n)
-		}
-		if got.Op != op {
-			t.Errorf("decoded %s as %s", op, got.Op)
-		}
-	}
-	b := appendPayload(nil, &history.Event{Kind: history.KindInvoke, Op: spec.MakeOp("frobnicate")}, 0)
-	var e history.Event
-	if _, err := decodePayload(b, &e); err != nil || e.Op.Method != "frobnicate" {
-		t.Errorf("unknown method decoded as %q, err %v", e.Op.Method, err)
-	}
-}
-
 // TestGoldenBytes pins the file format: testdata/golden.wal is writeLog's
 // log as written by the Append that made two Writes per frame. The drain
 // writer lays down the same bytes whatever the drains and the policy.
