@@ -15,6 +15,12 @@
 // it is exhausted. For fetch&increment histories a polynomial-time checker
 // derived from the combinatorial argument in the proof of Lemma 17 is
 // provided (see fik.go) and is used automatically where applicable.
+//
+// An operation the type cannot apply is in no legal sequential history, so
+// every entry point answers it as the search does: a completed one makes the
+// answer false; a pending one, or an optional candidate of Definition 1's or
+// line 13's test, is dropped; an inapplicable operation k has no legal
+// response. The type-specialised paths ask applicable.
 package check
 
 import (
@@ -53,6 +59,24 @@ type Options struct {
 	// engines; used by the ablation benchmarks to quantify what the
 	// memoization buys.
 	NoMemo bool
+}
+
+// applicable decides Step's applicability, in any int64 state, for the four
+// types with type-specialised paths (register, fetch&inc, test&set,
+// consensus) from the method, the argument count and a non-negative proposal:
+// no path asks Step, whose Next boxes a rebased counter.
+func applicable(typ spec.Type, op *spec.Op) bool {
+	switch typ.(type) {
+	case spec.Register:
+		return op.Method == spec.MethodRead && op.NArgs == 0 || op.Method == spec.MethodWrite && op.NArgs == 1
+	case spec.FetchInc:
+		return op.Method == spec.MethodFetchInc && op.NArgs == 0
+	case spec.TestSet:
+		return op.Method == spec.MethodTestSet && op.NArgs == 0
+	case spec.Consensus:
+		return op.Method == spec.MethodPropose && op.NArgs == 1 && op.Args[0] >= 0
+	}
+	return false
 }
 
 func (o Options) budget() int64 {

@@ -300,7 +300,7 @@ func minTLinearScan(t *testing.T, obj spec.Object, h *history.History) int {
 func TestMinTBinarySearchAgreesWithLinearScan(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
-		h := randomRegisterHistory(r, 3, 8, 0.3)
+		h := typeHistory(r, regX["X"], regOps, 3, 8, 0.3)
 		mt, found, err := MinT(regX["X"], h, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -321,7 +321,7 @@ func TestLemma5MonotonicityProperty(t *testing.T) {
 	// responses (so both verdicts occur).
 	r := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 40; trial++ {
-		h := randomRegisterHistory(r, 3, 7, 0.5)
+		h := typeHistory(r, regX["X"], regOps, 3, 7, 0.5)
 		prev := false
 		for tt := 0; tt <= h.Len(); tt++ {
 			ok, err := TLinearizable(regX["X"], h, tt, Options{})
@@ -343,7 +343,7 @@ func TestLemma6PrefixClosureProperty(t *testing.T) {
 	// Lemma 6: if H is t-linearizable, so is every prefix of H.
 	r := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 40; trial++ {
-		h := randomRegisterHistory(r, 3, 7, 0.4)
+		h := typeHistory(r, regX["X"], regOps, 3, 7, 0.4)
 		for tt := 0; tt <= h.Len(); tt += 2 {
 			full, err := TLinearizable(regX["X"], h, tt, Options{})
 			if err != nil {
@@ -363,55 +363,6 @@ func TestLemma6PrefixClosureProperty(t *testing.T) {
 			}
 		}
 	}
-}
-
-// randomRegisterHistory generates a random well-formed single-object
-// register history. With probability corrupt, a response value is replaced
-// by a random value (so non-linearizable histories occur).
-func randomRegisterHistory(r *rand.Rand, nproc, maxOps int, corrupt float64) *history.History {
-	h := history.New()
-	// Simulate an atomic register with random linearization points to get
-	// plausible-and-often-correct responses.
-	val := int64(0)
-	type pendingOp struct {
-		op     spec.Op
-		isRead bool
-	}
-	pending := make(map[int]*pendingOp)
-	invoked := 0
-	nops := 1 + r.Intn(maxOps)
-	for steps := 0; steps < 6*maxOps; steps++ {
-		p := r.Intn(nproc)
-		if po, ok := pending[p]; ok {
-			var resp int64
-			if po.isRead {
-				resp = val
-			} else {
-				val = po.op.Args[0]
-			}
-			if r.Float64() < corrupt {
-				resp = int64(r.Intn(4))
-			}
-			if err := h.Respond(p, resp); err != nil {
-				panic(err)
-			}
-			delete(pending, p)
-		} else if invoked < nops {
-			var op spec.Op
-			isRead := r.Intn(2) == 0
-			if isRead {
-				op = rd
-			} else {
-				op = wr(int64(1 + r.Intn(3)))
-			}
-			if err := h.Invoke(p, "X", op); err != nil {
-				panic(err)
-			}
-			pending[p] = &pendingOp{op: op, isRead: isRead}
-			invoked++
-		}
-	}
-	return h
 }
 
 func TestSingleObjectGuard(t *testing.T) {
@@ -461,7 +412,7 @@ func TestTooLarge(t *testing.T) {
 
 func TestBudgetExhaustion(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	h := randomRegisterHistory(r, 4, 12, 0.4)
+	h := typeHistory(r, regX["X"], regOps, 4, 12, 0.4)
 	_, err := TLinearizable(regX["X"], h, 0, Options{Budget: 1})
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)

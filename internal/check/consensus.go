@@ -20,41 +20,40 @@ import (
 //     in any order extending the (acyclic) real-time order.
 //
 // If no operation is answered in the suffix, any invoked operation may lead
-// and the history is trivially t-linearizable (consensus is total).
+// and the history is trivially t-linearizable (consensus is total). A
+// pre-decided object pins v* to its decided value. An operation consensus
+// cannot apply fails the history when completed and is dropped when pending
+// (the package rule).
 func consensusTLinearizable(obj spec.Object, ops []history.Operation, t int) (bool, error) {
-	if obj.Init != spec.NoValue {
-		// A pre-decided consensus object pins v* to the decided value.
-		return consensusPreDecided(obj, ops, t)
+	decided, ok := obj.Init.(int64)
+	if !ok {
+		return false, fmt.Errorf("check: consensus initial state %v is not int64", obj.Init)
 	}
 	for _, op := range ops {
-		if op.Op.Method != spec.MethodPropose || op.Op.NArgs != 1 || op.Op.Args[0] < 0 {
-			return false, fmt.Errorf("check: non-propose operation %s in consensus history", op.Op)
+		if !op.Pending() && !applicable(obj.Type, &op.Op) {
+			return false, nil
 		}
 	}
-	vstar := spec.NoValue
+	vstar := decided
 	anyConstrained := false
 	for _, op := range ops {
 		if op.Res < t {
 			continue
 		}
-		if !anyConstrained {
-			anyConstrained = true
+		if !anyConstrained && decided == spec.NoValue {
 			vstar = op.Resp
-			continue
 		}
+		anyConstrained = true
 		if op.Resp != vstar {
-			return false, nil // two suffix answers disagree
+			return false, nil // two suffix answers disagree, or one is not the decided value
 		}
 	}
-	if !anyConstrained {
+	if !anyConstrained || decided != spec.NoValue {
 		return true, nil
 	}
-	if vstar < 0 {
-		return false, nil // ⊥ or negative is never a legal consensus response
-	}
-	// Find a leader: an operation proposing v* with no suffix real-time
-	// predecessor (pred requires res_i >= t, inv_j >= t, res_i < inv_j; an
-	// op invoked in the prefix has no predecessors by definition).
+	// Find a leader: an applicable operation proposing v* (so v* is no ⊥)
+	// with no suffix real-time predecessor, that is, invoked before the first
+	// suffix response (pred requires res_i >= t, inv_j >= t, res_i < inv_j).
 	firstSuffixRes := -1
 	for _, op := range ops {
 		if op.Res >= t && (firstSuffixRes < 0 || op.Res < firstSuffixRes) {
@@ -62,30 +61,9 @@ func consensusTLinearizable(obj spec.Object, ops []history.Operation, t int) (bo
 		}
 	}
 	for _, op := range ops {
-		if op.Op.Args[0] != vstar {
-			continue
-		}
-		if op.Inv < t || op.Inv < firstSuffixRes {
-			// No suffix-answered operation completes before op's
-			// invocation, so op can be linearized first.
+		if applicable(obj.Type, &op.Op) && op.Op.Args[0] == vstar && op.Inv < firstSuffixRes {
 			return true, nil
 		}
 	}
 	return false, nil
-}
-
-// consensusPreDecided handles objects whose initial state is already a
-// decided value d: every operation must return d, and real-time order is
-// irrelevant beyond that (all responses identical).
-func consensusPreDecided(obj spec.Object, ops []history.Operation, t int) (bool, error) {
-	d, ok := obj.Init.(int64)
-	if !ok {
-		return false, fmt.Errorf("check: consensus initial state %v is not int64", obj.Init)
-	}
-	for _, op := range ops {
-		if op.Res >= t && op.Resp != d {
-			return false, nil
-		}
-	}
-	return true, nil
 }

@@ -1,10 +1,8 @@
 package check
 
 import (
-	"math/rand"
 	"testing"
 
-	"github.com/elin-go/elin/internal/history"
 	"github.com/elin-go/elin/internal/spec"
 )
 
@@ -80,31 +78,6 @@ func TestConsensusConcurrentLeader(t *testing.T) {
 	}
 }
 
-func TestConsensusFastPathAgreesWithGenericEngine(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	checked := 0
-	for trial := 0; trial < 100; trial++ {
-		h := randomConsensusHistory(r, 3, 7, 0.4)
-		for tt := 0; tt <= h.Len(); tt++ {
-			fast, err := TLinearizable(consX["X"], h, tt, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			slow, err := TLinearizable(consX["X"], h, tt, Options{NoFastPath: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fast != slow {
-				t.Fatalf("trial %d t=%d: fast=%v generic=%v\n%s", trial, tt, fast, slow, h)
-			}
-			checked++
-		}
-	}
-	if checked < 500 {
-		t.Fatalf("only %d cases checked", checked)
-	}
-}
-
 func TestConsensusPreDecided(t *testing.T) {
 	obj := spec.Object{Type: spec.Consensus{}, Init: int64(4)}
 	h := build(t).
@@ -124,53 +97,4 @@ func TestConsensusPreDecided(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("pre-decided with free prefix: %v %v", ok, err)
 	}
-}
-
-func TestConsensusFastPathRejectsForeignOps(t *testing.T) {
-	h := build(t).call(0, "X", rd, 0).h
-	if _, err := TLinearizable(consX["X"], h, 0, Options{}); err == nil {
-		t.Error("fast path accepted a read")
-	}
-	neg := build(t).call(0, "X", prop(-3), 0).h
-	if _, err := TLinearizable(consX["X"], neg, 0, Options{}); err == nil {
-		t.Error("fast path accepted a negative proposal")
-	}
-}
-
-// randomConsensusHistory produces a random consensus history: responses
-// follow a first-linearized-wins simulation, corrupted at the given rate;
-// some operations stay pending.
-func randomConsensusHistory(r *rand.Rand, nproc, maxOps int, corrupt float64) *history.History {
-	h := history.New()
-	decided := spec.NoValue
-	pendingVal := make(map[int]int64)
-	invoked := 0
-	nops := 1 + r.Intn(maxOps)
-	for steps := 0; steps < 6*maxOps; steps++ {
-		p := r.Intn(nproc)
-		if v, ok := pendingVal[p]; ok {
-			if r.Float64() < 0.15 {
-				continue
-			}
-			if decided == spec.NoValue {
-				decided = v
-			}
-			resp := decided
-			if r.Float64() < corrupt {
-				resp = int64(r.Intn(4))
-			}
-			if err := h.Respond(p, resp); err != nil {
-				panic(err)
-			}
-			delete(pendingVal, p)
-		} else if invoked < nops {
-			v := int64(1 + r.Intn(3))
-			if err := h.Invoke(p, "X", prop(v)); err != nil {
-				panic(err)
-			}
-			pendingVal[p] = v
-			invoked++
-		}
-	}
-	return h
 }

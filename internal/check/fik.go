@@ -37,6 +37,9 @@ type scratch struct {
 //     eligibility is upward closed in the slot, so scanning gaps in
 //     ascending order and consuming any eligible filler is exact.
 //
+// An operation fetch&inc cannot apply fails the history when completed and
+// is dropped when pending (the package rule).
+//
 // Complexity: O(n) on a prepared table of n operations. The table lists the
 // operations by invocation and the completed ones by response, so the
 // edge scan is one merge of the two orders carrying the running maximum
@@ -49,8 +52,8 @@ func fetchIncTLinearizable(obj spec.Object, tb *history.OpTable, t int, sc *scra
 	}
 	ops := tb.Ops
 	for i := range ops {
-		if ops[i].Op.Method != spec.MethodFetchInc || ops[i].Op.NArgs != 0 {
-			return false, fmt.Errorf("check: non-fetchinc operation %s in fetch&inc history", ops[i].Op)
+		if ops[i].Res >= 0 && !applicable(obj.Type, &ops[i].Op) {
+			return false, nil
 		}
 	}
 
@@ -107,6 +110,8 @@ func fetchIncTLinearizable(obj spec.Object, tb *history.OpTable, t int, sc *scra
 			}
 		case op.Res >= 0:
 			free++
+		case !applicable(obj.Type, &op.Op):
+			// A pending operation the type cannot apply is dropped.
 		case op.Inv < t:
 			thresholds = append(thresholds, -1) // no incoming edges: universal
 		default:

@@ -3,7 +3,6 @@ package check
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"github.com/elin-go/elin/internal/gen"
 	"github.com/elin-go/elin/internal/history"
@@ -33,57 +32,6 @@ func minTBisect(obj spec.Object, h *history.History, opts Options) (int, bool, e
 	return hi, true, nil
 }
 
-// kernelAgreesEverywhere compares the fetch&inc kernel with the generic
-// engine at every t in [0, Len].
-func kernelAgreesEverywhere(t *testing.T, obj spec.Object, h *history.History) bool {
-	t.Helper()
-	for tt := 0; tt <= h.Len(); tt++ {
-		fast, err := TLinearizable(obj, h, tt, Options{})
-		if err != nil {
-			t.Logf("kernel t=%d: %v", tt, err)
-			return false
-		}
-		slow, err := TLinearizable(obj, h, tt, Options{NoFastPath: true})
-		if err != nil {
-			t.Logf("generic t=%d: %v", tt, err)
-			return false
-		}
-		if fast != slow {
-			t.Logf("init %v t=%d: kernel=%v generic=%v\n%s", obj.Init, tt, fast, slow, h)
-			return false
-		}
-	}
-	return true
-}
-
-// Property: the fetch&inc kernel decides exactly what the generic engine
-// decides, at every t, on histories with pending operations (a random
-// prefix), duplicate and out-of-range responses (Corrupt) and responses
-// shifted against a non-zero initial value in both directions (sub-initial
-// responses when shift < init, unfillable bottom slots when shift > init).
-func TestQuickFetchIncKernelMatchesGeneric(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		base := gen.FetchInc(r, gen.HistoryConfig{
-			Procs: 2 + r.Intn(3), Ops: 4 + r.Intn(9), Corrupt: 0.25, PendingBias: 0.3,
-		})
-		init, shift := int64(r.Intn(4)), int64(r.Intn(4))
-		h := history.New()
-		for _, e := range base.Prefix(r.Intn(base.Len() + 1)).Events() {
-			if e.Kind == history.KindRespond {
-				e.Resp += shift
-			}
-			if err := h.Append(e); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return kernelAgreesEverywhere(t, spec.Object{Type: spec.FetchInc{InitVal: init}, Init: init}, h)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestMinTMatchesBisect pins the probe-first MinT to the old full bisection
 // on the fetch&inc kernel, the consensus kernel and the generic engine, on
 // linearizable histories (the probe answers) and on ones that are not (the
@@ -105,7 +53,7 @@ func TestMinTMatchesBisect(t *testing.T) {
 			tc{"fetchinc", fi, gen.FetchInc(r, gen.HistoryConfig{Procs: 3, Ops: 40, Corrupt: corrupt, PendingBias: 0.3}), Options{}},
 			tc{"fetchinc-generic", fi, gen.FetchInc(r, gen.HistoryConfig{Procs: 3, Ops: 10, Corrupt: corrupt, PendingBias: 0.3}), Options{NoFastPath: true}},
 			tc{"register", reg, gen.Register(r, gen.HistoryConfig{Procs: 3, Ops: 12, Corrupt: corrupt, PendingBias: 0.3}), Options{}},
-			tc{"consensus", consX["X"], randomConsensusHistory(r, 3, 8, corrupt), Options{}},
+			tc{"consensus", consX["X"], typeHistory(r, consX["X"], propOps[:6], 3, 8, corrupt), Options{}},
 		)
 	}
 	s32, err := gen.Section32Counterexample(20)
@@ -165,11 +113,12 @@ func TestMinTProbeBudgetFallsThrough(t *testing.T) {
 	}
 }
 
-// fuzzFetchIncHistory decodes a byte string into a well-formed fetch&inc
-// history of at most 12 operations on 4 processes, an initial value and a
-// cut: byte 0 is the initial value, byte 1 the cut, and every further byte
-// either invokes on its process (low two bits) or, if that process has an
-// operation pending, answers it with the byte's high six bits.
+// fuzzFetchIncHistory decodes a byte string into a well-formed history of at
+// most 12 operations on 4 processes on a fetch&inc object, an initial value
+// and a cut: byte 0 is the initial value, byte 1 the cut, and every further
+// byte either invokes on its process (low two bits) — a fetchinc, or a read,
+// which fetch&inc cannot apply, when the high six bits are 60 or more — or,
+// if that process has an operation pending, answers it with those six bits.
 func fuzzFetchIncHistory(data []byte) (spec.Object, *history.History, int) {
 	if len(data) < 2 {
 		data = append(data, 0, 0)
@@ -185,7 +134,11 @@ func fuzzFetchIncHistory(data []byte) (spec.Object, *history.History, int) {
 			_ = h.Respond(p, int64(b>>2)) // p has a pending invocation: cannot fail
 			pending[p] = false
 		case invoked < 12:
-			_ = h.Invoke(p, "X", spec.MakeOp(spec.MethodFetchInc)) // p is idle: cannot fail
+			op := fi
+			if b>>2 >= 60 {
+				op = rd
+			}
+			_ = h.Invoke(p, "X", op) // p is idle: cannot fail
 			pending[p] = true
 			invoked++
 		}
@@ -194,7 +147,8 @@ func fuzzFetchIncHistory(data []byte) (spec.Object, *history.History, int) {
 }
 
 // FuzzFetchIncTLinearizable: the Lemma 17 kernel's verdict must equal the
-// generic engine's on any well-formed fetch&inc history and cut. The seed
+// generic engine's on any well-formed history and cut on a fetch&inc object,
+// reads it cannot apply included. The seed
 // corpus is testdata/fuzz/FuzzFetchIncTLinearizable.
 func FuzzFetchIncTLinearizable(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -1,7 +1,6 @@
 package check
 
 import (
-	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -234,29 +233,6 @@ func TestQuickMemoAblationSameAnswers(t *testing.T) {
 	}
 }
 
-// coinHistory is a sequential history of coinType: ops operations of
-// process 0 answered the way the coin does, each answer corrupted with
-// probability corrupt.
-func coinHistory(r *rand.Rand, ops int, corrupt float64) *history.History {
-	h := history.New()
-	typ := coinType()
-	state := int64(0)
-	for i := 0; i < ops; i++ {
-		op := typ.Ops[r.Intn(len(typ.Ops))]
-		if op.Method == "flip" {
-			state = int64(r.Intn(2))
-		}
-		resp := state
-		if r.Float64() < corrupt {
-			resp = int64(r.Intn(3))
-		}
-		if err := errors.Join(h.Invoke(0, "X", op), h.Respond(0, resp)); err != nil {
-			panic(err)
-		}
-	}
-	return h
-}
-
 // Property: on a sequential history — one process, corrupted or not, with
 // or without a pending invocation at its end — Legal is linearizability,
 // kernel and generic engine alike.
@@ -264,13 +240,14 @@ func TestQuickLegalMatchesTLinearizable(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		cfg := gen.HistoryConfig{Procs: 1, Ops: 1 + r.Intn(MaxOpsPerObject), Corrupt: float64(r.Intn(3)) * 0.05, PendingBias: 0.3}
+		coin := spec.NewObject(coinType())
 		cases := []struct {
 			obj spec.Object
 			h   *history.History
 		}{
 			{spec.NewObject(spec.Register{}), gen.Register(r, cfg)},
 			{spec.NewObject(spec.FetchInc{}), gen.FetchInc(r, cfg)},
-			{spec.NewObject(coinType()), coinHistory(r, cfg.Ops, cfg.Corrupt)},
+			{coin, typeHistory(r, coin, coinType().Ops, 1, cfg.Ops, cfg.Corrupt)},
 		}
 		for _, c := range cases {
 			h := c.h.Prefix(r.Intn(c.h.Len() + 1))

@@ -3,6 +3,7 @@ package check
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 
 	"github.com/elin-go/elin/internal/history"
@@ -53,8 +54,9 @@ func WeaklyConsistentExplain(objs map[string]spec.Object, h *history.History, op
 // r now, the operation would satisfy Definition 1, and returns the extended
 // slice. This is the candidate set an eventually linearizable object may
 // answer from before stabilizing: anything else would be "out of left
-// field". The table must hold a pending operation by proc. On the register
-// and fetch&inc rules a reused buf and table make the call allocation-free.
+// field". The table must hold a pending operation by proc. On the types
+// weakRule covers a reused buf and table make the call allocation-free,
+// unless a set of more than weakScanMax values repeats one (a map dedups it).
 func AppendWeakResponses(buf []int64, obj spec.Object, tb *history.OpTable, proc int, opts Options) ([]int64, error) {
 	if err := tableOneObject(tb); err != nil {
 		return buf, err
@@ -73,13 +75,39 @@ func AppendWeakResponses(buf []int64, obj spec.Object, tb *history.OpTable, proc
 	// The hypothetical response event would land at index tb.Events, so
 	// every operation already invoked is a candidate member of S.
 	if !opts.NoFastPath {
-		switch obj.Type.(type) {
-		case spec.Register:
-			return appendWeakRegister(buf, obj, ops, k, tb.Events)
-		case spec.FetchInc:
-			lo, hi, err := weakFetchIncRange(obj, ops, k, tb.Events)
-			for r := lo; err == nil && r <= hi; r++ {
-				buf = append(buf, r)
+		from, top := len(buf), int64(math.MinInt64)
+		var seen map[int64]struct{}
+		known, err := weakRule(obj, ops, k, tb.Events, func(v int64) bool {
+			// A value above every one appended is new, so an ascending run
+			// (a fetch&inc range) is never scanned. Otherwise up to
+			// weakScanMax values are scanned, which allocates nothing; past
+			// that a map takes over, so that a register run writing many
+			// distinct values (rw:P) pays O(W) per set, not O(W²).
+			switch {
+			case v > top:
+			case seen != nil:
+				if _, dup := seen[v]; dup {
+					return true
+				}
+			case slices.Contains(buf[from:], v):
+				return true
+			case len(buf)-from >= weakScanMax:
+				seen = make(map[int64]struct{}, len(ops)+1) // at most one value per candidate, and init
+				for _, u := range buf[from:] {
+					seen[u] = struct{}{}
+				}
+			}
+			if seen != nil {
+				seen[v] = struct{}{}
+			}
+			buf, top = append(buf, v), max(top, v)
+			return true
+		})
+		if known {
+			// A register set keeps first-yield order, which explorer branches
+			// follow; the others are ascending, as the search gives them.
+			if _, reg := obj.Type.(spec.Register); !reg {
+				slices.Sort(buf[from:])
 			}
 			return buf, err
 		}
@@ -88,181 +116,136 @@ func AppendWeakResponses(buf []int64, obj spec.Object, tb *history.OpTable, proc
 	return append(buf, set...), err
 }
 
-// appendWeakRegister appends the Definition 1 candidate set of a register
-// operation (registerResponses), each value once, in first-yield order. A
-// set of up to weakScanMax values is deduplicated by scanning what it
-// appended, which allocates nothing; past that a map takes over, so that a
-// run writing many distinct values (rw:P writes a new one every time) pays
-// O(W) per set, not O(W²).
-func appendWeakRegister(buf []int64, obj spec.Object, ops []history.Operation, k, respIdx int) ([]int64, error) {
-	from := len(buf)
-	var seen map[int64]struct{}
-	err := registerResponses(obj, ops, k, respIdx, func(v int64) bool {
-		switch {
-		case seen != nil:
-			if _, dup := seen[v]; dup {
-				return true
-			}
-			seen[v] = struct{}{}
-		case slices.Contains(buf[from:], v):
-			return true
-		case len(buf)-from == weakScanMax:
-			seen = make(map[int64]struct{}, len(ops)+1) // at most one value per write, and init
-			for _, u := range buf[from:] {
-				seen[u] = struct{}{}
-			}
-			seen[v] = struct{}{}
-		}
-		buf = append(buf, v)
-		return true
-	})
-	return buf, err
-}
-
-// weakScanMax is the largest register candidate set appendWeakRegister
-// deduplicates by scanning.
+// weakScanMax is the largest candidate set AppendWeakResponses deduplicates
+// by scanning.
 const weakScanMax = 16
 
 // weakWitness decides Definition 1 for operation index k with response resp,
-// whose response event index is respIdx. Fast paths exist for registers,
-// fetch&increment, test&set and consensus; the generic path is Figure 1's
-// line-13 test on k's candidates, which returns at the first witness.
+// whose response event index is respIdx: through weakRule where the type has
+// one, stopping at the first match, and otherwise by Figure 1's line-13 test
+// on k's candidates, which returns at the first witness.
 func weakWitness(obj spec.Object, ops []history.Operation, k int, resp int64, respIdx int, opts Options) (bool, error) {
 	if !opts.NoFastPath {
-		switch obj.Type.(type) {
-		case spec.Register:
-			return weakRegister(obj, ops, k, resp, respIdx)
-		case spec.FetchInc:
-			lo, hi, err := weakFetchIncRange(obj, ops, k, respIdx)
-			return err == nil && lo <= resp && resp <= hi, err
-		case spec.TestSet:
-			return weakTestSet(obj, ops, k, resp, respIdx)
-		case spec.Consensus:
-			return weakConsensus(obj, ops, k, resp, respIdx)
+		found := false
+		known, err := weakRule(obj, ops, k, respIdx, func(v int64) bool {
+			found = v == resp
+			return !found
+		})
+		if known {
+			return found, err
 		}
 	}
 	must, opt := weakCandidates(ops, k, respIdx)
 	return SequentialWitness(obj, must, opt, ops[k].Op, resp, opts)
 }
 
-// weakRegister decides Definition 1 for a register operation in linear time
-// (registerResponses), stopping at the first value equal to resp.
-func weakRegister(obj spec.Object, ops []history.Operation, k int, resp int64, respIdx int) (bool, error) {
-	found := false
-	err := registerResponses(obj, ops, k, respIdx, func(v int64) bool {
-		found = v == resp
-		return !found
-	})
-	return found, err
-}
-
-// registerResponses yields what Definition 1 lets register operation k,
-// answered at respIdx, return until yield returns false; values may repeat.
-// A write may only be acked. A read may return any value written by an
-// operation invoked before respIdx, or the initial value provided k's process
-// has no earlier writes (its own writes must appear in S before the read).
-func registerResponses(obj spec.Object, ops []history.Operation, k, respIdx int, yield func(int64) bool) error {
-	init, ok := obj.Init.(int64)
-	if !ok {
-		return fmt.Errorf("check: register initial state %v is not int64", obj.Init)
-	}
-	switch op := ops[k]; op.Op.Method {
-	case spec.MethodWrite:
-		yield(0)
-	case spec.MethodRead:
-		selfWrote := false
-		for i, other := range ops {
-			if i == k || other.Op.Method != spec.MethodWrite || other.Inv >= respIdx {
-				continue // not a write, or invoked after the read terminated: not in S
-			}
-			if other.Op.NArgs == 1 && !yield(other.Op.Args[0]) {
-				return nil
-			}
-			selfWrote = selfWrote || other.Proc == op.Proc && other.Inv < op.Inv
-		}
-		if !selfWrote {
-			yield(init)
-		}
+// weakRule is Definition 1's rule table: it yields, until yield returns
+// false, the responses Definition 1 allows operation k answered at respIdx,
+// in O(n) for the types with a rule (register, fetch&inc, test&set,
+// consensus); values may repeat. known is false for any other type. It
+// follows the package rule through weakScan: k has no response when it or a
+// candidate S must hold is inapplicable.
+//
+//   - A register write may only be acked; a read returns a value written by a
+//     candidate, or the initial value when its process has no earlier write
+//     (registerResponses).
+//   - A fetch&inc returns its place among its candidates (fetchIncRange).
+//   - A test&set returns the state before it: the initial state when S holds
+//     no other operation, which needs k's process to have none earlier, and
+//     1 when S holds one, which needs some candidate.
+//   - A pre-decided consensus object answers its value. Otherwise the first
+//     proposal in S decides, and S may begin with any candidate, or with k
+//     itself when k's process has no earlier operation.
+func weakRule(obj spec.Object, ops []history.Operation, k, respIdx int, yield func(int64) bool) (known bool, err error) {
+	switch obj.Type.(type) {
+	case spec.Register, spec.FetchInc, spec.TestSet, spec.Consensus:
 	default:
-		return fmt.Errorf("check: unexpected register method %q", op.Op.Method)
+		return false, nil
 	}
-	return nil
-}
-
-// weakFetchIncRange is fetchIncRange for operation k answered at respIdx,
-// counting its mandatory and optional candidates (weakRole) without listing
-// them.
-func weakFetchIncRange(obj spec.Object, ops []history.Operation, k, respIdx int) (lo, hi int64, err error) {
 	init, ok := obj.Init.(int64)
 	if !ok {
-		return 0, 0, fmt.Errorf("check: fetch&inc initial state %v is not int64", obj.Init)
+		return true, fmt.Errorf("check: %s initial state %v is not int64", obj.Type.Name(), obj.Init)
 	}
-	m, c := 0, 0
-	for i := range ops {
-		switch in, must := weakRole(ops, k, i, respIdx); {
-		case must:
-			m++
-		case in:
-			c++
+	m, c, ok := weakScan(obj.Type, ops, k, respIdx)
+	if !ok {
+		return true, nil
+	}
+	switch obj.Type.(type) {
+	case spec.Register:
+		registerResponses(init, ops, k, respIdx, yield)
+	case spec.FetchInc:
+		lo, _ := fetchIncRange(init, m, c)
+		for r := range int64(c) + 1 {
+			if !yield(lo + r) {
+				break
+			}
+		}
+	case spec.TestSet:
+		if m == 0 && !yield(init) {
+			break
+		}
+		if m+c > 0 {
+			yield(1)
+		}
+	case spec.Consensus:
+		if init != spec.NoValue {
+			yield(init)
+			break
+		}
+		if m == 0 && !yield(ops[k].Op.Args[0]) {
+			break
+		}
+		for i := range ops {
+			in, _ := weakRole(ops, k, i, respIdx)
+			if in && applicable(obj.Type, &ops[i].Op) && !yield(ops[i].Op.Args[0]) {
+				break
+			}
 		}
 	}
-	lo, hi = fetchIncRange(init, m, c)
-	return lo, hi, nil
+	return true, nil
 }
 
-// weakTestSet decides Definition 1 for test&set operation k answered at
-// respIdx. It returns the state before it: the initial state when S holds
-// no other operation, which needs k's process to have none earlier, and 1
-// when S holds one, which needs some candidate.
-func weakTestSet(obj spec.Object, ops []history.Operation, k int, resp int64, respIdx int) (bool, error) {
-	init, ok := obj.Init.(int64)
-	if !ok {
-		return false, fmt.Errorf("check: test&set initial state %v is not int64", obj.Init)
+// registerResponses yields the register responses weakRule allows read or
+// write k, answered at respIdx, whose mandatory candidates are applicable.
+func registerResponses(init int64, ops []history.Operation, k, respIdx int, yield func(int64) bool) {
+	if ops[k].Op.Method == spec.MethodWrite {
+		yield(0)
+		return
 	}
-	m, c, _, ok := weakScan(obj, ops, k, respIdx, 0)
-	return ok && (resp == init && m == 0 || resp == 1 && m+c > 0), nil
-}
-
-// weakConsensus decides Definition 1 for proposal k answered at respIdx. A
-// pre-decided object answers its value. Otherwise the first proposal in S
-// decides, and S may begin with any of k's candidates, or with k itself
-// when k's process has no earlier operation.
-func weakConsensus(obj spec.Object, ops []history.Operation, k int, resp int64, respIdx int) (bool, error) {
-	init, ok := obj.Init.(int64)
-	if !ok {
-		return false, fmt.Errorf("check: consensus initial state %v is not int64", obj.Init)
+	selfWrote := false
+	for i, other := range ops {
+		if i == k || other.Op.Method != spec.MethodWrite || !applicable(spec.Register{}, &other.Op) || other.Inv >= respIdx {
+			continue // not a write, or invoked after the read terminated: not in S
+		}
+		if !yield(other.Op.Args[0]) {
+			return
+		}
+		selfWrote = selfWrote || other.Proc == ops[k].Proc && other.Inv < ops[k].Inv
 	}
-	m, _, hit, ok := weakScan(obj, ops, k, respIdx, resp)
-	if ok && init != spec.NoValue {
-		return resp == init, nil
+	if !selfWrote {
+		yield(init)
 	}
-	return ok && (hit || m == 0 && resp == ops[k].Op.Args[0]), nil
 }
 
 // weakScan counts the candidates of operation k answered at respIdx
-// (weakRole) that obj's type can apply: m that S must hold and c that it
-// may, with hit set when one's first argument is v. ok reports whether k
-// itself is applicable. A candidate skipped cannot be in S; one S must hold
-// is an earlier operation of k's process, which fails its own check.
-// Applicability is asked in the initial state, which is exact where it does
-// not depend on the state (test&set, consensus).
-func weakScan(obj spec.Object, ops []history.Operation, k, respIdx int, v int64) (m, c int, hit, ok bool) {
-	applies := func(op spec.Op) bool {
-		_, n := obj.Type.Step(obj.Init, op, 0)
-		return n > 0
-	}
+// (weakRole) that typ can apply: m that S must hold and c that it may. ok
+// reports whether k and every candidate S must hold are applicable; an
+// inapplicable optional candidate is dropped.
+func weakScan(typ spec.Type, ops []history.Operation, k, respIdx int) (m, c int, ok bool) {
 	for i := range ops {
 		switch in, must := weakRole(ops, k, i, respIdx); {
-		case !in || !applies(ops[i].Op):
-			continue
+		case !in:
+		case !applicable(typ, &ops[i].Op):
+			if must {
+				return 0, 0, false
+			}
 		case must:
 			m++
 		default:
 			c++
 		}
-		hit = hit || ops[i].Op.Args[0] == v
 	}
-	return m, c, hit, applies(ops[k].Op)
+	return m, c, applicable(typ, &ops[k].Op)
 }
 
 // weakRole places operation i in Definition 1's test of operation k answered

@@ -117,115 +117,6 @@ func TestWeakConsistencyFetchInc(t *testing.T) {
 	}
 }
 
-func TestWeakConsistencyFastPathsAgreeWithGeneric(t *testing.T) {
-	tsX := map[string]spec.Object{"X": spec.NewObject(spec.TestSet{})}
-	decided := map[string]spec.Object{"X": {Type: spec.Consensus{}, Init: int64(2)}}
-	r := rand.New(rand.NewSource(17))
-	// Each picker sometimes invokes an operation the type cannot apply.
-	testset := func() spec.Op {
-		if r.Intn(5) == 0 {
-			return rd
-		}
-		return spec.MakeOp(spec.MethodTestSet)
-	}
-	propose := func() spec.Op {
-		switch r.Intn(10) {
-		case 0:
-			return rd
-		case 1:
-			return prop(-1)
-		}
-		return prop(int64(r.Intn(3)))
-	}
-	typed := func(obj spec.Object, pick func() spec.Op) func() *history.History {
-		return func() *history.History { return randomTypeHistory(r, obj, pick, 3, 7, 0.3) }
-	}
-	for _, tc := range []struct {
-		name string
-		objs map[string]spec.Object
-		gen  func() *history.History
-	}{
-		{"register", regX, func() *history.History { return randomRegisterHistory(r, 3, 6, 0.5) }},
-		{"fetchinc", fincX, func() *history.History { return randomFetchIncHistory(r, 3, 6, 0.5) }},
-		{"testset", tsX, typed(tsX["X"], testset)},
-		{"consensus", consX, typed(consX["X"], propose)},
-		{"consensus pre-decided", decided, typed(decided["X"], propose)},
-	} {
-		verdicts := map[bool]int{}
-		for trial := 0; trial < 200; trial++ {
-			h := tc.gen()
-			fast, err := WeaklyConsistent(tc.objs, h, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			slow, err := WeaklyConsistent(tc.objs, h, Options{NoFastPath: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fast != slow {
-				t.Fatalf("%s trial %d: fast=%v generic=%v\n%s", tc.name, trial, fast, slow, h)
-			}
-			verdicts[fast]++
-		}
-		if verdicts[true] == 0 || verdicts[false] == 0 {
-			t.Errorf("%s: verdicts %v, want both", tc.name, verdicts)
-		}
-	}
-	// A pending operation the type cannot apply is no candidate.
-	for _, tc := range []struct {
-		objs map[string]spec.Object
-		h    *history.History
-	}{
-		{tsX, build(t).inv(1, "X", rd).call(0, "X", spec.MakeOp(spec.MethodTestSet), 1).h},
-		{consX, build(t).inv(1, "X", rd).call(0, "X", prop(1), 0).h},
-		{consX, build(t).inv(1, "X", prop(-1)).call(0, "X", prop(1), -1).h},
-	} {
-		for _, opts := range []Options{{}, {NoFastPath: true}} {
-			if ok, err := WeaklyConsistent(tc.objs, tc.h, opts); err != nil || ok {
-				t.Errorf("%+v: weakly consistent = %v, %v, want false on\n%s", opts, ok, err, tc.h)
-			}
-		}
-	}
-}
-
-// randomTypeHistory produces a random history of obj on object X: pick
-// chooses each invocation, each response is the type's at the moment it is
-// given (0 for an operation the type cannot apply), responses are corrupted
-// at the given rate, and some operations stay pending.
-func randomTypeHistory(r *rand.Rand, obj spec.Object, pick func() spec.Op, nproc, maxOps int, corrupt float64) *history.History {
-	h := history.New()
-	st := obj.Init
-	pending := make(map[int]spec.Op)
-	nops := 1 + r.Intn(maxOps)
-	for steps, invoked := 0, 0; steps < 6*maxOps; steps++ {
-		p := r.Intn(nproc)
-		op, busy := pending[p]
-		switch {
-		case busy && r.Float64() < 0.15:
-		case busy:
-			out, n := obj.Type.Step(st, op, 0)
-			if n > 0 {
-				st = out.Next
-			}
-			if r.Float64() < corrupt {
-				out.Resp = int64(r.Intn(4))
-			}
-			if err := h.Respond(p, out.Resp); err != nil {
-				panic(err)
-			}
-			delete(pending, p)
-		case invoked < nops:
-			op = pick()
-			if err := h.Invoke(p, "X", op); err != nil {
-				panic(err)
-			}
-			pending[p] = op
-			invoked++
-		}
-	}
-	return h
-}
-
 func TestWeakResponsesRegister(t *testing.T) {
 	// p1 is about to answer a read; writes of 1 (complete) and 5 (pending)
 	// are in flight, and p1 itself never wrote, so {0, 1, 5} are the
@@ -388,7 +279,7 @@ func TestWeakConsistencySafetyPrefixClosure(t *testing.T) {
 	// histories: whenever H is weakly consistent, so is every prefix.
 	r := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 50; trial++ {
-		h := randomRegisterHistory(r, 3, 6, 0.4)
+		h := typeHistory(r, regX["X"], regOps, 3, 6, 0.4)
 		ok, err := WeaklyConsistent(regX, h, Options{})
 		if err != nil {
 			t.Fatal(err)

@@ -26,21 +26,26 @@ func SequentialWitness(obj spec.Object, must, opt []spec.Op, final spec.Op, resp
 	return pr.solve()
 }
 
-// fetchIncWitness: all operations are fetch&incs, so only counts matter
-// (fetchIncRange).
+// fetchIncWitness: only the counts of fetch&incs matter (fetchIncRange). A
+// mandatory or final operation fetch&inc cannot apply leaves no witness; an
+// optional one is dropped.
 func fetchIncWitness(obj spec.Object, must, opt []spec.Op, final spec.Op, resp int64) (bool, error) {
 	init, ok := obj.Init.(int64)
-	if !ok || final.Method != spec.MethodFetchInc {
+	if !ok || !applicable(obj.Type, &final) {
 		return false, nil
 	}
-	for _, set := range [2][]spec.Op{must, opt} {
-		for _, op := range set {
-			if op.Method != spec.MethodFetchInc {
-				return false, nil
-			}
+	for _, op := range must {
+		if !applicable(obj.Type, &op) {
+			return false, nil
 		}
 	}
-	lo, hi := fetchIncRange(init, len(must), len(opt))
+	c := 0
+	for _, op := range opt {
+		if applicable(obj.Type, &op) {
+			c++
+		}
+	}
+	lo, hi := fetchIncRange(init, len(must), c)
 	return lo <= resp && resp <= hi, nil
 }
 

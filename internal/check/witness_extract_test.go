@@ -72,7 +72,7 @@ func TestLinearizationAgreesWithDecision(t *testing.T) {
 	for _, opts := range []Options{{}, {NoMemo: true}} {
 		r := rand.New(rand.NewSource(77))
 		for trial := 0; trial < 40; trial++ {
-			h := randomRegisterHistory(r, 3, 7, 0.4)
+			h := typeHistory(r, regX["X"], regOps, 3, 7, 0.4)
 			for tt := 0; tt <= h.Len(); tt += 2 {
 				dec, err := TLinearizable(regX["X"], h, tt, Options{})
 				if err != nil {

@@ -72,7 +72,7 @@ func (Sim) Run(s Scenario) (*Report, error) {
 	}
 
 	objs := map[string]spec.Object{impl.Name(): impl.Spec()}
-	wc, err := check.WeaklyConsistent(objs, h, s.Check)
+	wc, badOp, err := check.WeaklyConsistentExplain(objs, h, s.Check)
 	if err != nil {
 		return nil, err
 	}
@@ -92,21 +92,25 @@ func (Sim) Run(s Scenario) (*Report, error) {
 		rep.Trend = trendInfo(v)
 	}
 
+	// Definition 3: t-linearizable within the tolerance, and weakly consistent.
 	switch {
 	case s.Tolerance < 0:
 		rep.Verdict = VerdictOK
 		rep.Detail = "observe-only (negative tolerance)"
-	case minT <= s.Tolerance:
-		rep.Verdict = VerdictOK
-		if minT == 0 {
-			rep.Detail = "history is linearizable"
-		} else {
-			rep.Detail = fmt.Sprintf("MinT %d within tolerance %d", minT, s.Tolerance)
-		}
-	default:
+	case minT > s.Tolerance:
 		rep.Verdict = VerdictViolation
 		rep.Detail = fmt.Sprintf("MinT %d exceeds tolerance %d", minT, s.Tolerance)
 		rep.Witness = &WitnessInfo{History: h.String(), MinT: minT}
+	case !wc:
+		rep.Verdict = VerdictViolation
+		rep.Detail = "not weakly consistent at " + badOp
+		rep.Witness = &WitnessInfo{History: h.String(), MinT: minT}
+	case minT == 0:
+		rep.Verdict = VerdictOK
+		rep.Detail = "history is linearizable"
+	default:
+		rep.Verdict = VerdictOK
+		rep.Detail = fmt.Sprintf("MinT %d within tolerance %d", minT, s.Tolerance)
 	}
 	return rep, nil
 }

@@ -390,3 +390,34 @@ func TestSimChecksReadOffTrend(t *testing.T) {
 		}
 	}
 }
+
+// TestSimVerdictIsDefinition3: at a tolerance MinT stays within, a history
+// that is not weakly consistent is a violation naming the first failing
+// operation, with the history as its witness; a negative tolerance only
+// observes it, and a weakly consistent history within tolerance is ok.
+func TestSimVerdictIsDefinition3(t *testing.T) {
+	junk := Scenario{Impl: "junk-counter", Procs: 3, Ops: 6, Seed: 1, Tolerance: 35}
+	rep, err := Sim{}.Run(junk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := rep.Checks; *c.MinT != 35 || *c.WeaklyConsistent {
+		t.Fatalf("checks: MinT %d, weakly consistent %v; want 35, false", *c.MinT, *c.WeaklyConsistent)
+	}
+	const detail = "not weakly consistent at p1 junk-counter.fetchinc -> 101 [1,5]"
+	if rep.Verdict != VerdictViolation || rep.Detail != detail {
+		t.Errorf("verdict %s (%s), want violation (%s)", rep.Verdict, rep.Detail, detail)
+	}
+	if w := rep.Witness; w == nil || w.History != rep.History().String() || w.MinT != 35 {
+		t.Errorf("witness %+v, want the history at MinT 35", w)
+	}
+
+	junk.Tolerance = -1
+	if rep, err = (Sim{}).Run(junk); err != nil || rep.Verdict != VerdictOK || rep.Witness != nil {
+		t.Errorf("observe-only: %v, verdict %s (%s)", err, rep.Verdict, rep.Detail)
+	}
+	warm := Scenario{Impl: "warmup-counter:2", Procs: 2, Ops: 2, Chooser: "stale", Policy: "window:2", Seed: 5, Tolerance: 3}
+	if rep, err = (Sim{}).Run(warm); err != nil || rep.Verdict != VerdictOK || !*rep.Checks.WeaklyConsistent {
+		t.Errorf("weakly consistent within tolerance: %v, verdict %s (%s)", err, rep.Verdict, rep.Detail)
+	}
+}
