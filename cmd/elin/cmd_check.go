@@ -124,9 +124,9 @@ func runCheck(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "trend: %s  final MinT: %d  slope: %.4f\n", v.Trend, v.FinalMinT, v.Slope)
+		fmt.Fprintf(out, "trend: %s  final MinT: %s  slope: %.4f\n", v.Trend, mintText(v.FinalMinT), v.Slope)
 		for _, s := range v.Samples {
-			fmt.Fprintf(out, "  events %5d  MinT %5d\n", s.Events, s.MinT)
+			fmt.Fprintf(out, "  events %5d  MinT %5s\n", s.Events, mintText(s.MinT))
 		}
 	case "legal":
 		ok, err := check.Legal(objs, h)
@@ -141,18 +141,26 @@ func runCheck(args []string, out io.Writer) error {
 		}
 		names := h.Objects()
 		for _, name := range names {
-			fmt.Fprintf(out, "t_%s = %d (of %d events in H|%s)\n",
-				name, local[name], h.ByObject(name).Len(), name)
+			fmt.Fprintf(out, "t_%s = %s (of %d events in H|%s)\n",
+				name, mintText(local[name]), h.ByObject(name).Len(), name)
 		}
 		lift, err := check.MinTGlobalUpper(objs, h, opts)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "global MinT <= %d (Lemma 7 lift, of %d events)\n", lift, h.Len())
+		fmt.Fprintf(out, "global MinT <= %s (Lemma 7 lift, of %d events)\n", mintText(lift), h.Len())
 	default:
 		return fmt.Errorf("unknown mode %q", *mode)
 	}
 	return nil
+}
+
+// mintText prints a MinT, or "none" for -1: no t works.
+func mintText(t int) string {
+	if t < 0 {
+		return "none"
+	}
+	return fmt.Sprint(t)
 }
 
 func printWitness(out io.Writer, obj spec.Object, h *history.History, t int, opts check.Options) error {

@@ -15,6 +15,7 @@ import (
 func runSim(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("elin sim", flag.ContinueOnError)
 	sf := addScenarioFlags(fs, "cas-counter", 2, 3, "window:4", 0)
+	fs.Lookup("seed").Usage = "random seed, read by the schedulers random and burst:N and the choosers stale and mix:P (an rr run with chooser true ignores it)"
 	sched := fs.String("sched", "rr", "scheduler: rr | random | solo:P | burst:N")
 	chooser := fs.String("chooser", "stale", "EL response chooser: true | stale | mix:P")
 	maxSteps := fs.Int("max-steps", 0, "step bound (0 = default)")

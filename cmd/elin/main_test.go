@@ -171,6 +171,7 @@ func writeHistory(t *testing.T, content string) string {
 
 func TestCheckModes(t *testing.T) {
 	path := writeHistory(t, dupHistory)
+	reads := writeHistory(t, "inv p0 X read\nres p0 X 0\ninv p1 X read\nres p1 X 0\n")
 	cases := []struct {
 		args []string
 		want string
@@ -183,6 +184,9 @@ func TestCheckModes(t *testing.T) {
 		{[]string{"check", "-obj", "X=fetchinc", "-mode", "track", "-stride", "2", path}, "trend:"},
 		{[]string{"check", "-obj", "X=fetchinc", "-mode", "mintlocal", path}, "t_X = 3"},
 		{[]string{"check", "-obj", "X=fetchinc", "-mode", "mint", "-witness", path}, "witness 3-linearization"},
+		// Two completed reads: fetch&inc cannot apply them, so no t works.
+		{[]string{"check", "-obj", "X=fetchinc", "-mode", "track", reads}, "final MinT: none"},
+		{[]string{"check", "-obj", "X=fetchinc", "-mode", "mintlocal", reads}, "t_X = none (of 4 events in H|X)\nglobal MinT <= none"},
 	}
 	for _, tc := range cases {
 		var buf bytes.Buffer

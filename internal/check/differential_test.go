@@ -211,7 +211,19 @@ func differ(obj spec.Object, h *history.History) string {
 		}
 	})
 	stride := 1 + h.Len()%3
-	ask("TrackMinT", "", func(o Options) string {
+	var track []Sample // the oracle's MinT of each prefix TrackMinT samples, -1 for none
+	for k := stride; oracle; k += stride {
+		k = min(k, h.Len())
+		t, ok := bruteMinT(obj, h.Prefix(k))
+		if !ok {
+			t = -1
+		}
+		track = append(track, Sample{Events: k, MinT: t})
+		if k == h.Len() {
+			break
+		}
+	}
+	ask("TrackMinT", fmt.Sprint(track, false), func(o Options) string {
 		v, err := TrackMinT(obj, h, stride, o)
 		return fmt.Sprint(v.Samples, err != nil)
 	})

@@ -194,7 +194,7 @@ func (m *Incremental) Verdict() Verdict {
 	if len(m.samples) > 0 {
 		v.FinalMinT = m.samples[len(m.samples)-1].MinT
 	}
-	v.Trend, v.Slope = Classify(m.samples)
+	v.Trend, v.Slope = classify(m.samples)
 	return v
 }
 

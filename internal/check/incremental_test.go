@@ -189,7 +189,7 @@ func TestIncrementalNegativeMaxTObserves(t *testing.T) {
 }
 
 // ----------------------------------------------------------------------------
-// Trend classification edge cases (Classify is also the TrackMinT backend).
+// Trend classification edge cases (classify is also the TrackMinT backend).
 
 func TestClassifyEdgeCases(t *testing.T) {
 	mk := func(minTs ...int) []Sample {
@@ -215,17 +215,17 @@ func TestClassifyEdgeCases(t *testing.T) {
 		{"spike-then-recover", mk(0, 0, 0, 50, 0, 0), TrendInconclusive},
 	}
 	for _, tc := range cases {
-		got, _ := Classify(tc.samples)
+		got, _ := classify(tc.samples)
 		if got != tc.want {
-			t.Errorf("%s: Classify = %s, want %s", tc.name, got, tc.want)
+			t.Errorf("%s: classify = %s, want %s", tc.name, got, tc.want)
 		}
 	}
 	// Slope sanity: a pure plateau has zero slope, steady growth a positive
 	// one.
-	if _, slope := Classify(mk(3, 3, 3, 3, 3, 3)); slope != 0 {
+	if _, slope := classify(mk(3, 3, 3, 3, 3, 3)); slope != 0 {
 		t.Errorf("plateau slope = %v, want 0", slope)
 	}
-	if _, slope := Classify(mk(5, 10, 15, 20, 25, 30)); slope <= 0 {
+	if _, slope := classify(mk(5, 10, 15, 20, 25, 30)); slope <= 0 {
 		t.Errorf("growth slope = %v, want > 0", slope)
 	}
 }

@@ -159,13 +159,13 @@ func minT(obj spec.Object, tb *history.OpTable, opts Options, sc *scratch) (int,
 
 // MinTLocal returns the per-object minimum t values {t_o} of Lemma 7: for
 // each object o in h, the least t_o such that H|o is t_o-linearizable
-// (counted in H|o's own events).
+// (counted in H|o's own events), or -1 when no t works for o.
 func MinTLocal(objs map[string]spec.Object, h *history.History, opts Options) (map[string]int, error) {
 	out := make(map[string]int)
 	_, _, err := eachObject(objs, h, func(name string, obj spec.Object, proj *history.History) (bool, error) {
 		t, ok, err := MinT(obj, proj, opts)
-		if err == nil && !ok {
-			err = errors.New("not t-linearizable for any t (non-total type?)")
+		if !ok {
+			t = -1
 		}
 		out[name] = t
 		return true, err
@@ -179,7 +179,7 @@ func MinTLocal(objs map[string]spec.Object, h *history.History, opts Options) (m
 // MinTGlobalUpper lifts per-object t_o values to a global t via the
 // construction in the proof of Lemma 7: the least t such that the first t
 // events of h include, for every object o, the first t_o events of H|o.
-// It is an upper bound for the exact global MinT.
+// It is an upper bound for the exact global MinT; -1 when an object has none.
 func MinTGlobalUpper(objs map[string]spec.Object, h *history.History, opts Options) (int, error) {
 	local, err := MinTLocal(objs, h, opts)
 	if err != nil {
@@ -187,7 +187,10 @@ func MinTGlobalUpper(objs map[string]spec.Object, h *history.History, opts Optio
 	}
 	t := 0
 	for name, to := range local {
-		if to == 0 {
+		switch {
+		case to < 0:
+			return -1, nil
+		case to == 0:
 			continue
 		}
 		idx := h.ObjectEventIndex(name)

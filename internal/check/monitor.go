@@ -11,7 +11,7 @@ import (
 type Sample struct {
 	// Events is the prefix length (number of events).
 	Events int
-	// MinT is the least t for which the prefix is t-linearizable.
+	// MinT is the least t for which the prefix is t-linearizable, or -1 if none.
 	MinT int
 }
 
@@ -70,7 +70,7 @@ type Verdict struct {
 // of its prefixes is eventually constant. The last sample is the whole
 // history's MinT, and the history is linearizable iff it is 0. The prefixes
 // share one operation table, extended by each stride, and one scratch, as a
-// monitor's windows do.
+// monitor's windows do. A prefix no t works for is sampled as MinT -1.
 func TrackMinT(obj spec.Object, h *history.History, stride int, opts Options) (Verdict, error) {
 	if stride <= 0 {
 		stride = 1
@@ -91,7 +91,7 @@ func TrackMinT(obj spec.Object, h *history.History, stride int, opts Options) (V
 			return Verdict{}, fmt.Errorf("prefix %d: %w", k, err)
 		}
 		if !ok {
-			return Verdict{}, fmt.Errorf("prefix %d: not t-linearizable for any t", k)
+			t = -1
 		}
 		v.Samples = append(v.Samples, Sample{Events: k, MinT: t})
 		if last {
@@ -99,18 +99,8 @@ func TrackMinT(obj spec.Object, h *history.History, stride int, opts Options) (V
 		}
 	}
 	v.FinalMinT = v.Samples[len(v.Samples)-1].MinT
-	v.Trend, v.Slope = Classify(v.Samples)
+	v.Trend, v.Slope = classify(v.Samples)
 	return v, nil
-}
-
-// Classify labels the growth trend of a MinT sample series and returns the
-// least-squares slope its label is based on. It is the classification shared
-// by TrackMinT (post-hoc prefixes) and Incremental (live windows); callers
-// with their own sampling loops can feed it directly. Fewer than four
-// samples are always inconclusive.
-func Classify(samples []Sample) (Trend, float64) {
-	slope := tailSlope(samples)
-	return classify(samples, slope), slope
 }
 
 // tailSlope fits MinT = a + b*Events over the second half of the samples
@@ -136,12 +126,16 @@ func tailSlope(samples []Sample) float64 {
 	return (n*sxy - sx*sy) / den
 }
 
-// classify labels the trend: constant MinT over the tail is stabilized;
-// persistent growth (slope above 2% of an event per event, and a new
-// maximum in the final sample) is diverging.
-func classify(samples []Sample, slope float64) Trend {
+// classify labels the growth trend of a MinT sample series and returns the
+// least-squares slope its label is based on; TrackMinT (post-hoc prefixes)
+// and Incremental (live windows) share it. Constant MinT over the tail is
+// stabilized; persistent growth (slope above 2% of an event per event, and
+// a new maximum in the final sample) is diverging. Fewer than four samples
+// are always inconclusive.
+func classify(samples []Sample) (Trend, float64) {
+	slope := tailSlope(samples)
 	if len(samples) < 4 {
-		return TrendInconclusive
+		return TrendInconclusive, slope
 	}
 	tail := samples[len(samples)/2:]
 	minT, maxT := tail[0].MinT, tail[0].MinT
@@ -153,12 +147,12 @@ func classify(samples []Sample, slope float64) Trend {
 			maxT = s.MinT
 		}
 	}
-	if minT == maxT {
-		return TrendStabilized
-	}
 	last := samples[len(samples)-1]
-	if slope > 0.02 && last.MinT == maxT {
-		return TrendDiverging
+	switch {
+	case minT == maxT:
+		return TrendStabilized, slope
+	case slope > 0.02 && last.MinT == maxT:
+		return TrendDiverging, slope
 	}
-	return TrendInconclusive
+	return TrendInconclusive, slope
 }

@@ -81,9 +81,6 @@ func (im *Impl) Name() string { return im.name }
 // Spec implements machine.Impl.
 func (im *Impl) Spec() spec.Object { return im.inner }
 
-// Batch returns the promotion batch K.
-func (im *Impl) Batch() int64 { return im.batch }
-
 // Bases implements machine.Impl: one linearizable append-only log.
 func (im *Impl) Bases() []machine.Base {
 	return []machine.Base{{Name: "L", Obj: spec.NewObject(spec.OpLog{})}}

@@ -97,9 +97,12 @@ func (Sim) Run(s Scenario) (*Report, error) {
 	case s.Tolerance < 0:
 		rep.Verdict = VerdictOK
 		rep.Detail = "observe-only (negative tolerance)"
-	case minT > s.Tolerance:
+	case minT < 0 || minT > s.Tolerance:
 		rep.Verdict = VerdictViolation
 		rep.Detail = fmt.Sprintf("MinT %d exceeds tolerance %d", minT, s.Tolerance)
+		if minT < 0 {
+			rep.Detail = "not t-linearizable for any t"
+		}
 		rep.Witness = &WitnessInfo{History: h.String(), MinT: minT}
 	case !wc:
 		rep.Verdict = VerdictViolation

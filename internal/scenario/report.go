@@ -64,8 +64,8 @@ type Checks struct {
 	// computed.
 	Linearizable     *bool `json:"linearizable,omitempty"`
 	WeaklyConsistent *bool `json:"weakly_consistent,omitempty"`
-	// MinT is the least t making the history t-linearizable; nil when the
-	// history is not t-linearizable for any t or the check did not run.
+	// MinT is the least t making the history t-linearizable, -1 when no t
+	// works; nil when the check did not run.
 	MinT *int `json:"min_t,omitempty"`
 	// ReplayIdentical reports the Live engine's byte-identical replay
 	// verification (reproducibility from seed + commit order).

@@ -129,8 +129,9 @@ type Scenario struct {
 	Check check.Options
 	// Workers is the exploration worker count (Explore; 0 = GOMAXPROCS).
 	Workers int
-	// Seed pins all randomness (Sim scheduling/choosing, Live per-client
-	// streams and response choices).
+	// Seed pins all randomness: Live's client streams and response choices,
+	// and in Sim only the schedulers random and burst:N and the choosers
+	// stale and mix:P, so a Sim run under rr and true ignores it.
 	Seed int64
 
 	// Dedup merges equivalent configurations during AnalysisValency.

@@ -420,4 +420,10 @@ func TestSimVerdictIsDefinition3(t *testing.T) {
 	if rep, err = (Sim{}).Run(warm); err != nil || rep.Verdict != VerdictOK || !*rep.Checks.WeaklyConsistent {
 		t.Errorf("weakly consistent within tolerance: %v, verdict %s (%s)", err, rep.Verdict, rep.Detail)
 	}
+	// A counter's reads are operations fetch&inc cannot apply: no t works,
+	// which is a violation at any tolerance, as in a monitor window.
+	reads := Scenario{Impl: "cas-counter", Workload: "uniform:read", Procs: 2, Ops: 2, Tolerance: 1 << 20}
+	if rep, err = (Sim{}).Run(reads); err != nil || rep.Verdict != VerdictViolation || *rep.Checks.MinT != -1 {
+		t.Errorf("no t works: %v, verdict %s (%s)", err, rep.Verdict, rep.Detail)
+	}
 }

@@ -172,21 +172,13 @@ func (s *System) BaseHistory() *history.History { return s.baseHist }
 
 // StabilizedAt returns, per eventually linearizable base, the
 // implemented-level event index at which it stabilized (-1 if it has not).
-// The map is a fresh copy; hot paths use StabilizedIndex instead.
+// The map is a fresh copy.
 func (s *System) StabilizedAt() map[string]int {
 	out := make(map[string]int, len(s.stabilizedAt))
 	for k, v := range s.stabilizedAt {
 		out[k] = v
 	}
 	return out
-}
-
-// StabilizedIndex returns the stabilization event index of the named
-// eventually linearizable base (-1 while unstabilized) without copying the
-// tracking map. The second result is false when the base is not tracked.
-func (s *System) StabilizedIndex(name string) (int, bool) {
-	at, ok := s.stabilizedAt[name]
-	return at, ok
 }
 
 // BaseStates returns the current state of every base object by name.

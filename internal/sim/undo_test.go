@@ -259,31 +259,5 @@ func TestEnabledDoesNotAllocateOnHotPath(t *testing.T) {
 	}
 }
 
-func TestStabilizedIndexMatchesMap(t *testing.T) {
-	sys, err := NewSystem(elconsensus.Impl{}, UniformWorkloadProposals(2, 1),
-		base.SamePolicy(base.Window{K: 1}), check.Options{}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for !sys.Done() {
-		if err := sys.Advance(sys.Enabled()[0], 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m := sys.StabilizedAt()
-	if len(m) == 0 {
-		t.Fatal("no tracked bases")
-	}
-	for name, at := range m {
-		got, ok := sys.StabilizedIndex(name)
-		if !ok || got != at {
-			t.Fatalf("StabilizedIndex(%q) = %d,%v; map has %d", name, got, ok, at)
-		}
-	}
-	if _, ok := sys.StabilizedIndex("no-such-base"); ok {
-		t.Fatal("unknown base reported as tracked")
-	}
-}
-
 // undoDepth returns the number of recorded steps available to Undo.
 func undoDepth(s *System) int { return len(s.undo) }
