@@ -142,12 +142,7 @@ func (a *Atomic) Restore(s Snapshot) {
 
 // AppendFingerprint implements Object.
 func (a *Atomic) AppendFingerprint(b []byte) []byte {
-	b, ok := spec.AppendFPState(b, a.state)
-	if !ok {
-		// Unsupported state kinds cannot occur for the concrete types in
-		// spec; fall back to a marker so fingerprints stay deterministic.
-		b = append(b, '?')
-	}
+	b = spec.AppendFPState(b, a.state)
 	return spec.AppendFPInt(b, int64(a.steps))
 }
 
@@ -208,7 +203,6 @@ func Immediate() Policy { return Window{K: 0} }
 // index, and weakly consistent throughout — i.e. eventually linearizable.
 type Eventual struct {
 	name   string
-	typ    spec.Type
 	obj    spec.Object
 	state  spec.State
 	steps  int
@@ -237,7 +231,6 @@ func NewEventual(name string, obj spec.Object, policy Policy, opts check.Options
 	}
 	return &Eventual{
 		name:   name,
-		typ:    obj.Type,
 		obj:    obj,
 		state:  obj.Init,
 		policy: policy,
@@ -256,23 +249,23 @@ func (e *Eventual) Stabilized() bool { return e.policy.Stabilized(e.steps) }
 // Policy returns the stabilization policy.
 func (e *Eventual) Policy() Policy { return e.policy }
 
-// trueResponse computes the response a linearizable object would give.
-func (e *Eventual) trueResponse(op spec.Op) (int64, error) {
-	out, n := e.typ.Step(e.state, op, 0)
+// step is what a linearizable object would do with op in the current state.
+func (e *Eventual) step(op spec.Op) (spec.Outcome, error) {
+	out, n := e.obj.Type.Step(e.state, op, 0)
 	if n == 0 {
-		return 0, fmt.Errorf("base: %s (%s) rejects %s in state %v", e.name, e.typ.Name(), op, e.state)
+		return out, fmt.Errorf("base: %s (%s) rejects %s in state %v", e.name, e.obj.Type.Name(), op, e.state)
 	}
-	return out.Resp, nil
+	return out, nil
 }
 
 // AppendCandidates implements Object. The true response is always first;
 // pre-stabilization, every other weakly consistent response follows.
 func (e *Eventual) AppendCandidates(buf []int64, proc int, op spec.Op) ([]int64, error) {
-	truth, err := e.trueResponse(op)
+	truth, err := e.step(op)
 	if err != nil {
 		return buf, err
 	}
-	buf = append(buf, truth)
+	buf = append(buf, truth.Resp)
 	if e.Stabilized() {
 		return buf, nil
 	}
@@ -291,16 +284,16 @@ func (e *Eventual) AppendCandidates(buf []int64, proc int, op spec.Op) ([]int64,
 	if err != nil {
 		return buf, fmt.Errorf("base: %s candidates: %w", e.name, err)
 	}
-	weak := slices.DeleteFunc(buf[from:], func(r int64) bool { return r == truth })
+	weak := slices.DeleteFunc(buf[from:], func(r int64) bool { return r == truth.Resp })
 	return buf[:from+len(weak)], nil
 }
 
 // Commit implements Object: the mutation follows the type's transition in
 // commit order regardless of the (possibly stale) response handed out.
 func (e *Eventual) Commit(proc int, op spec.Op, resp int64) error {
-	out, n := e.typ.Step(e.state, op, 0)
-	if n == 0 {
-		return fmt.Errorf("base: %s (%s) rejects %s in state %v", e.name, e.typ.Name(), op, e.state)
+	out, err := e.step(op)
+	if err != nil {
+		return err
 	}
 	if e.Stabilized() && resp != out.Resp {
 		return fmt.Errorf("base: %s stabilized commit of %s with response %d, want %d",
@@ -345,10 +338,7 @@ func (e *Eventual) Restore(s Snapshot) {
 // against it: two Eventual objects behave identically iff state, step count
 // and log agree.
 func (e *Eventual) AppendFingerprint(b []byte) []byte {
-	b, ok := spec.AppendFPState(b, e.state)
-	if !ok {
-		b = append(b, '?')
-	}
+	b = spec.AppendFPState(b, e.state)
 	b = spec.AppendFPInt(b, int64(e.steps))
 	return e.log.AppendFingerprint(b)
 }

@@ -28,7 +28,7 @@ func TestAtomicRegister(t *testing.T) {
 	if a.Steps() != 1 {
 		t.Fatalf("steps = %d", a.Steps())
 	}
-	if a.State() != int64(7) {
+	if a.State() != spec.IntState(7) {
 		t.Fatalf("state = %v", a.State())
 	}
 	// Committing a wrong response is rejected.
@@ -44,7 +44,7 @@ func TestAtomicRegister(t *testing.T) {
 	if err := c.Commit(0, spec.MakeOp1(spec.MethodWrite, 9), 0); err != nil {
 		t.Fatal(err)
 	}
-	if a.State() != int64(7) {
+	if a.State() != spec.IntState(7) {
 		t.Error("clone mutation leaked into original")
 	}
 }
@@ -54,7 +54,7 @@ func TestAtomicRejectsNondeterministicType(t *testing.T) {
 	nd := &spec.TableType{
 		TypeName: "coin", NStates: 1, Ops: []spec.Op{flip},
 		Delta: map[spec.TableKey][]spec.Outcome{
-			{State: 0, Op: flip}: {{Resp: 0, Next: int64(0)}, {Resp: 1, Next: int64(0)}},
+			{State: 0, Op: flip}: {{Resp: 0, Next: spec.IntState(0)}, {Resp: 1, Next: spec.IntState(0)}},
 		},
 	}
 	if _, err := NewAtomic("N", spec.NewObject(nd)); err == nil {
@@ -161,7 +161,7 @@ func TestEventualMutationsAlwaysApply(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if e.State() != int64(3) {
+	if e.State() != spec.IntState(3) {
 		t.Fatalf("state = %v, want 3", e.State())
 	}
 }

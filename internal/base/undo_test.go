@@ -21,11 +21,11 @@ func TestAtomicSnapshotRestore(t *testing.T) {
 	if err := a.Commit(1, fi, 1); err != nil {
 		t.Fatal(err)
 	}
-	if a.State() != int64(2) || a.Steps() != 2 {
+	if a.State() != spec.IntState(2) || a.Steps() != 2 {
 		t.Fatalf("state %v steps %d", a.State(), a.Steps())
 	}
 	a.Restore(snap)
-	if a.State() != int64(1) || a.Steps() != 1 {
+	if a.State() != spec.IntState(1) || a.Steps() != 1 {
 		t.Fatalf("restore: state %v steps %d", a.State(), a.Steps())
 	}
 	// The undone step must replay identically.
@@ -55,7 +55,7 @@ func TestEventualSnapshotRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Restore(snap)
-	if e.State() != int64(1) || e.Steps() != 1 {
+	if e.State() != spec.IntState(1) || e.Steps() != 1 {
 		t.Fatalf("restore: state %v steps %d", e.State(), e.Steps())
 	}
 	after, err := e.AppendCandidates(nil, 1, read)

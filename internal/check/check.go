@@ -61,22 +61,12 @@ type Options struct {
 	NoMemo bool
 }
 
-// applicable decides Step's applicability, in any int64 state, for the four
-// types with type-specialised paths (register, fetch&inc, test&set,
-// consensus) from the method, the argument count and a non-negative proposal:
-// no path asks Step, whose Next boxes a rebased counter.
+// applicable decides Step's applicability for the four types with fast
+// paths (register, fetch&inc, test&set, consensus): theirs depends on the
+// operation alone, so Step in the zero state answers for every state.
 func applicable(typ spec.Type, op *spec.Op) bool {
-	switch typ.(type) {
-	case spec.Register:
-		return op.Method == spec.MethodRead && op.NArgs == 0 || op.Method == spec.MethodWrite && op.NArgs == 1
-	case spec.FetchInc:
-		return op.Method == spec.MethodFetchInc && op.NArgs == 0
-	case spec.TestSet:
-		return op.Method == spec.MethodTestSet && op.NArgs == 0
-	case spec.Consensus:
-		return op.Method == spec.MethodPropose && op.NArgs == 1 && op.Args[0] >= 0
-	}
-	return false
+	_, n := typ.Step(spec.State{}, *op, 0)
+	return n > 0
 }
 
 func (o Options) budget() int64 {

@@ -79,7 +79,7 @@ func TestConsensusConcurrentLeader(t *testing.T) {
 }
 
 func TestConsensusPreDecided(t *testing.T) {
-	obj := spec.Object{Type: spec.Consensus{}, Init: int64(4)}
+	obj := spec.Object{Type: spec.Consensus{}, Init: spec.IntState(4)}
 	h := build(t).
 		call(0, "X", prop(9), 4).
 		call(1, "X", prop(1), 4).h

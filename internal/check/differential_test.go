@@ -35,10 +35,10 @@ var (
 var diffKinds = []diffKind{
 	{"register", spec.NewObject(spec.Register{}), append(slices.Clip(regOps), fi, spec.MakeOp1(spec.MethodRead, 1))},
 	{"fetchinc", spec.NewObject(spec.FetchInc{}), []spec.Op{fi, fi, fi, fi, fi, rd}},
-	{"fetchinc-init2", spec.Object{Type: spec.FetchInc{InitVal: 2}, Init: int64(2)}, []spec.Op{fi, fi, fi, fi, fi, rd}},
+	{"fetchinc-init2", spec.Object{Type: spec.FetchInc{InitVal: 2}, Init: spec.IntState(2)}, []spec.Op{fi, fi, fi, fi, fi, rd}},
 	{"testset", spec.NewObject(spec.TestSet{}), []spec.Op{ts, ts, ts, ts, rd}},
 	{"consensus", spec.NewObject(spec.Consensus{}), propOps},
-	{"consensus-decided", spec.Object{Type: spec.Consensus{}, Init: int64(2)}, propOps},
+	{"consensus-decided", spec.Object{Type: spec.Consensus{}, Init: spec.IntState(2)}, propOps},
 	{"coin", spec.NewObject(coinType()), append(slices.Clip(coinType().Ops), fi)},
 }
 
@@ -292,7 +292,7 @@ func differ(obj spec.Object, h *history.History) string {
 func TestDifferential(t *testing.T) {
 	fetchInc := spec.NewObject(spec.FetchInc{})
 	cons := spec.NewObject(spec.Consensus{})
-	decided := spec.Object{Type: spec.Consensus{}, Init: int64(3)}
+	decided := spec.Object{Type: spec.Consensus{}, Init: spec.IntState(3)}
 	for _, row := range []struct {
 		name string
 		obj  spec.Object

@@ -37,8 +37,8 @@ type scratch struct {
 //     eligibility is upward closed in the slot, so scanning gaps in
 //     ascending order and consuming any eligible filler is exact.
 //
-// An operation fetch&inc cannot apply fails the history when completed and
-// is dropped when pending (the package rule).
+// A pending operation fetch&inc cannot apply is dropped; a completed one has
+// failed the table before any probe (admissible).
 //
 // Complexity: O(n) on a prepared table of n operations. The table lists the
 // operations by invocation and the completed ones by response, so the
@@ -46,16 +46,11 @@ type scratch struct {
 // slot, and it meets the pending operations in ascending order of their
 // lower bounds; no sort, and no map — occupied slots are a bitset in sc.
 func fetchIncTLinearizable(obj spec.Object, tb *history.OpTable, t int, sc *scratch) (bool, error) {
-	initVal, ok := obj.Init.(int64)
+	initVal, ok := obj.Init.Int()
 	if !ok {
 		return false, fmt.Errorf("check: fetch&inc initial state %v is not int64", obj.Init)
 	}
 	ops := tb.Ops
-	for i := range ops {
-		if ops[i].Res >= 0 && !applicable(obj.Type, &ops[i].Op) {
-			return false, nil
-		}
-	}
 
 	// Constrained operations (response in the suffix) carry fixed slots;
 	// ByRes is in response order, so they are its tail.
@@ -153,7 +148,7 @@ func fetchIncTLinearizable(obj spec.Object, tb *history.OpTable, t int, sc *scra
 // the constrained operations fill an initial segment of the naturals, any
 // prefix-answered operation is forced to ever larger slots.
 func FetchIncSlots(obj spec.Object, h *history.History, t int) (map[int]int64, error) {
-	initVal, ok := obj.Init.(int64)
+	initVal, ok := obj.Init.Int()
 	if !ok {
 		return nil, fmt.Errorf("check: fetch&inc initial state %v is not int64", obj.Init)
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 func TestFetchIncFastPathNonzeroInit(t *testing.T) {
-	obj := spec.Object{Type: spec.FetchInc{InitVal: 10}, Init: int64(10)}
+	obj := spec.Object{Type: spec.FetchInc{InitVal: 10}, Init: spec.IntState(10)}
 	h := history.New()
 	for i := int64(10); i < 14; i++ {
 		if err := h.Call(0, "X", spec.MakeOp(spec.MethodFetchInc), i); err != nil {

@@ -342,7 +342,7 @@ func TestIncrementalPendingAtWindowCut(t *testing.T) {
 			if v, err := m.Finish(); v != nil || err != nil {
 				t.Fatalf("%s: Finish: violation %v, error %v", label, v, err)
 			}
-			if got := m.obj.Init; got != row.completed {
+			if got, _ := m.obj.Init.Int(); got != row.completed {
 				t.Errorf("%s: rebased counter %v, want %d (each completed operation folded once)", label, got, row.completed)
 			}
 			skipped := 0

@@ -3,6 +3,7 @@ package check
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"github.com/elin-go/elin/internal/history"
@@ -29,11 +30,33 @@ func TLinearizable(obj spec.Object, h *history.History, t int, opts Options) (bo
 	}
 	var tb history.OpTable
 	tb.Fill(h)
+	if !admissible(obj.Type, tb.Ops, opts) {
+		return false, nil
+	}
 	return tLinearizable(obj, &tb, t, opts, &scratch{})
 }
 
-// tLinearizable is TLinearizable on a prepared operation table: every probe
-// of a MinT search, and the rebase fold after it, share one table.
+// admissible is what the fast paths decide once per table rather than once
+// per probe: a completed operation its type cannot apply fails the history
+// at every t (the package rule). The generic engine finds that in its
+// search, so it admits every table.
+func admissible(typ spec.Type, ops []history.Operation, opts Options) bool {
+	if opts.NoFastPath {
+		return true
+	}
+	switch typ.(type) {
+	case spec.FetchInc, spec.Consensus:
+		for i := range ops {
+			if !ops[i].Pending() && !applicable(typ, &ops[i].Op) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// tLinearizable is TLinearizable on a prepared, admissible operation table:
+// every probe of a MinT search, and the rebase fold after it, share one table.
 func tLinearizable(obj spec.Object, tb *history.OpTable, t int, opts Options, sc *scratch) (bool, error) {
 	if t < 0 {
 		t = 0
@@ -129,6 +152,9 @@ func MinT(obj spec.Object, h *history.History, opts Options) (int, bool, error) 
 // failed probe pays the binary search over (0, Len]. A probe that exhausts
 // its budget decides nothing, so the search then covers [0, Len].
 func minT(obj spec.Object, tb *history.OpTable, opts Options, sc *scratch) (int, bool, error) {
+	if !admissible(obj.Type, tb.Ops, opts) {
+		return 0, false, nil
+	}
 	lo, hi := 1, tb.Events
 	switch ok, err := tLinearizable(obj, tb, 0, opts, sc); {
 	case errors.Is(err, ErrBudget):
@@ -224,33 +250,33 @@ func productOf(objs map[string]spec.Object, h *history.History) (spec.Object, *h
 	tb.Fill(h)
 	names := h.Objects()
 	place := make(map[string]int, len(names))
-	init := make([]spec.State, len(names))
+	row := make([]spec.State, len(names))
 	for i, name := range names {
 		obj, ok := objs[name]
 		if !ok {
 			return spec.Object{}, nil, fmt.Errorf("check: no specification for object %q", name)
 		}
-		place[name], init[i] = i, obj.Init
+		place[name], row[i] = i, obj.Init
 	}
-	p := &product{ops: make([]productOp, len(tb.Ops)), rows: make(map[string]*[]spec.State)}
+	p := &product{ops: make([]productOp, len(tb.Ops)), ids: make(map[string]int64)}
 	for i := range tb.Ops {
 		o := &tb.Ops[i]
 		p.ops[i] = productOp{objs[o.Obj].Type, place[o.Obj], o.Op}
 		o.Op = spec.MakeOp1("op", int64(i)) // product's operations are indices
 	}
-	p.init = p.intern(init)
-	return spec.Object{Type: p, Init: p.init}, tb, nil
+	p.intern(row) // row id 0, the initial state
+	return spec.NewObject(p), tb, nil
 }
 
 // product is the type of a multi-object history seen as one object, the
 // input that turns the single-object search into the product-state check.
 // Its operations are the history's operation indices and its states are
-// rows of per-object states, interned so that equal rows are one pointer:
-// memoKey{mask, state} then memoizes product states unchanged.
+// rows of per-object states, interned to integer ids so that equal rows are
+// one id: memoKey{mask, state} then memoizes product states unchanged.
 type product struct {
-	ops  []productOp // by operation index
-	init *[]spec.State
-	rows map[string]*[]spec.State
+	ops  []productOp      // by operation index
+	rows [][]spec.State   // by id
+	ids  map[string]int64 // row fingerprint -> id
 	key  []byte
 	next []spec.State
 }
@@ -264,41 +290,35 @@ type productOp struct {
 }
 
 func (p *product) Name() string        { return "product" }
-func (p *product) Init() spec.State    { return p.init }
+func (p *product) Init() spec.State    { return spec.IntState(0) }
 func (p *product) Deterministic() bool { return false }
 
 func (p *product) Step(s spec.State, op spec.Op, i int) (spec.Outcome, int) {
-	o, row := &p.ops[op.Args[0]], *s.(*[]spec.State)
+	id, _ := s.Int()
+	o, row := &p.ops[op.Args[0]], p.rows[id]
 	out, n := o.typ.Step(row[o.place], o.op, i)
 	if i < n {
-		out.Next = p.with(row, o.place, out.Next)
+		p.next = append(p.next[:0], row...)
+		p.next[o.place] = out.Next
+		out.Next = spec.IntState(p.intern(p.next))
 	}
 	return out, n
 }
 
-// with returns the interned row equal to row with place set to st.
-func (p *product) with(row []spec.State, place int, st spec.State) *[]spec.State {
-	p.next = append(p.next[:0], row...)
-	p.next[place] = st
-	return p.intern(p.next)
-}
-
-// intern returns the one stored row equal to row, keyed by the states'
-// fingerprints; a state with none falls back to fmt.
-func (p *product) intern(row []spec.State) *[]spec.State {
+// intern returns the id of the one stored row equal to row, keyed by the
+// states' fingerprints.
+func (p *product) intern(row []spec.State) int64 {
 	p.key = p.key[:0]
 	for _, st := range row {
-		var ok bool
-		if p.key, ok = spec.AppendFPState(p.key, st); !ok {
-			p.key = fmt.Appendf(append(p.key, '?'), "%v\x00", st)
-		}
+		p.key = spec.AppendFPState(p.key, st)
 	}
-	if r, ok := p.rows[string(p.key)]; ok {
-		return r
+	if id, ok := p.ids[string(p.key)]; ok {
+		return id
 	}
-	r := slices.Clone(row)
-	p.rows[string(p.key)] = &r
-	return &r
+	id := int64(len(p.rows))
+	p.rows = append(p.rows, slices.Clone(row))
+	p.ids[string(p.key)] = id
+	return id
 }
 
 // oneObject is History.SingleObject as the single-object entry points' error.
@@ -436,9 +456,11 @@ func (pr *tlinProblem) dfs(state spec.State, chosen uint64) (bool, error) {
 			return false, nil
 		}
 	}
-	for i := range pr.ops {
-		bit := uint64(1) << uint(i)
-		if chosen&bit != 0 || pr.pred[i]&^chosen != 0 {
+	// The unchosen operations, in ascending index order.
+	for unchosen := ^chosen & (uint64(1)<<uint(len(pr.ops)) - 1); unchosen != 0; unchosen &= unchosen - 1 {
+		i := bits.TrailingZeros64(unchosen)
+		bit := uint64(1) << i
+		if pr.pred[i]&^chosen != 0 {
 			continue
 		}
 		op := &pr.ops[i]

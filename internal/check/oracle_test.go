@@ -143,7 +143,7 @@ func fuzzFetchIncHistory(data []byte) (spec.Object, *history.History, int) {
 			invoked++
 		}
 	}
-	return spec.Object{Type: spec.FetchInc{InitVal: init}, Init: init}, h, int(data[1]) % (h.Len() + 1)
+	return spec.Object{Type: spec.FetchInc{InitVal: init}, Init: spec.IntState(init)}, h, int(data[1]) % (h.Len() + 1)
 }
 
 // FuzzFetchIncTLinearizable: the Lemma 17 kernel's verdict must equal the

@@ -188,8 +188,8 @@ func coinType() *spec.TableType {
 	flip, last := spec.MakeOp("flip"), spec.MakeOp("last")
 	delta := map[spec.TableKey][]spec.Outcome{}
 	for s := int64(0); s < 2; s++ {
-		delta[spec.TableKey{State: s, Op: flip}] = []spec.Outcome{{Resp: 0, Next: int64(0)}, {Resp: 1, Next: int64(1)}}
-		delta[spec.TableKey{State: s, Op: last}] = []spec.Outcome{{Resp: s, Next: s}}
+		delta[spec.TableKey{State: s, Op: flip}] = []spec.Outcome{{Resp: 0, Next: spec.IntState(0)}, {Resp: 1, Next: spec.IntState(1)}}
+		delta[spec.TableKey{State: s, Op: last}] = []spec.Outcome{{Resp: s, Next: spec.IntState(s)}}
 	}
 	return &spec.TableType{TypeName: "coin", NStates: 2, Ops: []spec.Op{flip, last}, Delta: delta}
 }

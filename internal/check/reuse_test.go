@@ -76,7 +76,7 @@ func TestScratchForgetsFailedProbe(t *testing.T) {
 	if ok, err := tLinearizable(regX["X"], &tb, 0, Options{}, &sc); ok || err != nil {
 		t.Fatalf("stale read: %v, %v; want not linearizable", ok, err)
 	}
-	if _, ok := sc.lin.memo[memoKey{mask: 1, state: int64(1)}]; !ok {
+	if _, ok := sc.lin.memo[memoKey{mask: 1, state: spec.IntState(1)}]; !ok {
 		t.Fatalf("the failed probe did not memoize the pair under test: %v", sc.lin.memo)
 	}
 	tb.Fill(build(t).call(0, "X", wr(1), 0).call(1, "X", rd, 1).h)

@@ -391,8 +391,9 @@ func kernelOrder(t *testing.T, obj spec.Object, h *history.History, cut int) []L
 		}
 	}
 	var order []LinStep
+	init, _ := obj.Init.Int()
 	place := func(i int) {
-		order = append(order, LinStep{OpIndex: i, Proc: ops[i].Proc, Op: ops[i].Op, Resp: obj.Init.(int64) + int64(len(order))})
+		order = append(order, LinStep{OpIndex: i, Proc: ops[i].Proc, Op: ops[i].Op, Resp: init + int64(len(order))})
 	}
 	for g := int64(0); g <= top; g++ {
 		if i, ok := at[g]; ok {

@@ -162,7 +162,7 @@ func weakRule(obj spec.Object, ops []history.Operation, k, respIdx int, yield fu
 	default:
 		return false, nil
 	}
-	init, ok := obj.Init.(int64)
+	init, ok := obj.Init.Int()
 	if !ok {
 		return true, fmt.Errorf("check: %s initial state %v is not int64", obj.Type.Name(), obj.Init)
 	}

@@ -96,16 +96,14 @@ func BenchmarkMinT(b *testing.B) {
 	}
 }
 
-// TestIncrementalSteadyStateAllocs pins the full monitor's own machinery at
-// zero allocations per window once its buffers have grown, on both engines
-// and through both Feed and Advance: the two operation tables the rows and
-// the cut write and the scratch are reused — the fetch&inc kernel's
-// buffers, and the generic engine's search, whose predecessor masks and
-// memo map every probe resets. The values stay below 256 throughout, where
-// Go boxes an int64 without allocating: spec.State is an interface, so past
-// that a type's Step allocates 8 bytes per successor state (the 254 allocs/op
-// BenchmarkIncrementalWindow/fi-512 reports), which is the specification
-// layer's cost and not the monitor's to remove.
+// TestIncrementalSteadyStateAllocs pins the full monitor at zero
+// allocations per window once its buffers have grown, on both engines and
+// through both Feed and Advance: the two operation tables the rows and the
+// cut write and the scratch are reused — the fetch&inc kernel's buffers, and
+// the generic engine's search, whose predecessor masks and memo map every
+// probe resets — and a state is a value, so neither a type's Step nor the
+// rebase fold allocates. The -past-255 cases hold values above the small
+// integers Go boxes without allocating, so a state that boxed shows there.
 func TestIncrementalSteadyStateAllocs(t *testing.T) {
 	const warm, runs = 4, 20
 	for _, tc := range []struct {
@@ -119,6 +117,12 @@ func TestIncrementalSteadyStateAllocs(t *testing.T) {
 		}},
 		{"register", spec.NewObject(spec.Register{}), 32, func(ops int) *history.History {
 			return gen.Register(rand.New(rand.NewSource(2)), gen.HistoryConfig{Procs: 4, Ops: ops, PendingBias: 0.5})
+		}},
+		{"fetchinc-past-255", spec.NewObject(spec.FetchInc{InitVal: 1 << 20}), 16, func(ops int) *history.History {
+			return offset(gen.FetchInc(rand.New(rand.NewSource(2)), gen.HistoryConfig{Procs: 4, Ops: ops, PendingBias: 0.3}), 1<<20)
+		}},
+		{"register-past-255", spec.NewObject(spec.Register{InitVal: 1 << 20}), 32, func(ops int) *history.History {
+			return offset(gen.Register(rand.New(rand.NewSource(2)), gen.HistoryConfig{Procs: 4, Ops: ops, PendingBias: 0.5}), 1<<20)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -141,4 +145,27 @@ func TestIncrementalSteadyStateAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// offset returns h as run on an object that starts at off rather than 0:
+// off is added to every argument and to every response but a write's
+// acknowledgement.
+func offset(h *history.History, off int64) *history.History {
+	out := history.New()
+	writing := make(map[int]bool)
+	for _, e := range h.Events() {
+		switch {
+		case e.Kind == history.KindInvoke:
+			writing[e.Proc] = e.Op.Method == spec.MethodWrite
+			for i := range e.Op.NArgs {
+				e.Op.Args[i] += off
+			}
+		case !writing[e.Proc]:
+			e.Resp += off
+		}
+		if err := out.Append(e); err != nil {
+			panic(err)
+		}
+	}
+	return out
 }

@@ -30,7 +30,7 @@ func SequentialWitness(obj spec.Object, must, opt []spec.Op, final spec.Op, resp
 // mandatory or final operation fetch&inc cannot apply leaves no witness; an
 // optional one is dropped.
 func fetchIncWitness(obj spec.Object, must, opt []spec.Op, final spec.Op, resp int64) (bool, error) {
-	init, ok := obj.Init.(int64)
+	init, ok := obj.Init.Int()
 	if !ok || !applicable(obj.Type, &final) {
 		return false, nil
 	}

@@ -225,10 +225,7 @@ func (c *proc) AppendFingerprint(b []byte) ([]byte, bool) {
 		return b, false
 	}
 	b = spec.AppendFPInt(b, c.c)
-	b, ok = spec.AppendFPState(b, c.q)
-	if !ok {
-		return b, false
-	}
+	b = spec.AppendFPState(b, c.q)
 	b = spec.AppendFPInt(b, int64(c.phase))
 	b = spec.AppendFPOp(b, c.op)
 	b = spec.AppendFPInt(b, c.rprivate)

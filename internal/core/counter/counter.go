@@ -42,14 +42,14 @@ func (CAS) Name() string { return "cas-counter" }
 
 // Spec implements machine.Impl.
 func (c CAS) Spec() spec.Object {
-	return spec.Object{Type: spec.FetchInc{InitVal: c.InitVal}, Init: c.InitVal}
+	return spec.NewObject(spec.FetchInc{InitVal: c.InitVal})
 }
 
 // Bases implements machine.Impl: a single linearizable CAS word.
 func (c CAS) Bases() []machine.Base {
 	return []machine.Base{{
 		Name: "C",
-		Obj:  spec.Object{Type: spec.CAS{InitVal: c.InitVal}, Init: c.InitVal},
+		Obj:  spec.NewObject(spec.CAS{InitVal: c.InitVal}),
 	}}
 }
 
@@ -129,7 +129,7 @@ func (s Sloppy) Bases() []machine.Base {
 	for i := range bases {
 		bases[i] = machine.Base{
 			Name:       fmt.Sprintf("Inc%d", i),
-			Obj:        spec.Object{Type: spec.Register{}, Init: int64(0)},
+			Obj:        spec.NewObject(spec.Register{}),
 			Eventually: s.EventualBases,
 		}
 	}
@@ -236,7 +236,7 @@ func (Warmup) Spec() spec.Object { return spec.NewObject(spec.FetchInc{}) }
 func (Warmup) Bases() []machine.Base {
 	return []machine.Base{{
 		Name: "C",
-		Obj:  spec.Object{Type: spec.CAS{}, Init: int64(0)},
+		Obj:  spec.NewObject(spec.CAS{}),
 	}}
 }
 

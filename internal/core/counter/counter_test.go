@@ -57,7 +57,7 @@ func TestCASCounterSolo(t *testing.T) {
 
 func TestCASCounterNonzeroInit(t *testing.T) {
 	impl := CAS{InitVal: 10}
-	if impl.Spec().Init != int64(10) {
+	if impl.Spec().Init != spec.IntState(10) {
 		t.Fatalf("spec init = %v", impl.Spec().Init)
 	}
 	states := initStates(impl)
@@ -78,7 +78,7 @@ func TestCASCounterRetriesAfterInterference(t *testing.T) {
 		t.Fatalf("first action = %v", act)
 	}
 	// Interference: another process increments behind p's back.
-	states[0] = int64(1)
+	states[0] = spec.IntState(1)
 	// p's CAS(0,1) fails; p must re-read and retry with CAS(1,2).
 	act = p.Step(0) // response to read: it saw 0
 	if act.Op.Method != spec.MethodCAS || act.Op.Args[0] != 0 {
@@ -116,7 +116,7 @@ func TestSloppyCounterSeesOthersAnnouncements(t *testing.T) {
 	impl := Sloppy{}
 	states := initStates(impl)
 	// Simulate p1 having announced 3 increments.
-	states[1] = int64(3)
+	states[1] = spec.IntState(3)
 	p := impl.NewProcess(0, 2)
 	if got := drive(t, impl, p, states, fetchinc); got != 3 {
 		t.Fatalf("op returned %d, want 3 (own 1 + others 3 - 1)", got)
@@ -156,7 +156,7 @@ func TestWarmupCounterStaleUnderInterference(t *testing.T) {
 	impl := Warmup{Threshold: 5}
 	states := initStates(impl)
 	// Another process already did 3 increments (still under threshold).
-	states[0] = int64(3)
+	states[0] = spec.IntState(3)
 	p := impl.NewProcess(0, 2)
 	// p's first op: CAS 3->4 succeeds, but 3 < threshold, so p answers its
 	// private count 0 — stale but weakly consistent.
@@ -164,7 +164,7 @@ func TestWarmupCounterStaleUnderInterference(t *testing.T) {
 		t.Fatalf("warmup op returned %d, want stale 0", got)
 	}
 	// Push the count past the threshold; p now answers truthfully.
-	states[0] = int64(7)
+	states[0] = spec.IntState(7)
 	if got := drive(t, impl, p, states, fetchinc); got != 7 {
 		t.Fatalf("post-warmup op returned %d, want 7", got)
 	}

@@ -33,7 +33,7 @@ func (Junk) Spec() spec.Object { return spec.NewObject(spec.FetchInc{}) }
 func (Junk) Bases() []machine.Base {
 	return []machine.Base{{
 		Name: "C",
-		Obj:  spec.Object{Type: spec.CAS{}, Init: int64(0)},
+		Obj:  spec.NewObject(spec.CAS{}),
 	}}
 }
 

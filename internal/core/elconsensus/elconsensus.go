@@ -51,7 +51,7 @@ func (im Impl) Bases() []machine.Base {
 	for i := range bases {
 		bases[i] = machine.Base{
 			Name:       fmt.Sprintf("Proposal%d", i),
-			Obj:        spec.Object{Type: spec.Register{InitVal: spec.NoValue}, Init: spec.NoValue},
+			Obj:        spec.NewObject(spec.Register{InitVal: spec.NoValue}),
 			Eventually: !im.AtomicBases,
 		}
 	}

@@ -49,7 +49,7 @@ func TestSoloProposeDecidesOwnValue(t *testing.T) {
 	if got := soloDrive(t, impl, p, states, spec.MakeOp1(spec.MethodPropose, 9)); got != 42 {
 		t.Fatalf("second propose returned %d, want 42", got)
 	}
-	if states[0] != int64(42) {
+	if states[0] != spec.IntState(42) {
 		t.Fatalf("register overwritten: %v", states[0])
 	}
 }
@@ -58,8 +58,8 @@ func TestLeftmostWins(t *testing.T) {
 	impl := Impl{}
 	states := initStates(impl)
 	// p2 proposes after p0 and p1 already announced.
-	states[0] = int64(10)
-	states[1] = int64(20)
+	states[0] = spec.IntState(10)
+	states[1] = spec.IntState(20)
 	p := impl.NewProcess(2, 3)
 	if got := soloDrive(t, impl, p, states, spec.MakeOp1(spec.MethodPropose, 30)); got != 10 {
 		t.Fatalf("propose returned %d, want leftmost 10", got)
@@ -109,7 +109,7 @@ func TestImplMetadata(t *testing.T) {
 		if !b.Eventually {
 			t.Error("default bases must be eventually linearizable")
 		}
-		if b.Obj.Init != spec.NoValue {
+		if b.Obj.Init != spec.IntState(spec.NoValue) {
 			t.Errorf("base init = %v, want ⊥", b.Obj.Init)
 		}
 	}

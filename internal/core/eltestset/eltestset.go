@@ -79,7 +79,7 @@ func (FromCAS) Spec() spec.Object { return spec.NewObject(spec.TestSet{}) }
 func (FromCAS) Bases() []machine.Base {
 	return []machine.Base{{
 		Name: "C",
-		Obj:  spec.Object{Type: spec.CAS{}, Init: int64(0)},
+		Obj:  spec.NewObject(spec.CAS{}),
 	}}
 }
 

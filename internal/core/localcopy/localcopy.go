@@ -142,10 +142,7 @@ func (c *proc) AppendFingerprint(b []byte) ([]byte, bool) {
 		return b, false
 	}
 	for i := range c.copies {
-		b, ok = spec.AppendFPState(b, c.copies[i].state)
-		if !ok {
-			return b, false
-		}
+		b = spec.AppendFPState(b, c.copies[i].state)
 	}
 	return b, true
 }

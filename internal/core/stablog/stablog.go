@@ -207,9 +207,5 @@ func (m *proc) AppendFingerprint(b []byte) ([]byte, bool) {
 	b = spec.AppendFPInt(b, m.pos)
 	b = spec.AppendFPInt(b, m.scan)
 	b = spec.AppendFPInt(b, m.resp)
-	var ok bool
-	if b, ok = spec.AppendFPState(b, m.replica); !ok {
-		return b, false
-	}
-	return spec.AppendFPState(b, m.specState)
+	return spec.AppendFPState(spec.AppendFPState(b, m.replica), m.specState), true
 }

@@ -65,10 +65,10 @@ func TestWriteOnlyRegisterTrivial(t *testing.T) {
 		NStates:  2,
 		Ops:      []spec.Op{w0, w1},
 		Delta: map[spec.TableKey][]spec.Outcome{
-			{State: 0, Op: w0}: {{Resp: 0, Next: int64(0)}},
-			{State: 0, Op: w1}: {{Resp: 0, Next: int64(1)}},
-			{State: 1, Op: w0}: {{Resp: 0, Next: int64(0)}},
-			{State: 1, Op: w1}: {{Resp: 0, Next: int64(1)}},
+			{State: 0, Op: w0}: {{Resp: 0, Next: spec.IntState(0)}},
+			{State: 0, Op: w1}: {{Resp: 0, Next: spec.IntState(1)}},
+			{State: 1, Op: w0}: {{Resp: 0, Next: spec.IntState(0)}},
+			{State: 1, Op: w1}: {{Resp: 0, Next: spec.IntState(1)}},
 		},
 	}
 	res, err := Decide(tt, 10)
@@ -89,7 +89,7 @@ func TestPartialTypeNonTrivial(t *testing.T) {
 		NStates:  2,
 		Ops:      []spec.Op{a},
 		Delta: map[spec.TableKey][]spec.Outcome{
-			{State: 0, Op: a}: {{Resp: 7, Next: int64(1)}},
+			{State: 0, Op: a}: {{Resp: 7, Next: spec.IntState(1)}},
 			// state 1 has no transition for a.
 		},
 	}
@@ -107,7 +107,7 @@ func TestDecideErrors(t *testing.T) {
 	nd := &spec.TableType{
 		TypeName: "coin", NStates: 1, Ops: []spec.Op{flip},
 		Delta: map[spec.TableKey][]spec.Outcome{
-			{State: 0, Op: flip}: {{Resp: 0, Next: int64(0)}, {Resp: 1, Next: int64(0)}},
+			{State: 0, Op: flip}: {{Resp: 0, Next: spec.IntState(0)}, {Resp: 1, Next: spec.IntState(0)}},
 		},
 	}
 	if _, err := Decide(nd, 10); err == nil {

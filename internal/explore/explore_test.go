@@ -244,7 +244,7 @@ func TestStableNodeWarmupCounter(t *testing.T) {
 	// The stable configuration must have pushed the shared count past the
 	// threshold or be positioned so no stale answer can follow.
 	states := res.System.BaseStates()
-	if v, ok := states["C"].(int64); ok && v < 2 && res.System.History().Len() < 2 {
+	if v, ok := states["C"].Int(); ok && v < 2 && res.System.History().Len() < 2 {
 		t.Fatalf("stable node with count %d and history %d looks premature", v, res.System.History().Len())
 	}
 }

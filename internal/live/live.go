@@ -103,7 +103,7 @@ func (c *AtomicFetchInc) Name() string { return c.name }
 
 // Spec implements Object.
 func (c *AtomicFetchInc) Spec() spec.Object {
-	return spec.Object{Type: spec.FetchInc{InitVal: c.init}, Init: c.init}
+	return spec.NewObject(spec.FetchInc{InitVal: c.init})
 }
 
 // Fresh implements Object.

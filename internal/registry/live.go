@@ -71,9 +71,9 @@ func LiveObject(name string, clients int, policy base.Policy, seed int64, opts c
 		if err != nil {
 			return nil, err
 		}
-		objName, obj := "C", spec.Object{Type: spec.FetchInc{InitVal: init}, Init: init}
+		objName, obj := "C", spec.NewObject(spec.FetchInc{InitVal: init})
 		if kind == "mutex-reg" {
-			objName, obj = "R", spec.Object{Type: spec.Register{InitVal: init}, Init: init}
+			objName, obj = "R", spec.NewObject(spec.Register{InitVal: init})
 		}
 		eventual := kind == "el-fi"
 		if eventual && policy == nil {

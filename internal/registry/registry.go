@@ -339,9 +339,9 @@ func TypeByName(name string) (spec.Object, error) {
 	}
 	switch kind {
 	case "register":
-		return spec.Object{Type: spec.Register{InitVal: initVal}, Init: initVal}, nil
+		return spec.NewObject(spec.Register{InitVal: initVal}), nil
 	case "fetchinc":
-		return spec.Object{Type: spec.FetchInc{InitVal: initVal}, Init: initVal}, nil
+		return spec.NewObject(spec.FetchInc{InitVal: initVal}), nil
 	case "consensus", "testset", "queue":
 		if hasArg {
 			return spec.Object{}, fmt.Errorf("registry: type %q takes no initial value (got %q)", kind, arg)
@@ -354,9 +354,9 @@ func TypeByName(name string) (spec.Object, error) {
 		}
 		return spec.NewObject(spec.Queue{}), nil
 	case "cas":
-		return spec.Object{Type: spec.CAS{InitVal: initVal}, Init: initVal}, nil
+		return spec.NewObject(spec.CAS{InitVal: initVal}), nil
 	case "maxregister":
-		return spec.Object{Type: spec.MaxRegister{InitVal: initVal}, Init: initVal}, nil
+		return spec.NewObject(spec.MaxRegister{InitVal: initVal}), nil
 	default:
 		return spec.Object{}, fmt.Errorf("registry: unknown type %q (known: %s)",
 			name, strings.Join(TypeNames(), ", "))

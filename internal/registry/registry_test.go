@@ -133,14 +133,14 @@ func TestTypeByName(t *testing.T) {
 		typ  string
 		init spec.State
 	}{
-		{"register", "register", int64(0)},
-		{"register:7", "register", int64(7)},
-		{"fetchinc:3", "fetchinc", int64(3)},
-		{"consensus", "consensus", spec.NoValue},
-		{"testset", "testset", int64(0)},
-		{"cas:2", "cas", int64(2)},
-		{"queue", "queue", ""},
-		{"maxregister:5", "maxregister", int64(5)},
+		{"register", "register", spec.IntState(0)},
+		{"register:7", "register", spec.IntState(7)},
+		{"fetchinc:3", "fetchinc", spec.IntState(3)},
+		{"consensus", "consensus", spec.IntState(spec.NoValue)},
+		{"testset", "testset", spec.IntState(0)},
+		{"cas:2", "cas", spec.IntState(2)},
+		{"queue", "queue", spec.StringState("")},
+		{"maxregister:5", "maxregister", spec.IntState(5)},
 	}
 	for _, tc := range cases {
 		obj, err := TypeByName(tc.name)

@@ -338,22 +338,25 @@ func TestServeHistoryReplays(t *testing.T) {
 // drain whose shard snapshot predates Shutdown finishing the shards — the
 // events that snapshot held back behind an idle shard's watermark are only
 // released by a drain that sees the shards done. Before the fix about one
-// cycle in eighty lost the final event (and its WAL frame).
+// cycle in eighty lost the final event (and its WAL frame). Stride 512 is
+// the wire-closed benchmark's monitor, whose rounds must merge exactly too.
 func TestShutdownMergesLastEvent(t *testing.T) {
 	const cycles, clients, ops = 200, 2, 20
-	for i := 0; i < cycles; i++ {
-		s, addr := startServer(t, server.Config{
-			Object:  live.NewAtomicFetchInc("C", 0),
-			Clients: clients,
-			Monitor: check.IncrementalConfig{Stride: 16},
-		})
-		load(t, loadgen.Config{Addr: addr, Clients: clients, Ops: ops, Gen: live.FetchIncGen(), Seed: int64(i)})
-		sum, err := s.Shutdown()
-		if err != nil {
-			t.Fatalf("cycle %d: shutdown: %v", i, err)
-		}
-		if sum.Events != 2*clients*ops {
-			t.Fatalf("cycle %d: %d events merged, want %d", i, sum.Events, 2*clients*ops)
+	for _, stride := range []int{16, 512} {
+		for i := 0; i < cycles; i++ {
+			s, addr := startServer(t, server.Config{
+				Object:  live.NewAtomicFetchInc("C", 0),
+				Clients: clients,
+				Monitor: check.IncrementalConfig{Stride: stride},
+			})
+			load(t, loadgen.Config{Addr: addr, Clients: clients, Ops: ops, Gen: live.FetchIncGen(), Seed: int64(i)})
+			sum, err := s.Shutdown()
+			if err != nil {
+				t.Fatalf("stride %d, cycle %d: shutdown: %v", stride, i, err)
+			}
+			if sum.Events != 2*clients*ops {
+				t.Fatalf("stride %d, cycle %d: %d events merged, want %d", stride, i, sum.Events, 2*clients*ops)
+			}
 		}
 	}
 }

@@ -502,7 +502,7 @@ func TestSystemAccessors(t *testing.T) {
 		t.Errorf("NumProcs = %d", sys.NumProcs())
 	}
 	states := sys.BaseStates()
-	if states["C"] != int64(0) {
+	if states["C"] != spec.IntState(0) {
 		t.Errorf("initial base state = %v", states["C"])
 	}
 	if len(sys.Bases()) != 1 || sys.Bases()[0].Name() != "C" {
@@ -531,7 +531,7 @@ func TestSystemAccessors(t *testing.T) {
 	if sys.Running(0) {
 		t.Error("p0 should be idle after return")
 	}
-	if sys.BaseStates()["C"] != int64(1) {
+	if sys.BaseStates()["C"] != spec.IntState(1) {
 		t.Errorf("base state after one op = %v", sys.BaseStates()["C"])
 	}
 }

@@ -27,25 +27,14 @@ func AppendFPOp(b []byte, op Op) []byte {
 	return b
 }
 
-// AppendFPState appends a canonical encoding of a State to b. The second
-// result is false when the state's dynamic type is not supported (all
-// states of the paper's concrete types are int64 or string).
-func AppendFPState(b []byte, s State) ([]byte, bool) {
-	switch v := s.(type) {
-	case int64:
-		return AppendFPInt(append(b, 'i'), v), true
-	case string:
-		b = append(b, 's')
-		b = AppendFPInt(b, int64(len(v)))
-		return append(b, v...), true
-	case bool:
-		if v {
-			return append(b, 'T'), true
-		}
-		return append(b, 'F'), true
-	default:
-		return b, false
+// AppendFPState appends a canonical encoding of a State to b: a tag byte,
+// 'i' or 's', then the integer, or the string's length and bytes.
+func AppendFPState(b []byte, s State) []byte {
+	if v, ok := s.Str(); ok {
+		b = AppendFPInt(append(b, 's'), int64(len(v)))
+		return append(b, v...)
 	}
+	return AppendFPInt(append(b, 'i'), s.n)
 }
 
 // FNV64 returns the 64-bit FNV-1a hash of b.

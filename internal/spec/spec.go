@@ -15,22 +15,51 @@
 //     is a method name plus up to two int64 arguments.
 //   - Responses are int64 values. Operations with "ack"-style responses
 //     (e.g. register writes) return 0 by convention.
-//   - States are immutable, comparable Go values (see State).
+//   - A state is a 16-byte comparable value (see State): an int64, or a
+//     canonical string for composite states.
 package spec
 
 import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unique"
 )
 
-// State is an immutable snapshot of an object's abstract state.
-//
-// States must be comparable Go values (integers, strings, or small structs
-// of comparable fields) so that they can serve as map keys in checker
-// memoization tables. Composite states (e.g. queue contents) are encoded
-// canonically as strings.
-type State = any
+// State is an immutable snapshot of an object's abstract state: an int64,
+// or, for composite states (queue contents, log entries, register cells), a
+// canonical string held as an interned handle. It is a 16-byte comparable
+// value, so a checker memo keys on it by value and an integer state is
+// stored and stepped without allocating. The zero State is the integer 0.
+type State struct {
+	n   int64
+	str unique.Handle[string] // zero for an integer state
+}
+
+// IntState returns the integer state v.
+func IntState(v int64) State { return State{n: v} }
+
+// StringState returns the string state v; equal strings are equal states.
+func StringState(v string) State { return State{str: unique.Make(v)} }
+
+// Int returns the state's integer; ok is false for a string state.
+func (s State) Int() (v int64, ok bool) { return s.n, s.str == unique.Handle[string]{} }
+
+// Str returns the state's string; ok is false for an integer state.
+func (s State) Str() (v string, ok bool) {
+	if s.str == (unique.Handle[string]{}) {
+		return "", false
+	}
+	return s.str.Value(), true
+}
+
+// String prints the integer in decimal and the string as it is.
+func (s State) String() string {
+	if v, ok := s.Str(); ok {
+		return v
+	}
+	return strconv.FormatInt(s.n, 10)
+}
 
 // Op is an operation invocation: a method name together with its arguments.
 // As in the paper, the "name" of an operation includes all of its arguments,

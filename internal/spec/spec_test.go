@@ -86,11 +86,11 @@ func TestRegister(t *testing.T) {
 	r := Register{InitVal: 7}
 	s := r.Init()
 	outs := Outcomes(r, s, MakeOp(MethodRead))
-	if len(outs) != 1 || outs[0].Resp != 7 || outs[0].Next != int64(7) {
+	if len(outs) != 1 || outs[0].Resp != 7 || outs[0].Next != IntState(7) {
 		t.Fatalf("read in init state: %+v", outs)
 	}
 	outs = Outcomes(r, s, MakeOp1(MethodWrite, 42))
-	if len(outs) != 1 || outs[0].Resp != 0 || outs[0].Next != int64(42) {
+	if len(outs) != 1 || outs[0].Resp != 0 || outs[0].Next != IntState(42) {
 		t.Fatalf("write(42): %+v", outs)
 	}
 	outs = Outcomes(r, outs[0].Next, MakeOp(MethodRead))
@@ -100,7 +100,7 @@ func TestRegister(t *testing.T) {
 	if got := Outcomes(r, s, MakeOp(MethodFetchInc)); got != nil {
 		t.Errorf("register accepted fetchinc: %+v", got)
 	}
-	if got := Outcomes(r, "bogus", MakeOp(MethodRead)); got != nil {
+	if got := Outcomes(r, StringState("bogus"), MakeOp(MethodRead)); got != nil {
 		t.Errorf("register accepted bogus state: %+v", got)
 	}
 	if got := Outcomes(r, s, MakeOp1(MethodRead, 1)); got != nil {
@@ -164,12 +164,12 @@ func TestCAS(t *testing.T) {
 	c := CAS{}
 	s := c.Init()
 	outs := Outcomes(c, s, MakeOp2(MethodCAS, 0, 5))
-	if len(outs) != 1 || outs[0].Resp != 1 || outs[0].Next != int64(5) {
+	if len(outs) != 1 || outs[0].Resp != 1 || outs[0].Next != IntState(5) {
 		t.Fatalf("cas(0,5) from 0: %+v", outs)
 	}
 	s = outs[0].Next
 	outs = Outcomes(c, s, MakeOp2(MethodCAS, 0, 9))
-	if len(outs) != 1 || outs[0].Resp != 0 || outs[0].Next != int64(5) {
+	if len(outs) != 1 || outs[0].Resp != 0 || outs[0].Next != IntState(5) {
 		t.Fatalf("failed cas(0,9) from 5: %+v", outs)
 	}
 	outs = Outcomes(c, s, MakeOp(MethodRead))
@@ -207,7 +207,7 @@ func TestQueue(t *testing.T) {
 	if outs[0].Resp != 20 {
 		t.Fatalf("second deq = %d, want 20", outs[0].Resp)
 	}
-	if outs[0].Next != "" {
+	if outs[0].Next != StringState("") {
 		t.Fatalf("queue not empty after draining: %v", outs[0].Next)
 	}
 }
@@ -332,8 +332,8 @@ func TestStepContract(t *testing.T) {
 		NStates:  2,
 		Ops:      []Op{flip},
 		Delta: map[TableKey][]Outcome{
-			{State: 0, Op: flip}: {{Resp: 0, Next: int64(0)}, {Resp: 1, Next: int64(1)}},
-			{State: 1, Op: flip}: {{Resp: 1, Next: int64(1)}, {Resp: 0, Next: int64(0)}},
+			{State: 0, Op: flip}: {{Resp: 0, Next: IntState(0)}, {Resp: 1, Next: IntState(1)}},
+			{State: 1, Op: flip}: {{Resp: 1, Next: IntState(1)}, {Resp: 0, Next: IntState(0)}},
 		},
 	}
 	arrayOps := []Op{MakeOp1(MethodRead, 0), MakeOp1(MethodRead, 2), MakeOp2(MethodWrite, 0, 1), MakeOp2(MethodWrite, 2, 3)}
@@ -374,7 +374,7 @@ func TestStepContract(t *testing.T) {
 					}
 				}
 				if tt, ok := typ.(*TableType); ok {
-					if want := tt.Delta[TableKey{State: s.(int64), Op: op}]; !slices.Equal(outs, want) {
+					if want := tt.Delta[TableKey{State: s.n, Op: op}]; !slices.Equal(outs, want) {
 						t.Errorf("%s: %s in %v: Outcomes = %v, Delta %v", typ.Name(), op, s, outs, want)
 					}
 				}
@@ -398,7 +398,7 @@ func TestTableType(t *testing.T) {
 	if got := Outcomes(ct, ct.Init(), MakeOp("other")); len(got) != 0 {
 		t.Errorf("constant accepted unknown op: %+v", got)
 	}
-	if got := Outcomes(ct, int64(5), MakeOp("get")); len(got) != 0 {
+	if got := Outcomes(ct, IntState(5), MakeOp("get")); len(got) != 0 {
 		t.Errorf("constant accepted out-of-range state: %+v", got)
 	}
 	total, err := isTotal(ct, 10)
@@ -415,8 +415,8 @@ func TestTableTypeNondeterministic(t *testing.T) {
 		Ops:      []Op{flip},
 		Delta: map[TableKey][]Outcome{
 			{State: 0, Op: flip}: {
-				{Resp: 0, Next: int64(0)},
-				{Resp: 1, Next: int64(0)},
+				{Resp: 0, Next: IntState(0)},
+				{Resp: 1, Next: IntState(0)},
 			},
 		},
 	}

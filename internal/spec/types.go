@@ -52,14 +52,14 @@ var _ OpEnumerator = Register{}
 func (Register) Name() string { return "register" }
 
 // Init implements Type.
-func (r Register) Init() State { return r.InitVal }
+func (r Register) Init() State { return IntState(r.InitVal) }
 
 // Deterministic implements Type.
 func (Register) Deterministic() bool { return true }
 
 // Step implements Type.
 func (Register) Step(s State, op Op, _ int) (Outcome, int) {
-	v, ok := s.(int64)
+	v, ok := s.Int()
 	if !ok {
 		return Outcome{}, 0
 	}
@@ -68,12 +68,12 @@ func (Register) Step(s State, op Op, _ int) (Outcome, int) {
 		if op.NArgs != 0 {
 			return Outcome{}, 0
 		}
-		return Outcome{Resp: v, Next: v}, 1
+		return Outcome{Resp: v, Next: s}, 1
 	case MethodWrite:
 		if op.NArgs != 1 {
 			return Outcome{}, 0
 		}
-		return Outcome{Resp: 0, Next: op.Args[0]}, 1
+		return Outcome{Resp: 0, Next: IntState(op.Args[0])}, 1
 	default:
 		return Outcome{}, 0
 	}
@@ -111,21 +111,21 @@ var _ OpEnumerator = FetchInc{}
 func (FetchInc) Name() string { return "fetchinc" }
 
 // Init implements Type.
-func (f FetchInc) Init() State { return f.InitVal }
+func (f FetchInc) Init() State { return IntState(f.InitVal) }
 
 // Deterministic implements Type.
 func (FetchInc) Deterministic() bool { return true }
 
 // Step implements Type.
 func (FetchInc) Step(s State, op Op, _ int) (Outcome, int) {
-	v, ok := s.(int64)
+	v, ok := s.Int()
 	if !ok {
 		return Outcome{}, 0
 	}
 	if op.Method != MethodFetchInc || op.NArgs != 0 {
 		return Outcome{}, 0
 	}
-	return Outcome{Resp: v, Next: v + 1}, 1
+	return Outcome{Resp: v, Next: IntState(v + 1)}, 1
 }
 
 // EnumOps implements OpEnumerator.
@@ -149,14 +149,14 @@ var _ OpEnumerator = Consensus{}
 func (Consensus) Name() string { return "consensus" }
 
 // Init implements Type.
-func (Consensus) Init() State { return NoValue }
+func (Consensus) Init() State { return IntState(NoValue) }
 
 // Deterministic implements Type.
 func (Consensus) Deterministic() bool { return true }
 
 // Step implements Type.
 func (Consensus) Step(s State, op Op, _ int) (Outcome, int) {
-	decided, ok := s.(int64)
+	decided, ok := s.Int()
 	if !ok {
 		return Outcome{}, 0
 	}
@@ -164,9 +164,9 @@ func (Consensus) Step(s State, op Op, _ int) (Outcome, int) {
 		return Outcome{}, 0
 	}
 	if decided == NoValue {
-		return Outcome{Resp: op.Args[0], Next: op.Args[0]}, 1
+		return Outcome{Resp: op.Args[0], Next: IntState(op.Args[0])}, 1
 	}
-	return Outcome{Resp: decided, Next: decided}, 1
+	return Outcome{Resp: decided, Next: s}, 1
 }
 
 // EnumOps implements OpEnumerator.
@@ -196,21 +196,21 @@ var _ OpEnumerator = TestSet{}
 func (TestSet) Name() string { return "testset" }
 
 // Init implements Type.
-func (TestSet) Init() State { return int64(0) }
+func (TestSet) Init() State { return IntState(0) }
 
 // Deterministic implements Type.
 func (TestSet) Deterministic() bool { return true }
 
 // Step implements Type.
 func (TestSet) Step(s State, op Op, _ int) (Outcome, int) {
-	set, ok := s.(int64)
+	set, ok := s.Int()
 	if !ok {
 		return Outcome{}, 0
 	}
 	if op.Method != MethodTestSet || op.NArgs != 0 {
 		return Outcome{}, 0
 	}
-	return Outcome{Resp: set, Next: int64(1)}, 1
+	return Outcome{Resp: set, Next: IntState(1)}, 1
 }
 
 // EnumOps implements OpEnumerator.
@@ -237,14 +237,14 @@ var _ OpEnumerator = CAS{}
 func (CAS) Name() string { return "cas" }
 
 // Init implements Type.
-func (c CAS) Init() State { return c.InitVal }
+func (c CAS) Init() State { return IntState(c.InitVal) }
 
 // Deterministic implements Type.
 func (CAS) Deterministic() bool { return true }
 
 // Step implements Type.
 func (CAS) Step(s State, op Op, _ int) (Outcome, int) {
-	v, ok := s.(int64)
+	v, ok := s.Int()
 	if !ok {
 		return Outcome{}, 0
 	}
@@ -253,15 +253,15 @@ func (CAS) Step(s State, op Op, _ int) (Outcome, int) {
 		if op.NArgs != 0 {
 			return Outcome{}, 0
 		}
-		return Outcome{Resp: v, Next: v}, 1
+		return Outcome{Resp: v, Next: s}, 1
 	case MethodCAS:
 		if op.NArgs != 2 {
 			return Outcome{}, 0
 		}
 		if v == op.Args[0] {
-			return Outcome{Resp: 1, Next: op.Args[1]}, 1
+			return Outcome{Resp: 1, Next: IntState(op.Args[1])}, 1
 		}
-		return Outcome{Resp: 0, Next: v}, 1
+		return Outcome{Resp: 0, Next: s}, 1
 	default:
 		return Outcome{}, 0
 	}
@@ -301,14 +301,14 @@ var _ OpEnumerator = MaxRegister{}
 func (MaxRegister) Name() string { return "maxregister" }
 
 // Init implements Type.
-func (m MaxRegister) Init() State { return m.InitVal }
+func (m MaxRegister) Init() State { return IntState(m.InitVal) }
 
 // Deterministic implements Type.
 func (MaxRegister) Deterministic() bool { return true }
 
 // Step implements Type.
 func (MaxRegister) Step(s State, op Op, _ int) (Outcome, int) {
-	v, ok := s.(int64)
+	v, ok := s.Int()
 	if !ok {
 		return Outcome{}, 0
 	}
@@ -317,7 +317,7 @@ func (MaxRegister) Step(s State, op Op, _ int) (Outcome, int) {
 		if op.NArgs != 0 {
 			return Outcome{}, 0
 		}
-		return Outcome{Resp: v, Next: v}, 1
+		return Outcome{Resp: v, Next: s}, 1
 	case MethodWriteMax:
 		if op.NArgs != 1 {
 			return Outcome{}, 0
@@ -326,7 +326,7 @@ func (MaxRegister) Step(s State, op Op, _ int) (Outcome, int) {
 		if op.Args[0] > next {
 			next = op.Args[0]
 		}
-		return Outcome{Resp: 0, Next: next}, 1
+		return Outcome{Resp: 0, Next: IntState(next)}, 1
 	default:
 		return Outcome{}, 0
 	}
@@ -363,14 +363,14 @@ var _ OpEnumerator = Queue{}
 func (Queue) Name() string { return "queue" }
 
 // Init implements Type.
-func (Queue) Init() State { return "" }
+func (Queue) Init() State { return StringState("") }
 
 // Deterministic implements Type.
 func (Queue) Deterministic() bool { return true }
 
 // Step implements Type.
 func (Queue) Step(s State, op Op, _ int) (Outcome, int) {
-	enc, ok := s.(string)
+	enc, ok := s.Str()
 	if !ok {
 		return Outcome{}, 0
 	}
@@ -383,13 +383,13 @@ func (Queue) Step(s State, op Op, _ int) (Outcome, int) {
 		if enc != "" {
 			next = enc + "," + next
 		}
-		return Outcome{Resp: 0, Next: next}, 1
+		return Outcome{Resp: 0, Next: StringState(next)}, 1
 	case MethodDeq:
 		if op.NArgs != 0 {
 			return Outcome{}, 0
 		}
 		if enc == "" {
-			return Outcome{Resp: EmptyDeq, Next: ""}, 1
+			return Outcome{Resp: EmptyDeq, Next: s}, 1
 		}
 		head := enc
 		rest := ""
@@ -400,7 +400,7 @@ func (Queue) Step(s State, op Op, _ int) (Outcome, int) {
 		if err != nil {
 			return Outcome{}, 0
 		}
-		return Outcome{Resp: v, Next: rest}, 1
+		return Outcome{Resp: v, Next: StringState(rest)}, 1
 	default:
 		return Outcome{}, 0
 	}
@@ -438,14 +438,14 @@ var _ OpEnumerator = OpLog{}
 func (OpLog) Name() string { return "oplog" }
 
 // Init implements Type.
-func (OpLog) Init() State { return "" }
+func (OpLog) Init() State { return StringState("") }
 
 // Deterministic implements Type.
 func (OpLog) Deterministic() bool { return true }
 
 // Step implements Type.
 func (OpLog) Step(s State, op Op, _ int) (Outcome, int) {
-	enc, ok := s.(string)
+	enc, ok := s.Str()
 	if !ok {
 		return Outcome{}, 0
 	}
@@ -456,15 +456,15 @@ func (OpLog) Step(s State, op Op, _ int) (Outcome, int) {
 		}
 		entry := strconv.FormatInt(op.Args[0], 10)
 		if enc == "" {
-			return Outcome{Resp: 0, Next: entry}, 1
+			return Outcome{Resp: 0, Next: StringState(entry)}, 1
 		}
-		return Outcome{Resp: int64(strings.Count(enc, ",")) + 1, Next: enc + "," + entry}, 1
+		return Outcome{Resp: int64(strings.Count(enc, ",")) + 1, Next: StringState(enc + "," + entry)}, 1
 	case MethodRead:
 		if op.NArgs != 1 || op.Args[0] < 0 {
 			return Outcome{}, 0
 		}
 		if enc == "" {
-			return Outcome{Resp: NoValue, Next: enc}, 1
+			return Outcome{Resp: NoValue, Next: s}, 1
 		}
 		rest := enc
 		for i := int64(0); ; i++ {
@@ -479,10 +479,10 @@ func (OpLog) Step(s State, op Op, _ int) (Outcome, int) {
 				if err != nil {
 					return Outcome{}, 0
 				}
-				return Outcome{Resp: v, Next: enc}, 1
+				return Outcome{Resp: v, Next: s}, 1
 			}
 			if rest == "" {
-				return Outcome{Resp: NoValue, Next: enc}, 1
+				return Outcome{Resp: NoValue, Next: s}, 1
 			}
 		}
 	default:
@@ -517,14 +517,14 @@ var _ Type = RegisterArray{}
 func (RegisterArray) Name() string { return "regarray" }
 
 // Init implements Type.
-func (RegisterArray) Init() State { return "" }
+func (RegisterArray) Init() State { return StringState("") }
 
 // Deterministic implements Type.
 func (RegisterArray) Deterministic() bool { return true }
 
 // Step implements Type.
 func (ra RegisterArray) Step(s State, op Op, _ int) (Outcome, int) {
-	enc, ok := s.(string)
+	enc, ok := s.Str()
 	if !ok {
 		return Outcome{}, 0
 	}
@@ -541,13 +541,13 @@ func (ra RegisterArray) Step(s State, op Op, _ int) (Outcome, int) {
 		if !present {
 			v = ra.InitVal
 		}
-		return Outcome{Resp: v, Next: enc}, 1
+		return Outcome{Resp: v, Next: s}, 1
 	case MethodWrite:
 		if op.NArgs != 2 || op.Args[0] < 0 {
 			return Outcome{}, 0
 		}
 		cells[op.Args[0]] = op.Args[1]
-		return Outcome{Resp: 0, Next: encodeCells(cells)}, 1
+		return Outcome{Resp: 0, Next: StringState(encodeCells(cells))}, 1
 	default:
 		return Outcome{}, 0
 	}
@@ -635,7 +635,7 @@ var _ OpEnumerator = (*TableType)(nil)
 func (t *TableType) Name() string { return t.TypeName }
 
 // Init implements Type.
-func (t *TableType) Init() State { return int64(0) }
+func (t *TableType) Init() State { return IntState(0) }
 
 // Deterministic implements Type.
 func (t *TableType) Deterministic() bool {
@@ -649,7 +649,7 @@ func (t *TableType) Deterministic() bool {
 
 // Step implements Type: outcome i is Delta's entry i.
 func (t *TableType) Step(s State, op Op, i int) (Outcome, int) {
-	v, ok := s.(int64)
+	v, ok := s.Int()
 	if !ok || v < 0 || v >= t.NStates {
 		return Outcome{}, 0
 	}
@@ -677,7 +677,7 @@ func ConstantType(val int64) *TableType {
 		NStates:  1,
 		Ops:      []Op{get},
 		Delta: map[TableKey][]Outcome{
-			{State: 0, Op: get}: {{Resp: val, Next: int64(0)}},
+			{State: 0, Op: get}: {{Resp: val, Next: IntState(0)}},
 		},
 	}
 }
